@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-json bench-fig10 bench-mem vet lint debugtest golden golden-par fig10 golden-bigp golden-bigp-update golden-resize golden-resize-update golden-mem golden-mem-update check
+.PHONY: all build test race bench bench-json bench-fig10 bench-mem vet lint debugtest golden golden-update golden-par fig10 golden-bigp golden-bigp-w4 golden-bigp-update golden-resize golden-resize-update golden-mem golden-mem-update check
 
 all: build
 
@@ -40,7 +40,7 @@ fig10:
 # Writes the per-rank-count benchmark report (wall clock, post-run memory,
 # executor meters) for the Figure 10 sweep and prints (and checks in) the
 # rank_rows delta against BENCH_3.json — the large-P host-performance
-# baseline taken before the §15 fast path. Virtual seconds must not move;
+# baseline taken before the large-P fast path. Virtual seconds must not move;
 # wall clock and heap are the host-performance result.
 bench-fig10:
 	$(GO) run ./cmd/paperbench -bench-fig10 BENCH_5.json -bench-baseline BENCH_3.json | tee BENCH_5_DELTA.txt
@@ -48,7 +48,7 @@ bench-fig10:
 vet:
 	$(GO) vet ./...
 
-# Repo-specific analyzers (see DESIGN.md §9): buffer ownership
+# Repo-specific analyzers (see DESIGN.md, "Enforced invariants"): buffer ownership
 # (ownedbuf), hot-path determinism (determinism), SPMD collective
 # symmetry (collsym), run-slot blocking (parkblock), host-budget leaks
 # (budgetleak), and hot-kernel allocations (hotalloc).
@@ -60,36 +60,68 @@ lint:
 debugtest:
 	$(GO) test -tags vmpidebug ./internal/vmpi/...
 
-# Regenerates the paper figures with the canonical invocation (see
-# EXPERIMENTS.md) and byte-diffs them against the checked-in baseline.
-# Any divergence — a changed virtual time anywhere in Figures 6-9 — fails.
-# To accept an intentional change: make golden-update, then review the diff.
-# The same invocation exports the canonical observability run (the Fig. 9
-# torus steady state) as a Chrome trace timeline and a metrics dump; the
-# export notices go to stderr, so stdout stays byte-stable.
+# Golden gates. Each gate reruns one canonical paperbench invocation (see
+# EXPERIMENTS.md) and byte-diffs its stdout against a checked-in baseline;
+# any divergence — a changed virtual time anywhere — fails. To accept an
+# intentional change: make <gate>-update, then review the diff. One recipe
+# serves every gate, parametrised per target by ARGS (the invocation), BASE
+# (the baseline file) and EXTRA (flags of the gate run only: observability
+# exports, whose notices go to stderr so stdout stays byte-stable, or a
+# pinned worker count):
+#
+#   golden         Figures 6-9; exports the canonical observability run
+#                  (the Fig. 9 torus steady state) as Chrome trace + metrics.
+#   golden-bigp    The 1024-rank Figure 10 point: the cheap stand-in for the
+#                  full 64...16384 sweep, three orders of magnitude above
+#                  the Figure 6-9 rank counts. Its -w4 leg pins the executor
+#                  to 4 run slots: figure bytes must not depend on the
+#                  worker count.
+#   golden-resize  The elastic-worlds cost figure (live vmpi.Resize with
+#                  particle remapping vs static peak over-provisioning);
+#                  exports the grow leg's timeline with the resize epochs.
+#   golden-mem     Figure M (the unbounded exchange exhausting the staging
+#                  budget vs the planner's bounded rounds, plus the three
+#                  sorts under the same budget); exports the planned
+#                  exchange's timeline with the redist/peak_bytes meter.
 #
 # JOBS is the experiment scheduler's worker count (paperbench -j). The
 # figure bytes are identical at any value — golden-par proves it by
-# diffing a -j 1 run against a -j 8 run — so golden runs parallel by
+# diffing a -j 1 run against a -j 8 run — so the gates run parallel by
 # default and only wall-clock time depends on the host.
 JOBS ?= 8
 
-golden:
-	$(GO) run ./cmd/paperbench -fig all -particles 6000 -ranks 8 -ranks-list 2,4,8,16 -j $(JOBS) \
-		-trace-out obs_trace.json -metrics-out obs_metrics.txt > paperbench_output.got.txt
-	diff -u paperbench_output.txt paperbench_output.got.txt
-	rm -f paperbench_output.got.txt
+GOLDEN_ARGS := -fig all -particles 6000 -ranks 8 -ranks-list 2,4,8,16
 
-golden-update:
-	$(GO) run ./cmd/paperbench -fig all -particles 6000 -ranks 8 -ranks-list 2,4,8,16 -j $(JOBS) > paperbench_output.txt
+golden golden-update:                          ARGS  := $(GOLDEN_ARGS)
+golden golden-update:                          BASE  := paperbench_output.txt
+golden:                                        EXTRA := -trace-out obs_trace.json -metrics-out obs_metrics.txt
+golden-bigp golden-bigp-w4 golden-bigp-update: ARGS  := -fig 10 -ranks-list 1024
+golden-bigp golden-bigp-w4 golden-bigp-update: BASE  := paperbench_fig10_1024.txt
+golden-bigp-w4:                                EXTRA := -workers 4
+golden-resize golden-resize-update:            ARGS  := -fig resize
+golden-resize golden-resize-update:            BASE  := paperbench_resize.txt
+golden-resize:                                 EXTRA := -trace-out obs_resize_trace.json -metrics-out obs_resize_metrics.txt
+golden-mem golden-mem-update:                  ARGS  := -fig mem
+golden-mem golden-mem-update:                  BASE  := paperbench_mem.txt
+golden-mem:                                    EXTRA := -trace-out obs_mem_trace.json -metrics-out obs_mem_metrics.txt
+
+golden-bigp: golden-bigp-w4
+
+golden golden-bigp golden-bigp-w4 golden-resize golden-mem:
+	$(GO) run ./cmd/paperbench $(ARGS) -j $(JOBS) $(EXTRA) > $@.got.txt
+	diff -u $(BASE) $@.got.txt
+	rm -f $@.got.txt
+
+golden-update golden-bigp-update golden-resize-update golden-mem-update:
+	$(GO) run ./cmd/paperbench $(ARGS) -j $(JOBS) > $(BASE)
 
 # Serial-vs-parallel byte identity: the canonical invocation at -j 1 and
 # -j 8 must produce identical stdout, trace, and metrics bytes (and match
 # the checked-in baseline).
 golden-par:
-	$(GO) run ./cmd/paperbench -fig all -particles 6000 -ranks 8 -ranks-list 2,4,8,16 -j 1 \
+	$(GO) run ./cmd/paperbench $(GOLDEN_ARGS) -j 1 \
 		-trace-out obs_trace.j1.json -metrics-out obs_metrics.j1.txt > paperbench_output.j1.txt
-	$(GO) run ./cmd/paperbench -fig all -particles 6000 -ranks 8 -ranks-list 2,4,8,16 -j 8 \
+	$(GO) run ./cmd/paperbench $(GOLDEN_ARGS) -j 8 \
 		-trace-out obs_trace.j8.json -metrics-out obs_metrics.j8.txt > paperbench_output.j8.txt
 	diff -u paperbench_output.j1.txt paperbench_output.j8.txt
 	diff -u obs_trace.j1.json obs_trace.j8.json
@@ -97,54 +129,6 @@ golden-par:
 	diff -u paperbench_output.txt paperbench_output.j1.txt
 	rm -f paperbench_output.j1.txt paperbench_output.j8.txt \
 		obs_trace.j1.json obs_trace.j8.json obs_metrics.j1.txt obs_metrics.j8.txt
-
-# Large-P smoke golden: the 1024-rank Figure 10 point must stay
-# byte-identical to the checked-in baseline. This is the cheap stand-in for
-# the full 64...16384 sweep that gates the event executor at a rank count
-# three orders of magnitude above the Figure 6-9 configurations. The second
-# run pins the sharded executor to 4 run slots: figure bytes must not
-# depend on the worker count (DESIGN.md §15).
-golden-bigp:
-	$(GO) run ./cmd/paperbench -fig 10 -ranks-list 1024 -j $(JOBS) > paperbench_fig10_1024.got.txt
-	diff -u paperbench_fig10_1024.txt paperbench_fig10_1024.got.txt
-	$(GO) run ./cmd/paperbench -fig 10 -ranks-list 1024 -j $(JOBS) -workers 4 > paperbench_fig10_1024.w4.txt
-	diff -u paperbench_fig10_1024.txt paperbench_fig10_1024.w4.txt
-	rm -f paperbench_fig10_1024.got.txt paperbench_fig10_1024.w4.txt
-
-golden-bigp-update:
-	$(GO) run ./cmd/paperbench -fig 10 -ranks-list 1024 -j $(JOBS) > paperbench_fig10_1024.txt
-
-# Elastic-worlds golden: the resize cost figure (live vmpi.Resize with
-# particle remapping vs static peak over-provisioning, both machine
-# models) must stay byte-identical to the checked-in baseline. The same
-# invocation exports the elastic grow leg's Chrome trace and metrics dump,
-# which carry the resize epochs (vmpi/resize and elastic/remap spans,
-# resize counter, world-size gauge).
-golden-resize:
-	$(GO) run ./cmd/paperbench -fig resize -j $(JOBS) \
-		-trace-out obs_resize_trace.json -metrics-out obs_resize_metrics.txt \
-		> paperbench_resize.got.txt
-	diff -u paperbench_resize.txt paperbench_resize.got.txt
-	rm -f paperbench_resize.got.txt
-
-golden-resize-update:
-	$(GO) run ./cmd/paperbench -fig resize -j $(JOBS) > paperbench_resize.txt
-
-# Memory-budget golden: Figure M (the unbounded exchange exhausting the
-# staging budget vs the redist planner's bounded rounds, plus the three
-# sort strategies under the same budget, both machine models) must stay
-# byte-identical to the checked-in baseline. The same invocation exports
-# the planned exchange's Chrome trace and metrics dump, which carry the
-# redist/peak_bytes gauge and counter.
-golden-mem:
-	$(GO) run ./cmd/paperbench -fig mem -j $(JOBS) \
-		-trace-out obs_mem_trace.json -metrics-out obs_mem_metrics.txt \
-		> paperbench_mem.got.txt
-	diff -u paperbench_mem.txt paperbench_mem.got.txt
-	rm -f paperbench_mem.got.txt
-
-golden-mem-update:
-	$(GO) run ./cmd/paperbench -fig mem -j $(JOBS) > paperbench_mem.txt
 
 # Writes the Figure M benchmark report (memory-budget strategies, both
 # machine models: virtual times, metered staging peaks, wall clock).

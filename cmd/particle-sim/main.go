@@ -140,18 +140,18 @@ func main() {
 	fmt.Printf("communication: %d messages, %.3g MB total\n",
 		st.TotalMessages(), float64(st.TotalBytes())/1e6)
 
-	if st.Trace != nil {
+	if *trace {
+		ev := st.Events
 		fmt.Printf("\ncommunication by phase (traced):\n")
 		fmt.Printf("  %-14s %10s %12s %8s\n", "phase", "messages", "bytes", "pairs")
 		for _, ph := range []string{api.PhaseSort, api.PhaseRestore, api.PhaseResortCreate,
 			api.PhaseResort, api.PhaseNear, api.PhaseFar} {
-			sub := st.Trace.Filter(func(e vmpi.TraceEvent) bool { return e.Phase == ph })
-			if sub.MessageCount() == 0 {
+			if ev.MessageCount(ph) == 0 {
 				continue
 			}
-			fmt.Printf("  %-14s %10d %12d %8d\n", ph, sub.MessageCount(), sub.TotalBytes(), sub.ActivePairs())
+			fmt.Printf("  %-14s %10d %12d %8d\n", ph, ev.MessageCount(ph), ev.TotalBytes(ph), ev.ActivePairs(ph))
 		}
 		fmt.Printf("  total active pairs: %d of %d possible\n",
-			st.Trace.ActivePairs(), *ranks*(*ranks-1))
+			ev.ActivePairs(""), *ranks*(*ranks-1))
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/paperbench"
-	"repro/internal/vmpi"
 )
 
 // Figure 10 reports (the BENCH_3.json series) extend the per-figure
@@ -28,8 +27,7 @@ type RankRow struct {
 	// run, so Sys ratchets to the sweep's high-water mark).
 	HeapInuseBytes uint64 `json:"heap_inuse_bytes"`
 	SysBytes       uint64 `json:"sys_bytes"`
-	// Executor meters summed over the rank count's experiments (zero under
-	// the goroutine engine, which has none).
+	// Executor meters summed over the rank count's experiments.
 	ExecParks   int64 `json:"exec_parks"`
 	ExecWakeups int64 `json:"exec_wakeups"`
 	ExecSpawned int64 `json:"exec_spawned"`
@@ -40,7 +38,7 @@ type RankRow struct {
 // counts are timed one after another (experiments inside a rank count still
 // share the worker pool), so each row's wall clock and memory snapshot is
 // attributable to that rank count alone.
-func CollectFig10(rankList []int, engine vmpi.Engine) *Report {
+func CollectFig10(rankList []int) *Report {
 	rep := &Report{
 		Schema:    Schema,
 		CreatedAt: time.Now().UTC().Format(time.RFC3339),
@@ -59,7 +57,7 @@ func CollectFig10(rankList []int, engine vmpi.Engine) *Report {
 		paperbench.HostObs().Take() // discard events from before this figure
 		for _, p := range rankList {
 			start := time.Now()
-			pt := paperbench.Fig10Eval(mc.m, p, engine)
+			pt := paperbench.Fig10Eval(mc.m, p)
 			wall := time.Since(start).Seconds()
 			paperbench.RecordPoolStats()
 			row := RankRow{Ranks: p, WallSeconds: wall}

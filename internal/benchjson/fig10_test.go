@@ -2,13 +2,11 @@ package benchjson
 
 import (
 	"testing"
-
-	"repro/internal/vmpi"
 )
 
 func TestCollectFig10(t *testing.T) {
 	ranks := []int{4, 8}
-	rep := CollectFig10(ranks, vmpi.EngineEvent)
+	rep := CollectFig10(ranks)
 	if len(rep.Figures) != 2 {
 		t.Fatalf("got %d figures, want 2 (one per machine)", len(rep.Figures))
 	}
@@ -32,7 +30,7 @@ func TestCollectFig10(t *testing.T) {
 			if row.HeapInuseBytes == 0 || row.SysBytes == 0 {
 				t.Errorf("%s ranks %d: empty memory snapshot %+v", fig.Name, row.Ranks, row)
 			}
-			// Two experiments per rank count under the event engine: the
+			// Two experiments per rank count: the
 			// executor spawned every rank, and parked at least some of them.
 			if row.ExecSpawned != int64(2*row.Ranks) {
 				t.Errorf("%s ranks %d: exec spawned %d, want %d", fig.Name, row.Ranks, row.ExecSpawned, 2*row.Ranks)

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/paperbench"
-	"repro/internal/vmpi"
 )
 
 // CollectMem runs the Figure M memory-budget comparison on both machines
@@ -15,7 +14,7 @@ import (
 // clock per machine is the host-side number. Kept separate from Collect:
 // the BENCH_1.json baseline series predates this figure and its figure
 // list must stay stable.
-func CollectMem(engine vmpi.Engine) *Report {
+func CollectMem() *Report {
 	rep := &Report{
 		Schema:    Schema,
 		CreatedAt: time.Now().UTC().Format(time.RFC3339),
@@ -31,7 +30,7 @@ func CollectMem(engine vmpi.Engine) *Report {
 	for _, mc := range machines {
 		paperbench.TakeJobStats() // discard stats from before this figure
 		start := time.Now()
-		rows := paperbench.FigMem(mc.m, engine)
+		rows := paperbench.FigMem(mc.m)
 		wall := time.Since(start).Seconds()
 		st := paperbench.TakeJobStats()
 		fig := Figure{

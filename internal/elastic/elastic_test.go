@@ -3,7 +3,6 @@ package elastic
 import (
 	"fmt"
 	"math"
-	"reflect"
 	"testing"
 
 	"repro/internal/api"
@@ -179,48 +178,26 @@ func elasticSim(s *particle.System, schedule []int, stepsPerStage int, capf Capa
 }
 
 // TestElasticSimulationAcrossResizes runs the full stack — mdsim over core
-// over the p2nfft pipeline — through a shrink/grow/shrink schedule on both
-// engines and requires byte-identical virtual results.
+// over the p2nfft pipeline — through a shrink/grow/shrink schedule.
 func TestElasticSimulationAcrossResizes(t *testing.T) {
 	s := particle.SilicaMelt(180, 10, true, 3)
-	schedule := []int{2, 6, 3}
-	var ref *vmpi.Stats
-	for _, e := range []struct {
-		name   string
-		engine vmpi.Engine
-	}{{"event", vmpi.EngineEvent}, {"goroutine", vmpi.EngineGoroutine}} {
-		st := vmpi.Run(vmpi.Config{Ranks: 4, MaxRanks: 6, Engine: e.engine},
-			elasticSim(s, schedule, 2, nil))
-		if st.FinalSize != 3 || st.Epochs != 4 {
-			t.Fatalf("%s: final size %d epochs %d, want 3 and 4", e.name, st.FinalSize, st.Epochs)
-		}
-		total := 0.0
-		for _, v := range st.Values {
-			if v == nil {
-				continue
-			}
-			r := v.([3]float64)
-			total += r[0]
-			if math.IsNaN(r[1]) || math.IsNaN(r[2]) {
-				t.Fatalf("%s: NaN energies %v", e.name, r)
-			}
-		}
-		if int(total) != s.N {
-			t.Fatalf("%s: survivors hold %d particles, want %d", e.name, int(total), s.N)
-		}
-		if ref == nil {
-			ref = st
+	st := vmpi.Run(vmpi.Config{Ranks: 4, MaxRanks: 6}, elasticSim(s, []int{2, 6, 3}, 2, nil))
+	if st.FinalSize != 3 || st.Epochs != 4 {
+		t.Fatalf("final size %d epochs %d, want 3 and 4", st.FinalSize, st.Epochs)
+	}
+	total := 0.0
+	for _, v := range st.Values {
+		if v == nil {
 			continue
 		}
-		if !reflect.DeepEqual(st.Clocks, ref.Clocks) {
-			t.Errorf("engine clocks differ: %v vs %v", st.Clocks, ref.Clocks)
+		r := v.([3]float64)
+		total += r[0]
+		if math.IsNaN(r[1]) || math.IsNaN(r[2]) {
+			t.Fatalf("NaN energies %v", r)
 		}
-		if !reflect.DeepEqual(st.Values, ref.Values) {
-			t.Errorf("engine results differ")
-		}
-		if !reflect.DeepEqual(st.Phases, ref.Phases) {
-			t.Errorf("engine phase breakdowns differ")
-		}
+	}
+	if int(total) != s.N {
+		t.Fatalf("survivors hold %d particles, want %d", int(total), s.N)
 	}
 }
 

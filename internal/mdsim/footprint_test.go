@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/netmodel"
+	"repro/internal/obs"
 	"repro/internal/particle"
 	"repro/internal/vmpi"
 )
@@ -13,12 +14,12 @@ import (
 // structural claims about who talks to whom and how much data moves,
 // independent of any timing model.
 
-// traceSim runs a short simulation and returns the trace of the LAST step
-// only (steady state). Traces are deterministic, so the last step's events
-// are obtained by subtracting a prefix run (all but the last step) from a
-// full run.
+// traceSim runs a short simulation and returns the event log of the LAST
+// step only (steady state). Event streams are deterministic, so the last
+// step's events are obtained by subtracting a prefix run (all but the last
+// step) from a full run.
 func traceSim(t *testing.T, s *particle.System, solver string, dist particle.Dist,
-	resort, track bool, ranks, steps int, model netmodel.Model) *vmpi.Trace {
+	resort, track bool, ranks, steps int, model netmodel.Model) *obs.Log {
 	t.Helper()
 	run := func(n int) *vmpi.Stats {
 		return vmpi.Run(vmpi.Config{Ranks: ranks, Trace: true, Model: model}, func(c *vmpi.Comm) {
@@ -35,20 +36,27 @@ func traceSim(t *testing.T, s *particle.System, solver string, dist particle.Dis
 			}
 		})
 	}
-	full := run(steps)
-	prefix := run(steps - 1)
-	last := &vmpi.Trace{BySender: make([][]vmpi.TraceEvent, ranks)}
-	for r := 0; r < ranks; r++ {
-		pre := len(prefix.Trace.BySender[r])
-		last.BySender[r] = full.Trace.BySender[r][pre:]
+	full := run(steps).Events
+	prefix := run(steps - 1).Events
+	last := &obs.Log{ByRank: make([][]obs.Event, ranks)}
+	for r := range last.ByRank {
+		last.ByRank[r] = full.ByRank[r][len(prefix.ByRank[r]):]
 	}
 	return last
 }
 
 // redistBytes sums the traced bytes of all redistribution phases.
-func redistBytes(tr *vmpi.Trace) int64 {
-	return tr.PhaseBytes(api.PhaseSort) + tr.PhaseBytes(api.PhaseRestore) +
-		tr.PhaseBytes(api.PhaseResort) + tr.PhaseBytes(api.PhaseResortCreate)
+func redistBytes(l *obs.Log) int64 {
+	return l.TotalBytes(api.PhaseSort) + l.TotalBytes(api.PhaseRestore) +
+		l.TotalBytes(api.PhaseResort) + l.TotalBytes(api.PhaseResortCreate)
+}
+
+// sortPayloads returns the sort-phase sends that carry particle records
+// (48 bytes each), excluding the small control messages.
+func sortPayloads(l *obs.Log) []obs.Event {
+	return l.Filter(func(e obs.Event) bool {
+		return e.Kind == obs.KindSend && e.Name == api.PhaseSort && e.Bytes >= 48
+	})
 }
 
 func TestFMMMethodBShrinksRedistributionTraffic(t *testing.T) {
@@ -78,14 +86,12 @@ func TestFMMMovementHeuristicExploitsSortedness(t *testing.T) {
 	const ranks = 8
 	plain := traceSim(t, s, "fmm", particle.DistGrid, true, false, ranks, 3, netmodel.NewSwitched())
 	moved := traceSim(t, s, "fmm", particle.DistGrid, true, true, ranks, 3, netmodel.NewSwitched())
-	if mm, mp := moved.PhaseMessages(api.PhaseSort), plain.PhaseMessages(api.PhaseSort); mm >= mp {
+	mm, mp := moved.MessageCount(api.PhaseSort), plain.MessageCount(api.PhaseSort)
+	if mm >= mp {
 		t.Errorf("merge-based sort should send fewer messages: %d vs %d", mm, mp)
 	}
-	// Particle records are 48 bytes; count only data-bearing messages.
 	dataBytes := int64(0)
-	for _, e := range moved.Filter(func(e vmpi.TraceEvent) bool {
-		return e.Phase == api.PhaseSort && e.Bytes >= 48
-	}).Events() {
+	for _, e := range sortPayloads(moved) {
 		dataBytes += int64(e.Bytes)
 	}
 	fullVolume := int64(s.N * 48)
@@ -94,7 +100,7 @@ func TestFMMMovementHeuristicExploitsSortedness(t *testing.T) {
 			dataBytes, fullVolume)
 	}
 	t.Logf("sort-phase: %d msgs (merge) vs %d (partition); merge data volume %d of %d full",
-		moved.PhaseMessages(api.PhaseSort), plain.PhaseMessages(api.PhaseSort), dataBytes, fullVolume)
+		mm, mp, dataBytes, fullVolume)
 }
 
 func TestP2NFFTNeighborhoodFootprint(t *testing.T) {
@@ -107,8 +113,8 @@ func TestP2NFFTNeighborhoodFootprint(t *testing.T) {
 	const ranks = 64
 	a2a := traceSim(t, s, "p2nfft", particle.DistGrid, true, false, ranks, 2, netmodel.NewTorus(ranks))
 	nbr := traceSim(t, s, "p2nfft", particle.DistGrid, true, true, ranks, 2, netmodel.NewTorus(ranks))
-	msgsA2A := a2a.PhaseMessages(api.PhaseSort)
-	msgsNbr := nbr.PhaseMessages(api.PhaseSort)
+	msgsA2A := a2a.MessageCount(api.PhaseSort)
+	msgsNbr := nbr.MessageCount(api.PhaseSort)
 	if msgsNbr >= msgsA2A {
 		t.Errorf("neighborhood should send fewer sort-phase messages: %d vs %d", msgsNbr, msgsA2A)
 	}
@@ -117,10 +123,13 @@ func TestP2NFFTNeighborhoodFootprint(t *testing.T) {
 	// Data-bearing footprint: with the neighborhood backend, every rank's
 	// sort-phase particle payloads go to grid neighbors only (the small
 	// control messages of the collective fallback decision are excluded).
-	sortNbr := nbr.Filter(func(e vmpi.TraceEvent) bool {
-		return e.Phase == api.PhaseSort && e.Bytes >= 48
-	})
-	pairsNbr := sortNbr.ActivePairs()
+	pairs := map[[2]int]bool{}
+	for _, e := range sortPayloads(nbr) {
+		if e.Peer != e.Rank {
+			pairs[[2]int{e.Rank, e.Peer}] = true
+		}
+	}
+	pairsNbr := len(pairs)
 	if pairsNbr > ranks*26 {
 		t.Errorf("neighborhood footprint %d pairs exceeds the neighbor bound %d", pairsNbr, ranks*26)
 	}

@@ -1,8 +1,8 @@
 // Package obs is the unified observability layer: one append-only event
 // stream that the virtual MPI runtime, the coupling pipeline, and the
 // solvers emit into, with exporters (Chrome trace-event JSON, Prometheus
-// text metrics, comm-matrix summaries) and derived views (vmpi.Trace,
-// api.RunStats) built on top.
+// text metrics, comm-matrix summaries) and derived views (the Log's
+// communication summaries, api.RunStats) built on top.
 //
 // Determinism contract: obs is part of the determinism-analyzer hot set.
 // Events carry virtual timestamps stamped by the emitter; the optional

@@ -3,8 +3,6 @@ package paperbench
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/vmpi"
 )
 
 // TestFig10SmallSweep checks the Figure 10 machinery at test-scale rank
@@ -13,7 +11,7 @@ import (
 // there is more than a handful of ranks (the paper's §III-B motivation).
 func TestFig10SmallSweep(t *testing.T) {
 	ranks := []int{4, 16}
-	pts := Fig10(Juqueen(), ranks, vmpi.EngineEvent)
+	pts := Fig10(Juqueen(), ranks)
 	if len(pts) != len(ranks) {
 		t.Fatalf("got %d points, want %d", len(pts), len(ranks))
 	}
@@ -37,22 +35,15 @@ func TestFig10SmallSweep(t *testing.T) {
 	}
 }
 
-// TestFig10EngineAndEvalAgree pins the experiment's determinism from two
-// directions: the goroutine machine and the event executor must produce the
-// identical virtual costs, and Fig10Eval (the per-rank-count entry benchjson
-// times) must agree with the sweep.
+// TestFig10EngineAndEvalAgree pins that the two entry points run the same
+// experiment: Fig10Eval (the per-rank-count entry benchjson times) must
+// agree with the sweep.
 func TestFig10EngineAndEvalAgree(t *testing.T) {
 	ranks := []int{4, 8}
-	ev := Fig10(JuRoPA(), ranks, vmpi.EngineEvent)
-	gr := Fig10(JuRoPA(), ranks, vmpi.EngineGoroutine)
-	for i := range ev {
-		if ev[i] != gr[i] {
-			t.Errorf("engines disagree at ranks %d: event %+v goroutine %+v", ranks[i], ev[i], gr[i])
-		}
-	}
+	sweep := Fig10(JuRoPA(), ranks)
 	for i, p := range ranks {
-		if got := Fig10Eval(JuRoPA(), p, vmpi.EngineEvent); got != ev[i] {
-			t.Errorf("Fig10Eval(%d) = %+v, sweep produced %+v", p, got, ev[i])
+		if got := Fig10Eval(JuRoPA(), p); got != sweep[i] {
+			t.Errorf("Fig10Eval(%d) = %+v, sweep produced %+v", p, got, sweep[i])
 		}
 	}
 }

@@ -18,7 +18,7 @@ func TestFigResizeCells(t *testing.T) {
 	if raceEnabled {
 		t.Skip("full elastic MD runs exceed the test timeout under the race detector; the elastic package's race tests cover the resize/remap interleavings")
 	}
-	pts := FigResize(JuRoPA(), vmpi.EngineEvent)
+	pts := FigResize(JuRoPA())
 	if len(pts) != len(FigResizeDirections()) {
 		t.Fatalf("got %d points, want %d", len(pts), len(FigResizeDirections()))
 	}
@@ -52,17 +52,19 @@ func TestFigResizeCells(t *testing.T) {
 }
 
 // TestFigResizeEnginesAgree pins the elastic scenario's determinism across
-// rank-execution engines: the rendered figure bytes must be identical under
-// the event executor and the goroutine machine.
+// executor run-slot counts: the rendered figure bytes must be identical
+// fully serialized and at 8 slots.
 func TestFigResizeEnginesAgree(t *testing.T) {
 	if raceEnabled {
-		t.Skip("two full elastic sweeps exceed the test timeout under the race detector; make golden-resize diffs both engines byte-for-byte")
+		t.Skip("two full elastic sweeps exceed the test timeout under the race detector")
 	}
+	defer SetEngineWorkers(EngineWorkers())
 	m := Juqueen()
-	ev := RenderFigResize(m.Name, FigResize(m, vmpi.EngineEvent))
-	gr := RenderFigResize(m.Name, FigResize(m, vmpi.EngineGoroutine))
-	if ev != gr {
-		t.Errorf("engines render different figures:\nevent:\n%s\ngoroutine:\n%s", ev, gr)
+	SetEngineWorkers(1)
+	serial := RenderFigResize(m.Name, FigResize(m))
+	SetEngineWorkers(8)
+	if wide := RenderFigResize(m.Name, FigResize(m)); wide != serial {
+		t.Errorf("run-slot counts render different figures:\nworkers=1:\n%s\nworkers=8:\n%s", serial, wide)
 	}
 }
 
@@ -71,7 +73,7 @@ func TestFigResizeEnginesAgree(t *testing.T) {
 // spans, the elastic remap spans, the resize counter, and world-size gauge
 // samples for every size the schedule touches.
 func TestFigResizeObsShowsEpochs(t *testing.T) {
-	l := FigResizeObs(vmpi.EngineEvent)
+	l := FigResizeObs()
 	d := FigResizeDirections()[0]
 	if n := l.Counter(vmpi.CounterResizes); n < float64(len(d.Schedule)) {
 		t.Errorf("resize counter total %v, want at least %d", n, len(d.Schedule))

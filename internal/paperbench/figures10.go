@@ -149,12 +149,11 @@ func fig10Body(merge bool) func(c *vmpi.Comm) {
 
 // fig10Run executes one (machine, rank count, strategy) cell and reduces
 // the steady-state (last) step's cost over ranks.
-func fig10Run(machine Machine, ranks int, merge bool, engine vmpi.Engine) float64 {
+func fig10Run(machine Machine, ranks int, merge bool) float64 {
 	st := vmpi.Run(vmpi.Config{
 		Ranks:        ranks,
 		Model:        machine.Model(ranks),
 		ComputeScale: machine.ComputeScale,
-		Engine:       engine,
 		Workers:      execWorkers,
 	}, fig10Body(merge))
 	recordExecStats(st.Exec)
@@ -171,23 +170,23 @@ func fig10Run(machine Machine, ranks int, merge bool, engine vmpi.Engine) float6
 // Fig10Eval measures one rank count on one machine: both strategies,
 // scheduled as independent experiments. benchjson times each call to
 // attribute wall clock and memory to individual rank counts.
-func Fig10Eval(machine Machine, ranks int, engine vmpi.Engine) Fig10Point {
+func Fig10Eval(machine Machine, ranks int) Fig10Point {
 	vals := runJobs([]func() float64{
-		func() float64 { return fig10Run(machine, ranks, true, engine) },
-		func() float64 { return fig10Run(machine, ranks, false, engine) },
+		func() float64 { return fig10Run(machine, ranks, true) },
+		func() float64 { return fig10Run(machine, ranks, false) },
 	})
 	return Fig10Point{Ranks: ranks, Merge: vals[0], Neighborhood: vals[1]}
 }
 
 // Fig10 sweeps the rank counts on one machine. All strategy cells are
 // flattened into one scheduler batch, so they fill the worker pool.
-func Fig10(machine Machine, rankList []int, engine vmpi.Engine) []Fig10Point {
+func Fig10(machine Machine, rankList []int) []Fig10Point {
 	var jobs []func() float64
 	for _, p := range rankList {
 		p := p
 		jobs = append(jobs,
-			func() float64 { return fig10Run(machine, p, true, engine) },
-			func() float64 { return fig10Run(machine, p, false, engine) },
+			func() float64 { return fig10Run(machine, p, true) },
+			func() float64 { return fig10Run(machine, p, false) },
 		)
 	}
 	vals := runJobs(jobs)

@@ -195,7 +195,7 @@ func figResizeCost(st *vmpi.Stats) ResizeCost {
 
 // FigResizeEval measures one direction on one machine: the elastic run and
 // its static peak-provisioned baseline, as independent experiments.
-func FigResizeEval(machine Machine, d ResizeDirection, engine vmpi.Engine) FigResizePoint {
+func FigResizeEval(machine Machine, d ResizeDirection) FigResizePoint {
 	s := figResizeSystem()
 	steps := figResizeStepsPerStage * (len(d.Schedule) + 1)
 	vals := runJobs([]func() ResizeCost{
@@ -205,7 +205,6 @@ func FigResizeEval(machine Machine, d ResizeDirection, engine vmpi.Engine) FigRe
 				MaxRanks:     d.Peak(),
 				Model:        machine.Model(d.Peak()),
 				ComputeScale: machine.ComputeScale,
-				Engine:       engine,
 				Workers:      execWorkers,
 			}, figResizeBody(s, d))
 			recordExecStats(st.Exec)
@@ -216,7 +215,6 @@ func FigResizeEval(machine Machine, d ResizeDirection, engine vmpi.Engine) FigRe
 				Ranks:        d.Peak(),
 				Model:        machine.Model(d.Peak()),
 				ComputeScale: machine.ComputeScale,
-				Engine:       engine,
 				Workers:      execWorkers,
 			}, figResizeStatic(s, steps))
 			recordExecStats(st.Exec)
@@ -227,11 +225,11 @@ func FigResizeEval(machine Machine, d ResizeDirection, engine vmpi.Engine) FigRe
 }
 
 // FigResize sweeps both directions on one machine.
-func FigResize(machine Machine, engine vmpi.Engine) []FigResizePoint {
+func FigResize(machine Machine) []FigResizePoint {
 	dirs := FigResizeDirections()
 	out := make([]FigResizePoint, len(dirs))
 	for i, d := range dirs {
-		out[i] = FigResizeEval(machine, d, engine)
+		out[i] = FigResizeEval(machine, d)
 	}
 	return out
 }
@@ -240,7 +238,7 @@ func FigResize(machine Machine, engine vmpi.Engine) []FigResizePoint {
 // Chrome-trace and metrics exports: the vmpi resize barriers (the
 // vmpi/resize phase spans), the elastic remap spans, the resize counter,
 // and the world-size gauge samples all appear on the exported timeline.
-func FigResizeObs(engine vmpi.Engine) *obs.Log {
+func FigResizeObs() *obs.Log {
 	m := JuRoPA()
 	d := FigResizeDirections()[0]
 	st := vmpi.Run(vmpi.Config{
@@ -248,7 +246,6 @@ func FigResizeObs(engine vmpi.Engine) *obs.Log {
 		MaxRanks:     d.Peak(),
 		Model:        m.Model(d.Peak()),
 		ComputeScale: m.ComputeScale,
-		Engine:       engine,
 		Workers:      execWorkers,
 	}, figResizeBody(figResizeSystem(), d))
 	return st.Events

@@ -84,10 +84,6 @@ type Config struct {
 	// Trace records every point-to-point message into the run's event log
 	// (Result.Events), enabling comm-matrix and timeline exports.
 	Trace bool
-	// Engine selects the vmpi rank-execution machinery (zero value: the
-	// event-driven executor). Both engines produce byte-identical results;
-	// the flag exists for the engine-equivalence gate and benchmarks.
-	Engine vmpi.Engine
 }
 
 // DefaultConfig returns a laptop-scale configuration that reproduces the
@@ -281,7 +277,6 @@ func Run(cfg Config) (Result, error) {
 		Model:        cfg.Machine.Model(cfg.Ranks),
 		ComputeScale: cfg.Machine.ComputeScale,
 		Trace:        cfg.Trace,
-		Engine:       cfg.Engine,
 		Workers:      execWorkers,
 	}, func(c *vmpi.Comm) {
 		l := particle.Distribute(c, s, cfg.Dist, cfg.Seed+1)

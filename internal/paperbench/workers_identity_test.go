@@ -5,13 +5,12 @@ import (
 	"testing"
 
 	"repro/internal/obs"
-	"repro/internal/vmpi"
 )
 
 // TestFig10WorkerCountIdentity is the contract the -workers flag
-// advertises: the rendered Figure 10 table is byte-identical at any event
-// engine run-slot count, and identical to the goroutine engine's (which
-// ignores the setting). Worker count may only change host wall-clock time
+// advertises: the rendered Figure 10 table is byte-identical at any
+// executor run-slot count, fixed or drawn from the host budget (0). Worker
+// count may only change host wall-clock time
 // — a single virtual-time divergence here means the sharded executor
 // leaked host scheduling into the virtual machine.
 func TestFig10WorkerCountIdentity(t *testing.T) {
@@ -20,12 +19,12 @@ func TestFig10WorkerCountIdentity(t *testing.T) {
 
 	ranks := []int{4, 16, 64}
 	SetEngineWorkers(0)
-	ref := RenderFig10(JuRoPA().Name, Fig10(JuRoPA(), ranks, vmpi.EngineGoroutine))
+	ref := RenderFig10(JuRoPA().Name, Fig10(JuRoPA(), ranks))
 	for _, w := range []int{1, 2, 8} {
 		SetEngineWorkers(w)
-		got := RenderFig10(JuRoPA().Name, Fig10(JuRoPA(), ranks, vmpi.EngineEvent))
+		got := RenderFig10(JuRoPA().Name, Fig10(JuRoPA(), ranks))
 		if got != ref {
-			t.Errorf("workers=%d: figure bytes differ from goroutine reference:\n--- goroutine\n%s--- event w=%d\n%s", w, ref, w, got)
+			t.Errorf("workers=%d: figure bytes differ from the budget-drawn reference:\n--- workers=0\n%s--- workers=%d\n%s", w, ref, w, got)
 		}
 	}
 }

@@ -7,82 +7,46 @@ import (
 	"repro/internal/vmpi"
 )
 
-// TestSampledSplittersSortCorrectly: the ablation variant still sorts.
-func TestSampledSplittersSortCorrectly(t *testing.T) {
-	for _, p := range []int{2, 4, 7} {
-		in := randomInput(p, 40, int64(p)+500)
-		out := runSort(t, in, func(c *vmpi.Comm, items []rec) []rec {
-			return SortPartitionSampled(c, items, recKey)
-		})
-		checkGloballySorted(t, in, out)
-	}
-}
-
-// TestExactSplittingPreventsLoadDrift reproduces the design-choice ablation
-// of DESIGN.md: repeatedly re-sorting slowly changing data. With sampled
-// splitters the per-rank load random-walks away from balance; with exact
-// splitting it stays pinned to ±(key multiplicity).
+// TestExactSplittingPreventsLoadDrift checks the design choice behind the
+// partition sort (DESIGN.md, "Sorts"): repeatedly re-sorting slowly
+// changing data with exact splitting keeps every rank's load pinned to
+// ±(key multiplicity), where layout-dependent splitters would let it
+// random-walk away from balance.
 func TestExactSplittingPreventsLoadDrift(t *testing.T) {
 	const p = 8
 	const perRank = 250
 	const steps = 40
 
-	makeInput := func() [][]rec {
-		rng := rand.New(rand.NewSource(77))
-		in := make([][]rec, p)
-		id := int64(0)
-		for r := range in {
-			in[r] = make([]rec, perRank)
-			for i := range in[r] {
-				in[r][i] = rec{Key: uint64(rng.Intn(1 << 16)), Val: id}
-				id++
-			}
+	rng := rand.New(rand.NewSource(77))
+	in := make([][]rec, p)
+	id := int64(0)
+	for r := range in {
+		in[r] = make([]rec, perRank)
+		for i := range in[r] {
+			in[r][i] = rec{Key: uint64(rng.Intn(1 << 16)), Val: id}
+			id++
 		}
-		return in
 	}
 
-	// drift runs `steps` rounds of (perturb keys slightly, re-sort) and
-	// returns the maximum rank load observed in the final round.
-	drift := func(sorter func(c *vmpi.Comm, items []rec) []rec) int {
-		in := makeInput()
-		st := vmpi.Run(vmpi.Config{Ranks: p}, func(c *vmpi.Comm) {
-			items := append([]rec(nil), in[c.Rank()]...)
-			rng := rand.New(rand.NewSource(int64(c.Rank())))
-			for s := 0; s < steps; s++ {
-				for i := range items {
-					// Small random walk of the keys (particles moving).
-					items[i].Key = uint64(int64(items[i].Key) + int64(rng.Intn(65)) - 32)
-				}
-				items = sorter(c, items)
+	// `steps` rounds of (perturb keys slightly, re-sort); every rank
+	// reports its load after the final round.
+	st := vmpi.Run(vmpi.Config{Ranks: p}, func(c *vmpi.Comm) {
+		items := append([]rec(nil), in[c.Rank()]...)
+		rng := rand.New(rand.NewSource(int64(c.Rank())))
+		for s := 0; s < steps; s++ {
+			for i := range items {
+				// Small random walk of the keys (particles moving).
+				items[i].Key = uint64(int64(items[i].Key) + int64(rng.Intn(65)) - 32)
 			}
-			c.SetResult(len(items))
-		})
-		maxLoad := 0
-		for _, v := range st.Values {
-			if n := v.(int); n > maxLoad {
-				maxLoad = n
-			}
+			items = SortPartition(c, items, recKey)
 		}
-		return maxLoad
-	}
-
-	exact := drift(func(c *vmpi.Comm, items []rec) []rec {
-		return SortPartition(c, items, recKey)
+		c.SetResult(len(items))
 	})
-	sampled := drift(func(c *vmpi.Comm, items []rec) []rec {
-		return SortPartitionSampled(c, items, recKey)
-	})
-
-	// Exact splitting keeps loads tight around the average.
-	if exact > perRank*11/10 {
-		t.Errorf("exact splitting: max load %d drifted beyond 10%% of %d", exact, perRank)
+	for r, v := range st.Values {
+		if n := v.(int); n > perRank*11/10 {
+			t.Errorf("exact splitting: rank %d load %d drifted beyond 10%% of %d", r, n, perRank)
+		}
 	}
-	// And it must be at least as balanced as sampling (usually strictly
-	// better; sampling random-walks).
-	if exact > sampled {
-		t.Errorf("exact splitting (max %d) should not be worse than sampling (max %d)", exact, sampled)
-	}
-	t.Logf("final max load: exact=%d sampled=%d (average %d)", exact, sampled, perRank)
 }
 
 // BenchmarkSortDriftRegimes compares the three sorting strategies across

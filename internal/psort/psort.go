@@ -562,61 +562,3 @@ func totalLen[T any](blocks [][]T) int {
 	}
 	return n
 }
-
-// SortPartitionSampled is SortPartition with splitters chosen by regular
-// sampling of the locally sorted runs (p samples per rank) instead of exact
-// splitting. It is kept as an ablation of the design choice discussed in
-// DESIGN.md: sampling is cheaper per sort (no bisection rounds) but its
-// splitters depend on the current layout, so repeated sorts of slowly
-// changing data let the per-rank loads drift — exactly the pathology the
-// exact splitting of reference [12] avoids.
-func SortPartitionSampled[T any](c *vmpi.Comm, items []T, key func(T) uint64) []T {
-	p := c.Size()
-	LocalSort(c, items, key)
-	if p == 1 {
-		return items
-	}
-	samples := make([]uint64, 0, p)
-	for i := 0; i < p && len(items) > 0; i++ {
-		idx := (i*len(items) + len(items)/2) / p
-		if idx >= len(items) {
-			idx = len(items) - 1
-		}
-		samples = append(samples, key(items[idx]))
-	}
-	all := vmpi.Allgather(c, samples)
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	c.Compute(costs.SortTime(len(all)))
-	splitters := make([]uint64, 0, p-1)
-	for i := 1; i < p; i++ {
-		if len(all) == 0 {
-			break
-		}
-		idx := i * len(all) / p
-		if idx >= len(all) {
-			idx = len(all) - 1
-		}
-		splitters = append(splitters, all[idx])
-	}
-	parts := make([][]T, p)
-	lo := 0
-	for r := 0; r < p; r++ {
-		hi := len(items)
-		if r < len(splitters) {
-			s := splitters[r]
-			hi = lo + sort.Search(len(items)-lo, func(i int) bool { return key(items[lo+i]) >= s })
-		}
-		parts[r] = items[lo:hi]
-		lo = hi
-	}
-	c.Compute(exchangeCost(c.Rank(), parts))
-	recv := redist.ExchangeBlocks(c, parts)
-	merged := make([]T, 0, totalLen(recv))
-	for _, b := range recv {
-		merged = append(merged, b...)
-	}
-	sort.SliceStable(merged, func(i, j int) bool { return key(merged[i]) < key(merged[j]) })
-	c.Compute(exchangeCost(c.Rank(), recv) + costs.MergeTime(len(merged), p))
-	vmpi.ReleaseBlocks(recv)
-	return merged
-}

@@ -29,7 +29,7 @@ import (
 // rank is a small number of sorted runs, so the closing LocalSort pays
 // the adaptive almost-sorted cost. Duplicate keys may be permuted
 // differently than by the other strategies; the result is nonetheless
-// deterministic on both engines.
+// deterministic.
 //
 // When the communicator has a memory budget configured, the per-round
 // staged peak is reported on the redist.MeterPeakBytes gauge/counter like

@@ -11,10 +11,10 @@
 // must never influence what the tasks compute. vmpi's virtual clocks are a
 // pure function of the program's communication structure, so any park/wake
 // interleaving yields bit-identical virtual results — the property the
-// byte-identity gates (goroutine machine vs. executor, -j 1 vs. -j 8,
-// Workers 1 vs. 8) enforce end to end. For the same reason this package is
-// part of the parlint determinism hot set: no wall-clock reads, no map
-// iteration, no atomics in the rank-execution path.
+// byte-identity gates (-j 1 vs. -j 8, Workers 1 vs. 2 vs. 8) enforce end
+// to end. For the same reason this package is part of the parlint
+// determinism hot set: no wall-clock reads, no map iteration, no atomics
+// in the rank-execution path.
 //
 // Tasks are Go goroutines — the only resumable stacks the language
 // offers — but a task's goroutine is spawned lazily on first dispatch and
@@ -207,8 +207,8 @@ type Executor struct {
 	aborted  bool
 	// pendingQ is the FIFO hand-off queue of shard indices that have
 	// runnable work but found no free slot; inPending dedupes entries.
-	pendingQ []int
-	pendHead int
+	pendingQ  []int
+	pendHead  int
 	inPending []bool
 	// deadIDs is the parked-id set of a declared deadlock; written before
 	// any poisoned grant and then read by the poisoned wakers, ordered by
@@ -471,9 +471,9 @@ func (ex *Executor) UnparkBatch(ids []int) {
 }
 
 // Abort stops all dispatching and returns every free budget unit. Parked
-// tasks are left parked forever (exactly like the goroutine machine's
-// blocked ranks when a sibling rank panics); units held by still-running
-// tasks are returned as their slots free. Idempotent.
+// tasks are left parked forever (the caller is unwinding a rank panic and
+// will never resume them); units held by still-running tasks are returned
+// as their slots free. Idempotent.
 func (ex *Executor) Abort() {
 	ex.mu.Lock()
 	ex.abortLocked()

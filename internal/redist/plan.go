@@ -9,23 +9,23 @@ import (
 	"repro/internal/vmpi"
 )
 
-// Memory-bounded redistribution planning (ROADMAP item 3).
+// Memory-bounded redistribution planning.
 //
 // Every redistribution in this package — the collective all-to-all
 // Exchange, the neighborhood exchange, the block remap, and the resort of
-// method B — used to materialize one send buffer per destination rank
-// simultaneously, so the per-rank peak exchange footprint was the entire
-// outgoing volume. Following Rink et al. (*Memory-efficient array
-// redistribution through portable collective communication*, PAPERS.md),
-// a Plan decomposes the same exchange into a deterministic schedule of
+// method B — routes through a Plan and ships its data in rounds. Following
+// Rink et al. (*Memory-efficient array redistribution through portable
+// collective communication*, PAPERS.md), a Plan under a byte budget
+// decomposes the exchange into a deterministic schedule of
 // bounded-footprint rounds: destinations are packed greedily, in staging
 // order, into rounds whose worst-case staged bytes (a collective maximum,
-// so every rank derives the same schedule) stay within the byte budget,
-// and each round builds and relinquishes its buffers via vmpi.SendOwned
-// before the next round stages anything. Because vmpi sends are eager and
-// never block, all rounds complete before any receive, and the receives
-// then assemble blocks in canonical source order — so the result is
-// byte-identical to the unbounded path, round structure notwithstanding.
+// so every rank derives the same schedule) stay within the budget, and
+// each round builds and relinquishes its buffers via vmpi.SendOwned before
+// the next round stages anything. Because vmpi sends are eager and never
+// block, all rounds complete before any receive, and the receives then
+// assemble blocks in canonical source order — so the result is
+// byte-identical whatever the round structure. Without a budget the
+// schedule is one round covering the whole staging order.
 //
 // The budget bounds what a rank *stages* for sending at any moment; the
 // inbound side (the elements a rank ends up owning) is the irreducible
@@ -33,21 +33,28 @@ import (
 // alone exceeds the budget still gets a round of its own — the schedule
 // degrades to per-destination rounds, never deadlocks.
 //
-// With a zero budget a Plan replays the historical code paths verbatim —
-// same messages, same collectives, same floating-point cost accumulation
-// order — which is what keeps the golden figures byte-identical.
+// One round loop (sendRounds) carries every operation. The only fork is
+// the transport of the dense unbudgeted case: its single round goes
+// through the pairwise vmpi.AlltoallOwned / vmpi.Alltoall collective,
+// whose send/receive interleaving — and therefore virtual time — the
+// golden figures pin. Each operation chooses at one `if` on
+// Plan.Bounded()/UsedNeighborhood().
 
-// tagPlan carries the bounded-round point-to-point messages. Reserved
-// alongside the neighborhood tag 201 and the resort tags 211/212.
-const tagPlan = 221
+// Wire tags of the eager point-to-point rounds: the unbudgeted
+// neighborhood exchange on 201, budgeted rounds on 221 (the resort's
+// paired position/value messages use 211/212, see resort.go).
+const (
+	tagNeighborhood = 201
+	tagPlan         = 221
+)
 
 // MeterPeakBytes names the obs gauge (per-exchange staged peak) and
 // counter (sum of staged peaks over all metered exchanges on a rank) that
 // Execute emits when a budget is active or Options.Meter is set. The
-// value is a pure function of the routing, so it is deterministic across
-// engines and host parallelism — but budgetless, unmetered configs (all
-// golden figures) emit no meter events at all, keeping their event
-// streams unchanged.
+// value is a pure function of the routing, so it is deterministic at any
+// host parallelism — but budgetless, unmetered configs (all golden
+// figures) emit no meter events at all, keeping their event streams
+// unchanged.
 const MeterPeakBytes = "redist/peak_bytes"
 
 // Options configures a Plan.
@@ -198,8 +205,7 @@ func NewPlan(c *vmpi.Comm, n int, targets Targets, opts Options) *Plan {
 	}
 
 	// Collective fallback decision for the neighborhood backend: every
-	// rank must take the same path. Same vote, in the same sequence
-	// position, as the historical ExchangeNeighborhood.
+	// rank must take the same path.
 	if opts.Neighbors != nil {
 		pl.useNbr = vmpi.AllreduceVal(c, boolToInt(ok), vmpi.Min[int]) == 1
 	}
@@ -218,8 +224,7 @@ func NewPlan(c *vmpi.Comm, n int, targets Targets, opts Options) *Plan {
 	}
 
 	// Pass 2: bucket occurrences by staging-order slot. The counting sort
-	// is stable, so each destination sees its elements in local order —
-	// exactly the order the per-destination append loops used to build.
+	// is stable, so each destination sees its elements in local order.
 	// The feasible neighborhood order spans self + neighbors only, so the
 	// CSR of a live plan is O(|neighbors|) — not O(P).
 	nslots := len(pl.order)
@@ -247,8 +252,8 @@ func NewPlan(c *vmpi.Comm, n int, targets Targets, opts Options) *Plan {
 	// The round schedule needs the cross-rank maximum of every
 	// destination's count so all ranks cut rounds identically. Collective
 	// — and therefore only performed when a budget is active, keeping the
-	// budgetless event stream unchanged. Rank-indexed and dense: the
-	// Allreduce payload must stay wire-identical to the historical one.
+	// budgetless event stream unchanged. Rank-indexed and dense, so the
+	// Allreduce payload is size-P on every backend.
 	if pl.budget > 0 {
 		counts64 := grow(pl.maxCounts, p)
 		clear(counts64)
@@ -290,7 +295,7 @@ func rankIn(list []int, r int) bool {
 	return false
 }
 
-// Bounded reports whether the plan executes the bounded-round protocol.
+// Bounded reports whether the plan ships its data in budgeted rounds.
 func (p *Plan) Bounded() bool { return p.budget > 0 }
 
 // Budget returns the resolved staging budget in bytes (0 = unbounded).
@@ -311,9 +316,6 @@ func (p *Plan) PeakBytes() int64 { return p.peak }
 // elements of the given byte size: 1 when unbounded, otherwise the length
 // of the greedy schedule.
 func (p *Plan) Rounds(elemBytes int) int {
-	if p.budget <= 0 {
-		return 1
-	}
 	return len(scheduleRounds(p.order, p.maxCounts, elemBytes, p.budget))
 }
 
@@ -321,8 +323,12 @@ func (p *Plan) Rounds(elemBytes int) int {
 // collective worst-case staging (maxCounts per destination, times
 // elemBytes) stays within budget. Greedy and deterministic; a destination
 // whose block alone exceeds the budget gets a singleton round. Returns
-// half-open [lo, hi) position ranges covering all of order.
+// half-open [lo, hi) position ranges covering all of order; without a
+// budget that is one round (and maxCounts is not consulted).
 func scheduleRounds(order []int, maxCounts []int64, elemBytes int, budget int64) [][2]int {
+	if budget <= 0 {
+		return [][2]int{{0, len(order)}}
+	}
 	rounds := make([][2]int, 0, 1)
 	lo := 0
 	acc := int64(0)
@@ -337,11 +343,32 @@ func scheduleRounds(order []int, maxCounts []int64, elemBytes int, budget int64)
 	return append(rounds, [2]int{lo, len(order)})
 }
 
+// sendRounds is the package's one round loop: it walks the round schedule
+// over order and calls stage(k) for every staging-order slot k. stage
+// builds slot k's buffer(s) and relinquishes them — one eager send per
+// buffer, or, for the rank's own slot, keeping the block aside — and
+// returns how many elements it staged. Sends are eager and never block, so
+// the rounds always complete before the caller posts its first receive.
+// The result is the staged-bytes peak: the largest single round.
+func sendRounds(order []int, maxCounts []int64, elemBytes int, budget int64, stage func(k int) int) int64 {
+	peak := int64(0)
+	for _, g := range scheduleRounds(order, maxCounts, elemBytes, budget) {
+		staged := int64(0)
+		for k := g[0]; k < g[1]; k++ {
+			staged += int64(stage(k)) * int64(elemBytes)
+		}
+		if staged > peak {
+			peak = staged
+		}
+	}
+	return peak
+}
+
 // gather builds the freshly allocated per-destination send buffer for
 // staging-order slot k (rank p.order[k]): the plan's occurrences for that
 // rank, in local element order. Returns nil when the rank receives
-// nothing (matching the historical append-built nil parts, which the
-// messaging layer and its debug ownership checker rely on).
+// nothing (the messaging layer and its debug ownership checker rely on
+// empty parts being nil).
 func gather[T any](p *Plan, items []T, k int) []T {
 	lo, hi := p.occOff[k], p.occOff[k+1]
 	if lo == hi {
@@ -354,17 +381,32 @@ func gather[T any](p *Plan, items []T, k int) []T {
 	return buf
 }
 
-// crossCostCounts is crossCost over the plan's destination counts: the
-// same per-rank terms, accumulated in the same rank order, so the float64
-// sum is bit-identical to charging the materialized parts.
-func crossCostCounts(self int, counts []int) float64 {
+// elemCost is the element-wise redistribution charge of staging-order slot
+// k: elements crossing process boundaries pay RedistElem, the rank's own
+// only a memory move.
+func (p *Plan) elemCost(k int) float64 {
+	if p.order[k] == p.c.Rank() {
+		return costs.Move
+	}
+	return costs.RedistElem
+}
+
+// sendCost charges the plan's outgoing elements, accumulated in staging
+// order (so the float64 sum is bit-identical on every path).
+func (p *Plan) sendCost() float64 {
 	cost := 0.0
-	for r, n := range counts {
-		if r == self {
-			cost += costs.Move * float64(n)
-		} else {
-			cost += costs.RedistElem * float64(n)
-		}
+	for k, n := range p.counts {
+		cost += p.elemCost(k) * float64(n)
+	}
+	return cost
+}
+
+// recvCost charges received blocks, one per staging-order slot, in the
+// same order.
+func recvCost[T any](p *Plan, blocks [][]T) float64 {
+	cost := 0.0
+	for k, b := range blocks {
+		cost += p.elemCost(k) * float64(len(b))
 	}
 	return cost
 }
@@ -383,8 +425,7 @@ func meterPeak(p *Plan, peak int64) {
 // was routed for) and returns, for each source rank in canonical order —
 // rank order for the all-to-all backend, self first then neighbor order
 // for the neighborhood backend — that rank's elements in their local
-// order. The result is byte-identical across budgets, backends, and
-// engines.
+// order. The result is byte-identical across budgets and backends.
 //
 // Spelled as a package function because Go methods cannot be generic;
 // read it as plan.Execute[T].
@@ -392,140 +433,53 @@ func Execute[T any](p *Plan, items []T) []T {
 	if len(items) != p.n {
 		panic(fmt.Sprintf("redist: plan routed %d elements, Execute got %d", p.n, len(items)))
 	}
-	if p.budget > 0 {
-		return executeBounded(p, items)
-	}
-	if p.useNbr {
-		return executeNeighborhood(p, items)
-	}
-	return executeAlltoall(p, items)
-}
-
-// executeAlltoall is the historical Exchange body: stage every
-// destination at once, one collective all-to-all, concatenate by source
-// rank. Message sizes, ownership transfers, and the two Compute charges
-// replay the pre-plan code exactly.
-func executeAlltoall[T any](p *Plan, items []T) []T {
-	c := p.c
-	size := c.Size()
-	parts := make([][]T, size)
-	staged := int64(0)
-	for d := 0; d < size; d++ {
-		parts[d] = gather(p, items, d)
-		staged += int64(len(parts[d]))
-	}
-	c.Compute(crossCostCounts(c.Rank(), p.counts))
-	// The parts are freshly built per-destination buffers, so they are
-	// relinquished into the messages without a copy; the received blocks
-	// are recycled once concatenated.
-	recv := vmpi.AlltoallOwned(c, parts)
-	out := make([]T, 0, totalLen(recv))
-	for _, b := range recv {
-		out = append(out, b...)
-	}
-	c.Compute(crossCost(c.Rank(), recv))
-	vmpi.ReleaseBlocks(recv)
-	meterPeak(p, staged*int64(unsafe.Sizeof(*new(T))))
-	return out
-}
-
-// executeNeighborhood is the historical ExchangeNeighborhood body (the
-// feasible branch): eager point-to-point sends on tag 201, assembly self
-// first then neighbors in order.
-func executeNeighborhood[T any](p *Plan, items []T) []T {
-	c := p.c
-	// Slot 0 of the staging order is self; neighbor k sits at slot k+1.
-	sendCost := costs.Move * float64(p.counts[0])
-	for k := range p.neighbors {
-		sendCost += costs.RedistElem * float64(p.counts[k+1])
-	}
-	c.Compute(sendCost)
-	const tag = 201
-	staged := int64(p.counts[0])
-	selfPart := gather(p, items, 0)
-	for k, nb := range p.neighbors {
-		// Freshly built per-neighbor buffers: relinquish them, no copy.
-		part := gather(p, items, k+1)
-		staged += int64(len(part))
-		vmpi.SendOwned(c, part, nb, tag)
-	}
-	// Deterministic assembly order: self first, then neighbors in order.
-	out := make([]T, 0, len(items))
-	out = append(out, selfPart...)
-	recvCost := costs.Move * float64(len(selfPart))
-	for _, nb := range p.neighbors {
-		got := vmpi.Recv[T](c, nb, tag)
-		recvCost += costs.RedistElem * float64(len(got))
-		out = append(out, got...)
-		vmpi.Release(got)
-	}
-	c.Compute(recvCost)
-	meterPeak(p, staged*int64(unsafe.Sizeof(*new(T))))
-	return out
-}
-
-// executeBounded runs the round protocol: per round, build and relinquish
-// the round's destination buffers (one eager message per destination on
-// tagPlan, the self block kept aside), then — after all rounds — receive
-// one block from every source and assemble in canonical source order.
-// Sends are eager and never block, so the send rounds always complete;
-// the staged peak is the largest single round.
-func executeBounded[T any](p *Plan, items []T) []T {
 	c := p.c
 	self := c.Rank()
 	elem := int(unsafe.Sizeof(*new(T)))
+	c.Compute(p.sendCost())
 
-	// Charge the same send-side cost as the unbounded backend would.
-	if p.useNbr {
-		sendCost := costs.Move * float64(p.counts[0])
-		for k := range p.neighbors {
-			sendCost += costs.RedistElem * float64(p.counts[k+1])
+	// blocks[k] is the block from source p.order[k]. The per-destination
+	// buffers are freshly built, so every transport relinquishes them into
+	// the messages without a copy.
+	blocks := make([][]T, len(p.order))
+	var peak int64
+	if !p.Bounded() && !p.UsedNeighborhood() {
+		// Dense and unbudgeted: the one round is the pairwise collective.
+		for d := range blocks {
+			blocks[d] = gather(p, items, d)
 		}
-		c.Compute(sendCost)
+		peak = int64(len(p.occIdx)) * int64(elem)
+		blocks = vmpi.AlltoallOwned(c, blocks)
 	} else {
-		c.Compute(crossCostCounts(self, p.counts))
-	}
-
-	var selfBlock []T
-	peak := int64(0)
-	for _, g := range scheduleRounds(p.order, p.maxCounts, elem, p.budget) {
-		staged := int64(0)
-		for k := g[0]; k < g[1]; k++ {
-			d := p.order[k]
-			if d == self {
-				selfBlock = gather(p, items, k)
-				staged += int64(len(selfBlock)) * int64(elem)
-				continue
-			}
+		tag := tagNeighborhood
+		if p.Bounded() {
+			tag = tagPlan
+		}
+		peak = sendRounds(p.order, p.maxCounts, elem, p.budget, func(k int) int {
 			buf := gather(p, items, k)
-			staged += int64(len(buf)) * int64(elem)
-			vmpi.SendOwned(c, buf, d, tagPlan)
-		}
-		if staged > peak {
-			peak = staged
+			n := len(buf)
+			if d := p.order[k]; d == self {
+				blocks[k] = buf
+			} else {
+				vmpi.SendOwned(c, buf, d, tag)
+			}
+			return n
+		})
+		// Per-pair messages arrive in send order, so receiving in staging
+		// order assembles the same bytes whatever the round structure.
+		for k, src := range p.order {
+			if src != self {
+				blocks[k] = vmpi.Recv[T](c, src, tag)
+			}
 		}
 	}
 
-	// Receive and assemble in the backend's canonical source order; the
-	// per-pair messages arrive in send order, so the concatenation is
-	// byte-identical to the unbounded result.
-	out := make([]T, 0, len(selfBlock))
-	if p.useNbr {
-		out = make([]T, 0, len(items))
+	out := make([]T, 0, totalLen(blocks))
+	for _, b := range blocks {
+		out = append(out, b...)
 	}
-	recvCost := 0.0
-	for _, src := range p.order {
-		if src == self {
-			recvCost += costs.Move * float64(len(selfBlock))
-			out = append(out, selfBlock...)
-			continue
-		}
-		got := vmpi.Recv[T](c, src, tagPlan)
-		recvCost += costs.RedistElem * float64(len(got))
-		out = append(out, got...)
-		vmpi.Release(got)
-	}
-	c.Compute(recvCost)
+	c.Compute(recvCost(p, blocks))
+	vmpi.ReleaseBlocks(blocks)
 	meterPeak(p, peak)
 	return out
 }
@@ -533,10 +487,10 @@ func executeBounded[T any](p *Plan, items []T) []T {
 // ExchangeBlocks exchanges pre-built per-destination parts (one slice per
 // rank of the communicator, subslices of shared arrays allowed): the
 // plan-backed replacement for vmpi.Alltoall used by the sort strategies.
-// With no budget configured on the communicator it defers to the copying
-// collective verbatim; under a budget it runs the bounded round protocol
-// with copying sends, metering staged peak bytes. The result — block from
-// every source rank, in rank order — is byte-identical either way.
+// With no budget configured on the communicator it is the copying
+// collective; under a budget it runs the rounds with copying sends,
+// metering staged peak bytes. The result — block from every source rank, in
+// rank order — is byte-identical either way.
 func ExchangeBlocks[T any](c *vmpi.Comm, parts [][]T) [][]T {
 	size := c.Size()
 	if len(parts) != size {
@@ -546,7 +500,6 @@ func ExchangeBlocks[T any](c *vmpi.Comm, parts [][]T) [][]T {
 	if budget <= 0 {
 		return vmpi.Alltoall(c, parts)
 	}
-	elem := int(unsafe.Sizeof(*new(T)))
 	self := c.Rank()
 
 	counts64 := make([]int64, size)
@@ -560,29 +513,21 @@ func ExchangeBlocks[T any](c *vmpi.Comm, parts [][]T) [][]T {
 	vmpi.Release(mc)
 
 	recv := make([][]T, size)
-	peak := int64(0)
-	for _, g := range scheduleRounds(order, maxCounts, elem, budget) {
-		staged := int64(0)
-		for d := g[0]; d < g[1]; d++ {
-			staged += int64(len(parts[d])) * int64(elem)
-			if d == self {
-				// Copy, as the collective would: the caller keeps parts.
-				// Non-nil even when empty, matching the pooled copy the
-				// unbounded collective hands back.
-				recv[d] = append(make([]T, 0, len(parts[d])), parts[d]...)
-				continue
-			}
+	peak := sendRounds(order, maxCounts, int(unsafe.Sizeof(*new(T))), budget, func(d int) int {
+		if d == self {
+			// Copy, as the collective would: the caller keeps parts.
+			// Non-nil even when empty, matching the pooled copy the
+			// unbudgeted collective hands back.
+			recv[d] = append(make([]T, 0, len(parts[d])), parts[d]...)
+		} else {
 			vmpi.Send(c, parts[d], d, tagPlan)
 		}
-		if staged > peak {
-			peak = staged
+		return len(parts[d])
+	})
+	for src := range recv {
+		if src != self {
+			recv[src] = vmpi.Recv[T](c, src, tagPlan)
 		}
-	}
-	for src := 0; src < size; src++ {
-		if src == self {
-			continue
-		}
-		recv[src] = vmpi.Recv[T](c, src, tagPlan)
 	}
 	c.Gauge(MeterPeakBytes, float64(peak))
 	c.Counter(MeterPeakBytes, float64(peak))

@@ -5,22 +5,15 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/netmodel"
 	"repro/internal/vmpi"
 )
 
-// The planner's contract (DESIGN.md §14): under any budget the result of
-// every redistribution operation is byte-identical to the unbounded path,
-// on both rank-execution engines, and the staged peak never exceeds
-// max(budget, largest single destination block) — a destination that
-// alone exceeds the budget gets a singleton round.
-
-var planEngines = []struct {
-	name string
-	e    vmpi.Engine
-}{
-	{"event", vmpi.EngineEvent},
-	{"goroutine", vmpi.EngineGoroutine},
-}
+// The planner's contract (DESIGN.md, "Redistribution"): under any budget
+// the result of every redistribution operation is byte-identical to the
+// unbudgeted one, and the staged peak never exceeds max(budget, largest
+// single destination block) — a destination that alone exceeds the budget
+// gets a singleton round.
 
 var planRanks = []int{2, 3, 5, 8, 16, 64}
 
@@ -87,8 +80,8 @@ func maxDestBytes(p int, dests [][][]int, elemBytes int64) int64 {
 }
 
 // runPlanExchange runs the exchange once and returns per-rank probes.
-func runPlanExchange(p int, engine vmpi.Engine, budget int64, inputs [][]elem, dests [][][]int) []planProbe {
-	st := vmpi.Run(vmpi.Config{Ranks: p, Engine: engine, MaxExchangeBytes: budget}, func(c *vmpi.Comm) {
+func runPlanExchange(p int, budget int64, inputs [][]elem, dests [][][]int) []planProbe {
+	st := vmpi.Run(vmpi.Config{Ranks: p, MaxExchangeBytes: budget}, func(c *vmpi.Comm) {
 		in := inputs[c.Rank()]
 		d := dests[c.Rank()]
 		pl := NewPlan(c, len(in), func(i int, dst []int) []int {
@@ -104,44 +97,32 @@ func runPlanExchange(p int, engine vmpi.Engine, budget int64, inputs [][]elem, d
 }
 
 // TestPlanExchangeMatchesUnbounded is the central property: across rank
-// counts 2–64, both engines, and budgets down to a single byte, the
-// bounded exchange delivers exactly the unbounded result on every rank,
-// and the metered peak respects max(budget, largest destination block).
+// counts 2–64 and budgets down to a single byte, the bounded exchange
+// delivers exactly the unbounded result on every rank, and the metered
+// peak respects max(budget, largest destination block).
 func TestPlanExchangeMatchesUnbounded(t *testing.T) {
 	elemBytes := int64(16)
 	for _, p := range planRanks {
 		inputs, dests := planInputs(p, p)
 		floor := maxDestBytes(p, dests, elemBytes)
-		var ref []planProbe
-		for _, eng := range planEngines {
-			unbounded := runPlanExchange(p, eng.e, 0, inputs, dests)
-			if ref == nil {
-				ref = unbounded
+		unbounded := runPlanExchange(p, 0, inputs, dests)
+		for _, budget := range planBudgets {
+			bounded := runPlanExchange(p, budget, inputs, dests)
+			limit := budget
+			if floor > limit {
+				limit = floor
 			}
-			for r := range unbounded {
-				if !reflect.DeepEqual(unbounded[r].Out, ref[r].Out) {
-					t.Fatalf("p=%d rank %d: engines disagree on the unbounded result", p, r)
+			for r := range bounded {
+				if !reflect.DeepEqual(bounded[r].Out, unbounded[r].Out) {
+					t.Fatalf("p=%d budget=%d rank %d: bounded result diverges from unbounded", p, budget, r)
 				}
-			}
-			for _, budget := range planBudgets {
-				bounded := runPlanExchange(p, eng.e, budget, inputs, dests)
-				limit := budget
-				if floor > limit {
-					limit = floor
+				if bounded[r].Peak > limit {
+					t.Errorf("p=%d budget=%d rank %d: staged peak %d exceeds max(budget, largest block)=%d",
+						p, budget, r, bounded[r].Peak, limit)
 				}
-				for r := range bounded {
-					if !reflect.DeepEqual(bounded[r].Out, ref[r].Out) {
-						t.Fatalf("p=%d %s budget=%d rank %d: bounded result diverges from unbounded",
-							p, eng.name, budget, r)
-					}
-					if bounded[r].Peak > limit {
-						t.Errorf("p=%d %s budget=%d rank %d: staged peak %d exceeds max(budget, largest block)=%d",
-							p, eng.name, budget, r, bounded[r].Peak, limit)
-					}
-					if bounded[r].Peak > unbounded[r].Peak {
-						t.Errorf("p=%d %s budget=%d rank %d: bounded peak %d above the unbounded staging total %d",
-							p, eng.name, budget, r, bounded[r].Peak, unbounded[r].Peak)
-					}
+				if bounded[r].Peak > unbounded[r].Peak {
+					t.Errorf("p=%d budget=%d rank %d: bounded peak %d above the unbounded staging total %d",
+						p, budget, r, bounded[r].Peak, unbounded[r].Peak)
 				}
 			}
 		}
@@ -171,8 +152,8 @@ func TestPlanNeighborhoodMatchesUnbounded(t *testing.T) {
 				moves[r][i] = rng.Intn(3) - 1
 			}
 		}
-		run := func(engine vmpi.Engine, budget int64) []probe {
-			st := vmpi.Run(vmpi.Config{Ranks: p, Engine: engine, MaxExchangeBytes: budget}, func(c *vmpi.Comm) {
+		run := func(budget int64) []probe {
+			st := vmpi.Run(vmpi.Config{Ranks: p, MaxExchangeBytes: budget}, func(c *vmpi.Comm) {
 				self := c.Rank()
 				neighbors := []int{(self + 1) % p, (self - 1 + p) % p}
 				if p == 2 {
@@ -191,17 +172,15 @@ func TestPlanNeighborhoodMatchesUnbounded(t *testing.T) {
 			}
 			return probes
 		}
-		ref := run(vmpi.EngineEvent, 0)
-		for _, eng := range planEngines {
-			for _, budget := range []int64{0, 1, 48, 1 << 16} {
-				got := run(eng.e, budget)
-				for r := range got {
-					if !got[r].Used {
-						t.Fatalf("p=%d %s budget=%d rank %d: ring targets fell back to all-to-all", p, eng.name, budget, r)
-					}
-					if !reflect.DeepEqual(got[r].Out, ref[r].Out) {
-						t.Fatalf("p=%d %s budget=%d rank %d: neighborhood result diverges", p, eng.name, budget, r)
-					}
+		ref := run(0)
+		for _, budget := range []int64{0, 1, 48, 1 << 16} {
+			got := run(budget)
+			for r := range got {
+				if !got[r].Used {
+					t.Fatalf("p=%d budget=%d rank %d: ring targets fell back to all-to-all", p, budget, r)
+				}
+				if !reflect.DeepEqual(got[r].Out, ref[r].Out) {
+					t.Fatalf("p=%d budget=%d rank %d: neighborhood result diverges", p, budget, r)
 				}
 			}
 		}
@@ -224,8 +203,8 @@ func TestPlanRemapMatchesUnbounded(t *testing.T) {
 		}
 	}
 	for _, newP := range []int{3, p} {
-		run := func(engine vmpi.Engine, budget int64) [][]elem {
-			st := vmpi.Run(vmpi.Config{Ranks: p, Engine: engine, MaxExchangeBytes: budget}, func(c *vmpi.Comm) {
+		run := func(budget int64) [][]elem {
+			st := vmpi.Run(vmpi.Config{Ranks: p, MaxExchangeBytes: budget}, func(c *vmpi.Comm) {
 				c.SetResult(RemapBlocks(c, inputs[c.Rank()], newP))
 			})
 			out := make([][]elem, p)
@@ -234,12 +213,10 @@ func TestPlanRemapMatchesUnbounded(t *testing.T) {
 			}
 			return out
 		}
-		ref := run(vmpi.EngineEvent, 0)
-		for _, eng := range planEngines {
-			for _, budget := range planBudgets {
-				if got := run(eng.e, budget); !reflect.DeepEqual(got, ref) {
-					t.Fatalf("newP=%d %s budget=%d: bounded remap diverges", newP, eng.name, budget)
-				}
+		ref := run(0)
+		for _, budget := range planBudgets {
+			if got := run(budget); !reflect.DeepEqual(got, ref) {
+				t.Fatalf("newP=%d budget=%d: bounded remap diverges", newP, budget)
 			}
 		}
 	}
@@ -253,8 +230,8 @@ func TestPlanResortMatchesUnbounded(t *testing.T) {
 	n := p * perRank
 	rng := rand.New(rand.NewSource(7))
 	perm := rng.Perm(n)
-	run := func(engine vmpi.Engine, budget int64) [][]float64 {
-		st := vmpi.Run(vmpi.Config{Ranks: p, Engine: engine, MaxExchangeBytes: budget}, func(c *vmpi.Comm) {
+	run := func(budget int64) [][]float64 {
+		st := vmpi.Run(vmpi.Config{Ranks: p, MaxExchangeBytes: budget}, func(c *vmpi.Comm) {
 			self := c.Rank()
 			vals := make([]float64, perRank*stride)
 			indices := make([]Index, perRank)
@@ -273,12 +250,10 @@ func TestPlanResortMatchesUnbounded(t *testing.T) {
 		}
 		return out
 	}
-	ref := run(vmpi.EngineEvent, 0)
-	for _, eng := range planEngines {
-		for _, budget := range planBudgets {
-			if got := run(eng.e, budget); !reflect.DeepEqual(got, ref) {
-				t.Fatalf("%s budget=%d: bounded resort diverges", eng.name, budget)
-			}
+	ref := run(0)
+	for _, budget := range planBudgets {
+		if got := run(budget); !reflect.DeepEqual(got, ref) {
+			t.Fatalf("budget=%d: bounded resort diverges", budget)
 		}
 	}
 }
@@ -296,8 +271,8 @@ func TestExchangeBlocksMatchesAlltoall(t *testing.T) {
 				sizes[r][d] = rng.Intn(9)
 			}
 		}
-		run := func(engine vmpi.Engine, budget int64) [][][]elem {
-			st := vmpi.Run(vmpi.Config{Ranks: p, Engine: engine, MaxExchangeBytes: budget}, func(c *vmpi.Comm) {
+		run := func(budget int64) [][][]elem {
+			st := vmpi.Run(vmpi.Config{Ranks: p, MaxExchangeBytes: budget}, func(c *vmpi.Comm) {
 				self := c.Rank()
 				parts := make([][]elem, p)
 				for d := range parts {
@@ -314,12 +289,10 @@ func TestExchangeBlocksMatchesAlltoall(t *testing.T) {
 			}
 			return out
 		}
-		ref := run(vmpi.EngineEvent, 0)
-		for _, eng := range planEngines {
-			for _, budget := range planBudgets {
-				if got := run(eng.e, budget); !reflect.DeepEqual(got, ref) {
-					t.Fatalf("p=%d %s budget=%d: bounded block exchange diverges", p, eng.name, budget)
-				}
+		ref := run(0)
+		for _, budget := range planBudgets {
+			if got := run(budget); !reflect.DeepEqual(got, ref) {
+				t.Fatalf("p=%d budget=%d: bounded block exchange diverges", p, budget)
 			}
 		}
 	}
@@ -356,5 +329,153 @@ func TestPlanMeterEmitsGauge(t *testing.T) {
 		if st.Events.Counter(MeterPeakBytes) <= 0 {
 			t.Errorf("%s: no %s counter", cse.name, MeterPeakBytes)
 		}
+	}
+}
+
+// ringNeighbors is the symmetric ±1 neighbor list of rank r on a p-ring
+// (empty, but non-nil, on a single-rank world).
+func ringNeighbors(r, p int) []int {
+	if p == 1 {
+		return []int{}
+	}
+	return []int{(r + 1) % p, (r - 1 + p) % p}
+}
+
+// TestPlanSmallWorldsMatchOracle runs all four operations — dense exchange,
+// neighborhood exchange, resort, ExchangeBlocks — on the degenerate and odd
+// world sizes 1, 3, 7 under budgets {1 byte, one element, none} and checks
+// every rank's result against a sequential scatter of the same routing.
+func TestPlanSmallWorldsMatchOracle(t *testing.T) {
+	const perRank, stride = 4, 2
+	type result struct {
+		Dense, Nbr []elem
+		Resort     []float64
+		Blocks     [][]elem
+	}
+	sameElems := func(a, b []elem) bool {
+		return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
+	}
+	for _, p := range []int{1, 3, 7} {
+		inputs, dests := planInputs(p, 100+p)
+		ringDst := func(src, i int) int { return (src + int(inputs[src][i].ID%3) - 1 + p) % p }
+		perm := rand.New(rand.NewSource(int64(p))).Perm(p * perRank)
+		block := func(src, dst int) []elem {
+			b := make([]elem, (src*3+dst*5)%4)
+			for i := range b {
+				b[i] = elem{ID: int64(src*1000 + dst*100 + i)}
+			}
+			return b
+		}
+
+		// The oracle: scatter every source's elements sequentially.
+		want := make([]result, p)
+		ringFrom := func(src, dst int) (out []elem) {
+			for i, e := range inputs[src] {
+				if ringDst(src, i) == dst {
+					out = append(out, e)
+				}
+			}
+			return out
+		}
+		for r := range want {
+			want[r].Nbr = ringFrom(r, r)
+			for _, nb := range ringNeighbors(r, p) {
+				want[r].Nbr = append(want[r].Nbr, ringFrom(nb, r)...)
+			}
+			want[r].Resort = make([]float64, perRank*stride)
+			want[r].Blocks = make([][]elem, p)
+		}
+		for src := range inputs {
+			for i, e := range inputs[src] {
+				for _, d := range dests[src][i] {
+					want[d].Dense = append(want[d].Dense, e)
+				}
+			}
+			for dst := range want {
+				want[dst].Blocks[src] = block(src, dst)
+			}
+		}
+		for g, at := range perm {
+			for s := 0; s < stride; s++ {
+				want[at/perRank].Resort[at%perRank*stride+s] = float64(g*stride + s)
+			}
+		}
+
+		for _, budget := range []int64{1, 16, 0} {
+			st := vmpi.Run(vmpi.Config{Ranks: p, MaxExchangeBytes: budget}, func(c *vmpi.Comm) {
+				self := c.Rank()
+				var res result
+				res.Dense = Exchange(c, inputs[self], func(i int, dst []int) []int {
+					return append(dst, dests[self][i]...)
+				})
+				var used bool
+				res.Nbr, used = ExchangeNeighborhood(c, inputs[self],
+					ToRank(func(i int) int { return ringDst(self, i) }), ringNeighbors(self, p))
+				if !used {
+					panic("ring routing fell back to all-to-all")
+				}
+				vals := make([]float64, perRank*stride)
+				indices := make([]Index, perRank)
+				for i := range indices {
+					g := self*perRank + i
+					for s := 0; s < stride; s++ {
+						vals[i*stride+s] = float64(g*stride + s)
+					}
+					indices[i] = MakeIndex(perm[g]/perRank, perm[g]%perRank)
+				}
+				res.Resort = ResortFloats(c, vals, stride, indices, perRank)
+				parts := make([][]elem, p)
+				for d := range parts {
+					parts[d] = block(self, d)
+				}
+				res.Blocks = ExchangeBlocks(c, parts)
+				c.SetResult(res)
+			})
+			for r, v := range st.Values {
+				got := v.(result)
+				if !sameElems(got.Dense, want[r].Dense) {
+					t.Errorf("p=%d budget=%d rank %d: dense exchange differs from the oracle", p, budget, r)
+				}
+				if !sameElems(got.Nbr, want[r].Nbr) {
+					t.Errorf("p=%d budget=%d rank %d: neighborhood exchange differs from the oracle", p, budget, r)
+				}
+				if !reflect.DeepEqual(got.Resort, want[r].Resort) {
+					t.Errorf("p=%d budget=%d rank %d: resort differs from the oracle", p, budget, r)
+				}
+				for src := range got.Blocks {
+					if !sameElems(got.Blocks[src], want[r].Blocks[src]) {
+						t.Errorf("p=%d budget=%d rank %d: block from %d differs from the oracle", p, budget, r, src)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestOneRoundBudgetClocksMatchUnbudgeted pins that "no budget" is nothing
+// but a one-round schedule: a neighborhood plan whose budget fits the whole
+// staging order in one round advances every virtual clock exactly as the
+// unbudgeted plan does, once the unbudgeted run replays the schedule
+// collective a budgeted NewPlan performs.
+func TestOneRoundBudgetClocksMatchUnbudgeted(t *testing.T) {
+	const p = 7
+	inputs, _ := planInputs(p, 7)
+	run := func(maxBytes int64) []float64 {
+		return vmpi.Run(vmpi.Config{Ranks: p, Model: netmodel.NewTorus(p)}, func(c *vmpi.Comm) {
+			self := c.Rank()
+			in := inputs[self]
+			pl := NewPlan(c, len(in), ToRank(func(i int) int {
+				return (self + int(in[i].ID%3) - 1 + p) % p
+			}), Options{Neighbors: ringNeighbors(self, p), MaxBytes: maxBytes})
+			if !pl.Bounded() {
+				vmpi.Release(vmpi.Allreduce(c, make([]int64, p), vmpi.Max[int64]))
+			} else if pl.Rounds(16) != 1 {
+				panic("budget does not fit one round")
+			}
+			Execute(pl, in)
+		}).Clocks
+	}
+	if unbudgeted, oneRound := run(-1), run(1<<30); !reflect.DeepEqual(unbudgeted, oneRound) {
+		t.Fatalf("clocks differ:\nunbudgeted: %v\none round:  %v", unbudgeted, oneRound)
 	}
 }

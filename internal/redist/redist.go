@@ -31,7 +31,6 @@ package redist
 import (
 	"fmt"
 
-	"repro/internal/costs"
 	"repro/internal/vmpi"
 )
 
@@ -83,20 +82,6 @@ func Exchange[T any](c *vmpi.Comm, items []T, targets Targets) []T {
 	out := Execute(pl, items)
 	pl.Free()
 	return out
-}
-
-// crossCost charges the element-wise redistribution cost: elements crossing
-// process boundaries pay RedistElem, local ones only a memory move.
-func crossCost[T any](self int, parts [][]T) float64 {
-	cost := 0.0
-	for r, b := range parts {
-		if r == self {
-			cost += costs.Move * float64(len(b))
-		} else {
-			cost += costs.RedistElem * float64(len(b))
-		}
-	}
-	return cost
 }
 
 // ExchangeNeighborhood performs the same redistribution as Exchange but

@@ -18,10 +18,8 @@ import (
 //
 // The implementation is the fine-grained redistribution operation followed
 // by a permutation according to the target positions, exactly as described
-// in the paper. It rides the same Plan as Exchange: under a memory budget
-// the paired position/value messages go out in bounded rounds on tags
-// 211/212; the positional scatter makes the result identical regardless
-// of round structure.
+// in the paper. It rides the same Plan and the same round loop as Exchange
+// (see executeResort).
 
 const (
 	tagResortPos = 211
@@ -69,12 +67,7 @@ func resort[T any](c *vmpi.Comm, vals []T, stride int, indices []Index, nNew int
 		}
 		return append(dst, r)
 	}, Options{})
-	var out []T
-	if pl.Bounded() {
-		out = executeResortBounded(pl, vals, stride, indices, nNew)
-	} else {
-		out = executeResort(pl, vals, stride, indices, nNew)
-	}
+	out := executeResort(pl, vals, stride, indices, nNew)
 	pl.Free()
 	return out
 }
@@ -116,91 +109,60 @@ func scatterResort[T any](out []T, placed []bool, pos []int64, val []T, stride, 
 	}
 }
 
-// executeResort is the historical unbounded body: stage every
-// destination's position and value buffers at once, two collective
-// all-to-alls, positional scatter. Replays the pre-plan messages and cost
-// charges exactly.
+// executeResort ships every occurrence's target position and values to its
+// destination and scatters what arrives into the output permutation. Each
+// occurrence costs 8 position bytes plus stride payload bytes against the
+// budget; under one, each round relinquishes its paired buffers on tags
+// 211/212 before the next stages, and without one the two part sets go
+// through two pairwise collectives. The positional scatter makes the
+// result independent of the transport.
 func executeResort[T any](p *Plan, vals []T, stride int, indices []Index, nNew int) []T {
 	c := p.c
 	size := c.Size()
-	n := len(indices)
-	posParts := make([][]int64, size)
-	valParts := make([][]T, size)
-	for d := 0; d < size; d++ {
-		posParts[d], valParts[d] = gatherResort(p, vals, stride, indices, d)
-	}
-	c.Compute(crossCostCounts(c.Rank(), p.counts) + costs.Move*float64(n*stride))
+	self := c.Rank()
+	c.Compute(p.sendCost() + costs.Move*float64(len(indices)*stride))
 
-	// Both part sets are freshly built per-destination buffers: relinquish
-	// them into the messages without a copy.
-	recvPos := vmpi.AlltoallOwned(c, posParts)
-	recvVal := vmpi.AlltoallOwned(c, valParts)
+	// recvPos[r]/recvVal[r] are source rank r's paired blocks (the resort
+	// is always dense, so staging-order slot == rank). The buffers are
+	// freshly built per destination: relinquished without a copy.
+	recvPos := make([][]int64, size)
+	recvVal := make([][]T, size)
+	if !p.Bounded() {
+		for d := 0; d < size; d++ {
+			recvPos[d], recvVal[d] = gatherResort(p, vals, stride, indices, d)
+		}
+		recvPos = vmpi.AlltoallOwned(c, recvPos)
+		recvVal = vmpi.AlltoallOwned(c, recvVal)
+	} else {
+		elem := 8 + stride*int(unsafe.Sizeof(*new(T)))
+		peak := sendRounds(p.order, p.maxCounts, elem, p.budget, func(d int) int {
+			pos, val := gatherResort(p, vals, stride, indices, d)
+			n := len(pos)
+			if d == self {
+				recvPos[d], recvVal[d] = pos, val
+			} else {
+				vmpi.SendOwned(c, pos, d, tagResortPos)
+				vmpi.SendOwned(c, val, d, tagResortVal)
+			}
+			return n
+		})
+		for src := 0; src < size; src++ {
+			if src != self {
+				recvPos[src] = vmpi.Recv[int64](c, src, tagResortPos)
+				recvVal[src] = vmpi.Recv[T](c, src, tagResortVal)
+			}
+		}
+		meterPeak(p, peak)
+	}
 
 	out := make([]T, nNew*stride)
 	placed := make([]bool, nNew)
 	for r := 0; r < size; r++ {
 		scatterResort(out, placed, recvPos[r], recvVal[r], stride, nNew)
 	}
-	c.Compute(crossCost(c.Rank(), recvPos) + costs.Move*float64(nNew*stride))
+	c.Compute(recvCost(p, recvPos) + costs.Move*float64(nNew*stride))
 	vmpi.ReleaseBlocks(recvPos)
 	vmpi.ReleaseBlocks(recvVal)
-	return out
-}
-
-// executeResortBounded runs the resort through the plan's bounded rounds:
-// each occurrence costs 8 position bytes plus stride payload bytes
-// against the budget, and each round relinquishes its paired buffers on
-// tags 211/212 before the next stages. Receives then scatter per source;
-// the positional permutation makes assembly order irrelevant.
-func executeResortBounded[T any](p *Plan, vals []T, stride int, indices []Index, nNew int) []T {
-	c := p.c
-	size := c.Size()
-	self := c.Rank()
-	n := len(indices)
-	elem := 8 + stride*int(unsafe.Sizeof(*new(T)))
-
-	c.Compute(crossCostCounts(self, p.counts) + costs.Move*float64(n*stride))
-
-	var selfPos []int64
-	var selfVal []T
-	peak := int64(0)
-	for _, g := range scheduleRounds(p.order, p.maxCounts, elem, p.budget) {
-		staged := int64(0)
-		for k := g[0]; k < g[1]; k++ {
-			d := p.order[k]
-			if d == self {
-				selfPos, selfVal = gatherResort(p, vals, stride, indices, k)
-				staged += int64(len(selfPos)) * int64(elem)
-				continue
-			}
-			pos, val := gatherResort(p, vals, stride, indices, k)
-			staged += int64(len(pos)) * int64(elem)
-			vmpi.SendOwned(c, pos, d, tagResortPos)
-			vmpi.SendOwned(c, val, d, tagResortVal)
-		}
-		if staged > peak {
-			peak = staged
-		}
-	}
-
-	out := make([]T, nNew*stride)
-	placed := make([]bool, nNew)
-	recvCost := 0.0
-	for src := 0; src < size; src++ {
-		if src == self {
-			recvCost += costs.Move * float64(len(selfPos))
-			scatterResort(out, placed, selfPos, selfVal, stride, nNew)
-			continue
-		}
-		pos := vmpi.Recv[int64](c, src, tagResortPos)
-		val := vmpi.Recv[T](c, src, tagResortVal)
-		recvCost += costs.RedistElem * float64(len(pos))
-		scatterResort(out, placed, pos, val, stride, nNew)
-		vmpi.Release(pos)
-		vmpi.Release(val)
-	}
-	c.Compute(recvCost + costs.Move*float64(nNew*stride))
-	meterPeak(p, peak)
 	return out
 }
 

@@ -6,7 +6,7 @@ import (
 )
 
 // Steady-state allocation contracts of the messaging hot paths. The
-// large-P engine work moved small messages inline into pooled envelopes
+// large-P fast path moved small messages inline into pooled envelopes
 // and batched executor wakeups precisely so that the per-message
 // allocation count hits zero once the pools are warm; these tests pin
 // that down with testing.AllocsPerRun so a regression shows up as a test
@@ -21,7 +21,7 @@ import (
 // with mirrored communication: echo is invoked exactly once per measured
 // iteration (AllocsPerRun runs its function iters+1 times, including the
 // warmup run).
-func allocHarness(t *testing.T, engine Engine, iters int, body func(c *Comm), echo func(c *Comm)) float64 {
+func allocHarness(t *testing.T, iters int, body func(c *Comm), echo func(c *Comm)) float64 {
 	t.Helper()
 	if DebugEnabled() {
 		t.Skip("vmpidebug ownership tracking allocates by design")
@@ -30,7 +30,7 @@ func allocHarness(t *testing.T, engine Engine, iters int, body func(c *Comm), ec
 		t.Skip("race instrumentation allocates on otherwise allocation-free paths")
 	}
 	var allocs float64
-	Run(Config{Ranks: 2, Engine: engine, Workers: 2}, func(c *Comm) {
+	Run(Config{Ranks: 2, Workers: 2}, func(c *Comm) {
 		if c.Rank() == 0 {
 			// Warm the message/envelope pools before measuring.
 			for i := 0; i < 32; i++ {
@@ -48,27 +48,21 @@ func allocHarness(t *testing.T, engine Engine, iters int, body func(c *Comm), ec
 }
 
 // TestSendrecvValAllocs pins the inline single-value exchange — the
-// merge-exchange negotiation hot path — at zero allocations per op on
-// both engines.
+// merge-exchange negotiation hot path — at zero allocations per op.
 func TestSendrecvValAllocs(t *testing.T) {
-	for _, eng := range []struct {
-		name string
-		e    Engine
-	}{{"event", EngineEvent}, {"goroutine", EngineGoroutine}} {
-		t.Run(eng.name, func(t *testing.T) {
-			exchange := func(c *Comm) {
-				partner := 1 - c.Rank()
-				v := SendrecvVal(c, int64(c.Rank()), partner, partner, 7)
-				if v != int64(partner) {
-					panic("wrong value")
-				}
+	t.Run("event", func(t *testing.T) {
+		exchange := func(c *Comm) {
+			partner := 1 - c.Rank()
+			v := SendrecvVal(c, int64(c.Rank()), partner, partner, 7)
+			if v != int64(partner) {
+				panic("wrong value")
 			}
-			allocs := allocHarness(t, eng.e, 100, exchange, exchange)
-			if allocs > 0 {
-				t.Errorf("SendrecvVal allocated %.2f objects per op, want 0", allocs)
-			}
-		})
-	}
+		}
+		allocs := allocHarness(t, 100, exchange, exchange)
+		if allocs > 0 {
+			t.Errorf("SendrecvVal allocated %.2f objects per op, want 0", allocs)
+		}
+	})
 }
 
 // TestInlineSendRecvAllocs pins the inline slice path: Send stays
@@ -83,7 +77,7 @@ func TestInlineSendRecvAllocs(t *testing.T) {
 			panic("wrong length")
 		}
 	}
-	allocs := allocHarness(t, EngineEvent, 100, exchange, exchange)
+	allocs := allocHarness(t, 100, exchange, exchange)
 	// AllocsPerRun counts process-wide mallocs and both ranks run one
 	// exchange per iteration, so the budget is two result slices per op —
 	// one per receive — and nothing else.
@@ -107,7 +101,7 @@ func TestPooledSendRecvAllocs(t *testing.T) {
 		}
 		Release(got)
 	}
-	allocs := allocHarness(t, EngineEvent, 100, exchange, exchange)
+	allocs := allocHarness(t, 100, exchange, exchange)
 	if allocs > 0 {
 		t.Errorf("pooled Send+Recv allocated %.2f objects per op, want 0", allocs)
 	}

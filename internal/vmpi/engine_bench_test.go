@@ -6,25 +6,23 @@ import (
 	"testing"
 )
 
-// Engine comparison benchmarks: spin-up/teardown cost and alltoall
-// throughput for the event executor vs. the goroutine machine, with
+// Machine benchmarks: spin-up/teardown cost and alltoall throughput, with
 // allocations per op and the post-run heap high-water mark reported.
 //
 //	go test ./internal/vmpi/ -run - -bench 'Run(16|256|4096)' -benchmem
 //
-// The interesting numbers at large rank counts are allocs/op (the
-// goroutine machine pays one stack + one free-running goroutine per rank
-// every Run) and peak-heap-B (the executor's lazily spawned, slot-bounded
-// ranks keep the resident footprint near the slot count, not P).
+// The interesting numbers at large rank counts are allocs/op and
+// peak-heap-B (the executor's lazily spawned, slot-bounded ranks keep the
+// resident footprint near the slot count, not P).
 
 // benchSpinup measures an empty Run: machine construction, rank
 // spawn/teardown, stats collection.
-func benchSpinup(b *testing.B, ranks int, engine Engine) {
+func benchSpinup(b *testing.B, ranks int) {
 	b.ReportAllocs()
 	var peak uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Run(Config{Ranks: ranks, Engine: engine}, func(c *Comm) {})
+		Run(Config{Ranks: ranks}, func(c *Comm) {})
 		var m runtime.MemStats
 		runtime.ReadMemStats(&m)
 		if m.HeapInuse > peak {
@@ -34,32 +32,19 @@ func benchSpinup(b *testing.B, ranks int, engine Engine) {
 	b.ReportMetric(float64(peak), "peak-heap-B")
 }
 
-func BenchmarkRun16(b *testing.B) {
-	for _, e := range engines {
-		b.Run(e.name, func(b *testing.B) { benchSpinup(b, 16, e.engine) })
-	}
-}
+func BenchmarkRun16(b *testing.B) { benchSpinup(b, 16) }
 
-func BenchmarkRun256(b *testing.B) {
-	for _, e := range engines {
-		b.Run(e.name, func(b *testing.B) { benchSpinup(b, 256, e.engine) })
-	}
-}
+func BenchmarkRun256(b *testing.B) { benchSpinup(b, 256) }
 
-func BenchmarkRun4096(b *testing.B) {
-	for _, e := range engines {
-		b.Run(e.name, func(b *testing.B) { benchSpinup(b, 4096, e.engine) })
-	}
-}
+func BenchmarkRun4096(b *testing.B) { benchSpinup(b, 4096) }
 
-// benchAlltoall measures the pairwise alltoall under each engine — the
-// highest-contention mailbox workload the paper configurations use.
-func benchAlltoall(b *testing.B, ranks, rounds, payloadLen int, engine Engine) {
+// benchAlltoall measures the pairwise alltoall — the highest-contention mailbox workload the paper configurations use.
+func benchAlltoall(b *testing.B, ranks, rounds, payloadLen int) {
 	payload := make([]float64, payloadLen)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Run(Config{Ranks: ranks, Engine: engine}, func(c *Comm) {
+		Run(Config{Ranks: ranks}, func(c *Comm) {
 			for r := 0; r < rounds; r++ {
 				parts := make([][]float64, ranks)
 				for dst := range parts {
@@ -78,11 +63,8 @@ func BenchmarkAlltoallEngines(b *testing.B) {
 		{16, 4, 256},
 		{64, 2, 64},
 	} {
-		for _, e := range engines {
-			name := fmt.Sprintf("p%d/%s", cfg.ranks, e.name)
-			b.Run(name, func(b *testing.B) {
-				benchAlltoall(b, cfg.ranks, cfg.rounds, cfg.payload, e.engine)
-			})
-		}
+		b.Run(fmt.Sprintf("p%d", cfg.ranks), func(b *testing.B) {
+			benchAlltoall(b, cfg.ranks, cfg.rounds, cfg.payload)
+		})
 	}
 }

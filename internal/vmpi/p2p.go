@@ -143,8 +143,8 @@ func takePayload[T any](m *message, src, tag int) []T {
 // sendMsg is the send core shared by the payload and inline paths: it
 // charges injection cost to the sender, stamps the arrival time from the
 // network model, enqueues the envelope, and batches the destination's
-// wakeup (event engine). The caller has filled the envelope's payload or
-// inline fields; src/tag/ctx/timing are stamped here.
+// wakeup. The caller has filled the envelope's payload or inline fields;
+// src/tag/ctx/timing are stamped here.
 //
 //parlint:hotalloc
 func sendMsg(c *Comm, m *message, bytes, dst, tag int) {
@@ -170,8 +170,8 @@ func sendMsg(c *Comm, m *message, bytes, dst, tag int) {
 	// the envelope the moment it is enqueued.
 	arrive := start + model.Cost(srcInst.node, dstInst.node, bytes)
 	m.arrive = arrive
-	dstInst.box.put(c.rt, dstW, m)
-	if c.rt.exec != nil && dstW != c.world(c.rank) {
+	dstInst.box.put(m)
+	if dstW != c.world(c.rank) {
 		// Batch the wakeup; it is flushed before this rank can block or
 		// finish. A send to self needs no wake — the sender cannot be
 		// parked while it is sending.
@@ -197,13 +197,11 @@ func recvRaw(c *Comm, src, tag int) *message {
 	if src < 0 || src >= len(c.members) {
 		panic(fmt.Sprintf("vmpi: Recv from invalid rank %d (size %d)", src, len(c.members)))
 	}
-	if c.rt.exec != nil && len(c.st.pendingWakes) > 0 {
-		// Deliver this rank's batched wakeups before it can park: a rank
-		// waiting on one of those messages must be runnable by the time we
-		// block, or the all-parked verdict would see a false deadlock.
-		c.rt.flushWakes(c.st)
-	}
-	m := c.inst(c.rank).box.take(c.rt, c.world(c.rank), src, tag, c.ctx)
+	// Deliver this rank's batched wakeups before it can park: a rank
+	// waiting on one of those messages must be runnable by the time we
+	// block, or the all-parked verdict would see a false deadlock.
+	c.rt.flushWakes(c.st)
+	m := c.inst(c.rank).box.take(c, src, tag)
 	if m.arrive > c.st.clock {
 		c.st.clock = m.arrive
 	}

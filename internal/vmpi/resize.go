@@ -14,14 +14,13 @@ package vmpi
 //     t*, admitted ranks start exactly at t*.
 //  4. World rank 0 rebuilds the runtime's world — retires the trailing
 //     ranks, creates instances for admitted ones, installs the new epoch —
-//     and admits the new tasks to the engine (executor Admit or goroutine
-//     launch).
+//     and admits the new tasks to the executor.
 //  5. A release broadcast over the old world publishes the new epoch; its
 //     message chain is also the happens-before edge that makes step 4's
 //     mutations visible to every rank.
 //
 // Determinism: every quantity above is a pure function of virtual state, so
-// resized runs remain bit-identical across engines and host parallelism.
+// resized runs remain bit-identical at any host parallelism.
 
 import (
 	"fmt"
@@ -142,19 +141,10 @@ func (rt *Runtime) reconfigure(old *epochWorld, newN int, tStar float64) {
 		nw.insts = append(nw.insts, inst)
 		members[r] = id
 	}
-	admitted := newN - keep
-	rt.deadlock.admit(admitted)
 	rt.setWorld(nw)
-	if admitted == 0 {
-		return
-	}
-	if rt.exec != nil {
+	if admitted := newN - keep; admitted > 0 {
 		if first := rt.exec.Admit(admitted); first != len(old.insts) {
 			panic("vmpi: executor task ids out of sync with instance ids")
 		}
-		return
-	}
-	for r := keep; r < newN; r++ {
-		rt.launchRank(nw.insts[members[r]].comm)
 	}
 }

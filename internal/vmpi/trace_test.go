@@ -19,24 +19,21 @@ func TestTraceRecordsMessages(t *testing.T) {
 			Recv[byte](c, 0, 6)
 		}
 	})
-	if st.Trace == nil {
-		t.Fatal("trace missing")
-	}
-	evs := st.Trace.Events()
+	evs := st.Events.Sends("")
 	if len(evs) != 2 {
-		t.Fatalf("recorded %d events, want 2", len(evs))
+		t.Fatalf("recorded %d send events, want 2", len(evs))
 	}
-	if evs[0].From != 0 || evs[0].To != 1 || evs[0].Bytes != 16 || evs[0].Tag != 5 {
+	if evs[0].Rank != 0 || evs[0].Peer != 1 || evs[0].Bytes != 16 || evs[0].Tag != 5 {
 		t.Errorf("event 0 = %+v", evs[0])
 	}
-	if evs[1].To != 2 || evs[1].Bytes != 1 {
+	if evs[1].Peer != 2 || evs[1].Bytes != 1 {
 		t.Errorf("event 1 = %+v", evs[1])
 	}
-	if evs[0].ArriveTime <= evs[0].SendTime {
-		t.Errorf("arrival %g not after send %g", evs[0].ArriveTime, evs[0].SendTime)
+	if evs[0].T2 <= evs[0].T {
+		t.Errorf("arrival %g not after send %g", evs[0].T2, evs[0].T)
 	}
-	if st.Trace.MessageCount() != 2 {
-		t.Errorf("MessageCount = %d", st.Trace.MessageCount())
+	if st.Events.MessageCount("") != 2 {
+		t.Errorf("MessageCount = %d", st.Events.MessageCount(""))
 	}
 }
 
@@ -48,8 +45,8 @@ func TestTraceDisabledByDefault(t *testing.T) {
 			Recv[int](c, 0, 0)
 		}
 	})
-	if st.Trace != nil {
-		t.Error("trace should be nil when not requested")
+	if n := st.Events.MessageCount(""); n != 0 {
+		t.Errorf("%d send events recorded without Config.Trace", n)
 	}
 }
 
@@ -62,7 +59,7 @@ func TestTraceCommMatrix(t *testing.T) {
 		Send(c, make([]float64, 10), right, 1)
 		Recv[float64](c, left, 1)
 	})
-	m := st.Trace.CommMatrix()
+	m := st.Events.CommMatrix("")
 	for src := 0; src < p; src++ {
 		for dst := 0; dst < p; dst++ {
 			want := int64(0)
@@ -74,7 +71,7 @@ func TestTraceCommMatrix(t *testing.T) {
 			}
 		}
 	}
-	if got := st.Trace.ActivePairs(); got != p {
+	if got := st.Events.ActivePairs(""); got != p {
 		t.Errorf("ActivePairs = %d, want %d", got, p)
 	}
 }
@@ -89,15 +86,11 @@ func TestTraceMatchesCounters(t *testing.T) {
 		}
 		Alltoall(c, parts)
 	})
-	var traceBytes int64
-	for _, e := range st.Trace.Events() {
-		traceBytes += int64(e.Bytes)
+	if got := st.Events.TotalBytes(""); got != st.TotalBytes() {
+		t.Errorf("trace bytes %d != counter %d", got, st.TotalBytes())
 	}
-	if traceBytes != st.TotalBytes() {
-		t.Errorf("trace bytes %d != counter %d", traceBytes, st.TotalBytes())
-	}
-	if st.Trace.MessageCount() != int(st.TotalMessages()) {
-		t.Errorf("trace messages %d != counter %d", st.Trace.MessageCount(), st.TotalMessages())
+	if got := st.Events.MessageCount(""); got != int(st.TotalMessages()) {
+		t.Errorf("trace messages %d != counter %d", got, st.TotalMessages())
 	}
 }
 
@@ -119,11 +112,11 @@ func TestTraceNeighborhoodFootprint(t *testing.T) {
 		Send(c, []byte{1}, right, 1)
 		Recv[byte](c, left, 1)
 	})
-	if a2a.Trace.ActivePairs() <= ring.Trace.ActivePairs() {
-		t.Errorf("all-to-all footprint (%d pairs) should exceed ring (%d pairs)",
-			a2a.Trace.ActivePairs(), ring.Trace.ActivePairs())
+	a2aPairs, ringPairs := a2a.Events.ActivePairs(""), ring.Events.ActivePairs("")
+	if a2aPairs <= ringPairs {
+		t.Errorf("all-to-all footprint (%d pairs) should exceed ring (%d pairs)", a2aPairs, ringPairs)
 	}
-	if ring.Trace.ActivePairs() != p {
-		t.Errorf("ring footprint = %d pairs, want %d", ring.Trace.ActivePairs(), p)
+	if ringPairs != p {
+		t.Errorf("ring footprint = %d pairs, want %d", ringPairs, p)
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// Stress test for the event executor's batched wakeups. sendMsg does not
+// Stress test for the executor's batched wakeups. sendMsg does not
 // wake a destination immediately: it queues the destination in the
 // sender's pendingWakes and flushes on three edges — the batch filling up
 // (wakeBatchMax), the sender entering a receive (it might park), and the
@@ -13,8 +13,7 @@ import (
 // of those edges strands a parked rank: the run either reports a false
 // deadlock (all-parked verdict) or hangs. The workload below drives all
 // three flush edges at once, at slot counts from fully serialized to wider
-// than the hot rank set, and the virtual clocks must still match the
-// goroutine engine's exactly.
+// than the hot rank set, and the virtual clocks must match at every one.
 func TestBatchedWakeStress(t *testing.T) {
 	// More destinations than wakeBatchMax so the hub's scatter crosses the
 	// flush-on-full edge mid-loop.
@@ -67,14 +66,17 @@ func TestBatchedWakeStress(t *testing.T) {
 		}
 	}
 
-	ref := Run(Config{Ranks: ranks, Engine: EngineGoroutine}, workload)
+	var ref *Stats
 	for _, w := range []int{1, 2, 8} {
-		st := Run(Config{Ranks: ranks, Engine: EngineEvent, Workers: w}, workload)
+		st := Run(Config{Ranks: ranks, Workers: w}, workload)
+		if ref == nil {
+			ref = st
+		}
 		if !reflect.DeepEqual(st.Clocks, ref.Clocks) {
-			t.Fatalf("workers=%d: clocks diverge from goroutine engine", w)
+			t.Fatalf("workers=%d: clocks diverge from workers=1", w)
 		}
 		if !reflect.DeepEqual(st.Values, ref.Values) {
-			t.Fatalf("workers=%d: results diverge from goroutine engine", w)
+			t.Fatalf("workers=%d: results diverge from workers=1", w)
 		}
 		if st.Exec.MaxSlots > w {
 			t.Fatalf("workers=%d: MaxSlots %d exceeds the fixed bound", w, st.Exec.MaxSlots)

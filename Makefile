@@ -39,11 +39,16 @@ fig10:
 
 # Writes the per-rank-count benchmark report (wall clock, post-run memory,
 # executor meters) for the Figure 10 sweep and prints (and checks in) the
-# rank_rows delta against BENCH_3.json — the large-P host-performance
-# baseline taken before the large-P fast path. Virtual seconds must not move;
-# wall clock and heap are the host-performance result.
+# rank_rows delta against the previous large-P report. BENCH_OUT/BENCH_BASE
+# name the pair: BENCH_6.json (one shared broadcast payload instead of P
+# private copies) against BENCH_5.json (the large-P fast path; itself taken
+# against BENCH_3.json). Virtual seconds must not move; wall clock and heap
+# are the host-performance result.
+BENCH_OUT  ?= BENCH_6.json
+BENCH_BASE ?= BENCH_5.json
+
 bench-fig10:
-	$(GO) run ./cmd/paperbench -bench-fig10 BENCH_5.json -bench-baseline BENCH_3.json | tee BENCH_5_DELTA.txt
+	$(GO) run ./cmd/paperbench -bench-fig10 $(BENCH_OUT) -bench-baseline $(BENCH_BASE) | tee $(BENCH_OUT:.json=_DELTA.txt)
 
 vet:
 	$(GO) vet ./...

@@ -74,6 +74,11 @@ type FuncFacts struct {
 	// helpers.
 	TransfersParam uint64
 	ReleasesParam  uint64
+	// SharedResult: the function returns a shared read-only broadcast view
+	// — the result of vmpi.Bcast/Allreduce/Allgather, directly, through a
+	// local, or through a further helper — which callers may read and
+	// Release but never write or relinquish.
+	SharedResult bool
 	// HotAlloc: the declaration carries a //parlint:hotalloc directive,
 	// opting it into the hotalloc analyzer's zero-allocation contract.
 	HotAlloc bool
@@ -110,6 +115,7 @@ func (f *FuncFacts) merge(o FuncFacts) bool {
 	orBits(&f.ReleasesBudgetParam, o.ReleasesBudgetParam)
 	orBits(&f.TransfersParam, o.TransfersParam)
 	orBits(&f.ReleasesParam, o.ReleasesParam)
+	or(&f.SharedResult, o.SharedResult)
 	or(&f.HotAlloc, o.HotAlloc)
 	if len(o.Callees) > len(f.Callees) {
 		f.Callees = o.Callees
@@ -210,6 +216,26 @@ var VmpiCollectives = map[string]bool{
 	"Alltoall": true, "AlltoallOwned": true, "Scan": true, "Exscan": true,
 }
 
+// VmpiSharedResults are the vmpi collectives whose result is a shared
+// read-only view of one broadcast buffer (see internal/vmpi/pool.go).
+var VmpiSharedResults = map[string]bool{"Bcast": true, "Allreduce": true, "Allgather": true}
+
+// SharedViewCall returns the callee when e is a call — possibly resliced —
+// of a function whose result is a shared read-only broadcast view, else
+// nil.
+func (f *Facts) SharedViewCall(info *types.Info, e ast.Expr) (*types.Func, *ast.CallExpr) {
+	e = ast.Unparen(e)
+	if se, ok := e.(*ast.SliceExpr); ok {
+		e = ast.Unparen(se.X)
+	}
+	if call, ok := e.(*ast.CallExpr); ok {
+		if fn := CalleeFunc(info, call); fn != nil && f.Of(fn).SharedResult {
+			return fn, call
+		}
+	}
+	return nil, nil
+}
+
 // VmpiCollectiveMethods are Comm methods with collective semantics.
 var VmpiCollectiveMethods = map[string]bool{"Split": true, "Dup": true}
 
@@ -235,6 +261,7 @@ func intrinsicFacts(fn *types.Func) (FuncFacts, bool) {
 		if (!method && VmpiCollectives[name]) || (method && VmpiCollectiveMethods[name]) {
 			ff.EntersCollective = true
 		}
+		ff.SharedResult = !method && VmpiSharedResults[name]
 		return ff, true
 	case PkgIs(fn.Pkg(), "hostpar"):
 		if method && isBudgetRecv(sig.Recv().Type()) {
@@ -693,6 +720,40 @@ func scanFuncFacts(pkg *Package, decl *ast.FuncDecl, f *Facts) FuncFacts {
 		return i, ok
 	}
 
+	// Locals bound (anywhere in the body) to a shared broadcast view, so
+	// `all := vmpi.Allgather(...); return all` summarizes like the direct
+	// return. Two rounds cover a local aliasing another local.
+	sharedVars := map[types.Object]bool{}
+	sharedExpr := func(e ast.Expr) bool {
+		if fn, _ := f.SharedViewCall(info, e); fn != nil {
+			return true
+		}
+		e = ast.Unparen(e)
+		if se, ok := e.(*ast.SliceExpr); ok {
+			e = ast.Unparen(se.X)
+		}
+		id, ok := e.(*ast.Ident)
+		return ok && sharedVars[info.Uses[id]]
+	}
+	for round := 0; round < 2; round++ {
+		ast.Inspect(decl.Body, func(n ast.Node) bool {
+			as, ok := n.(*ast.AssignStmt)
+			if !ok || len(as.Lhs) != len(as.Rhs) {
+				return true
+			}
+			for i, lhs := range as.Lhs {
+				id, ok := ast.Unparen(lhs).(*ast.Ident)
+				if !ok || !sharedExpr(as.Rhs[i]) {
+					continue
+				}
+				if obj := info.ObjectOf(id); obj != nil {
+					sharedVars[obj] = true
+				}
+			}
+			return true
+		})
+	}
+
 	seenCallee := map[string]bool{}
 	ast.Inspect(decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -733,6 +794,9 @@ func scanFuncFacts(pkg *Package, decl *ast.FuncDecl, f *Facts) FuncFacts {
 					out.SubResult = true
 				}
 				out.ParamResult |= d.params
+				if len(n.Results) == 1 && sharedExpr(r) {
+					out.SharedResult = true
+				}
 			}
 		case *ast.CallExpr:
 			fn := CalleeFunc(info, n)

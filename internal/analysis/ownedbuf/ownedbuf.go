@@ -6,6 +6,11 @@
 //     or re-send it afterwards.
 //   - A slice handed back with vmpi.Release / vmpi.ReleaseBlocks may be
 //     released at most once and must not be used afterwards.
+//   - The result of vmpi.Bcast, vmpi.Allreduce or vmpi.Allgather — or of a
+//     helper whose summary returns one (SharedResult) — is a shared
+//     read-only view of one broadcast buffer: storing into an element,
+//     copy into it, append onto it, clear of it, and passing it to
+//     SendOwned/AlltoallOwned are reported. Reading and Release are legal.
 //
 // The analysis is positional within each function (including its nested
 // closures, whose captured variables share the enclosing frame): a
@@ -40,7 +45,8 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "ownedbuf",
 	Doc: "reports uses of message buffers after vmpi ownership transfer " +
-		"(SendOwned/AlltoallOwned) and double or post-transfer Release",
+		"(SendOwned/AlltoallOwned), double or post-transfer Release, and " +
+		"writes to or transfers of shared read-only broadcast views",
 	Run: run,
 }
 
@@ -80,9 +86,11 @@ func run(pass *analysis.Pass) {
 const (
 	evAlias = iota
 	evUse
+	evWrite
 	evTransfer
 	evRelease
 	evKill
+	evShare
 	evReset
 )
 
@@ -91,7 +99,11 @@ type event struct {
 	pos  token.Pos
 	obj  types.Object
 	src  types.Object // alias source for evAlias
-	what string       // "SendOwned" / "AlltoallOwned" / "Release" / "ReleaseBlocks"
+	// what names the operation: "SendOwned" / "AlltoallOwned" / "Release" /
+	// "ReleaseBlocks" / "call to f"; for evWrite the kind of write; for
+	// evShare the call that produced the view, located at `at`.
+	what string
+	at   token.Pos
 }
 
 // bufState is the shared ownership state of an alias group.
@@ -99,6 +111,10 @@ type bufState struct {
 	status int // stOwned, stTransferred, stReleased
 	what   string
 	pos    token.Pos
+	// sharedBy is non-empty while the group names a shared read-only
+	// broadcast view: the producing call and its position.
+	sharedBy string
+	sharedAt token.Pos
 }
 
 const (
@@ -106,6 +122,10 @@ const (
 	stTransferred
 	stReleased
 )
+
+// builtinWrites maps the builtins that write through their first argument
+// to the wording of the report.
+var builtinWrites = map[string]string{"copy": "copy into", "append": "append onto", "clear": "clear of"}
 
 func analyzeFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 	info := pass.Info
@@ -168,9 +188,48 @@ func analyzeFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 		return nil
 	}
 
+	// viewBase returns the slice variable an expression reads or writes
+	// through — v for v, v[a:b], v[i], v[i].f — and whether the path indexed
+	// an element.
+	viewBase := func(e ast.Expr) (obj types.Object, indexed bool) {
+		for {
+			switch x := ast.Unparen(e).(type) {
+			case *ast.IndexExpr:
+				indexed = true
+				e = x.X
+			case *ast.SliceExpr:
+				e = x.X
+			case *ast.SelectorExpr:
+				if sel, ok := info.Selections[x]; !ok || sel.Kind() != types.FieldVal {
+					return nil, false
+				}
+				e = x.X
+			default:
+				return sliceVar(e), indexed
+			}
+		}
+	}
+	// store records a write through lhs when it lands in a slice variable's
+	// elements.
+	store := func(lhs ast.Expr) {
+		if obj, indexed := viewBase(lhs); obj != nil && indexed {
+			events = append(events, event{kind: evWrite, pos: lhs.Pos(), obj: obj, what: "element store into"})
+		}
+	}
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
+		case *ast.IncDecStmt:
+			store(n.X)
 		case *ast.CallExpr:
+			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && len(n.Args) > 0 {
+				if b, ok := info.Uses[id].(*types.Builtin); ok {
+					what := builtinWrites[b.Name()]
+					if obj, _ := viewBase(n.Args[0]); what != "" && obj != nil {
+						events = append(events, event{kind: evWrite, pos: n.Args[0].Pos(), obj: obj, what: what})
+					}
+					return true
+				}
+			}
 			fn := analysis.CalleeFunc(info, n)
 			if fn == nil {
 				return true
@@ -244,7 +303,11 @@ func analyzeFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 		case *ast.AssignStmt:
 			for i, lhs := range n.Lhs {
 				id, ok := ast.Unparen(lhs).(*ast.Ident)
-				if !ok || id.Name == "_" {
+				if !ok {
+					store(lhs)
+					continue
+				}
+				if id.Name == "_" {
 					continue
 				}
 				obj := info.Defs[id]
@@ -268,6 +331,11 @@ func analyzeFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 					}
 				}
 				events = append(events, event{kind: evKill, pos: n.End(), obj: obj})
+				if len(n.Lhs) == len(n.Rhs) {
+					if fn, call := pass.Facts.SharedViewCall(info, n.Rhs[i]); fn != nil {
+						events = append(events, event{kind: evShare, pos: n.End(), obj: obj, what: fn.Name(), at: call.Pos()})
+					}
+				}
 			}
 		}
 		return true
@@ -322,10 +390,19 @@ func analyzeFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 			states[e.obj] = get(e.src)
 		case evKill:
 			states[e.obj] = &bufState{}
+		case evShare:
+			st := get(e.obj)
+			st.sharedBy, st.sharedAt = e.what, e.at
 		case evReset:
 			// Code past the terminating block runs only on paths that did not
 			// take the transfer; the whole alias group is owned again.
-			*get(e.obj) = bufState{}
+			st := get(e.obj)
+			st.status, st.what, st.pos = stOwned, "", token.NoPos
+		case evWrite:
+			if st := get(e.obj); st.sharedBy != "" {
+				pass.Reportf(e.pos, "%s %s, a shared read-only view returned by %s at %s",
+					e.what, e.obj.Name(), st.sharedBy, site(st.sharedAt))
+			}
 		case evUse:
 			switch st := get(e.obj); st.status {
 			case stTransferred:
@@ -337,6 +414,10 @@ func analyzeFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 			}
 		case evTransfer:
 			st := get(e.obj)
+			if st.sharedBy != "" {
+				pass.Reportf(e.pos, "%s of %s, a shared read-only view returned by %s at %s",
+					e.what, e.obj.Name(), st.sharedBy, site(st.sharedAt))
+			}
 			switch st.status {
 			case stTransferred:
 				pass.Reportf(e.pos, "%s of %s after ownership was already transferred by %s at %s",
@@ -345,7 +426,7 @@ func analyzeFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 				pass.Reportf(e.pos, "%s of %s after it was released at %s",
 					e.what, e.obj.Name(), site(st.pos))
 			}
-			*st = bufState{status: stTransferred, what: e.what, pos: e.pos}
+			st.status, st.what, st.pos = stTransferred, e.what, e.pos
 		case evRelease:
 			st := get(e.obj)
 			switch st.status {
@@ -356,7 +437,7 @@ func analyzeFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 				pass.Reportf(e.pos, "second %s of %s (already released at %s)",
 					e.what, e.obj.Name(), site(st.pos))
 			}
-			*st = bufState{status: stReleased, what: e.what, pos: e.pos}
+			st.status, st.what, st.pos = stReleased, e.what, e.pos
 		}
 	}
 }

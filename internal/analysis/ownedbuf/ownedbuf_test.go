@@ -10,3 +10,7 @@ import (
 func TestOwnedbuf(t *testing.T) {
 	analysistest.Run(t, "testdata/src", ownedbuf.Analyzer, "a")
 }
+
+func TestSharedReadOnly(t *testing.T) {
+	analysistest.Run(t, "testdata/src", ownedbuf.Analyzer, "sharedro")
+}

@@ -235,11 +235,10 @@ func SortMerge[T any](c *vmpi.Comm, items []T, key func(T) uint64) []T {
 	//
 	// Every rank derives the identical chain from the identical counts
 	// vector, so the chain table is shared per network size (sharedChain)
-	// instead of materialized P times, and the counts buffer goes back to
-	// the message pool immediately.
+	// instead of materialized P times. The chain cache keeps the counts
+	// vector, so it is not released.
 	counts := vmpi.Allgather(c, []int64{int64(len(items))})
 	nonEmpty, myIdx, total := sharedChain(p, counts, c.Rank())
-	vmpi.Release(counts)
 	// Each pair of rounds fixes at least one boundary inversion, but a
 	// low-capacity rank in the middle of the chain throttles element flow
 	// to its capacity per two rounds, so the worst-case round count is
@@ -445,6 +444,9 @@ var (
 // counts vector it was derived from, the chain of non-empty ranks, and the
 // total element count.
 type chainEntry struct {
+	// counts is the vector the chain was derived from — the caller's own
+	// slice, pinned here, so a later lookup with the same backing array is a
+	// hit without reading it.
 	counts []int64
 	chain  []int
 	total  int64
@@ -463,10 +465,20 @@ var (
 // and, for steady workloads, all subsequent sorts — instead of P fresh
 // derivations per sort. The returned chain is shared and must be treated
 // as read-only.
+//
+// The cache keeps counts itself, so the caller must neither modify nor
+// release it afterwards. At paper-machine rank counts all P ranks pass the
+// one shared allgather buffer: the first derives (or compares, O(P)), the
+// other P-1 hit on array identity, O(1) under the lock.
 func sharedChain(p int, counts []int64, me int) (chain []int, myIdx int, total int64) {
 	chainMu.Lock()
 	e := chainByP[p]
-	if e == nil || !int64sEqual(e.counts, counts) {
+	switch {
+	case e != nil && len(counts) > 0 && len(e.counts) == len(counts) && &e.counts[0] == &counts[0]:
+		// The very array the entry pins, immutable by contract.
+	case e != nil && int64sEqual(e.counts, counts):
+		e.counts = counts // pin the newest array: its siblings come next
+	default:
 		ch := make([]int, 0, p)
 		var tot int64
 		for r, n := range counts {
@@ -475,7 +487,7 @@ func sharedChain(p int, counts []int64, me int) (chain []int, myIdx int, total i
 			}
 			tot += n
 		}
-		e = &chainEntry{counts: append([]int64(nil), counts...), chain: ch, total: tot}
+		e = &chainEntry{counts: counts, chain: ch, total: tot}
 		chainByP[p] = e
 	}
 	chainMu.Unlock()

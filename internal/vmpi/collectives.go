@@ -71,9 +71,28 @@ func Barrier(c *Comm) {
 	}
 }
 
-// Bcast distributes root's data to all ranks using a binomial tree and
-// returns the received slice (root returns data unchanged).
+// Bcast distributes root's data to all ranks down a binomial tree and
+// returns the broadcast payload: root gets data back unchanged, every other
+// rank a received slice.
+//
+// The result is a shared, read-only view (see the ownership protocol in
+// pool.go). A payload above the inline limit is copied once, on root, into
+// one immutable buffer, and every hop of the tree forwards a reference to
+// that buffer — P ranks, one payload — so receivers must not store into,
+// append onto or relinquish (SendOwned/AlltoallOwned) what Bcast returns;
+// Release of it is legal and does nothing. Root's own data is never
+// aliased by another rank: root may mutate or release it as soon as Bcast
+// returns. Message sizes, order and virtual cost are those of P-1
+// copying sends.
 func Bcast[T any](c *Comm, data []T, root int) []T {
+	return bcast(c, data, root, false)
+}
+
+// bcast is the binomial-tree fan-out behind every broadcasting collective.
+// owned marks root's data as a buffer root relinquishes to the broadcast —
+// freshly built, shared-shaped (sharedCap) and never written again — so it
+// becomes the shared buffer itself instead of being copied into one.
+func bcast[T any](c *Comm, data []T, root int, owned bool) []T {
 	defer collSpan(c, obs.KindCollective, "bcast")()
 	p := c.Size()
 	if p == 1 {
@@ -89,13 +108,33 @@ func Bcast[T any](c *Comm, data []T, root int) []T {
 		}
 		mask <<= 1
 	}
+	// Every rank sees the same length, so every hop takes the same path:
+	// inline-sized payloads are copied from envelope to envelope as any
+	// small message is; larger ones travel as one shared buffer.
+	bytes := len(data) * sizeOf[T]()
+	shared := bytes > inlineMaxBytes || !inlineable[T]()
+	wire := data
+	if shared && rel == 0 {
+		if !owned {
+			wire = copyShared(data)
+		}
+		debugShare(c.rt, wire)
+	}
 	mask >>= 1
 	for mask > 0 {
 		if rel+mask < p {
 			dst := (rel + mask + root) % p
-			Send(c, data, dst, tagBcast)
+			if shared {
+				debugForward(wire)
+				sendRaw(c, wire, bytes, dst, tagBcast)
+			} else {
+				Send(c, wire, dst, tagBcast)
+			}
 		}
 		mask >>= 1
+	}
+	if shared && rel == 0 && !owned {
+		debugUnshare(wire) // root keeps data, not the copy it fanned out
 	}
 	return data
 }
@@ -129,7 +168,8 @@ func Reduce[T any](c *Comm, data []T, op func(a, b T) T, root int) []T {
 }
 
 // Allreduce combines equal-length slices element-wise with op and returns
-// the combined slice on every rank (reduce to rank 0 + broadcast).
+// the combined slice on every rank (reduce to rank 0 + broadcast). The
+// result is Bcast's: a shared, read-only view.
 func Allreduce[T any](c *Comm, data []T, op func(a, b T) T) []T {
 	res := Reduce(c, data, op, 0)
 	if c.rank != 0 {
@@ -240,42 +280,49 @@ func allgatherRing[T any](c *Comm, data []T) [][]T {
 	return blocks
 }
 
+// gatherShared is the gather half of the large-communicator allgathers:
+// every rank sends its block to rank 0, which receives them in rank order
+// straight into the two buffers the broadcast half then shares — the
+// per-rank lengths and the concatenation. Root builds both itself and never
+// writes them again, so they go out as owned broadcast buffers; other ranks
+// get nil.
+func gatherShared[T any](c *Comm, data []T) (lens []int64, flat []T) {
+	p := c.Size()
+	if c.rank != 0 {
+		Send(c, data, 0, tagGatherA)
+		return nil, nil
+	}
+	debugUse(data)
+	lens = make([]int64, p, sharedCap(p))
+	// Sized for equal blocks, the common case; append grows it otherwise.
+	flat = make([]T, 0, sharedCap(p*len(data)))
+	flat = append(flat, data...)
+	lens[0] = int64(len(data))
+	for r := 1; r < p; r++ {
+		n := len(flat)
+		flat = recvAppend(c, flat, r, tagGatherA)
+		lens[r] = int64(len(flat) - n)
+	}
+	return lens, sharedShape(flat)
+}
+
 // allgatherTree is the large-communicator algorithm: gather every block to
 // rank 0, then broadcast the lengths and the concatenation down the
 // binomial tree.
 func allgatherTree[T any](c *Comm, data []T) [][]T {
-	p := c.Size()
-	const root = 0
-	var lens []int64
-	var flat []T
-	if c.rank == root {
-		blocks := make([][]T, p)
-		blocks[root] = copySlice(data)
-		for r := 1; r < p; r++ {
-			blocks[r] = Recv[T](c, r, tagGatherA)
-		}
-		lens = getSlice[int64](p)
-		for r, b := range blocks {
-			lens[r] = int64(len(b))
-		}
-		flat = concat(blocks)
-		ReleaseBlocks(blocks)
-	} else {
-		Send(c, data, root, tagGatherA)
-	}
-	lens = Bcast(c, lens, root)
-	flat = Bcast(c, flat, root)
-	out := make([][]T, p)
+	lens, flat := gatherShared(c, data)
+	lens = bcast(c, lens, 0, true)
+	flat = bcast(c, flat, 0, true)
+	out := make([][]T, c.Size())
 	off := 0
 	for r := range out {
 		n := int(lens[r])
-		// Copy each segment into its own buffer: result blocks must be
-		// independently releasable, never subslices of one shared array.
+		// Copy each segment into its own buffer: result blocks are private
+		// and independently releasable, never subslices of the shared
+		// broadcast array.
 		out[r] = copySlice(flat[off : off+n])
 		off += n
 	}
-	// Root owns its concat-local flat and pooled lens; non-roots own the
-	// received broadcast buffers. Either way the caller got copies.
 	Release(flat)
 	Release(lens)
 	return out
@@ -283,40 +330,22 @@ func allgatherTree[T any](c *Comm, data []T) [][]T {
 
 // allgatherFlat is the large-communicator Allgather: the same gather +
 // broadcast messages as allgatherTree — virtual cost and golden figures
-// are identical — but the broadcast concatenation IS the result, so the
-// per-segment copies of the block form (P buffers per rank, P² process-
-// wide) are never materialized. The lens broadcast stays on the wire for
-// message-structure identity even though the flat result does not use it.
+// are identical — but the broadcast concatenation IS the result, one
+// buffer shared by all P ranks, so neither the per-segment copies of the
+// block form nor a private concatenation per rank are ever materialized.
+// The lens broadcast stays on the wire for message-structure identity even
+// though the flat result does not use it.
 func allgatherFlat[T any](c *Comm, data []T) []T {
 	defer collSpan(c, obs.KindCollective, "allgather")()
-	p := c.Size()
-	const root = 0
-	var lens []int64
-	var flat []T
-	if c.rank == root {
-		blocks := make([][]T, p)
-		blocks[root] = copySlice(data)
-		for r := 1; r < p; r++ {
-			blocks[r] = Recv[T](c, r, tagGatherA)
-		}
-		lens = getSlice[int64](p)
-		for r, b := range blocks {
-			lens[r] = int64(len(b))
-		}
-		flat = concat(blocks)
-		ReleaseBlocks(blocks)
-	} else {
-		Send(c, data, root, tagGatherA)
-	}
-	lens = Bcast(c, lens, root)
-	flat = Bcast(c, flat, root)
-	Release(lens)
-	return flat
+	lens, flat := gatherShared(c, data)
+	Release(bcast(c, lens, 0, true))
+	return bcast(c, flat, 0, true)
 }
 
 // Allgather collects every rank's slice on every rank, concatenated in rank
-// order. The result may be pooled: callers that are done with it may hand
-// it back with Release.
+// order. Above the ring limit the result is the broadcast buffer itself: a
+// shared, read-only view (see Bcast) whose Release is legal and does
+// nothing. Callers treat the result as read-only at every size.
 func Allgather[T any](c *Comm, data []T) []T {
 	if c.Size() > allgatherRingMax {
 		return allgatherFlat(c, data)

@@ -13,3 +13,8 @@ func debugRelease[T any](s []T)  {}
 func debugUse[T any](s []T)      {}
 func debugRecv[T any](s []T)     {}
 func debugGet[T any](s []T)      {}
+
+func debugShare[T any](rt *Runtime, s []T) {}
+func debugForward[T any](s []T)            {}
+func debugUnshare[T any](s []T)            {}
+func debugWorldEnd(rt *Runtime)            {}

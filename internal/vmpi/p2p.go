@@ -10,10 +10,11 @@ import (
 // Point-to-point communication.
 //
 // Payloads are slices of flat element types (no interior pointers); they are
-// deep-copied at send time so ranks never share memory, mirroring the
-// distributed-memory semantics of MPI. Message sizes for the network model
-// are computed from the element size, so element types must not contain
-// slices, maps, or strings.
+// deep-copied at send time so ranks never share writable memory, mirroring
+// the distributed-memory semantics of MPI (the one shared thing is the
+// immutable payload of a broadcast, see Bcast). Message sizes for the
+// network model are computed from the element size, so element types must
+// not contain slices, maps, or strings.
 
 // sizeOf returns the in-memory size of T in bytes.
 func sizeOf[T any]() int {
@@ -51,9 +52,26 @@ func SendOwned[T any](c *Comm, data []T, dst, tag int) {
 func Recv[T any](c *Comm, src, tag int) []T {
 	m := recvRaw(c, src, tag)
 	if m.inlElems >= 0 {
-		return recvInline[T](c, m, src, tag)
+		return recvInline[T](m, src, tag)
 	}
 	return takePayload[T](m, src, tag)
+}
+
+// recvAppend receives like Recv but appends the payload to dst instead of
+// handing it back in a buffer of its own: an inline payload is copied
+// straight out of the envelope, a pooled one is copied and released.
+func recvAppend[T any](c *Comm, dst []T, src, tag int) []T {
+	m := recvRaw(c, src, tag)
+	if m.inlElems < 0 {
+		data := takePayload[T](m, src, tag)
+		dst = append(dst, data...)
+		Release(data)
+		return dst
+	}
+	n := len(dst)
+	dst = append(dst, make([]T, m.inlElems)...)
+	takeInline(m, dst[n:], src, tag)
+	return dst
 }
 
 // Sendrecv sends sendData to dst and receives a message from src with the
@@ -214,6 +232,28 @@ func recvRaw(c *Comm, src, tag int) *message {
 		})
 	}
 	return m
+}
+
+// copyShared deep-copies a payload into a fresh shared-shaped buffer: the
+// one copy a broadcast makes, on its root.
+func copyShared[T any](data []T) []T {
+	debugUse(data)
+	out := make([]T, len(data), sharedCap(len(data)))
+	copy(out, data)
+	return out
+}
+
+// sharedShape returns s with a capacity that is not a pool size class:
+// clipped where the array allows, copied only when len(s) is itself a class
+// size that fills its array.
+func sharedShape[T any](s []T) []T {
+	if poolClass(cap(s)) < 0 {
+		return s
+	}
+	if c := sharedCap(len(s)); c <= cap(s) {
+		return s[:len(s):c]
+	}
+	return append(make([]T, 0, sharedCap(len(s))), s...)
 }
 
 // copySlice deep-copies a payload slice into a (possibly pooled) buffer.

@@ -9,24 +9,37 @@ import (
 
 // Message-buffer pooling.
 //
-// Every Send deep-copies its payload (distributed-memory semantics), and
-// the collectives forward payloads through intermediate hops, so the
-// messaging layer used to allocate one garbage slice per message. The pool
-// below recycles those buffers through size classes (powers of two), typed
-// per element type. It changes nothing observable: message sizes, ordering,
-// and virtual costs are computed exactly as before — only the host
-// allocation rate drops.
+// Every point-to-point Send deep-copies its payload (distributed-memory
+// semantics), so the messaging layer used to allocate one garbage slice per
+// message. The pool below recycles those buffers through size classes
+// (powers of two), typed per element type. It changes nothing observable:
+// message sizes, ordering, and virtual costs are computed exactly as before
+// — only the host allocation rate drops.
 //
-// Ownership protocol:
+// Ownership protocol. A buffer that crosses the messaging layer is in one
+// of two states, and every rule below is enforced statically by the
+// ownedbuf analyzer (cmd/parlint) and dynamically by the vmpidebug checker
+// (debug_on.go):
 //
-//   - Send/Sendrecv copy into a pooled buffer; the receiver owns the buffer
-//     it gets from Recv and may keep it forever.
-//   - A receiver that is done with a received slice may hand it back with
-//     Release (or ReleaseBlocks); releasing is always optional and must
-//     happen at most once, only by the sole owner.
-//   - SendOwned transfers the caller's buffer into the message with no
-//     copy; the caller must not touch the slice (or any alias of it)
-//     afterwards. Use it for freshly built per-destination buffers.
+//   - Private: exactly one rank owns it. Send/Sendrecv copy into a pooled
+//     buffer; the receiver owns the buffer it gets from Recv and may keep,
+//     mutate or forward it. A sole owner that is done with a private slice
+//     may hand it back with Release (or ReleaseBlocks) — always optional,
+//     at most once. SendOwned/AlltoallOwned transfer the caller's buffer
+//     into the message with no copy; the caller must not touch the slice
+//     (or any alias of it) afterwards.
+//   - Shared read-only: the fan-out half of the tree collectives (Bcast,
+//     and through it Allreduce, Allgather and AllgatherBlocks above the
+//     ring limit, and the resize release) puts a payload larger than the
+//     inline limit into ONE immutable buffer, and every hop of the binomial
+//     tree forwards a reference to it. The slices Bcast, Allreduce and
+//     Allgather return are therefore views that up to P ranks hold at once:
+//     read them, copy out of them, pass them to copying sends — never store
+//     into them, append onto them, or relinquish them to
+//     SendOwned/AlltoallOwned. The Go collector is the reference count: a
+//     shared buffer's capacity is never a pool size class (sharedCap), so
+//     Release of a shared view is legal and does nothing, and the buffer
+//     dies with its last holder.
 
 const (
 	poolMinBits = 5  // smallest pooled class: 32 elements
@@ -183,17 +196,36 @@ func getSlice[T any](n int) []T {
 	return make([]T, n, 1<<b)
 }
 
+// poolClass returns the size class of a buffer whose capacity is exactly a
+// pooled class size, or -1: only such buffers enter the pool.
+func poolClass(c int) int {
+	if c&(c-1) != 0 {
+		return -1
+	}
+	return classBits(c)
+}
+
+// sharedCap returns the capacity to allocate for an n-element shared
+// broadcast buffer: n, bumped by one where n is itself a pool size class,
+// so a shared buffer is never pool-shaped and Release cannot recycle
+// memory other ranks still read.
+func sharedCap(n int) int {
+	if poolClass(n) >= 0 {
+		return n + 1
+	}
+	return n
+}
+
 // Release hands a slice back to the message-buffer pool. It is safe to call
-// on any slice (non-poolable capacities are ignored), but the caller must
-// be the sole owner and must not use the slice afterwards. Subslices of
-// shared arrays must never be released.
+// on any slice (non-poolable capacities — shared broadcast views among them
+// — are ignored), but the caller must be the sole owner of a pooled buffer
+// and must not use the slice afterwards. Subslices of shared arrays must
+// never be released.
 func Release[T any](s []T) {
 	c := cap(s)
-	if c == 0 || c&(c-1) != 0 {
-		return // only exact power-of-two capacities belong to the pool
-	}
-	b := classBits(c)
+	b := poolClass(c)
 	if b < 0 {
+		debugUnshare(s)
 		return
 	}
 	poolCounters.puts.Add(1)

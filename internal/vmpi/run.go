@@ -6,7 +6,8 @@
 // redistribution, all-to-all vs. neighborhood exchange) are defined by which
 // messages of which sizes flow between which ranks. vmpi executes the real
 // data movement — every rank runs arbitrary Go code on private memory, and
-// message payloads are deep-copied between ranks — while charging
+// message payloads are deep-copied between ranks (a broadcast's payload is
+// one immutable buffer its receivers share read-only) — while charging
 // communication and computation to per-rank virtual clocks:
 //
 //   - A send occupies the sender's port for an injection time given by the
@@ -186,6 +187,7 @@ func Run(cfg Config, f func(c *Comm)) *Stats {
 		}
 	}
 	rt.world = w
+	defer debugWorldEnd(rt)
 	exec := rt.execute(cfg.Workers, n)
 	final := rt.currentWorld()
 	total := len(final.insts)

@@ -1,11 +1,11 @@
 # Developer entry points. `make check` is the local tier-1 gate: build,
 # vet, the repo's own static analyzers (cmd/parlint), full tests, a
-# race-detector pass, and the vmpi ownership checker build (-tags
-# vmpidebug).
+# race-detector pass, the vmpi ownership checker build (-tags vmpidebug),
+# and a ten-second differential fuzz of the FMM operator tables.
 
 GO ?= go
 
-.PHONY: all build test race bench bench-json bench-fig10 bench-mem vet lint debugtest golden golden-update golden-par fig10 golden-bigp golden-bigp-w4 golden-bigp-update golden-resize golden-resize-update golden-mem golden-mem-update check
+.PHONY: all build test race fuzz-smoke bench bench-json bench-fig10 bench-mem vet lint debugtest golden golden-update golden-par fig10 golden-bigp golden-bigp-w4 golden-bigp-update golden-resize golden-resize-update golden-mem golden-mem-update check
 
 all: build
 
@@ -20,6 +20,13 @@ test:
 # themselves under the race detector (see race_on_test.go).
 race:
 	GOMAXPROCS=4 $(GO) test -race ./...
+
+# Differential fuzz smoke: the dense FMM operator tables against the
+# map-based reference bodies, bit for bit, on fuzzed orders and
+# displacements. The committed seed corpus
+# (internal/fmm/testdata/fuzz) already runs in every go test.
+fuzz-smoke:
+	$(GO) test ./internal/fmm -run '^$$' -fuzz FuzzOperatorsMatchReference -fuzztime 10s
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
@@ -140,4 +147,4 @@ golden-par:
 bench-mem:
 	$(GO) run ./cmd/paperbench -bench-mem BENCH_4.json
 
-check: build vet lint test debugtest race golden golden-bigp golden-resize golden-mem
+check: build vet lint test debugtest race fuzz-smoke golden golden-bigp golden-resize golden-mem

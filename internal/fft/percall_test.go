@@ -1,0 +1,113 @@
+package fft
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/vmpi"
+)
+
+// perCallPass transforms every line of the row-major array a (index
+// (x*ny+y)*nz+z) along one axis (0 = x, 1 = y, 2 = z) with one exported
+// Transform call per line — a plan lookup each, as the 3D and slab passes
+// did before they resolved the plan once per pass. It is their oracle.
+func perCallPass(a []complex128, nx, ny, nz, axis int, inverse bool) {
+	dims := [3]int{nx, ny, nz}
+	stride := [3]int{ny * nz, nz, 1}
+	u, v := (axis+1)%3, (axis+2)%3
+	line := make([]complex128, dims[axis])
+	for i := 0; i < dims[u]; i++ {
+		for j := 0; j < dims[v]; j++ {
+			base := i*stride[u] + j*stride[v]
+			for k := range line {
+				line[k] = a[base+k*stride[axis]]
+			}
+			Transform(line, inverse)
+			for k := range line {
+				a[base+k*stride[axis]] = line[k]
+			}
+		}
+	}
+}
+
+func randomMesh(rng *rand.Rand, n int) []complex128 {
+	a := make([]complex128, n)
+	for i := range a {
+		a[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+	}
+	return a
+}
+
+func requireSameBits(t *testing.T, what string, got, want []complex128) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(real(got[i])) != math.Float64bits(real(want[i])) ||
+			math.Float64bits(imag(got[i])) != math.Float64bits(imag(want[i])) {
+			t.Fatalf("%s: element %d is %v, per-call Transform gives %v", what, i, got[i], want[i])
+		}
+	}
+}
+
+func TestTransform3DBitIdenticalToPerCallTransform(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for _, d := range [][3]int{{4, 8, 16}, {16, 4, 2}, {1, 8, 4}, {8, 1, 2}, {2, 2, 1}, {32, 32, 32}} {
+		for _, inverse := range []bool{false, true} {
+			want := randomMesh(rng, d[0]*d[1]*d[2])
+			got := append([]complex128(nil), want...)
+			Transform3D(got, d[0], d[1], d[2], inverse)
+			for _, axis := range []int{2, 1, 0} {
+				perCallPass(want, d[0], d[1], d[2], axis, inverse)
+			}
+			requireSameBits(t, "Transform3D", got, want)
+		}
+	}
+}
+
+// TestSlabBitIdenticalToPerCallTransform replays the slab transform's pass
+// order — forward z, y, x; inverse x, then z, y and the unit-length x pass
+// of the per-plane 3D transform — with per-call Transforms on the whole mesh.
+func TestSlabBitIdenticalToPerCallTransform(t *testing.T) {
+	const nx, ny, nz = 8, 16, 4
+	rng := rand.New(rand.NewSource(17))
+	full := randomMesh(rng, nx*ny*nz)
+	wantSpec := append([]complex128(nil), full...)
+	for _, axis := range []int{2, 1, 0} {
+		perCallPass(wantSpec, nx, ny, nz, axis, false)
+	}
+	wantBack := append([]complex128(nil), wantSpec...)
+	for _, axis := range []int{0, 2, 1} {
+		perCallPass(wantBack, nx, ny, nz, axis, true)
+	}
+	for i := range wantBack {
+		one := []complex128{wantBack[i]}
+		Transform(one, true)
+		wantBack[i] = one[0]
+	}
+
+	for _, p := range []int{1, 2, 4, 8} {
+		st := vmpi.Run(vmpi.Config{Ranks: p}, func(c *vmpi.Comm) {
+			s := NewSlab(c, nx, ny, nz)
+			xLo, xHi := s.XRange(c.Rank())
+			local := append([]complex128(nil), full[xLo*ny*nz:xHi*ny*nz]...)
+			spec := s.ForwardInto(nil, local)
+			back := s.InverseInto(nil, spec)
+			c.SetResult([2][]complex128{spec, back})
+		})
+		gotSpec := make([]complex128, nx*ny*nz)
+		gotBack := make([]complex128, 0, nx*ny*nz)
+		for r := 0; r < p; r++ {
+			res := st.Values[r].([2][]complex128)
+			i := 0
+			for y := r * ny / p; y < (r+1)*ny/p; y++ {
+				for x := 0; x < nx; x++ {
+					copy(gotSpec[(x*ny+y)*nz:(x*ny+y+1)*nz], res[0][i:i+nz])
+					i += nz
+				}
+			}
+			gotBack = append(gotBack, res[1]...)
+		}
+		requireSameBits(t, "Slab.ForwardInto", gotSpec, wantSpec)
+		requireSameBits(t, "Slab.InverseInto", gotBack, wantBack)
+	}
+}

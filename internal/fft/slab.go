@@ -99,12 +99,13 @@ func (s *Slab) ForwardInto(dst, a []complex128) []complex128 {
 	ly := s.LocalYSize()
 	sb := getScratch(s.Nx)
 	col := sb.buf
+	px := planFor(s.Nx)
 	for y := 0; y < ly; y++ {
 		for z := 0; z < s.Nz; z++ {
 			for x := 0; x < s.Nx; x++ {
 				col[x] = b[(y*s.Nx+x)*s.Nz+z]
 			}
-			Transform(col, false)
+			transformWith(px, col, false)
 			for x := 0; x < s.Nx; x++ {
 				b[(y*s.Nx+x)*s.Nz+z] = col[x]
 			}
@@ -134,12 +135,13 @@ func (s *Slab) InverseInto(dst, b []complex128) []complex128 {
 	copy(work, b)
 	sb := getScratch(s.Nx)
 	col := sb.buf
+	px := planFor(s.Nx)
 	for y := 0; y < ly; y++ {
 		for z := 0; z < s.Nz; z++ {
 			for x := 0; x < s.Nx; x++ {
 				col[x] = work[(y*s.Nx+x)*s.Nz+z]
 			}
-			Transform(col, true)
+			transformWith(px, col, true)
 			for x := 0; x < s.Nx; x++ {
 				work[(y*s.Nx+x)*s.Nz+z] = col[x]
 			}

@@ -291,30 +291,24 @@ func (s *Solver) exchangeMultipoles(e *Engine, ranges []keyRange) {
 	nc := s.tab.NCoef()
 	keyParts := make([][]uint64, p)
 	valParts := make([][]float64, p)
-	sent := map[[2]uint64]map[int]bool{} // (level,key) -> dest set
+	dest := make([]bool, p) // destinations of the current box
 	var dsts []int
+	var ilBuf [maxInteractions]uint64
 	for l := 1; l <= s.Level; l++ {
 		// Sorted iteration keeps the message payload order (and with it the
 		// whole exchange) independent of Go's randomized map traversal.
 		for _, key := range sortedKeys(e.M[l]) {
-			M := e.M[l][key]
-			id := [2]uint64{uint64(l), key}
-			for _, il := range e.InteractionList(l, key) {
+			for _, il := range e.interactionList(ilBuf[:0], l, key) {
 				lo, hi := s.boxSpan(l, il)
 				dsts = owners(ranges, lo, hi, dsts[:0])
 				for _, d := range dsts {
-					if d == c.Rank() {
-						continue
-					}
-					set := sent[id]
-					if set == nil {
-						set = map[int]bool{}
-						sent[id] = set
-					}
-					if set[d] {
-						continue
-					}
-					set[d] = true
+					dest[d] = d != c.Rank()
+				}
+			}
+			M := e.M[l][key]
+			for d, send := range dest {
+				if send {
+					dest[d] = false
 					keyParts[d] = append(keyParts[d], uint64(l)<<58|key)
 					valParts[d] = append(valParts[d], M...)
 				}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"repro/internal/costs"
 	"repro/internal/hostpar"
@@ -42,13 +41,6 @@ type Engine struct {
 	M []map[uint64][]float64
 	L []map[uint64][]float64
 
-	// derivCache memoizes derivative tensors per (level, wrapped integer
-	// cell offset). derivMu guards it because Downward fills the cache from
-	// host worker goroutines; entries are pure functions of the key, so
-	// which worker computes one first does not change its value.
-	derivCache map[derivKey][]float64
-	derivMu    sync.Mutex
-
 	// boxLen and boxPer cache the box geometry so the pair kernels avoid
 	// re-deriving (and re-validating) it per interaction. Only engines built
 	// by NewEngine may use them; the box must not change afterwards.
@@ -63,11 +55,6 @@ type Engine struct {
 type leafRange struct {
 	key    uint64
 	lo, hi int
-}
-
-type derivKey struct {
-	level      int
-	ox, oy, oz int
 }
 
 // NewEngine builds an engine over owned particles that must already be
@@ -87,17 +74,16 @@ func NewEngine(tab *Tables, box particle.Box, level int, pos, q []float64, keys 
 		}
 	}
 	e := &Engine{
-		Tab:        tab,
-		Box:        box,
-		Level:      level,
-		Periodic:   box.Periodic[0] && box.Periodic[1] && box.Periodic[2],
-		pos:        pos,
-		q:          q,
-		keys:       keys,
-		gleaves:    map[uint64][2]int{},
-		derivCache: map[derivKey][]float64{},
-		boxLen:     box.Lengths(),
-		boxPer:     box.Periodic,
+		Tab:      tab,
+		Box:      box,
+		Level:    level,
+		Periodic: box.Periodic[0] && box.Periodic[1] && box.Periodic[2],
+		pos:      pos,
+		q:        q,
+		keys:     keys,
+		gleaves:  map[uint64][2]int{},
+		boxLen:   box.Lengths(),
+		boxPer:   box.Periodic,
 	}
 	e.leaves = buildRanges(keys)
 	e.M = make([]map[uint64][]float64, level+1)
@@ -315,25 +301,48 @@ func (e *Engine) AddRemoteMultipole(l int, key uint64, coef []float64) {
 // box key at level l: children of the neighbors of its parent that are not
 // its own neighbors.
 func (e *Engine) InteractionList(l int, key uint64) []uint64 {
+	return e.interactionList(nil, l, key)
+}
+
+// maxInteractions bounds the length of an interaction list: the 6³ children
+// of the parent's neighborhood minus the box's own 3³ neighborhood.
+const maxInteractions = 6*6*6 - 3*3*3
+
+// interactionList is InteractionList appending into dst[:0]. Parent
+// neighbors come in Neighbors3 order and children in octant order; a child
+// is dropped when its cell coordinates are within distance 1 of the box's
+// on every axis, which is membership in the box's own Neighbors3 set
+// without building it.
+//
+//parlint:hotalloc
+func (e *Engine) interactionList(dst []uint64, l int, key uint64) []uint64 {
+	out := dst[:0]
 	if l < 1 {
-		return nil
+		return out
 	}
-	own := map[uint64]bool{}
-	for _, nb := range zorder.Neighbors3(key, l, e.Periodic) {
-		own[nb] = true
-	}
-	var out []uint64
-	seen := map[uint64]bool{}
-	for _, pn := range zorder.Neighbors3(zorder.Parent(key), l-1, e.Periodic) {
-		for c := 0; c < 8; c++ {
-			ck := zorder.Child(pn, c)
-			if !own[ck] && !seen[ck] {
-				seen[ck] = true
-				out = append(out, ck)
+	n := uint32(1) << uint(l)
+	x, y, z := zorder.Decode(key)
+	var parents [27]uint64
+	for _, pn := range zorder.Neighbors3Into(parents[:0], zorder.Parent(key), l-1, e.Periodic) {
+		px, py, pz := zorder.Decode(pn)
+		for c := uint32(0); c < 8; c++ {
+			if e.adjacent(2*px+c>>2, x, n) && e.adjacent(2*py+c>>1&1, y, n) && e.adjacent(2*pz+c&1, z, n) {
+				continue
 			}
+			out = append(out, zorder.Child(pn, int(c)))
 		}
 	}
 	return out
+}
+
+// adjacent reports whether cell coordinates a and b on an n-cell axis are
+// at most one cell apart, around the box for periodic engines.
+func (e *Engine) adjacent(a, b, n uint32) bool {
+	d := a - b
+	if a < b {
+		d = b - a
+	}
+	return d <= 1 || (e.Periodic && d == n-1)
 }
 
 // wrapOffset returns the integer cell offset from source to target at level
@@ -351,29 +360,42 @@ func (e *Engine) wrapOffset(l int, target, source uint64) [3]int {
 	return off
 }
 
-// deriv returns the (cached) derivative tensor for a cell offset at a
-// level. Safe for concurrent use: on a miss the tensor is computed outside
-// the lock (two workers may duplicate the work, but the value is a pure
-// function of the key, so either copy is bit-identical).
-func (e *Engine) deriv(l int, off [3]int) []float64 {
-	k := derivKey{l, off[0], off[1], off[2]}
-	e.derivMu.Lock()
-	b, ok := e.derivCache[k]
-	e.derivMu.Unlock()
-	if ok {
-		return b
+// derivSlot numbers the integer cell offsets (target − source) of M2L
+// pairs densely. Interaction-list offsets lie in [−3, 3] per dimension and
+// periodic wrapping maps them into [−4, 3]: 3 bits per dimension.
+func derivSlot(off [3]int) int {
+	return (off[0]+4)<<6 | (off[1]+4)<<3 | (off[2] + 4)
+}
+
+// derivTensors returns the derivative tensors of every offset an
+// interaction list of level l can contain, indexed by derivSlot. A tensor
+// is a pure function of level and offset, so Downward builds the level's
+// table once, sequentially, and its host workers only read it.
+func (e *Engine) derivTensors(l int) [][]float64 {
+	n := 1 << uint(l)
+	lo, hi := -min(3, n-1), min(3, n-1)
+	if e.Periodic && n < 8 {
+		lo, hi = -n/2, n/2-1 // the range wrapOffset folds into
 	}
 	cs := e.cellSize(l)
-	b = make([]float64, e.Tab.NCoef())
-	e.Tab.Deriv(float64(off[0])*cs[0], float64(off[1])*cs[1], float64(off[2])*cs[2], b)
-	e.derivMu.Lock()
-	if prev, ok := e.derivCache[k]; ok {
-		b = prev
-	} else {
-		e.derivCache[k] = b
+	// w³ offsets in range, k³ of them neighbors (near field, no tensor).
+	nc, w, k := e.Tab.NCoef(), hi-lo+1, min(hi, 1)-max(lo, -1)+1
+	tensors := make([][]float64, 8*8*8)
+	backing := make([]float64, (w*w*w-k*k*k)*nc)
+	for ox := lo; ox <= hi; ox++ {
+		for oy := lo; oy <= hi; oy++ {
+			for oz := lo; oz <= hi; oz++ {
+				if -1 <= ox && ox <= 1 && -1 <= oy && oy <= 1 && -1 <= oz && oz <= 1 {
+					continue
+				}
+				b := backing[:nc:nc]
+				backing = backing[nc:]
+				e.Tab.Deriv(float64(ox)*cs[0], float64(oy)*cs[1], float64(oz)*cs[2], b)
+				tensors[derivSlot([3]int{ox, oy, oz})] = b
+			}
+		}
 	}
-	e.derivMu.Unlock()
-	return b
+	return tensors
 }
 
 // Downward computes local expansions for all ancestors of owned leaves from
@@ -409,10 +431,15 @@ func (e *Engine) Downward() {
 	// performed M2L) is exactly the serial one.
 	for l := 1; l <= e.Level; l++ {
 		tl := targets[l]
+		if len(tl) == 0 {
+			continue
+		}
+		derivs := e.derivTensors(l)
 		Ls := make([][]float64, len(tl))
 		hadParent := make([]bool, len(tl))
 		nM2L := make([]int, len(tl))
 		hostpar.For(len(tl), targetGrain, func(lo, hi int) {
+			var ilBuf [maxInteractions]uint64
 			for ti := lo; ti < hi; ti++ {
 				key := tl[ti]
 				L := make([]float64, nc)
@@ -425,12 +452,12 @@ func (e *Engine) Downward() {
 						hadParent[ti] = true
 					}
 				}
-				for _, src := range e.InteractionList(l, key) {
+				for _, src := range e.interactionList(ilBuf[:0], l, key) {
 					M := e.M[l][src]
 					if M == nil {
 						continue
 					}
-					b := e.deriv(l, e.wrapOffset(l, key, src))
+					b := derivs[derivSlot(e.wrapOffset(l, key, src))]
 					e.Tab.M2L(M, b, L)
 					nM2L[ti]++
 				}
@@ -550,7 +577,7 @@ func (e *Engine) nearLeaf(lr leafRange, ns *nearScratch, pot, field []float64) (
 	ns.earlier = ns.earlier[:0]
 	for _, nb := range nbs {
 		if nb < lr.key {
-			if rr, ok := e.findLeaf(0, nb); ok {
+			if rr, ok := e.findLeaf(nb); ok {
 				ns.earlier = append(ns.earlier, rr)
 			}
 		}
@@ -566,7 +593,7 @@ func (e *Engine) nearLeaf(lr leafRange, ns *nearScratch, pot, field []float64) (
 	ns.later = ns.later[:0]
 	for _, nb := range nbs {
 		if nb > lr.key {
-			if rr, ok := e.findLeaf(0, nb); ok {
+			if rr, ok := e.findLeaf(nb); ok {
 				ns.later = append(ns.later, nearRange{false, rr.lo, rr.hi})
 			}
 		}
@@ -595,11 +622,10 @@ func (e *Engine) nearLeaf(lr leafRange, ns *nearScratch, pot, field []float64) (
 	return own, gh
 }
 
-// findLeaf locates an owned leaf range by key; hint is the index of the
-// current leaf for locality.
+// findLeaf locates an owned leaf range by key.
 //
 //parlint:hotalloc
-func (e *Engine) findLeaf(hint int, key uint64) (leafRange, bool) {
+func (e *Engine) findLeaf(key uint64) (leafRange, bool) {
 	i := sort.Search(len(e.leaves), func(i int) bool { return e.leaves[i].key >= key })
 	if i < len(e.leaves) && e.leaves[i].key == key {
 		return e.leaves[i], true

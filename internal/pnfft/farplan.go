@@ -106,25 +106,21 @@ func (s *Solver) buildFarPlan() *farPlan {
 	p.retFlat = make([][]int32, size)
 	p.retLoc = make([][]int32, size)
 	for r := 0; r < size; r++ {
+		// A region wider than the mesh wraps onto a point more than once;
+		// the scan emits each point at its first image, which is within the
+		// first n indices of every dimension.
 		rlo, rhi := s.meshRegionOf(r)
-		seen := map[int]bool{}
-		for gx := rlo[0]; gx < rhi[0]; gx++ {
+		for gx := rlo[0]; gx < min(rhi[0], rlo[0]+n); gx++ {
 			wx := wrapIdx(gx, n)
 			if wx < p.xLo || wx >= p.xHi {
 				continue
 			}
-			for gy := rlo[1]; gy < rhi[1]; gy++ {
+			for gy := rlo[1]; gy < min(rhi[1], rlo[1]+n); gy++ {
 				wy := wrapIdx(gy, n)
-				for gz := rlo[2]; gz < rhi[2]; gz++ {
+				for gz := rlo[2]; gz < min(rhi[2], rlo[2]+n); gz++ {
 					wz := wrapIdx(gz, n)
-					flat := (wx*n+wy)*n + wz
-					if seen[flat] {
-						continue
-					}
-					seen[flat] = true
-					li := (wx-p.xLo)*n*n + wy*n + wz
-					p.retFlat[r] = append(p.retFlat[r], int32(flat))
-					p.retLoc[r] = append(p.retLoc[r], int32(li))
+					p.retFlat[r] = append(p.retFlat[r], int32((wx*n+wy)*n+wz))
+					p.retLoc[r] = append(p.retLoc[r], int32((wx-p.xLo)*n*n+wy*n+wz))
 				}
 			}
 		}
@@ -138,18 +134,6 @@ func (s *Solver) buildFarPlan() *farPlan {
 // geometry, so later exchanges are scattered positionally (with a length
 // check standing guard on that assumption).
 func (p *farPlan) buildRecvPlan(recv [][]float64, n int) {
-	cellOf := map[int32][]int32{}
-	for gx := 0; gx < p.bx; gx++ {
-		wx := wrapIdx(p.lo[0]+gx, n)
-		for gy := 0; gy < p.by; gy++ {
-			wy := wrapIdx(p.lo[1]+gy, n)
-			for gz := 0; gz < p.bz; gz++ {
-				wz := wrapIdx(p.lo[2]+gz, n)
-				flat := int32((wx*n+wy)*n + wz)
-				cellOf[flat] = append(cellOf[flat], int32((gx*p.by+gy)*p.bz+gz))
-			}
-		}
-	}
 	covered := 0
 	p.recvLen = make([]int, len(recv))
 	p.recvOff = make([][]int32, len(recv))
@@ -161,11 +145,22 @@ func (p *farPlan) buildRecvPlan(recv [][]float64, n int) {
 		off := make([]int32, cnt+1)
 		var idx []int32
 		for e := 0; e < cnt; e++ {
-			targets := cellOf[int32(blk[5*e])]
-			idx = append(idx, targets...)
-			covered += len(targets)
+			// The grown-block cells that wrap onto the entry's mesh point,
+			// in scan order: per dimension the first one, then every n-th.
+			flat := int(blk[5*e])
+			gx0 := wrapIdx(flat/(n*n)-p.lo[0], n)
+			gy0 := wrapIdx(flat/n%n-p.lo[1], n)
+			gz0 := wrapIdx(flat%n-p.lo[2], n)
+			for gx := gx0; gx < p.bx; gx += n {
+				for gy := gy0; gy < p.by; gy += n {
+					for gz := gz0; gz < p.bz; gz += n {
+						idx = append(idx, int32((gx*p.by+gy)*p.bz+gz))
+					}
+				}
+			}
 			off[e+1] = int32(len(idx))
 		}
+		covered += len(idx)
 		p.recvOff[sr] = off
 		p.recvIdx[sr] = idx
 	}

@@ -309,7 +309,7 @@ func (s *Solver) buildItems(in Input) (items []pRec, targets []int) {
 		// Ghost copies: check the particle's distance to its owner cell's
 		// boundaries.
 		coords := s.coordsOfRank(owner)
-		fl, fh := particle.GridCellBounds(s.dims, coords)
+		fl, fh := particle.GridCellBounds(s.dims, coords[:])
 		var lo, hi [3]float64
 		for d := 0; d < 3; d++ {
 			lo[d] = s.box.Offset[d] + fl[d]*L[d]
@@ -336,7 +336,7 @@ func (s *Solver) buildItems(in Input) (items []pRec, targets []int) {
 					if !near {
 						continue
 					}
-					nbCoords := make([]int, 3)
+					var nbCoords [3]int
 					var shift [3]float64
 					ok := true
 					for d := 0; d < 3; d++ {
@@ -396,8 +396,7 @@ func signOf(v float64) int8 {
 	}
 }
 
-func (s *Solver) coordsOfRank(r int) []int {
-	c := make([]int, 3)
+func (s *Solver) coordsOfRank(r int) (c [3]int) {
 	for d := 2; d >= 0; d-- {
 		c[d] = r % s.dims[d]
 		r /= s.dims[d]
@@ -405,7 +404,7 @@ func (s *Solver) coordsOfRank(r int) []int {
 	return c
 }
 
-func (s *Solver) rankOfCoords(coords []int) int {
+func (s *Solver) rankOfCoords(coords [3]int) int {
 	r := 0
 	for d := 0; d < 3; d++ {
 		r = r*s.dims[d] + coords[d]
@@ -530,16 +529,13 @@ func (s *Solver) farField(own []pRec, pot, field []float64) {
 			tileBlocks[t] = tb
 			zeroF(tb)
 		}
-		var w [3][]float64
-		for d := range w {
-			w[d] = make([]float64, s.Order)
-		}
+		var w [3][3]float64 // splineWeights supports orders up to 3
 		var base [3]int
 		for pi := plo; pi < phi; pi++ {
 			r := own[pi]
 			u := [3]float64{(r.X - s.box.Offset[0]) * h, (r.Y - s.box.Offset[1]) * h, (r.Z - s.box.Offset[2]) * h}
 			for d := 0; d < 3; d++ {
-				base[d] = splineWeights(s.Order, u[d], w[d])
+				base[d] = splineWeights(s.Order, u[d], w[d][:])
 			}
 			for ix := 0; ix < s.Order; ix++ {
 				for iy := 0; iy < s.Order; iy++ {
@@ -703,16 +699,13 @@ func (s *Solver) farField(own []pRec, pot, field []float64) {
 	// here, so the particle tiles run on host workers with bit-identical
 	// results.
 	hostpar.For(len(own), asgGrain, func(plo, phi int) {
-		var w [3][]float64
-		for d := range w {
-			w[d] = make([]float64, s.Order)
-		}
+		var w [3][3]float64 // splineWeights supports orders up to 3
 		var base [3]int
 		for pi := plo; pi < phi; pi++ {
 			r := own[pi]
 			u := [3]float64{(r.X - s.box.Offset[0]) * h, (r.Y - s.box.Offset[1]) * h, (r.Z - s.box.Offset[2]) * h}
 			for d := 0; d < 3; d++ {
-				base[d] = splineWeights(s.Order, u[d], w[d])
+				base[d] = splineWeights(s.Order, u[d], w[d][:])
 			}
 			for ix := 0; ix < s.Order; ix++ {
 				for iy := 0; iy < s.Order; iy++ {

@@ -1,7 +1,7 @@
 # Developer entry points. `make check` is the local tier-1 gate: build,
 # vet, the repo's own static analyzers (cmd/parlint), full tests, a
 # race-detector pass, the vmpi ownership checker build (-tags vmpidebug),
-# and a ten-second differential fuzz of the FMM operator tables.
+# and ten seconds of differential fuzzing per target (fuzz-smoke).
 
 GO ?= go
 
@@ -21,12 +21,18 @@ test:
 race:
 	GOMAXPROCS=4 $(GO) test -race ./...
 
-# Differential fuzz smoke: the dense FMM operator tables against the
-# map-based reference bodies, bit for bit, on fuzzed orders and
-# displacements. The committed seed corpus
-# (internal/fmm/testdata/fuzz) already runs in every go test.
+# Differential fuzz smoke: ten seconds of every package:Target in
+# FUZZ_TARGETS, each an optimised kernel against its kept reference, bit for
+# bit — the dense FMM operator tables against the map-based bodies, the FFT
+# panel passes against per-call Transform on gathered columns. A new fuzz
+# target joins this list; the committed seed corpora
+# (internal/*/testdata/fuzz) already run in every go test.
+FUZZ_TARGETS := internal/fmm:FuzzOperatorsMatchReference internal/fft:FuzzPanelMatchesPerCall
+
 fuzz-smoke:
-	$(GO) test ./internal/fmm -run '^$$' -fuzz FuzzOperatorsMatchReference -fuzztime 10s
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		( set -x; $(GO) test ./$${t%%:*} -run '^$$' -fuzz $${t##*:} -fuzztime 10s ); \
+	done
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .

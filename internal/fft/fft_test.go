@@ -225,6 +225,34 @@ func TestSlabRoundTripParallel(t *testing.T) {
 	}
 }
 
+// TestSlabTransposeBalancesPool pins the transposes' buffer lifecycle: every
+// per-destination buffer is drawn from the vmpi pool (vmpi.Owned),
+// relinquished to the all-to-all and released by its receiver, so the pool's
+// in-use meter ends where it started. (Before, the buffers were plain makes
+// of pool shape and every release drove the meter down.) Only the meter is
+// asserted: sync.Pool may drop entries at any GC and under -race, so hit
+// counts are not stable.
+func TestSlabTransposeBalancesPool(t *testing.T) {
+	const p, n = 8, 16
+	before := vmpi.PoolStatsSnapshot()
+	vmpi.Run(vmpi.Config{Ranks: p}, func(c *vmpi.Comm) {
+		s := NewSlab(c, n, n, n)
+		a := make([]complex128, s.LocalXSize()*n*n)
+		for i := range a {
+			a[i] = complex(float64(i%7), float64(c.Rank()))
+		}
+		s.InverseInto(nil, s.ForwardInto(nil, a))
+	})
+	after := vmpi.PoolStatsSnapshot()
+	if after.Gets == before.Gets {
+		t.Fatal("the transposes drew nothing from the pool")
+	}
+	if after.InUseBytes != before.InUseBytes {
+		t.Fatalf("pool in-use meter moved by %d bytes across a forward + inverse slab transform",
+			after.InUseBytes-before.InUseBytes)
+	}
+}
+
 // referenceTransform is the pre-plan-cache in-line transform, kept verbatim
 // as the bit-identity oracle: the cached bit-reversal permutation and twiddle
 // tables must reproduce its output exactly (==, not within tolerance).
@@ -319,18 +347,57 @@ func BenchmarkTransform1024(b *testing.B) {
 	}
 }
 
-// BenchmarkTransform3D32 reports allocations: with the plan cache and pooled
-// column scratch the steady state is 0 allocs/op (it was one column buffer
-// per call before).
+// BenchmarkTransform3D32 reports allocations: with the plan cache and the
+// in-place panel passes the steady state is 0 allocs/op.
 func BenchmarkTransform3D32(b *testing.B) {
 	a := make([]complex128, 32*32*32)
 	for i := range a {
 		a[i] = complex(float64(i%17), 0)
 	}
-	Transform3D(a, 32, 32, 32, false) // warm the plan cache and scratch pool
+	Transform3D(a, 32, 32, 32, false) // warm the plan cache
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Transform3D(a, 32, 32, 32, false)
 	}
+}
+
+// BenchmarkTransform3D64 is the mesh md-pnfft really runs (Tune picks 64³).
+// Its 4 MB x panel does not fit a cache level the way Transform3D32's 16 KB
+// columns do, so this — not the 32³ benchmark — is where the column passes
+// show.
+func BenchmarkTransform3D64(b *testing.B) {
+	a := make([]complex128, 64*64*64)
+	for i := range a {
+		a[i] = complex(float64(i%17), float64(i%5))
+	}
+	Transform3D(a, 64, 64, 64, false)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Transform3D(a, 64, 64, 64, i&1 == 1)
+	}
+}
+
+// BenchmarkSlabP8Mesh64 is one forward + inverse slab transform of the 64³
+// mesh on 8 ranks (8 × 64 × 64 per rank), transposes included; B/op is what
+// the per-destination transpose buffers cost the host.
+func BenchmarkSlabP8Mesh64(b *testing.B) {
+	const p, n = 8, 64
+	b.ReportAllocs()
+	vmpi.Run(vmpi.Config{Ranks: p}, func(c *vmpi.Comm) {
+		s := NewSlab(c, n, n, n)
+		a := make([]complex128, s.LocalXSize()*n*n)
+		for i := range a {
+			a[i] = complex(float64(i%17), float64(i%5))
+		}
+		var spec, back []complex128
+		for i := -2; i < b.N; i++ { // two untimed rounds fill the message pool
+			if i == 0 && c.Rank() == 0 {
+				b.ResetTimer()
+			}
+			spec = s.ForwardInto(spec, a)
+			back = s.InverseInto(back, spec)
+		}
+	})
 }

@@ -51,7 +51,8 @@ func requireSameBits(t *testing.T, what string, got, want []complex128) {
 
 func TestTransform3DBitIdenticalToPerCallTransform(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
-	for _, d := range [][3]int{{4, 8, 16}, {16, 4, 2}, {1, 8, 4}, {8, 1, 2}, {2, 2, 1}, {32, 32, 32}} {
+	for _, d := range [][3]int{{4, 8, 16}, {16, 4, 2}, {1, 8, 4}, {8, 1, 2}, {2, 2, 1}, {32, 32, 32},
+		{1, 64, 64}, {64, 64, 64}} {
 		for _, inverse := range []bool{false, true} {
 			want := randomMesh(rng, d[0]*d[1]*d[2])
 			got := append([]complex128(nil), want...)
@@ -62,6 +63,55 @@ func TestTransform3DBitIdenticalToPerCallTransform(t *testing.T) {
 			requireSameBits(t, "Transform3D", got, want)
 		}
 	}
+}
+
+// checkPanel transforms a rows × rowLen panel with transformPanel and
+// requires every column to be what gathering it, calling Transform and
+// scattering it back gives.
+func checkPanel(t *testing.T, a []complex128, rows, rowLen int, inverse bool) {
+	t.Helper()
+	want := append([]complex128(nil), a...)
+	perCallPass(want, rows, rowLen, 1, 0, inverse)
+	transformPanel(planFor(rows), a, rowLen, inverse)
+	requireSameBits(t, "transformPanel", a, want)
+}
+
+// TestPanelBitIdenticalToPerCallTransform covers the panel shapes the 3D
+// sizes above do not: 1- and 2-row panels (no stage, one stage) and row
+// lengths that are not powers of two.
+func TestPanelBitIdenticalToPerCallTransform(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	for _, rows := range []int{1, 2, 8, 64, 256} {
+		for _, rowLen := range []int{1, 3, 64, 135} {
+			for _, inverse := range []bool{false, true} {
+				checkPanel(t, randomMesh(rng, rows*rowLen), rows, rowLen, inverse)
+			}
+		}
+	}
+}
+
+// FuzzPanelMatchesPerCall is the differential fuzz of the panel kernel
+// against per-call Transform on gathered columns: rows = 2^k ≤ 256, row
+// lengths 1…70, both directions. special is planted through the random data,
+// negated on every other plant, so the committed corpus (testdata/fuzz)
+// drives NaN, ±Inf and ±0 through every butterfly — the multiplies by w = 1
+// and by the inverse's 1/n are where a shortcut would flip a zero's sign.
+func FuzzPanelMatchesPerCall(f *testing.F) {
+	f.Add(uint8(6), uint8(63), false, int64(1), 1.5)
+	f.Add(uint8(0), uint8(0), true, int64(2), 0.0)
+	f.Add(uint8(8), uint8(69), true, int64(3), -2.0)
+	f.Fuzz(func(t *testing.T, logRows, cols uint8, inverse bool, seed int64, special float64) {
+		rows, rowLen := 1<<(logRows%9), 1+int(cols%70)
+		a := randomMesh(rand.New(rand.NewSource(seed)), rows*rowLen)
+		for i := 0; i < len(a); i += 3 {
+			if i%2 == 0 {
+				a[i] = complex(special, imag(a[i]))
+			} else {
+				a[i] = complex(real(a[i]), -special)
+			}
+		}
+		checkPanel(t, a, rows, rowLen, inverse)
+	})
 }
 
 // TestSlabBitIdenticalToPerCallTransform replays the slab transform's pass

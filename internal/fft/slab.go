@@ -95,23 +95,13 @@ func (s *Slab) ForwardInto(dst, a []complex128) []complex128 {
 
 	b := s.transposeXtoY(dst, a)
 
-	// FFT along x for every (y, z) of the owned y-slab.
+	// FFT along x for every (y, z) of the owned y-slab: each y-plane is a
+	// panel of Nx rows of Nz columns.
 	ly := s.LocalYSize()
-	sb := getScratch(s.Nx)
-	col := sb.buf
 	px := planFor(s.Nx)
 	for y := 0; y < ly; y++ {
-		for z := 0; z < s.Nz; z++ {
-			for x := 0; x < s.Nx; x++ {
-				col[x] = b[(y*s.Nx+x)*s.Nz+z]
-			}
-			transformWith(px, col, false)
-			for x := 0; x < s.Nx; x++ {
-				b[(y*s.Nx+x)*s.Nz+z] = col[x]
-			}
-		}
+		transformPanel(px, b[y*s.Nx*s.Nz:(y+1)*s.Nx*s.Nz], s.Nz, false)
 	}
-	putScratch(sb)
 	s.c.Compute(float64(ly) * float64(s.Nz) * costs.FFTTime(s.Nx))
 	return b
 }
@@ -133,21 +123,10 @@ func (s *Slab) InverseInto(dst, b []complex128) []complex128 {
 	s.work = grow(s.work, len(b))
 	work := s.work
 	copy(work, b)
-	sb := getScratch(s.Nx)
-	col := sb.buf
 	px := planFor(s.Nx)
 	for y := 0; y < ly; y++ {
-		for z := 0; z < s.Nz; z++ {
-			for x := 0; x < s.Nx; x++ {
-				col[x] = work[(y*s.Nx+x)*s.Nz+z]
-			}
-			transformWith(px, col, true)
-			for x := 0; x < s.Nx; x++ {
-				work[(y*s.Nx+x)*s.Nz+z] = col[x]
-			}
-		}
+		transformPanel(px, work[y*s.Nx*s.Nz:(y+1)*s.Nx*s.Nz], s.Nz, true)
 	}
-	putScratch(sb)
 	s.c.Compute(float64(ly) * float64(s.Nz) * costs.FFTTime(s.Nx))
 
 	a := s.transposeYtoX(dst, work)
@@ -160,22 +139,12 @@ func (s *Slab) InverseInto(dst, b []complex128) []complex128 {
 	return a
 }
 
-// part returns an empty per-destination send buffer with a power-of-two
-// capacity ≥ want, so the receiving rank's release hands it back to the
-// message-buffer pool.
-func part(want int) []complex128 {
-	c := 1
-	for c < want {
-		c <<= 1
-	}
-	return make([]complex128, 0, c)
-}
-
 // transposeXtoY redistributes from x-slabs [lx][Ny][Nz] to y-slabs
 // [ly][Nx][Nz] with one all-to-all, scattering into dst (grown as needed).
-// The per-destination buffers are freshly built and relinquished to the
-// all-to-all (zero-copy), and the received blocks are released back to the
-// message pool after scattering — message sizes and virtual cost are
+// The per-destination buffers are drawn from the vmpi message pool
+// (vmpi.Owned), relinquished to the all-to-all (zero-copy), and released back
+// to the pool by their receivers after scattering, so a steady run transposes
+// through the same buffers every step — message sizes and virtual cost are
 // exactly those of the copying version.
 func (s *Slab) transposeXtoY(dst, a []complex128) []complex128 {
 	c := s.c
@@ -184,7 +153,7 @@ func (s *Slab) transposeXtoY(dst, a []complex128) []complex128 {
 	parts := make([][]complex128, p)
 	for r := 0; r < p; r++ {
 		yLo, yHi := s.YRange(r)
-		part := part((myXHi - myXLo) * (yHi - yLo) * s.Nz)
+		part := vmpi.Owned[complex128]((myXHi - myXLo) * (yHi - yLo) * s.Nz)
 		for x := 0; x < myXHi-myXLo; x++ {
 			for y := yLo; y < yHi; y++ {
 				row := a[(x*s.Ny+y)*s.Nz : (x*s.Ny+y+1)*s.Nz]
@@ -226,7 +195,7 @@ func (s *Slab) transposeYtoX(dst, b []complex128) []complex128 {
 	parts := make([][]complex128, p)
 	for r := 0; r < p; r++ {
 		xLo, xHi := s.XRange(r)
-		part := part((xHi - xLo) * ly * s.Nz)
+		part := vmpi.Owned[complex128]((xHi - xLo) * ly * s.Nz)
 		for x := xLo; x < xHi; x++ {
 			for y := 0; y < ly; y++ {
 				row := b[(y*s.Nx+x)*s.Nz : (y*s.Nx+x+1)*s.Nz]

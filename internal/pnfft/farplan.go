@@ -39,17 +39,22 @@ type farPlan struct {
 	recvOff   [][]int32
 	recvIdx   [][]int32
 
+	// chargeLen[r] is the length of the charge message rank r got last
+	// solve: the size to draw this solve's send buffer at.
+	chargeLen []int
+
 	// Per-call scratch, reused across time steps.
-	block      []float64
-	tileBlocks [][]float64
-	rho        []complex128
-	spec       []complex128
-	phiSpec    []complex128
-	exSpec     []complex128
-	eySpec     []complex128
-	ezSpec     []complex128
-	mesh       [4][]complex128 // pot, ex, ey, ez real-space meshes
-	vals       []float64       // 4 returned values per dense grown-block cell
+	block   []float64
+	depCell []int32   // grown-block cell of every assignment deposit
+	depVal  []float64 // tile partial carried by the deposit (assignCharges)
+	rho     []complex128
+	spec    []complex128
+	phiSpec []complex128
+	exSpec  []complex128
+	eySpec  []complex128
+	ezSpec  []complex128
+	mesh    [4][]complex128 // pot, ex, ey, ez real-space meshes
+	vals    []float64       // 4 returned values per dense grown-block cell
 }
 
 // growF and growC resize a scratch slice, reallocating only on capacity
@@ -66,17 +71,6 @@ func growC(buf []complex128, n int) []complex128 {
 		return buf[:n]
 	}
 	return make([]complex128, n)
-}
-
-// pow2cap returns an empty float64 buffer with power-of-two capacity ≥ want
-// so that, once relinquished to an owned collective, the receiver's release
-// returns it to the vmpi message pool.
-func pow2cap(want int) []float64 {
-	c := 1
-	for c < want {
-		c <<= 1
-	}
-	return make([]float64, 0, c)
 }
 
 // buildFarPlan computes the geometry-derived tables. Called lazily on the
@@ -103,6 +97,7 @@ func (s *Solver) buildFarPlan() *farPlan {
 	// per-destination wrap dedup) exactly, recording indices instead of
 	// emitting values.
 	size := s.comm.Size()
+	p.chargeLen = make([]int, size)
 	p.retFlat = make([][]int32, size)
 	p.retLoc = make([][]int32, size)
 	for r := 0; r < size; r++ {

@@ -3,6 +3,7 @@ package pnfft
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/api"
 	"repro/internal/cells"
@@ -506,60 +507,16 @@ func (s *Solver) farField(own []pRec, pot, field []float64) {
 	}
 	fp := s.far
 
-	// 1. Charge assignment into the local grown block. Particle tiles
-	// scatter into private partial blocks on host workers; the partials are
-	// reduced into the block in tile index order, so the result is
-	// independent of GOMAXPROCS. Mesh points no particle touches stay
-	// exactly zero in every tile, so the sparsity pattern sent to the slab
-	// owners in step 2 is unchanged.
+	// 1. Charge assignment into the local grown block.
 	lo := fp.lo
 	bx, by, bz := fp.bx, fp.by, fp.bz
-	fp.block = growF(fp.block, bx*by*bz)
-	block := fp.block
-	zeroF(block)
-	nTiles := hostpar.Tiles(len(own), asgGrain)
-	for len(fp.tileBlocks) < nTiles {
-		fp.tileBlocks = append(fp.tileBlocks, nil)
-	}
-	tileBlocks := fp.tileBlocks
-	hostpar.ForTiles(len(own), asgGrain, func(t, plo, phi int) {
-		tb := block
-		if nTiles > 1 {
-			tb = growF(tileBlocks[t], bx*by*bz)
-			tileBlocks[t] = tb
-			zeroF(tb)
-		}
-		var w [3][3]float64 // splineWeights supports orders up to 3
-		var base [3]int
-		for pi := plo; pi < phi; pi++ {
-			r := own[pi]
-			u := [3]float64{(r.X - s.box.Offset[0]) * h, (r.Y - s.box.Offset[1]) * h, (r.Z - s.box.Offset[2]) * h}
-			for d := 0; d < 3; d++ {
-				base[d] = splineWeights(s.Order, u[d], w[d][:])
-			}
-			for ix := 0; ix < s.Order; ix++ {
-				for iy := 0; iy < s.Order; iy++ {
-					for iz := 0; iz < s.Order; iz++ {
-						gx, gy, gz := base[0]+ix-lo[0], base[1]+iy-lo[1], base[2]+iz-lo[2]
-						if gx < 0 || gx >= bx || gy < 0 || gy >= by || gz < 0 || gz >= bz {
-							panic(fmt.Sprintf("pnfft: assignment outside grown block (particle %d)", pi))
-						}
-						tb[(gx*by+gy)*bz+gz] += r.Q * w[0][ix] * w[1][iy] * w[2][iz]
-					}
-				}
-			}
-		}
-	})
-	if nTiles > 1 {
-		for _, tb := range tileBlocks[:nTiles] {
-			for k, v := range tb {
-				block[k] += v
-			}
-		}
-	}
+	block := s.assignCharges(own, h)
 	c.Compute(costs.MeshPoint * float64(len(own)*s.Order*s.Order*s.Order))
 
-	// 2. Send (wrapped flat index, value) pairs to the slab owners.
+	// 2. Send (wrapped flat index, value) pairs to the slab owners. The
+	// per-destination buffers are drawn from the vmpi pool (vmpi.Owned) at the
+	// length the destination got last solve and grow through the pool, so
+	// what is relinquished below is what a receiver released a solve earlier.
 	parts := make([][]float64, c.Size())
 	for gx := 0; gx < bx; gx++ {
 		wx := wrapIdx(lo[0]+gx, n)
@@ -573,11 +530,19 @@ func (s *Solver) farField(own []pRec, pot, field []float64) {
 				}
 				wz := wrapIdx(lo[2]+gz, n)
 				flat := float64((wx*n+wy)*n + wz)
-				parts[dst] = append(parts[dst], flat, v)
+				part := parts[dst]
+				if len(part)+2 > cap(part) {
+					part = append(vmpi.Owned[float64](max(fp.chargeLen[dst], 2*len(part))), part...)
+					vmpi.Release(parts[dst])
+				}
+				parts[dst] = append(part, flat, v)
 			}
 		}
 	}
-	// Freshly built per-destination buffers: relinquish them, no copy.
+	for dst, part := range parts {
+		fp.chargeLen[dst] = len(part)
+	}
+	// Relinquish them, no copy; the slab owners release them after step 3.
 	recv := vmpi.AlltoallOwned(c, parts)
 
 	// 3. Assemble the charge slab and transform.
@@ -655,7 +620,7 @@ func (s *Solver) farField(own []pRec, pot, field []float64) {
 		if len(flats) == 0 {
 			continue
 		}
-		part := pow2cap(5 * len(flats))
+		part := vmpi.Owned[float64](5 * len(flats))
 		for k, flat := range flats {
 			li := locs[k]
 			part = append(part,
@@ -664,7 +629,8 @@ func (s *Solver) farField(own []pRec, pot, field []float64) {
 		}
 		retParts[r] = part
 	}
-	// Freshly built per-destination buffers: relinquish them, no copy.
+	// Pool-drawn like the charge parts: relinquish them, no copy; the
+	// receivers release them after scattering.
 	retRecv := vmpi.AlltoallOwned(c, retParts)
 	if !fp.recvBuilt {
 		fp.buildRecvPlan(retRecv, n)
@@ -722,6 +688,82 @@ func (s *Solver) farField(own []pRec, pot, field []float64) {
 		}
 	})
 	c.Compute(costs.MeshPoint * float64(len(own)*s.Order*s.Order*s.Order))
+}
+
+// zeroBlocks pools the dense scratch blocks of charge assignment. Every
+// pooled block is all-zero over its whole length: a tile takes one, deposits
+// into it and zeroes exactly the cells it touched before handing it back, so
+// the number of blocks alive follows the concurrent host workers, not the
+// tiles, and none is ever cleared wholesale. (Pointers to slices, so a Put
+// boxes nothing.)
+var zeroBlocks = sync.Pool{New: func() any { return new([]float64) }}
+
+// assignCharges spreads the owned particles' charges (h mesh points per unit
+// length) onto the rank's grown mesh block and returns it. The sum is two
+// level and independent of GOMAXPROCS: each particle tile sums its deposits
+// per cell in particle order on a host worker, and the tile partials are
+// added to the block in tile order. A tile records the cell of every deposit,
+// then moves each touched cell's partial out to the deposit that reached it
+// first (later deposits of the cell find it cleared and carry +0), so the
+// reduce is one add per deposit instead of one per block cell per tile.
+// Adding a +0 partial is the identity — neither a tile's scratch nor the
+// block can hold −0: both start at +0 and a round-to-nearest sum is −0 only
+// from two −0 operands — so every block cell ends bit-identical to the dense
+// per-tile reduce (assign_ref_test.go keeps that body as the oracle), and
+// mesh points no particle touches stay exactly zero, which keeps the
+// sparsity pattern sent to the slab owners in step 2.
+func (s *Solver) assignCharges(own []pRec, h float64) []float64 {
+	fp := s.far
+	lo := fp.lo
+	bx, by, bz := fp.bx, fp.by, fp.bz
+	o3 := s.Order * s.Order * s.Order
+	fp.block = growF(fp.block, bx*by*bz)
+	fp.depVal = growF(fp.depVal, len(own)*o3)
+	if cap(fp.depCell) < len(own)*o3 {
+		fp.depCell = make([]int32, len(own)*o3)
+	}
+	block, cell, val := fp.block, fp.depCell[:len(own)*o3], fp.depVal
+	zeroF(block)
+	hostpar.For(len(own), asgGrain, func(plo, phi int) {
+		zb := zeroBlocks.Get().(*[]float64)
+		if len(*zb) < len(block) {
+			*zb = make([]float64, len(block))
+		}
+		tb := *zb
+		var w [3][3]float64 // splineWeights supports orders up to 3
+		var base [3]int
+		e := plo * o3
+		for pi := plo; pi < phi; pi++ {
+			r := own[pi]
+			u := [3]float64{(r.X - s.box.Offset[0]) * h, (r.Y - s.box.Offset[1]) * h, (r.Z - s.box.Offset[2]) * h}
+			for d := 0; d < 3; d++ {
+				base[d] = splineWeights(s.Order, u[d], w[d][:])
+			}
+			for ix := 0; ix < s.Order; ix++ {
+				for iy := 0; iy < s.Order; iy++ {
+					for iz := 0; iz < s.Order; iz++ {
+						gx, gy, gz := base[0]+ix-lo[0], base[1]+iy-lo[1], base[2]+iz-lo[2]
+						if gx < 0 || gx >= bx || gy < 0 || gy >= by || gz < 0 || gz >= bz {
+							panic(fmt.Sprintf("pnfft: assignment outside grown block (particle %d)", pi))
+						}
+						k := (gx*by+gy)*bz + gz
+						tb[k] += r.Q * w[0][ix] * w[1][iy] * w[2][iz]
+						cell[e] = int32(k)
+						e++
+					}
+				}
+			}
+		}
+		for e := plo * o3; e < phi*o3; e++ {
+			val[e] = tb[cell[e]]
+			tb[cell[e]] = 0
+		}
+		zeroBlocks.Put(zb)
+	})
+	for e, k := range cell {
+		block[k] += val[e]
+	}
+	return block
 }
 
 // meshRegionOf computes another rank's interpolation region.

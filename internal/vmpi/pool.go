@@ -16,6 +16,24 @@ import (
 // message sizes, ordering, and virtual costs are computed exactly as before
 // — only the host allocation rate drops.
 //
+// Buffer lifecycle. A pooled buffer goes round one cycle: drawn from the
+// pool, carried by a message, released into the pool by its receiver, drawn
+// again. A copying send (Send/Sendrecv/…) draws for its caller: it copies the
+// payload into a pooled buffer. A sender that builds its payload in place
+// draws the buffer itself with Owned, fills it and relinquishes it with
+// SendOwned/AlltoallOwned — no copy, and what the receiver's Release hands
+// back is what the next step's Owned draws (the fft slab transposes and the
+// pnfft mesh all-to-alls run this way). Either way the draw and the release
+// meet in the in-use meter (PoolStats.InUseBytes).
+//
+// Release also accepts a foreign buffer — one the pool never handed out — and
+// keeps it when its capacity happens to be a class size. That recycles the
+// memory but drives the meter down with no draw to match. The sites that
+// still relinquish foreign buffers are fmm/solver.go (the multipole key/value
+// and ghost parts, append-grown) and redist's gather (a make of exactly the
+// round's length); moving them onto Owned is out of scope while md-fmm,
+// bigp-* and exchange-dense are required not to move.
+//
 // Ownership protocol. A buffer that crosses the messaging layer is in one
 // of two states, and every rule below is enforced statically by the
 // ownedbuf analyzer (cmd/parlint) and dynamically by the vmpidebug checker
@@ -103,9 +121,13 @@ type PoolStats struct {
 	// ratio means the size classes are mis-sized for the traffic.
 	WasteBytes int64
 	// InUseBytes is the class-capacity bytes of pooled buffers currently
-	// checked out (gets not yet released). Buffers a receiver keeps forever
-	// stay counted, and releasing a pooled-shaped buffer the pool never
-	// handed out under-counts, so the value is a meter, not an invariant.
+	// checked out: draws (copying sends, Owned) not yet released. Along a
+	// draw → relinquish → release path it returns to where it started
+	// (TestSlabTransposeBalancesPool, pnfft's TestFarFieldBalancesPool).
+	// Buffers a receiver keeps forever stay counted, and a released foreign
+	// buffer of class shape (see the lifecycle note above) is subtracted
+	// without ever having been added, so process-wide the value is a meter,
+	// not an invariant.
 	InUseBytes int64
 	// HighWaterBytes is the maximum InUseBytes observed since process start
 	// or the last ResetPoolStats — the pool-side peak that the
@@ -195,6 +217,16 @@ func getSlice[T any](n int) []T {
 	poolCounters.misses.Add(1)
 	return make([]T, n, 1<<b)
 }
+
+// Owned returns an empty buffer with capacity ≥ n, drawn from the
+// message-buffer pool: the buffer to build a payload in before relinquishing
+// it with SendOwned/AlltoallOwned. The receiver's Release then returns to the
+// pool exactly what the sender drew, so a steady exchange reuses the same
+// buffers step after step. A request below the smallest size class is served
+// from that class, so callers need not know the classes to stay pooled. The
+// caller owns the buffer (contents beyond its length unspecified); one it
+// does not send it may Release.
+func Owned[T any](n int) []T { return getSlice[T](max(n, 1<<poolMinBits))[:0] }
 
 // poolClass returns the size class of a buffer whose capacity is exactly a
 // pooled class size, or -1: only such buffers enter the pool.

@@ -41,6 +41,35 @@ func TestReleaseRecycle(t *testing.T) {
 	}
 }
 
+// TestOwnedBalancesRelease covers the exported checkout: the buffer is
+// empty with the class capacity, a draw and its release meet in the in-use
+// meter, a request below the smallest class is served from it, and one above
+// the largest is a plain allocation the meter never sees.
+func TestOwnedBalancesRelease(t *testing.T) {
+	base := PoolStatsSnapshot().InUseBytes
+	s := Owned[float64](100) // class 128 -> 1024 bytes
+	if len(s) != 0 || cap(s) != 128 {
+		t.Fatalf("Owned(100) has len %d cap %d, want 0 and 128", len(s), cap(s))
+	}
+	if got := PoolStatsSnapshot().InUseBytes - base; got != 1024 {
+		t.Fatalf("in-use delta after Owned(100) = %d, want 1024", got)
+	}
+	Release(append(s, 1, 2, 3))
+	for _, n := range []int{0, 7} {
+		if s := Owned[float64](n); len(s) != 0 || cap(s) != 1<<poolMinBits {
+			t.Fatalf("Owned(%d) has len %d cap %d, want 0 and the smallest class", n, len(s), cap(s))
+		} else {
+			Release(s)
+		}
+	}
+	if s := Owned[byte](1<<poolMaxBits + 1); len(s) != 0 || cap(s) != 1<<poolMaxBits+1 {
+		t.Fatalf("Owned above the largest class has len %d cap %d", len(s), cap(s))
+	}
+	if got := PoolStatsSnapshot().InUseBytes; got != base {
+		t.Fatalf("in-use bytes %d after the releases, want the pre-draw %d", got, base)
+	}
+}
+
 func TestReleaseIgnoresForeignSlices(t *testing.T) {
 	// Non-power-of-two capacity: must be ignored, not corrupt the pool.
 	backing := make([]int, 100)

@@ -22,12 +22,14 @@ race:
 	GOMAXPROCS=4 $(GO) test -race ./...
 
 # Differential fuzz smoke: ten seconds of every package:Target in
-# FUZZ_TARGETS, each an optimised kernel against its kept reference, bit for
-# bit — the dense FMM operator tables against the map-based bodies, the FFT
-# panel passes against per-call Transform on gathered columns. A new fuzz
-# target joins this list; the committed seed corpora
-# (internal/*/testdata/fuzz) already run in every go test.
-FUZZ_TARGETS := internal/fmm:FuzzOperatorsMatchReference internal/fft:FuzzPanelMatchesPerCall
+# FUZZ_TARGETS, each an optimised structure against its kept reference, bit
+# for bit — the dense FMM operator tables against the map-based bodies, the
+# FFT panel passes against per-call Transform on gathered columns, the
+# open-addressed vmpi mailbox against a map of FIFOs. A new fuzz target
+# joins this list; the committed seed corpora (internal/*/testdata/fuzz)
+# already run in every go test.
+FUZZ_TARGETS := internal/fmm:FuzzOperatorsMatchReference internal/fft:FuzzPanelMatchesPerCall \
+	internal/vmpi:FuzzMailboxMatchesReference
 
 fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \

@@ -19,6 +19,7 @@
 package psort
 
 import (
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -223,9 +224,9 @@ func SortMerge[T any](c *vmpi.Comm, items []T, key func(T) uint64) []T {
 	// spare ping-pongs with items through the merge-split rounds, so the
 	// whole network reuses two buffers instead of allocating per round.
 	var spare []T
-	for _, st := range rankSchedule(p, me) {
-		items, spare = mergeSplit(c, items, key, st.partner, st.keepLow, spare)
-	}
+	rankSteps(p, me, func(partner int, keepLow bool) {
+		items, spare = mergeSplit(c, items, key, partner, keepLow, spare)
+	})
 	// Batcher's network provably sorts equal-size blocks; with unequal
 	// per-rank counts (and in particular with empty ranks, through which no
 	// element can flow because merge-split preserves counts) residual
@@ -417,29 +418,6 @@ func mergeSplit[T any](c *vmpi.Comm, items []T, key func(T) uint64, partner int,
 	return items, merged[:0]
 }
 
-// rankStep is one comparator step of the merge-exchange network as seen by
-// a single rank: exchange with partner, keeping the low (comparator input
-// I) or high (input J) half.
-type rankStep struct {
-	partner int
-	keepLow bool
-}
-
-// mergeSchedMu guards mergeSchedByP: per network size p, the full
-// comparator sequence partitioned into per-rank step lists (preserving
-// each rank's step order exactly, so the message sequence — and therefore
-// virtual time — is identical to scanning the full schedule).
-//
-// Without the cache, every rank of every SortMerge call materialises the
-// whole ~(p/2)·log²p comparator list only to use its own ~log²p entries: at
-// p = 16384 that is ~14 MB of garbage per rank per sort, which dwarfs the
-// sort itself. The partitioned schedule is computed once per p for the
-// process lifetime.
-var (
-	mergeSchedMu  sync.Mutex
-	mergeSchedByP = map[int][][]rankStep{}
-)
-
 // chainEntry caches one network size's cleanup-chain derivation: the
 // counts vector it was derived from, the chain of non-empty ranks, and the
 // total element count.
@@ -511,21 +489,31 @@ func int64sEqual(a, b []int64) bool {
 	return true
 }
 
-// rankSchedule returns rank r's comparator steps for an n-input
-// merge-exchange network, in network order.
-func rankSchedule(n, r int) []rankStep {
-	mergeSchedMu.Lock()
-	defer mergeSchedMu.Unlock()
-	sched, ok := mergeSchedByP[n]
-	if !ok {
-		sched = make([][]rankStep, n)
-		for _, ce := range MergeExchangeSchedule(n) {
-			sched[ce.I] = append(sched[ce.I], rankStep{partner: ce.J, keepLow: true})
-			sched[ce.J] = append(sched[ce.J], rankStep{partner: ce.I, keepLow: false})
-		}
-		mergeSchedByP[n] = sched
+// rankSteps calls step for every comparator of the n-input merge-exchange
+// network that touches input me, in network order: the partner, and whether
+// me keeps the low (comparator input I) or high (input J) half. The
+// comparators of one (p,q,r,d) group of MergeExchangeSchedule are disjoint
+// and d flips bit p, so me is in at most one per group — as I when
+// me&p == r, as J when (me-d)&p == r — and walking the O(log² n) groups
+// yields exactly me's share of the full ~(n/2)·log² n sequence without
+// materialising any of it.
+func rankSteps(n, me int, step func(partner int, keepLow bool)) {
+	if n < 2 {
+		return
 	}
-	return sched[r]
+	top := 1 << (bits.Len(uint(n-1)) - 1)
+	for p := top; p > 0; p >>= 1 {
+		for q, r, d := top, 0, p; ; d, q, r = q-p, q>>1, p {
+			if me&p == r && me+d < n {
+				step(me+d, true)
+			} else if me >= d && (me-d)&p == r {
+				step(me-d, false)
+			}
+			if q == p {
+				break
+			}
+		}
+	}
 }
 
 // CE is one comparator of a sorting network: compare-exchange between

@@ -2,6 +2,7 @@ package psort
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -383,6 +384,66 @@ func TestMergeExchangeComparatorsValid(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRankStepsMatchSchedule pins the per-rank group walk SortMerge runs
+// against the oracle: for every rank, the steps rankSteps enumerates are
+// that rank's comparators of the full schedule, in schedule order.
+func TestRankStepsMatchSchedule(t *testing.T) {
+	type step struct {
+		partner int
+		keepLow bool
+	}
+	for _, n := range []int{1, 2, 3, 5, 7, 8, 13, 64, 100, 257, 1024} {
+		want := make([][]step, n)
+		for _, ce := range MergeExchangeSchedule(n) {
+			want[ce.I] = append(want[ce.I], step{ce.J, true})
+			want[ce.J] = append(want[ce.J], step{ce.I, false})
+		}
+		for me := 0; me < n; me++ {
+			var got []step
+			rankSteps(n, me, func(partner int, keepLow bool) {
+				got = append(got, step{partner, keepLow})
+			})
+			if !reflect.DeepEqual(got, want[me]) {
+				t.Fatalf("n=%d rank %d: walk gives %v, schedule %v", n, me, got, want[me])
+			}
+		}
+	}
+}
+
+// TestSharedChainSingleBuild16384 is the large-P smoke for the shared
+// cleanup chain: at the benchmark's top rank count it must be derived once
+// per counts vector and then served to every rank without allocating,
+// compared by content so the fresh (equal) counts slice every sort produces
+// does not rebuild it.
+func TestSharedChainSingleBuild16384(t *testing.T) {
+	const n = 16384
+	counts := make([]int64, n)
+	for i := range counts {
+		counts[i] = int64(i % 3) // empty ranks included
+	}
+	chain1, _, total1 := sharedChain(n, counts, 3)
+	counts2 := append([]int64(nil), counts...)
+	allocs := testing.AllocsPerRun(8, func() {
+		sharedChain(n, counts2, n/2)
+	})
+	if allocs != 0 {
+		t.Errorf("sharedChain lookups allocated %.2f objects per run, want 0 (chain rebuilt?)", allocs)
+	}
+	chain2, myIdx, total2 := sharedChain(n, counts2, 4)
+	if &chain1[0] != &chain2[0] {
+		t.Errorf("sharedChain returned distinct backing arrays for equal counts; chain not shared")
+	}
+	if total1 != total2 {
+		t.Errorf("sharedChain totals disagree: %d vs %d", total1, total2)
+	}
+	if chain2[myIdx] != 4 {
+		t.Errorf("rank 4 resolved to chain position %d holding rank %d", myIdx, chain2[myIdx])
+	}
+	if _, idx, _ := sharedChain(n, counts2, 3*(n/3)); idx != -1 {
+		t.Errorf("empty rank resolved to chain position %d, want -1", idx)
 	}
 }
 

@@ -281,7 +281,7 @@ func (ex *Executor) Start() {
 	for idx, s := range ex.shards {
 		s.mu.Lock()
 		for id := idx; id < n; id += ex.nShards {
-			s.runQ = append(s.runQ, id)
+			s.runQ, s.qHead = enqueue(s.runQ, s.qHead, id)
 		}
 		s.mu.Unlock()
 	}
@@ -335,7 +335,7 @@ func (ex *Executor) Admit(k int) int {
 		s := ex.shardOf(id)
 		s.mu.Lock()
 		s.tasks = append(s.tasks, &task{state: statePending, grant: make(chan struct{}, 1)})
-		s.runQ = append(s.runQ, id)
+		s.runQ, s.qHead = enqueue(s.runQ, s.qHead, id)
 		s.mu.Unlock()
 		touched[id%ex.nShards] = true
 	}
@@ -459,7 +459,7 @@ func (ex *Executor) UnparkBatch(ids []int) {
 	for _, id := range ids[:w] {
 		s := ex.shardOf(id)
 		s.mu.Lock()
-		s.runQ = append(s.runQ, id)
+		s.runQ, s.qHead = enqueue(s.runQ, s.qHead, id)
 		s.mu.Unlock()
 		touched[id%ex.nShards] = true
 	}
@@ -500,6 +500,19 @@ func (ex *Executor) Snapshot() Stats {
 
 // --- internals ---
 
+// enqueue appends v to a FIFO kept as a slice and the index of its front.
+// Once the consumed prefix exceeds half the slice the live tail first moves
+// to the front, so the backing array is sized by the queue's depth, not by
+// everything ever queued — a busy shard's deque never drains, and would
+// otherwise grow by one word per wakeup for the life of the run.
+func enqueue(q []int, head, v int) ([]int, int) {
+	if head > len(q)/2 {
+		q = q[:copy(q, q[head:])]
+		head = 0
+	}
+	return append(q, v), head
+}
+
 // noteRunnableLocked adds k tasks to the runnable meter and ratchets its
 // high-water mark. Callers hold the bank lock.
 func (ex *Executor) noteRunnableLocked(k int) {
@@ -525,8 +538,6 @@ func (ex *Executor) dispatch(s *shard) {
 func (ex *Executor) tryGrant(s *shard) bool {
 	s.mu.Lock()
 	if s.qHead >= len(s.runQ) {
-		s.runQ = s.runQ[:0]
-		s.qHead = 0
 		s.mu.Unlock()
 		return false
 	}
@@ -539,7 +550,7 @@ func (ex *Executor) tryGrant(s *shard) bool {
 	if ex.freeSlots == 0 && !ex.growLocked() {
 		if !ex.inPending[s.idx] {
 			ex.inPending[s.idx] = true
-			ex.pendingQ = append(ex.pendingQ, s.idx)
+			ex.pendingQ, ex.pendHead = enqueue(ex.pendingQ, ex.pendHead, s.idx)
 		}
 		ex.mu.Unlock()
 		s.mu.Unlock()
@@ -563,10 +574,6 @@ func (ex *Executor) tryGrant(s *shard) bool {
 	}
 	ex.mu.Unlock()
 	s.qHead++
-	if s.qHead == len(s.runQ) {
-		s.runQ = s.runQ[:0]
-		s.qHead = 0
-	}
 	t.state = stateRunning
 	t.hasSlot = true
 	if spawn {
@@ -585,10 +592,6 @@ func (ex *Executor) popPendingLocked() int {
 	}
 	idx := ex.pendingQ[ex.pendHead]
 	ex.pendHead++
-	if ex.pendHead == len(ex.pendingQ) {
-		ex.pendingQ = ex.pendingQ[:0]
-		ex.pendHead = 0
-	}
 	ex.inPending[idx] = false
 	return idx
 }

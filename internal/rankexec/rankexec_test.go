@@ -446,3 +446,49 @@ func TestAdmitDeadlockIncludesAdmitted(t *testing.T) {
 		t.Fatal("OnDeadlock never fired")
 	}
 }
+
+// TestRunQueueStaysBounded pins the run deque's footprint to its depth.
+// Three tasks share one slot and pass wakes round a ring 100 k times — each
+// wakes the task that ran before it, then waits for its own wake — so
+// whenever one parks another is still queued behind the one that gets the
+// slot: the deque never drains. Draining was once the only thing that reset
+// it, and its backing array grew by a word per wakeup.
+func TestRunQueueStaysBounded(t *testing.T) {
+	const n, rounds = 3, 100_000
+	var mu sync.Mutex
+	credits := make([]int, n)
+	var ex *Executor
+	ex = New(n, func(id int) {
+		prev := (id + n - 1) % n
+		for i := 0; i < rounds; i++ {
+			mu.Lock()
+			credits[prev]++
+			mu.Unlock()
+			ex.Unpark(prev)
+			for {
+				mu.Lock()
+				ok := credits[id] > 0
+				if ok {
+					credits[id]--
+				}
+				mu.Unlock()
+				if ok {
+					break
+				}
+				ex.Park(id)
+			}
+		}
+	}, Options{Workers: 1})
+	ex.Start()
+	ex.Wait()
+	wakeups := ex.Snapshot().Wakeups
+	if wakeups < rounds {
+		t.Fatalf("only %d wakeups in %d rounds: the ring did not run", wakeups, rounds)
+	}
+	if c := cap(ex.shards[0].runQ); c > 8*n {
+		t.Errorf("run deque capacity %d after %d wakeups of %d tasks, want O(tasks)", c, wakeups, n)
+	}
+	if c := cap(ex.pendingQ); c > 8*maxShards {
+		t.Errorf("hand-off queue capacity %d, want O(shards)", c)
+	}
+}

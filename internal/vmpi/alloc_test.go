@@ -106,3 +106,23 @@ func TestPooledSendRecvAllocs(t *testing.T) {
 		t.Errorf("pooled Send+Recv allocated %.2f objects per op, want 0", allocs)
 	}
 }
+
+// TestTwoKeyExchangeAllocs pins the mailbox itself at zero allocations per
+// message when more than one match key is live: both tags are sent before
+// either is received, and the second is received first, so each mailbox
+// holds two keys at once on every exchange. A mailbox that allocates per
+// newly live key pays twice per message here.
+func TestTwoKeyExchangeAllocs(t *testing.T) {
+	exchange := func(c *Comm) {
+		partner := 1 - c.Rank()
+		SendVal(c, int64(7), partner, 7)
+		SendVal(c, int64(8), partner, 8)
+		if RecvVal[int64](c, partner, 8) != 8 || RecvVal[int64](c, partner, 7) != 7 {
+			panic("wrong value")
+		}
+	}
+	allocs := allocHarness(t, 100, exchange, exchange)
+	if allocs > 0 {
+		t.Errorf("two-key exchange allocated %.2f objects per op, want 0", allocs)
+	}
+}

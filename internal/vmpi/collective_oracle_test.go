@@ -8,10 +8,11 @@ import (
 
 // The broadcasting collectives against a rank-loop oracle, at communicator
 // sizes on both sides of the ring/tree switch (32 → 33) and payload lengths
-// on both sides of the inline limit (5 × 24 B = 120 B inline, 6 × 24 B =
-// 144 B shared) and on pool size classes (32, 4096 — where a shared buffer
-// must not be pool-shaped, or a Release would recycle memory other ranks
-// still read).
+// on both sides of the inline limit (1 × 24 B inline, 5 × 24 B = 120 B
+// shared; the pins below were taken when the limit sat between lengths 5
+// and 6, so they also show that where it sits changes no virtual quantity)
+// and on pool size classes (32, 4096 — where a shared buffer must not be
+// pool-shaped, or a Release would recycle memory other ranks still read).
 //
 // Each (P, length) cell runs one world: Bcast from every root, Allreduce,
 // Allgather, AllgatherBlocks. Every rank checks every result against the

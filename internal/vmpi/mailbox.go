@@ -1,6 +1,7 @@
 package vmpi
 
 import (
+	"math/bits"
 	"reflect"
 	"sync"
 	"unsafe"
@@ -12,6 +13,9 @@ import (
 // receiver allocates a payload buffer. Envelopes themselves are recycled
 // through msgPool; inlElems == -1 marks a payload-carrying message.
 type message struct {
+	// next links the envelope into its match key's FIFO while it waits in
+	// a mailbox (nil otherwise): queueing a message is one pointer store.
+	next   *message
 	src    int // sender's rank within the communicator's context
 	tag    int
 	ctx    int64 // communicator context id
@@ -46,70 +50,141 @@ type mkey struct {
 	ctx int64
 }
 
-// fifo is one match key's pending messages in arrival order. Consumed slots
-// are nilled as they are popped; when a fifo drains its map entry is
-// deleted, so keys of retired communicator contexts (Split/Dup churn,
-// resize epochs) do not accumulate in the mailbox forever.
-type fifo struct {
-	head int
-	msgs []*message
+// hash mixes the three key words with fixed odd multipliers (Fibonacci
+// hashing: the table index is taken from the product's high bits). No seed,
+// so a key's home slot — and every probe sequence — is the same in every
+// run.
+func (k mkey) hash() uint64 {
+	return uint64(k.src)*0x9E3779B97F4A7C15 + uint64(k.tag)*0xC2B2AE3D27D4EB4F + uint64(k.ctx)*0x165667B19E3779F9
 }
+
+// slot is one live match key of a mailbox and its pending messages in
+// arrival order, linked through message.next. head == nil marks the slot
+// empty: a key whose FIFO drains is removed at once.
+type slot struct {
+	key        mkey
+	head, tail *message
+}
+
+// mailboxMinSlots is the table size of a mailbox's first put; the table
+// doubles whenever one more key would fill it beyond half.
+const mailboxMinSlots = 8
 
 // mailbox holds pending messages for one rank instance, keyed by the receive
 // match triple. Receives match on the exact (src, tag, ctx) only, and within
 // one key arrival order is the sender's program order, so a per-key FIFO
 // pops precisely the message a first-match scan of a single arrival queue
 // would select — but take is O(1) in the number of pending messages for
-// other keys, where such a scan is quadratic under an all-to-all fan-in
-// (every wake-up rescans all other senders' pending messages).
+// other keys, where such a scan is quadratic under an all-to-all fan-in.
+//
+// The keys live in an open-addressed table: a power-of-two slice of slots
+// probed linearly from the key's home slot, at most half full. A drained
+// key is deleted by backward shift (no tombstones), so keys of retired
+// communicator contexts (Split/Dup churn, resize epochs) leave nothing
+// behind. Enqueueing links the envelope into its slot; nothing but the
+// table's own doubling ever allocates.
 type mailbox struct {
-	mu     sync.Mutex
-	queues map[mkey]*fifo
-	// free recycles the last drained fifo cell (and its msgs backing
-	// array): most traffic is a ping-pong per match key, so one slot turns
-	// the per-message fifo churn into steady-state reuse.
-	free *fifo
+	mu    sync.Mutex
+	slots []slot
+	shift uint // 64 - log2(len(slots)): home slot = hash >> shift
+	live  int  // occupied slots
+	// waiting/waitKey are the owner's wait record: the key its take found
+	// nothing for, set in the critical section of that failed lookup. The
+	// put that links this key clears the flag and owes the owner a wake;
+	// the deadlock verdict prints what is still set (deadlockDump).
+	waiting bool
+	waitKey mkey
 }
 
-func newMailbox() *mailbox {
-	return &mailbox{queues: map[mkey]*fifo{}}
+// find returns the index of k's slot, or of the empty slot that ends k's
+// probe sequence. The table must exist (a put has grown it); the mailbox
+// mutex must be held.
+//
+//parlint:hotalloc
+func (mb *mailbox) find(k mkey) int {
+	mask := len(mb.slots) - 1
+	for i := int(k.hash() >> mb.shift); ; i = (i + 1) & mask {
+		if s := &mb.slots[i]; s.head == nil || s.key == k {
+			return i
+		}
+	}
 }
 
-// put enqueues a message. Waking the receiver is the sender's
-// responsibility: the delivering rank batches the destination into its
-// pending-wake list (sendMsg) and flushes the batch to the executor before
-// it can itself block, so a send that wakes k ranks costs one executor
-// episode, not k.
-func (mb *mailbox) put(m *message) {
+// grow doubles the table (or creates it) and reinserts the live slots.
+func (mb *mailbox) grow() {
+	old := mb.slots
+	n := max(2*len(old), mailboxMinSlots)
+	mb.slots = make([]slot, n)
+	mb.shift = uint(64 - bits.TrailingZeros(uint(n)))
+	for i := range old {
+		if old[i].head != nil {
+			mb.slots[mb.find(old[i].key)] = old[i]
+		}
+	}
+}
+
+// put enqueues a message and reports whether the owner is waiting for
+// exactly this key — in which case the caller owes it a wake: the
+// delivering rank batches the destination into its pending-wake list
+// (sendMsg) and flushes the batch to the executor before it can itself
+// block. Any other delivery wakes nobody: the owner finds it when it gets
+// there.
+//
+//parlint:hotalloc
+func (mb *mailbox) put(m *message) bool {
 	k := mkey{src: m.src, tag: m.tag, ctx: m.ctx}
 	mb.mu.Lock()
-	q := mb.queues[k]
-	if q == nil {
-		if q = mb.free; q != nil {
-			mb.free = nil
-		} else {
-			q = &fifo{}
-		}
-		mb.queues[k] = q
+	if 2*(mb.live+1) > len(mb.slots) {
+		mb.grow()
 	}
-	q.msgs = append(q.msgs, m)
+	s := &mb.slots[mb.find(k)]
+	if s.head == nil {
+		s.key = k
+		s.head = m
+		mb.live++
+	} else {
+		s.tail.next = m
+	}
+	s.tail = m
+	wake := mb.waiting && mb.waitKey == k
+	if wake {
+		mb.waiting = false
+	}
 	mb.mu.Unlock()
+	return wake
 }
 
-// pop removes and returns the head of q, deleting the map entry when the
-// fifo drains so the mailbox does not leak one key per retired context.
-// Drained cells are parked in the free slot for reuse. The mailbox mutex
-// must be held.
-func (mb *mailbox) pop(k mkey, q *fifo) *message {
-	m := q.msgs[q.head]
-	q.msgs[q.head] = nil
-	q.head++
-	if q.head == len(q.msgs) {
-		delete(mb.queues, k)
-		q.head = 0
-		q.msgs = q.msgs[:0]
-		mb.free = q
+// pop unlinks and returns the oldest pending message for k, or nil when
+// there is none. When the key drains, its slot is deleted by backward shift:
+// every later slot of the probe run whose home lies at or before the hole
+// moves into it, so each live key stays reachable from its home without
+// tombstones. The mailbox mutex must be held.
+//
+//parlint:hotalloc
+func (mb *mailbox) pop(k mkey) *message {
+	if mb.live == 0 {
+		return nil
 	}
+	i := mb.find(k)
+	m := mb.slots[i].head
+	if m == nil {
+		return nil
+	}
+	mb.slots[i].head = m.next
+	if m.next != nil {
+		m.next = nil
+		return m
+	}
+	mask := len(mb.slots) - 1
+	for j := (i + 1) & mask; mb.slots[j].head != nil; j = (j + 1) & mask {
+		home := int(mb.slots[j].key.hash() >> mb.shift)
+		if (j-home)&mask >= (j-i)&mask {
+			mb.slots[i] = mb.slots[j]
+			i = j
+		}
+	}
+	mb.slots[i] = slot{}
+	mb.live--
 	return m
 }
 
@@ -117,26 +192,26 @@ func (mb *mailbox) pop(k mkey, q *fifo) *message {
 // removes the first such message in arrival order. Arrival order from a
 // single source is the source's program order, so matching is deterministic.
 //
-// A rank that finds no match parks itself in the executor and is
-// re-enqueued by the delivering send. The recheck loop plus the executor's
-// wake-token protocol make the park race-free: a delivery between the queue
-// check and the park deposits a token that the park consumes. Before
-// parking, the rank records what it waits for in its own state; if every
-// live rank ends up parked, no rank can ever send again, and the executor's
-// verdict panics with those records (deadlockDump) instead of hanging the
-// process.
+// A rank that finds no match records the key it waits for — under the same
+// lock as the failed lookup, so the delivering put cannot miss it — and
+// parks itself in the executor; that put's sender re-enqueues it. The
+// executor's wake-token protocol covers the window between the unlock and
+// the park: a wake that arrives first deposits a token the park consumes.
+// If every live rank ends up parked, no rank can ever send again, and the
+// executor's verdict panics with those wait records (deadlockDump) instead
+// of hanging the process.
+//
+//parlint:hotalloc
 func (mb *mailbox) take(c *Comm, src, tag int) *message {
 	k := mkey{src: src, tag: tag, ctx: c.ctx}
 	for {
 		mb.mu.Lock()
-		if q := mb.queues[k]; q != nil && q.head < len(q.msgs) {
-			m := mb.pop(k, q)
+		if m := mb.pop(k); m != nil {
 			mb.mu.Unlock()
 			return m
 		}
+		mb.waiting, mb.waitKey = true, k
 		mb.mu.Unlock()
-		c.st.wait = waitRec{src: src, tag: tag, active: true}
 		c.rt.exec.Park(c.world(c.rank))
-		c.st.wait = waitRec{}
 	}
 }

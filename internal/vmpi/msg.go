@@ -25,9 +25,14 @@ import (
 // the host allocation rate changes.
 
 // inlineMaxBytes is the largest payload carried inline in the envelope.
-// 128 B covers the redistribution hot set (headers, counts, splitter
-// probes) while keeping pooled envelopes small enough to sit in cache.
-const inlineMaxBytes = 128
+// 32 B holds the redistribution hot set — a merge-exchange header is 24 B,
+// counts and splitter probes are 8 — and makes the envelope 128 bytes, one
+// allocator size class below what 128 inline bytes cost. Measured over every
+// send of the five bench workloads, larger inline-eligible payloads are
+// under 1 % of the inline traffic (DESIGN.md, "Mailbox and messages"), while
+// the envelopes of payload-carrying messages — all of a dense exchange's —
+// carried the unused storage through every queue.
+const inlineMaxBytes = 32
 
 // msgPool recycles message envelopes. A zero envelope marks itself as
 // payload-carrying; putMsg restores that state before pooling.

@@ -160,9 +160,10 @@ func takePayload[T any](m *message, src, tag int) []T {
 
 // sendMsg is the send core shared by the payload and inline paths: it
 // charges injection cost to the sender, stamps the arrival time from the
-// network model, enqueues the envelope, and batches the destination's
-// wakeup. The caller has filled the envelope's payload or inline fields;
-// src/tag/ctx/timing are stamped here.
+// network model, enqueues the envelope, and — when the destination is
+// waiting for exactly this message — batches its wakeup. The caller has
+// filled the envelope's payload or inline fields; src/tag/ctx/timing are
+// stamped here.
 //
 //parlint:hotalloc
 func sendMsg(c *Comm, m *message, bytes, dst, tag int) {
@@ -188,11 +189,11 @@ func sendMsg(c *Comm, m *message, bytes, dst, tag int) {
 	// the envelope the moment it is enqueued.
 	arrive := start + model.Cost(srcInst.node, dstInst.node, bytes)
 	m.arrive = arrive
-	dstInst.box.put(m)
-	if dstW != c.world(c.rank) {
-		// Batch the wakeup; it is flushed before this rank can block or
-		// finish. A send to self needs no wake — the sender cannot be
-		// parked while it is sending.
+	if dstInst.box.put(m) {
+		// The destination recorded a wait for this key, so it is parked or
+		// about to park: batch its wakeup, flushed before this rank can
+		// block or finish. Every other delivery (a send to self included —
+		// a sender is not waiting) is found by its receive without a wake.
 		c.st.pendingWakes = append(c.st.pendingWakes, dstW)
 		if len(c.st.pendingWakes) >= wakeBatchMax {
 			c.rt.flushWakes(c.st)

@@ -293,9 +293,9 @@ const wakeBatchMax = 64
 
 // flushWakes delivers a rank's batched wakeups to the executor in one
 // UnparkBatch episode. Callers invoke it before the rank can block
-// (recvRaw) or finish (execute's body), so a delivered message's receiver
-// is always runnable by the time the sender parks — the all-parked
-// deadlock verdict stays exact.
+// (recvRaw) or finish (execute's body), so a rank whose awaited message
+// was delivered is always runnable by the time the sender parks — the
+// all-parked deadlock verdict stays exact.
 func (rt *Runtime) flushWakes(st *rankState) {
 	if len(st.pendingWakes) == 0 {
 		return
@@ -304,16 +304,19 @@ func (rt *Runtime) flushWakes(st *rankState) {
 	st.pendingWakes = st.pendingWakes[:0]
 }
 
-// deadlockDump renders the all-parked verdict from every rank's wait
-// record. The executor calls it (through OnDeadlock) only once every live
-// rank is parked, on a goroutine its grant channel has ordered after each
-// rank's park — so the records are stable and read without a lock.
+// deadlockDump renders the all-parked verdict from every mailbox's wait
+// record, read under the mailbox lock. The executor calls it (through
+// OnDeadlock) only once every live rank is parked: each recorded its key
+// in take and no put cleared it, or it would have been woken.
 func (rt *Runtime) deadlockDump() string {
 	msg := "vmpi: deadlock: all ranks blocked in receive:\n"
 	for r, inst := range rt.currentWorld().insts {
-		if w := inst.st.wait; w.active {
-			msg += fmt.Sprintf("  rank %d waiting for (src %d, tag %d)\n", r, w.src, w.tag)
+		mb := inst.box
+		mb.mu.Lock()
+		if mb.waiting {
+			msg += fmt.Sprintf("  rank %d waiting for (src %d, tag %d)\n", r, mb.waitKey.src, mb.waitKey.tag)
 		}
+		mb.mu.Unlock()
 	}
 	return msg
 }

@@ -8,16 +8,10 @@ import (
 	"repro/internal/obs"
 )
 
-// waitRec records what a parked rank is waiting for. Formatting is deferred
-// to the verdict dump, so registering a wait on the park hot path stores
-// three words and never allocates.
-type waitRec struct {
-	src, tag int
-	active   bool
-}
-
 // rankState is the per-rank mutable state shared by all communicators that
-// the rank participates in. It must only be touched by the rank's goroutine.
+// the rank participates in. It must only be touched by the rank's goroutine
+// (what the rank is parked for — the one thing another goroutine reads — is
+// the mailbox's wait record, under the mailbox lock).
 type rankState struct {
 	clock        float64
 	phases       map[string]float64
@@ -44,18 +38,12 @@ type rankState struct {
 	// rec is the rank's append-only observability buffer; all phase,
 	// collective, message, and counter events of the rank flow into it.
 	rec *obs.Buffer
-	// pendingWakes batches the instance ids this rank has delivered
-	// messages to but not yet woken. The batch is flushed to the executor
-	// in one UnparkBatch episode before the rank can block (recvRaw) or
-	// finish, and whenever it reaches wakeBatchMax.
+	// pendingWakes batches the instance ids of ranks this rank owes a wake:
+	// each was waiting for exactly the message delivered to it
+	// (mailbox.put). The batch is flushed to the executor in one UnparkBatch
+	// episode before the rank can block (recvRaw) or finish, and whenever it
+	// reaches wakeBatchMax.
 	pendingWakes []int
-	// wait is what the rank is parked for (mailbox.take sets it before
-	// Park and clears it on resume). It is the one field another goroutine
-	// ever reads: the deadlock verdict dumps every rank's record, but only
-	// once all live ranks are parked, and the executor's locks order that
-	// read after each rank's last write — so the park path takes no lock
-	// for it.
-	wait waitRec
 }
 
 // rankInstance is one rank identity over the whole life of the virtual
@@ -130,7 +118,7 @@ func (rt *Runtime) newInstance(id, node int, admit float64, joinEpoch int) *rank
 	buf := obs.NewBuffer(id)
 	buf.SetWallClock(rt.wall)
 	return &rankInstance{
-		box:  newMailbox(),
+		box:  &mailbox{},
 		node: node,
 		st: &rankState{
 			phases:      map[string]float64{},

@@ -25,11 +25,12 @@ race:
 # FUZZ_TARGETS, each an optimised structure against its kept reference, bit
 # for bit — the dense FMM operator tables against the map-based bodies, the
 # FFT panel passes against per-call Transform on gathered columns, the
-# open-addressed vmpi mailbox against a map of FIFOs. A new fuzz target
-# joins this list; the committed seed corpora (internal/*/testdata/fuzz)
-# already run in every go test.
+# open-addressed vmpi mailbox against a map of FIFOs, the redist planner
+# (both backends, the lost vote, budgets) against a sequential scatter. A
+# new fuzz target joins this list; the committed seed corpora
+# (internal/*/testdata/fuzz) already run in every go test.
 FUZZ_TARGETS := internal/fmm:FuzzOperatorsMatchReference internal/fft:FuzzPanelMatchesPerCall \
-	internal/vmpi:FuzzMailboxMatchesReference
+	internal/vmpi:FuzzMailboxMatchesReference internal/redist:FuzzPlanMatchesOracle
 
 fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \

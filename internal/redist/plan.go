@@ -101,9 +101,8 @@ type Plan struct {
 	occOff []int
 	occIdx []int32
 
-	neighbors []int
-	useNbr    bool  // neighborhood requested and collectively feasible
-	order     []int // destinations in staging order (self first for useNbr)
+	useNbr bool  // neighborhood requested and collectively feasible
+	order  []int // destinations in staging order (self first for useNbr)
 
 	// maxCounts[d] = max over ranks of counts[d]; the collective input to
 	// the round schedule. Present only when budget > 0.
@@ -120,12 +119,15 @@ type Plan struct {
 // routing and the schedule.
 var planPool = sync.Pool{New: func() any { return new(Plan) }}
 
-// buildScratch holds NewPlan's function-local working arrays, pooled for
-// the same reason as the Plan arrays.
+// buildScratch holds NewPlan's working arrays: the flattened occurrence
+// list, the counting-sort cursor and the buffer handed to targets. NewPlan
+// returns it before it communicates, so the pool holds one per run slot —
+// not one per rank parked in the vote — and the next rank finds it warm.
 type buildScratch struct {
-	cursor []int
-	occDst []int32
-	occSrc []int32
+	cursor  []int
+	occDst  []int32
+	occSrc  []int32
+	targets []int
 }
 
 var buildPool = sync.Pool{New: func() any { return new(buildScratch) }}
@@ -147,7 +149,6 @@ func grow[E any](s []E, n int) []E {
 // path at large rank counts.
 func (p *Plan) Free() {
 	p.c = nil
-	p.neighbors = nil // caller-owned; a pooled plan must not pin it
 	planPool.Put(p)
 }
 
@@ -160,39 +161,49 @@ func NewPlan(c *vmpi.Comm, n int, targets Targets, opts Options) *Plan {
 	self := c.Rank()
 	pl := planPool.Get().(*Plan)
 	pl.c, pl.n, pl.budget, pl.meter = c, n, 0, opts.Meter
-	pl.neighbors, pl.useNbr, pl.peak = nil, false, 0
-	if opts.Neighbors != nil {
-		pl.neighbors = opts.Neighbors
+	pl.useNbr, pl.peak = false, 0
+
+	// A requested neighborhood is routed in its own staging order — self
+	// first, then the neighbor list (matching its assembly order) — for as
+	// long as this rank stays inside it: sparse says occDst holds slots of
+	// that order, not ranks.
+	sparse := opts.Neighbors != nil
+	if sparse {
 		for _, r := range opts.Neighbors {
 			if r < 0 || r >= p {
 				panic(fmt.Sprintf("redist: neighbor rank %d out of range (size %d)", r, p))
 			}
 		}
+		pl.order = append(append(pl.order[:0], self), opts.Neighbors...)
 	}
 
 	// Pass 1: flatten the target lists — one (element, destination) pair
-	// per occurrence, in emission order. When a neighborhood is requested,
-	// membership is a scan of the (short) neighbor list, not an O(P)
-	// lookup table.
+	// per occurrence, in emission order. Neighborhood membership and slot
+	// are one scan of the (short) staging order, not an O(P) lookup table.
 	sc := buildPool.Get().(*buildScratch)
-	occDst := sc.occDst[:0]
-	occSrc := sc.occSrc[:0]
-	ok := true
-	var buf []int
+	occDst, occSrc, buf := sc.occDst[:0], sc.occSrc[:0], sc.targets
 	for i := 0; i < n; i++ {
 		buf = targets(i, buf[:0])
 		for _, r := range buf {
 			if r < 0 || r >= p {
 				panic(fmt.Sprintf("redist: target rank %d out of range (size %d)", r, p))
 			}
-			if opts.Neighbors != nil && r != self && !rankIn(opts.Neighbors, r) {
-				ok = false
+			d := r
+			if sparse {
+				if d = pl.slotOf(r); d < 0 {
+					// Outside the neighborhood: the vote is already lost, so
+					// this rank routes densely from here on — slots so far
+					// back to ranks.
+					for j, k := range occDst {
+						occDst[j] = int32(pl.order[k])
+					}
+					sparse, d = false, r
+				}
 			}
-			occDst = append(occDst, int32(r))
+			occDst = append(occDst, int32(d))
 			occSrc = append(occSrc, int32(i))
 		}
 	}
-	sc.occDst, sc.occSrc = occDst, occSrc
 
 	// Resolve the budget: explicit option, else the communicator default.
 	switch {
@@ -204,19 +215,8 @@ func NewPlan(c *vmpi.Comm, n int, targets Targets, opts Options) *Plan {
 		pl.budget = 0
 	}
 
-	// Collective fallback decision for the neighborhood backend: every
-	// rank must take the same path.
-	if opts.Neighbors != nil {
-		pl.useNbr = vmpi.AllreduceVal(c, boolToInt(ok), vmpi.Min[int]) == 1
-	}
-
-	// Staging order: the all-to-all backend stages destinations in rank
-	// order; the neighborhood backend stages self first, then the
-	// neighbor list order (matching its assembly order).
-	if pl.useNbr {
-		pl.order = append(pl.order[:0], self)
-		pl.order = append(pl.order, pl.neighbors...)
-	} else {
+	// The all-to-all backend stages destinations in rank order.
+	if !sparse {
 		pl.order = grow(pl.order, p)
 		for d := range pl.order {
 			pl.order[d] = d
@@ -225,13 +225,13 @@ func NewPlan(c *vmpi.Comm, n int, targets Targets, opts Options) *Plan {
 
 	// Pass 2: bucket occurrences by staging-order slot. The counting sort
 	// is stable, so each destination sees its elements in local order.
-	// The feasible neighborhood order spans self + neighbors only, so the
-	// CSR of a live plan is O(|neighbors|) — not O(P).
+	// The neighborhood order spans self + neighbors only, so the CSR of a
+	// live plan is O(|neighbors|) — not O(P).
 	nslots := len(pl.order)
 	pl.counts = grow(pl.counts, nslots)
 	clear(pl.counts)
-	for _, r := range occDst {
-		pl.counts[pl.slotOf(int(r))]++
+	for _, k := range occDst {
+		pl.counts[k]++
 	}
 	pl.occOff = grow(pl.occOff, nslots+1)
 	pl.occOff[0] = 0
@@ -240,14 +240,25 @@ func NewPlan(c *vmpi.Comm, n int, targets Targets, opts Options) *Plan {
 	}
 	pl.occIdx = grow(pl.occIdx, len(occDst))
 	cursor := grow(sc.cursor, nslots)
-	sc.cursor = cursor
 	copy(cursor, pl.occOff[:nslots])
-	for j, r := range occDst {
-		k := pl.slotOf(int(r))
+	for j, k := range occDst {
 		pl.occIdx[cursor[k]] = occSrc[j]
 		cursor[k]++
 	}
+	// Everything below communicates, and a rank parked in a collective
+	// keeps what it holds: hand the scratch back first.
+	sc.cursor, sc.occDst, sc.occSrc, sc.targets = cursor, occDst, occSrc, buf
 	buildPool.Put(sc)
+
+	// Collective fallback decision for the neighborhood backend: every
+	// rank must take the same path. A rank that was feasible on its own
+	// re-buckets its sparse CSR when another rank's routing loses the vote.
+	if opts.Neighbors != nil {
+		pl.useNbr = vmpi.AllreduceVal(c, boolToInt(sparse), vmpi.Min[int]) == 1
+		if sparse && !pl.useNbr {
+			pl.densify()
+		}
+	}
 
 	// The round schedule needs the cross-rank maximum of every
 	// destination's count so all ranks cut rounds identically. Collective
@@ -268,31 +279,48 @@ func NewPlan(c *vmpi.Comm, n int, targets Targets, opts Options) *Plan {
 	return pl
 }
 
-// slotOf maps a destination rank to its staging-order slot. The all-to-all
-// order is the identity; the short neighborhood order is scanned. A rank
-// outside a feasible neighborhood cannot reach here: the collective vote
-// has already forced the all-to-all path for that routing.
+// slotOf returns the first slot of the neighborhood staging order that
+// names rank r, or -1 when r lies outside it. First match: a list that
+// repeats a rank or names self leaves the later slot empty.
 func (p *Plan) slotOf(r int) int {
-	if !p.useNbr {
-		return r
-	}
 	for k, d := range p.order {
 		if d == r {
 			return k
 		}
 	}
-	panic(fmt.Sprintf("redist: rank %d not in the feasible neighborhood order", r))
+	return -1
 }
 
-// rankIn reports whether r appears in the (short, duplicate-free) rank
-// list.
-func rankIn(list []int, r int) bool {
-	for _, x := range list {
-		if x == r {
-			return true
-		}
+// densify turns the sparse CSR of a neighborhood plan that lost the vote
+// into the all-to-all backend's rank-ordered one. The CSR is already
+// grouped by destination in local element order, and first-match routing
+// leaves at most one non-empty slot per rank, so each slot's run moves as a
+// block to its rank's place — which is what the dense counting sort yields.
+func (p *Plan) densify() {
+	size := p.c.Size()
+	sc := buildPool.Get().(*buildScratch)
+	order := append(sc.targets[:0], p.order...)
+	off := append(sc.cursor[:0], p.occOff...)
+	idx := append(sc.occSrc[:0], p.occIdx...)
+	p.order = grow(p.order, size)
+	for d := range p.order {
+		p.order[d] = d
 	}
-	return false
+	p.counts = grow(p.counts, size)
+	clear(p.counts)
+	for k, d := range order {
+		p.counts[d] += off[k+1] - off[k]
+	}
+	p.occOff = grow(p.occOff, size+1)
+	p.occOff[0] = 0
+	for d := 0; d < size; d++ {
+		p.occOff[d+1] = p.occOff[d] + p.counts[d]
+	}
+	for k, d := range order {
+		copy(p.occIdx[p.occOff[d]:p.occOff[d+1]], idx[off[k]:off[k+1]])
+	}
+	sc.targets, sc.cursor, sc.occSrc = order, off, idx
+	buildPool.Put(sc)
 }
 
 // Bounded reports whether the plan ships its data in budgeted rounds.
@@ -346,8 +374,8 @@ func scheduleRounds(order []int, maxCounts []int64, elemBytes int, budget int64)
 // sendRounds is the package's one round loop: it walks the round schedule
 // over order and calls stage(k) for every staging-order slot k. stage
 // builds slot k's buffer(s) and relinquishes them — one eager send per
-// buffer, or, for the rank's own slot, keeping the block aside — and
-// returns how many elements it staged. Sends are eager and never block, so
+// buffer; the rank's own block is kept aside, or not built at all — and
+// returns how many elements the slot counts as staged. Sends never block, so
 // the rounds always complete before the caller posts its first receive.
 // The result is the staged-bytes peak: the largest single round.
 func sendRounds(order []int, maxCounts []int64, elemBytes int, budget int64, stage func(k int) int) int64 {
@@ -402,11 +430,16 @@ func (p *Plan) sendCost() float64 {
 }
 
 // recvCost charges received blocks, one per staging-order slot, in the
-// same order.
-func recvCost[T any](p *Plan, blocks [][]T) float64 {
+// same order. own is the slot whose block was never staged and is charged
+// by its count (-1: none).
+func recvCost[T any](p *Plan, blocks [][]T, own int) float64 {
 	cost := 0.0
 	for k, b := range blocks {
-		cost += p.elemCost(k) * float64(len(b))
+		n := len(b)
+		if k == own {
+			n = p.counts[k]
+		}
+		cost += p.elemCost(k) * float64(n)
 	}
 	return cost
 }
@@ -440,14 +473,24 @@ func Execute[T any](p *Plan, items []T) []T {
 
 	// blocks[k] is the block from source p.order[k]. The per-destination
 	// buffers are freshly built, so every transport relinquishes them into
-	// the messages without a copy.
+	// the messages without a copy. On the neighborhood backend the rank's
+	// own block — most of an almost-sorted input, always slot 0 — is never
+	// staged: it goes from items straight into out at assembly. The
+	// all-to-all transports stage it and drop items before they wait, or a
+	// rank parked in its receives would hold its input beside the staged
+	// copy of it.
 	blocks := make([][]T, len(p.order))
+	own, ownLen := -1, 0
+	if p.UsedNeighborhood() {
+		own, ownLen = 0, p.counts[0]
+	}
 	var peak int64
 	if !p.Bounded() && !p.UsedNeighborhood() {
 		// Dense and unbudgeted: the one round is the pairwise collective.
 		for d := range blocks {
 			blocks[d] = gather(p, items, d)
 		}
+		items = nil
 		peak = int64(len(p.occIdx)) * int64(elem)
 		blocks = vmpi.AlltoallOwned(c, blocks)
 	} else {
@@ -456,6 +499,9 @@ func Execute[T any](p *Plan, items []T) []T {
 			tag = tagPlan
 		}
 		peak = sendRounds(p.order, p.maxCounts, elem, p.budget, func(k int) int {
+			if k == own {
+				return ownLen // metered as staged: Figure M pins the peak
+			}
 			buf := gather(p, items, k)
 			n := len(buf)
 			if d := p.order[k]; d == self {
@@ -465,6 +511,9 @@ func Execute[T any](p *Plan, items []T) []T {
 			}
 			return n
 		})
+		if own < 0 {
+			items = nil
+		}
 		// Per-pair messages arrive in send order, so receiving in staging
 		// order assembles the same bytes whatever the round structure.
 		for k, src := range p.order {
@@ -474,11 +523,16 @@ func Execute[T any](p *Plan, items []T) []T {
 		}
 	}
 
-	out := make([]T, 0, totalLen(blocks))
-	for _, b := range blocks {
+	out := make([]T, 0, totalLen(blocks)+ownLen)
+	for k, b := range blocks {
+		if k == own {
+			for _, i := range p.occIdx[p.occOff[k]:p.occOff[k+1]] {
+				out = append(out, items[i])
+			}
+		}
 		out = append(out, b...)
 	}
-	c.Compute(recvCost(p, blocks))
+	c.Compute(recvCost(p, blocks, own))
 	vmpi.ReleaseBlocks(blocks)
 	meterPeak(p, peak)
 	return out

@@ -1,8 +1,10 @@
 package redist
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/netmodel"
@@ -332,13 +334,57 @@ func TestPlanMeterEmitsGauge(t *testing.T) {
 	}
 }
 
-// ringNeighbors is the symmetric ±1 neighbor list of rank r on a p-ring
-// (empty, but non-nil, on a single-rank world).
-func ringNeighbors(r, p int) []int {
-	if p == 1 {
-		return []int{}
+// ringNeighbors is the symmetric ±1 neighbor list of rank r on a p-ring.
+func ringNeighbors(r, p int) []int { return ringRadius(r, p, 1) }
+
+// ringRadius is the symmetric neighbor list r±1 … r±radius of rank r on a
+// p-ring, unreduced: on a small ring it repeats ranks and names r itself,
+// which the planner must tolerate. Empty, but non-nil, at radius 0.
+func ringRadius(r, p, radius int) []int {
+	nbrs := make([]int, 0, 2*radius)
+	for k := 1; k <= radius; k++ {
+		nbrs = append(nbrs, (r+k)%p, ((r-k)%p+p)%p)
 	}
-	return []int{(r + 1) % p, (r - 1 + p) % p}
+	return nbrs
+}
+
+// sameElems compares two results, nil and empty alike.
+func sameElems(a, b []elem) bool {
+	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
+}
+
+// allRanks is the all-to-all backend's source order.
+func allRanks(p int) []int {
+	all := make([]int, p)
+	for r := range all {
+		all[r] = r
+	}
+	return all
+}
+
+// scatterOracle is the sequential reference every exchange is checked
+// against: rank r ends up with, for each source rank of from(r) — at its
+// first mention only; the slot of a repeated source stays empty — the
+// occurrences that source routes to r, in emission order.
+func scatterOracle(inputs [][]elem, dests [][][]int, from func(r int) []int) [][]elem {
+	want := make([][]elem, len(inputs))
+	for r := range want {
+		seen := make([]bool, len(inputs))
+		for _, src := range from(r) {
+			if seen[src] {
+				continue
+			}
+			seen[src] = true
+			for i, e := range inputs[src] {
+				for _, d := range dests[src][i] {
+					if d == r {
+						want[r] = append(want[r], e)
+					}
+				}
+			}
+		}
+	}
+	return want
 }
 
 // TestPlanSmallWorldsMatchOracle runs all four operations — dense exchange,
@@ -351,9 +397,6 @@ func TestPlanSmallWorldsMatchOracle(t *testing.T) {
 		Dense, Nbr []elem
 		Resort     []float64
 		Blocks     [][]elem
-	}
-	sameElems := func(a, b []elem) bool {
-		return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
 	}
 	for _, p := range []int{1, 3, 7} {
 		inputs, dests := planInputs(p, 100+p)
@@ -368,31 +411,22 @@ func TestPlanSmallWorldsMatchOracle(t *testing.T) {
 		}
 
 		// The oracle: scatter every source's elements sequentially.
-		want := make([]result, p)
-		ringFrom := func(src, dst int) (out []elem) {
-			for i, e := range inputs[src] {
-				if ringDst(src, i) == dst {
-					out = append(out, e)
-				}
+		ringDests := make([][][]int, p)
+		for src := range inputs {
+			ringDests[src] = make([][]int, len(inputs[src]))
+			for i := range inputs[src] {
+				ringDests[src][i] = []int{ringDst(src, i)}
 			}
-			return out
 		}
+		dense := scatterOracle(inputs, dests, func(int) []int { return allRanks(p) })
+		nbr := scatterOracle(inputs, ringDests, func(r int) []int { return append([]int{r}, ringNeighbors(r, p)...) })
+		want := make([]result, p)
 		for r := range want {
-			want[r].Nbr = ringFrom(r, r)
-			for _, nb := range ringNeighbors(r, p) {
-				want[r].Nbr = append(want[r].Nbr, ringFrom(nb, r)...)
-			}
+			want[r].Dense, want[r].Nbr = dense[r], nbr[r]
 			want[r].Resort = make([]float64, perRank*stride)
 			want[r].Blocks = make([][]elem, p)
-		}
-		for src := range inputs {
-			for i, e := range inputs[src] {
-				for _, d := range dests[src][i] {
-					want[d].Dense = append(want[d].Dense, e)
-				}
-			}
-			for dst := range want {
-				want[dst].Blocks[src] = block(src, dst)
+			for src := range inputs {
+				want[r].Blocks[src] = block(src, r)
 			}
 		}
 		for g, at := range perm {
@@ -478,4 +512,225 @@ func TestOneRoundBudgetClocksMatchUnbudgeted(t *testing.T) {
 	if unbudgeted, oneRound := run(-1), run(1<<30); !reflect.DeepEqual(unbudgeted, oneRound) {
 		t.Fatalf("clocks differ:\nunbudgeted: %v\none round:  %v", unbudgeted, oneRound)
 	}
+}
+
+// fuzzPlanCase decodes a byte string into one routing problem: byte 0 the
+// world size 1…9, byte 1 the ring radius 0…2, byte 2 the budget (none, one
+// byte, one element), bytes 3–4 the mask of ranks that may target any rank
+// (the others stay inside self + neighbors), then one byte per rank for its
+// element count and one or more per element for its target list. The
+// string is read cyclically, shifted by the lap, so a short input still
+// yields varied routing.
+func fuzzPlanCase(data []byte) (p, radius int, budget int64, inputs [][]elem, dests [][][]int) {
+	pos := 0
+	next := func() int {
+		b := pos
+		if len(data) > 0 {
+			b = int(data[pos%len(data)]) + pos/len(data)
+		}
+		pos++
+		return b & 0xff
+	}
+	p = 1 + next()%9
+	radius = next() % 3
+	budget = []int64{0, 1, 16}[next()%3]
+	escapes := next() | next()<<8
+	inputs = make([][]elem, p)
+	dests = make([][][]int, p)
+	for r := range inputs {
+		inputs[r] = make([]elem, []int{0, 0, 1, 2, 3, 5, 17, 40}[next()%8])
+		dests[r] = make([][]int, len(inputs[r]))
+	}
+	for r := range inputs {
+		inside := append([]int{r}, ringRadius(r, p, radius)...)
+		for i := range inputs[r] {
+			inputs[r][i] = elem{ID: int64(r*1000 + i), Val: float64(i)}
+			b := next()
+			for k := []int{1, 1, 1, 0, 2, 1, 3, 2}[b&7]; k > 0; k-- {
+				b = b>>3 + next()
+				if escapes>>r&1 == 1 {
+					dests[r][i] = append(dests[r][i], b%p)
+				} else {
+					dests[r][i] = append(dests[r][i], inside[b%len(inside)])
+				}
+			}
+		}
+	}
+	return p, radius, budget, inputs, dests
+}
+
+// FuzzPlanMatchesOracle is the planner's differential test: whatever the
+// world size, neighborhood, budget and routing — empty ranks, duplicated and
+// dropped elements, neighbor lists that repeat ranks or name self, some
+// ranks routing outside their neighborhood while the others have already
+// bucketed sparsely — Exchange and ExchangeNeighborhood deliver the
+// sequential scatter on every rank, the neighborhood backend is used
+// exactly when no rank routed outside, and targets runs once per element,
+// in order.
+func FuzzPlanMatchesOracle(f *testing.F) {
+	f.Add([]byte{4, 1, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, radius, budget, inputs, dests := fuzzPlanCase(data)
+		feasible := true
+		for r := range dests {
+			for _, ds := range dests[r] {
+				for _, d := range ds {
+					if d != r && !slices.Contains(ringRadius(r, p, radius), d) {
+						feasible = false
+					}
+				}
+			}
+		}
+		wantDense := scatterOracle(inputs, dests, func(int) []int { return allRanks(p) })
+		wantNbr := wantDense
+		if feasible {
+			wantNbr = scatterOracle(inputs, dests, func(r int) []int { return append([]int{r}, ringRadius(r, p, radius)...) })
+		}
+		type result struct {
+			Dense, Nbr []elem
+			Used       bool
+			Calls      int
+		}
+		st := vmpi.Run(vmpi.Config{Ranks: p, MaxExchangeBytes: budget}, func(c *vmpi.Comm) {
+			self := c.Rank()
+			var res result
+			targets := func(i int, dst []int) []int {
+				if i != res.Calls%len(inputs[self]) {
+					panic(fmt.Sprintf("targets(%d) is call %d", i, res.Calls))
+				}
+				res.Calls++
+				return append(dst, dests[self][i]...)
+			}
+			res.Dense = Exchange(c, inputs[self], targets)
+			res.Nbr, res.Used = ExchangeNeighborhood(c, inputs[self], targets, ringRadius(self, p, radius))
+			c.SetResult(res)
+		})
+		for r, v := range st.Values {
+			got := v.(result)
+			where := fmt.Sprintf("p=%d radius=%d budget=%d feasible=%v rank %d", p, radius, budget, feasible, r)
+			if !sameElems(got.Dense, wantDense[r]) {
+				t.Errorf("%s: dense exchange differs from the oracle", where)
+			}
+			if !sameElems(got.Nbr, wantNbr[r]) {
+				t.Errorf("%s: neighborhood exchange differs from the oracle", where)
+			}
+			if got.Used != feasible {
+				t.Errorf("%s: neighborhood backend used: %v", where, got.Used)
+			}
+			if got.Calls != 2*len(inputs[r]) {
+				t.Errorf("%s: %d targets calls over two plans of %d elements", where, got.Calls, len(inputs[r]))
+			}
+		}
+	})
+}
+
+// TestNeighborhoodFallbackDensifies pins the lost vote under mixed
+// feasibility: exactly one rank routes outside its neighborhood — after a
+// few elements inside it — so every other rank has bucketed sparsely and
+// must re-bucket. Several elements per destination, with duplication and
+// drops; the result equals Exchange element for element, targets still runs
+// once per element, and clocks, messages and bytes equal a world that
+// replays the vote and then calls Exchange.
+func TestNeighborhoodFallbackDensifies(t *testing.T) {
+	for _, p := range []int{2, 5, 27} {
+		radius := 1
+		if p == 2 {
+			radius = 0 // on two ranks only an empty neighborhood leaves an outside
+		}
+		bad := p - 2
+		far := (bad + p/2) % p
+		inputs, _ := planInputs(p, 200+p)
+		dests := make([][][]int, p)
+		for r := range inputs {
+			inside := append([]int{r}, ringRadius(r, p, radius)...)
+			dests[r] = make([][]int, len(inputs[r]))
+			for i, e := range inputs[r] {
+				switch d := inside[i%len(inside)]; e.ID % 5 {
+				case 0: // dropped
+				case 1: // duplicated
+					dests[r][i] = []int{d, r}
+				default:
+					dests[r][i] = []int{d}
+				}
+			}
+			if r == bad {
+				dests[r][3] = []int{r, far, far}
+			}
+		}
+		type result struct {
+			Out   []elem
+			Calls int
+		}
+		run := func(budget int64, replay bool) *vmpi.Stats {
+			return vmpi.Run(vmpi.Config{Ranks: p, Model: netmodel.NewTorus(p), MaxExchangeBytes: budget}, func(c *vmpi.Comm) {
+				self := c.Rank()
+				var res result
+				targets := func(i int, dst []int) []int {
+					res.Calls++
+					return append(dst, dests[self][i]...)
+				}
+				if replay {
+					vmpi.AllreduceVal(c, 1, vmpi.Min[int])
+					res.Out = Exchange(c, inputs[self], targets)
+				} else {
+					var used bool
+					res.Out, used = ExchangeNeighborhood(c, inputs[self], targets, ringRadius(self, p, radius))
+					if used {
+						panic("neighborhood backend used although one rank routes outside")
+					}
+				}
+				c.SetResult(res)
+			})
+		}
+		for _, budget := range []int64{0, 1, 16} {
+			got, want := run(budget, false), run(budget, true)
+			for r := range got.Values {
+				g, w := got.Values[r].(result), want.Values[r].(result)
+				if !sameElems(g.Out, w.Out) {
+					t.Errorf("p=%d budget=%d rank %d: fallback result differs from Exchange", p, budget, r)
+				}
+				if g.Calls != len(inputs[r]) {
+					t.Errorf("p=%d budget=%d rank %d: %d targets calls for %d elements", p, budget, r, g.Calls, len(inputs[r]))
+				}
+			}
+			if got.MaxClock() != want.MaxClock() || got.TotalMessages() != want.TotalMessages() || got.TotalBytes() != want.TotalBytes() {
+				t.Errorf("p=%d budget=%d: fallback %v s / %d messages / %d bytes, replayed Exchange %v / %d / %d", p, budget,
+					got.MaxClock(), got.TotalMessages(), got.TotalBytes(), want.MaxClock(), want.TotalMessages(), want.TotalBytes())
+			}
+		}
+	}
+}
+
+// BenchmarkPlanNeighborhoodP4096 is the Figure 10-right cell as one op: every
+// rank of a 4096-rank world runs NewPlan + Execute + Free over its ±1 ring
+// neighbors on 128 uint64 keys, 1-in-8 of them crossing. Beside ns/op and
+// allocs/op it reports what a rank holds while parked in the plan's vote.
+func BenchmarkPlanNeighborhoodP4096(b *testing.B) {
+	const p, n = 4096, 128
+	b.ReportAllocs()
+	vmpi.Run(vmpi.Config{Ranks: p}, func(c *vmpi.Comm) {
+		self := c.Rank()
+		nbrs := ringNeighbors(self, p)
+		keys := make([]uint64, n)
+		target := ToRank(func(i int) int {
+			if i%8 == 0 {
+				return nbrs[i/8%2]
+			}
+			return self
+		})
+		vmpi.Barrier(c)
+		if self == 0 {
+			b.ResetTimer()
+		}
+		for it := 0; it < b.N; it++ {
+			pl := NewPlan(c, len(keys), target, Options{Neighbors: nbrs})
+			keys = Execute(pl, keys)
+			pl.Free()
+		}
+		vmpi.Barrier(c)
+		if self == 0 {
+			b.StopTimer()
+		}
+	})
+	b.ReportMetric(parkedPlanBytes(b, p, n), "parked-B/rank")
 }

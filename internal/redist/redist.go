@@ -13,9 +13,11 @@
 //     (vmpi.SendOwned/Recv) with a fixed neighbor set, which must be
 //     symmetric across ranks: every rank sends to and receives from exactly
 //     its neighbors, so an asymmetric set would deadlock the paired
-//     receives. If any element targets a rank outside the neighborhood, all
-//     ranks transparently fall back to the collective backend (the fallback
-//     decision is itself collective).
+//     receives. Each rank buckets its routing over self + neighbors before
+//     the collective fallback vote, so it waits there holding one index per
+//     element, and its own block is copied straight from the input into the
+//     result. If any element targets a rank outside the neighborhood, all
+//     ranks transparently fall back to the collective backend.
 //
 // Resort indices are 64-bit values packing a target process rank (high 32
 // bits) and a target position on that process (low 32 bits), exactly as

@@ -160,7 +160,7 @@ func executeResort[T any](p *Plan, vals []T, stride int, indices []Index, nNew i
 	for r := 0; r < size; r++ {
 		scatterResort(out, placed, recvPos[r], recvVal[r], stride, nNew)
 	}
-	c.Compute(recvCost(p, recvPos) + costs.Move*float64(nNew*stride))
+	c.Compute(recvCost(p, recvPos, -1) + costs.Move*float64(nNew*stride))
 	vmpi.ReleaseBlocks(recvPos)
 	vmpi.ReleaseBlocks(recvVal)
 	return out

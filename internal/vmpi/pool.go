@@ -30,9 +30,10 @@ import (
 // keeps it when its capacity happens to be a class size. That recycles the
 // memory but drives the meter down with no draw to match. The sites that
 // still relinquish foreign buffers are fmm/solver.go (the multipole key/value
-// and ghost parts, append-grown) and redist's gather (a make of exactly the
-// round's length); moving them onto Owned is out of scope while md-fmm,
-// bigp-* and exchange-dense are required not to move.
+// and ghost parts, append-grown) and redist's gather. The latter stays a make
+// of exactly the block's length on purpose: exchange-dense sends 4-record
+// blocks, which the smallest class (32 elements) would round up eightfold
+// for as long as they are in flight.
 //
 // Ownership protocol. A buffer that crosses the messaging layer is in one
 // of two states, and every rule below is enforced statically by the

@@ -26,11 +26,14 @@ race:
 # for bit — the dense FMM operator tables against the map-based bodies, the
 # FFT panel passes against per-call Transform on gathered columns, the
 # open-addressed vmpi mailbox against a map of FIFOs, the redist planner
-# (both backends, the lost vote, budgets) against a sequential scatter. A
-# new fuzz target joins this list; the committed seed corpora
-# (internal/*/testdata/fuzz) already run in every go test.
+# (both backends, the lost vote, budgets) against a sequential scatter, the
+# obs running aggregates against a scan of the kept event list. This is the
+# one list of fuzz targets: a new target joins it here and nowhere else. The
+# committed seed corpora (internal/*/testdata/fuzz) already run in every go
+# test.
 FUZZ_TARGETS := internal/fmm:FuzzOperatorsMatchReference internal/fft:FuzzPanelMatchesPerCall \
-	internal/vmpi:FuzzMailboxMatchesReference internal/redist:FuzzPlanMatchesOracle
+	internal/vmpi:FuzzMailboxMatchesReference internal/redist:FuzzPlanMatchesOracle \
+	internal/obs:FuzzAggregatesMatchLog
 
 fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \

@@ -5,9 +5,6 @@
 package api
 
 import (
-	"strings"
-
-	"repro/internal/obs"
 	"repro/internal/particle"
 	"repro/internal/redist"
 	"repro/internal/vmpi"
@@ -94,8 +91,7 @@ type RunStats struct {
 }
 
 // Counter names the coupling pipeline emits into the observability stream
-// during each run. RunStats is derived from these events (RunStatsFromEvents)
-// rather than hand-maintained.
+// during each run, mirroring the RunStats fields.
 const (
 	// CounterStrategyPrefix prefixes the strategy counter: the full name is
 	// CounterStrategyPrefix + the Strategy* name that ran in the sort phase.
@@ -117,38 +113,6 @@ const (
 	CounterResorted         = "coupling/resorted"
 	CounterCapacityFallback = "coupling/capacity-fallback"
 )
-
-// RunStatsFromEvents derives one rank's RunStats from the slice of its
-// observability events covering a single pipeline run (typically
-// Comm.Obs().Since(mark)). Events with unrelated names are ignored, so the
-// slice may include solver and runtime events.
-func RunStatsFromEvents(events []obs.Event) RunStats {
-	var rs RunStats
-	for _, e := range events {
-		if e.Kind != obs.KindCounter {
-			continue
-		}
-		switch {
-		case strings.HasPrefix(e.Name, CounterStrategyPrefix):
-			rs.Strategy = strings.TrimPrefix(e.Name, CounterStrategyPrefix)
-		case e.Name == CounterFastPath:
-			rs.FastPath = true
-		case e.Name == CounterFallback:
-			rs.Fallback = true
-		case e.Name == CounterMoved:
-			rs.Moved += int(e.Value)
-		case e.Name == CounterKept:
-			rs.Kept += int(e.Value)
-		case e.Name == CounterGhosts:
-			rs.Ghosts += int(e.Value)
-		case e.Name == CounterResorted:
-			rs.Resorted = true
-		case e.Name == CounterCapacityFallback:
-			rs.CapacityFallback = true
-		}
-	}
-	return rs
-}
 
 // StatsSource is optionally implemented by solvers that expose the
 // coupling pipeline's per-run instrumentation.

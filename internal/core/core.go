@@ -162,20 +162,17 @@ func (h *FCS) ensureSolver() error {
 	return nil
 }
 
-// observe marks the rank's event stream and returns a replay function:
-// when a recorder is attached (WithRecorder), the deferred replay forwards
-// every event recorded during the enclosing call into it.
+// observe taps the rank's event buffer for the enclosing call: when a
+// recorder is attached (WithRecorder) it receives every event the rank
+// records until the returned function runs, whether or not the world keeps
+// an event list.
 func (h *FCS) observe() func() {
 	if h.recorder == nil {
 		return func() {}
 	}
 	buf := h.comm.Obs()
-	mark := buf.Len()
-	return func() {
-		for _, e := range buf.Since(mark) {
-			h.recorder.Record(e)
-		}
-	}
+	prev := buf.SetTap(h.recorder)
+	return func() { buf.SetTap(prev) }
 }
 
 // Tune performs the optional tuning step (fcs_tune) with the current local

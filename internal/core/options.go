@@ -124,10 +124,11 @@ func WithMemoryBudget(bytes int64) Option {
 	}
 }
 
-// WithRecorder attaches an observability recorder to the handle: after
-// every Tune, Run, and resort call, the events the calling rank's runtime
-// recorded during that call are replayed into r. This gives applications a
-// per-handle event tap without touching the vmpi configuration.
+// WithRecorder attaches an observability recorder to the handle: during
+// every Tune and Run call, r receives the events the calling rank's runtime
+// records, as they happen. This gives applications a per-handle event tap
+// without touching the vmpi configuration (point-to-point messages are
+// recorded only under vmpi.Config.Trace).
 func WithRecorder(r obs.Recorder) Option {
 	return func(h *FCS) error {
 		h.recorder = r

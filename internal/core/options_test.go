@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/obs"
@@ -124,4 +125,77 @@ func TestWithRecorderTapsEvents(t *testing.T) {
 				r, counts[0], counts[1])
 		}
 	}
+}
+
+// TestRecorderTapSeesCallEvents pins the tap against the kept list: on a
+// world that keeps no event list, a WithRecorder tap receives — in order,
+// wall stamps aside — exactly the events a traced world lists for the
+// same Run call, minus the point-to-point messages, which stay gated on
+// vmpi.Config.Trace.
+func TestRecorderTapSeesCallEvents(t *testing.T) {
+	s := particle.SilicaMelt(120, 10, true, 5)
+	// callEvents returns each rank's events of one Run call: read back
+	// from the kept list on the traced world, received by the tap on the
+	// untraced one.
+	callEvents := func(trace bool) []any {
+		st := vmpi.Run(vmpi.Config{Ranks: 2, Trace: trace}, func(c *vmpi.Comm) {
+			l := particle.Distribute(c, s, particle.DistRandom, 7)
+			tap := obs.NewBuffer(c.WorldRank())
+			opts := []Option{WithBox(s.Box), WithResort(true)}
+			if !trace {
+				opts = append(opts, WithRecorder(tap))
+			}
+			h, err := Init("p2nfft", c, opts...)
+			if err != nil {
+				t.Errorf("init: %v", err)
+				return
+			}
+			defer h.Destroy()
+			if err := h.Tune(l.N, l.ActivePos(), l.ActiveQ()); err != nil {
+				t.Errorf("tune: %v", err)
+				return
+			}
+			listMark, tapMark := c.Obs().Len(), tap.Len()
+			n := l.N
+			if err := h.Run(&n, l.Cap, l.Pos, l.Q, l.Pot, l.Field); err != nil {
+				t.Errorf("run: %v", err)
+				return
+			}
+			source := tap.Since(tapMark)
+			if trace {
+				source = c.Obs().Since(listMark)
+			} else if kept := c.Obs().Len(); kept != 0 {
+				t.Errorf("rank %d: untraced world kept %d events", c.Rank(), kept)
+			}
+			var evs []obs.Event
+			for _, e := range source {
+				if e.Kind != obs.KindSend && e.Kind != obs.KindArrive {
+					e.WallNS = 0
+					evs = append(evs, e)
+				}
+			}
+			c.SetResult(evs)
+		})
+		return st.Values
+	}
+	listed, tapped := callEvents(true), callEvents(false)
+	for r := range listed {
+		want, got := listed[r].([]obs.Event), tapped[r].([]obs.Event)
+		if len(want) == 0 {
+			t.Fatalf("rank %d: the traced Run call listed no events", r)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("rank %d: tap received %d events, the traced list holds %d; first difference at %d",
+				r, len(got), len(want), firstDiff(got, want))
+		}
+	}
+}
+
+func firstDiff(a, b []obs.Event) int {
+	for i := range a {
+		if i >= len(b) || a[i] != b[i] {
+			return i
+		}
+	}
+	return len(a)
 }

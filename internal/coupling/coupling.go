@@ -134,12 +134,6 @@ func (p *Pipeline[T]) Run(in api.Input) (api.Output, error) {
 	c := p.c
 	t0 := c.Time()
 	defer func() { c.AddPhase(api.PhaseTotal, c.Time()-t0) }()
-	// The run's instrumentation is event-sourced: the pipeline emits
-	// counters into the observability stream as things happen, and the
-	// RunStats of the run are derived back from the events at delivery
-	// (api.RunStatsFromEvents) — the stream is the single source of truth.
-	mark := c.Obs().Len()
-
 	// Decompose: build records with origin numbering.
 	recs := p.m.Decompose(in)
 
@@ -184,6 +178,10 @@ func (p *Pipeline[T]) Run(in api.Input) (api.Output, error) {
 	if ghosts > 0 {
 		c.Counter(api.CounterGhosts, float64(ghosts))
 	}
+	p.last = api.RunStats{
+		Strategy: info.Strategy, FastPath: fast, Fallback: info.Fallback,
+		Moved: moved, Kept: kept, Ghosts: ghosts,
+	}
 
 	// Compute: potentials and fields for the owned records.
 	own, pot, field := p.m.Compute(recv)
@@ -192,7 +190,6 @@ func (p *Pipeline[T]) Run(in api.Input) (api.Output, error) {
 	if !in.Resort {
 		out := p.restore(in, own, pot, field)
 		p.lastSorted = false
-		p.last = api.RunStatsFromEvents(c.Obs().Since(mark))
 		return out, nil
 	}
 
@@ -205,9 +202,9 @@ func (p *Pipeline[T]) Run(in api.Input) (api.Output, error) {
 		// At least one process cannot store the changed distribution:
 		// restore the original order instead (§III-B).
 		c.Counter(api.CounterCapacityFallback, 1)
+		p.last.CapacityFallback = true
 		out := p.restore(in, own, pot, field)
 		p.lastSorted = false
-		p.last = api.RunStatsFromEvents(c.Obs().Since(mark))
 		return out, nil
 	}
 
@@ -237,7 +234,7 @@ func (p *Pipeline[T]) Run(in api.Input) (api.Output, error) {
 	}
 	p.lastSorted = true
 	c.Counter(api.CounterResorted, 1)
-	p.last = api.RunStatsFromEvents(c.Obs().Since(mark))
+	p.last.Resorted = true
 	return out, nil
 }
 

@@ -11,8 +11,12 @@ import (
 // phase spans / collectives / barrier waits as complete ("X") events and
 // counters/gauges as counter ("C") events, all on the virtual-time axis in
 // microseconds. Wall-clock stamps are deliberately excluded so the export
-// is byte-identical across host parallelism levels.
+// is byte-identical across host parallelism levels. An aggregate-only log
+// fails with ErrNoEvents.
 func WriteChromeTrace(w io.Writer, l *Log) error {
+	if !l.HasEvents() {
+		return ErrNoEvents
+	}
 	var buf bytes.Buffer
 	buf.WriteString("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n")
 	first := true

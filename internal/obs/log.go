@@ -2,26 +2,67 @@ package obs
 
 import "sort"
 
-// Log is the merged per-rank event record of a finished run: one
-// append-ordered event slice per world rank. All summaries (comm matrix,
-// active pairs, per-phase totals, counters) are pure views over it.
+// Log is the merged per-rank record of a finished run: one append-ordered
+// event slice per world rank, all nil when the run kept no list. The
+// counter and gauge views (Counter, Counters, GaugeMax, GaugeHighWater)
+// work on every log; every other view and the exporters read the events
+// and need a kept list (HasEvents).
 type Log struct {
 	ByRank [][]Event
+	// aggs is the buffers' aggregate tables folded in rank order; folded
+	// marks it authoritative (a log assembled by NewLog) and kept that
+	// those buffers kept their lists. A Log built as a list literal has
+	// neither and answers by scanning ByRank.
+	aggs         []aggregate
+	folded, kept bool
 }
 
 // NewLog assembles a log from the per-rank buffers.
 func NewLog(bufs []*Buffer) *Log {
-	l := &Log{ByRank: make([][]Event, len(bufs))}
+	l := &Log{ByRank: make([][]Event, len(bufs)), folded: true}
 	for i, b := range bufs {
-		if b != nil {
-			l.ByRank[i] = b.Events()
+		if b == nil {
+			continue
+		}
+		l.ByRank[i] = b.events
+		l.kept = l.kept || b.keep
+		for _, a := range b.aggs {
+			l.aggs = fold(l.aggs, a.name, a.gauge, a.v)
 		}
 	}
 	return l
 }
 
+// samples returns the per-rank lists the counter and gauge views scan:
+// none when the folded aggregates already hold the answer.
+func (l *Log) samples() [][]Event {
+	if l.folded {
+		return nil
+	}
+	return l.ByRank
+}
+
 // Ranks returns the number of ranks in the log.
 func (l *Log) Ranks() int { return len(l.ByRank) }
+
+// HasEvents reports whether the log holds an event list — false for the
+// aggregate-only log of a run that was not asked to keep one, on which the
+// per-event views are empty and the exporters refuse to run.
+func (l *Log) HasEvents() bool { return !l.folded || l.kept }
+
+// Select returns a log of the events for which keep returns true, rank by
+// rank in order.
+func (l *Log) Select(keep func(Event) bool) *Log {
+	out := &Log{ByRank: make([][]Event, len(l.ByRank))}
+	for r, evs := range l.ByRank {
+		for _, e := range evs {
+			if keep(e) {
+				out.ByRank[r] = append(out.ByRank[r], e)
+			}
+		}
+	}
+	return out
+}
 
 // Filter returns the events (across all ranks, in rank order) for which
 // keep returns true.
@@ -53,9 +94,9 @@ func (l *Log) CommMatrix(phase string) [][]int64 {
 	for i := range m {
 		m[i] = make([]int64, p)
 	}
-	for _, e := range l.Sends(phase) {
-		if e.Rank < p && e.Peer < p {
-			m[e.Rank][e.Peer] += int64(e.Bytes)
+	for _, c := range l.commPairs() {
+		if c.phase == phase {
+			m[c.src][c.dst] = c.bytes
 		}
 	}
 	return m
@@ -63,17 +104,63 @@ func (l *Log) CommMatrix(phase string) [][]int64 {
 
 // ActivePairs returns the number of ordered (src, dst) pairs with src != dst
 // that exchanged at least one byte during the given phase ("" for all).
-func (l *Log) ActivePairs(phase string) int {
-	m := l.CommMatrix(phase)
+func (l *Log) ActivePairs(phase string) int { return activePairs(l.commPairs(), phase) }
+
+func activePairs(pairs []commPair, phase string) int {
 	n := 0
-	for src, row := range m {
-		for dst, b := range row {
-			if src != dst && b > 0 {
-				n++
-			}
+	for _, c := range pairs {
+		if c.phase == phase && c.src != c.dst && c.bytes > 0 {
+			n++
 		}
 	}
 	return n
+}
+
+// commPair is one (src, dst) entry of a phase's comm matrix.
+type commPair struct {
+	phase    string
+	src, dst int
+	bytes    int64
+}
+
+// commPairs accumulates the send events into the entries of every phase's
+// comm matrix, sorted by (phase, src, dst), in one pass and in memory
+// proportional to the sends (a dense matrix is P² per phase). Every send
+// also counts under "", the all-phases matrix.
+func (l *Log) commPairs() []commPair {
+	p := l.Ranks()
+	var out []commPair
+	for _, evs := range l.ByRank {
+		for _, e := range evs {
+			if e.Kind != KindSend || e.Rank >= p || e.Peer >= p {
+				continue
+			}
+			out = append(out, commPair{e.Name, e.Rank, e.Peer, int64(e.Bytes)})
+			if e.Name != "" {
+				out = append(out, commPair{"", e.Rank, e.Peer, int64(e.Bytes)})
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if a.phase != b.phase {
+			return a.phase < b.phase
+		}
+		if a.src != b.src {
+			return a.src < b.src
+		}
+		return a.dst < b.dst
+	})
+	n := 0
+	for _, c := range out {
+		if n > 0 && out[n-1].phase == c.phase && out[n-1].src == c.src && out[n-1].dst == c.dst {
+			out[n-1].bytes += c.bytes
+			continue
+		}
+		out[n] = c
+		n++
+	}
+	return out[:n]
 }
 
 // MessageCount returns the number of send events in the given phase ("" for
@@ -158,9 +245,14 @@ type CounterRow struct {
 // Counters sums KindCounter events by name across all ranks, sorted by
 // name.
 func (l *Log) Counters() []CounterRow {
-	idx := map[string]int{}
 	var rows []CounterRow
-	for _, evs := range l.ByRank {
+	for _, a := range l.aggs {
+		if !a.gauge {
+			rows = append(rows, CounterRow{Name: a.name, Value: a.v})
+		}
+	}
+	idx := map[string]int{}
+	for _, evs := range l.samples() {
 		for _, e := range evs {
 			if e.Kind != KindCounter {
 				continue
@@ -180,7 +272,12 @@ func (l *Log) Counters() []CounterRow {
 // Counter returns the cross-rank sum of the named counter.
 func (l *Log) Counter(name string) float64 {
 	var total float64
-	for _, evs := range l.ByRank {
+	for _, a := range l.aggs {
+		if !a.gauge && a.name == name {
+			total += a.v
+		}
+	}
+	for _, evs := range l.samples() {
 		for _, e := range evs {
 			if e.Kind == KindCounter && e.Name == name {
 				total += e.Value
@@ -201,9 +298,14 @@ type GaugeRow struct {
 // sorted by name. This is the view behind the redist/peak_bytes meter:
 // the largest staged-bytes sample any rank reported.
 func (l *Log) GaugeHighWater() []GaugeRow {
-	idx := map[string]int{}
 	var rows []GaugeRow
-	for _, evs := range l.ByRank {
+	for _, a := range l.aggs {
+		if a.gauge {
+			rows = append(rows, GaugeRow{Name: a.name, Max: a.v})
+		}
+	}
+	idx := map[string]int{}
+	for _, evs := range l.samples() {
 		for _, e := range evs {
 			if e.Kind != KindGauge {
 				continue
@@ -225,8 +327,13 @@ func (l *Log) GaugeHighWater() []GaugeRow {
 // GaugeMax returns the cross-rank maximum sample of the named gauge, and
 // whether the gauge appears in the log at all.
 func (l *Log) GaugeMax(name string) (float64, bool) {
+	for _, a := range l.aggs {
+		if a.gauge && a.name == name {
+			return a.v, true
+		}
+	}
 	max, found := 0.0, false
-	for _, evs := range l.ByRank {
+	for _, evs := range l.samples() {
 		for _, e := range evs {
 			if e.Kind != KindGauge || e.Name != name {
 				continue

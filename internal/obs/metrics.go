@@ -2,16 +2,26 @@ package obs
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"strconv"
 )
+
+// ErrNoEvents is returned by the exporters for an aggregate-only log: the
+// run was not asked to keep its event list (vmpi.Config.Trace), so there
+// is no timeline or comm matrix to write.
+var ErrNoEvents = errors.New("obs: the run kept no event list (set Trace to export it)")
 
 // WriteMetrics writes the log as a Prometheus-style text metrics dump:
 // per-phase communication volume and footprint, per-phase virtual seconds,
 // cross-rank counter totals, and the nonzero comm-matrix entries of each
 // phase. All series are emitted in sorted order so the dump is
-// byte-deterministic for a deterministic run.
+// byte-deterministic for a deterministic run. An aggregate-only log
+// fails with ErrNoEvents.
 func WriteMetrics(w io.Writer, l *Log) error {
+	if !l.HasEvents() {
+		return ErrNoEvents
+	}
 	var buf bytes.Buffer
 	num := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
@@ -38,9 +48,10 @@ func WriteMetrics(w io.Writer, l *Log) error {
 		}
 	}
 	buf.WriteString("# HELP repro_phase_active_pairs Ordered (src,dst) pairs that exchanged bytes in the phase.\n# TYPE repro_phase_active_pairs gauge\n")
+	pairs := l.commPairs()
 	for _, r := range rows {
 		if r.Messages > 0 {
-			buf.WriteString("repro_phase_active_pairs{phase=" + strconv.Quote(r.Phase) + "} " + strconv.Itoa(l.ActivePairs(r.Phase)) + "\n")
+			buf.WriteString("repro_phase_active_pairs{phase=" + strconv.Quote(r.Phase) + "} " + strconv.Itoa(activePairs(pairs, r.Phase)) + "\n")
 		}
 	}
 
@@ -65,14 +76,11 @@ func WriteMetrics(w io.Writer, l *Log) error {
 		if r.Messages == 0 {
 			continue
 		}
-		m := l.CommMatrix(r.Phase)
-		for src, row := range m {
-			for dst, b := range row {
-				if b > 0 {
-					buf.WriteString("repro_comm_matrix_bytes{phase=" + strconv.Quote(r.Phase) +
-						",src=\"" + strconv.Itoa(src) + "\",dst=\"" + strconv.Itoa(dst) + "\"} " +
-						strconv.FormatInt(b, 10) + "\n")
-				}
+		for _, c := range pairs {
+			if c.phase == r.Phase && c.bytes > 0 {
+				buf.WriteString("repro_comm_matrix_bytes{phase=" + strconv.Quote(c.phase) +
+					",src=\"" + strconv.Itoa(c.src) + "\",dst=\"" + strconv.Itoa(c.dst) + "\"} " +
+					strconv.FormatInt(c.bytes, 10) + "\n")
 			}
 		}
 	}

@@ -1,15 +1,18 @@
-// Package obs is the unified observability layer: one append-only event
-// stream that the virtual MPI runtime, the coupling pipeline, and the
-// solvers emit into, with exporters (Chrome trace-event JSON, Prometheus
-// text metrics, comm-matrix summaries) and derived views (the Log's
-// communication summaries, api.RunStats) built on top.
+// Package obs is the unified observability layer. The virtual MPI runtime,
+// the coupling pipeline and the solvers emit events into one Buffer per
+// rank. Every buffer folds counters and gauges into a small table of
+// running aggregates; the append-only event list — what the exporters
+// (Chrome trace-event JSON, Prometheus text metrics, comm-matrix
+// summaries) and the per-event Log views read — is kept only when the run
+// asked for it (vmpi.Config.Trace), and a tap (SetTap) sees the events of
+// a call without any list being kept.
 //
 // Determinism contract: obs is part of the determinism-analyzer hot set.
 // Events carry virtual timestamps stamped by the emitter; the optional
 // wall-clock stamp is injected by the runtime as an opaque closure so this
-// package never reads the clock itself. Buffers are per-rank and
-// append-only — each is touched only by its rank's goroutine, so no locks
-// are needed and event order per rank is deterministic.
+// package never reads the clock itself. Buffers are per-rank — each is
+// touched only by its rank's goroutine, so no locks are needed and event
+// order per rank is deterministic.
 package obs
 
 // Kind discriminates event records in the stream.
@@ -108,43 +111,102 @@ type Recorder interface {
 	Record(Event)
 }
 
-// Buffer is the per-rank append-only event sink. The runtime allocates one
-// per world rank; each is written only by that rank's goroutine.
+// aggregate is one running total: a counter's sum or a gauge's maximum.
+// The first sample initialises v, so an all-negative gauge and a lone -0
+// read back exactly as a scan of the event list reads them.
+type aggregate struct {
+	name  string
+	gauge bool
+	v     float64
+}
+
+// fold adds a counter increment or a gauge sample to the table: a linearly
+// scanned slice, since a rank emits a handful of names. A name used as both
+// counter and gauge gets an entry per kind.
+func fold(aggs []aggregate, name string, gauge bool, v float64) []aggregate {
+	for i := range aggs {
+		a := &aggs[i]
+		if a.gauge != gauge || a.name != name {
+			continue
+		}
+		if !gauge {
+			a.v += v
+		} else if v > a.v {
+			a.v = v
+		}
+		return aggs
+	}
+	return append(aggs, aggregate{name: name, gauge: gauge, v: v})
+}
+
+// Buffer is the per-rank event sink, written only by its rank's goroutine.
+// It always folds counters and gauges into its aggregate table and appends
+// to the event list only when initialised to keep one.
 type Buffer struct {
 	rank   int
+	keep   bool
 	wall   func() int64
+	tap    Recorder
 	events []Event
+	aggs   []aggregate
 }
 
-// NewBuffer creates a buffer that stamps events with the given world rank.
-func NewBuffer(rank int) *Buffer {
-	return &Buffer{rank: rank}
+// NewBuffer creates a list-keeping buffer that stamps events with the
+// given world rank.
+func NewBuffer(rank int) *Buffer { return &Buffer{rank: rank, keep: true} }
+
+// Init readies a Buffer in place. keep selects whether the event list is
+// kept; wall, when non-nil, is the wall-clock stamp source (nanoseconds
+// since some fixed origin), injected so obs itself never reads the clock.
+func (b *Buffer) Init(rank int, keep bool, wall func() int64) {
+	*b = Buffer{rank: rank, keep: keep, wall: wall}
 }
 
-// SetWallClock injects the wall-clock stamp source (nanoseconds since some
-// fixed origin). The closure is provided by the runtime; obs itself never
-// reads the clock, keeping the package free of wall-time calls.
-func (b *Buffer) SetWallClock(wall func() int64) { b.wall = wall }
+// SetTap attaches a recorder that receives every event from now on, stamped
+// like a kept one, list or no list, and returns the tap it replaced (nil
+// detaches).
+func (b *Buffer) SetTap(tap Recorder) (prev Recorder) {
+	prev, b.tap = b.tap, tap
+	return prev
+}
 
-// Record implements Recorder: stamps the rank (and wall clock, when
-// configured) and appends.
+// Listening reports whether anybody receives the events — a kept list or a
+// tap. Emitters of span events check it before building one; counters and
+// gauges are always recorded, for the aggregates.
+func (b *Buffer) Listening() bool { return b.keep || b.tap != nil }
+
+// Record implements Recorder: folds counters and gauges into the aggregates
+// and, when somebody listens, stamps the rank (and wall clock, when
+// configured), appends to the kept list and forwards to the tap.
 func (b *Buffer) Record(e Event) {
+	if e.Kind == KindCounter || e.Kind == KindGauge {
+		b.aggs = fold(b.aggs, e.Name, e.Kind == KindGauge, e.Value)
+	}
+	if !b.Listening() {
+		return
+	}
 	e.Rank = b.rank
 	if b.wall != nil {
 		e.WallNS = b.wall()
 	}
-	b.events = append(b.events, e)
+	if b.keep {
+		b.events = append(b.events, e)
+	}
+	if b.tap != nil {
+		b.tap.Record(e)
+	}
 }
 
-// Len returns the number of recorded events (usable as a mark for Since).
+// Len returns the number of events in the kept list (usable as a mark for
+// Since); 0 when no list is kept.
 func (b *Buffer) Len() int { return len(b.events) }
 
-// Events returns the recorded events. The slice is owned by the buffer;
-// callers must not modify it.
+// Events returns the kept list (nil when none is kept). The slice is owned
+// by the buffer; callers must not modify it.
 func (b *Buffer) Events() []Event { return b.events }
 
-// Since returns the events recorded at or after the given mark (a previous
-// Len value).
+// Since returns the kept events recorded at or after the given mark (a
+// previous Len value).
 func (b *Buffer) Since(mark int) []Event {
 	if mark < 0 {
 		mark = 0

@@ -33,9 +33,9 @@ func TestBufferStampsRank(t *testing.T) {
 		t.Fatalf("wall stamp without clock = %d, want 0", b.Events()[0].WallNS)
 	}
 	ticks := int64(0)
-	b.SetWallClock(func() int64 { ticks += 5; return ticks })
+	b.Init(7, true, func() int64 { ticks += 5; return ticks })
 	b.Record(Event{Kind: KindCounter, Name: "y", Value: 1})
-	if got := b.Events()[1].WallNS; got != 5 {
+	if got := b.Events()[0].WallNS; got != 5 {
 		t.Fatalf("wall stamp = %d, want 5", got)
 	}
 }

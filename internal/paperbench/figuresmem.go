@@ -200,9 +200,10 @@ func FigMem(machine Machine) []FigMemRow {
 	})
 }
 
-// FigMemObs replays the planned exchange once and returns its event log
-// for the Chrome-trace and metrics exports: the redist/peak_bytes gauge
-// samples and counter totals appear on the exported timeline.
+// FigMemObs replays the planned exchange once and returns its span and
+// sample events for the Chrome-trace and metrics exports: the
+// redist/peak_bytes gauge samples and counter totals appear on the
+// exported timeline.
 func FigMemObs() *obs.Log {
 	m := JuRoPA()
 	st := vmpi.Run(vmpi.Config{
@@ -211,8 +212,9 @@ func FigMemObs() *obs.Log {
 		ComputeScale:     m.ComputeScale,
 		Workers:          execWorkers,
 		MaxExchangeBytes: figMemBudget,
+		Trace:            true,
 	}, figMemExchangeBody(false))
-	return st.Events
+	return spanEvents(st.Events)
 }
 
 // figMemCount renders a count column with "-" for not-applicable zeros.

@@ -234,8 +234,8 @@ func FigResize(machine Machine) []FigResizePoint {
 	return out
 }
 
-// FigResizeObs replays the grow leg once and returns its event log for the
-// Chrome-trace and metrics exports: the vmpi resize barriers (the
+// FigResizeObs replays the grow leg once and returns its span and sample
+// events for the Chrome-trace and metrics exports: the vmpi resize barriers (the
 // vmpi/resize phase spans), the elastic remap spans, the resize counter,
 // and the world-size gauge samples all appear on the exported timeline.
 func FigResizeObs() *obs.Log {
@@ -247,8 +247,9 @@ func FigResizeObs() *obs.Log {
 		Model:        m.Model(d.Peak()),
 		ComputeScale: m.ComputeScale,
 		Workers:      execWorkers,
+		Trace:        true,
 	}, figResizeBody(figResizeSystem(), d))
-	return st.Events
+	return spanEvents(st.Events)
 }
 
 // sizesPath renders a demand curve like "4 > 6 > 8".

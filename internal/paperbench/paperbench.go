@@ -81,8 +81,9 @@ type Config struct {
 	// feeds the integrator's maximum-movement bound to the solver (§III-B).
 	Resort        bool
 	TrackMovement bool
-	// Trace records every point-to-point message into the run's event log
-	// (Result.Events), enabling comm-matrix and timeline exports.
+	// Trace keeps the run's event list (Result.Events): spans, samples and
+	// every point-to-point message — what the comm-matrix and timeline
+	// exports read.
 	Trace bool
 }
 
@@ -219,8 +220,7 @@ type Result struct {
 	// 0 is the initial interaction computation (Fig. 3 line 5); indices
 	// 1..Steps are the MD time steps.
 	Steps []StepStat
-	// RunStats is rank 0's per-step coupling instrumentation, derived from
-	// the observability event stream (api.RunStatsFromEvents): which
+	// RunStats is rank 0's per-step coupling instrumentation: which
 	// exchange strategy each solver run actually used, whether the movement
 	// heuristic's fast path applied, and whether a neighborhood exchange or
 	// the method B capacity contract fell back. Entry i describes the
@@ -231,10 +231,10 @@ type Result struct {
 	// rank, in rank order). The determinism tests use it to assert that
 	// host-level worker-pool parallelism leaves the physics bit-identical.
 	Digest string
-	// Events is the run's complete observability log: phase spans,
-	// collectives, counters, and — when Config.Trace is set — every
-	// point-to-point message. Exporters (obs.WriteChromeTrace,
-	// obs.WriteMetrics) consume it directly.
+	// Events is the run's observability log: counter totals and gauge
+	// maxima always; under Config.Trace also the event list (phase spans,
+	// collectives, samples, every point-to-point message) the exporters
+	// (obs.WriteChromeTrace, obs.WriteMetrics) consume.
 	Events *obs.Log
 }
 
@@ -351,8 +351,12 @@ func ObsConfig() Config {
 // LastRunLog slices out each rank's events after its final RunMarker gauge
 // — the steady-state tail of a Run (the last solver run), where the
 // movement heuristic has settled and method B's exchange footprint is at
-// its neighborhood minimum.
-func LastRunLog(l *obs.Log) *obs.Log {
+// its neighborhood minimum. The log must hold an event list (Config.Trace);
+// an aggregate-only log fails with obs.ErrNoEvents.
+func LastRunLog(l *obs.Log) (*obs.Log, error) {
+	if !l.HasEvents() {
+		return nil, obs.ErrNoEvents
+	}
 	out := &obs.Log{ByRank: make([][]obs.Event, len(l.ByRank))}
 	for r, evs := range l.ByRank {
 		start := 0
@@ -363,7 +367,15 @@ func LastRunLog(l *obs.Log) *obs.Log {
 		}
 		out.ByRank[r] = evs[start:]
 	}
-	return out
+	return out, nil
+}
+
+// spanEvents drops the point-to-point message events of a traced log: the
+// resize and memory figures export span-and-sample timelines.
+func spanEvents(l *obs.Log) *obs.Log {
+	return l.Select(func(e obs.Event) bool {
+		return e.Kind != obs.KindSend && e.Kind != obs.KindArrive
+	})
 }
 
 // Solvers lists the two solver methods in presentation order.

@@ -1,6 +1,7 @@
 package vmpi
 
 import (
+	"runtime"
 	"runtime/debug"
 	"testing"
 )
@@ -124,5 +125,92 @@ func TestTwoKeyExchangeAllocs(t *testing.T) {
 	allocs := allocHarness(t, 100, exchange, exchange)
 	if allocs > 0 {
 		t.Errorf("two-key exchange allocated %.2f objects per op, want 0", allocs)
+	}
+}
+
+// statsHeldBytes returns the forced-GC live heap a finished P-rank world
+// leaves behind through its Stats (and nothing else: the pools are
+// collected too).
+func statsHeldBytes(p int, body func(c *Comm)) (*Stats, int64) {
+	settle := func() uint64 {
+		// Twice: the first collection only moves sync.Pool contents to
+		// the victim cache.
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := settle()
+	st := Run(Config{Ranks: p, Workers: 1}, body)
+	after := settle()
+	runtime.KeepAlive(st)
+	return st, int64(after) - int64(before)
+}
+
+// TestUntracedRunKeepsNoEvents pins what an untraced run pays for
+// observability once it is over: the counter and gauge totals still
+// answer, from O(names) aggregates, and no per-rank event list is held —
+// at the parent of this contract every barrier, collective, counter and
+// gauge left an 88-byte event behind on every rank.
+func TestUntracedRunKeepsNoEvents(t *testing.T) {
+	if DebugEnabled() {
+		t.Skip("vmpidebug ownership tracking holds per-buffer records")
+	}
+	const p = 4096
+	body := func(c *Comm) {
+		for i := 0; i < 3; i++ {
+			Barrier(c)
+			Allgather(c, []int32{int32(c.Rank())})
+		}
+		c.Counter("work", float64(c.Rank()+1))
+		c.Gauge("level", float64(c.Rank()))
+	}
+	// Warm-up: p ranks parked at once leave p goroutine descriptors on the
+	// runtime's free list for good; they must be in both readings.
+	Run(Config{Ranks: p, Workers: 1}, body)
+	_, empty := statsHeldBytes(p, func(*Comm) {})
+	st, busy := statsHeldBytes(p, body)
+	perRank := float64(busy-empty) / p
+	t.Logf("untraced run holds %.1f B per rank above an empty world", perRank)
+	if perRank > 128 {
+		t.Errorf("untraced run holds %.0f B per rank above an empty world (%d vs %d B), want <= 128", perRank, busy, empty)
+	}
+	if st.Events.HasEvents() || len(st.Events.ByRank) != p {
+		t.Fatalf("HasEvents = %v with %d rank entries, want an aggregate-only log of %d", st.Events.HasEvents(), len(st.Events.ByRank), p)
+	}
+	for r, evs := range st.Events.ByRank {
+		if evs != nil {
+			t.Fatalf("rank %d kept %d events without Config.Trace", r, len(evs))
+		}
+	}
+	if got, want := st.Events.Counter("work"), float64(p*(p+1)/2); got != want {
+		t.Errorf("Counter(work) = %v, want %v", got, want)
+	}
+	if got, ok := st.Events.GaugeMax("level"); !ok || got != p-1 {
+		t.Errorf("GaugeMax(level) = %v, %v, want %d, true", got, ok, p-1)
+	}
+	if _, ok := st.Events.GaugeMax("work"); ok {
+		t.Errorf("GaugeMax finds the counter name")
+	}
+}
+
+// TestEmptyWorldAllocsPerRank pins the host cost of a rank that does
+// nothing: mailbox, state, event buffer and admission communicator live
+// inside the one rankInstance allocation, the phase map waits for the first
+// AddPhase, and the rest is the executor's task and goroutine.
+func TestEmptyWorldAllocsPerRank(t *testing.T) {
+	if DebugEnabled() || raceEnabled {
+		t.Skip("instrumented builds allocate by design")
+	}
+	const p = 16384
+	cfg := Config{Ranks: p, Workers: 1}
+	Run(cfg, func(*Comm) {})
+	var a, b runtime.MemStats
+	runtime.ReadMemStats(&a)
+	Run(cfg, func(*Comm) {})
+	runtime.ReadMemStats(&b)
+	if perRank := float64(b.Mallocs-a.Mallocs) / p; perRank > 6 {
+		t.Errorf("an idle rank costs %.2f allocations, want <= 6", perRank)
 	}
 }

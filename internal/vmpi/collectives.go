@@ -49,11 +49,14 @@ func Min[T Number](a, b T) T {
 	return b
 }
 
-// collSpan brackets a base collective with a span event in the stream:
-// call at entry, invoke the returned function (typically deferred) at
-// exit. The span [entry, exit] on each rank includes the rank's wait time
-// inside the operation.
+// collSpan brackets a base collective with a span event when the rank's
+// events are listened to: call at entry, invoke the returned function
+// (typically deferred) at exit. The span [entry, exit] on each rank
+// includes the rank's wait time inside the operation.
 func collSpan(c *Comm, kind obs.Kind, name string) func() {
+	if !c.st.rec.Listening() {
+		return func() {}
+	}
 	t0 := c.st.clock
 	return func() {
 		c.st.rec.Record(obs.Event{Kind: kind, Name: name, T: t0, T2: c.st.clock})

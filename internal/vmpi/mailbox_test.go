@@ -13,7 +13,7 @@ import (
 // queueKeys returns the live key count of a rank's mailbox. Safe to call
 // from the rank's own goroutine while no peer is sending to it.
 func queueKeys(c *Comm) int {
-	mb := c.inst(c.rank).box
+	mb := &c.inst(c.rank).box
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	return mb.live

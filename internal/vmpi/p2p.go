@@ -199,7 +199,7 @@ func sendMsg(c *Comm, m *message, bytes, dst, tag int) {
 			c.rt.flushWakes(c.st)
 		}
 	}
-	if c.rt.traceMsgs {
+	if c.rt.trace {
 		c.st.rec.Record(obs.Event{
 			Kind: obs.KindSend, Name: c.st.currentPhase,
 			Peer: dstW, Tag: tag, Bytes: bytes,
@@ -225,7 +225,7 @@ func recvRaw(c *Comm, src, tag int) *message {
 		c.st.clock = m.arrive
 	}
 	c.st.clock += recvOverhead
-	if c.rt.traceMsgs {
+	if c.rt.trace {
 		c.st.rec.Record(obs.Event{
 			Kind: obs.KindArrive, Name: c.st.currentPhase,
 			Peer: c.world(src), Bytes: m.bytes,

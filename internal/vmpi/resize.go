@@ -126,15 +126,7 @@ func (rt *Runtime) reconfigure(old *epochWorld, newN int, tStar float64) {
 	}
 	for r := keep; r < newN; r++ {
 		id := len(nw.insts)
-		inst := rt.newInstance(id, r, tStar, nw.epoch)
-		inst.comm = &Comm{
-			rt:      rt,
-			w:       nw,
-			rank:    r,
-			members: members,
-			ctx:     nw.ctx,
-			st:      inst.st,
-		}
+		inst := rt.newInstance(nw, id, r, tStar)
 		// The admission sample parallels the one survivors emit after the
 		// release, so the world-size gauge covers every live rank.
 		inst.st.rec.Record(obs.Event{Kind: obs.KindGauge, Name: GaugeWorldSize, Value: float64(newN), T: tStar})

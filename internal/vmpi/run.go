@@ -70,9 +70,9 @@ type Runtime struct {
 	// computeScale multiplies all Compute charges, modelling slower or
 	// faster cores (e.g. Blue Gene/Q A2 vs. Xeon).
 	computeScale float64
-	// traceMsgs additionally records every point-to-point message into the
-	// event stream (Config.Trace) — the high-volume part of the stream.
-	traceMsgs bool
+	// trace is Config.Trace: every rank buffer keeps its event list, and
+	// point-to-point messages are recorded into it.
+	trace bool
 	// maxRanks bounds the world size Resize may grow to; the network model
 	// is validated against it once at Run.
 	maxRanks int
@@ -81,7 +81,8 @@ type Runtime struct {
 	maxExchangeBytes int64
 	// f is the rank body; Resize re-invokes it for admitted ranks.
 	f func(c *Comm)
-	// wall injects host wall-clock stamps into new obs buffers.
+	// wall injects host wall-clock stamps into the events of obs buffers
+	// that somebody listens to.
 	wall func() int64
 
 	// mu guards world, which rank 0 of a resize swaps while every other
@@ -106,8 +107,11 @@ type Config struct {
 	Model netmodel.Model
 	// ComputeScale multiplies computation charges; 0 means 1.0.
 	ComputeScale float64
-	// Trace records every point-to-point message as send/arrive events in
-	// Stats.Events for post-run analysis.
+	// Trace keeps the run's event list in Stats.Events: phase, collective
+	// and barrier spans, counter and gauge samples, and every
+	// point-to-point message as send/arrive events — what the exporters
+	// and the per-event Log views read. Without it a rank keeps only its
+	// counter sums and gauge maxima.
 	Trace bool
 	// Workers, when positive, fixes the executor's run-slot count instead
 	// of drawing one base slot plus budget extras. It bounds host
@@ -158,7 +162,7 @@ func Run(cfg Config, f func(c *Comm)) *Stats {
 		computeScale:     scale,
 		maxRanks:         maxRanks,
 		maxExchangeBytes: cfg.MaxExchangeBytes,
-		traceMsgs:        cfg.Trace,
+		trace:            cfg.Trace,
 		f:                f,
 	}
 	// Wall-clock stamps are injected here so the obs package itself never
@@ -176,15 +180,7 @@ func Run(cfg Config, f func(c *Comm)) *Stats {
 		insts:   make([]*rankInstance, n),
 	}
 	for i := range w.insts {
-		w.insts[i] = rt.newInstance(i, i, 0, 0)
-		w.insts[i].comm = &Comm{
-			rt:      rt,
-			w:       w,
-			rank:    i,
-			members: w.members,
-			ctx:     w.ctx,
-			st:      w.insts[i].st,
-		}
+		w.insts[i] = rt.newInstance(w, i, i, 0)
 	}
 	rt.world = w
 	defer debugWorldEnd(rt)
@@ -206,7 +202,7 @@ func Run(cfg Config, f func(c *Comm)) *Stats {
 	}
 	bufs := make([]*obs.Buffer, total)
 	for i, inst := range final.insts {
-		s := inst.st
+		s := &inst.st
 		st.Clocks[i] = s.clock
 		st.Admit[i] = s.admit
 		st.Retire[i] = s.retire
@@ -215,7 +211,7 @@ func Run(cfg Config, f func(c *Comm)) *Stats {
 		st.BytesSent[i] = s.bytesSent
 		st.MessagesSent[i] = s.msgsSent
 		st.Values[i] = s.result
-		bufs[i] = s.rec
+		bufs[i] = &s.rec
 	}
 	st.Events = obs.NewLog(bufs)
 	return st
@@ -311,7 +307,7 @@ func (rt *Runtime) flushWakes(st *rankState) {
 func (rt *Runtime) deadlockDump() string {
 	msg := "vmpi: deadlock: all ranks blocked in receive:\n"
 	for r, inst := range rt.currentWorld().insts {
-		mb := inst.box
+		mb := &inst.box
 		mb.mu.Lock()
 		if mb.waiting {
 			msg += fmt.Sprintf("  rank %d waiting for (src %d, tag %d)\n", r, mb.waitKey.src, mb.waitKey.tag)

@@ -24,7 +24,8 @@ type Stats struct {
 	Retire []float64
 	// JoinEpoch holds the world epoch each rank was admitted in.
 	JoinEpoch []int
-	// Phases holds each rank's accumulated named phase times.
+	// Phases holds each rank's accumulated named phase times; an entry is
+	// nil for a rank that never timed a phase.
 	Phases []map[string]float64
 	// BytesSent and MessagesSent are per-rank communication counters.
 	BytesSent    []int64
@@ -37,11 +38,14 @@ type Stats struct {
 	Epochs int
 	// FinalSize is the world size of the last epoch.
 	FinalSize int
-	// Events is the run's full observability log: per-rank append-ordered
-	// phase, collective, barrier, counter/gauge — and, when Config.Trace
-	// is set, message — events. The communication views (Sends,
-	// CommMatrix, ActivePairs, MessageCount, TotalBytes, PhaseBytes,
-	// PhaseMessages) are methods of the log.
+	// Events is the run's observability log, never nil, one ByRank entry
+	// per instance. Its counter and gauge views (Counter, Counters,
+	// GaugeMax, GaugeHighWater) answer on every run, from the ranks'
+	// running aggregates. The event lists — phase, collective, barrier,
+	// counter/gauge and message events, behind the per-event views (Sends,
+	// CommMatrix, ActivePairs, PhaseSummary, ...) and the exporters — are
+	// kept only under Config.Trace; otherwise every ByRank entry is nil
+	// and Events.HasEvents is false.
 	Events *obs.Log
 	// Exec holds the executor's host-side meters. Host-domain only: these
 	// values depend on the host's scheduling and must never feed golden

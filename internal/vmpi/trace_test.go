@@ -1,9 +1,13 @@
 package vmpi
 
 import (
+	"bytes"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/netmodel"
+	"repro/internal/obs"
 )
 
 func TestTraceRecordsMessages(t *testing.T) {
@@ -118,5 +122,49 @@ func TestTraceNeighborhoodFootprint(t *testing.T) {
 	}
 	if ringPairs != p {
 		t.Errorf("ring footprint = %d pairs, want %d", ringPairs, p)
+	}
+}
+
+// TestMetricsExportAtLargeP exports the metrics of a traced 4096-rank ring
+// exchange inside a 64 MB allocation budget: the comm-matrix series are
+// accumulated from the send events, not from a dense P × P matrix per
+// phase (128 MiB each at this size).
+func TestMetricsExportAtLargeP(t *testing.T) {
+	const p = 4096
+	st := Run(Config{Ranks: p, Trace: true, Workers: 1}, func(c *Comm) {
+		right := (c.Rank() + 1) % p
+		left := (c.Rank() - 1 + p) % p
+		c.Phase("ring", func() {
+			Send(c, make([]float64, 10), right, 1)
+			Recv[float64](c, left, 1)
+		})
+		Send(c, []byte{1}, left, 2) // outside any phase
+		Recv[byte](c, right, 2)
+	})
+	var before, after runtime.MemStats
+	var out bytes.Buffer
+	runtime.ReadMemStats(&before)
+	if err := obs.WriteMetrics(&out, st.Events); err != nil {
+		t.Fatal(err)
+	}
+	pairs := st.Events.ActivePairs("ring")
+	runtime.ReadMemStats(&after)
+	if pairs != p {
+		t.Errorf("ActivePairs(ring) = %d, want %d", pairs, p)
+	}
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb > 64 {
+		t.Errorf("metrics export of a %d-rank ring allocated %.0f MB, want <= 64", p, mb)
+	}
+	for _, want := range []string{
+		`repro_phase_active_pairs{phase="ring"} 4096`,
+		`repro_comm_matrix_bytes{phase="ring",src="4095",dst="0"} 80`,
+		// The "" series report the whole run (see WriteMetrics).
+		`repro_phase_active_pairs{phase=""} 8192`,
+		`repro_comm_matrix_bytes{phase="",src="0",dst="1"} 80`,
+		`repro_comm_matrix_bytes{phase="",src="0",dst="4095"} 1`,
+	} {
+		if !strings.Contains(out.String(), want+"\n") {
+			t.Errorf("metrics dump lacks %q", want)
+		}
 	}
 }

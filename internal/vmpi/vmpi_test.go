@@ -499,7 +499,15 @@ func TestComputeScale(t *testing.T) {
 }
 
 func TestPhases(t *testing.T) {
-	st := run(t, 2, func(c *Comm) {
+	// Rank 2 times nothing: its phase map is never allocated, and every
+	// reader must take the nil entry.
+	st := run(t, 3, func(c *Comm) {
+		if c.Rank() == 2 {
+			if got := c.PhaseTime("work"); got != 0 {
+				t.Errorf("untimed rank: PhaseTime = %g, want 0", got)
+			}
+			return
+		}
 		c.Phase("work", func() { c.Compute(0.25) })
 		c.Phase("work", func() { c.Compute(0.25) })
 		c.Phase("idle", func() {})
@@ -513,6 +521,9 @@ func TestPhases(t *testing.T) {
 	names := st.PhaseNames()
 	if len(names) != 2 || names[0] != "idle" || names[1] != "work" {
 		t.Errorf("phase names = %v", names)
+	}
+	if st.Phases[2] != nil {
+		t.Errorf("untimed rank has phase map %v, want nil", st.Phases[2])
 	}
 }
 

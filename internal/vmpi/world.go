@@ -35,9 +35,10 @@ type rankState struct {
 	// joinEpoch is the world epoch the rank was admitted in (0 for
 	// founding ranks).
 	joinEpoch int
-	// rec is the rank's append-only observability buffer; all phase,
-	// collective, message, and counter events of the rank flow into it.
-	rec *obs.Buffer
+	// rec is the rank's observability buffer: counters and gauges always
+	// fold into its running aggregates; the phase, collective, message and
+	// counter events are built and listed only under Config.Trace or a tap.
+	rec obs.Buffer
 	// pendingWakes batches the instance ids of ranks this rank owes a wake:
 	// each was waiting for exactly the message delivered to it
 	// (mailbox.put). The batch is flushed to the executor in one UnparkBatch
@@ -50,10 +51,11 @@ type rankState struct {
 // machine. Instance ids are dense, stable, and never reused: founding ranks
 // get ids 0..n-1, every rank admitted by a grow gets the next id. The
 // executor task id, the mailbox, the observability stream, and the final
-// Stats arrays are all indexed by instance id.
+// Stats arrays are all indexed by instance id. Mailbox, state and admission
+// communicator live inside the instance: an idle rank is one allocation.
 type rankInstance struct {
-	box *mailbox
-	st  *rankState
+	box mailbox
+	st  rankState
 	// node is the instance's position in the network topology — its world
 	// rank in the epoch it was admitted. Survivors of a resize keep their
 	// world rank (the surviving prefix), so a node assignment is valid for
@@ -63,7 +65,7 @@ type rankInstance struct {
 	node int
 	// comm is the world communicator the instance was admitted with; the
 	// executor hands it to the rank body on first dispatch.
-	comm *Comm
+	comm Comm
 }
 
 // epochWorld is one epoch's world membership. Worlds are immutable once
@@ -108,28 +110,34 @@ func (rt *Runtime) setWorld(w *epochWorld) {
 // instComm returns the admission communicator of an instance; the executor
 // body calls it when first dispatching the instance's task.
 func (rt *Runtime) instComm(id int) *Comm {
-	return rt.currentWorld().insts[id].comm
+	return &rt.currentWorld().insts[id].comm
 }
 
-// newInstance builds a rank instance with a fresh mailbox, state, and
-// observability buffer. id is the instance id, node the network position,
-// admit/joinEpoch the admission coordinates.
-func (rt *Runtime) newInstance(id, node int, admit float64, joinEpoch int) *rankInstance {
-	buf := obs.NewBuffer(id)
-	buf.SetWallClock(rt.wall)
-	return &rankInstance{
-		box:  &mailbox{},
-		node: node,
-		st: &rankState{
-			phases:      map[string]float64{},
+// newInstance builds the rank instance admitted to world w at world rank
+// (and network position) rank: a fresh mailbox, state, observability
+// buffer and admission communicator. id is the instance id, admit the
+// admission time.
+func (rt *Runtime) newInstance(w *epochWorld, id, rank int, admit float64) *rankInstance {
+	inst := &rankInstance{
+		node: rank,
+		st: rankState{
 			clock:       admit,
 			admit:       admit,
 			retire:      -1,
-			joinEpoch:   joinEpoch,
+			joinEpoch:   w.epoch,
 			maxExchange: rt.maxExchangeBytes,
-			rec:         buf,
 		},
 	}
+	inst.st.rec.Init(id, rt.trace, rt.wall)
+	inst.comm = Comm{
+		rt:      rt,
+		w:       w,
+		rank:    rank,
+		members: w.members,
+		ctx:     w.ctx,
+		st:      &inst.st,
+	}
+	return inst
 }
 
 func identity(n int) []int {
@@ -214,27 +222,35 @@ func (c *Comm) SetMaxExchangeBytes(b int64) {
 // Stats.Values. Typically used by tests and the benchmark harness.
 func (c *Comm) SetResult(v any) { c.st.result = v }
 
-// AddPhase accumulates dt seconds into the named phase timer and emits a
-// synthesized phase-end span [now-dt, now] into the event stream (the
-// phase timers in Stats.Phases are an aggregate view of these spans).
+// AddPhase accumulates dt seconds into the named phase timer (Stats.Phases)
+// and, when the rank's events are listened to, records a synthesized
+// phase-end span [now-dt, now].
 func (c *Comm) AddPhase(name string, dt float64) {
 	if dt < 0 {
 		// Clock deltas are always non-negative; guard against misuse.
 		panic(fmt.Sprintf("vmpi: negative phase time for %q", name))
 	}
+	if c.st.phases == nil {
+		c.st.phases = map[string]float64{}
+	}
 	c.st.phases[name] += dt
-	c.st.rec.Record(obs.Event{Kind: obs.KindPhaseEnd, Name: name, T: c.st.clock - dt, T2: c.st.clock})
+	if c.st.rec.Listening() {
+		c.st.rec.Record(obs.Event{Kind: obs.KindPhaseEnd, Name: name, T: c.st.clock - dt, T2: c.st.clock})
+	}
 }
 
 // Phase runs f and accumulates the elapsed virtual time into the named
-// phase timer, bracketing it with phase-begin/phase-end events in the
-// stream. While f runs, messages sent by this rank are attributed to the
-// phase in traces; nested phases attribute to the innermost name.
+// phase timer, bracketing it with phase-begin/phase-end events when the
+// rank's events are listened to. While f runs, messages sent by this rank
+// are attributed to the phase in traces; nested phases attribute to the
+// innermost name.
 func (c *Comm) Phase(name string, f func()) {
 	prev := c.st.currentPhase
 	c.st.currentPhase = name
 	t0 := c.st.clock
-	c.st.rec.Record(obs.Event{Kind: obs.KindPhaseBegin, Name: name, T: t0})
+	if c.st.rec.Listening() {
+		c.st.rec.Record(obs.Event{Kind: obs.KindPhaseBegin, Name: name, T: t0})
+	}
 	f()
 	c.AddPhase(name, c.st.clock-t0)
 	c.st.currentPhase = prev
@@ -244,25 +260,26 @@ func (c *Comm) Phase(name string, f func()) {
 // rank.
 func (c *Comm) PhaseTime(name string) float64 { return c.st.phases[name] }
 
-// ResetPhases clears all phase timers on this rank. The event stream is
-// append-only and unaffected.
+// ResetPhases clears all phase timers on this rank. Recorded events and
+// the counter/gauge aggregates are unaffected.
 func (c *Comm) ResetPhases() {
-	c.st.phases = map[string]float64{}
+	c.st.phases = nil
 }
 
-// Obs returns the rank's observability buffer: the append-only event
-// stream of phases, collectives, messages, and counters. It must only be
-// used from the rank's goroutine; its Len is usable as a mark for Since.
-func (c *Comm) Obs() *obs.Buffer { return c.st.rec }
+// Obs returns the rank's observability buffer, to attach a tap (SetTap)
+// or, under Config.Trace, to read the kept event list (Len is a mark for
+// Since). It must only be used from the rank's goroutine.
+func (c *Comm) Obs() *obs.Buffer { return &c.st.rec }
 
 // Counter emits a named counter increment at the current virtual time.
-// Counters do not advance the clock; cross-rank totals are summed from the
-// event log after the run.
+// Counters do not advance the clock; the cross-rank total is
+// Stats.Events.Counter, on any run.
 func (c *Comm) Counter(name string, v float64) {
 	c.st.rec.Record(obs.Event{Kind: obs.KindCounter, Name: name, Value: v, T: c.st.clock})
 }
 
-// Gauge emits a named point sample at the current virtual time.
+// Gauge emits a named point sample at the current virtual time; the
+// cross-rank maximum is Stats.Events.GaugeMax, on any run.
 func (c *Comm) Gauge(name string, v float64) {
 	c.st.rec.Record(obs.Event{Kind: obs.KindGauge, Name: name, Value: v, T: c.st.clock})
 }

@@ -27,13 +27,15 @@ race:
 # FFT panel passes against per-call Transform on gathered columns, the
 # open-addressed vmpi mailbox against a map of FIFOs, the redist planner
 # (both backends, the lost vote, budgets) against a sequential scatter, the
-# obs running aggregates against a scan of the kept event list. This is the
+# obs running aggregates against a scan of the kept event list, the rank
+# executor (slot hand-off, stray wakes, Admit, budgets) against a sequential
+# FIFO model and its deadlock verdict. This is the
 # one list of fuzz targets: a new target joins it here and nowhere else. The
 # committed seed corpora (internal/*/testdata/fuzz) already run in every go
 # test.
 FUZZ_TARGETS := internal/fmm:FuzzOperatorsMatchReference internal/fft:FuzzPanelMatchesPerCall \
 	internal/vmpi:FuzzMailboxMatchesReference internal/redist:FuzzPlanMatchesOracle \
-	internal/obs:FuzzAggregatesMatchLog
+	internal/obs:FuzzAggregatesMatchLog internal/rankexec:FuzzExecutorMatchesModel
 
 fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \

@@ -18,7 +18,10 @@
 //
 // Tasks are Go goroutines — the only resumable stacks the language
 // offers — but a task's goroutine is spawned lazily on first dispatch and
-// its runnability is owned entirely by the executor:
+// its runnability is owned entirely by the executor. Lazy spawn bounds
+// resident stacks only until tasks first park: a parked task keeps its
+// goroutine, so a program in which every rank waits once holds one stack
+// per task (PeakResident = task count).
 //
 //	pending ──dispatch(spawn)──▶ running ──Park──▶ parked
 //	   ▲                          ▲  │ return        │
@@ -49,16 +52,25 @@
 //     by map iteration.
 //
 // Lock order is shard → bank, always; the bank never acquires a shard
-// mutex. Hand-off therefore happens outside the bank's critical section:
-// the releaser pops a pending shard id under the bank lock and dispatches
-// that shard after unlocking.
+// mutex. A park and a wake each settle in one shard episode that holds the
+// bank lock once. A parking (or finishing) task whose shard has queued
+// work and is next in line for a slot — the head of the hand-off queue, or
+// the queue is empty — passes its slot straight to its deque head, never
+// counting it free. Only a slot another shard is owed goes the long way:
+// freed under the bank lock, the owed shard popped, and that shard
+// dispatched after unlocking. The verdict cannot fire on the hand-off
+// path, because the task receiving the slot is neither parked nor
+// finished. Grants are decided under the locks and delivered (goroutine
+// spawned or grant sent) after they drop: a granted task is running, so
+// nothing can park, poison or re-grant it in between.
 //
-// UnparkBatch wakes any number of tasks in one bank episode: token
-// deposits stay shard-local, and all parked→runnable transitions of the
-// batch settle the bank's accounts in a single critical section, so a
-// delivery that wakes k ranks costs one bank lock, not k. Batched
-// transitions cannot corrupt the deadlock verdict: woken tasks become
-// dispatchable only after the bank's parked count settles, and while a
+// UnparkBatch wakes any number of tasks in one episode per shard the
+// batch touches: the shard lock is held across marking parked tasks
+// runnable, enqueueing them, settling the bank's parked and runnable
+// counts, and granting inline while slots remain (or registering the shard
+// for hand-off when none is). A woken task cannot be granted — and re-park,
+// double-counting itself — before the bank's parked count drops, because
+// it is enqueued under the shard lock held across that settle; and while a
 // batch is in flight its caller is itself a live, unparked task, keeping
 // parked+finished strictly below the task count.
 //
@@ -131,9 +143,10 @@ type shard struct {
 	runQ  []int
 	qHead int
 	// shard-local stat counters, summed by Snapshot.
-	parks   int64
-	wakeups int64
-	spawned int64
+	parks    int64
+	handoffs int64
+	wakeups  int64
+	spawned  int64
 }
 
 // Stats meters the executor. All values are host-side quantities: they
@@ -142,6 +155,9 @@ type shard struct {
 type Stats struct {
 	// Parks counts blocking parks (token-consuming no-op parks excluded).
 	Parks int64
+	// Handoffs counts the parks whose run slot went straight to a queued
+	// task of the parker's shard instead of being freed.
+	Handoffs int64
 	// Wakeups counts unparks that made a task runnable or deposited a
 	// wake token.
 	Wakeups int64
@@ -291,9 +307,15 @@ func (ex *Executor) Start() {
 	for {
 		any := false
 		for _, s := range ex.shards {
-			if ex.tryGrant(s) {
+			var g grants
+			s.mu.Lock()
+			ex.mu.Lock()
+			if ex.grantLocked(s, &g) {
 				any = true
 			}
+			ex.mu.Unlock()
+			s.mu.Unlock()
+			ex.deliver(&g, s)
 		}
 		if !any {
 			return
@@ -358,7 +380,8 @@ func (ex *Executor) Wait() {
 
 // Park blocks the calling task (which must be running) until Unpark, or
 // returns immediately when a wake token is pending. Callers use it inside
-// a condition-recheck loop: test, Park, retest.
+// a condition-recheck loop: test, Park, retest. A blocking park is one
+// shard episode holding the bank lock once (see releaseSlotLocked).
 func (ex *Executor) Park(id int) {
 	s := ex.shardOf(id)
 	s.mu.Lock()
@@ -371,40 +394,21 @@ func (ex *Executor) Park(id int) {
 	s.parks++
 	t.state = stateParked
 	t.hasSlot = false
-	s.mu.Unlock()
-	verdict, next := ex.parkBank()
-	if verdict {
-		ex.declareDeadlock()
-	} else if next >= 0 {
-		ex.dispatch(ex.shards[next])
+	var g grants
+	ex.mu.Lock()
+	ex.parked++
+	if ex.releaseSlotLocked(s, &g) {
+		s.handoffs++
 	}
+	ex.mu.Unlock()
+	s.mu.Unlock()
+	ex.deliver(&g, s)
 	<-t.grant
 	// poisoned was written before the grant send; the channel receive
 	// orders this read after it.
 	if t.poisoned {
 		ex.reportDeadlock(ex.deadIDs)
 	}
-}
-
-// parkBank settles the bank for one park: the parker's slot is freed, the
-// verdict is checked, and a pending shard is popped for hand-off.
-func (ex *Executor) parkBank() (verdict bool, next int) {
-	ex.mu.Lock()
-	defer ex.mu.Unlock()
-	ex.parked++
-	ex.freeSlots++
-	if ex.deadlockedLocked() {
-		return true, -1
-	}
-	if ex.aborted {
-		ex.trimExtrasLocked(true)
-		return false, -1
-	}
-	next = ex.popPendingLocked()
-	if next < 0 {
-		ex.trimExtrasLocked(false)
-	}
-	return false, next
 }
 
 // Unpark marks the task runnable (or deposits a wake token when it is not
@@ -415,59 +419,58 @@ func (ex *Executor) Unpark(id int) {
 	ex.UnparkBatch(one[:])
 }
 
-// UnparkBatch unparks every listed task (duplicates allowed), settling the
-// bank's parked-count and runnable meters in a single critical section —
-// one bank lock episode per delivery batch, not one per woken rank. Token
-// deposits for tasks that are not parked stay entirely shard-local. The
-// ids slice is compacted in place and must not be reused by the caller
-// until the call returns. Safe to call from any goroutine.
-//
-// Woken tasks are pushed to their shards' deques only after the bank
-// settles, so a woken task cannot re-park (double-counting itself) while
-// its own wake is still in flight — the transient over-count in the bank's
-// parked tally is therefore matched one-to-one by runnable-but-unqueued
-// tasks, and the all-parked verdict stays exact.
+// UnparkBatch unparks every listed task (duplicates allowed) in one shard
+// episode per shard the batch touches, each holding the bank lock once —
+// one bank episode per delivery batch and shard, not one per woken rank.
+// ids is only read. Safe to call from any goroutine.
 func (ex *Executor) UnparkBatch(ids []int) {
+	var touched [maxShards]bool
+	for _, id := range ids {
+		touched[id%ex.nShards] = true
+	}
+	for i, s := range ex.shards {
+		if touched[i] {
+			ex.wakeShard(s, ids)
+		}
+	}
+}
+
+// wakeShard settles the ids of one shard in one episode (see the package
+// doc): parked tasks join its deque, the others get a wake token, then the
+// bank settles and queued work is granted while slots remain.
+func (ex *Executor) wakeShard(s *shard, ids []int) {
+	s.mu.Lock()
 	w := 0
 	for _, id := range ids {
-		s := ex.shardOf(id)
-		s.mu.Lock()
+		if id%ex.nShards != s.idx {
+			continue
+		}
 		t := s.taskIn(id, ex.nShards)
 		switch t.state {
 		case stateParked:
-			s.wakeups++
 			t.state = stateRunnable
-			ids[w] = id
+			s.runQ, s.qHead = enqueue(s.runQ, s.qHead, id)
 			w++
 		case statePending, stateRunnable, stateRunning:
-			s.wakeups++
 			t.wake = true
 		case stateDone:
 			// A message to a finished rank: the receive that would consume
 			// it can never run; nothing to wake.
+			continue
 		}
-		s.mu.Unlock()
+		s.wakeups++
 	}
-	if w == 0 {
-		return
-	}
-	ex.mu.Lock()
-	ex.parked -= w
-	ex.noteRunnableLocked(w)
-	ex.mu.Unlock()
-	var touched [maxShards]bool
-	for _, id := range ids[:w] {
-		s := ex.shardOf(id)
-		s.mu.Lock()
-		s.runQ, s.qHead = enqueue(s.runQ, s.qHead, id)
-		s.mu.Unlock()
-		touched[id%ex.nShards] = true
-	}
-	for i := 0; i < ex.nShards; i++ {
-		if touched[i] {
-			ex.dispatch(ex.shards[i])
+	var g grants
+	if w > 0 {
+		ex.mu.Lock()
+		ex.parked -= w
+		ex.noteRunnableLocked(w)
+		for ex.grantLocked(s, &g) {
 		}
+		ex.mu.Unlock()
 	}
+	s.mu.Unlock()
+	ex.deliver(&g, s)
 }
 
 // Abort stops all dispatching and returns every free budget unit. Parked
@@ -486,6 +489,7 @@ func (ex *Executor) Snapshot() Stats {
 	for _, s := range ex.shards {
 		s.mu.Lock()
 		st.Parks += s.parks
+		st.Handoffs += s.handoffs
 		st.Wakeups += s.wakeups
 		st.Spawned += s.spawned
 		s.mu.Unlock()
@@ -523,28 +527,58 @@ func (ex *Executor) noteRunnableLocked(k int) {
 }
 
 // dispatch grants run slots to the shard's queued tasks until the deque
-// drains or slots run out; in the latter case the shard registers itself
-// in the bank's hand-off queue and the next freed slot is delivered to it.
-// Called without locks; acquires shard → bank.
+// drains or slots run out. Called without locks; acquires shard → bank.
 func (ex *Executor) dispatch(s *shard) {
-	for ex.tryGrant(s) {
+	var g grants
+	s.mu.Lock()
+	ex.mu.Lock()
+	for ex.grantLocked(s, &g) {
+	}
+	ex.mu.Unlock()
+	s.mu.Unlock()
+	ex.deliver(&g, s)
+}
+
+// grants is what one locked episode decided and its caller carries out
+// once the locks drop: the tasks granted a slot are resumed — spawned, or
+// sent their grant — so the channel send and the runtime readying the
+// receiver stay outside every critical section; a slot owed to another
+// shard is dispatched there, or the all-parked verdict declared.
+type grants struct {
+	n       int
+	tasks   [4]*task // nil: spawn ids[i]
+	ids     [4]int
+	owed    *shard
+	verdict bool
+}
+
+// deliver carries out an episode's grants for shard s. A full batch may
+// have left s's work queued behind free slots, so s is dispatched again.
+func (ex *Executor) deliver(g *grants, s *shard) {
+	for i := 0; i < g.n; i++ {
+		if t := g.tasks[i]; t != nil {
+			t.grant <- struct{}{}
+		} else {
+			go ex.taskMain(g.ids[i])
+		}
+	}
+	if g.n == len(g.ids) {
+		ex.dispatch(s)
+	}
+	if g.verdict {
+		ex.declareDeadlock()
+	} else if g.owed != nil {
+		ex.dispatch(g.owed)
 	}
 }
 
-// tryGrant grants one run slot to the shard's next queued task. It reports
-// whether a grant happened; when the shard has work but no slot is to be
-// had it registers the shard in the bank's hand-off queue. Called without
-// locks; acquires shard → bank.
-func (ex *Executor) tryGrant(s *shard) bool {
-	s.mu.Lock()
-	if s.qHead >= len(s.runQ) {
-		s.mu.Unlock()
-		return false
-	}
-	ex.mu.Lock()
-	if ex.aborted {
-		ex.mu.Unlock()
-		s.mu.Unlock()
+// grantLocked grants a run slot to the shard's next queued task, recording
+// it in g for deliver, and reports whether it did. When the shard has work
+// but no slot is to be had (nor grown from the budget) it registers the
+// shard in the bank's hand-off queue, and the next released slot is
+// delivered to it. Both locks are held.
+func (ex *Executor) grantLocked(s *shard, g *grants) bool {
+	if g.n == len(g.ids) || s.qHead >= len(s.runQ) || ex.aborted {
 		return false
 	}
 	if ex.freeSlots == 0 && !ex.growLocked() {
@@ -552,19 +586,23 @@ func (ex *Executor) tryGrant(s *shard) bool {
 			ex.inPending[s.idx] = true
 			ex.pendingQ, ex.pendHead = enqueue(ex.pendingQ, ex.pendHead, s.idx)
 		}
-		ex.mu.Unlock()
-		s.mu.Unlock()
 		return false
 	}
 	ex.freeSlots--
 	ex.runnable--
-	id := s.runQ[s.qHead]
-	t := s.taskIn(id, ex.nShards)
 	if held := ex.baseSlots + ex.extras - ex.freeSlots; held > ex.statMaxSlots {
 		ex.statMaxSlots = held
 	}
-	spawn := !t.started
-	if spawn {
+	id := s.runQ[s.qHead]
+	s.qHead++
+	t := s.taskIn(id, ex.nShards)
+	t.state = stateRunning
+	t.hasSlot = true
+	g.ids[g.n] = id
+	if t.started {
+		g.tasks[g.n] = t
+	} else {
+		g.tasks[g.n] = nil
 		t.started = true
 		s.spawned++
 		ex.resident++
@@ -572,17 +610,38 @@ func (ex *Executor) tryGrant(s *shard) bool {
 			ex.peakResident = ex.resident
 		}
 	}
-	ex.mu.Unlock()
-	s.qHead++
-	t.state = stateRunning
-	t.hasSlot = true
-	if spawn {
-		go ex.taskMain(id)
-	} else {
-		t.grant <- struct{}{}
-	}
-	s.mu.Unlock()
+	g.n++
 	return true
+}
+
+// releaseSlotLocked gives up the run slot of a task of shard s that has
+// just parked or finished (the caller has counted it); both locks are
+// held. If s has queued work and is next in line — the head of the
+// hand-off queue, or that queue is empty — the slot goes straight to its
+// deque head and s re-registers if work remains; it reports this hand-off.
+// Otherwise the slot is freed, the verdict checked, and the longest-waiting
+// shard popped into g for deliver to dispatch.
+func (ex *Executor) releaseSlotLocked(s *shard, g *grants) (handed bool) {
+	ex.freeSlots++
+	if g.verdict = ex.deadlockedLocked(); g.verdict {
+		return false
+	}
+	if ex.aborted {
+		ex.trimExtrasLocked(true)
+		return false
+	}
+	if s.qHead < len(s.runQ) && (ex.pendHead == len(ex.pendingQ) || ex.pendingQ[ex.pendHead] == s.idx) {
+		ex.popPendingLocked()
+		for ex.grantLocked(s, g) {
+		}
+		return true
+	}
+	if next := ex.popPendingLocked(); next >= 0 {
+		g.owed = ex.shards[next]
+	} else {
+		ex.trimExtrasLocked(false)
+	}
+	return false
 }
 
 // popPendingLocked pops the longest-waiting slot-starved shard, or -1.
@@ -626,50 +685,28 @@ func (ex *Executor) trimExtrasLocked(force bool) {
 	}
 }
 
+// taskMain runs a task's body and releases its slot like a park does. A
+// finishing task can strand the rest: if everyone left alive is now parked
+// with no wakeup in flight, the verdict is declared here. Only a poisoned
+// task — the executor is already aborted — finishes without a slot.
 func (ex *Executor) taskMain(id int) {
 	ex.run(id)
 	s := ex.shardOf(id)
 	s.mu.Lock()
 	t := s.taskIn(id, ex.nShards)
 	t.state = stateDone
-	had := t.hasSlot
-	t.hasSlot = false
-	s.mu.Unlock()
-	verdict, next := ex.finishBank(had)
-	if verdict {
-		// A finishing task can strand the rest: if everyone left alive is
-		// now parked with no wakeup in flight, the verdict is declared here.
-		ex.declareDeadlock()
-	} else if next >= 0 {
-		ex.dispatch(ex.shards[next])
-	}
-	ex.wg.Done()
-}
-
-// finishBank settles the bank for one finished task, mirroring parkBank.
-func (ex *Executor) finishBank(hadSlot bool) (verdict bool, next int) {
+	var g grants
 	ex.mu.Lock()
-	defer ex.mu.Unlock()
 	ex.finished++
 	ex.resident--
-	if hadSlot {
-		ex.freeSlots++
+	if t.hasSlot {
+		ex.releaseSlotLocked(s, &g)
 	}
-	if ex.deadlockedLocked() {
-		return true, -1
-	}
-	if !hadSlot {
-		return false, -1
-	}
-	if ex.aborted {
-		ex.trimExtrasLocked(true)
-		return false, -1
-	}
-	next = ex.popPendingLocked()
-	if next < 0 {
-		ex.trimExtrasLocked(false)
-	}
-	return false, next
+	ex.mu.Unlock()
+	t.hasSlot = false
+	s.mu.Unlock()
+	ex.deliver(&g, s)
+	ex.wg.Done()
 }
 
 // declareDeadlock records the verdict, stops dispatching, and wakes every

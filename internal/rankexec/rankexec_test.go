@@ -1,6 +1,7 @@
 package rankexec
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -490,5 +491,113 @@ func TestRunQueueStaysBounded(t *testing.T) {
 	}
 	if c := cap(ex.pendingQ); c > 8*maxShards {
 		t.Errorf("hand-off queue capacity %d, want O(shards)", c)
+	}
+}
+
+// tokenBoxes is the tests' mailbox: a token count and a waiting flag per
+// task under one lock. post wakes the receiver only if it waits, clearing
+// the flag, so one wait episode is owed exactly one wake; wait is the
+// recheck loop the Park contract asks for.
+type tokenBoxes struct {
+	mu      sync.Mutex
+	tokens  []int
+	waiting []bool
+	// wakes counts post's Unparks, parkCalls wait's Park calls.
+	wakes, parkCalls int64
+}
+
+func newTokenBoxes(n int) *tokenBoxes {
+	return &tokenBoxes{tokens: make([]int, n), waiting: make([]bool, n)}
+}
+
+func (b *tokenBoxes) post(ex *Executor, to int) {
+	if b.deposit(to) {
+		ex.Unpark(to)
+	}
+}
+
+// deposit posts a token and reports whether the receiver is owed a wake.
+func (b *tokenBoxes) deposit(to int) (wake bool) {
+	b.mu.Lock()
+	b.tokens[to]++
+	wake = b.waiting[to]
+	b.waiting[to] = false
+	if wake {
+		b.wakes++
+	}
+	b.mu.Unlock()
+	return wake
+}
+
+// wait consumes one of me's tokens, parking while there is none; resumed,
+// if set, runs after every Park return.
+func (b *tokenBoxes) wait(ex *Executor, me int, resumed func()) {
+	for {
+		b.mu.Lock()
+		if b.tokens[me] > 0 {
+			b.tokens[me]--
+			b.mu.Unlock()
+			return
+		}
+		b.waiting[me] = true
+		b.parkCalls++
+		b.mu.Unlock()
+		ex.Park(me)
+		if resumed != nil {
+			resumed()
+		}
+	}
+}
+
+// partnerRing runs n tasks (n even) for rounds rounds of the mailbox
+// pattern between pairwise partners id and id^1 — post a token to the
+// partner, then wait for one's own — and returns the executor after Wait.
+// On one slot a woken partner queues behind every other pair, so the wakes
+// travel the whole ring before it runs again.
+func partnerRing(n, rounds int, opts Options) *Executor {
+	boxes := newTokenBoxes(n)
+	var ex *Executor
+	ex = New(n, func(id int) {
+		for r := 0; r < rounds; r++ {
+			boxes.post(ex, id^1)
+			boxes.wait(ex, id, nil)
+		}
+	}, opts)
+	ex.Start()
+	ex.Wait()
+	return ex
+}
+
+// TestParkHandsSlotToQueuedTask pins the fast path: on one slot, a park
+// with runnable work queued behind it hands the slot straight to the deque
+// head. In a 4096-task ring every task parks every other round (a
+// partner's post runs one round ahead) and nearly every park finds such
+// work; only the last pairs' parks, with the deque
+// drained, free their slot.
+func TestParkHandsSlotToQueuedTask(t *testing.T) {
+	const n, rounds = 4096, 8
+	st := partnerRing(n, rounds, Options{Workers: 1}).Snapshot()
+	if st.Parks < n*rounds/2 {
+		t.Fatalf("only %d parks for %d tasks × %d rounds: the ring did not run", st.Parks, n, rounds)
+	}
+	if float64(st.Handoffs) < 0.99*float64(st.Parks) {
+		t.Fatalf("Handoffs = %d of %d parks, want ≥ 99 %%", st.Handoffs, st.Parks)
+	}
+	if st.Parks != st.Wakeups {
+		t.Fatalf("Parks = %d, Wakeups = %d: on one slot every wake ends one park", st.Parks, st.Wakeups)
+	}
+}
+
+// BenchmarkParkHandoff times one park-and-wake cycle of the 4096-task ring
+// on one and two run slots; a task parks every other round, so b.N parks
+// take 2·b.N/4096 rounds.
+func BenchmarkParkHandoff(b *testing.B) {
+	const n = 4096
+	for _, w := range []int{1, 2} {
+		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
+			b.ReportAllocs()
+			st := partnerRing(n, 2*b.N/n+2, Options{Workers: w}).Snapshot()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(st.Parks), "ns/park")
+		})
 	}
 }

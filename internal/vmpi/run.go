@@ -32,8 +32,9 @@
 // slots — one base slot plus extras try-acquired from the process-wide
 // hostpar budget, the same pool the experiment scheduler and hostpar's
 // tile helpers draw from. Rank goroutines are spawned lazily on first
-// dispatch, so peak resident stacks track the slot bound, not the rank
-// count, and a 16384-rank machine is as cheap to hold as a 16-rank one.
+// dispatch, which bounds resident stacks only until ranks first wait: a
+// parked rank keeps its goroutine, so a world whose ranks all park once
+// holds one stack per rank.
 //
 // The world is elastic: Resize grows or shrinks the set of live ranks
 // mid-run (see resize.go). Each resize starts a new epoch — a fresh world

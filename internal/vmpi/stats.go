@@ -60,6 +60,9 @@ type ExecStats struct {
 	// Parks counts blocking receive waits (a receive that found its
 	// message queued parks zero times).
 	Parks int64
+	// Handoffs counts the parks whose run slot went straight to a queued
+	// rank instead of being freed (the executor's fast path).
+	Handoffs int64
 	// Wakeups counts deliveries that woke (or pre-empted the park of) a
 	// waiting rank.
 	Wakeups int64
@@ -79,6 +82,7 @@ type ExecStats struct {
 func execStatsFrom(s rankexec.Stats) *ExecStats {
 	return &ExecStats{
 		Parks:        s.Parks,
+		Handoffs:     s.Handoffs,
 		Wakeups:      s.Wakeups,
 		Spawned:      s.Spawned,
 		MaxRunnable:  s.MaxRunnable,

@@ -13,7 +13,9 @@ import (
 // of those edges strands a parked rank: the run either reports a false
 // deadlock (all-parked verdict) or hangs. The workload below drives all
 // three flush edges at once, at slot counts from fully serialized to wider
-// than the hot rank set, and the virtual clocks must match at every one.
+// than the hot rank set and at the default (one base slot plus extras from
+// the shared host budget, so slot hand-offs race budget growth and the
+// hand-off queue), and the virtual clocks must match at every one.
 func TestBatchedWakeStress(t *testing.T) {
 	// More destinations than wakeBatchMax so the hub's scatter crosses the
 	// flush-on-full edge mid-loop.
@@ -67,7 +69,7 @@ func TestBatchedWakeStress(t *testing.T) {
 	}
 
 	var ref *Stats
-	for _, w := range []int{1, 2, 8} {
+	for _, w := range []int{1, 2, 8, 0} {
 		st := Run(Config{Ranks: ranks, Workers: w}, workload)
 		if ref == nil {
 			ref = st
@@ -78,7 +80,7 @@ func TestBatchedWakeStress(t *testing.T) {
 		if !reflect.DeepEqual(st.Values, ref.Values) {
 			t.Fatalf("workers=%d: results diverge from workers=1", w)
 		}
-		if st.Exec.MaxSlots > w {
+		if w > 0 && st.Exec.MaxSlots > w {
 			t.Fatalf("workers=%d: MaxSlots %d exceeds the fixed bound", w, st.Exec.MaxSlots)
 		}
 	}

@@ -29,13 +29,15 @@ race:
 # (both backends, the lost vote, budgets) against a sequential scatter, the
 # obs running aggregates against a scan of the kept event list, the rank
 # executor (slot hand-off, stray wakes, Admit, budgets) against a sequential
-# FIFO model and its deadlock verdict. This is the
+# FIFO model and its deadlock verdict, the rendezvous collectives (clocks,
+# counters, results, events) against their message-level bodies. This is the
 # one list of fuzz targets: a new target joins it here and nowhere else. The
 # committed seed corpora (internal/*/testdata/fuzz) already run in every go
 # test.
 FUZZ_TARGETS := internal/fmm:FuzzOperatorsMatchReference internal/fft:FuzzPanelMatchesPerCall \
 	internal/vmpi:FuzzMailboxMatchesReference internal/redist:FuzzPlanMatchesOracle \
-	internal/obs:FuzzAggregatesMatchLog internal/rankexec:FuzzExecutorMatchesModel
+	internal/obs:FuzzAggregatesMatchLog internal/rankexec:FuzzExecutorMatchesModel \
+	internal/vmpi:FuzzCollectivesMatchMessageLevel
 
 fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \

@@ -11,7 +11,8 @@ import (
 // AllgatherBlocks switches from the ring algorithm to the gather+bcast tree
 // above allgatherRingMax ranks. These tests pin the boundary contract:
 //
-//  1. both algorithms produce byte-identical blocks for the same inputs,
+//  1. both message-level algorithms (the reference bodies the rendezvous
+//     replays) produce byte-identical blocks for the same inputs,
 //  2. virtual-time cost is monotone in rank count within each algorithm
 //     regime, and
 //  3. at the switchover the tree is no more expensive than the ring —
@@ -58,8 +59,8 @@ func TestAllgatherBoundaryAlgorithmsAgree(t *testing.T) {
 	for _, p := range []int{4, 31, 32, 33, 40} {
 		want := wantBoundaryBlocks(p)
 		Run(Config{Ranks: p}, func(c *Comm) {
-			ring := allgatherRing(c, boundaryBlock(c.Rank()))
-			tree := allgatherTree(c, boundaryBlock(c.Rank()))
+			ring := refAllgatherRing(c, boundaryBlock(c.Rank()))
+			tree := refAllgatherTree(c, boundaryBlock(c.Rank()))
 			if !reflect.DeepEqual(ring, tree) {
 				panic(fmt.Sprintf("rank %d: ring and tree disagree at p=%d", c.Rank(), p))
 			}

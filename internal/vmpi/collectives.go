@@ -1,14 +1,21 @@
 package vmpi
 
-// Collective operations, implemented on top of point-to-point messages with
-// standard algorithms (dissemination barrier, binomial trees, ring
-// allgather, pairwise all-to-all). Because they decompose into ordinary
-// messages, their virtual cost emerges from the network topology model.
+// Collective operations with the standard algorithms (dissemination barrier,
+// binomial trees, ring or tree allgather, pairwise all-to-all), so their
+// virtual cost emerges from the network topology model. Bcast, Reduce,
+// Gather*, ScatterBlocks, Scan and Exscan run as point-to-point messages;
+// the fully synchronizing six — Barrier, Allreduce(Val), Allgather(Blocks),
+// Alltoall(Owned) — meet in a rendezvous whose last arrival replays the
+// same messages' clocks (rendezvous.go).
 //
 // All collectives must be called by every rank of the communicator in the
 // same program order (SPMD discipline), as with MPI.
 
-import "repro/internal/obs"
+import (
+	"unsafe"
+
+	"repro/internal/obs"
+)
 
 // Reserved internal tags. User point-to-point tags must be non-negative.
 const (
@@ -63,15 +70,17 @@ func collSpan(c *Comm, kind obs.Kind, name string) func() {
 	}
 }
 
-// Barrier blocks until all ranks of the communicator have entered it, using
-// the dissemination algorithm (log2(p) rounds of point-to-point messages).
+// Barrier blocks until all ranks of the communicator have entered it,
+// charged as the dissemination algorithm: log2(p) rounds in which rank r
+// sends an empty message to rank r+k and receives one from rank r-k.
 func Barrier(c *Comm) {
-	defer collSpan(c, obs.KindBarrier, "barrier")()
-	p := c.Size()
-	for k := 1; k < p; k <<= 1 {
-		Send(c, []byte{}, (c.rank+k)%p, tagBarrier)
-		Recv[byte](c, (c.rank-k+p)%p, tagBarrier)
-	}
+	c.collective(collOp{name: "Barrier"}, nil, func(g *rendezvous) {
+		p := len(g.slots)
+		for k := 1; k < p; k <<= 1 {
+			g.round(p, tagBarrier, func(i int) (int, int, int) { return i, (i + k) % p, 0 })
+		}
+		g.span(obs.KindBarrier, "barrier", false)
+	})
 }
 
 // Bcast distributes root's data to all ranks down a binomial tree and
@@ -88,14 +97,6 @@ func Barrier(c *Comm) {
 // returns. Message sizes, order and virtual cost are those of P-1
 // copying sends.
 func Bcast[T any](c *Comm, data []T, root int) []T {
-	return bcast(c, data, root, false)
-}
-
-// bcast is the binomial-tree fan-out behind every broadcasting collective.
-// owned marks root's data as a buffer root relinquishes to the broadcast —
-// freshly built, shared-shaped (sharedCap) and never written again — so it
-// becomes the shared buffer itself instead of being copied into one.
-func bcast[T any](c *Comm, data []T, root int, owned bool) []T {
 	defer collSpan(c, obs.KindCollective, "bcast")()
 	p := c.Size()
 	if p == 1 {
@@ -118,9 +119,7 @@ func bcast[T any](c *Comm, data []T, root int, owned bool) []T {
 	shared := bytes > inlineMaxBytes || !inlineable[T]()
 	wire := data
 	if shared && rel == 0 {
-		if !owned {
-			wire = copyShared(data)
-		}
+		wire = copyShared(data)
 		debugShare(c.rt, wire)
 	}
 	mask >>= 1
@@ -136,7 +135,7 @@ func bcast[T any](c *Comm, data []T, root int, owned bool) []T {
 		}
 		mask >>= 1
 	}
-	if shared && rel == 0 && !owned {
+	if shared && rel == 0 {
 		debugUnshare(wire) // root keeps data, not the copy it fanned out
 	}
 	return data
@@ -171,17 +170,34 @@ func Reduce[T any](c *Comm, data []T, op func(a, b T) T, root int) []T {
 }
 
 // Allreduce combines equal-length slices element-wise with op and returns
-// the combined slice on every rank (reduce to rank 0 + broadcast). The
-// result is Bcast's: a shared, read-only view.
+// the combined slice on every rank, charged as a binomial reduce to rank 0
+// followed by a Bcast. op (the same on every rank) folds in the tree's own
+// pairing — each receiving rank combines its accumulator with a child
+// subtree's, nearest child first — so a non-associative op such as
+// floating-point addition rounds as the tree does. The result is Bcast's:
+// one buffer all ranks share read-only.
 func Allreduce[T any](c *Comm, data []T, op func(a, b T) T) []T {
-	res := Reduce(c, data, op, 0)
-	if c.rank != 0 {
-		res = nil
-	}
-	if c.rank == 0 && res == nil {
-		res = []T{}
-	}
-	return Bcast(c, res, 0)
+	stage(c, data)
+	return takeShared[T](c.collective(collOp{"Allreduce", inlineType[T](), len(data)}, op, replayAllreduce[T]))
+}
+
+// replayAllreduce folds the staged copies — each rank's accumulator, as in
+// Reduce — up the tree while charging it, then charges the broadcast.
+func replayAllreduce[T any](g *rendezvous) {
+	n, op := g.op.n, g.fn.(func(a, b T) T)
+	g.tree(true, tagReduce, n*sizeOf[T](), func(parent, child int) {
+		acc, part := slotData[T](&g.slots[parent]), slotData[T](&g.slots[child])
+		for i := range acc {
+			acc[i] = op(acc[i], part[i])
+		}
+	})
+	g.span(obs.KindCollective, "reduce", true)
+	g.tree(false, tagBcast, n*sizeOf[T](), nil)
+	g.span(obs.KindCollective, "bcast", true)
+	res := make([]T, n, sharedCap(n))
+	copy(res, slotData[T](&g.slots[0]))
+	unstage[T](g)
+	share(g, res)
 }
 
 // AllreduceVal reduces a single value with op across all ranks.
@@ -243,164 +259,144 @@ func ScatterBlocks[T any](c *Comm, blocks [][]T, root int) []T {
 	return Recv[T](c, root, tagScatter)
 }
 
-// allgatherRingMax is the largest communicator for which AllgatherBlocks
-// uses the ring algorithm. The ring costs p-1 steps per rank — O(p²)
+// allgatherRingMax is the largest communicator on which the allgathers are
+// charged as the ring algorithm. The ring costs p-1 steps per rank — O(p²)
 // messages in total — which is fine at the paper-figure scales but
 // dominates everything at paper-machine rank counts, so larger
 // communicators switch to a gather+broadcast tree (O(p) messages), as real
 // MPI implementations switch collective algorithms by communicator size.
 // The threshold keeps every ≤32-rank configuration — including all golden
-// configs — on the ring, byte-identical to before.
+// configs — on the ring.
 const allgatherRingMax = 32
 
+// Allgather collects every rank's slice on every rank, concatenated in rank
+// order: one buffer all ranks share read-only (see Bcast), whose Release is
+// legal and does nothing.
+func Allgather[T any](c *Comm, data []T) []T {
+	return takeShared[T](allgather(c, data))
+}
+
 // AllgatherBlocks collects every rank's (variable-length) slice on every
-// rank. The result is indexed by source rank. Small communicators use the
-// ring algorithm (p-1 neighbor exchange steps); large ones gather to rank
-// 0 and broadcast the lengths and the concatenation down the binomial
-// tree.
+// rank. The result is indexed by source rank; every block is the calling
+// rank's own, writable and releasable.
 func AllgatherBlocks[T any](c *Comm, data []T) [][]T {
-	defer collSpan(c, obs.KindCollective, "allgather")()
-	if c.Size() <= allgatherRingMax {
-		return allgatherRing(c, data)
-	}
-	return allgatherTree(c, data)
-}
-
-// allgatherRing is the small-communicator algorithm: p-1 steps in which
-// every rank forwards the newest block to its right neighbor.
-func allgatherRing[T any](c *Comm, data []T) [][]T {
-	p := c.Size()
-	blocks := make([][]T, p)
-	blocks[c.rank] = copySlice(data)
-	right := (c.rank + 1) % p
-	left := (c.rank - 1 + p) % p
-	cur := c.rank
-	for step := 1; step < p; step++ {
-		Send(c, blocks[cur], right, tagGatherA)
-		cur = (cur - 1 + p) % p // after this step we hold left neighbor's block chain
-		blocks[cur] = Recv[T](c, left, tagGatherA)
-	}
-	return blocks
-}
-
-// gatherShared is the gather half of the large-communicator allgathers:
-// every rank sends its block to rank 0, which receives them in rank order
-// straight into the two buffers the broadcast half then shares — the
-// per-rank lengths and the concatenation. Root builds both itself and never
-// writes them again, so they go out as owned broadcast buffers; other ranks
-// get nil.
-func gatherShared[T any](c *Comm, data []T) (lens []int64, flat []T) {
-	p := c.Size()
-	if c.rank != 0 {
-		Send(c, data, 0, tagGatherA)
-		return nil, nil
-	}
-	debugUse(data)
-	lens = make([]int64, p, sharedCap(p))
-	// Sized for equal blocks, the common case; append grows it otherwise.
-	flat = make([]T, 0, sharedCap(p*len(data)))
-	flat = append(flat, data...)
-	lens[0] = int64(len(data))
-	for r := 1; r < p; r++ {
-		n := len(flat)
-		flat = recvAppend(c, flat, r, tagGatherA)
-		lens[r] = int64(len(flat) - n)
-	}
-	return lens, sharedShape(flat)
-}
-
-// allgatherTree is the large-communicator algorithm: gather every block to
-// rank 0, then broadcast the lengths and the concatenation down the
-// binomial tree.
-func allgatherTree[T any](c *Comm, data []T) [][]T {
-	lens, flat := gatherShared(c, data)
-	lens = bcast(c, lens, 0, true)
-	flat = bcast(c, flat, 0, true)
-	out := make([][]T, c.Size())
-	off := 0
+	g, s := allgather(c, data)
+	flat := takeShared[T](g, s)
+	out := make([][]T, len(g.slots))
 	for r := range out {
-		n := int(lens[r])
-		// Copy each segment into its own buffer: result blocks are private
-		// and independently releasable, never subslices of the shared
-		// broadcast array.
-		out[r] = copySlice(flat[off : off+n])
-		off += n
+		out[r] = copySlice(flat[g.offs[r]:g.offs[r+1]])
 	}
 	Release(flat)
-	Release(lens)
 	return out
 }
 
-// allgatherFlat is the large-communicator Allgather: the same gather +
-// broadcast messages as allgatherTree — virtual cost and golden figures
-// are identical — but the broadcast concatenation IS the result, one
-// buffer shared by all P ranks, so neither the per-segment copies of the
-// block form nor a private concatenation per rank are ever materialized.
-// The lens broadcast stays on the wire for message-structure identity even
-// though the flat result does not use it.
-func allgatherFlat[T any](c *Comm, data []T) []T {
-	defer collSpan(c, obs.KindCollective, "allgather")()
-	lens, flat := gatherShared(c, data)
-	Release(bcast(c, lens, 0, true))
-	return bcast(c, flat, 0, true)
+// allgather is charged, up to allgatherRingMax ranks, as the ring: p-1
+// steps in which every rank forwards the newest block to its right
+// neighbour. Above, it is a gather to rank 0 followed by Bcasts of the
+// block lengths and of the concatenation.
+func allgather[T any](c *Comm, data []T) (*rendezvous, *rdvSlot) {
+	stage(c, data)
+	return c.collective(collOp{name: "Allgather", typ: inlineType[T]()}, nil, replayAllgather[T])
 }
 
-// Allgather collects every rank's slice on every rank, concatenated in rank
-// order. Above the ring limit the result is the broadcast buffer itself: a
-// shared, read-only view (see Bcast) whose Release is legal and does
-// nothing. Callers treat the result as read-only at every size.
-func Allgather[T any](c *Comm, data []T) []T {
-	if c.Size() > allgatherRingMax {
-		return allgatherFlat(c, data)
+// replayAllgather charges the ring, or the gather and both broadcasts, then
+// concatenates the staged inputs into the one shared result.
+func replayAllgather[T any](g *rendezvous) {
+	p, size := len(g.slots), sizeOf[T]()
+	g.offs = append(g.offs[:0], 0)
+	for r := range g.slots {
+		g.offs = append(g.offs, g.offs[r]+g.slots[r].n)
 	}
-	blocks := AllgatherBlocks(c, data)
-	out := concat(blocks)
-	ReleaseBlocks(blocks) // concat copied them; recycle the per-hop buffers
-	return out
+	total := g.offs[p]
+	block := func(r int) int { return g.slots[r].n * size }
+	if p <= allgatherRingMax {
+		for step := 1; step < p; step++ {
+			g.round(p, tagGatherA, func(i int) (int, int, int) { return i, (i + 1) % p, block((i - step + 1 + p) % p) })
+		}
+	} else {
+		g.round(p-1, tagGatherA, func(i int) (int, int, int) { return i + 1, 0, block(i + 1) })
+		for _, bytes := range [2]int{p * sizeOf[int64](), total * size} {
+			g.tree(false, tagBcast, bytes, nil)
+			g.span(obs.KindCollective, "bcast", true)
+		}
+	}
+	g.span(obs.KindCollective, "allgather", false)
+	flat := make([]T, total, sharedCap(total))
+	for r := range g.slots {
+		copy(flat[g.offs[r]:], slotData[T](&g.slots[r]))
+	}
+	unstage[T](g)
+	share(g, flat)
 }
 
-// Alltoall exchanges parts[dst] from every rank to every rank dst using the
-// pairwise exchange algorithm (p-1 rounds). The result is indexed by source
-// rank; block lengths may differ arbitrarily (MPI_Alltoallv semantics).
+// Alltoall exchanges parts[dst] from every rank to every rank dst, charged
+// as the pairwise exchange algorithm: p-1 steps, in step s rank r sends to
+// rank r+s and receives from rank r-s. The result is indexed by source rank;
+// block lengths may differ arbitrarily (MPI_Alltoallv semantics). The parts
+// are copied; the caller keeps them.
 func Alltoall[T any](c *Comm, parts [][]T) [][]T {
-	defer collSpan(c, obs.KindCollective, "alltoall")()
-	p := c.Size()
-	if len(parts) != p {
-		panic("vmpi: Alltoall needs one part per rank")
-	}
-	recv := make([][]T, p)
-	recv[c.rank] = copySlice(parts[c.rank])
-	for step := 1; step < p; step++ {
-		dst := (c.rank + step) % p
-		src := (c.rank - step + p) % p
-		Send(c, parts[dst], dst, tagA2A)
-		recv[src] = Recv[T](c, src, tagA2A)
-	}
-	return recv
+	return alltoall(c, parts, false)
 }
 
 // AlltoallOwned is Alltoall with the SendOwned ownership contract applied
 // to every part: the caller relinquishes all of parts' buffers (the self
-// block is passed through to the result without a copy, the others are sent
-// without a copy) and must not touch them afterwards. Parts must be
-// disjoint buffers — never subslices of one shared array, since different
-// receiving ranks would then alias each other's memory. Virtual cost is
-// identical to Alltoall.
+// block is passed through to the result without a copy, the others are
+// handed to their receivers without a copy) and must not touch them
+// afterwards. Parts must be disjoint buffers — never subslices of one
+// shared array, since different receiving ranks would then alias each
+// other's memory. Virtual cost is identical to Alltoall.
 func AlltoallOwned[T any](c *Comm, parts [][]T) [][]T {
-	defer collSpan(c, obs.KindCollective, "alltoall")()
+	return alltoall(c, parts, true)
+}
+
+// alltoall meets with the rank's outgoing blocks in its own result slice —
+// copies of the parts, or the owned parts themselves — which the replay
+// transposes, across all ranks, into the incoming ones.
+func alltoall[T any](c *Comm, parts [][]T, owned bool) [][]T {
 	p := c.Size()
 	if len(parts) != p {
-		panic("vmpi: AlltoallOwned needs one part per rank")
+		panic("vmpi: Alltoall needs one part per rank")
 	}
-	recv := make([][]T, p)
-	recv[c.rank] = parts[c.rank]
+	out := make([][]T, p)
+	for d, b := range parts {
+		if !owned {
+			b = copySlice(b)
+		} else if d != c.rank {
+			debugTransfer(b)
+		}
+		out[d] = b
+	}
+	s := &c.meeting().slots[c.rank]
+	s.data, s.n = unsafe.Pointer(unsafe.SliceData(out)), p
+	c.collective(collOp{name: "Alltoall", typ: inlineType[T]()}, nil, replayAlltoall[T])
+	s.data = nil
+	for src, b := range out {
+		if src != c.rank {
+			debugRecv(b)
+		}
+	}
+	return out
+}
+
+// replayAlltoall charges the pairwise steps, then transposes: block d of
+// rank s's slice trades places with block s of rank d's.
+func replayAlltoall[T any](g *rendezvous) {
+	p, size := len(g.slots), sizeOf[T]()
+	blocks := func(r int) [][]T { return slotData[[]T](&g.slots[r]) }
 	for step := 1; step < p; step++ {
-		dst := (c.rank + step) % p
-		src := (c.rank - step + p) % p
-		SendOwned(c, parts[dst], dst, tagA2A)
-		recv[src] = Recv[T](c, src, tagA2A)
+		g.round(p, tagA2A, func(i int) (int, int, int) {
+			dst := (i + step) % p
+			return i, dst, len(blocks(i)[dst]) * size
+		})
 	}
-	return recv
+	g.span(obs.KindCollective, "alltoall", false)
+	for s := 0; s < p; s++ {
+		from := blocks(s)
+		for d := s + 1; d < p; d++ {
+			to := blocks(d)
+			from[d], to[s] = to[s], from[d]
+		}
+	}
 }
 
 // Scan computes the inclusive prefix reduction of equal-length slices in

@@ -1,0 +1,177 @@
+package vmpi
+
+import (
+	"math"
+	"reflect"
+	"testing"
+
+	"repro/internal/netmodel"
+)
+
+// collSet is one implementation of the six synchronizing collectives, at
+// the element types the fuzz programs use.
+type collSet struct {
+	barrier   func(*Comm)
+	allreduce func(*Comm, []float64, func(a, b float64) float64) []float64
+	allgather func(*Comm, []uint32) []uint32
+	blocks    func(*Comm, []uint32) [][]uint32
+	alltoall  func(*Comm, [][]uint32) [][]uint32
+	owned     func(*Comm, [][]uint32) [][]uint32
+}
+
+var (
+	replayColls = collSet{Barrier, Allreduce[float64], Allgather[uint32], AllgatherBlocks[uint32],
+		Alltoall[uint32], AlltoallOwned[uint32]}
+	messageColls = collSet{refBarrier, refAllreduce[float64], refAllgather[uint32], refAllgatherBlocks[uint32],
+		refAlltoall[uint32], refAlltoallOwned[uint32]}
+)
+
+// fuzzRanks are the world sizes: 1, small primes, both sides of the
+// ring/tree allgather switch (32, 33), and primes above it.
+var fuzzRanks = [...]int{1, 2, 3, 4, 5, 7, 11, 13, 17, 31, 32, 33, 37}
+
+// fuzzSizes are block lengths in 4-byte elements: empty, one element, the
+// 32 B inline limit and one element past it, and both sides of the smallest
+// pool size class (32 elements) and the next class.
+var fuzzSizes = [...]int{0, 1, 8, 9, 31, 32, 33, 64}
+
+func fuzzMix(a, b, c uint64) uint64 {
+	x := a*0x9E3779B97F4A7C15 ^ b*0xC2B2AE3D27D4EB4F ^ c*0x165667B19E3779F9
+	x ^= x >> 31
+	x *= 0xBF58476D1CE4E5B9
+	return x ^ x>>29
+}
+
+// fuzzFloat spreads values over forty binary orders of magnitude, so a sum
+// depends on its association order.
+func fuzzFloat(k, r, i int) float64 {
+	h := fuzzMix(uint64(k), uint64(r), uint64(i))
+	return math.Ldexp(float64(h>>11)/(1<<53)-0.5, int(h%41)-20)
+}
+
+func fuzzBlock(k, r, n int) []uint32 {
+	b := make([]uint32, n)
+	for i := range b {
+		b[i] = uint32(fuzzMix(uint64(k), uint64(r), uint64(i)))
+	}
+	return b
+}
+
+// fuzzDigest folds a result's length and element bits into d.
+func fuzzDigest[T uint32 | float64](d uint64, b []T) uint64 {
+	d = fuzzMix(d, uint64(len(b)), 1)
+	for _, v := range b {
+		bits := uint64(v)
+		if f, ok := any(v).(float64); ok {
+			bits = math.Float64bits(f)
+		}
+		d = fuzzMix(d, bits, 2)
+	}
+	return d
+}
+
+// fuzzProgram is one rank of the program ops encodes, one byte per call:
+// bits 0-2 pick the collective, bits 3-5 the block size, bit 7 the world or
+// a Split sub-communicator (split by the rendezvous Allgather in both runs). Ranks compute for different times between calls,
+// odd calls run inside a phase, and each rank stores a digest of every
+// result it got.
+func fuzzProgram(cs collSet, ops []byte) func(c *Comm) {
+	return func(c *Comm) {
+		me := c.Rank()
+		sub := c.Split(me%3, -me)
+		var digests []uint64
+		for k, op := range ops {
+			cc := c
+			if op&0x80 != 0 {
+				cc = sub
+			}
+			c.Compute(float64(fuzzMix(uint64(k), uint64(me), 3)%7) * 1e-7)
+			call := func() { digests = append(digests, fuzzCall(cs, cc, op, k)) }
+			if k%2 == 1 {
+				c.Phase("odd", call)
+			} else {
+				call()
+			}
+		}
+		c.SetResult(digests)
+	}
+}
+
+func fuzzCall(cs collSet, c *Comm, op byte, k int) uint64 {
+	me, p := c.Rank(), c.Size()
+	size := int(op >> 3 & 7)
+	n := fuzzSizes[size]
+	switch op & 7 {
+	case 0:
+		cs.barrier(c)
+		return 0
+	case 1, 2:
+		in := make([]float64, n)
+		for i := range in {
+			in[i] = fuzzFloat(k, me, i)
+		}
+		return fuzzDigest(0, cs.allreduce(c, in, Sum[float64]))
+	case 3:
+		return fuzzDigest(0, cs.allgather(c, fuzzBlock(k, me, fuzzSizes[(size+me)%len(fuzzSizes)])))
+	case 4:
+		d := uint64(0)
+		for _, b := range cs.blocks(c, fuzzBlock(k, me, fuzzSizes[(size+me)%len(fuzzSizes)])) {
+			d = fuzzDigest(d, b)
+		}
+		return d
+	}
+	parts := make([][]uint32, p)
+	for dst := range parts {
+		parts[dst] = fuzzBlock(k, me*p+dst, fuzzSizes[(size+me+dst)%len(fuzzSizes)])
+	}
+	f := cs.alltoall
+	if op&7 >= 6 {
+		f = cs.owned
+	}
+	d := uint64(0)
+	for _, b := range f(c, parts) {
+		d = fuzzDigest(d, b)
+	}
+	return d
+}
+
+// FuzzCollectivesMatchMessageLevel runs the program a byte string encodes
+// twice — on the rendezvous collectives and on their message-level reference
+// bodies — and compares every rank's results, final clock bits, message and
+// byte counts, phase times and, under Trace, its full event list. Byte 0
+// picks the world size, byte 1 the trace flag (bit 0), the torus model (bit
+// 1) and three run slots instead of one (bit 2); at most 24 calls follow.
+func FuzzCollectivesMatchMessageLevel(f *testing.F) {
+	f.Add([]byte{10, 1, 0x01, 0x0b, 0x83, 0x25, 0x8c, 0x36, 0x80, 0x17})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) < 2 {
+			return
+		}
+		p := fuzzRanks[int(prog[0])%len(fuzzRanks)]
+		cfg := Config{Ranks: p, Trace: prog[1]&1 != 0, Workers: 1 + 2*int(prog[1]>>2&1)}
+		if prog[1]&2 != 0 {
+			cfg.Model = netmodel.NewTorus(p)
+		}
+		ops := prog[2:min(len(prog), 26)]
+		want := Run(cfg, fuzzProgram(messageColls, ops))
+		got := Run(cfg, fuzzProgram(replayColls, ops))
+		gotEvs, wantEvs := virtualEvents(got.Events), virtualEvents(want.Events)
+		for r := 0; r < p; r++ {
+			for _, c := range []struct {
+				what      string
+				got, want any
+			}{
+				{"clock bits", math.Float64bits(got.Clocks[r]), math.Float64bits(want.Clocks[r])},
+				{"results", got.Values[r], want.Values[r]},
+				{"messages", got.MessagesSent[r], want.MessagesSent[r]},
+				{"bytes", got.BytesSent[r], want.BytesSent[r]},
+				{"phases", got.Phases[r], want.Phases[r]},
+				{"events", gotEvs[r], wantEvs[r]},
+			} {
+				if !reflect.DeepEqual(c.got, c.want) {
+					t.Fatalf("rank %d of %d: %s differ from the message-level run:\n got %v\nwant %v", r, p, c.what, c.got, c.want)
+				}
+			}
+		}
+	})
+}

@@ -118,7 +118,7 @@ func dbgCallSite() string {
 	for {
 		f, more := frames.Next()
 		switch filepath.Base(f.File) {
-		case "debug_on.go", "p2p.go", "pool.go", "collectives.go":
+		case "debug_on.go", "p2p.go", "pool.go", "collectives.go", "rendezvous.go":
 		default:
 			return fmt.Sprintf("%s:%d", f.File, f.Line)
 		}

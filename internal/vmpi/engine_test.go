@@ -170,7 +170,7 @@ func TestZeroByteBothEngines(t *testing.T) {
 func TestDeadlockDumpBothEngines(t *testing.T) {
 	t.Run("event", func(t *testing.T) {
 		defer func() {
-			const want = "vmpi: deadlock: all ranks blocked in receive:\n" +
+			const want = "vmpi: deadlock: all ranks blocked in receive or collective:\n" +
 				"  rank 0 waiting for (src 1, tag 9)\n" +
 				"  rank 1 waiting for (src 2, tag 9)\n" +
 				"  rank 2 waiting for (src 0, tag 9)\n"

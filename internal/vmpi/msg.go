@@ -122,26 +122,19 @@ func sendInline[T any](c *Comm, data []T, bytes, dst, tag int) {
 	sendMsg(c, m, bytes, dst, tag)
 }
 
-// recvInline extracts an inline payload into a fresh exact-size slice and
-// recycles the envelope.
+// recvInline extracts an inline payload into a fresh exact-size slice after
+// verifying the element type, and recycles the envelope.
 func recvInline[T any](m *message, src, tag int) []T {
-	out := make([]T, m.inlElems)
-	takeInline(m, out, src, tag)
-	return out
-}
-
-// takeInline copies an inline payload into out, which must hold exactly
-// m.inlElems elements, after verifying the element type, and recycles the
-// envelope.
-func takeInline[T any](m *message, out []T, src, tag int) {
 	if want := inlineType[T](); m.inlType != want {
 		panic(fmt.Sprintf("vmpi: Recv type mismatch: got %s from rank %d tag %d, want %s",
 			m.inlType.Elem(), src, tag, want.Elem()))
 	}
+	out := make([]T, m.inlElems)
 	if n := m.bytes; n > 0 {
 		copy(unsafe.Slice((*byte)(unsafe.Pointer(&out[0])), n), m.inlineBytes(n))
 	}
 	putMsg(m)
+	return out
 }
 
 // SendVal sends a single value to rank dst — wire-identical to

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"unsafe"
 
+	"repro/internal/netmodel"
 	"repro/internal/obs"
 )
 
@@ -55,23 +56,6 @@ func Recv[T any](c *Comm, src, tag int) []T {
 		return recvInline[T](m, src, tag)
 	}
 	return takePayload[T](m, src, tag)
-}
-
-// recvAppend receives like Recv but appends the payload to dst instead of
-// handing it back in a buffer of its own: an inline payload is copied
-// straight out of the envelope, a pooled one is copied and released.
-func recvAppend[T any](c *Comm, dst []T, src, tag int) []T {
-	m := recvRaw(c, src, tag)
-	if m.inlElems < 0 {
-		data := takePayload[T](m, src, tag)
-		dst = append(dst, data...)
-		Release(data)
-		return dst
-	}
-	n := len(dst)
-	dst = append(dst, make([]T, m.inlElems)...)
-	takeInline(m, dst[n:], src, tag)
-	return dst
 }
 
 // Sendrecv sends sendData to dst and receives a message from src with the
@@ -170,24 +154,22 @@ func sendMsg(c *Comm, m *message, bytes, dst, tag int) {
 	if dst < 0 || dst >= len(c.members) {
 		panic(fmt.Sprintf("vmpi: Send to invalid rank %d (size %d)", dst, len(c.members)))
 	}
-	model := c.rt.model
 	srcInst := c.inst(c.rank)
 	dstInst := c.inst(dst)
 	dstW := c.world(dst)
-	start := c.st.clock + sendOverhead
-	c.st.clock = start + model.Injection(bytes)
+	// The model is charged by node position (world rank of the epoch the
+	// instance was admitted in), which stays physically meaningful across
+	// resizes — instance ids grow without bound, node positions are reused.
+	// arrive stays local past the put: the receiver may consume and recycle
+	// the envelope the moment it is enqueued.
+	start, after, arrive := sendClocks(c.rt.model, c.st.clock, srcInst.node, dstInst.node, bytes)
+	c.st.clock = after
 	c.st.bytesSent += int64(bytes)
 	c.st.msgsSent++
 	m.src = c.rank
 	m.tag = tag
 	m.ctx = c.ctx
 	m.bytes = bytes
-	// The model is charged by node position (world rank of the epoch the
-	// instance was admitted in), which stays physically meaningful across
-	// resizes — instance ids grow without bound, node positions are reused.
-	// arrive stays local past the put: the receiver may consume and recycle
-	// the envelope the moment it is enqueued.
-	arrive := start + model.Cost(srcInst.node, dstInst.node, bytes)
 	m.arrive = arrive
 	if dstInst.box.put(m) {
 		// The destination recorded a wait for this key, so it is parked or
@@ -208,6 +190,23 @@ func sendMsg(c *Comm, m *message, bytes, dst, tag int) {
 	}
 }
 
+// sendClocks charges a send leaving at clock: it starts after the send
+// overhead, holds the port for the injection time and arrives after the
+// network cost. sendMsg and the collectives' replay both charge through it.
+func sendClocks(m netmodel.Model, clock float64, src, dst, bytes int) (start, after, arrive float64) {
+	start = clock + sendOverhead
+	return start, start + m.Injection(bytes), start + m.Cost(src, dst, bytes)
+}
+
+// recvClock completes a receive at the later of clock and arrival, plus the
+// receive overhead.
+func recvClock(clock, arrive float64) float64 {
+	if arrive > clock {
+		clock = arrive
+	}
+	return clock + recvOverhead
+}
+
 // recvRaw blocks for a matching message and advances the receiver clock to
 // the message arrival time.
 //
@@ -221,10 +220,7 @@ func recvRaw(c *Comm, src, tag int) *message {
 	// block, or the all-parked verdict would see a false deadlock.
 	c.rt.flushWakes(c.st)
 	m := c.inst(c.rank).box.take(c, src, tag)
-	if m.arrive > c.st.clock {
-		c.st.clock = m.arrive
-	}
-	c.st.clock += recvOverhead
+	c.st.clock = recvClock(c.st.clock, m.arrive)
 	if c.rt.trace {
 		c.st.rec.Record(obs.Event{
 			Kind: obs.KindArrive, Name: c.st.currentPhase,
@@ -242,19 +238,6 @@ func copyShared[T any](data []T) []T {
 	out := make([]T, len(data), sharedCap(len(data)))
 	copy(out, data)
 	return out
-}
-
-// sharedShape returns s with a capacity that is not a pool size class:
-// clipped where the array allows, copied only when len(s) is itself a class
-// size that fills its array.
-func sharedShape[T any](s []T) []T {
-	if poolClass(cap(s)) < 0 {
-		return s
-	}
-	if c := sharedCap(len(s)); c <= cap(s) {
-		return s[:len(s):c]
-	}
-	return append(make([]T, 0, sharedCap(len(s))), s...)
 }
 
 // copySlice deep-copies a payload slice into a (possibly pooled) buffer.

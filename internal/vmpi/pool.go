@@ -19,8 +19,10 @@ import (
 // Buffer lifecycle. A pooled buffer goes round one cycle: drawn from the
 // pool, carried by a message, released into the pool by its receiver, drawn
 // again. A copying send (Send/Sendrecv/…) draws for its caller: it copies the
-// payload into a pooled buffer. A sender that builds its payload in place
-// draws the buffer itself with Owned, fills it and relinquishes it with
+// payload into a pooled buffer. So does Alltoall for every part, and the
+// other synchronizing collectives for an input longer than one word, which
+// their replay releases (stage). A sender that builds its payload in
+// place draws the buffer itself with Owned, fills it and relinquishes it with
 // SendOwned/AlltoallOwned — no copy, and what the receiver's Release hands
 // back is what the next step's Owned draws (the fft slab transposes and the
 // pnfft mesh all-to-alls run this way). Either way the draw and the release
@@ -45,17 +47,19 @@ import (
 //     mutate or forward it. A sole owner that is done with a private slice
 //     may hand it back with Release (or ReleaseBlocks) — always optional,
 //     at most once. SendOwned/AlltoallOwned transfer the caller's buffer
-//     into the message with no copy; the caller must not touch the slice
-//     (or any alias of it) afterwards.
-//   - Shared read-only: the fan-out half of the tree collectives (Bcast,
-//     and through it Allreduce, Allgather and AllgatherBlocks above the
-//     ring limit, and the resize release) puts a payload larger than the
-//     inline limit into ONE immutable buffer, and every hop of the binomial
-//     tree forwards a reference to it. The slices Bcast, Allreduce and
-//     Allgather return are therefore views that up to P ranks hold at once:
-//     read them, copy out of them, pass them to copying sends — never store
-//     into them, append onto them, or relinquish them to
-//     SendOwned/AlltoallOwned. The Go collector is the reference count: a
+//     into the message with no copy (AlltoallOwned: into the receiver's
+//     result); the caller must not touch the slice (or any alias of it)
+//     afterwards. AllgatherBlocks and Alltoall results are private too.
+//   - Shared read-only: three results are ONE immutable buffer that every
+//     rank of the communicator references. Bcast puts a payload larger
+//     than the inline limit into one buffer and every hop of the binomial
+//     tree forwards a reference to it (the resize release too); the
+//     Allreduce and Allgather replays (rendezvous.go) build their result
+//     once, at any size, and hand every rank the same view. So the slices
+//     Bcast, Allreduce and Allgather return are views that up to P ranks
+//     hold at once: read them, copy out of them, pass them to copying
+//     sends — never store into them, append onto them, or relinquish them
+//     to SendOwned/AlltoallOwned. The Go collector is the reference count: a
 //     shared buffer's capacity is never a pool size class (sharedCap), so
 //     Release of a shared view is legal and does nothing, and the buffer
 //     dies with its last holder.

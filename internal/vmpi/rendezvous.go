@@ -1,0 +1,283 @@
+package vmpi
+
+// The rendezvous the six synchronizing collectives meet in (collectives.go
+// says which and why). A call is one generation: each rank stages its input
+// and entry clock in its slot and parks once; the last to arrive replays the
+// algorithm's messages for every rank in closed form — their schedule is
+// fixed, and each is charged by sendClocks and recvClock as sendMsg and
+// recvRaw charge it — moves the data and wakes the rest in one UnparkBatch.
+// The message-level bodies in collectives_ref_test.go are the reference.
+// Single writer: the replay writes slot results and scratch, never a
+// rankState; each rank applies its own result when it wakes.
+
+import (
+	"fmt"
+	"reflect"
+	"sync"
+	"sync/atomic"
+	"unsafe"
+
+	"repro/internal/obs"
+)
+
+// collOp is what a rank entered; every rank of a generation must enter the
+// same. A collective's variants (Val, Blocks, Owned) meet as one.
+type collOp struct {
+	name string
+	typ  reflect.Type // element type
+	n    int          // Allreduce length
+}
+
+func (o collOp) String() string {
+	s := o.name
+	if o.typ != nil {
+		s += " of []" + o.typ.Elem().String()
+	}
+	if o.name == "Allreduce" {
+		s += fmt.Sprintf(", length %d", o.n)
+	}
+	return s
+}
+
+// rdvSlot is one rank's place. The rank writes its entry under the lock and
+// reads its result once woken; the replay reads the one, writes the other.
+type rdvSlot struct {
+	gen   atomic.Uint64  // the generation entered last, rdvDone set once its result is in
+	clock float64        // the entry clock, then the replay's, then the exit
+	data  unsafe.Pointer // the staged input (Alltoall: the [][]T), then the result
+	n     int            // its length
+	inl   uint64         // a one-word input's storage
+	msgs  int64
+	bytes int64
+	tr    *rdvTrace // set while the rank's events are listened to
+}
+
+// rdvDone marks a slot's generation as replayed.
+const rdvDone = 1 << 63
+
+// rdvTrace is what a listening rank's slot records for it.
+type rdvTrace struct {
+	phase       string
+	entry, mark float64 // the entry clock; where the current inner span began
+	events      []obs.Event
+}
+
+// rendezvous is one communicator's meeting point, held in Runtime.rdv.
+// Ranks read offs after they wake; only the next replay rewrites it, and it
+// needs every rank to have entered again.
+type rendezvous struct {
+	rt             *Runtime
+	members, nodes []int // instance id and network position of each rank
+	slots          []rdvSlot
+	arrive         []float64
+	offs           []int
+
+	mu      sync.Mutex
+	gen     uint64 // the generation being assembled, from 1
+	arrived int
+	op      collOp // what its first arrival entered,
+	first   int    // that rank,
+	fn      any    // and its Allreduce operator (MPI: every rank passes the same)
+}
+
+// meeting returns the communicator's rendezvous, cached in the rank's Comm.
+func (c *Comm) meeting() *rendezvous {
+	if c.rdv == nil {
+		p := len(c.members)
+		c.rt.mu.Lock()
+		if c.rdv = c.rt.rdv[c.ctx]; c.rdv == nil {
+			c.rdv = &rendezvous{rt: c.rt, members: c.members, nodes: make([]int, p),
+				slots: make([]rdvSlot, p), arrive: make([]float64, p), gen: 1}
+			for r := range c.rdv.nodes {
+				c.rdv.nodes[r] = c.inst(r).node
+			}
+			c.rt.rdv[c.ctx] = c.rdv
+		}
+		c.rt.mu.Unlock()
+	}
+	return c.rdv
+}
+
+// collective runs one synchronizing collective on the calling rank, its
+// input staged: it enters the generation and parks until the replay has
+// run or, arriving last, runs replay and wakes the rest. It returns with
+// the rank's result applied; a data result stays in the slot.
+func (c *Comm) collective(op collOp, fn any, replay func(*rendezvous)) (*rendezvous, *rdvSlot) {
+	g := c.meeting()
+	s := &g.slots[c.rank]
+	g.mu.Lock()
+	if g.arrived == 0 {
+		g.op, g.first, g.fn = op, c.rank, fn
+	} else if op != g.op {
+		g.mu.Unlock()
+		panic(fmt.Sprintf("vmpi: collective mismatch on a %d-rank communicator: rank %d entered %v, rank %d entered %v",
+			len(g.slots), g.first, g.op, c.rank, op))
+	}
+	gen := g.gen
+	s.gen.Store(gen)
+	if s.clock, s.tr = c.st.clock, nil; c.st.rec.Listening() {
+		s.tr = &rdvTrace{phase: c.st.currentPhase, entry: c.st.clock}
+	}
+	g.arrived++
+	last := g.arrived == len(g.slots)
+	if last {
+		g.arrived, g.gen = 0, gen+1
+	}
+	g.mu.Unlock()
+	if last {
+		for i := range g.slots {
+			g.slots[i].msgs, g.slots[i].bytes = 0, 0
+		}
+		replay(g)
+		g.fn = nil
+		for r := range g.slots {
+			g.slots[r].gen.Store(gen | rdvDone)
+		}
+		c.rt.exec.UnparkBatch(g.members[:c.rank])
+		c.rt.exec.UnparkBatch(g.members[c.rank+1:])
+	} else {
+		// Wakes this rank owes go out before it parks, as in recvRaw. The
+		// replay wakes every other rank once, so the first Park ends there.
+		c.rt.flushWakes(c.st)
+		for c.rt.exec.Park(c.world(c.rank)); s.gen.Load() != gen|rdvDone; {
+			c.rt.exec.Park(c.world(c.rank))
+		}
+	}
+	c.st.clock = s.clock
+	c.st.msgsSent += s.msgs
+	c.st.bytesSent += s.bytes
+	if s.tr != nil {
+		for _, e := range s.tr.events {
+			c.st.rec.Record(e)
+		}
+	}
+	s.tr = nil
+	return g, s
+}
+
+// round replays one step of an algorithm, whose n messages edge(i) = (src,
+// dst, bytes) leave after their sender's previous step and arrive for their
+// receiver's next: every send, then every receive, in message order — each
+// rank's program order, as a rank sends before it receives within a step.
+// Messages are recorded under Config.Trace (so every rank listens), as in
+// sendMsg and recvRaw.
+func (g *rendezvous) round(n, tag int, edge func(i int) (src, dst, bytes int)) {
+	for i := 0; i < n; i++ {
+		src, dst, bytes := edge(i)
+		s := &g.slots[src]
+		var start float64
+		start, s.clock, g.arrive[i] = sendClocks(g.rt.model, s.clock, g.nodes[src], g.nodes[dst], bytes)
+		s.msgs++
+		s.bytes += int64(bytes)
+		if g.rt.trace {
+			s.tr.events = append(s.tr.events, obs.Event{Kind: obs.KindSend, Name: s.tr.phase,
+				Peer: g.members[dst], Tag: tag, Bytes: bytes, T: start, T2: g.arrive[i]})
+		}
+	}
+	for i := 0; i < n; i++ {
+		src, dst, bytes := edge(i)
+		s := &g.slots[dst]
+		s.clock = recvClock(s.clock, g.arrive[i])
+		if g.rt.trace {
+			s.tr.events = append(s.tr.events, obs.Event{Kind: obs.KindArrive, Name: s.tr.phase,
+				Peer: g.members[src], Bytes: bytes, T: g.arrive[i], T2: s.clock})
+		}
+	}
+}
+
+// tree replays a binomial tree rooted at rank 0 as an inner span: a
+// Reduce's fan-in (up: from the leaves, each child sending its subtree's
+// accumulator to its parent, which folds it in) or a Bcast's fan-out (from
+// the root, each holder forwarding to the children it has yet to reach,
+// farthest first).
+func (g *rendezvous) tree(up bool, tag, bytes int, fold func(parent, child int)) {
+	top := 1
+	for top < len(g.slots) {
+		top <<= 1
+	}
+	for i := range g.slots {
+		if s := &g.slots[i]; s.tr != nil {
+			s.tr.mark = s.clock
+		}
+	}
+	for i := 1; i < top; i <<= 1 {
+		m := i
+		if !up {
+			m = top / (2 * i)
+		}
+		k := (len(g.slots) + m - 1) / (2 * m)
+		g.round(k, tag, func(j int) (int, int, int) {
+			if !up {
+				return 2 * m * j, 2*m*j + m, bytes
+			}
+			return 2*m*j + m, 2 * m * j, bytes
+		})
+		for j := 0; up && j < k; j++ {
+			fold(2*m*j, 2*m*j+m)
+		}
+	}
+}
+
+// span records on every listening rank a span ending at its replay clock,
+// from its entry clock or, inner, from the start of the last tree.
+func (g *rendezvous) span(kind obs.Kind, name string, inner bool) {
+	for i := range g.slots {
+		if s := &g.slots[i]; s.tr != nil {
+			t0 := s.tr.entry
+			if inner {
+				t0 = s.tr.mark
+			}
+			s.tr.events = append(s.tr.events, obs.Event{Kind: kind, Name: name, T: t0, T2: s.clock})
+		}
+	}
+}
+
+// stage copies the calling rank's input into its slot as a send would:
+// inline when it is one flat word, else into a (pooled) buffer that unstage
+// returns. The caller's slice is not kept, so a small literal stays on its
+// stack.
+func stage[T any](c *Comm, data []T) {
+	s := &c.meeting().slots[c.rank]
+	if s.n = len(data); s.n*sizeOf[T]() <= 8 && inlineable[T]() {
+		debugUse(data)
+		s.data = unsafe.Pointer(&s.inl)
+		copy(slotData[T](s), data)
+		return
+	}
+	s.data = unsafe.Pointer(unsafe.SliceData(copySlice(data)))
+}
+
+// unstage returns the pooled copies of a replayed generation's inputs: those
+// of a pool size class (getSlice).
+func unstage[T any](g *rendezvous) {
+	for i := range g.slots {
+		if s := &g.slots[i]; s.data != unsafe.Pointer(&s.inl) {
+			if b := classBits(s.n); b >= 0 {
+				Release(unsafe.Slice((*T)(s.data), 1<<b)[:s.n])
+			}
+		}
+	}
+}
+
+// slotData is the slice a slot holds.
+func slotData[T any](s *rdvSlot) []T { return unsafe.Slice((*T)(s.data), s.n) }
+
+// share hands every rank the one result of an Allreduce or an Allgather,
+// registered like a broadcast's shared payload with a holder per rank.
+func share[T any](g *rendezvous, res []T) {
+	debugShare(g.rt, res)
+	for r := range g.slots {
+		if r > 0 {
+			debugForward(res)
+		}
+		g.slots[r].data, g.slots[r].n = unsafe.Pointer(unsafe.SliceData(res)), len(res)
+	}
+}
+
+// takeShared is the rank's view of the shared result (its capacity
+// sharedCap); its slot lets go.
+func takeShared[T any](g *rendezvous, s *rdvSlot) []T {
+	res := unsafe.Slice((*T)(s.data), sharedCap(s.n))[:s.n]
+	s.data = nil
+	return res
+}

@@ -1,0 +1,134 @@
+package vmpi
+
+import (
+	"reflect"
+	"testing"
+)
+
+// A rank that never comes leaves the rest parked in the rendezvous; the
+// verdict names the collective, how many of how many ranks arrived, and who
+// is missing.
+func TestRendezvousDeadlockNamesMissingRank(t *testing.T) {
+	defer func() {
+		const want = "vmpi: deadlock: all ranks blocked in receive or collective:\n" +
+			"  3 of 4 ranks parked in Allreduce of []int64, length 1; missing ranks [2]\n"
+		if p := recover(); p != want {
+			t.Fatalf("deadlock panic:\n%v\nwant:\n%s", p, want)
+		}
+	}()
+	Run(Config{Ranks: 4}, func(c *Comm) {
+		if c.Rank() == 2 {
+			return // skips the Allreduce
+		}
+		//parlint:allow collsym -- rank 2 skips this Allreduce on purpose
+		Allreduce(c, []int64{1}, Sum[int64])
+	})
+}
+
+// Ranks of one communicator that enter different collectives, element types
+// or Allreduce lengths get a panic naming both sides instead of a hang. One
+// run slot makes rank 0 arrive first.
+func TestCollectiveMismatchPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		body func(c *Comm)
+		want string
+	}{
+		{"barrier-allreduce", func(c *Comm) {
+			if c.Rank() == 0 {
+				Barrier(c) //parlint:allow collsym -- the mismatch under test
+			} else {
+				AllreduceVal(c, 1, Sum[int]) //parlint:allow collsym -- the mismatch under test
+			}
+		}, "rank 0 entered Barrier, rank 1 entered Allreduce of []int, length 1"},
+		{"length", func(c *Comm) {
+			Allreduce(c, make([]float64, 2+c.Rank()), Sum[float64])
+		}, "rank 0 entered Allreduce of []float64, length 2, rank 1 entered Allreduce of []float64, length 3"},
+		{"type", func(c *Comm) {
+			if c.Rank() == 0 {
+				Allgather(c, []int32{1}) //parlint:allow collsym -- the mismatch under test
+			} else {
+				Allgather(c, []int64{1}) //parlint:allow collsym -- the mismatch under test
+			}
+		}, "rank 0 entered Allgather of []int32, rank 1 entered Allgather of []int64"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				want := "vmpi: collective mismatch on a 2-rank communicator: " + tc.want
+				if p := recover(); p != want {
+					t.Fatalf("panic %v, want %q", p, want)
+				}
+			}()
+			Run(Config{Ranks: 2, Workers: 1}, tc.body)
+		})
+	}
+}
+
+// TestRendezvousGenerationReuse runs 200 back-to-back collectives of all
+// six kinds on the world, a Split and a Dup communicator, with a Resize
+// halfway. Skewed compute lets fast ranks enter the next generation of a
+// communicator while slow ones are still waking from the last; with several
+// run slots they really do run at once. Stats must not depend on it.
+func TestRendezvousGenerationReuse(t *testing.T) {
+	const calls, grown = 200, 11
+	body := func(c *Comm) {
+		k := 0
+		if c.JoinEpoch() > 0 {
+			k = calls / 2 // admitted by the Resize below
+		}
+		var sub, dup *Comm
+		digest := uint64(0)
+		for ; k < calls; k++ {
+			if k == calls/2 && c.JoinEpoch() == 0 {
+				if c = Resize(c, grown); c == nil {
+					return
+				}
+			}
+			if k == 0 || k == calls/2 {
+				sub, dup = c.Split(c.Rank()%3, -c.Rank()), c.Dup()
+			}
+			me := c.Rank()
+			c.Compute(float64(fuzzMix(uint64(k), uint64(me), 4)%16) * 1e-6)
+			cc := [3]*Comm{c, sub, dup}[fuzzMix(uint64(k), 5, 6)%3]
+			switch k % 6 {
+			case 0:
+				Barrier(cc)
+			case 1:
+				digest = fuzzMix(digest, uint64(AllreduceVal(cc, int64(me+k), Sum[int64])), 0)
+			case 2:
+				digest = fuzzDigest(digest, Allgather(cc, fuzzBlock(k, me, k%5)))
+			case 3:
+				for _, b := range AllgatherBlocks(cc, fuzzBlock(k, me, (k+me)%40)) {
+					digest = fuzzDigest(digest, b)
+				}
+			default:
+				parts := make([][]uint32, cc.Size())
+				for d := range parts {
+					parts[d] = fuzzBlock(k, me*64+d, (k+d)%9)
+				}
+				f := Alltoall[uint32]
+				if k%6 == 5 {
+					f = AlltoallOwned[uint32]
+				}
+				for _, b := range f(cc, parts) {
+					digest = fuzzDigest(digest, b)
+				}
+			}
+		}
+		c.SetResult(digest)
+	}
+	run := func(workers int) *Stats {
+		st := Run(Config{Ranks: 8, MaxRanks: grown, Workers: workers}, body)
+		st.Exec = nil // host-domain meters
+		return st
+	}
+	ref := run(1)
+	for _, w := range []int{2, 4, 0} { // 0: one base slot plus the host budget
+		if got := run(w); !reflect.DeepEqual(got, ref) {
+			t.Fatalf("workers=%d: Stats differ from workers=1:\n got %+v\nwant %+v", w, got, ref)
+		}
+	}
+	if ref.FinalSize != grown || ref.Values[grown-1] == nil {
+		t.Fatalf("final size %d, admitted rank's result %v: the Resize did not take", ref.FinalSize, ref.Values[grown-1])
+	}
+}

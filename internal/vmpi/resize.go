@@ -133,7 +133,10 @@ func (rt *Runtime) reconfigure(old *epochWorld, newN int, tStar float64) {
 		nw.insts = append(nw.insts, inst)
 		members[r] = id
 	}
-	rt.setWorld(nw)
+	rt.mu.Lock()
+	rt.world = nw
+	delete(rt.rdv, old.ctx) // the retired world meets no more
+	rt.mu.Unlock()
 	if admitted := newN - keep; admitted > 0 {
 		if first := rt.exec.Admit(admitted); first != len(old.insts) {
 			panic("vmpi: executor task ids out of sync with instance ids")

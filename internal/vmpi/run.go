@@ -17,12 +17,13 @@
 //     and load imbalance propagate exactly as on a real machine.
 //   - Computation is charged explicitly via Comm.Compute.
 //
-// Collectives are implemented on top of point-to-point messages using
-// standard algorithms (binomial trees, ring allgather, pairwise all-to-all,
-// dissemination barrier), so their virtual cost emerges from the network
-// topology model rather than being postulated. On a switched model,
-// neighborhood exchanges gain nothing; on a torus model they do — matching
-// the paper's JuRoPA vs. Juqueen observations.
+// Collectives are charged as the messages of standard algorithms (binomial
+// trees, ring or tree allgather, pairwise all-to-all, dissemination
+// barrier), so their virtual cost emerges from the network topology model
+// rather than being postulated; the six that synchronize every rank replay
+// those messages' clocks in one rendezvous (rendezvous.go). On a switched
+// model, neighborhood exchanges gain nothing; on a torus model they do —
+// matching the paper's JuRoPA vs. Juqueen observations.
 //
 // Ranks execute under an event-driven executor (internal/rankexec): a
 // rank's body is arbitrary Go code, so a goroutine is the only resumable
@@ -50,6 +51,8 @@ package vmpi
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -87,11 +90,12 @@ type Runtime struct {
 	wall func() int64
 
 	// mu guards world, which rank 0 of a resize swaps while every other
-	// rank is quiescent. All cross-goroutine reads go through a lock so
-	// the swap is race-free even though it is logically serialized by the
-	// resize collective.
+	// rank is quiescent, and rdv, each communicator's rendezvous by context.
+	// All cross-goroutine reads go through a lock so the swap is race-free
+	// even though it is logically serialized by the resize collective.
 	mu    sync.Mutex
 	world *epochWorld
+	rdv   map[int64]*rendezvous
 
 	// exec is the rank executor. Written once before any rank runs.
 	exec *rankexec.Executor
@@ -165,6 +169,7 @@ func Run(cfg Config, f func(c *Comm)) *Stats {
 		maxExchangeBytes: cfg.MaxExchangeBytes,
 		trace:            cfg.Trace,
 		f:                f,
+		rdv:              map[int64]*rendezvous{},
 	}
 	// Wall-clock stamps are injected here so the obs package itself never
 	// reads the clock (it is part of the determinism-analyzer hot set);
@@ -301,12 +306,13 @@ func (rt *Runtime) flushWakes(st *rankState) {
 	st.pendingWakes = st.pendingWakes[:0]
 }
 
-// deadlockDump renders the all-parked verdict from every mailbox's wait
-// record, read under the mailbox lock. The executor calls it (through
-// OnDeadlock) only once every live rank is parked: each recorded its key
-// in take and no put cleared it, or it would have been woken.
+// deadlockDump renders the all-parked verdict: every mailbox's wait record,
+// read under the mailbox lock, then every rendezvous generation still short
+// of ranks. The executor calls it (through OnDeadlock) only once every live
+// rank is parked: each recorded its key in take, or its arrival in a
+// rendezvous, and nothing came to wake it.
 func (rt *Runtime) deadlockDump() string {
-	msg := "vmpi: deadlock: all ranks blocked in receive:\n"
+	msg := "vmpi: deadlock: all ranks blocked in receive or collective:\n"
 	for r, inst := range rt.currentWorld().insts {
 		mb := &inst.box
 		mb.mu.Lock()
@@ -315,5 +321,23 @@ func (rt *Runtime) deadlockDump() string {
 		}
 		mb.mu.Unlock()
 	}
-	return msg
+	var waits []string
+	rt.mu.Lock()
+	for _, g := range rt.rdv {
+		g.mu.Lock()
+		if g.arrived > 0 {
+			var missing []int
+			for r := range g.slots {
+				if g.slots[r].gen.Load() != g.gen {
+					missing = append(missing, g.members[r])
+				}
+			}
+			waits = append(waits, fmt.Sprintf("  %d of %d ranks parked in %v; missing ranks %v\n",
+				g.arrived, len(g.slots), g.op, missing))
+		}
+		g.mu.Unlock()
+	}
+	rt.mu.Unlock()
+	sort.Strings(waits)
+	return msg + strings.Join(waits, "")
 }

@@ -100,13 +100,6 @@ func (rt *Runtime) currentWorld() *epochWorld {
 	return w
 }
 
-// setWorld installs a new world snapshot (resize, on world rank 0 only).
-func (rt *Runtime) setWorld(w *epochWorld) {
-	rt.mu.Lock()
-	rt.world = w
-	rt.mu.Unlock()
-}
-
 // instComm returns the admission communicator of an instance; the executor
 // body calls it when first dispatching the instance's task.
 func (rt *Runtime) instComm(id int) *Comm {
@@ -159,6 +152,7 @@ type Comm struct {
 	members []int       // instance id of each communicator rank
 	ctx     int64       // context id separating message streams of communicators
 	st      *rankState
+	rdv     *rendezvous // the communicator's meeting point, once looked up
 }
 
 // Rank returns the calling rank's index within the communicator.

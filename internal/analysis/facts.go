@@ -213,7 +213,7 @@ var VmpiCollectives = map[string]bool{
 	"Barrier": true, "Bcast": true, "Reduce": true, "Allreduce": true,
 	"AllreduceVal": true, "Gather": true, "GatherBlocks": true,
 	"Allgather": true, "AllgatherBlocks": true, "ScatterBlocks": true,
-	"Alltoall": true, "AlltoallOwned": true, "Scan": true, "Exscan": true,
+	"Alltoall": true, "AlltoallOwned": true, "AlltoallLinear": true, "Scan": true, "Exscan": true,
 }
 
 // VmpiSharedResults are the vmpi collectives whose result is a shared
@@ -819,7 +819,7 @@ func scanFuncFacts(pkg *Package, decl *ast.FuncDecl, f *Facts) FuncFacts {
 			// consuming position inherits the consumption.
 			if PkgIs(fn.Pkg(), "vmpi") {
 				switch fn.Name() {
-				case "SendOwned", "AlltoallOwned":
+				case "SendOwned", "AlltoallOwned", "AlltoallLinear":
 					if len(n.Args) > 1 {
 						if i, ok := paramAt(n.Args[1]); ok {
 							out.TransfersParam |= 1 << uint(i)

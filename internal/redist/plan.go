@@ -20,8 +20,8 @@ import (
 // bounded-footprint rounds: destinations are packed greedily, in staging
 // order, into rounds whose worst-case staged bytes (a collective maximum,
 // so every rank derives the same schedule) stay within the budget, and
-// each round builds and relinquishes its buffers via vmpi.SendOwned before
-// the next round stages anything. Because vmpi sends are eager and never
+// each round builds and relinquishes its buffers before the next round
+// stages anything. Because vmpi sends are eager and never
 // block, all rounds complete before any receive, and the receives then
 // assemble blocks in canonical source order — so the result is
 // byte-identical whatever the round structure. Without a budget the
@@ -33,16 +33,18 @@ import (
 // alone exceeds the budget still gets a round of its own — the schedule
 // degrades to per-destination rounds, never deadlocks.
 //
-// One round loop (sendRounds) carries every operation. The only fork is
-// the transport of the dense unbudgeted case: its single round goes
-// through the pairwise vmpi.AlltoallOwned / vmpi.Alltoall collective,
-// whose send/receive interleaving — and therefore virtual time — the
-// golden figures pin. Each operation chooses at one `if` on
-// Plan.Bounded()/UsedNeighborhood().
+// One round loop (sendRounds) walks every schedule. Dense, Execute stages
+// every block and hands them to one collective: the pairwise
+// vmpi.AlltoallOwned unbudgeted (the golden figures pin its virtual time),
+// vmpi.AlltoallLinear under a budget, whose messages are the rounds' own —
+// so there the rounds only meter the staged peak. The neighborhood backend
+// and the budgeted resort send message by message: a neighborhood rank may
+// leave before a non-neighbour enters, and the resort's interleaved
+// position/value pair would need a collective entry point of its own.
 
-// Wire tags of the eager point-to-point rounds: the unbudgeted
-// neighborhood exchange on 201, budgeted rounds on 221 (the resort's
-// paired position/value messages use 211/212, see resort.go).
+// Wire tags: the unbudgeted neighborhood exchange sends on 201, budgeted
+// rounds — and the budgeted dense exchange's vmpi.AlltoallLinear — on 221
+// (the resort's paired position/value messages use 211/212, see resort.go).
 const (
 	tagNeighborhood = 201
 	tagPlan         = 221
@@ -104,8 +106,8 @@ type Plan struct {
 	useNbr bool  // neighborhood requested and collectively feasible
 	order  []int // destinations in staging order (self first for useNbr)
 
-	// maxCounts[d] = max over ranks of counts[d]; the collective input to
-	// the round schedule. Present only when budget > 0.
+	// maxCounts[k] = max over ranks of their count for rank order[k]; the
+	// collective input to the round schedule. Present only when budget > 0.
 	maxCounts []int64
 
 	peak int64 // staged-bytes peak of the most recent Execute
@@ -272,8 +274,10 @@ func NewPlan(c *vmpi.Comm, n int, targets Targets, opts Options) *Plan {
 			counts64[pl.order[k]] = int64(n)
 		}
 		mc := vmpi.Allreduce(c, counts64, vmpi.Max[int64])
-		copy(counts64, mc)
-		pl.maxCounts = counts64
+		pl.maxCounts = grow(counts64, len(pl.order))
+		for k, d := range pl.order {
+			pl.maxCounts[k] = mc[d]
+		}
 		vmpi.Release(mc)
 	}
 	return pl
@@ -344,43 +348,43 @@ func (p *Plan) PeakBytes() int64 { return p.peak }
 // elements of the given byte size: 1 when unbounded, otherwise the length
 // of the greedy schedule.
 func (p *Plan) Rounds(elemBytes int) int {
-	return len(scheduleRounds(p.order, p.maxCounts, elemBytes, p.budget))
+	return len(scheduleRounds(len(p.order), p.maxCounts, elemBytes, p.budget))
 }
 
-// scheduleRounds packs consecutive positions of order into rounds whose
-// collective worst-case staging (maxCounts per destination, times
+// scheduleRounds packs the n consecutive staging-order slots into rounds
+// whose collective worst-case staging (maxCounts per slot, times
 // elemBytes) stays within budget. Greedy and deterministic; a destination
 // whose block alone exceeds the budget gets a singleton round. Returns
-// half-open [lo, hi) position ranges covering all of order; without a
-// budget that is one round (and maxCounts is not consulted).
-func scheduleRounds(order []int, maxCounts []int64, elemBytes int, budget int64) [][2]int {
+// half-open [lo, hi) slot ranges covering all n; without a budget that is
+// one round (and maxCounts is not consulted).
+func scheduleRounds(n int, maxCounts []int64, elemBytes int, budget int64) [][2]int {
 	if budget <= 0 {
-		return [][2]int{{0, len(order)}}
+		return [][2]int{{0, n}}
 	}
 	rounds := make([][2]int, 0, 1)
 	lo := 0
 	acc := int64(0)
-	for k := range order {
-		b := maxCounts[order[k]] * int64(elemBytes)
+	for k := 0; k < n; k++ {
+		b := maxCounts[k] * int64(elemBytes)
 		if k > lo && acc+b > budget {
 			rounds = append(rounds, [2]int{lo, k})
 			lo, acc = k, 0
 		}
 		acc += b
 	}
-	return append(rounds, [2]int{lo, len(order)})
+	return append(rounds, [2]int{lo, n})
 }
 
 // sendRounds is the package's one round loop: it walks the round schedule
-// over order and calls stage(k) for every staging-order slot k. stage
+// over n staging-order slots and calls stage(k) for every slot k. stage
 // builds slot k's buffer(s) and relinquishes them — one eager send per
-// buffer; the rank's own block is kept aside, or not built at all — and
-// returns how many elements the slot counts as staged. Sends never block, so
-// the rounds always complete before the caller posts its first receive.
-// The result is the staged-bytes peak: the largest single round.
-func sendRounds(order []int, maxCounts []int64, elemBytes int, budget int64, stage func(k int) int) int64 {
+// buffer, or to the collective the caller makes next; the own block is kept
+// aside, or not built at all — and returns how many elements the slot counts
+// as staged. Sends never block, so the rounds complete before the first
+// receive. The result is the staged-bytes peak: the largest single round.
+func sendRounds(n int, maxCounts []int64, elemBytes int, budget int64, stage func(k int) int) int64 {
 	peak := int64(0)
-	for _, g := range scheduleRounds(order, maxCounts, elemBytes, budget) {
+	for _, g := range scheduleRounds(n, maxCounts, elemBytes, budget) {
 		staged := int64(0)
 		for k := g[0]; k < g[1]; k++ {
 			staged += int64(stage(k)) * int64(elemBytes)
@@ -472,33 +476,33 @@ func Execute[T any](p *Plan, items []T) []T {
 	c.Compute(p.sendCost())
 
 	// blocks[k] is the block from source p.order[k]. The per-destination
-	// buffers are freshly built, so every transport relinquishes them into
-	// the messages without a copy. On the neighborhood backend the rank's
-	// own block — most of an almost-sorted input, always slot 0 — is never
-	// staged: it goes from items straight into out at assembly. The
-	// all-to-all transports stage it and drop items before they wait, or a
-	// rank parked in its receives would hold its input beside the staged
-	// copy of it.
+	// buffers are freshly built, so both transports relinquish them without
+	// a copy. The dense one stages every block and drops items before it
+	// waits, or a rank parked in the collective would hold its input beside
+	// the staged copy of it. On the neighborhood backend the rank's own
+	// block — most of an almost-sorted input, always slot 0 — is never
+	// staged: it goes from items straight into out at assembly.
 	blocks := make([][]T, len(p.order))
 	own, ownLen := -1, 0
-	if p.UsedNeighborhood() {
-		own, ownLen = 0, p.counts[0]
-	}
 	var peak int64
-	if !p.Bounded() && !p.UsedNeighborhood() {
-		// Dense and unbudgeted: the one round is the pairwise collective.
-		for d := range blocks {
-			blocks[d] = gather(p, items, d)
-		}
+	if !p.UsedNeighborhood() {
+		peak = sendRounds(len(blocks), p.maxCounts, elem, p.budget, func(k int) int {
+			blocks[k] = gather(p, items, k)
+			return len(blocks[k])
+		})
 		items = nil
-		peak = int64(len(p.occIdx)) * int64(elem)
-		blocks = vmpi.AlltoallOwned(c, blocks)
+		if p.Bounded() {
+			blocks = vmpi.AlltoallLinear(c, blocks, tagPlan)
+		} else {
+			blocks = vmpi.AlltoallOwned(c, blocks)
+		}
 	} else {
+		own, ownLen = 0, p.counts[0]
 		tag := tagNeighborhood
 		if p.Bounded() {
 			tag = tagPlan
 		}
-		peak = sendRounds(p.order, p.maxCounts, elem, p.budget, func(k int) int {
+		peak = sendRounds(len(blocks), p.maxCounts, elem, p.budget, func(k int) int {
 			if k == own {
 				return ownLen // metered as staged: Figure M pins the peak
 			}
@@ -511,9 +515,6 @@ func Execute[T any](p *Plan, items []T) []T {
 			}
 			return n
 		})
-		if own < 0 {
-			items = nil
-		}
 		// Per-pair messages arrive in send order, so receiving in staging
 		// order assembles the same bytes whatever the round structure.
 		for k, src := range p.order {
@@ -542,9 +543,9 @@ func Execute[T any](p *Plan, items []T) []T {
 // rank of the communicator, subslices of shared arrays allowed): the
 // plan-backed replacement for vmpi.Alltoall used by the sort strategies.
 // With no budget configured on the communicator it is the copying
-// collective; under a budget it runs the rounds with copying sends,
-// metering staged peak bytes. The result — block from every source rank, in
-// rank order — is byte-identical either way.
+// collective; under a budget it hands copies of the parts to
+// vmpi.AlltoallLinear, metering the rounds' staged peak. The result — block
+// from every source rank, in rank order — is byte-identical either way.
 func ExchangeBlocks[T any](c *vmpi.Comm, parts [][]T) [][]T {
 	size := c.Size()
 	if len(parts) != size {
@@ -554,35 +555,22 @@ func ExchangeBlocks[T any](c *vmpi.Comm, parts [][]T) [][]T {
 	if budget <= 0 {
 		return vmpi.Alltoall(c, parts)
 	}
-	self := c.Rank()
-
-	counts64 := make([]int64, size)
-	order := make([]int, size)
+	maxCounts := make([]int64, size)
 	for d := range parts {
-		counts64[d] = int64(len(parts[d]))
-		order[d] = d
+		maxCounts[d] = int64(len(parts[d]))
 	}
-	mc := vmpi.Allreduce(c, counts64, vmpi.Max[int64])
-	maxCounts := append([]int64(nil), mc...)
+	mc := vmpi.Allreduce(c, maxCounts, vmpi.Max[int64])
+	copy(maxCounts, mc)
 	vmpi.Release(mc)
 
-	recv := make([][]T, size)
-	peak := sendRounds(order, maxCounts, int(unsafe.Sizeof(*new(T))), budget, func(d int) int {
-		if d == self {
-			// Copy, as the collective would: the caller keeps parts.
-			// Non-nil even when empty, matching the pooled copy the
-			// unbudgeted collective hands back.
-			recv[d] = append(make([]T, 0, len(parts[d])), parts[d]...)
-		} else {
-			vmpi.Send(c, parts[d], d, tagPlan)
-		}
+	// Copies, as the collective makes: the caller keeps parts. Non-nil even
+	// when empty, like the unbudgeted collective's pooled copies.
+	staged := make([][]T, size)
+	peak := sendRounds(size, maxCounts, int(unsafe.Sizeof(*new(T))), budget, func(d int) int {
+		staged[d] = append(make([]T, 0, len(parts[d])), parts[d]...)
 		return len(parts[d])
 	})
-	for src := range recv {
-		if src != self {
-			recv[src] = vmpi.Recv[T](c, src, tagPlan)
-		}
-	}
+	recv := vmpi.AlltoallLinear(c, staged, tagPlan)
 	c.Gauge(MeterPeakBytes, float64(peak))
 	c.Counter(MeterPeakBytes, float64(peak))
 	return recv

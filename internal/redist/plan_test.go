@@ -734,3 +734,48 @@ func BenchmarkPlanNeighborhoodP4096(b *testing.B) {
 	})
 	b.ReportMetric(parkedPlanBytes(b, p, n), "parked-B/rank")
 }
+
+// recoverRun runs body on four ranks of a budgeted world with one run slot
+// and returns what the run panicked with.
+func recoverRun(body func(c *vmpi.Comm)) (p any) {
+	defer func() { p = recover() }()
+	vmpi.Run(vmpi.Config{Ranks: 4, Workers: 1, MaxExchangeBytes: 16}, body)
+	return nil
+}
+
+// A budgeted dense Execute is one vmpi.AlltoallLinear, so a rank that
+// leaves it out, or whose plan resolves another transport, gets a
+// diagnosis naming the collective instead of a hang. Two positive budgets
+// agree on the transport; only an unbounded plan (MaxBytes < 0) against a
+// budgeted one diverges, at the budget's collective maximum of the counts.
+func TestBudgetedExecuteFailuresNameTheRendezvous(t *testing.T) {
+	route := ToRank(func(i int) int { return i % 4 })
+	for _, tc := range []struct {
+		name string
+		body func(c *vmpi.Comm)
+		want string
+	}{
+		{"skipped", func(c *vmpi.Comm) {
+			pl := NewPlan(c, 8, route, Options{})
+			if c.Rank() == 2 {
+				return
+			}
+			//parlint:allow collsym -- rank 2 skips this Execute on purpose
+			Execute(pl, make([]float64, 8))
+		}, "vmpi: deadlock: all ranks blocked in receive or collective:\n" +
+			"  3 of 4 ranks parked in AlltoallLinear of []float64, tag 221; missing ranks [2]\n"},
+		{"max-bytes", func(c *vmpi.Comm) {
+			maxBytes := int64(16)
+			if c.Rank() == 1 {
+				maxBytes = -1
+			}
+			Execute(NewPlan(c, 8, route, Options{MaxBytes: maxBytes}), make([]float64, 8))
+		}, "vmpi: collective mismatch on a 4-rank communicator: rank 0 entered Allreduce of []int64, length 4, rank 1 entered Alltoall of []float64"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if p := recoverRun(tc.body); fmt.Sprint(p) != tc.want {
+				t.Fatalf("panic:\n%v\nwant:\n%s", p, tc.want)
+			}
+		})
+	}
+}

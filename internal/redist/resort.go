@@ -135,7 +135,7 @@ func executeResort[T any](p *Plan, vals []T, stride int, indices []Index, nNew i
 		recvVal = vmpi.AlltoallOwned(c, recvVal)
 	} else {
 		elem := 8 + stride*int(unsafe.Sizeof(*new(T)))
-		peak := sendRounds(p.order, p.maxCounts, elem, p.budget, func(d int) int {
+		peak := sendRounds(size, p.maxCounts, elem, p.budget, func(d int) int {
 			pos, val := gatherResort(p, vals, stride, indices, d)
 			n := len(pos)
 			if d == self {

@@ -1,12 +1,12 @@
 package vmpi
 
 // Collective operations with the standard algorithms (dissemination barrier,
-// binomial trees, ring or tree allgather, pairwise all-to-all), so their
-// virtual cost emerges from the network topology model. Bcast, Reduce,
+// binomial trees, ring or tree allgather, pairwise or linear all-to-all), so
+// their virtual cost emerges from the network topology model. Bcast, Reduce,
 // Gather*, ScatterBlocks, Scan and Exscan run as point-to-point messages;
-// the fully synchronizing six — Barrier, Allreduce(Val), Allgather(Blocks),
-// Alltoall(Owned) — meet in a rendezvous whose last arrival replays the
-// same messages' clocks (rendezvous.go).
+// the fully synchronizing seven — Barrier, Allreduce(Val), Allgather(Blocks),
+// Alltoall(Owned), AlltoallLinear — meet in a rendezvous whose last arrival
+// replays the same messages' clocks (rendezvous.go).
 //
 // All collectives must be called by every rank of the communicator in the
 // same program order (SPMD discipline), as with MPI.
@@ -335,7 +335,7 @@ func replayAllgather[T any](g *rendezvous) {
 // block lengths may differ arbitrarily (MPI_Alltoallv semantics). The parts
 // are copied; the caller keeps them.
 func Alltoall[T any](c *Comm, parts [][]T) [][]T {
-	return alltoall(c, parts, false)
+	return alltoall(c, parts, false, collOp{name: "Alltoall", typ: inlineType[T]()}, replayAlltoall[T])
 }
 
 // AlltoallOwned is Alltoall with the SendOwned ownership contract applied
@@ -346,13 +346,21 @@ func Alltoall[T any](c *Comm, parts [][]T) [][]T {
 // shared array, since different receiving ranks would then alias each
 // other's memory. Virtual cost is identical to Alltoall.
 func AlltoallOwned[T any](c *Comm, parts [][]T) [][]T {
-	return alltoall(c, parts, true)
+	return alltoall(c, parts, true, collOp{name: "Alltoall", typ: inlineType[T]()}, replayAlltoall[T])
+}
+
+// AlltoallLinear is AlltoallOwned charged as the basic linear algorithm on
+// tag, which every rank must pass alike: each rank sends parts[d] to every
+// other d in rank order, empty parts included, then receives from every
+// other rank in rank order. Only the messages are recorded, no span.
+func AlltoallLinear[T any](c *Comm, parts [][]T, tag int) [][]T {
+	return alltoall(c, parts, true, collOp{"AlltoallLinear", inlineType[T](), tag}, replayAlltoallLinear[T])
 }
 
 // alltoall meets with the rank's outgoing blocks in its own result slice —
 // copies of the parts, or the owned parts themselves — which the replay
 // transposes, across all ranks, into the incoming ones.
-func alltoall[T any](c *Comm, parts [][]T, owned bool) [][]T {
+func alltoall[T any](c *Comm, parts [][]T, owned bool, op collOp, replay func(*rendezvous)) [][]T {
 	p := c.Size()
 	if len(parts) != p {
 		panic("vmpi: Alltoall needs one part per rank")
@@ -368,7 +376,7 @@ func alltoall[T any](c *Comm, parts [][]T, owned bool) [][]T {
 	}
 	s := &c.meeting().slots[c.rank]
 	s.data, s.n = unsafe.Pointer(unsafe.SliceData(out)), p
-	c.collective(collOp{name: "Alltoall", typ: inlineType[T]()}, nil, replayAlltoall[T])
+	c.collective(op, nil, replay)
 	s.data = nil
 	for src, b := range out {
 		if src != c.rank {
@@ -378,22 +386,54 @@ func alltoall[T any](c *Comm, parts [][]T, owned bool) [][]T {
 	return out
 }
 
-// replayAlltoall charges the pairwise steps, then transposes: block d of
-// rank s's slice trades places with block s of rank d's.
+// replayAlltoall charges the pairwise steps, then transposes.
 func replayAlltoall[T any](g *rendezvous) {
 	p, size := len(g.slots), sizeOf[T]()
-	blocks := func(r int) [][]T { return slotData[[]T](&g.slots[r]) }
 	for step := 1; step < p; step++ {
 		g.round(p, tagA2A, func(i int) (int, int, int) {
 			dst := (i + step) % p
-			return i, dst, len(blocks(i)[dst]) * size
+			return i, dst, len(slotData[[]T](&g.slots[i])[dst]) * size
 		})
 	}
 	g.span(obs.KindCollective, "alltoall", false)
-	for s := 0; s < p; s++ {
-		from := blocks(s)
-		for d := s + 1; d < p; d++ {
-			to := blocks(d)
+	transpose[T](g)
+}
+
+// replayAlltoallLinear charges the linear schedule in O(P) scratch: every
+// rank's sends, keeping only its entry clock in g.arrive, then the same
+// sends recomputed in sender order, folding each arrival into its receiver
+// in source order. Then it transposes.
+func replayAlltoallLinear[T any](g *rendezvous) {
+	size, tag := sizeOf[T](), g.op.n
+	bytes := func(src, dst int) int { return len(slotData[[]T](&g.slots[src])[dst]) * size }
+	for src := range g.slots {
+		g.arrive[src] = g.slots[src].clock
+		for dst := range g.slots {
+			if dst != src {
+				g.send(src, dst, bytes(src, dst), tag)
+			}
+		}
+	}
+	for src := range g.slots {
+		clock := g.arrive[src]
+		for dst := range g.slots {
+			if dst != src {
+				var arrive float64
+				_, clock, arrive = sendClocks(g.rt.model, clock, g.nodes[src], g.nodes[dst], bytes(src, dst))
+				g.recv(src, dst, bytes(src, dst), arrive)
+			}
+		}
+	}
+	transpose[T](g)
+}
+
+// transpose moves an all-to-all's data: block d of rank s's slice trades
+// places with block s of rank d's.
+func transpose[T any](g *rendezvous) {
+	for s := range g.slots {
+		from := slotData[[]T](&g.slots[s])
+		for d := s + 1; d < len(g.slots); d++ {
+			to := slotData[[]T](&g.slots[d])
 			from[d], to[s] = to[s], from[d]
 		}
 	}

@@ -8,7 +8,7 @@ import (
 	"repro/internal/netmodel"
 )
 
-// collSet is one implementation of the six synchronizing collectives, at
+// collSet is one implementation of the seven synchronizing collectives, at
 // the element types the fuzz programs use.
 type collSet struct {
 	barrier   func(*Comm)
@@ -17,23 +17,25 @@ type collSet struct {
 	blocks    func(*Comm, []uint32) [][]uint32
 	alltoall  func(*Comm, [][]uint32) [][]uint32
 	owned     func(*Comm, [][]uint32) [][]uint32
+	linear    func(*Comm, [][]byte, int) [][]byte
 }
 
 var (
 	replayColls = collSet{Barrier, Allreduce[float64], Allgather[uint32], AllgatherBlocks[uint32],
-		Alltoall[uint32], AlltoallOwned[uint32]}
+		Alltoall[uint32], AlltoallOwned[uint32], AlltoallLinear[byte]}
 	messageColls = collSet{refBarrier, refAllreduce[float64], refAllgather[uint32], refAllgatherBlocks[uint32],
-		refAlltoall[uint32], refAlltoallOwned[uint32]}
+		refAlltoall[uint32], refAlltoallOwned[uint32], refAlltoallLinear[byte]}
 )
-
-// fuzzRanks are the world sizes: 1, small primes, both sides of the
-// ring/tree allgather switch (32, 33), and primes above it.
-var fuzzRanks = [...]int{1, 2, 3, 4, 5, 7, 11, 13, 17, 31, 32, 33, 37}
 
 // fuzzSizes are block lengths in 4-byte elements: empty, one element, the
 // 32 B inline limit and one element past it, and both sides of the smallest
 // pool size class (32 elements) and the next class.
 var fuzzSizes = [...]int{0, 1, 8, 9, 31, 32, 33, 64}
+
+// fuzzLinearSizes are AlltoallLinear's part lengths in bytes: empty (nil or
+// not), one byte, both sides of the inline limit and of the smallest pool
+// size class (32 B), and both sides of the next class.
+var fuzzLinearSizes = [...]int{0, 1, 31, 32, 33, 63, 64, 65}
 
 func fuzzMix(a, b, c uint64) uint64 {
 	x := a*0x9E3779B97F4A7C15 ^ b*0xC2B2AE3D27D4EB4F ^ c*0x165667B19E3779F9
@@ -58,7 +60,7 @@ func fuzzBlock(k, r, n int) []uint32 {
 }
 
 // fuzzDigest folds a result's length and element bits into d.
-func fuzzDigest[T uint32 | float64](d uint64, b []T) uint64 {
+func fuzzDigest[T byte | uint32 | float64](d uint64, b []T) uint64 {
 	d = fuzzMix(d, uint64(len(b)), 1)
 	for _, v := range b {
 		bits := uint64(v)
@@ -71,10 +73,11 @@ func fuzzDigest[T uint32 | float64](d uint64, b []T) uint64 {
 }
 
 // fuzzProgram is one rank of the program ops encodes, one byte per call:
-// bits 0-2 pick the collective, bits 3-5 the block size, bit 7 the world or
-// a Split sub-communicator (split by the rendezvous Allgather in both runs). Ranks compute for different times between calls,
-// odd calls run inside a phase, and each rank stores a digest of every
-// result it got.
+// bits 0-2 pick the collective, bits 3-5 the block size, bit 6 turns an
+// all-to-all into AlltoallLinear on tag 5 or 221, bit 7 picks the world or a
+// Split sub-communicator (split by the rendezvous Allgather in both runs).
+// Ranks compute for different times between calls, odd calls run inside a
+// phase, and each rank stores a digest of every result it got.
 func fuzzProgram(cs collSet, ops []byte) func(c *Comm) {
 	return func(c *Comm) {
 		me := c.Rank()
@@ -120,6 +123,22 @@ func fuzzCall(cs collSet, c *Comm, op byte, k int) uint64 {
 		}
 		return d
 	}
+	if op&0x40 != 0 {
+		parts := make([][]byte, p)
+		for dst := range parts {
+			if n := fuzzLinearSizes[(size+me+dst)%len(fuzzLinearSizes)]; n > 0 || dst%2 == 1 {
+				parts[dst] = make([]byte, n)
+				for i := range parts[dst] {
+					parts[dst][i] = byte(fuzzMix(uint64(k), uint64(me*p+dst), uint64(i)))
+				}
+			}
+		}
+		d := uint64(0)
+		for _, b := range cs.linear(c, parts, [2]int{5, 221}[op&1]) {
+			d = fuzzDigest(d, b)
+		}
+		return d
+	}
 	parts := make([][]uint32, p)
 	for dst := range parts {
 		parts[dst] = fuzzBlock(k, me*p+dst, fuzzSizes[(size+me+dst)%len(fuzzSizes)])
@@ -139,15 +158,17 @@ func fuzzCall(cs collSet, c *Comm, op byte, k int) uint64 {
 // twice — on the rendezvous collectives and on their message-level reference
 // bodies — and compares every rank's results, final clock bits, message and
 // byte counts, phase times and, under Trace, its full event list. Byte 0
-// picks the world size, byte 1 the trace flag (bit 0), the torus model (bit
-// 1) and three run slots instead of one (bit 2); at most 24 calls follow.
+// picks the world size, 1 to 40 ranks — small primes, both sides of the
+// ring/tree allgather switch (32, 33) and primes above it — byte 1 the trace
+// flag (bit 0), the torus model (bit 1) and three run slots instead of one
+// (bit 2); at most 24 calls follow.
 func FuzzCollectivesMatchMessageLevel(f *testing.F) {
 	f.Add([]byte{10, 1, 0x01, 0x0b, 0x83, 0x25, 0x8c, 0x36, 0x80, 0x17})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) < 2 {
 			return
 		}
-		p := fuzzRanks[int(prog[0])%len(fuzzRanks)]
+		p := 1 + int(prog[0])%40
 		cfg := Config{Ranks: p, Trace: prog[1]&1 != 0, Workers: 1 + 2*int(prog[1]>>2&1)}
 		if prog[1]&2 != 0 {
 			cfg.Model = netmodel.NewTorus(p)

@@ -2,7 +2,7 @@ package vmpi
 
 import "repro/internal/obs"
 
-// The message-level bodies of the six synchronizing collectives: the
+// The message-level bodies of the seven synchronizing collectives: the
 // algorithms the rendezvous replays (rendezvous.go), kept as the reference
 // it is checked against (FuzzCollectivesMatchMessageLevel,
 // allgather_boundary_test.go). Each sends, on the same tags, exactly the
@@ -125,6 +125,25 @@ func refAlltoallOwned[T any](c *Comm, parts [][]T) [][]T {
 		src := (c.rank - step + p) % p
 		SendOwned(c, parts[dst], dst, tagA2A)
 		recv[src] = Recv[T](c, src, tagA2A)
+	}
+	return recv
+}
+
+// refAlltoallLinear is the basic linear all-to-all: every send in rank
+// order, then every receive in rank order, with no span.
+func refAlltoallLinear[T any](c *Comm, parts [][]T, tag int) [][]T {
+	p := c.Size()
+	recv := make([][]T, p)
+	recv[c.rank] = parts[c.rank]
+	for dst := 0; dst < p; dst++ {
+		if dst != c.rank {
+			SendOwned(c, parts[dst], dst, tag)
+		}
+	}
+	for src := 0; src < p; src++ {
+		if src != c.rank {
+			recv[src] = Recv[T](c, src, tag)
+		}
 	}
 	return recv
 }

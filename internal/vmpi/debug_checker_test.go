@@ -221,6 +221,23 @@ func TestDebugAlltoallOwnedOfBroadcastPanics(t *testing.T) {
 	})
 }
 
+// TestDebugUseAfterAlltoallLinearPanics: a part handed to AlltoallLinear is
+// relinquished. One run slot makes the last rank to arrive — the one that
+// replays — run on first, before its peer has taken the part.
+func TestDebugUseAfterAlltoallLinearPanics(t *testing.T) {
+	mustPanic(t, "use of a buffer after ownership was transferred", func() {
+		Run(Config{Ranks: 2, Workers: 1}, func(c *Comm) {
+			peer := 1 - c.Rank()
+			parts := [][]float64{make([]float64, 64), make([]float64, 64)}
+			sent := parts[peer]
+			got := AlltoallLinear(c, parts, 221)
+			Send(c, sent, peer, 1) // the bug under test
+			ReleaseBlocks(got)
+			Release(Recv[float64](c, peer, 1))
+		})
+	})
+}
+
 // TestDebugPoolReleaseOfBroadcastPanics: Release of a shared view does
 // nothing because its capacity is never a pool class; reshaping it into one
 // to force it into the pool is caught by the backing array.

@@ -1,6 +1,6 @@
 package vmpi
 
-// The rendezvous the six synchronizing collectives meet in (collectives.go
+// The rendezvous the seven synchronizing collectives meet in (collectives.go
 // says which and why). A call is one generation: each rank stages its input
 // and entry clock in its slot and parks once; the last to arrive replays the
 // algorithm's messages for every rank in closed form — their schedule is
@@ -25,7 +25,7 @@ import (
 type collOp struct {
 	name string
 	typ  reflect.Type // element type
-	n    int          // Allreduce length
+	n    int          // Allreduce length, AlltoallLinear tag
 }
 
 func (o collOp) String() string {
@@ -35,6 +35,8 @@ func (o collOp) String() string {
 	}
 	if o.name == "Allreduce" {
 		s += fmt.Sprintf(", length %d", o.n)
+	} else if o.name == "AlltoallLinear" {
+		s += fmt.Sprintf(", tag %d", o.n)
 	}
 	return s
 }
@@ -159,29 +161,39 @@ func (c *Comm) collective(op collOp, fn any, replay func(*rendezvous)) (*rendezv
 // dst, bytes) leave after their sender's previous step and arrive for their
 // receiver's next: every send, then every receive, in message order — each
 // rank's program order, as a rank sends before it receives within a step.
-// Messages are recorded under Config.Trace (so every rank listens), as in
-// sendMsg and recvRaw.
 func (g *rendezvous) round(n, tag int, edge func(i int) (src, dst, bytes int)) {
 	for i := 0; i < n; i++ {
 		src, dst, bytes := edge(i)
-		s := &g.slots[src]
-		var start float64
-		start, s.clock, g.arrive[i] = sendClocks(g.rt.model, s.clock, g.nodes[src], g.nodes[dst], bytes)
-		s.msgs++
-		s.bytes += int64(bytes)
-		if g.rt.trace {
-			s.tr.events = append(s.tr.events, obs.Event{Kind: obs.KindSend, Name: s.tr.phase,
-				Peer: g.members[dst], Tag: tag, Bytes: bytes, T: start, T2: g.arrive[i]})
-		}
+		g.arrive[i] = g.send(src, dst, bytes, tag)
 	}
 	for i := 0; i < n; i++ {
 		src, dst, bytes := edge(i)
-		s := &g.slots[dst]
-		s.clock = recvClock(s.clock, g.arrive[i])
-		if g.rt.trace {
-			s.tr.events = append(s.tr.events, obs.Event{Kind: obs.KindArrive, Name: s.tr.phase,
-				Peer: g.members[src], Bytes: bytes, T: g.arrive[i], T2: s.clock})
-		}
+		g.recv(src, dst, bytes, g.arrive[i])
+	}
+}
+
+// send charges one message to its sender and returns its arrival; recv
+// completes it at its receiver. Both record under Config.Trace (so every
+// rank listens), as sendMsg and recvRaw do.
+func (g *rendezvous) send(src, dst, bytes, tag int) float64 {
+	s := &g.slots[src]
+	start, after, arrive := sendClocks(g.rt.model, s.clock, g.nodes[src], g.nodes[dst], bytes)
+	s.clock = after
+	s.msgs++
+	s.bytes += int64(bytes)
+	if g.rt.trace {
+		s.tr.events = append(s.tr.events, obs.Event{Kind: obs.KindSend, Name: s.tr.phase,
+			Peer: g.members[dst], Tag: tag, Bytes: bytes, T: start, T2: arrive})
+	}
+	return arrive
+}
+
+func (g *rendezvous) recv(src, dst, bytes int, arrive float64) {
+	s := &g.slots[dst]
+	s.clock = recvClock(s.clock, arrive)
+	if g.rt.trace {
+		s.tr.events = append(s.tr.events, obs.Event{Kind: obs.KindArrive, Name: s.tr.phase,
+			Peer: g.members[src], Bytes: bytes, T: arrive, T2: s.clock})
 	}
 }
 

@@ -25,9 +25,9 @@ func TestRendezvousDeadlockNamesMissingRank(t *testing.T) {
 	})
 }
 
-// Ranks of one communicator that enter different collectives, element types
-// or Allreduce lengths get a panic naming both sides instead of a hang. One
-// run slot makes rank 0 arrive first.
+// Ranks of one communicator that enter different collectives, element
+// types, Allreduce lengths or AlltoallLinear tags get a panic naming both
+// sides instead of a hang. One run slot makes rank 0 arrive first.
 func TestCollectiveMismatchPanics(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -51,6 +51,9 @@ func TestCollectiveMismatchPanics(t *testing.T) {
 				Allgather(c, []int64{1}) //parlint:allow collsym -- the mismatch under test
 			}
 		}, "rank 0 entered Allgather of []int32, rank 1 entered Allgather of []int64"},
+		{"tag", func(c *Comm) {
+			AlltoallLinear(c, make([][]byte, 2), 5+c.Rank())
+		}, "rank 0 entered AlltoallLinear of []uint8, tag 5, rank 1 entered AlltoallLinear of []uint8, tag 6"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {
@@ -65,10 +68,11 @@ func TestCollectiveMismatchPanics(t *testing.T) {
 }
 
 // TestRendezvousGenerationReuse runs 200 back-to-back collectives of all
-// six kinds on the world, a Split and a Dup communicator, with a Resize
-// halfway. Skewed compute lets fast ranks enter the next generation of a
-// communicator while slow ones are still waking from the last; with several
-// run slots they really do run at once. Stats must not depend on it.
+// seven kinds — AlltoallLinear on two tags — on the world, a Split and a
+// Dup communicator, with a Resize halfway. Skewed compute lets fast ranks
+// enter the next generation of a communicator while slow ones are still
+// waking from the last; with several run slots they really do run at once.
+// Stats must not depend on it.
 func TestRendezvousGenerationReuse(t *testing.T) {
 	const calls, grown = 200, 11
 	body := func(c *Comm) {
@@ -90,7 +94,7 @@ func TestRendezvousGenerationReuse(t *testing.T) {
 			me := c.Rank()
 			c.Compute(float64(fuzzMix(uint64(k), uint64(me), 4)%16) * 1e-6)
 			cc := [3]*Comm{c, sub, dup}[fuzzMix(uint64(k), 5, 6)%3]
-			switch k % 6 {
+			switch k % 8 {
 			case 0:
 				Barrier(cc)
 			case 1:
@@ -107,8 +111,11 @@ func TestRendezvousGenerationReuse(t *testing.T) {
 					parts[d] = fuzzBlock(k, me*64+d, (k+d)%9)
 				}
 				f := Alltoall[uint32]
-				if k%6 == 5 {
+				switch k % 8 {
+				case 5:
 					f = AlltoallOwned[uint32]
+				case 6, 7:
+					f = func(c *Comm, parts [][]uint32) [][]uint32 { return AlltoallLinear(c, parts, 200+k%8) }
 				}
 				for _, b := range f(cc, parts) {
 					digest = fuzzDigest(digest, b)
@@ -130,5 +137,25 @@ func TestRendezvousGenerationReuse(t *testing.T) {
 	}
 	if ref.FinalSize != grown || ref.Values[grown-1] == nil {
 		t.Fatalf("final size %d, admitted rank's result %v: the Resize did not take", ref.FinalSize, ref.Values[grown-1])
+	}
+}
+
+// The linear replay keeps O(P) scratch — one clock per rank, not one arrival
+// per message — at 2048 ranks: the call a budgeted dense redist.Execute
+// makes, with the empty parts of a rank that routes nothing.
+func TestAlltoallLinearScratchIsLinear(t *testing.T) {
+	if raceEnabled || DebugEnabled() {
+		t.Skip("2048² part headers under instrumentation")
+	}
+	const p = 2048
+	empty := make([][]byte, p) // read-only, shared by every rank
+	st := Run(Config{Ranks: p, Workers: 1}, func(c *Comm) {
+		AlltoallLinear(c, empty, 221)
+		if g := c.meeting(); c.Rank() == 0 {
+			c.SetResult(cap(g.arrive) + cap(g.offs))
+		}
+	})
+	if got := st.Values[0].(int); got > 2*p {
+		t.Fatalf("rendezvous scratch holds %d elements after a %d-rank AlltoallLinear, want at most %d", got, p, 2*p)
 	}
 }

@@ -18,12 +18,12 @@
 //   - Computation is charged explicitly via Comm.Compute.
 //
 // Collectives are charged as the messages of standard algorithms (binomial
-// trees, ring or tree allgather, pairwise all-to-all, dissemination
-// barrier), so their virtual cost emerges from the network topology model
-// rather than being postulated; the six that synchronize every rank replay
-// those messages' clocks in one rendezvous (rendezvous.go). On a switched
-// model, neighborhood exchanges gain nothing; on a torus model they do —
-// matching the paper's JuRoPA vs. Juqueen observations.
+// trees, ring or tree allgather, pairwise or linear all-to-all, dissemination
+// barrier), so their virtual cost emerges from the network model rather than
+// being postulated; the seven that synchronize every rank replay those
+// messages' clocks in one rendezvous (rendezvous.go). On a switched model,
+// neighborhood exchanges gain nothing; on a torus model they do — matching
+// the paper's JuRoPA vs. Juqueen observations.
 //
 // Ranks execute under an event-driven executor (internal/rankexec): a
 // rank's body is arbitrary Go code, so a goroutine is the only resumable

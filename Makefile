@@ -30,14 +30,16 @@ race:
 # obs running aggregates against a scan of the kept event list, the rank
 # executor (slot hand-off, stray wakes, Admit, budgets) against a sequential
 # FIFO model and its deadlock verdict, the rendezvous collectives (clocks,
-# counters, results, events) against their message-level bodies. This is the
+# counters, results, events) against their message-level bodies, and the
+# replayed merge-exchange network (the same, plus items) against the
+# message-level one. This is the
 # one list of fuzz targets: a new target joins it here and nowhere else. The
 # committed seed corpora (internal/*/testdata/fuzz) already run in every go
 # test.
 FUZZ_TARGETS := internal/fmm:FuzzOperatorsMatchReference internal/fft:FuzzPanelMatchesPerCall \
 	internal/vmpi:FuzzMailboxMatchesReference internal/redist:FuzzPlanMatchesOracle \
 	internal/obs:FuzzAggregatesMatchLog internal/rankexec:FuzzExecutorMatchesModel \
-	internal/vmpi:FuzzCollectivesMatchMessageLevel
+	internal/vmpi:FuzzCollectivesMatchMessageLevel internal/psort:FuzzSortMergeMatchesMessageLevel
 
 fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \

@@ -214,6 +214,7 @@ var VmpiCollectives = map[string]bool{
 	"AllreduceVal": true, "Gather": true, "GatherBlocks": true,
 	"Allgather": true, "AllgatherBlocks": true, "ScatterBlocks": true,
 	"Alltoall": true, "AlltoallOwned": true, "AlltoallLinear": true, "Scan": true, "Exscan": true,
+	"Replay": true,
 }
 
 // VmpiSharedResults are the vmpi collectives whose result is a shared

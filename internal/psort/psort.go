@@ -14,6 +14,10 @@
 //     time step — most pairs detect from a small header exchange that no
 //     data needs to move, so the network's data volume collapses.
 //
+// "Point-to-point only" describes the modelled algorithm: every comparator
+// is charged as its pair's messages. On the host the network, whose
+// schedule is fixed by P, runs as one vmpi.Replay (mergeNetwork).
+//
 // Both sorts order elements by a uint64 key extracted with a caller-supplied
 // function and are deterministic, including for duplicate keys.
 package psort
@@ -22,6 +26,7 @@ import (
 	"math/bits"
 	"sort"
 	"sync"
+	"unsafe"
 
 	"repro/internal/costs"
 	"repro/internal/redist"
@@ -215,31 +220,75 @@ func exactSplitters[T any](c *vmpi.Comm, items []T, key func(T) uint64) []uint64
 // exchange is skipped entirely — the property that makes this method cheap
 // for almost sorted data.
 func SortMerge[T any](c *vmpi.Comm, items []T, key func(T) uint64) []T {
-	p := c.Size()
 	LocalSort(c, items, key)
-	if p == 1 {
+	if c.Size() == 1 {
 		return items
 	}
-	me := c.Rank()
-	// spare ping-pongs with items through the merge-split rounds, so the
-	// whole network reuses two buffers instead of allocating per round.
-	var spare []T
-	rankSteps(p, me, func(partner int, keepLow bool) {
-		items, spare = mergeSplit(c, items, key, partner, keepLow, spare)
+	st := mergeState[T]{items: items}
+	vmpi.Replay(c, "SortMerge", &st, func(h *vmpi.Replayer, states []*mergeState[T]) {
+		mergeNetwork(h, states, key)
 	})
-	// Batcher's network provably sorts equal-size blocks; with unequal
-	// per-rank counts (and in particular with empty ranks, through which no
-	// element can flow because merge-split preserves counts) residual
-	// inversions are possible. Clean up with odd-even block transposition
-	// rounds over the chain of non-empty ranks until the global boundary
-	// check passes — for almost sorted inputs typically zero rounds.
-	//
+	return cleanup(c, st.items, key, st.spare)
+}
+
+// mergeState is one rank's side of the network: its items and the spare
+// buffer they ping-pong with, so the whole sort reuses two buffers instead
+// of allocating per comparator.
+type mergeState[T any] struct{ items, spare []T }
+
+// mergeNetwork replays Batcher's network over every rank's state. Each
+// comparator charges its two ranks what mergeSplit charges them, each in
+// program order — the header exchange; unless the pair is ordered, the
+// count exchange; unless t = 0, the data exchange, RedistElem·2t and the
+// merge — and merges both sides in place.
+func mergeNetwork[T any](h *vmpi.Replayer, states []*mergeState[T], key func(T) uint64) {
+	elem := int(unsafe.Sizeof(*new(T)))
+	mergeExchange(len(states), func(i, j int) {
+		lo, hi := states[i], states[j]
+		hl, hh := headerOf(lo.items, key), headerOf(hi.items, key)
+		exchange(h, i, j, int(unsafe.Sizeof(hl)), tagHeader)
+		if hl.ordered(hh) {
+			return
+		}
+		exchange(h, i, j, int(unsafe.Sizeof(int64(0))), tagCount)
+		t := min(candidates(lo.items, key, true, hh), candidates(hi.items, key, false, hl))
+		if t == 0 {
+			return
+		}
+		exchange(h, i, j, t*elem, tagData)
+		h.Compute(i, costs.RedistElem*float64(2*t))
+		h.Compute(j, costs.RedistElem*float64(2*t))
+		nl, nh, low := len(lo.items), len(hi.items), lo.items
+		lo.items, lo.spare = mergeLow(lo.items, hi.items[:t], lo.spare, key)
+		hi.items, hi.spare = mergeHigh(hi.items, low[nl-t:], hi.spare, key)
+		h.Compute(i, costs.MergeTime(nl, 2))
+		h.Compute(j, costs.MergeTime(t+nh, 2))
+	})
+}
+
+// exchange charges a Sendrecv of bytes on tag between ranks i and j: each
+// sends, then receives.
+func exchange(h *vmpi.Replayer, i, j, bytes, tag int) {
+	ai, aj := h.Send(i, j, bytes, tag), h.Send(j, i, bytes, tag)
+	h.Recv(j, i, bytes, aj)
+	h.Recv(i, j, bytes, ai)
+}
+
+// cleanup finishes the network. Batcher's network provably sorts
+// equal-size blocks; with unequal per-rank counts (and in particular with
+// empty ranks, through which no element can flow because merge-split
+// preserves counts) residual inversions are possible. Clean up with
+// odd-even block transposition rounds over the chain of non-empty ranks
+// until the global boundary check passes — for almost sorted inputs
+// typically zero rounds. Each round ends in the check's allgather and the
+// round count depends on the data, so the rounds run message-level.
+func cleanup[T any](c *vmpi.Comm, items []T, key func(T) uint64, spare []T) []T {
 	// Every rank derives the identical chain from the identical counts
 	// vector, so the chain table is shared per network size (sharedChain)
 	// instead of materialized P times. The chain cache keeps the counts
 	// vector, so it is not released.
 	counts := vmpi.Allgather(c, []int64{int64(len(items))})
-	nonEmpty, myIdx, total := sharedChain(p, counts, c.Rank())
+	nonEmpty, myIdx, total := sharedChain(c.Size(), counts, c.Rank())
 	// Each pair of rounds fixes at least one boundary inversion, but a
 	// low-capacity rank in the middle of the chain throttles element flow
 	// to its capacity per two rounds, so the worst-case round count is
@@ -260,12 +309,7 @@ func SortMerge[T any](c *vmpi.Comm, items []T, key func(T) uint64) []T {
 // globallySorted checks (collectively) that every rank is locally sorted
 // and rank boundaries are non-decreasing, skipping empty ranks.
 func globallySorted[T any](c *vmpi.Comm, items []T, key func(T) uint64) bool {
-	h := header{Count: int64(len(items))}
-	if len(items) > 0 {
-		h.Min = key(items[0])
-		h.Max = key(items[len(items)-1])
-	}
-	all := vmpi.Allgather(c, []header{h})
+	all := vmpi.Allgather(c, []header{headerOf(items, key)})
 	sorted := true
 	prevMax := uint64(0)
 	have := false
@@ -312,6 +356,33 @@ type header struct {
 	Min, Max uint64
 }
 
+// headerOf is the header a rank holding sorted items sends.
+func headerOf[T any](items []T, key func(T) uint64) header {
+	h := header{Count: int64(len(items))}
+	if len(items) > 0 {
+		h.Min = key(items[0])
+		h.Max = key(items[len(items)-1])
+	}
+	return h
+}
+
+// ordered reports whether the comparator with lo on its low input and hi on
+// its high one moves nothing: a side is empty or the pair is in order.
+func (lo header) ordered(hi header) bool {
+	return lo.Count == 0 || hi.Count == 0 || lo.Max <= hi.Min
+}
+
+// candidates counts the elements of items that can change sides against
+// the partner's header ph: on the low side those above its minimum, on the
+// high side those below its maximum.
+func candidates[T any](items []T, key func(T) uint64, keepLow bool, ph header) int {
+	n := len(items)
+	if keepLow {
+		return n - sort.Search(n, func(i int) bool { return key(items[i]) > ph.Min })
+	}
+	return sort.Search(n, func(i int) bool { return key(items[i]) >= ph.Max })
+}
+
 // mergeSplit performs one comparator step with partner. keepLow selects
 // whether this rank keeps the lower (comparator input i) or upper (input j)
 // part of the merged sequence. The local count is preserved. spare is a
@@ -328,75 +399,65 @@ type header struct {
 // exchanges only those few elements, the property the paper's merge-based
 // sorting exploits (§III-B).
 func mergeSplit[T any](c *vmpi.Comm, items []T, key func(T) uint64, partner int, keepLow bool, spare []T) ([]T, []T) {
-	h := header{Count: int64(len(items))}
-	if len(items) > 0 {
-		h.Min = key(items[0])
-		h.Max = key(items[len(items)-1])
-	}
+	h := headerOf(items, key)
 	// Value messages: wire-identical to one-element slices (same bytes,
 	// tags, order — virtual time unchanged) with zero payload allocation.
 	ph := vmpi.SendrecvVal(c, h, partner, partner, tagHeader)
-
-	// Skip the data exchange when the pair is already ordered or one side
-	// is empty.
-	if h.Count == 0 || ph.Count == 0 {
+	lo, hi := h, ph
+	if !keepLow {
+		lo, hi = ph, h
+	}
+	if lo.ordered(hi) {
 		return items, spare
 	}
-	if keepLow && h.Max <= ph.Min {
-		return items, spare
-	}
-	if !keepLow && ph.Max <= h.Min {
-		return items, spare
-	}
-
-	n := len(items)
 	// Negotiate the exchange size t = min(k_low, k_high).
-	var k int
-	if keepLow {
-		cut := sort.Search(n, func(i int) bool { return key(items[i]) > ph.Min })
-		k = n - cut // my elements above the partner's minimum
-	} else {
-		k = sort.Search(n, func(i int) bool { return key(items[i]) >= ph.Max })
-	}
-	pk := int(vmpi.SendrecvVal(c, int64(k), partner, partner, tagCount))
-	t := k
-	if pk < t {
-		t = pk
-	}
+	k := candidates(items, key, keepLow, ph)
+	t := min(k, int(vmpi.SendrecvVal(c, int64(k), partner, partner, tagCount)))
 	if t == 0 {
 		return items, spare
 	}
-
+	// Send my t boundary elements — the low side its largest, the high side
+	// its smallest — and receive the partner's: only these can change sides.
+	n := len(items)
+	send, merge, merged := items[:t], mergeHigh[T], t+n
 	if keepLow {
-		// Send my t largest; receive the partner's t smallest. Only these
-		// candidates can change sides.
-		theirLow := vmpi.Sendrecv(c, items[n-t:], partner, partner, tagData)
-		c.Compute(costs.RedistElem * float64(2*t))
-		// Keep the n smallest of (mine ∪ their candidates); ties keep the
-		// lower comparator input (me) first.
-		out := spare[:0]
-		if cap(out) < n {
-			out = make([]T, 0, n)
-		}
-		li, hi := 0, 0
-		for len(out) < n {
-			if li < n && (hi >= len(theirLow) || key(items[li]) <= key(theirLow[hi])) {
-				out = append(out, items[li])
-				li++
-			} else {
-				out = append(out, theirLow[hi])
-				hi++
-			}
-		}
-		c.Compute(costs.MergeTime(len(out), 2))
-		vmpi.Release(theirLow)
-		return out, items
+		send, merge, merged = items[n-t:], mergeLow[T], n
 	}
-	// Upper side: send my t smallest; receive the partner's t largest.
-	theirHigh := vmpi.Sendrecv(c, items[:t], partner, partner, tagData)
+	theirs := vmpi.Sendrecv(c, send, partner, partner, tagData)
 	c.Compute(costs.RedistElem * float64(2*t))
-	// Keep the n largest of (their candidates ∪ mine); the merged order
-	// puts the lower input (partner) first on ties, and we take the last n.
+	items, spare = merge(items, theirs, spare, key)
+	c.Compute(costs.MergeTime(merged, 2))
+	vmpi.Release(theirs)
+	return items, spare
+}
+
+// mergeLow keeps the n = len(items) smallest of items and theirLow, the
+// partner's smallest, ties keeping the lower comparator input (items)
+// first. They land in spare; items becomes the new spare.
+func mergeLow[T any](items, theirLow, spare []T, key func(T) uint64) ([]T, []T) {
+	n := len(items)
+	out := spare[:0]
+	if cap(out) < n {
+		out = make([]T, 0, n)
+	}
+	li, hi := 0, 0
+	for len(out) < n {
+		if li < n && (hi >= len(theirLow) || key(items[li]) <= key(theirLow[hi])) {
+			out = append(out, items[li])
+			li++
+		} else {
+			out = append(out, theirLow[hi])
+			hi++
+		}
+	}
+	return out, items
+}
+
+// mergeHigh keeps the n = len(items) largest of theirHigh, the partner's
+// largest, and items in items: the merged order puts the lower input
+// (partner) first on ties, and the last n stay. spare holds the merge.
+func mergeHigh[T any](items, theirHigh, spare []T, key func(T) uint64) ([]T, []T) {
+	n := len(items)
 	total := len(theirHigh) + n
 	merged := spare[:0]
 	if cap(merged) < total {
@@ -412,8 +473,6 @@ func mergeSplit[T any](c *vmpi.Comm, items []T, key func(T) uint64, partner int,
 			hi++
 		}
 	}
-	c.Compute(costs.MergeTime(len(merged), 2))
-	vmpi.Release(theirHigh)
 	copy(items, merged[total-n:])
 	return items, merged[:0]
 }
@@ -489,33 +548,6 @@ func int64sEqual(a, b []int64) bool {
 	return true
 }
 
-// rankSteps calls step for every comparator of the n-input merge-exchange
-// network that touches input me, in network order: the partner, and whether
-// me keeps the low (comparator input I) or high (input J) half. The
-// comparators of one (p,q,r,d) group of MergeExchangeSchedule are disjoint
-// and d flips bit p, so me is in at most one per group — as I when
-// me&p == r, as J when (me-d)&p == r — and walking the O(log² n) groups
-// yields exactly me's share of the full ~(n/2)·log² n sequence without
-// materialising any of it.
-func rankSteps(n, me int, step func(partner int, keepLow bool)) {
-	if n < 2 {
-		return
-	}
-	top := 1 << (bits.Len(uint(n-1)) - 1)
-	for p := top; p > 0; p >>= 1 {
-		for q, r, d := top, 0, p; ; d, q, r = q-p, q>>1, p {
-			if me&p == r && me+d < n {
-				step(me+d, true)
-			} else if me >= d && (me-d)&p == r {
-				step(me-d, false)
-			}
-			if q == p {
-				break
-			}
-		}
-	}
-}
-
 // CE is one comparator of a sorting network: compare-exchange between
 // network inputs I < J.
 type CE struct{ I, J int }
@@ -527,32 +559,31 @@ type CE struct{ I, J int }
 // concurrently.
 func MergeExchangeSchedule(n int) []CE {
 	var out []CE
+	mergeExchange(n, func(i, j int) { out = append(out, CE{I: i, J: j}) })
+	return out
+}
+
+// mergeExchange calls ce for every comparator of the n-input network, in
+// MergeExchangeSchedule's order, without materialising it. Each input is in
+// at most one comparator of a group, so every input meets its comparators
+// in its own program order.
+func mergeExchange(n int, ce func(i, j int)) {
 	if n < 2 {
-		return out
+		return
 	}
-	t := 0
-	for 1<<t < n {
-		t++
-	}
-	for p := 1 << (t - 1); p > 0; p >>= 1 {
-		q := 1 << (t - 1)
-		r := 0
-		d := p
-		for {
-			for i := 0; i < n-d; i++ {
+	top := 1 << (bits.Len(uint(n-1)) - 1)
+	for p := top; p > 0; p >>= 1 {
+		for q, r, d := top, 0, p; ; d, q, r = q-p, q>>1, p {
+			for i := 0; i+d < n; i++ {
 				if i&p == r {
-					out = append(out, CE{I: i, J: i + d})
+					ce(i, i+d)
 				}
 			}
 			if q == p {
 				break
 			}
-			d = q - p
-			q >>= 1
-			r = p
 		}
 	}
-	return out
 }
 
 func totalLen[T any](blocks [][]T) int {

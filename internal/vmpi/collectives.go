@@ -178,7 +178,7 @@ func Reduce[T any](c *Comm, data []T, op func(a, b T) T, root int) []T {
 // one buffer all ranks share read-only.
 func Allreduce[T any](c *Comm, data []T, op func(a, b T) T) []T {
 	stage(c, data)
-	return takeShared[T](c.collective(collOp{"Allreduce", inlineType[T](), len(data)}, op, replayAllreduce[T]))
+	return takeShared[T](c.collective(collOp{name: "Allreduce", typ: inlineType[T](), n: len(data)}, op, replayAllreduce[T]))
 }
 
 // replayAllreduce folds the staged copies — each rank's accumulator, as in
@@ -354,7 +354,7 @@ func AlltoallOwned[T any](c *Comm, parts [][]T) [][]T {
 // other d in rank order, empty parts included, then receives from every
 // other rank in rank order. Only the messages are recorded, no span.
 func AlltoallLinear[T any](c *Comm, parts [][]T, tag int) [][]T {
-	return alltoall(c, parts, true, collOp{"AlltoallLinear", inlineType[T](), tag}, replayAlltoallLinear[T])
+	return alltoall(c, parts, true, collOp{name: "AlltoallLinear", typ: inlineType[T](), n: tag}, replayAlltoallLinear[T])
 }
 
 // alltoall meets with the rank's outgoing blocks in its own result slice —

@@ -8,7 +8,8 @@ package vmpi
 // recvRaw charge it — moves the data and wakes the rest in one UnparkBatch.
 // The message-level bodies in collectives_ref_test.go are the reference.
 // Single writer: the replay writes slot results and scratch, never a
-// rankState; each rank applies its own result when it wakes.
+// rankState; each rank applies its own result when it wakes. Replay opens
+// the same meeting to a caller's algorithm whose schedule is fixed by P.
 
 import (
 	"fmt"
@@ -23,14 +24,17 @@ import (
 // collOp is what a rank entered; every rank of a generation must enter the
 // same. A collective's variants (Val, Blocks, Owned) meet as one.
 type collOp struct {
-	name string
-	typ  reflect.Type // element type
-	n    int          // Allreduce length, AlltoallLinear tag
+	name  string
+	typ   reflect.Type // element type, or a Replay's state type
+	n     int          // Allreduce length, AlltoallLinear tag
+	state bool         // a Replay
 }
 
 func (o collOp) String() string {
 	s := o.name
-	if o.typ != nil {
+	if o.state {
+		s += " with state " + o.typ.Elem().String()
+	} else if o.typ != nil {
 		s += " of []" + o.typ.Elem().String()
 	}
 	if o.name == "Allreduce" {
@@ -46,7 +50,7 @@ func (o collOp) String() string {
 type rdvSlot struct {
 	gen   atomic.Uint64  // the generation entered last, rdvDone set once its result is in
 	clock float64        // the entry clock, then the replay's, then the exit
-	data  unsafe.Pointer // the staged input (Alltoall: the [][]T), then the result
+	data  unsafe.Pointer // the staged input (Alltoall: the [][]T; Replay: the state), then the result
 	n     int            // its length
 	inl   uint64         // a one-word input's storage
 	msgs  int64
@@ -79,7 +83,7 @@ type rendezvous struct {
 	arrived int
 	op      collOp // what its first arrival entered,
 	first   int    // that rank,
-	fn      any    // and its Allreduce operator (MPI: every rank passes the same)
+	fn      any    // and its Allreduce operator or Replay fn (MPI: every rank passes the same)
 }
 
 // meeting returns the communicator's rendezvous, cached in the rank's Comm.
@@ -155,6 +159,51 @@ func (c *Comm) collective(op collOp, fn any, replay func(*rendezvous)) (*rendezv
 	}
 	s.tr = nil
 	return g, s
+}
+
+// Replay runs a synchronizing step whose message schedule is fixed by the
+// communicator size as one rendezvous: every rank stages state and parks
+// once, and the last to arrive calls fn once with every rank's state in rank
+// order. fn replays the step's messages and computation through h, each
+// rank's in its program order, and updates the states; every rank returns
+// after it, its clock, counters and (under Config.Trace) events as if it had
+// sent and received them. fn must touch nothing but the states and h — no
+// Comm, nothing else of vmpi — and every rank must pass the same op and fn.
+func Replay[S any](c *Comm, op string, state *S, fn func(h *Replayer, states []*S)) {
+	s := &c.meeting().slots[c.rank]
+	s.data = unsafe.Pointer(state)
+	c.collective(collOp{name: op, typ: reflect.TypeOf(state), state: true}, fn, replayStates[S])
+	s.data = nil
+}
+
+func replayStates[S any](g *rendezvous) {
+	states := make([]*S, len(g.slots))
+	for r := range g.slots {
+		states[r] = (*S)(g.slots[r].data)
+	}
+	g.fn.(func(*Replayer, []*S))(&Replayer{g}, states)
+}
+
+// Replayer is what a Replay's fn charges ranks through, by communicator
+// rank: the arithmetic of Send, Recv and Comm.Compute, applied to the
+// rendezvous slots.
+type Replayer struct{ g *rendezvous }
+
+// Send charges a message of bytes on tag from src to dst to its sender and
+// returns its arrival, for the matching Recv.
+func (h *Replayer) Send(src, dst, bytes, tag int) (arrive float64) {
+	return h.g.send(src, dst, bytes, tag)
+}
+
+// Recv completes at dst the message Send charged.
+func (h *Replayer) Recv(src, dst, bytes int, arrive float64) { h.g.recv(src, dst, bytes, arrive) }
+
+// Compute advances rank's clock as Comm.Compute does.
+func (h *Replayer) Compute(rank int, seconds float64) {
+	if seconds < 0 {
+		panic("vmpi: negative compute time")
+	}
+	h.g.slots[rank].clock += seconds * h.g.rt.computeScale
 }
 
 // round replays one step of an algorithm, whose n messages edge(i) = (src,

@@ -26,8 +26,8 @@ func TestRendezvousDeadlockNamesMissingRank(t *testing.T) {
 }
 
 // Ranks of one communicator that enter different collectives, element
-// types, Allreduce lengths or AlltoallLinear tags get a panic naming both
-// sides instead of a hang. One run slot makes rank 0 arrive first.
+// types, Allreduce lengths, AlltoallLinear tags, or Replay ops or state
+// types get a panic naming both sides instead of a hang. One run slot makes rank 0 arrive first.
 func TestCollectiveMismatchPanics(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -54,6 +54,18 @@ func TestCollectiveMismatchPanics(t *testing.T) {
 		{"tag", func(c *Comm) {
 			AlltoallLinear(c, make([][]byte, 2), 5+c.Rank())
 		}, "rank 0 entered AlltoallLinear of []uint8, tag 5, rank 1 entered AlltoallLinear of []uint8, tag 6"},
+		{"replay-op", func(c *Comm) {
+			v := c.Rank()
+			Replay(c, [2]string{"ring", "tree"}[v], &v, func(*Replayer, []*int) {})
+		}, "rank 0 entered ring with state int, rank 1 entered tree with state int"},
+		{"replay-state", func(c *Comm) {
+			if v := c.Rank(); v == 0 {
+				Replay(c, "ring", &v, func(*Replayer, []*int) {}) //parlint:allow collsym -- the mismatch under test
+			} else {
+				w := int32(v)
+				Replay(c, "ring", &w, func(*Replayer, []*int32) {}) //parlint:allow collsym -- the mismatch under test
+			}
+		}, "rank 0 entered ring with state int, rank 1 entered ring with state int32"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {
@@ -68,11 +80,11 @@ func TestCollectiveMismatchPanics(t *testing.T) {
 }
 
 // TestRendezvousGenerationReuse runs 200 back-to-back collectives of all
-// seven kinds — AlltoallLinear on two tags — on the world, a Split and a
-// Dup communicator, with a Resize halfway. Skewed compute lets fast ranks
-// enter the next generation of a communicator while slow ones are still
-// waking from the last; with several run slots they really do run at once.
-// Stats must not depend on it.
+// seven kinds — AlltoallLinear on two tags — and Replays on the world, a
+// Split and a Dup communicator, with a Resize halfway. Skewed compute lets
+// fast ranks enter the next generation of a communicator while slow ones
+// are still waking from the last; with several run slots they really do run
+// at once. Stats must not depend on it.
 func TestRendezvousGenerationReuse(t *testing.T) {
 	const calls, grown = 200, 11
 	body := func(c *Comm) {
@@ -97,6 +109,20 @@ func TestRendezvousGenerationReuse(t *testing.T) {
 			switch k % 8 {
 			case 0:
 				Barrier(cc)
+				v := uint64(me + k)
+				Replay(cc, "ring", &v, func(h *Replayer, states []*uint64) {
+					p := len(states)
+					arrive := make([]float64, p)
+					for r := range states {
+						h.Compute(r, float64(*states[r]%5)*1e-7)
+						arrive[r] = h.Send(r, (r+1)%p, 8, 300)
+					}
+					for r := range states {
+						h.Recv(r, (r+1)%p, 8, arrive[r])
+						*states[r] += *states[(r+p-1)%p]
+					}
+				})
+				digest = fuzzMix(digest, v, 7)
 			case 1:
 				digest = fuzzMix(digest, uint64(AllreduceVal(cc, int64(me+k), Sum[int64])), 0)
 			case 2:

@@ -21,9 +21,10 @@
 // trees, ring or tree allgather, pairwise or linear all-to-all, dissemination
 // barrier), so their virtual cost emerges from the network model rather than
 // being postulated; the seven that synchronize every rank replay those
-// messages' clocks in one rendezvous (rendezvous.go). On a switched model,
-// neighborhood exchanges gain nothing; on a torus model they do — matching
-// the paper's JuRoPA vs. Juqueen observations.
+// messages' clocks in one rendezvous (rendezvous.go), which Replay opens to
+// a caller's fixed-schedule algorithm (psort's merge-exchange network). On
+// a switched model, neighborhood exchanges gain nothing; on a torus model
+// they do — matching the paper's JuRoPA vs. Juqueen observations.
 //
 // Ranks execute under an event-driven executor (internal/rankexec): a
 // rank's body is arbitrary Go code, so a goroutine is the only resumable

@@ -3,7 +3,6 @@ package vmpi_test
 import (
 	"testing"
 
-	"repro/internal/psort"
 	"repro/internal/vmpi"
 )
 
@@ -14,7 +13,9 @@ import (
 // by exactly one wake: wakeups equal parks, and stay far below the message
 // count (one wake per message is what sending a wake with every delivery
 // costs). With more slots a wake may land before the park and leave a token
-// instead, so only the upper bound holds.
+// instead, so only the upper bound holds. The traffic is mailbox traffic:
+// rings of value and payload exchanges at every power-of-two distance,
+// behind a rendezvous all-to-all.
 func TestWakesOnlyAwaitedKey(t *testing.T) {
 	const ranks = 64
 	body := func(c *vmpi.Comm) {
@@ -23,11 +24,22 @@ func TestWakesOnlyAwaitedKey(t *testing.T) {
 			parts[dst] = make([]int64, 8, 16)
 		}
 		vmpi.ReleaseBlocks(vmpi.AlltoallOwned(c, parts))
-		keys := make([]uint64, 32)
-		for i := range keys {
-			keys[i] = uint64((c.Rank()*131+i*7919)%ranks)<<32 | uint64(i)
+		me := c.Rank()
+		v := uint64(me)
+		block := make([]uint64, 16)
+		for round := 0; round < 3; round++ {
+			for k := 1; k < ranks; k <<= 1 {
+				dst, src := (me+k)%ranks, (me-k+ranks)%ranks
+				if round == 1 {
+					got := vmpi.Sendrecv(c, block, dst, src, 7)
+					v += got[0]
+					vmpi.Release(got)
+				} else {
+					v += vmpi.SendrecvVal(c, v, dst, src, 7)
+				}
+			}
 		}
-		psort.SortMerge(c, keys, func(k uint64) uint64 { return k })
+		c.SetResult(v)
 	}
 	for _, workers := range []int{1, 4} {
 		st := vmpi.Run(vmpi.Config{Ranks: ranks, Workers: workers}, body)

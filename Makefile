@@ -1,7 +1,8 @@
 # Developer entry points. `make check` is the local tier-1 gate: build,
 # vet, the repo's own static analyzers (cmd/parlint), full tests, a
-# race-detector pass, the vmpi ownership checker build (-tags vmpidebug),
-# and ten seconds of differential fuzzing per target (fuzz-smoke).
+# race-detector pass, the vmpi ownership checker build (-tags vmpidebug,
+# over every package that calls vmpi), and ten seconds of differential
+# fuzzing per target (fuzz-smoke).
 
 GO ?= go
 
@@ -85,10 +86,13 @@ vet:
 lint:
 	$(GO) run ./cmd/parlint ./...
 
-# The runtime ownership checker: vmpi tests with use-after-transfer and
-# double-release detection compiled in.
+# The runtime ownership checker (use-after-transfer, double release, writes
+# to shared Allreduce/Allgather results) compiled into the tests of vmpi and
+# of every package that calls it. paperbench stays out: it adds some 50 s.
+DEBUG_PKGS := vmpi psort redist fft pnfft fmm coupling elastic shortrange core mdsim
+
 debugtest:
-	$(GO) test -tags vmpidebug ./internal/vmpi/...
+	$(GO) test -tags vmpidebug $(addprefix ./internal/,$(DEBUG_PKGS))
 
 # Golden gates. Each gate reruns one canonical paperbench invocation (see
 # EXPERIMENTS.md) and byte-diffs its stdout against a checked-in baseline;

@@ -23,7 +23,7 @@ func rankSwitch(c *vmpi.Comm) {
 	me := c.WorldRank()
 	switch me {
 	case 0:
-		_ = vmpi.Bcast(c, []int{1}, 0) // want `collective vmpi.Bcast inside a rank-dependent branch`
+		_ = vmpi.Allgather(c, []int{1}) // want `collective vmpi.Allgather inside a rank-dependent branch`
 	default:
 		vmpi.Barrier(c) // want `collective vmpi.Barrier inside a rank-dependent branch`
 	}

@@ -75,7 +75,7 @@ type FuncFacts struct {
 	TransfersParam uint64
 	ReleasesParam  uint64
 	// SharedResult: the function returns a shared read-only broadcast view
-	// — the result of vmpi.Bcast/Allreduce/Allgather, directly, through a
+	// — the result of vmpi.Allreduce/Allgather, directly, through a
 	// local, or through a further helper — which callers may read and
 	// Release but never write or relinquish.
 	SharedResult bool
@@ -210,16 +210,15 @@ func RankBlessedPkg(pkg *types.Package) bool {
 // communicator must enter symmetrically (shared by collsym and the fact
 // intrinsics).
 var VmpiCollectives = map[string]bool{
-	"Barrier": true, "Bcast": true, "Reduce": true, "Allreduce": true,
-	"AllreduceVal": true, "Gather": true, "GatherBlocks": true,
-	"Allgather": true, "AllgatherBlocks": true, "ScatterBlocks": true,
-	"Alltoall": true, "AlltoallOwned": true, "AlltoallLinear": true, "Scan": true, "Exscan": true,
+	"Barrier": true, "Allreduce": true, "AllreduceVal": true,
+	"Allgather": true, "AllgatherBlocks": true,
+	"Alltoall": true, "AlltoallOwned": true, "AlltoallLinear": true, "Exscan": true,
 	"Replay": true,
 }
 
 // VmpiSharedResults are the vmpi collectives whose result is a shared
 // read-only view of one broadcast buffer (see internal/vmpi/pool.go).
-var VmpiSharedResults = map[string]bool{"Bcast": true, "Allreduce": true, "Allgather": true}
+var VmpiSharedResults = map[string]bool{"Allreduce": true, "Allgather": true}
 
 // SharedViewCall returns the callee when e is a call — possibly resliced —
 // of a function whose result is a shared read-only broadcast view, else

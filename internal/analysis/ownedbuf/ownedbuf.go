@@ -6,7 +6,7 @@
 //     append to, release, or re-send it afterwards.
 //   - A slice handed back with vmpi.Release / vmpi.ReleaseBlocks may be
 //     released at most once and must not be used afterwards.
-//   - The result of vmpi.Bcast, vmpi.Allreduce or vmpi.Allgather — or of a
+//   - The result of vmpi.Allreduce or vmpi.Allgather — or of a
 //     helper whose summary returns one (SharedResult) — is a shared
 //     read-only view of one broadcast buffer: storing into an element,
 //     copy into it, append onto it, clear of it, and passing it to
@@ -137,8 +137,8 @@ func analyzeFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 
 	// Extents of blocks whose statement list ends in return or panic. A
 	// transfer inside such a block is never dynamically followed by the code
-	// after the block (the `SendOwned(...); return nil` branch of
-	// vmpi.Reduce is the canonical case), so its tracking resets at the
+	// after the block (the `SendOwned(...); return nil` branch of a
+	// binomial reduce is the canonical case), so its tracking resets at the
 	// block's end.
 	var terms []struct{ lo, hi token.Pos }
 	ast.Inspect(body, func(n ast.Node) bool {

@@ -100,7 +100,7 @@ func okLoopRebuild(c *vmpi.Comm) {
 
 // okTransferInReturningBranch: the transfer branch leaves the function, so
 // the later uses are on paths that kept ownership (negative case; this is
-// the shape of vmpi.Reduce).
+// the shape of a binomial reduce).
 func okTransferInReturningBranch(c *vmpi.Comm, send bool) []float64 {
 	buf := make([]float64, 32)
 	if send {

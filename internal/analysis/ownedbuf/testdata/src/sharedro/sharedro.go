@@ -1,5 +1,5 @@
 // Package sharedro holds the cases for the shared read-only rule: what
-// vmpi.Bcast, vmpi.Allreduce and vmpi.Allgather return — directly or
+// vmpi.Allreduce and vmpi.Allgather return — directly or
 // through helpers, in-package and across packages — is one broadcast
 // buffer up to P ranks hold at once, so it may be read and released but
 // never written or relinquished.
@@ -17,9 +17,11 @@ type header struct {
 
 func sum(a, b int64) int64 { return a + b }
 
-func storeIntoBcast(c *vmpi.Comm, table []float64) {
-	got := vmpi.Bcast(c, table, 0)
-	got[0] = 1 // want `element store into got, a shared read-only view returned by Bcast at`
+func fsum(a, b float64) float64 { return a + b }
+
+func storeIntoAllreduce(c *vmpi.Comm, table []float64) {
+	got := vmpi.Allreduce(c, table, fsum)
+	got[0] = 1 // want `element store into got, a shared read-only view returned by Allreduce at`
 }
 
 func opAssignAndIncDec(c *vmpi.Comm, counts []int64) {
@@ -55,8 +57,8 @@ func relinquish(c *vmpi.Comm, counts []int64) {
 }
 
 func relinquishViaHelper(c *vmpi.Comm, table []float64) {
-	got := vmpi.Bcast(c, table, 0)
-	bufutil.Ship(c, got) // want `call to Ship of got, a shared read-only view returned by Bcast at`
+	got := vmpi.Allreduce(c, table, fsum)
+	bufutil.Ship(c, got) // want `call to Ship of got, a shared read-only view returned by Allreduce at`
 }
 
 func storeThroughAlias(c *vmpi.Comm, counts []int64) {
@@ -122,9 +124,9 @@ func okPrivateResults(c *vmpi.Comm, counts []int64) {
 	counts[0] = n
 }
 
-// okRootInput: the input of a broadcast stays the caller's own.
-func okRootInput(c *vmpi.Comm, table []float64) {
-	got := vmpi.Bcast(c, table, 0)
+// okOwnInput: the input of an allgather stays the caller's own.
+func okOwnInput(c *vmpi.Comm, table []float64) {
+	got := vmpi.Allgather(c, table)
 	table[0] = got[0] + 1
 	vmpi.Release(table)
 }

@@ -6,21 +6,17 @@ package vmpi
 
 type Comm struct{}
 
-func (c *Comm) Rank() int      { return 0 }
-func (c *Comm) Size() int      { return 1 }
-func (c *Comm) WorldRank() int { return 0 }
+func (c *Comm) Size() int { return 1 }
 
 func Send[T any](c *Comm, data []T, dst, tag int)      {}
 func SendOwned[T any](c *Comm, data []T, dst, tag int) {}
 func Recv[T any](c *Comm, src, tag int) []T            { return nil }
 
-func Alltoall[T any](c *Comm, parts [][]T) [][]T      { return parts }
 func AlltoallOwned[T any](c *Comm, parts [][]T) [][]T { return parts }
 
 func Release[T any](s []T)              {}
 func ReleaseBlocks[T any](blocks [][]T) {}
 
-func Bcast[T any](c *Comm, data []T, root int) []T              { return data }
 func Allreduce[T any](c *Comm, data []T, op func(a, b T) T) []T { return data }
 func Allgather[T any](c *Comm, data []T) []T                    { return data }
 func AllgatherBlocks[T any](c *Comm, data []T) [][]T            { return nil }

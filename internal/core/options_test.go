@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -93,6 +94,85 @@ func TestWithResizePolicy(t *testing.T) {
 			t.Errorf("size 0 error = %v, want ErrBadResizePolicy", err)
 		}
 	})
+}
+
+// TestWithMemoryBudget: a negative budget fails Init; a budget reaches the
+// communicator at Init and again at Rescale; and a small budget, which
+// splits every redistribution into many rounds, changes no bit of the
+// potentials and fields, for the FMM (method A) and P2NFFT (method B).
+func TestWithMemoryBudget(t *testing.T) {
+	const budget = 512
+	vmpi.Run(vmpi.Config{Ranks: 1}, func(c *vmpi.Comm) {
+		if _, err := Init("fmm", c, WithMemoryBudget(-1)); !errors.Is(err, ErrBadMemoryBudget) {
+			t.Errorf("WithMemoryBudget(-1) error = %v, want ErrBadMemoryBudget", err)
+		}
+	})
+
+	vmpi.Run(vmpi.Config{Ranks: 2, MaxRanks: 3}, func(c *vmpi.Comm) {
+		h, err := Init("fmm", c, WithMemoryBudget(budget))
+		if err != nil {
+			t.Errorf("init: %v", err)
+			return
+		}
+		if got := c.MaxExchangeBytes(); got != budget {
+			t.Errorf("rank %d: budget after Init = %d, want %d", c.Rank(), got, budget)
+		}
+		if c.JoinEpoch() > 0 {
+			return // an admitted rank Inits its own handle
+		}
+		c.SetMaxExchangeBytes(0) // Rescale must put the handle's budget back
+		c = vmpi.Resize(c, 3)
+		h.Rescale(c)
+		if got := c.MaxExchangeBytes(); got != budget {
+			t.Errorf("rank %d: budget after Rescale = %d, want %d", c.Rank(), got, budget)
+		}
+	})
+
+	s := particle.SilicaMelt(400, 10, true, 3)
+	fields := func(method string, resort bool, opts ...Option) ([]any, int64) {
+		opts = append([]Option{WithBox(s.Box), WithResort(resort)}, opts...)
+		st := vmpi.Run(vmpi.Config{Ranks: 8}, func(c *vmpi.Comm) {
+			l := particle.Distribute(c, s, particle.DistRandom, 7)
+			h, err := Init(method, c, opts...)
+			if err != nil {
+				t.Errorf("init: %v", err)
+				return
+			}
+			defer h.Destroy()
+			if err := h.Tune(l.N, l.ActivePos(), l.ActiveQ()); err != nil {
+				t.Errorf("tune: %v", err)
+				return
+			}
+			n := l.N
+			if err := h.Run(&n, l.Cap, l.Pos, l.Q, l.Pot, l.Field); err != nil {
+				t.Errorf("run: %v", err)
+				return
+			}
+			if h.ResortAvailable() != resort {
+				t.Errorf("%s rank %d: ResortAvailable = %v, want %v", method, c.Rank(), h.ResortAvailable(), resort)
+			}
+			bits := make([]uint64, 0, 4*n)
+			for _, v := range append(l.Pot[:n:n], l.Field[:3*n]...) {
+				bits = append(bits, math.Float64bits(v))
+			}
+			c.SetResult(bits)
+		})
+		return st.Values, st.TotalMessages()
+	}
+	for _, tc := range []struct {
+		method string
+		resort bool
+	}{{"fmm", false}, {"p2nfft", true}} {
+		want, free := fields(tc.method, tc.resort)
+		got, bounded := fields(tc.method, tc.resort, WithMemoryBudget(budget))
+		if bounded == free {
+			t.Errorf("%s: the budget left the message count at %d: no exchange ran in rounds", tc.method, free)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s resort=%v: potentials and fields under a %d-byte budget differ from the unbudgeted run",
+				tc.method, tc.resort, budget)
+		}
+	}
 }
 
 func TestWithRecorderTapsEvents(t *testing.T) {

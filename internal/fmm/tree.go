@@ -114,15 +114,6 @@ func (e *Engine) KeyOf(x, y, z float64) uint64 {
 	return zorder.BoxKey(ux, uy, uz, e.Level)
 }
 
-// LeafKeys returns the distinct owned leaf keys in ascending order.
-func (e *Engine) LeafKeys() []uint64 {
-	out := make([]uint64, len(e.leaves))
-	for i, lr := range e.leaves {
-		out[i] = lr.key
-	}
-	return out
-}
-
 // AddGhosts registers halo particles received from other processes. Ghosts
 // contribute to the near field of owned particles but are not owned.
 func (e *Engine) AddGhosts(pos, q []float64) {
@@ -271,12 +262,6 @@ func (e *Engine) Upward() {
 			}
 		}
 	}
-}
-
-// Multipole returns the (possibly partial) multipole of the box with the
-// given key at level l, or nil if the engine holds nothing there.
-func (e *Engine) Multipole(l int, key uint64) []float64 {
-	return e.M[l][key]
 }
 
 // AddRemoteMultipole accumulates another process's partial multipole of a

@@ -214,28 +214,6 @@ func (l *Log) PhaseSummary() []PhaseAgg {
 	return rows
 }
 
-// PhaseBytes returns the total bytes sent per phase name.
-func (l *Log) PhaseBytes() map[string]int64 {
-	out := map[string]int64{}
-	for _, r := range l.PhaseSummary() {
-		if r.Bytes > 0 {
-			out[r.Phase] = r.Bytes
-		}
-	}
-	return out
-}
-
-// PhaseMessages returns the number of messages sent per phase name.
-func (l *Log) PhaseMessages() map[string]int64 {
-	out := map[string]int64{}
-	for _, r := range l.PhaseSummary() {
-		if r.Messages > 0 {
-			out[r.Phase] = r.Messages
-		}
-	}
-	return out
-}
-
 // CounterRow is one named counter total, summed across all ranks.
 type CounterRow struct {
 	Name  string
@@ -345,54 +323,6 @@ func (l *Log) GaugeMax(name string) (float64, bool) {
 		}
 	}
 	return max, found
-}
-
-// PhaseGaugeRow is one phase's high-water mark of a gauge.
-type PhaseGaugeRow struct {
-	Phase string
-	Max   float64
-}
-
-// PhaseGaugeHighWater attributes every sample of the named gauge to the
-// emitting rank's enclosing phase (tracked from explicit
-// PhaseBegin/PhaseEnd pairs; samples outside any explicit phase fall
-// under "") and returns the per-phase maxima sorted by phase name.
-// Synthesized phase spans (AddPhase emits only a PhaseEnd) carry no begin
-// marker and do not capture samples.
-func (l *Log) PhaseGaugeHighWater(name string) []PhaseGaugeRow {
-	idx := map[string]int{}
-	var rows []PhaseGaugeRow
-	for _, evs := range l.ByRank {
-		var stack []string
-		for _, e := range evs {
-			switch e.Kind {
-			case KindPhaseBegin:
-				stack = append(stack, e.Name)
-			case KindPhaseEnd:
-				if len(stack) > 0 && stack[len(stack)-1] == e.Name {
-					stack = stack[:len(stack)-1]
-				}
-			case KindGauge:
-				if e.Name != name {
-					continue
-				}
-				phase := ""
-				if len(stack) > 0 {
-					phase = stack[len(stack)-1]
-				}
-				if i, ok := idx[phase]; ok {
-					if e.Value > rows[i].Max {
-						rows[i].Max = e.Value
-					}
-				} else {
-					idx[phase] = len(rows)
-					rows = append(rows, PhaseGaugeRow{Phase: phase, Max: e.Value})
-				}
-			}
-		}
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Phase < rows[j].Phase })
-	return rows
 }
 
 // PhaseNames returns the sorted distinct phase names appearing in

@@ -208,6 +208,3 @@ func (l *Local) ActiveQ() []float64 { return l.Q[:l.N] }
 
 // ActivePot returns the potential slice of the live particles.
 func (l *Local) ActivePot() []float64 { return l.Pot[:l.N] }
-
-// ActiveField returns the field slice of the live particles.
-func (l *Local) ActiveField() []float64 { return l.Field[:3*l.N] }

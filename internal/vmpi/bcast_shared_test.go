@@ -74,10 +74,10 @@ func TestBcastSharesOnePayload(t *testing.T) {
 	t.Logf("per Allgather at P=%d: %d B allocated (payload %d B), %d pool gets", p, perCall, payload, (g9-g1)/extra)
 }
 
-// TestBcastRootIsolation: root's input stays root's own. Root may scribble
-// over it and release it the moment Bcast returns — here into the pool,
-// from which it is at once reissued and overwritten — and no other rank's
-// view changes.
+// TestBcastRootIsolation: root's input stays root's own in the reference
+// broadcast. Root may scribble over it and release it the moment refBcast
+// returns — here into the pool, from which it is at once reissued and
+// overwritten — and no other rank's view changes.
 func TestBcastRootIsolation(t *testing.T) {
 	const n = 64 // 512 B: above the inline limit, and a pool size class
 	for _, p := range []int{2, 5, 33} {
@@ -89,7 +89,7 @@ func TestBcastRootIsolation(t *testing.T) {
 					in[i] = float64(i)
 				}
 			}
-			got := Bcast(c, in, 0)
+			got := refBcast(c, in, 0)
 			if c.Rank() == 0 {
 				// Workers: 1 and no receive in between: all of this runs
 				// before any other rank looks at its view.

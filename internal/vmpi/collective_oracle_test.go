@@ -14,7 +14,7 @@ import (
 // and on pool size classes (32, 4096 — where a shared buffer must not be
 // pool-shaped, or a Release would recycle memory other ranks still read).
 //
-// Each (P, length) cell runs one world: Bcast from every root, Allreduce,
+// Each (P, length) cell runs one world: refBcast from every root, Allreduce,
 // Allgather, AllgatherBlocks. Every rank checks every result against the
 // oracle, Releases it, and churns the buffer pool with garbage of the same
 // size class before moving on — ranks reach that point at different host
@@ -97,7 +97,7 @@ func oracleBody(c *Comm, n int, wantSum []oracleRec) {
 		if me == root {
 			in = oracleFill(root, n)
 		}
-		got := Bcast(c, in, root)
+		got := refBcast(c, in, root)
 		oracleCheck(fmt.Sprintf("rank %d: Bcast from %d", me, root), got, n,
 			func(i int) oracleRec { return oracleRecOf(root, i) })
 		done(got)

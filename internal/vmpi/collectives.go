@@ -2,11 +2,12 @@ package vmpi
 
 // Collective operations with the standard algorithms (dissemination barrier,
 // binomial trees, ring or tree allgather, pairwise or linear all-to-all), so
-// their virtual cost emerges from the network topology model. Bcast, Reduce,
-// Gather*, ScatterBlocks, Scan and Exscan run as point-to-point messages;
-// the fully synchronizing seven — Barrier, Allreduce(Val), Allgather(Blocks),
+// their virtual cost emerges from the network topology model. The fully
+// synchronizing seven — Barrier, Allreduce(Val), Allgather(Blocks),
 // Alltoall(Owned), AlltoallLinear — meet in a rendezvous whose last arrival
-// replays the same messages' clocks (rendezvous.go).
+// replays the algorithm's messages' clocks (rendezvous.go). Exscan alone runs
+// as point-to-point messages: a rank may leave a scan before the next one
+// enters it.
 //
 // All collectives must be called by every rank of the communicator in the
 // same program order (SPMD discipline), as with MPI.
@@ -22,11 +23,9 @@ const (
 	tagBarrier = -1
 	tagBcast   = -2
 	tagReduce  = -3
-	tagGather  = -4
 	tagGatherA = -5
 	tagA2A     = -6
 	tagScan    = -7
-	tagScatter = -8
 )
 
 // Number constrains element types usable with the arithmetic reduction
@@ -56,10 +55,10 @@ func Min[T Number](a, b T) T {
 	return b
 }
 
-// collSpan brackets a base collective with a span event when the rank's
-// events are listened to: call at entry, invoke the returned function
-// (typically deferred) at exit. The span [entry, exit] on each rank
-// includes the rank's wait time inside the operation.
+// collSpan brackets a message-level collective (Exscan) with a span event
+// when the rank's events are listened to: call at entry, invoke the
+// returned function (typically deferred) at exit. The span [entry, exit] on
+// each rank includes the rank's wait time inside the operation.
 func collSpan(c *Comm, kind obs.Kind, name string) func() {
 	if !c.st.rec.Listening() {
 		return func() {}
@@ -83,106 +82,21 @@ func Barrier(c *Comm) {
 	})
 }
 
-// Bcast distributes root's data to all ranks down a binomial tree and
-// returns the broadcast payload: root gets data back unchanged, every other
-// rank a received slice.
-//
-// The result is a shared, read-only view (see the ownership protocol in
-// pool.go). A payload above the inline limit is copied once, on root, into
-// one immutable buffer, and every hop of the tree forwards a reference to
-// that buffer — P ranks, one payload — so receivers must not store into,
-// append onto or relinquish (SendOwned/AlltoallOwned) what Bcast returns;
-// Release of it is legal and does nothing. Root's own data is never
-// aliased by another rank: root may mutate or release it as soon as Bcast
-// returns. Message sizes, order and virtual cost are those of P-1
-// copying sends.
-func Bcast[T any](c *Comm, data []T, root int) []T {
-	defer collSpan(c, obs.KindCollective, "bcast")()
-	p := c.Size()
-	if p == 1 {
-		return data
-	}
-	rel := (c.rank - root + p) % p
-	mask := 1
-	for mask < p {
-		if rel&mask != 0 {
-			src := (rel - mask + root) % p
-			data = Recv[T](c, src, tagBcast)
-			break
-		}
-		mask <<= 1
-	}
-	// Every rank sees the same length, so every hop takes the same path:
-	// inline-sized payloads are copied from envelope to envelope as any
-	// small message is; larger ones travel as one shared buffer.
-	bytes := len(data) * sizeOf[T]()
-	shared := bytes > inlineMaxBytes || !inlineable[T]()
-	wire := data
-	if shared && rel == 0 {
-		wire = copyShared(data)
-		debugShare(c.rt, wire)
-	}
-	mask >>= 1
-	for mask > 0 {
-		if rel+mask < p {
-			dst := (rel + mask + root) % p
-			if shared {
-				debugForward(wire)
-				sendRaw(c, wire, bytes, dst, tagBcast)
-			} else {
-				Send(c, wire, dst, tagBcast)
-			}
-		}
-		mask >>= 1
-	}
-	if shared && rel == 0 {
-		debugUnshare(wire) // root keeps data, not the copy it fanned out
-	}
-	return data
-}
-
-// Reduce combines equal-length slices element-wise with op (which must be
-// commutative and associative) down a binomial tree; the combined slice is
-// returned on root, nil elsewhere.
-func Reduce[T any](c *Comm, data []T, op func(a, b T) T, root int) []T {
-	defer collSpan(c, obs.KindCollective, "reduce")()
-	p := c.Size()
-	acc := copySlice(data)
-	rel := (c.rank - root + p) % p
-	for mask := 1; mask < p; mask <<= 1 {
-		if rel&mask != 0 {
-			dst := (rel - mask + root) % p
-			SendOwned(c, acc, dst, tagReduce) // acc is our private copy; relinquish it
-			return nil
-		}
-		if src := rel | mask; src < p {
-			part := Recv[T](c, (src+root)%p, tagReduce)
-			if len(part) != len(acc) {
-				panic("vmpi: Reduce length mismatch across ranks")
-			}
-			for i := range acc {
-				acc[i] = op(acc[i], part[i])
-			}
-			Release(part)
-		}
-	}
-	return acc
-}
-
 // Allreduce combines equal-length slices element-wise with op and returns
 // the combined slice on every rank, charged as a binomial reduce to rank 0
-// followed by a Bcast. op (the same on every rank) folds in the tree's own
-// pairing — each receiving rank combines its accumulator with a child
-// subtree's, nearest child first — so a non-associative op such as
-// floating-point addition rounds as the tree does. The result is Bcast's:
-// one buffer all ranks share read-only.
+// followed by a binomial broadcast from it. op (the same on every rank)
+// folds in the tree's own pairing — each receiving rank combines its
+// accumulator with a child subtree's, nearest child first — so a
+// non-associative op such as floating-point addition rounds as the tree
+// does. The result is one buffer all ranks share read-only (see the
+// ownership protocol in pool.go), whose Release is legal and does nothing.
 func Allreduce[T any](c *Comm, data []T, op func(a, b T) T) []T {
 	stage(c, data)
 	return takeShared[T](c.collective(collOp{name: "Allreduce", typ: inlineType[T](), n: len(data)}, op, replayAllreduce[T]))
 }
 
-// replayAllreduce folds the staged copies — each rank's accumulator, as in
-// Reduce — up the tree while charging it, then charges the broadcast.
+// replayAllreduce folds the staged copies — each rank's accumulator — up the
+// tree while charging it, then charges the broadcast.
 func replayAllreduce[T any](g *rendezvous) {
 	n, op := g.op.n, g.fn.(func(a, b T) T)
 	g.tree(true, tagReduce, n*sizeOf[T](), func(parent, child int) {
@@ -208,57 +122,6 @@ func AllreduceVal[T any](c *Comm, v T, op func(a, b T) T) T {
 	return out
 }
 
-// GatherBlocks collects each rank's (variable-length) slice on root. Root
-// receives a slice of blocks indexed by source rank; other ranks get nil.
-func GatherBlocks[T any](c *Comm, data []T, root int) [][]T {
-	defer collSpan(c, obs.KindCollective, "gather")()
-	p := c.Size()
-	if c.rank != root {
-		Send(c, data, root, tagGather)
-		return nil
-	}
-	blocks := make([][]T, p)
-	for r := 0; r < p; r++ {
-		if r == root {
-			blocks[r] = copySlice(data)
-		} else {
-			blocks[r] = Recv[T](c, r, tagGather)
-		}
-	}
-	return blocks
-}
-
-// Gather collects each rank's slice on root, concatenated in rank order.
-func Gather[T any](c *Comm, data []T, root int) []T {
-	blocks := GatherBlocks(c, data, root)
-	if blocks == nil {
-		return nil
-	}
-	return concat(blocks)
-}
-
-// ScatterBlocks distributes blocks[r] from root to each rank r and returns
-// the local block. Only root's blocks argument is consulted.
-func ScatterBlocks[T any](c *Comm, blocks [][]T, root int) []T {
-	defer collSpan(c, obs.KindCollective, "scatter")()
-	p := c.Size()
-	if c.rank == root {
-		if len(blocks) != p {
-			panic("vmpi: ScatterBlocks needs one block per rank")
-		}
-		var mine []T
-		for r := 0; r < p; r++ {
-			if r == root {
-				mine = copySlice(blocks[r])
-			} else {
-				Send(c, blocks[r], r, tagScatter)
-			}
-		}
-		return mine
-	}
-	return Recv[T](c, root, tagScatter)
-}
-
 // allgatherRingMax is the largest communicator on which the allgathers are
 // charged as the ring algorithm. The ring costs p-1 steps per rank — O(p²)
 // messages in total — which is fine at the paper-figure scales but
@@ -270,8 +133,7 @@ func ScatterBlocks[T any](c *Comm, blocks [][]T, root int) []T {
 const allgatherRingMax = 32
 
 // Allgather collects every rank's slice on every rank, concatenated in rank
-// order: one buffer all ranks share read-only (see Bcast), whose Release is
-// legal and does nothing.
+// order: one buffer all ranks share read-only, like Allreduce's.
 func Allgather[T any](c *Comm, data []T) []T {
 	return takeShared[T](allgather(c, data))
 }
@@ -292,8 +154,8 @@ func AllgatherBlocks[T any](c *Comm, data []T) [][]T {
 
 // allgather is charged, up to allgatherRingMax ranks, as the ring: p-1
 // steps in which every rank forwards the newest block to its right
-// neighbour. Above, it is a gather to rank 0 followed by Bcasts of the
-// block lengths and of the concatenation.
+// neighbour. Above, it is a gather to rank 0 followed by binomial broadcasts
+// of the block lengths and of the concatenation.
 func allgather[T any](c *Comm, data []T) (*rendezvous, *rdvSlot) {
 	stage(c, data)
 	return c.collective(collOp{name: "Allgather", typ: inlineType[T]()}, nil, replayAllgather[T])
@@ -439,23 +301,6 @@ func transpose[T any](g *rendezvous) {
 	}
 }
 
-// Scan computes the inclusive prefix reduction of equal-length slices in
-// rank order (linear chain).
-func Scan[T any](c *Comm, data []T, op func(a, b T) T) []T {
-	defer collSpan(c, obs.KindCollective, "scan")()
-	acc := copySlice(data)
-	if c.rank > 0 {
-		prev := Recv[T](c, c.rank-1, tagScan)
-		for i := range acc {
-			acc[i] = op(prev[i], acc[i])
-		}
-	}
-	if c.rank < c.Size()-1 {
-		Send(c, acc, c.rank+1, tagScan)
-	}
-	return acc
-}
-
 // Exscan computes the exclusive prefix reduction of equal-length slices in
 // rank order; rank 0 receives zero values.
 func Exscan[T any](c *Comm, data []T, op func(a, b T) T) []T {
@@ -477,19 +322,4 @@ func Exscan[T any](c *Comm, data []T, op func(a, b T) T) []T {
 		Send(c, next, c.rank+1, tagScan)
 	}
 	return prev
-}
-
-// concat joins blocks into one pooled slice (releasable by whoever ends up
-// owning it).
-func concat[T any](blocks [][]T) []T {
-	n := 0
-	for _, b := range blocks {
-		n += len(b)
-	}
-	out := getSlice[T](n)
-	off := 0
-	for _, b := range blocks {
-		off += copy(out[off:], b)
-	}
-	return out
 }

@@ -6,7 +6,9 @@ import "repro/internal/obs"
 // algorithms the rendezvous replays (rendezvous.go), kept as the reference
 // it is checked against (FuzzCollectivesMatchMessageLevel,
 // allgather_boundary_test.go). Each sends, on the same tags, exactly the
-// messages the replay charges, and records the same spans.
+// messages the replay charges, and records the same spans. refBcast and
+// refReduce, at the end, are the binomial trees they are built from; Resize's
+// release replays refBcast of an empty payload from rank 0.
 
 func refBarrier(c *Comm) {
 	defer collSpan(c, obs.KindBarrier, "barrier")()
@@ -17,9 +19,9 @@ func refBarrier(c *Comm) {
 	}
 }
 
-// refAllreduce is a Reduce to rank 0 followed by a Bcast from it.
+// refAllreduce is a refReduce to rank 0 followed by a refBcast from it.
 func refAllreduce[T any](c *Comm, data []T, op func(a, b T) T) []T {
-	return Bcast(c, Reduce(c, data, op, 0), 0)
+	return refBcast(c, refReduce(c, data, op, 0), 0)
 }
 
 func refAllgatherBlocks[T any](c *Comm, data []T) [][]T {
@@ -80,8 +82,8 @@ func refGather[T any](c *Comm, data []T) (lens []int64, flat []T) {
 // to rank 0, then broadcast the lengths and the concatenation.
 func refAllgatherTree[T any](c *Comm, data []T) [][]T {
 	lens, flat := refGather(c, data)
-	lens = Bcast(c, lens, 0)
-	flat = Bcast(c, flat, 0)
+	lens = refBcast(c, lens, 0)
+	flat = refBcast(c, flat, 0)
 	out := make([][]T, c.Size())
 	off := 0
 	for r := range out {
@@ -97,8 +99,8 @@ func refAllgatherTree[T any](c *Comm, data []T) [][]T {
 func refAllgatherFlat[T any](c *Comm, data []T) []T {
 	defer collSpan(c, obs.KindCollective, "allgather")()
 	lens, flat := refGather(c, data)
-	Bcast(c, lens, 0)
-	return Bcast(c, flat, 0)
+	refBcast(c, lens, 0)
+	return refBcast(c, flat, 0)
 }
 
 func refAlltoall[T any](c *Comm, parts [][]T) [][]T {
@@ -146,4 +148,114 @@ func refAlltoallLinear[T any](c *Comm, parts [][]T, tag int) [][]T {
 		}
 	}
 	return recv
+}
+
+// refBcast distributes root's data to all ranks down a binomial tree and
+// returns the broadcast payload: root gets data back unchanged, every other
+// rank a received slice.
+//
+// The result is a shared, read-only view (see the ownership protocol in
+// pool.go). A payload above the inline limit is copied once, on root, into
+// one immutable buffer, and every hop of the tree forwards a reference to
+// that buffer — P ranks, one payload — so receivers must not store into,
+// append onto or relinquish (SendOwned/AlltoallOwned) what refBcast returns;
+// Release of it is legal and does nothing. Root's own data is never
+// aliased by another rank: root may mutate or release it as soon as refBcast
+// returns. Message sizes, order and virtual cost are those of P-1
+// copying sends.
+func refBcast[T any](c *Comm, data []T, root int) []T {
+	defer collSpan(c, obs.KindCollective, "bcast")()
+	p := c.Size()
+	if p == 1 {
+		return data
+	}
+	rel := (c.rank - root + p) % p
+	mask := 1
+	for mask < p {
+		if rel&mask != 0 {
+			src := (rel - mask + root) % p
+			data = Recv[T](c, src, tagBcast)
+			break
+		}
+		mask <<= 1
+	}
+	// Every rank sees the same length, so every hop takes the same path:
+	// inline-sized payloads are copied from envelope to envelope as any
+	// small message is; larger ones travel as one shared buffer.
+	bytes := len(data) * sizeOf[T]()
+	shared := bytes > inlineMaxBytes || !inlineable[T]()
+	wire := data
+	if shared && rel == 0 {
+		wire = copyShared(data)
+		debugShare(c.rt, wire)
+	}
+	mask >>= 1
+	for mask > 0 {
+		if rel+mask < p {
+			dst := (rel + mask + root) % p
+			if shared {
+				debugForward(wire)
+				sendRaw(c, wire, bytes, dst, tagBcast)
+			} else {
+				Send(c, wire, dst, tagBcast)
+			}
+		}
+		mask >>= 1
+	}
+	if shared && rel == 0 {
+		debugUnshare(wire) // root keeps data, not the copy it fanned out
+	}
+	return data
+}
+
+// refReduce combines equal-length slices element-wise with op (which must be
+// commutative and associative) down a binomial tree; the combined slice is
+// returned on root, nil elsewhere.
+func refReduce[T any](c *Comm, data []T, op func(a, b T) T, root int) []T {
+	defer collSpan(c, obs.KindCollective, "reduce")()
+	p := c.Size()
+	acc := copySlice(data)
+	rel := (c.rank - root + p) % p
+	for mask := 1; mask < p; mask <<= 1 {
+		if rel&mask != 0 {
+			dst := (rel - mask + root) % p
+			SendOwned(c, acc, dst, tagReduce) // acc is our private copy; relinquish it
+			return nil
+		}
+		if src := rel | mask; src < p {
+			part := Recv[T](c, (src+root)%p, tagReduce)
+			if len(part) != len(acc) {
+				panic("vmpi: Reduce length mismatch across ranks")
+			}
+			for i := range acc {
+				acc[i] = op(acc[i], part[i])
+			}
+			Release(part)
+		}
+	}
+	return acc
+}
+
+// copyShared deep-copies a payload into a fresh shared-shaped buffer: the
+// one copy a broadcast makes, on its root.
+func copyShared[T any](data []T) []T {
+	debugUse(data)
+	out := make([]T, len(data), sharedCap(len(data)))
+	copy(out, data)
+	return out
+}
+
+// concat joins blocks into one pooled slice (releasable by whoever ends up
+// owning it).
+func concat[T any](blocks [][]T) []T {
+	n := 0
+	for _, b := range blocks {
+		n += len(b)
+	}
+	out := getSlice[T](n)
+	off := 0
+	for _, b := range blocks {
+		off += copy(out[off:], b)
+	}
+	return out
 }

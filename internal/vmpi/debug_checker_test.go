@@ -130,8 +130,9 @@ func TestDebugPanicNamesUserSite(t *testing.T) {
 	Release(buf)
 }
 
-// The shared read-only state: what Bcast, Allreduce and Allgather return
-// above the inline limit is one buffer referenced by up to P ranks.
+// The shared read-only state: what Allreduce and Allgather return is one
+// buffer referenced by up to P ranks. The tests below take their view from
+// Allgather, the producer the repo's packages call.
 
 // dbgSharedEntries counts the live shared-buffer entries of the checker.
 func dbgSharedEntries() int {
@@ -147,7 +148,7 @@ func dbgSharedEntries() int {
 }
 
 // TestDebugWriteAfterSharePanics: a receiver that stores into its view
-// changes the checksum; the panic names the broadcast that shared the
+// changes the checksum; the panic names the Allgather that shared the
 // buffer. Whoever looks next finds it — a later forward, a Release, or, as
 // here, the world's teardown.
 func TestDebugWriteAfterSharePanics(t *testing.T) {
@@ -155,7 +156,7 @@ func TestDebugWriteAfterSharePanics(t *testing.T) {
 	func() {
 		defer func() { msg = fmt.Sprint(recover()) }()
 		Run(Config{Ranks: 4, Workers: 1}, func(c *Comm) {
-			got := Bcast(c, make([]float64, 64), 0)
+			got := Allgather(c, make([]float64, 16))
 			if c.Rank() == 3 {
 				got[5] = 1 // the bug under test: got is shared and read-only
 			}
@@ -163,7 +164,7 @@ func TestDebugWriteAfterSharePanics(t *testing.T) {
 	}()
 	if !strings.Contains(msg, "shared broadcast buffer was modified") ||
 		!strings.Contains(msg, "shared at") || !strings.Contains(msg, "debug_checker_test.go") {
-		t.Fatalf("want a checksum panic naming the broadcast site in this file, got %q", msg)
+		t.Fatalf("want a checksum panic naming the Allgather site in this file, got %q", msg)
 	}
 	if n := dbgSharedEntries(); n != 0 {
 		t.Fatalf("%d shared entries outlived the panicking world", n)
@@ -184,15 +185,15 @@ func TestDebugWriteCaughtAtRelease(t *testing.T) {
 	})
 }
 
-// TestDebugSendOwnedOfBroadcastPanics: a received broadcast payload is a
-// reference, not a buffer the rank could give away. Both call sites are
-// named: the broadcast that shared it and the transfer that tried.
+// TestDebugSendOwnedOfBroadcastPanics: a shared result is a reference, not
+// a buffer the rank could give away. Both call sites are named: the
+// Allgather that shared it and the transfer that tried.
 func TestDebugSendOwnedOfBroadcastPanics(t *testing.T) {
 	var msg string
 	func() {
 		defer func() { msg = fmt.Sprint(recover()) }()
 		Run(Config{Ranks: 2}, func(c *Comm) {
-			got := Bcast(c, make([]float64, 64), 0)
+			got := Allgather(c, make([]float64, 32))
 			if c.Rank() == 1 {
 				SendOwned(c, got, 0, 7) // the bug under test
 			} else {
@@ -202,7 +203,7 @@ func TestDebugSendOwnedOfBroadcastPanics(t *testing.T) {
 	}()
 	if !strings.Contains(msg, "SendOwned of a buffer after it was shared by a broadcast at") ||
 		strings.Count(msg, "debug_checker_test.go") != 2 {
-		t.Fatalf("want a SendOwned panic naming the broadcast and the transfer in this file, got %q", msg)
+		t.Fatalf("want a SendOwned panic naming the Allgather and the transfer in this file, got %q", msg)
 	}
 }
 
@@ -211,7 +212,7 @@ func TestDebugSendOwnedOfBroadcastPanics(t *testing.T) {
 func TestDebugAlltoallOwnedOfBroadcastPanics(t *testing.T) {
 	mustPanic(t, "SendOwned of a buffer after it was shared by a broadcast at", func() {
 		Run(Config{Ranks: 2}, func(c *Comm) {
-			got := Bcast(c, make([]float64, 64), 0)
+			got := Allgather(c, make([]float64, 32))
 			parts := [][]float64{make([]float64, 64), make([]float64, 64)}
 			if c.Rank() == 1 {
 				parts[0] = got // the bug under test
@@ -244,7 +245,7 @@ func TestDebugUseAfterAlltoallLinearPanics(t *testing.T) {
 func TestDebugPoolReleaseOfBroadcastPanics(t *testing.T) {
 	mustPanic(t, "Release of a buffer after it was shared by a broadcast at", func() {
 		Run(Config{Ranks: 2}, func(c *Comm) {
-			got := Bcast(c, make([]float64, 64), 0)
+			got := Allgather(c, make([]float64, 32))
 			if c.Rank() == 1 {
 				if cap(got) == 64 {
 					panic("shared view is pool-shaped")

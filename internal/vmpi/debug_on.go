@@ -221,8 +221,9 @@ func debugUse[T any](s []T) {
 	}
 }
 
-// debugShare registers the one buffer of a broadcast, held so far by its
-// root's send loop, under the world rt.
+// debugShare registers the one buffer of a shared result (or, in the
+// message-level reference broadcast, the copy its root's send loop fans
+// out), held so far by one holder, under the world rt.
 func debugShare[T any](rt *Runtime, s []T) {
 	k := dbgKey(s)
 	if k == nil {

@@ -13,9 +13,9 @@ import (
 // Payloads are slices of flat element types (no interior pointers); they are
 // deep-copied at send time so ranks never share writable memory, mirroring
 // the distributed-memory semantics of MPI (the one shared thing is the
-// immutable payload of a broadcast, see Bcast). Message sizes for the
-// network model are computed from the element size, so element types must
-// not contain slices, maps, or strings.
+// immutable result of an Allreduce or Allgather, see pool.go). Message
+// sizes for the network model are computed from the element size, so
+// element types must not contain slices, maps, or strings.
 
 // sizeOf returns the in-memory size of T in bytes.
 func sizeOf[T any]() int {
@@ -63,51 +63,6 @@ func Recv[T any](c *Comm, src, tag int) []T {
 func Sendrecv[T any](c *Comm, sendData []T, dst, src, tag int) []T {
 	Send(c, sendData, dst, tag)
 	return Recv[T](c, src, tag)
-}
-
-// Request represents a pending nonblocking receive.
-type Request[T any] struct {
-	c    *Comm
-	src  int
-	tag  int
-	done bool
-	data []T
-}
-
-// Isend initiates a nonblocking send. With vmpi's eager protocol the send
-// completes immediately; Isend exists so communication code reads like its
-// MPI counterpart.
-func Isend[T any](c *Comm, data []T, dst, tag int) {
-	Send(c, data, dst, tag)
-}
-
-// Irecv posts a nonblocking receive; Wait blocks for its completion.
-func Irecv[T any](c *Comm, src, tag int) *Request[T] {
-	return &Request[T]{c: c, src: src, tag: tag}
-}
-
-// Wait blocks until the request completes and returns the received payload.
-func (r *Request[T]) Wait() []T {
-	if !r.done {
-		r.data = Recv[T](r.c, r.src, r.tag)
-		r.done = true
-	}
-	return r.data
-}
-
-// Waitall completes all requests and returns their payloads in order.
-func Waitall[T any](reqs []*Request[T]) [][]T {
-	out := make([][]T, len(reqs))
-	for i, r := range reqs {
-		out[i] = r.Wait()
-	}
-	return out
-}
-
-// SendrecvReplace sends data to dst and returns the message received from
-// src with the same tag, like MPI_Sendrecv_replace.
-func SendrecvReplace[T any](c *Comm, data []T, dst, src, tag int) []T {
-	return Sendrecv(c, data, dst, src, tag)
 }
 
 // sendRaw enqueues a payload-carrying message for dst in a pooled
@@ -229,15 +184,6 @@ func recvRaw(c *Comm, src, tag int) *message {
 		})
 	}
 	return m
-}
-
-// copyShared deep-copies a payload into a fresh shared-shaped buffer: the
-// one copy a broadcast makes, on its root.
-func copyShared[T any](data []T) []T {
-	debugUse(data)
-	out := make([]T, len(data), sharedCap(len(data)))
-	copy(out, data)
-	return out
 }
 
 // copySlice deep-copies a payload slice into a (possibly pooled) buffer.

@@ -50,19 +50,16 @@ import (
 //     into the message with no copy (AlltoallOwned: into the receiver's
 //     result); the caller must not touch the slice (or any alias of it)
 //     afterwards. AllgatherBlocks and Alltoall results are private too.
-//   - Shared read-only: three results are ONE immutable buffer that every
-//     rank of the communicator references. Bcast puts a payload larger
-//     than the inline limit into one buffer and every hop of the binomial
-//     tree forwards a reference to it (the resize release too); the
-//     Allreduce and Allgather replays (rendezvous.go) build their result
-//     once, at any size, and hand every rank the same view. So the slices
-//     Bcast, Allreduce and Allgather return are views that up to P ranks
-//     hold at once: read them, copy out of them, pass them to copying
-//     sends — never store into them, append onto them, or relinquish them
-//     to SendOwned/AlltoallOwned. The Go collector is the reference count: a
-//     shared buffer's capacity is never a pool size class (sharedCap), so
-//     Release of a shared view is legal and does nothing, and the buffer
-//     dies with its last holder.
+//   - Shared read-only: two results are ONE immutable buffer that every
+//     rank of the communicator references. The Allreduce and Allgather
+//     replays (rendezvous.go) build their result once, at any size, and
+//     hand every rank the same view. So the slices Allreduce and Allgather
+//     return are views that up to P ranks hold at once: read them, copy
+//     out of them, pass them to copying sends — never store into them,
+//     append onto them, or relinquish them to SendOwned/AlltoallOwned. The
+//     Go collector is the reference count: a shared buffer's capacity is
+//     never a pool size class (sharedCap), so Release of a shared view is
+//     legal and does nothing, and the buffer dies with its last holder.
 
 const (
 	poolMinBits = 5  // smallest pooled class: 32 elements
@@ -243,7 +240,7 @@ func poolClass(c int) int {
 }
 
 // sharedCap returns the capacity to allocate for an n-element shared
-// broadcast buffer: n, bumped by one where n is itself a pool size class,
+// result buffer: n, bumped by one where n is itself a pool size class,
 // so a shared buffer is never pool-shaped and Release cannot recycle
 // memory other ranks still read.
 func sharedCap(n int) int {

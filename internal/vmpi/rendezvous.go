@@ -1,11 +1,12 @@
 package vmpi
 
-// The rendezvous the seven synchronizing collectives meet in (collectives.go
-// says which and why). A call is one generation: each rank stages its input
-// and entry clock in its slot and parks once; the last to arrive replays the
-// algorithm's messages for every rank in closed form — their schedule is
-// fixed, and each is charged by sendClocks and recvClock as sendMsg and
-// recvRaw charge it — moves the data and wakes the rest in one UnparkBatch.
+// The rendezvous the seven synchronizing collectives (collectives.go says
+// which and why) and Resize's release meet in. A call is one generation:
+// each rank stages its input and entry clock in its slot and parks once;
+// the last to arrive replays the algorithm's messages for every rank in
+// closed form — their schedule is fixed, and each is charged by sendClocks
+// and recvClock as sendMsg and recvRaw charge it — moves the data and wakes
+// the rest in one UnparkBatch.
 // The message-level bodies in collectives_ref_test.go are the reference.
 // Single writer: the replay writes slot results and scratch, never a
 // rankState; each rank applies its own result when it wakes. Replay opens
@@ -248,9 +249,9 @@ func (g *rendezvous) recv(src, dst, bytes int, arrive float64) {
 
 // tree replays a binomial tree rooted at rank 0 as an inner span: a
 // Reduce's fan-in (up: from the leaves, each child sending its subtree's
-// accumulator to its parent, which folds it in) or a Bcast's fan-out (from
-// the root, each holder forwarding to the children it has yet to reach,
-// farthest first).
+// accumulator to its parent, which folds it in) or a broadcast's fan-out
+// (from the root, each holder forwarding to the children it has yet to
+// reach, farthest first).
 func (g *rendezvous) tree(up bool, tag, bytes int, fold func(parent, child int)) {
 	top := 1
 	for top < len(g.slots) {
@@ -324,7 +325,7 @@ func unstage[T any](g *rendezvous) {
 func slotData[T any](s *rdvSlot) []T { return unsafe.Slice((*T)(s.data), s.n) }
 
 // share hands every rank the one result of an Allreduce or an Allgather,
-// registered like a broadcast's shared payload with a holder per rank.
+// registered as a shared buffer with a holder per rank.
 func share[T any](g *rendezvous, res []T) {
 	debugShare(g.rt, res)
 	for r := range g.slots {

@@ -15,9 +15,11 @@ package vmpi
 //  4. World rank 0 rebuilds the runtime's world — retires the trailing
 //     ranks, creates instances for admitted ones, installs the new epoch —
 //     and admits the new tasks to the executor.
-//  5. A release broadcast over the old world publishes the new epoch; its
-//     message chain is also the happens-before edge that makes step 4's
-//     mutations visible to every rank.
+//  5. A release over the old world publishes the new epoch: one rendezvous
+//     generation, charged as a binomial broadcast of an empty payload from
+//     rank 0, which rank 0 enters only after step 4. The replay's wake is
+//     the happens-before edge that makes step 4's mutations visible to
+//     every rank.
 //
 // Determinism: every quantity above is a pure function of virtual state, so
 // resized runs remain bit-identical at any host parallelism.
@@ -78,10 +80,14 @@ func Resize(c *Comm, newN int) *Comm {
 		if c.rank == 0 {
 			rt.reconfigure(c.w, newN, tStar)
 		}
-		// Release: the binomial broadcast both keeps every other old rank
-		// quiescent while rank 0 mutates the runtime and, through its
-		// message chain, publishes the mutations to all of them.
-		Bcast(c, []byte(nil), 0)
+		// Release: every other old rank stays parked in the rendezvous
+		// while rank 0 mutates the runtime, and no rank leaves it before
+		// rank 0 has entered. Each rank cached the old world's rendezvous
+		// in c during the Barrier, so reconfigure dropping it is harmless.
+		c.collective(collOp{name: "Resize"}, nil, func(g *rendezvous) {
+			g.tree(false, tagBcast, 0, nil)
+			g.span(obs.KindCollective, "bcast", false)
+		})
 	})
 	// Split/Dup contexts derive from splitSeq; reset it so survivors and
 	// admitted ranks agree on contexts derived after the resize (the new
@@ -105,9 +111,10 @@ func Resize(c *Comm, newN int) *Comm {
 }
 
 // reconfigure builds and installs the next epoch's world. Called by world
-// rank 0 of a Resize while every other old-world rank is blocked in the
-// release broadcast, so mutating the runtime is single-threaded; the
-// release broadcast's message chain publishes the result.
+// rank 0 of a Resize while every other old-world rank is in the release or
+// on its way into it, touching only its own state, so mutating the runtime
+// is single-threaded; the release's replay publishes the result when it
+// wakes them.
 func (rt *Runtime) reconfigure(old *epochWorld, newN int, tStar float64) {
 	oldN := len(old.members)
 	keep := oldN

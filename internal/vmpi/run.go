@@ -6,9 +6,9 @@
 // redistribution, all-to-all vs. neighborhood exchange) are defined by which
 // messages of which sizes flow between which ranks. vmpi executes the real
 // data movement — every rank runs arbitrary Go code on private memory, and
-// message payloads are deep-copied between ranks (a broadcast's payload is
-// one immutable buffer its receivers share read-only) — while charging
-// communication and computation to per-rank virtual clocks:
+// message payloads are deep-copied between ranks (an Allreduce or Allgather
+// result is one immutable buffer every rank shares read-only) — while
+// charging communication and computation to per-rank virtual clocks:
 //
 //   - A send occupies the sender's port for an injection time given by the
 //     network model and puts the message in flight; it arrives at
@@ -20,9 +20,10 @@
 // Collectives are charged as the messages of standard algorithms (binomial
 // trees, ring or tree allgather, pairwise or linear all-to-all, dissemination
 // barrier), so their virtual cost emerges from the network model rather than
-// being postulated; the seven that synchronize every rank replay those
-// messages' clocks in one rendezvous (rendezvous.go), which Replay opens to
-// a caller's fixed-schedule algorithm (psort's merge-exchange network). On
+// being postulated; the seven that synchronize every rank, and Resize's
+// release, replay those messages' clocks in one rendezvous (rendezvous.go),
+// which Replay opens to a caller's fixed-schedule algorithm (psort's
+// merge-exchange network). Only Exscan sends its messages one by one. On
 // a switched model, neighborhood exchanges gain nothing; on a torus model
 // they do — matching the paper's JuRoPA vs. Juqueen observations.
 //

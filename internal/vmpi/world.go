@@ -254,12 +254,6 @@ func (c *Comm) Phase(name string, f func()) {
 // rank.
 func (c *Comm) PhaseTime(name string) float64 { return c.st.phases[name] }
 
-// ResetPhases clears all phase timers on this rank. Recorded events and
-// the counter/gauge aggregates are unaffected.
-func (c *Comm) ResetPhases() {
-	c.st.phases = nil
-}
-
 // Obs returns the rank's observability buffer, to attach a tap (SetTap)
 // or, under Config.Trace, to read the kept event list (Len is a mark for
 // Since). It must only be used from the rank's goroutine.

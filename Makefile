@@ -81,8 +81,7 @@ vet:
 
 # Repo-specific analyzers (see DESIGN.md, "Enforced invariants"): buffer ownership
 # (ownedbuf), hot-path determinism (determinism), SPMD collective
-# symmetry (collsym), run-slot blocking (parkblock), host-budget leaks
-# (budgetleak), and hot-kernel allocations (hotalloc).
+# symmetry (collsym), and hot-kernel allocations (hotalloc).
 lint:
 	$(GO) run ./cmd/parlint ./...
 

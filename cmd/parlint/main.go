@@ -25,21 +25,17 @@ import (
 	"path/filepath"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/budgetleak"
 	"repro/internal/analysis/collsym"
 	"repro/internal/analysis/determinism"
 	"repro/internal/analysis/hotalloc"
 	"repro/internal/analysis/ownedbuf"
-	"repro/internal/analysis/parkblock"
 )
 
 var analyzers = []*analysis.Analyzer{
-	budgetleak.Analyzer,
 	collsym.Analyzer,
 	determinism.Analyzer,
 	hotalloc.Analyzer,
 	ownedbuf.Analyzer,
-	parkblock.Analyzer,
 }
 
 // finding is the machine-readable form of one diagnostic.

@@ -6,11 +6,12 @@
 // The driver is two-phase and interprocedural. Phase 1 walks every loaded
 // package in dependency order and computes per-function fact summaries
 // (FuncFacts in facts.go: does this function enter a collective, return
-// the rank, block the host, allocate on every call, acquire or release
-// host budget, ...), seeded by intrinsic axioms for vmpi, hostpar, time,
-// sync, and the OS/I/O packages. Phase 2 re-runs the analyzers over the
-// target packages with the completed global fact table, so a helper's
-// behavior is visible at its call sites across package boundaries.
+// the rank, read a nondeterminism source, allocate on every call,
+// relinquish a buffer parameter, ...), seeded by intrinsic axioms for
+// vmpi, hostpar, time, runtime and sync/atomic. Phase 2 re-runs the
+// analyzers over the target packages with the completed global fact table,
+// so a helper's behavior is visible at its call sites across package
+// boundaries.
 //
 // The analyzers machine-check the contracts that the messaging layer and
 // the host-parallel kernels otherwise state only in comments:
@@ -23,11 +24,6 @@
 //     in hostpar kernel closures or the FMM / P2NFFT hot paths.
 //   - collsym: no vmpi collective calls inside branches conditioned on the
 //     rank (SPMD symmetry), including through rank-returning helpers.
-//   - parkblock: no host-blocking constructs (channel ops, sync waits,
-//     sleeps, real I/O, blocking budget acquisition) in rank-task code,
-//     where only the vmpi/rankexec park protocol may block a run slot.
-//   - budgetleak: every acquired hostpar/rankexec budget slot is released
-//     on every path of the acquiring function frame.
 //   - hotalloc: functions marked //parlint:hotalloc must not allocate on
 //     every call (fresh composite literals, make/new, appends to fresh
 //     backing, calls to always-allocating helpers).
@@ -144,19 +140,6 @@ func CalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	}
 	fn, _ := obj.(*types.Func)
 	return fn
-}
-
-// IsPkgFunc reports whether call invokes the package-level function
-// pkg.name (with PkgIs package matching).
-func IsPkgFunc(info *types.Info, call *ast.CallExpr, pkg, name string) bool {
-	fn := CalleeFunc(info, call)
-	if fn == nil || fn.Name() != name {
-		return false
-	}
-	if fn.Type().(*types.Signature).Recv() != nil {
-		return false
-	}
-	return PkgIs(fn.Pkg(), pkg)
 }
 
 // allowRe matches parlint allow comments: //parlint:allow a,b -- reason

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
@@ -11,8 +10,8 @@ import (
 // of RunAnalyzers walks every loaded package in dependency order (the order
 // `go list -deps` emits them: dependencies first) and computes one FuncFacts
 // summary per function. Phase 2 then re-runs the analyzers with the whole
-// fact table in Pass.Facts, so a check can follow a value, a buffer, or a
-// blocking operation across a call — including across package boundaries —
+// fact table in Pass.Facts, so a check can follow a value, a buffer, or an
+// allocation across a call — including across package boundaries —
 // without whole-program SSA. The design mirrors x/tools' analysis facts,
 // reduced to a monotone bit-set per function so a per-package fixpoint
 // converges in a handful of passes.
@@ -31,9 +30,6 @@ type FuncFacts struct {
 	// collective, so calling it is itself a collective entry for SPMD
 	// symmetry purposes (collsym).
 	EntersCollective bool
-	// Communicates: the function (transitively) calls into the vmpi
-	// messaging layer at all, collective or point-to-point.
-	Communicates bool
 	// RankResult: the function's result is derived from the calling rank
 	// (Comm.Rank / Comm.WorldRank), so branching on it is rank-dependent.
 	RankResult bool
@@ -44,11 +40,6 @@ type FuncFacts struct {
 	// i, letting rank dependence flow through helpers like
 	// XRange(c.Rank()).
 	ParamResult uint64
-	// BlocksHost: the function (transitively) performs a host-blocking
-	// operation — time.Sleep, bare channel ops, sync waits, OS I/O.
-	// Virtual blocking through vmpi does not count: the event engine
-	// parks those.
-	BlocksHost bool
 	// Nondet: the function (transitively) reads a nondeterminism source
 	// (wall clock, sync/atomic, GOMAXPROCS/NumCPU, unsorted map
 	// iteration). math/rand is deliberately excluded: seeded generators
@@ -61,13 +52,6 @@ type FuncFacts struct {
 	// cache-miss fill idiom `if cached { return } ...make...` — do not
 	// set this, which is what lets hotalloc accept plan caches.
 	AllocatesAlways bool
-	// AcquiresBudget / ReleasesBudget: the function (transitively) calls
-	// hostpar Budget.Acquire/TryAcquire, resp. Budget.Release.
-	AcquiresBudget bool
-	ReleasesBudget bool
-	// ReleasesBudgetParam: bit i set when the budget passed as parameter
-	// i is released (directly or through a callee).
-	ReleasesBudgetParam uint64
 	// TransfersParam / ReleasesParam: bit i set when the slice passed as
 	// parameter i is relinquished via vmpi.SendOwned/AlltoallOwned, resp.
 	// released via vmpi.Release/ReleaseBlocks — possibly through further
@@ -82,10 +66,6 @@ type FuncFacts struct {
 	// HotAlloc: the declaration carries a //parlint:hotalloc directive,
 	// opting it into the hotalloc analyzer's zero-allocation contract.
 	HotAlloc bool
-	// Callees holds the fact keys of statically resolved callees, minus
-	// calls into the rank-blessed packages (vmpi, rankexec, hostpar,
-	// obs). It drives the rank-reachability closure for parkblock.
-	Callees []string
 }
 
 func (f *FuncFacts) merge(o FuncFacts) bool {
@@ -103,35 +83,21 @@ func (f *FuncFacts) merge(o FuncFacts) bool {
 		}
 	}
 	or(&f.EntersCollective, o.EntersCollective)
-	or(&f.Communicates, o.Communicates)
 	or(&f.RankResult, o.RankResult)
 	or(&f.SubResult, o.SubResult)
 	orBits(&f.ParamResult, o.ParamResult)
-	or(&f.BlocksHost, o.BlocksHost)
 	or(&f.Nondet, o.Nondet)
 	or(&f.AllocatesAlways, o.AllocatesAlways)
-	or(&f.AcquiresBudget, o.AcquiresBudget)
-	or(&f.ReleasesBudget, o.ReleasesBudget)
-	orBits(&f.ReleasesBudgetParam, o.ReleasesBudgetParam)
 	orBits(&f.TransfersParam, o.TransfersParam)
 	orBits(&f.ReleasesParam, o.ReleasesParam)
 	or(&f.SharedResult, o.SharedResult)
 	or(&f.HotAlloc, o.HotAlloc)
-	if len(o.Callees) > len(f.Callees) {
-		f.Callees = o.Callees
-		changed = true
-	}
 	return changed
 }
 
 // Facts is the global fact table produced by phase 1.
 type Facts struct {
 	fns map[string]*FuncFacts
-	// rankRoots are the fact keys of functions passed to vmpi.Run — the
-	// entry points of rank-task code.
-	rankRoots []string
-	// reachable is the closure of rankRoots over Callees.
-	reachable map[string]bool
 }
 
 // FuncKey returns the stable cross-package key of fn:
@@ -179,33 +145,6 @@ func (f *Facts) Of(fn *types.Func) FuncFacts {
 	return FuncFacts{}
 }
 
-// RankReachable reports whether fn is reachable from a rank-task entry
-// point (a function passed to vmpi.Run), i.e. whether it runs on an event
-// engine run slot.
-func (f *Facts) RankReachable(fn *types.Func) bool {
-	if f == nil || fn == nil {
-		return false
-	}
-	return f.reachable[FuncKey(fn)]
-}
-
-// rankBlessedPkgs are the layers allowed to block a run slot (they
-// implement the park/unpark protocol and the instrumented clock): calls
-// into them end the rank-reachability traversal, and parkblock never
-// reports inside them.
-var rankBlessedPkgs = []string{"vmpi", "rankexec", "hostpar", "obs"}
-
-// RankBlessedPkg reports whether pkg is one of the packages exempt from
-// the rank-task blocking contract.
-func RankBlessedPkg(pkg *types.Package) bool {
-	for _, name := range rankBlessedPkgs {
-		if PkgIs(pkg, name) {
-			return true
-		}
-	}
-	return false
-}
-
 // VmpiCollectives are the vmpi package-level operations every rank of a
 // communicator must enter symmetrically (shared by collsym and the fact
 // intrinsics).
@@ -239,12 +178,13 @@ func (f *Facts) SharedViewCall(info *types.Info, e ast.Expr) (*types.Func, *ast.
 // VmpiCollectiveMethods are Comm methods with collective semantics.
 var VmpiCollectiveMethods = map[string]bool{"Split": true, "Dup": true}
 
-// intrinsicFacts axiomatizes the vmpi messaging layer and the hostpar
-// budget instead of trusting facts computed from their sources: their
-// blocking is virtual (parked by the engine) or by design, and their
-// results follow documented contracts (collectives return
-// rank-symmetric values; Rank returns the rank). Matching is loose
-// (PkgIs) so fixture stubs axiomatize identically.
+// intrinsicFacts axiomatizes the vmpi messaging layer, hostpar and the
+// nondeterminism sources instead of trusting facts computed from their
+// sources: vmpi results follow documented contracts (collectives return
+// rank-symmetric values; Rank returns the rank), hostpar's scheduling
+// never reaches a kernel's result, and the wall clock, GOMAXPROCS and
+// atomics are Nondet by definition. Matching is loose (PkgIs) so fixture
+// stubs axiomatize identically.
 func intrinsicFacts(fn *types.Func) (FuncFacts, bool) {
 	if fn == nil || fn.Pkg() == nil {
 		return FuncFacts{}, false
@@ -254,33 +194,17 @@ func intrinsicFacts(fn *types.Func) (FuncFacts, bool) {
 	method := sig != nil && sig.Recv() != nil
 	switch {
 	case PkgIs(fn.Pkg(), "vmpi"):
-		ff := FuncFacts{Communicates: true}
 		if method && (name == "Rank" || name == "WorldRank") {
 			return FuncFacts{RankResult: true}, true
 		}
-		if (!method && VmpiCollectives[name]) || (method && VmpiCollectiveMethods[name]) {
-			ff.EntersCollective = true
-		}
-		ff.SharedResult = !method && VmpiSharedResults[name]
-		return ff, true
+		return FuncFacts{
+			EntersCollective: (!method && VmpiCollectives[name]) || (method && VmpiCollectiveMethods[name]),
+			SharedResult:     !method && VmpiSharedResults[name],
+		}, true
 	case PkgIs(fn.Pkg(), "hostpar"):
-		if method && isBudgetRecv(sig.Recv().Type()) {
-			switch name {
-			case "Acquire", "TryAcquire":
-				return FuncFacts{AcquiresBudget: true}, true
-			case "Release":
-				return FuncFacts{ReleasesBudget: true}, true
-			}
-		}
 		return FuncFacts{}, true
 	case PkgIs(fn.Pkg(), "time"):
-		switch name {
-		case "Sleep":
-			return FuncFacts{BlocksHost: true}, true
-		case "Now", "Since":
-			return FuncFacts{Nondet: true}, true
-		}
-		return FuncFacts{}, true
+		return FuncFacts{Nondet: name == "Now" || name == "Since"}, true
 	case PkgIs(fn.Pkg(), "runtime"):
 		if name == "GOMAXPROCS" || name == "NumCPU" {
 			return FuncFacts{Nondet: true}, true
@@ -288,84 +212,17 @@ func intrinsicFacts(fn *types.Func) (FuncFacts, bool) {
 		return FuncFacts{}, true
 	case PkgIs(fn.Pkg(), "atomic"):
 		return FuncFacts{Nondet: true}, true
-	case PkgIs(fn.Pkg(), "os") || PkgIs(fn.Pkg(), "net"):
-		return FuncFacts{BlocksHost: true}, true
-	case PkgIs(fn.Pkg(), "fmt"):
-		if strings.HasPrefix(name, "Print") || strings.HasPrefix(name, "Fprint") {
-			return FuncFacts{BlocksHost: true}, true
-		}
-		return FuncFacts{}, true
-	case PkgIs(fn.Pkg(), "sync"):
-		if method {
-			switch name {
-			case "Wait", "Lock", "RLock":
-				// Blocking, but the leaf-critical-section nuance is
-				// handled where the call appears (parkblock); as a
-				// callee fact, any of these blocks.
-				return FuncFacts{BlocksHost: true}, true
-			}
-		}
-		return FuncFacts{}, true
 	}
 	return FuncFacts{}, false
 }
 
-// isBudgetRecv reports whether t is (a pointer to) the hostpar Budget
-// type or the rankexec Budget capacity interface — the two spellings of
-// the shared host-capacity protocol.
-func isBudgetRecv(t types.Type) bool {
-	t = types.Unalias(t)
-	if p, ok := t.(*types.Pointer); ok {
-		t = types.Unalias(p.Elem())
-	}
-	n, ok := t.(*types.Named)
-	return ok && n.Obj().Name() == "Budget" &&
-		(PkgIs(n.Obj().Pkg(), "hostpar") || PkgIs(n.Obj().Pkg(), "rankexec"))
-}
-
-// IntrinsicBlocker reports whether fn is axiomatized as host-blocking at
-// the call site: time.Sleep, os / net I/O, fmt terminal output. sync
-// primitives are excluded — parkblock applies the leaf-critical-section
-// rule to those where the call appears instead of reporting every lock.
-func IntrinsicBlocker(fn *types.Func) bool {
-	if fn == nil || PkgIs(fn.Pkg(), "sync") {
-		return false
-	}
-	ff, ok := intrinsicFacts(fn)
-	return ok && ff.BlocksHost
-}
-
-// IsBudgetMethod reports whether call invokes the named method on the
-// hostpar Budget type.
-func IsBudgetMethod(info *types.Info, call *ast.CallExpr, name string) bool {
-	fn := CalleeFunc(info, call)
-	if fn == nil || fn.Name() != name {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	return ok && sig.Recv() != nil && isBudgetRecv(sig.Recv().Type())
-}
-
 // ComputeFacts runs phase 1 over pkgs (which must be in dependency
 // order, dependencies first — the order Load returns) and returns the
-// global fact table with the rank-reachability closure resolved.
+// global fact table.
 func ComputeFacts(pkgs []*Package) *Facts {
 	f := &Facts{fns: map[string]*FuncFacts{}}
 	for _, pkg := range pkgs {
 		computePkgFacts(pkg, f)
-	}
-	f.reachable = map[string]bool{}
-	work := append([]string(nil), f.rankRoots...)
-	for len(work) > 0 {
-		k := work[len(work)-1]
-		work = work[:len(work)-1]
-		if k == "" || f.reachable[k] {
-			continue
-		}
-		f.reachable[k] = true
-		if ff := f.fns[k]; ff != nil {
-			work = append(work, ff.Callees...)
-		}
 	}
 	return f
 }
@@ -706,7 +563,7 @@ func scanFuncFacts(pkg *Package, decl *ast.FuncDecl, f *Facts) FuncFacts {
 	out := FuncFacts{HotAlloc: hasHotAllocDirective(decl)}
 	tracker := NewDepTracker(info, f, decl, decl.Body)
 
-	// Parameter objects by index, for the buffer/budget param facts.
+	// Parameter objects by index, for the buffer param facts.
 	paramAt := func(e ast.Expr) (int, bool) {
 		id, ok := ast.Unparen(e).(*ast.Ident)
 		if !ok {
@@ -754,34 +611,12 @@ func scanFuncFacts(pkg *Package, decl *ast.FuncDecl, f *Facts) FuncFacts {
 		})
 	}
 
-	seenCallee := map[string]bool{}
 	ast.Inspect(decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
-		case *ast.SendStmt:
-			out.BlocksHost = true
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				out.BlocksHost = true
-			}
-		case *ast.SelectStmt:
-			hasDefault := false
-			for _, c := range n.Body.List {
-				if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-					hasDefault = true
-				}
-			}
-			if !hasDefault {
-				out.BlocksHost = true
-			}
 		case *ast.RangeStmt:
 			if tv, ok := info.Types[n.X]; ok {
-				switch tv.Type.Underlying().(type) {
-				case *types.Map:
-					if !IsCollectOnly(info, n.Body) {
-						out.Nondet = true
-					}
-				case *types.Chan:
-					out.BlocksHost = true
+				if _, isMap := tv.Type.Underlying().(*types.Map); isMap && !IsCollectOnly(info, n.Body) {
+					out.Nondet = true
 				}
 			}
 		case *ast.ReturnStmt:
@@ -804,14 +639,7 @@ func scanFuncFacts(pkg *Package, decl *ast.FuncDecl, f *Facts) FuncFacts {
 				return true
 			}
 			ff := f.Of(fn)
-			out.Communicates = out.Communicates || ff.Communicates
 			out.EntersCollective = out.EntersCollective || ff.EntersCollective
-			out.AcquiresBudget = out.AcquiresBudget || ff.AcquiresBudget
-			out.ReleasesBudget = out.ReleasesBudget || ff.ReleasesBudget
-			blessed := RankBlessedPkg(fn.Pkg())
-			if ff.BlocksHost && !blessed {
-				out.BlocksHost = true
-			}
 			if ff.Nondet && !PkgIs(fn.Pkg(), "vmpi") && !PkgIs(fn.Pkg(), "hostpar") {
 				out.Nondet = true
 			}
@@ -847,58 +675,6 @@ func scanFuncFacts(pkg *Package, decl *ast.FuncDecl, f *Facts) FuncFacts {
 					if ff.ReleasesParam&(1<<uint(j)) != 0 {
 						out.ReleasesParam |= 1 << uint(i)
 					}
-					if ff.ReleasesBudgetParam&(1<<uint(j)) != 0 {
-						out.ReleasesBudgetParam |= 1 << uint(i)
-					}
-				}
-			}
-			// Direct budget traffic. The syntactic check also covers the
-			// rankexec Budget interface, whose methods have no bodies to
-			// scan and no hostpar intrinsic.
-			if IsBudgetMethod(info, n, "Acquire") || IsBudgetMethod(info, n, "TryAcquire") {
-				out.AcquiresBudget = true
-			}
-			// Budget release of a parameter: func put(b *Budget) { b.Release() }.
-			if IsBudgetMethod(info, n, "Release") {
-				out.ReleasesBudget = true
-				if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok {
-					if i, ok := paramAt(sel.X); ok {
-						out.ReleasesBudgetParam |= 1 << uint(i)
-					}
-				}
-			}
-			// Rank roots: functions handed to vmpi.Run are rank-task
-			// entry points; function literals contribute their callees
-			// directly.
-			if IsPkgFunc(info, n, "vmpi", "Run") {
-				for _, a := range n.Args {
-					switch arg := ast.Unparen(a).(type) {
-					case *ast.FuncLit:
-						ast.Inspect(arg.Body, func(m ast.Node) bool {
-							if c, ok := m.(*ast.CallExpr); ok {
-								if cf := CalleeFunc(info, c); cf != nil && !RankBlessedPkg(cf.Pkg()) {
-									f.rankRoots = append(f.rankRoots, FuncKey(cf))
-								}
-							}
-							return true
-						})
-					case *ast.Ident, *ast.SelectorExpr:
-						var obj types.Object
-						if id, ok := arg.(*ast.Ident); ok {
-							obj = info.Uses[id]
-						} else {
-							obj = info.Uses[arg.(*ast.SelectorExpr).Sel]
-						}
-						if rf, ok := obj.(*types.Func); ok {
-							f.rankRoots = append(f.rankRoots, FuncKey(rf))
-						}
-					}
-				}
-			}
-			if !blessed && fn.Pkg() != nil {
-				if k := FuncKey(fn); !seenCallee[k] {
-					seenCallee[k] = true
-					out.Callees = append(out.Callees, k)
 				}
 			}
 		}

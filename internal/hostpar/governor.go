@@ -3,7 +3,7 @@ package hostpar
 import "runtime"
 
 // Budget is a host-compute budget: a counting semaphore over units of host
-// CPU shared by every consumer of host parallelism in the process. Two
+// CPU shared by every consumer of host parallelism in the process. Three
 // consumers exist today, with deliberately different acquisition styles:
 //
 //   - For (this package) try-acquires units for its extra tile workers and
@@ -13,6 +13,9 @@ import "runtime"
 //   - The experiment scheduler (internal/sched) block-acquires one unit per
 //     running job — an experiment is a full virtual machine worth of
 //     compute — so queued jobs wait for capacity instead of oversubscribing.
+//   - The rank executor (internal/rankexec, behind vmpi.Run) try-acquires
+//     extra run slots while runnable ranks are queued and returns them as
+//     the queue drains; its one base slot never comes from the budget.
 //
 // Sharing one budget is what keeps nested parallelism bounded: N concurrent
 // experiments × M ranks × hostpar tiles all draw from the same pool of
@@ -58,7 +61,8 @@ func (b *Budget) TryAcquire() bool {
 func (b *Budget) Release() { <-b.sem }
 
 // shared is the process-wide budget, sized to the host's core count. For's
-// helper workers and the experiment scheduler both draw from it.
+// helper workers, the experiment scheduler and the rank executor's extra
+// run slots all draw from it.
 var shared = NewBudget(runtime.NumCPU())
 
 // SharedBudget returns the process-wide host-compute budget.

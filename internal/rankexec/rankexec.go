@@ -33,6 +33,9 @@
 // not parked deposits a wake token, and Park consumes a pending token
 // instead of blocking, so the caller's recheck loop (test condition → Park
 // → retest) is sound without holding any executor lock across the test.
+// Park is also the only way a task may block: a task waiting on a host
+// primitive (channel, lock, WaitGroup) that another task releases keeps
+// its run slot, and a Workers=1 run hangs.
 //
 // # Sharding
 //

@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test race fuzz-smoke bench bench-json bench-fig10 bench-mem vet lint debugtest golden golden-update golden-par fig10 golden-bigp golden-bigp-w4 golden-bigp-update golden-resize golden-resize-update golden-mem golden-mem-update check
+.PHONY: all build test race fuzz-smoke bench vet lint debugtest golden golden-update golden-par fig10 golden-bigp golden-bigp-w4 golden-bigp-update golden-resize golden-resize-update golden-mem golden-mem-update check
 
 all: build
 
@@ -47,34 +47,18 @@ fuzz-smoke:
 		( set -x; $(GO) test ./$${t%%:*} -run '^$$' -fuzz $${t##*:} -fuzztime 10s ); \
 	done
 
+# The repo's one host-performance instrument: wall clock, live heap and
+# per-layer meters for the workloads BENCHMARK.json declares (see
+# bench/README.md). Figure 10's per-rank-count host row is BenchmarkFig10
+# in internal/paperbench.
 bench:
-	$(GO) test -bench=. -benchmem -run '^$$' .
-
-# Regenerates the wall-clock + virtual-seconds report for Figures 6-9 and
-# prints (and checks in) the delta against the BENCH_1.json baseline taken
-# before the kernel plan caches and the experiment scheduler. Virtual
-# seconds must not move; wall-clock is the host-performance result.
-bench-json:
-	$(GO) run ./cmd/paperbench -bench-json BENCH_2.json -bench-baseline BENCH_1.json | tee BENCH_DELTA.txt
+	$(GO) run ./bench
 
 # Figure 10 extends the strategy comparison to the paper's machine sizes
 # (64 ... 16384 ranks) on the event-driven rank executor; the full sweep
 # takes a few minutes, dominated by the 16384-rank merge-sort cells.
 fig10:
 	$(GO) run ./cmd/paperbench -fig 10
-
-# Writes the per-rank-count benchmark report (wall clock, post-run memory,
-# executor meters) for the Figure 10 sweep and prints (and checks in) the
-# rank_rows delta against the previous large-P report. BENCH_OUT/BENCH_BASE
-# name the pair: BENCH_6.json (one shared broadcast payload instead of P
-# private copies) against BENCH_5.json (the large-P fast path; itself taken
-# against BENCH_3.json). Virtual seconds must not move; wall clock and heap
-# are the host-performance result.
-BENCH_OUT  ?= BENCH_6.json
-BENCH_BASE ?= BENCH_5.json
-
-bench-fig10:
-	$(GO) run ./cmd/paperbench -bench-fig10 $(BENCH_OUT) -bench-baseline $(BENCH_BASE) | tee $(BENCH_OUT:.json=_DELTA.txt)
 
 vet:
 	$(GO) vet ./...
@@ -94,8 +78,10 @@ debugtest:
 	$(GO) test -tags vmpidebug $(addprefix ./internal/,$(DEBUG_PKGS))
 
 # Golden gates. Each gate reruns one canonical paperbench invocation (see
-# EXPERIMENTS.md) and byte-diffs its stdout against a checked-in baseline;
-# any divergence — a changed virtual time anywhere — fails. To accept an
+# EXPERIMENTS.md) and byte-diffs its stdout against a checked-in baseline
+# under testdata/golden/; any divergence — a changed virtual time anywhere —
+# fails. The bigp, resize and mem baselines are also diffed in-process by
+# go test (TestGoldens in internal/paperbench). To accept an
 # intentional change: make <gate>-update, then review the diff. One recipe
 # serves every gate, parametrised per target by ARGS (the invocation), BASE
 # (the baseline file) and EXTRA (flags of the gate run only: observability
@@ -126,16 +112,16 @@ JOBS ?= 8
 GOLDEN_ARGS := -fig all -particles 6000 -ranks 8 -ranks-list 2,4,8,16
 
 golden golden-update:                          ARGS  := $(GOLDEN_ARGS)
-golden golden-update:                          BASE  := paperbench_output.txt
+golden golden-update:                          BASE  := testdata/golden/paperbench_output.txt
 golden:                                        EXTRA := -trace-out obs_trace.json -metrics-out obs_metrics.txt
 golden-bigp golden-bigp-w4 golden-bigp-update: ARGS  := -fig 10 -ranks-list 1024
-golden-bigp golden-bigp-w4 golden-bigp-update: BASE  := paperbench_fig10_1024.txt
+golden-bigp golden-bigp-w4 golden-bigp-update: BASE  := testdata/golden/paperbench_fig10_1024.txt
 golden-bigp-w4:                                EXTRA := -workers 4
 golden-resize golden-resize-update:            ARGS  := -fig resize
-golden-resize golden-resize-update:            BASE  := paperbench_resize.txt
+golden-resize golden-resize-update:            BASE  := testdata/golden/paperbench_resize.txt
 golden-resize:                                 EXTRA := -trace-out obs_resize_trace.json -metrics-out obs_resize_metrics.txt
 golden-mem golden-mem-update:                  ARGS  := -fig mem
-golden-mem golden-mem-update:                  BASE  := paperbench_mem.txt
+golden-mem golden-mem-update:                  BASE  := testdata/golden/paperbench_mem.txt
 golden-mem:                                    EXTRA := -trace-out obs_mem_trace.json -metrics-out obs_mem_metrics.txt
 
 golden-bigp: golden-bigp-w4
@@ -159,13 +145,8 @@ golden-par:
 	diff -u paperbench_output.j1.txt paperbench_output.j8.txt
 	diff -u obs_trace.j1.json obs_trace.j8.json
 	diff -u obs_metrics.j1.txt obs_metrics.j8.txt
-	diff -u paperbench_output.txt paperbench_output.j1.txt
+	diff -u testdata/golden/paperbench_output.txt paperbench_output.j1.txt
 	rm -f paperbench_output.j1.txt paperbench_output.j8.txt \
 		obs_trace.j1.json obs_trace.j8.json obs_metrics.j1.txt obs_metrics.j8.txt
-
-# Writes the Figure M benchmark report (memory-budget strategies, both
-# machine models: virtual times, metered staging peaks, wall clock).
-bench-mem:
-	$(GO) run ./cmd/paperbench -bench-mem BENCH_4.json
 
 check: build vet lint test debugtest race fuzz-smoke golden golden-bigp golden-resize golden-mem

@@ -12,18 +12,11 @@
 //	paperbench -fig all -j 8
 //	paperbench -fig 10
 //	paperbench -fig 10 -ranks-list 64,1024 -workers 4
-//	paperbench -bench-fig10 BENCH_5.json
-//	paperbench -bench-fig10 BENCH_5.json -bench-baseline BENCH_3.json
-//	paperbench -bench-json BENCH_1.json
-//	paperbench -bench-json BENCH_2.json -bench-baseline BENCH_1.json
 //	paperbench -fig all -trace-out trace.json -metrics-out metrics.txt
 //
-// With -bench-json, instead of printing tables the command runs all
-// figures and writes a JSON report pairing every figure's virtual-second
-// metrics with the host wall-clock time spent producing it (see
-// internal/benchjson). Virtual seconds are deterministic; wall-clock is
-// the host-performance regression baseline. Adding -bench-baseline prints
-// a delta report against a previously written JSON file.
+// The command prints virtual seconds only. Host wall clock and memory are
+// measured by the benchmark harness (go run ./bench) and, per Figure 10
+// rank count, by BenchmarkFig10 in internal/paperbench.
 //
 // -trace-out and -metrics-out additionally run the canonical
 // observability configuration (paperbench.ObsConfig: the Fig. 9 torus
@@ -34,9 +27,7 @@
 // -fig 10 is not part of -fig all: it is the large-P redistribution
 // strategy sweep (64 … 16384 virtual ranks by default, see EXPERIMENTS.md)
 // on the event-driven rank executor. -workers fixes the executor's
-// run-slot count; output is byte-identical at any value. -bench-fig10
-// writes the sweep's per-rank-count host report (wall clock, memory,
-// executor meters).
+// run-slot count; output is byte-identical at any value.
 //
 // -fig resize (also outside -fig all) is the elastic-worlds cost figure:
 // live vmpi.Resize with particle remapping versus static peak
@@ -50,15 +41,19 @@
 // fine-grained exchange whose classic single all-to-all stages four times
 // the configured budget, run unbounded (metered) and through the redist
 // planner's bounded rounds, next to the three sort strategies under the
-// same budget (see EXPERIMENTS.md). -bench-mem writes its benchmark
-// report; with -trace-out/-metrics-out the planned exchange's timeline
-// (redist/peak_bytes gauge and counter) is exported.
+// same budget (see EXPERIMENTS.md). With -trace-out/-metrics-out the
+// planned exchange's timeline (redist/peak_bytes gauge and counter) is
+// exported.
 //
 // -j sets how many experiments (virtual machine runs) execute concurrently
 // on the host (default: the core count). Every figure, trace, and metrics
 // byte is identical at any -j value — the experiment scheduler collects
 // results in submission order and experiments never observe the host — so
 // -j only changes how long the command takes.
+//
+// Bad numeric input (-ranks or -particles below 1, -accuracy outside
+// (0, 1), a malformed -ranks-list) exits with status 2 and a one-line
+// message.
 package main
 
 import (
@@ -70,7 +65,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/benchjson"
 	"repro/internal/obs"
 	"repro/internal/paperbench"
 )
@@ -86,11 +80,6 @@ func main() {
 		accuracy  = flag.Float64("accuracy", 1e-3, "requested solver accuracy")
 		seed      = flag.Int64("seed", 42, "particle system seed")
 		rankListF = flag.String("ranks-list", "2,4,8", "rank counts for the figure 9 and 10 sweeps (figure 10 defaults to 64,256,1024,4096,16384)")
-		benchJSON = flag.String("bench-json", "", "write a wall-clock + virtual-seconds benchmark report for all figures to this file and exit")
-		benchF10  = flag.String("bench-fig10", "", "write a figure 10 benchmark report (wall clock, memory, and executor meters per rank count) to this file and exit")
-		benchMem  = flag.String("bench-mem", "", "write a figure M benchmark report (memory-budget strategies on both machines) to this file and exit")
-		stepScale = flag.Float64("step-scale", 1, "scale factor on the per-figure default step counts in -bench-json mode")
-		benchBase = flag.String("bench-baseline", "", "with -bench-json or -bench-fig10: print a delta report against this baseline benchmark JSON")
 		traceOut  = flag.String("trace-out", "", "write a Chrome trace-event JSON of the canonical observability run to this file")
 		metricOut = flag.String("metrics-out", "", "write a Prometheus-style metrics dump of the canonical observability run to this file")
 		jobs      = flag.Int("j", runtime.NumCPU(), "concurrent experiment jobs (worker pool size; output is byte-identical at any value)")
@@ -99,6 +88,15 @@ func main() {
 		memProf   = flag.String("memprofile", "", "write a pprof heap profile (taken after a final GC) to this file")
 	)
 	flag.Parse()
+	if err := checkInputs(*ranks, *particles, *accuracy); err != nil {
+		fmt.Fprintf(os.Stderr, "paperbench: %v\n", err)
+		os.Exit(2)
+	}
+	rankList, err := parseInts(*rankListF)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "paperbench: bad -ranks-list: %v\n", err)
+		os.Exit(2)
+	}
 
 	// Profiles cover everything after flag parsing. Notices go to stderr and
 	// the profile data to their own files, so golden stdout is untouched.
@@ -137,11 +135,6 @@ func main() {
 		return cfg
 	}
 
-	rankList, err := parseInts(*rankListF)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "paperbench: bad -ranks-list: %v\n", err)
-		os.Exit(2)
-	}
 	rankListSet := false
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "ranks-list" {
@@ -153,70 +146,6 @@ func main() {
 	fig10Ranks := rankList
 	if !rankListSet {
 		fig10Ranks = paperbench.Fig10DefaultRanks()
-	}
-
-	if *benchBase != "" && *benchJSON == "" && *benchF10 == "" {
-		fmt.Fprintln(os.Stderr, "paperbench: -bench-baseline requires -bench-json or -bench-fig10")
-		os.Exit(2)
-	}
-
-	if *benchF10 != "" {
-		rep := benchjson.CollectFig10(fig10Ranks)
-		if err := benchjson.WriteFile(rep, *benchF10); err != nil {
-			fmt.Fprintf(os.Stderr, "paperbench: writing %s: %v\n", *benchF10, err)
-			os.Exit(1)
-		}
-		wall := 0.0
-		for _, f := range rep.Figures {
-			wall += f.WallSeconds
-		}
-		fmt.Printf("wrote %s: %d figures, %.2fs wall clock total\n", *benchF10, len(rep.Figures), wall)
-		if *benchBase != "" {
-			baseRep, err := benchjson.ReadFile(*benchBase)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "paperbench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Print(benchjson.Diff(baseRep, rep).Format())
-		}
-		return
-	}
-
-	if *benchMem != "" {
-		rep := benchjson.CollectMem()
-		if err := benchjson.WriteFile(rep, *benchMem); err != nil {
-			fmt.Fprintf(os.Stderr, "paperbench: writing %s: %v\n", *benchMem, err)
-			os.Exit(1)
-		}
-		wall := 0.0
-		for _, f := range rep.Figures {
-			wall += f.WallSeconds
-		}
-		fmt.Printf("wrote %s: %d figures, %.2fs wall clock total\n", *benchMem, len(rep.Figures), wall)
-		return
-	}
-
-	if *benchJSON != "" {
-		rep := benchjson.Collect(base, rankList, *stepScale)
-		if err := benchjson.WriteFile(rep, *benchJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "paperbench: writing %s: %v\n", *benchJSON, err)
-			os.Exit(1)
-		}
-		wall := 0.0
-		for _, f := range rep.Figures {
-			wall += f.WallSeconds
-		}
-		fmt.Printf("wrote %s: %d figures, %.2fs wall clock total\n", *benchJSON, len(rep.Figures), wall)
-		if *benchBase != "" {
-			baseRep, err := benchjson.ReadFile(*benchBase)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "paperbench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Print(benchjson.Diff(baseRep, rep).Format())
-		}
-		writeObsExports(*traceOut, *metricOut)
-		return
 	}
 
 	run := func(which string) {
@@ -384,6 +313,20 @@ func exportEventLog(traceOut, metricsOut, what string, events *obs.Log) {
 	}
 	write(traceOut, "Chrome trace", func(f *os.File) error { return obs.WriteChromeTrace(f, events) })
 	write(metricsOut, "metrics dump", func(f *os.File) error { return obs.WriteMetrics(f, events) })
+}
+
+// checkInputs rejects numeric flags that would otherwise panic deep inside
+// a virtual machine run.
+func checkInputs(ranks, particles int, accuracy float64) error {
+	switch {
+	case ranks < 1:
+		return fmt.Errorf("bad -ranks: %d < 1", ranks)
+	case particles < 1:
+		return fmt.Errorf("bad -particles: %d < 1", particles)
+	case !(accuracy > 0 && accuracy < 1):
+		return fmt.Errorf("bad -accuracy: %v not in (0, 1)", accuracy)
+	}
+	return nil
 }
 
 func parseInts(s string) ([]int, error) {

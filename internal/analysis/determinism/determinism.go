@@ -48,9 +48,9 @@ var Analyzer = &analysis.Analyzer{
 // exports (wall-clock stamps enter events only via the injected vmpi
 // clock, which the exporters exclude). The experiment scheduler (sched)
 // guarantees figure output is byte-identical at any worker count, so it may
-// not read the clock (callers inject one) or race on shared counters; the
-// fft package's plan cache feeds bit-identical spectral kernels and is held
-// to the same bar. The event-driven rank executor (rankexec) schedules the
+// not read the clock or race on shared counters; the fft package's plan
+// cache feeds bit-identical spectral kernels and is held to the same bar.
+// The event-driven rank executor (rankexec) schedules the
 // rank bodies themselves — any wall-clock read, racing atomic, or map-order
 // dispatch there could leak the host schedule into execution order, so it
 // is checked in its entirety as well. The elastic package remaps the full

@@ -1,6 +1,8 @@
 package paperbench
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -31,19 +33,6 @@ func TestFig10SmallSweep(t *testing.T) {
 	for _, want := range []string{"Figure 10", "merge sort", "neighborhood", "4 ", "16 "} {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendered table missing %q:\n%s", want, out)
-		}
-	}
-}
-
-// TestFig10EngineAndEvalAgree pins that the two entry points run the same
-// experiment: Fig10Eval (the per-rank-count entry benchjson times) must
-// agree with the sweep.
-func TestFig10EngineAndEvalAgree(t *testing.T) {
-	ranks := []int{4, 8}
-	sweep := Fig10(JuRoPA(), ranks)
-	for i, p := range ranks {
-		if got := Fig10Eval(JuRoPA(), p); got != sweep[i] {
-			t.Errorf("Fig10Eval(%d) = %+v, sweep produced %+v", p, got, sweep[i])
 		}
 	}
 }
@@ -80,5 +69,41 @@ func TestFig10DriftBounded(t *testing.T) {
 	}
 	if moved > total/4 {
 		t.Fatalf("drift moved %d of %d samples; data is no longer almost sorted", moved, total)
+	}
+}
+
+// BenchmarkFig10 is Figure 10's host-cost row: one sub-benchmark per
+// machine × rank count (the default sweep plus 65536) × strategy, each one
+// virtual machine run of the figure's cell. Besides ns/op it reports the
+// cell's virtual seconds per step (equal to the figure table), the rank
+// executor's parks and wakeups, and, after a forced GC, the process's
+// sys and in-use heap bytes. Select one row with, for example,
+//
+//	go test -run '^$' -bench 'Fig10/torus/ranks=16384/' -benchtime 1x ./internal/paperbench
+func BenchmarkFig10(b *testing.B) {
+	machines := []struct {
+		name string
+		m    Machine
+	}{{"switched", JuRoPA()}, {"torus", Juqueen()}}
+	for _, mc := range machines {
+		for _, p := range append(Fig10DefaultRanks(), 65536) {
+			for _, strategy := range []string{"merge", "nbr"} {
+				b.Run(fmt.Sprintf("%s/ranks=%d/%s", mc.name, p, strategy), func(b *testing.B) {
+					st := fig10Run(mc.m, p, strategy == "merge")
+					for i := 1; i < b.N; i++ {
+						st = fig10Run(mc.m, p, strategy == "merge")
+					}
+					b.StopTimer()
+					b.ReportMetric(fig10Steady(st), "vsec/step")
+					b.ReportMetric(float64(st.Exec.Parks), "parks")
+					b.ReportMetric(float64(st.Exec.Wakeups), "wakeups")
+					runtime.GC()
+					var ms runtime.MemStats
+					runtime.ReadMemStats(&ms)
+					b.ReportMetric(float64(ms.Sys), "sys-bytes")
+					b.ReportMetric(float64(ms.HeapInuse), "heap-inuse-bytes")
+				})
+			}
+		}
 	}
 }

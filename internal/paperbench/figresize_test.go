@@ -58,7 +58,7 @@ func TestFigResizeEnginesAgree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("two full elastic sweeps exceed the test timeout under the race detector")
 	}
-	defer SetEngineWorkers(EngineWorkers())
+	defer SetEngineWorkers(0)
 	m := Juqueen()
 	SetEngineWorkers(1)
 	serial := RenderFigResize(m.Name, FigResize(m))

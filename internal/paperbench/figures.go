@@ -83,11 +83,8 @@ type Fig7Series struct {
 	Method string // "A" or "B"
 	// Redist is "Sort" (both methods); Second is "Restore" (A) or
 	// "Resort" (B); Total is the solver total.
-	Sort, Second, Total []StepVal
+	Sort, Second, Total []float64
 }
-
-// StepVal is a labelled per-step value.
-type StepVal = float64
 
 // Fig7 runs the MD loop with a uniformly random initial distribution for
 // both solvers and both methods, reporting the per-step redistribution and

@@ -147,16 +147,18 @@ func fig10Body(merge bool) func(c *vmpi.Comm) {
 	}
 }
 
-// fig10Run executes one (machine, rank count, strategy) cell and reduces
-// the steady-state (last) step's cost over ranks.
-func fig10Run(machine Machine, ranks int, merge bool) float64 {
-	st := vmpi.Run(vmpi.Config{
+// fig10Run executes one (machine, rank count, strategy) cell.
+func fig10Run(machine Machine, ranks int, merge bool) *vmpi.Stats {
+	return vmpi.Run(vmpi.Config{
 		Ranks:        ranks,
 		Model:        machine.Model(ranks),
 		ComputeScale: machine.ComputeScale,
 		Workers:      execWorkers,
 	}, fig10Body(merge))
-	recordExecStats(st.Exec)
+}
+
+// fig10Steady reduces a cell's steady-state (last) step cost over ranks.
+func fig10Steady(st *vmpi.Stats) float64 {
 	steady := 0.0
 	for _, v := range st.Values {
 		times := v.([]float64)
@@ -167,17 +169,6 @@ func fig10Run(machine Machine, ranks int, merge bool) float64 {
 	return steady
 }
 
-// Fig10Eval measures one rank count on one machine: both strategies,
-// scheduled as independent experiments. benchjson times each call to
-// attribute wall clock and memory to individual rank counts.
-func Fig10Eval(machine Machine, ranks int) Fig10Point {
-	vals := runJobs([]func() float64{
-		func() float64 { return fig10Run(machine, ranks, true) },
-		func() float64 { return fig10Run(machine, ranks, false) },
-	})
-	return Fig10Point{Ranks: ranks, Merge: vals[0], Neighborhood: vals[1]}
-}
-
 // Fig10 sweeps the rank counts on one machine. All strategy cells are
 // flattened into one scheduler batch, so they fill the worker pool.
 func Fig10(machine Machine, rankList []int) []Fig10Point {
@@ -185,8 +176,8 @@ func Fig10(machine Machine, rankList []int) []Fig10Point {
 	for _, p := range rankList {
 		p := p
 		jobs = append(jobs,
-			func() float64 { return fig10Run(machine, p, true) },
-			func() float64 { return fig10Run(machine, p, false) },
+			func() float64 { return fig10Steady(fig10Run(machine, p, true)) },
+			func() float64 { return fig10Steady(fig10Run(machine, p, false)) },
 		)
 	}
 	vals := runJobs(jobs)

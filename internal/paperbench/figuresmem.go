@@ -173,29 +173,19 @@ func FigMem(machine Machine) []FigMemRow {
 	}
 	return runJobs([]func() FigMemRow{
 		func() FigMemRow {
-			st := vmpi.Run(cfg(0), figMemExchangeBody(true))
-			recordExecStats(st.Exec)
-			return figMemRow("exchange", "unbounded", st)
+			return figMemRow("exchange", "unbounded", vmpi.Run(cfg(0), figMemExchangeBody(true)))
 		},
 		func() FigMemRow {
-			st := vmpi.Run(cfg(figMemBudget), figMemExchangeBody(false))
-			recordExecStats(st.Exec)
-			return figMemRow("exchange", "planned", st)
+			return figMemRow("exchange", "planned", vmpi.Run(cfg(figMemBudget), figMemExchangeBody(false)))
 		},
 		func() FigMemRow {
-			st := vmpi.Run(cfg(figMemBudget), figMemSortBody("partition"))
-			recordExecStats(st.Exec)
-			return figMemRow("sort", "partition", st)
+			return figMemRow("sort", "partition", vmpi.Run(cfg(figMemBudget), figMemSortBody("partition")))
 		},
 		func() FigMemRow {
-			st := vmpi.Run(cfg(figMemBudget), figMemSortBody("merge"))
-			recordExecStats(st.Exec)
-			return figMemRow("sort", "merge", st)
+			return figMemRow("sort", "merge", vmpi.Run(cfg(figMemBudget), figMemSortBody("merge")))
 		},
 		func() FigMemRow {
-			st := vmpi.Run(cfg(figMemBudget), figMemSortBody("rotational"))
-			recordExecStats(st.Exec)
-			return figMemRow("sort", "rotational", st)
+			return figMemRow("sort", "rotational", vmpi.Run(cfg(figMemBudget), figMemSortBody("rotational")))
 		},
 	})
 }

@@ -67,7 +67,7 @@ func TestFigMemBudget(t *testing.T) {
 // run-slot counts: the rendered bytes must be identical fully serialized
 // and at 8 slots, and name the figure and every strategy row.
 func TestFigMemEnginesAgree(t *testing.T) {
-	defer SetEngineWorkers(EngineWorkers())
+	defer SetEngineWorkers(0)
 	m := Juqueen()
 	SetEngineWorkers(1)
 	serial := RenderFigMem(m.Name, FigMem(m))

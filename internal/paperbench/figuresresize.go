@@ -193,43 +193,35 @@ func figResizeCost(st *vmpi.Stats) ResizeCost {
 	}
 }
 
-// FigResizeEval measures one direction on one machine: the elastic run and
-// its static peak-provisioned baseline, as independent experiments.
-func FigResizeEval(machine Machine, d ResizeDirection) FigResizePoint {
-	s := figResizeSystem()
-	steps := figResizeStepsPerStage * (len(d.Schedule) + 1)
-	vals := runJobs([]func() ResizeCost{
-		func() ResizeCost {
-			st := vmpi.Run(vmpi.Config{
-				Ranks:        d.Start,
-				MaxRanks:     d.Peak(),
-				Model:        machine.Model(d.Peak()),
-				ComputeScale: machine.ComputeScale,
-				Workers:      execWorkers,
-			}, figResizeBody(s, d))
-			recordExecStats(st.Exec)
-			return figResizeCost(st)
-		},
-		func() ResizeCost {
-			st := vmpi.Run(vmpi.Config{
-				Ranks:        d.Peak(),
-				Model:        machine.Model(d.Peak()),
-				ComputeScale: machine.ComputeScale,
-				Workers:      execWorkers,
-			}, figResizeStatic(s, steps))
-			recordExecStats(st.Exec)
-			return figResizeCost(st)
-		},
-	})
-	return FigResizePoint{Dir: d, Elastic: vals[0], Static: vals[1]}
-}
-
-// FigResize sweeps both directions on one machine.
+// FigResize sweeps both directions on one machine. Each direction is the
+// elastic run and its static peak-provisioned baseline, as independent
+// experiments.
 func FigResize(machine Machine) []FigResizePoint {
 	dirs := FigResizeDirections()
 	out := make([]FigResizePoint, len(dirs))
 	for i, d := range dirs {
-		out[i] = FigResizeEval(machine, d)
+		s := figResizeSystem()
+		steps := figResizeStepsPerStage * (len(d.Schedule) + 1)
+		vals := runJobs([]func() ResizeCost{
+			func() ResizeCost {
+				return figResizeCost(vmpi.Run(vmpi.Config{
+					Ranks:        d.Start,
+					MaxRanks:     d.Peak(),
+					Model:        machine.Model(d.Peak()),
+					ComputeScale: machine.ComputeScale,
+					Workers:      execWorkers,
+				}, figResizeBody(s, d)))
+			},
+			func() ResizeCost {
+				return figResizeCost(vmpi.Run(vmpi.Config{
+					Ranks:        d.Peak(),
+					Model:        machine.Model(d.Peak()),
+					ComputeScale: machine.ComputeScale,
+					Workers:      execWorkers,
+				}, figResizeStatic(s, steps)))
+			},
+		})
+		out[i] = FigResizePoint{Dir: d, Elastic: vals[0], Static: vals[1]}
 	}
 	return out
 }

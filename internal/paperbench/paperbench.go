@@ -319,7 +319,6 @@ func Run(cfg Config) (Result, error) {
 		}
 		c.SetResult(rankResult{deltas: deltas, digest: stateDigest(l), runStats: runStats})
 	})
-	recordExecStats(st.Exec)
 	return Result{
 		Steps:    reduceSteps(st.Values),
 		RunStats: runStatsFromValues(st.Values),

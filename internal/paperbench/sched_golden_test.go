@@ -51,7 +51,6 @@ func TestFiguresByteIdenticalAcrossWorkers(t *testing.T) {
 
 	oldWorkers := jobWorkers
 	defer SetJobs(oldWorkers)
-	TakeJobStats() // discard counters accumulated by earlier tests
 
 	SetJobs(1)
 	figs1, trace1, metrics1 := render()
@@ -69,15 +68,5 @@ func TestFiguresByteIdenticalAcrossWorkers(t *testing.T) {
 	}
 	if figs1 == "" || trace1 == "" || metrics1 == "" {
 		t.Fatalf("empty render: figs=%d trace=%d metrics=%d bytes", len(figs1), len(trace1), len(metrics1))
-	}
-
-	// The scheduler's own accounting must have seen every experiment: 6
-	// (fig6) + 4 (fig7) + 4 (fig8) + 6 (fig9) + 2 (traced), twice.
-	st := TakeJobStats()
-	if want := 2 * (6 + 4 + 4 + 6 + 2); st.Jobs != want {
-		t.Errorf("job stats counted %d jobs, want %d", st.Jobs, want)
-	}
-	if st.RunSeconds <= 0 {
-		t.Errorf("job stats RunSeconds = %v, want > 0", st.RunSeconds)
 	}
 }

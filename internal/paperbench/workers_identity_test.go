@@ -14,8 +14,7 @@ import (
 // — a single virtual-time divergence here means the sharded executor
 // leaked host scheduling into the virtual machine.
 func TestFig10WorkerCountIdentity(t *testing.T) {
-	prev := EngineWorkers()
-	defer SetEngineWorkers(prev)
+	defer SetEngineWorkers(0)
 
 	ranks := []int{4, 16, 64}
 	SetEngineWorkers(0)
@@ -35,8 +34,7 @@ func TestFig10WorkerCountIdentity(t *testing.T) {
 // sharded executor — the event log carries per-rank virtual timestamps and
 // payload sizes, so it catches ordering leaks the figure tables cannot.
 func TestTracedConfigWorkerCountIdentity(t *testing.T) {
-	prev := EngineWorkers()
-	defer SetEngineWorkers(prev)
+	defer SetEngineWorkers(0)
 
 	cfg := DefaultConfig()
 	cfg.Particles = 1728

@@ -16,10 +16,8 @@
 //     oversubscribing the host, so N jobs × M ranks × tile workers stay
 //     within ~NumCPU compute goroutines.
 //
-// The package performs no wall-clock reads of its own: callers inject a
-// monotonic clock (Options.Now) and receive per-job queueing and run times
-// through Options.OnDone — the same inversion obs uses, which keeps sched
-// free of time calls and inside the determinism analyzer's hot set.
+// The package performs no wall-clock reads, which keeps it inside the
+// determinism analyzer's hot set; host timing belongs to the caller.
 //
 // Jobs must not call back into sched (or block-acquire budget units): a job
 // already holds a unit, and waiting for another while holding one can
@@ -38,57 +36,24 @@ import (
 	"repro/internal/hostpar"
 )
 
-// Metrics describes one completed job: its submission index, how long it
-// waited for a worker and budget unit, and how long it ran. Times come from
-// the injected clock and are host wall-clock quantities — they never feed
-// back into experiment results.
-type Metrics struct {
-	Index        int
-	QueueSeconds float64
-	RunSeconds   float64
-}
-
-// Options configures a Run or Stream call.
+// Options configures a Run call.
 type Options struct {
 	// Workers is the maximum number of concurrently running jobs. Values
 	// below 1 select the shared budget's capacity (the host's core count).
 	// The worker count affects wall-clock time only, never results.
 	Workers int
-	// Now returns monotonic nanoseconds. Nil disables timing (all Metrics
-	// times are zero). Injected so sched itself never reads the clock.
-	Now func() int64
-	// OnDone, if set, receives each job's Metrics as it completes
-	// (completion order, serialized by the scheduler).
-	OnDone func(Metrics)
-	// Budget overrides the host-compute budget jobs draw from. Nil selects
-	// hostpar.SharedBudget(), which is what every production caller wants;
-	// a private budget is for tests that need a known capacity.
-	Budget *hostpar.Budget
 }
 
 // Run executes every job on the worker pool and returns their results in
 // submission order: out[i] is jobs[i]'s return value regardless of
 // completion order.
 func Run[T any](opt Options, jobs []func() T) []T {
-	out := make([]T, len(jobs))
-	Stream(opt, jobs, func(i int, r T) { out[i] = r })
-	return out
-}
-
-// Stream executes every job on the worker pool and delivers results to emit
-// in strict submission order (i = 0, 1, 2, …) on the calling goroutine,
-// each as soon as it and all its predecessors have completed. A slow early
-// job therefore holds back the emission — never the execution — of later
-// ones.
-func Stream[T any](opt Options, jobs []func() T, emit func(i int, r T)) {
 	n := len(jobs)
+	out := make([]T, n)
 	if n == 0 {
-		return
+		return out
 	}
-	budget := opt.Budget
-	if budget == nil {
-		budget = hostpar.SharedBudget()
-	}
+	budget := hostpar.SharedBudget()
 	workers := opt.Workers
 	if workers < 1 {
 		workers = budget.Capacity()
@@ -96,18 +61,10 @@ func Stream[T any](opt Options, jobs []func() T, emit func(i int, r T)) {
 	if workers > n {
 		workers = n
 	}
-	now := opt.Now
-	if now == nil {
-		now = func() int64 { return 0 }
-	}
 
-	results := make([]T, n)
-	done := make([]chan struct{}, n)
-	for i := range done {
-		done[i] = make(chan struct{})
-	}
 	// The feed channel assigns submission indices to workers first-come
-	// first-served; ordering is restored at collection.
+	// first-served; each result lands in its own slot, so completion order
+	// never shows in out.
 	feed := make(chan int)
 	go func() {
 		for i := 0; i < n; i++ {
@@ -116,32 +73,18 @@ func Stream[T any](opt Options, jobs []func() T, emit func(i int, r T)) {
 		close(feed)
 	}()
 
-	start := now()
-	var doneMu sync.Mutex
+	var wg sync.WaitGroup
+	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
+			defer wg.Done()
 			for i := range feed {
 				budget.Acquire()
-				t0 := now()
-				results[i] = jobs[i]()
-				t1 := now()
+				out[i] = jobs[i]()
 				budget.Release()
-				if opt.OnDone != nil {
-					m := Metrics{
-						Index:        i,
-						QueueSeconds: float64(t0-start) / 1e9,
-						RunSeconds:   float64(t1-t0) / 1e9,
-					}
-					doneMu.Lock()
-					opt.OnDone(m)
-					doneMu.Unlock()
-				}
-				close(done[i])
 			}
 		}()
 	}
-	for i := 0; i < n; i++ {
-		<-done[i]
-		emit(i, results[i])
-	}
+	wg.Wait()
+	return out
 }

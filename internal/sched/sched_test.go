@@ -7,49 +7,6 @@ import (
 	"repro/internal/vmpi"
 )
 
-// TestStreamOrderedCollection forces jobs to complete in reverse submission
-// order and checks that emit still sees results in submission order. The
-// completion order is controlled by channels, not timers: job i blocks until
-// job i+1 has finished, so with enough workers the actual finish order is
-// n-1, n-2, …, 0 — the worst case for ordered collection.
-func TestStreamOrderedCollection(t *testing.T) {
-	const n = 8
-	gates := make([]chan struct{}, n+1)
-	for i := range gates {
-		gates[i] = make(chan struct{})
-	}
-	close(gates[n]) // the last job runs unblocked
-
-	jobs := make([]func() int, n)
-	for i := 0; i < n; i++ {
-		i := i
-		jobs[i] = func() int {
-			<-gates[i+1] // wait for the next job to finish first
-			close(gates[i])
-			return i * i
-		}
-	}
-
-	// Workers (and the budget) must cover all jobs at once or the reverse
-	// chain deadlocks, so the test supplies its own capacity-n budget
-	// instead of the shared one sized to this host's core count.
-	var got []int
-	var idx []int
-	Stream(Options{Workers: n, Budget: hostpar.NewBudget(n)}, jobs, func(i int, r int) {
-		idx = append(idx, i)
-		got = append(got, r)
-	})
-
-	for i := 0; i < n; i++ {
-		if idx[i] != i {
-			t.Fatalf("emit order: got index %d at position %d", idx[i], i)
-		}
-		if got[i] != i*i {
-			t.Fatalf("result %d: got %d, want %d", i, got[i], i*i)
-		}
-	}
-}
-
 // TestRunOrdered checks Run's slice matches submission order with fewer
 // workers than jobs (jobs drain through the feed channel in waves).
 func TestRunOrdered(t *testing.T) {
@@ -70,38 +27,11 @@ func TestRunOrdered(t *testing.T) {
 	}
 }
 
-// TestMetrics checks the injected clock drives QueueSeconds/RunSeconds and
-// that OnDone fires exactly once per job.
-func TestMetrics(t *testing.T) {
-	var ticks int64
-	now := func() int64 { ticks += 1e9; return ticks } // each read = 1 virtual second
-	jobs := []func() int{func() int { return 1 }, func() int { return 2 }}
-	seen := map[int]Metrics{}
-	out := Run(Options{Workers: 1, Now: now, OnDone: func(m Metrics) {
-		if _, dup := seen[m.Index]; dup {
-			t.Fatalf("OnDone fired twice for job %d", m.Index)
-		}
-		seen[m.Index] = m
-	}}, jobs)
-	if out[0] != 1 || out[1] != 2 {
-		t.Fatalf("results = %v", out)
-	}
-	if len(seen) != 2 {
-		t.Fatalf("OnDone fired %d times, want 2", len(seen))
-	}
-	for i, m := range seen {
-		if m.RunSeconds != 1 {
-			t.Fatalf("job %d RunSeconds = %v, want 1", i, m.RunSeconds)
-		}
-		if m.QueueSeconds <= 0 {
-			t.Fatalf("job %d QueueSeconds = %v, want > 0", i, m.QueueSeconds)
-		}
-	}
-}
-
 // TestEmptyAndDefaults covers the zero-job fast path and defaulted options.
 func TestEmptyAndDefaults(t *testing.T) {
-	Stream(Options{}, nil, func(int, struct{}) { t.Fatal("emit on empty jobs") })
+	if out := Run[struct{}](Options{}, nil); len(out) != 0 {
+		t.Fatalf("out = %v on empty jobs", out)
+	}
 	out := Run(Options{}, []func() bool{func() bool { return true }})
 	if len(out) != 1 || !out[0] {
 		t.Fatalf("out = %v", out)

@@ -69,8 +69,8 @@ const (
 // poolCounters meter the pool process-wide. They are host-domain
 // statistics (they depend on GC timing and host scheduling, not on the
 // virtual machine) and must never feed the virtual event stream or golden
-// exports; paperbench surfaces them through the host-side observability
-// buffer and BENCH json. Atomics keep the hot path lock-free — vmpi is not
+// exports; the bench harness reads them around each workload. Atomics keep
+// the hot path lock-free — vmpi is not
 // part of the determinism-analyzer hot set precisely because its host-side
 // machinery may use them.
 var poolCounters struct {

@@ -32,8 +32,8 @@ race:
 # executor (slot hand-off, stray wakes, Admit, budgets) against a sequential
 # FIFO model and its deadlock verdict, the rendezvous collectives (clocks,
 # counters, results, events) against their message-level bodies, and the
-# replayed merge-exchange network (the same, plus items) against the
-# message-level one. This is the
+# replayed merge-exchange and rotational sorts (the same, plus items)
+# against the message-level ones. This is the
 # one list of fuzz targets: a new target joins it here and nowhere else. The
 # committed seed corpora (internal/*/testdata/fuzz) already run in every go
 # test.

@@ -56,10 +56,11 @@ func TestSortsMatchStableSortOfConcatenation(t *testing.T) {
 	}
 }
 
-// At one run slot an almost sorted SortMerge parks each rank a constant
-// number of times per call — once in the network's rendezvous and once in
-// each of the cleanup's two allgathers — where the message-level network
-// parks in a good share of each rank's O(log² P) comparators.
+// At one run slot SortMerge parks each rank exactly once per call, in the
+// one rendezvous that replays the network and the cleanup's allgathers —
+// every rank but the last to arrive, which runs the replay — where the
+// message-level sort parks in a good share of each rank's O(log² P)
+// comparators.
 func TestSortMergeParksConstantPerRank(t *testing.T) {
 	const p, calls = 256, 2
 	in := make([][]rec, p) // equal counts, so no cleanup rounds
@@ -81,8 +82,8 @@ func TestSortMergeParksConstantPerRank(t *testing.T) {
 	}
 	got, ref := parks(SortMerge[rec]), parks(refSortMerge[rec])
 	t.Logf("%d ranks, %d calls: %d parks replayed, %d message-level", p, calls, got, ref)
-	if got > 3*p*calls {
-		t.Errorf("SortMerge parked %d times over %d calls of %d ranks, want at most 3 per rank per call", got, calls, p)
+	if want := int64((p - 1) * calls); got != want {
+		t.Errorf("SortMerge parked %d times over %d calls of %d ranks, want %d: once per rank per call but the last arrival", got, calls, p, want)
 	}
 	if ref <= 4*got {
 		t.Errorf("the message-level network parked %d times, want far more than the replay's %d", ref, got)

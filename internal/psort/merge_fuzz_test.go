@@ -79,15 +79,17 @@ func virtualEvents(l *obs.Log) [][]obs.Event {
 }
 
 // FuzzSortMergeMatchesMessageLevel sorts the input a byte string encodes
-// twice — with SortMerge's replayed network and with the message-level one
-// (refSortMerge) — and compares every rank's final items, clock bits,
+// twice — with the replayed sort and with its message-level reference:
+// SortMerge against refSortMerge, or SortRotational against
+// refSortRotational — and compares every rank's final items, clock bits,
 // message and byte counts, phase times and, under Trace, its full event
 // list; the concatenated output keys must equal sort.SliceStable of the
 // concatenated input's. Byte 0 picks the world size, 1 to 40 ranks; byte 1
 // the trace flag (bit 0), the torus model (bit 1), four run slots instead
 // of one (bit 2), fuzzInput's key shape (bits 3-4), a phase around the sort
-// (bit 5) and a second sort of the sorted output (bit 6); byte 2 fuzzInput's
-// count shape (bits 0-1); the rest seeds the input.
+// (bit 5), a second sort of the sorted output (bit 6) and the rotational
+// sort (bit 7); byte 2 fuzzInput's count shape (bits 0-1); the rest seeds
+// the input.
 func FuzzSortMergeMatchesMessageLevel(f *testing.F) {
 	f.Add([]byte{12, 0x19, 0x01, 0x5a, 0x13})
 	f.Fuzz(func(t *testing.T, prog []byte) {
@@ -121,7 +123,11 @@ func FuzzSortMergeMatchesMessageLevel(f *testing.F) {
 				c.SetResult(items)
 			})
 		}
-		want, got := run(refSortMerge[rec]), run(SortMerge[rec])
+		ref, replayed := refSortMerge[rec], SortMerge[rec]
+		if prog[1]&0x80 != 0 {
+			ref, replayed = refSortRotational[rec], SortRotational[rec]
+		}
+		want, got := run(ref), run(replayed)
 		gotEvs, wantEvs := virtualEvents(got.Events), virtualEvents(want.Events)
 		for r := 0; r < p; r++ {
 			for _, c := range []struct {
@@ -136,7 +142,7 @@ func FuzzSortMergeMatchesMessageLevel(f *testing.F) {
 				{"events", gotEvs[r], wantEvs[r]},
 			} {
 				if !reflect.DeepEqual(c.got, c.want) {
-					t.Fatalf("rank %d of %d: %s differ from the message-level network:\n got %v\nwant %v", r, p, c.what, c.got, c.want)
+					t.Fatalf("rank %d of %d: %s differ from the message-level sort:\n got %v\nwant %v", r, p, c.what, c.got, c.want)
 				}
 			}
 		}

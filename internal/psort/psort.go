@@ -15,8 +15,9 @@
 //     data needs to move, so the network's data volume collapses.
 //
 // "Point-to-point only" describes the modelled algorithm: every comparator
-// is charged as its pair's messages. On the host the network, whose
-// schedule is fixed by P, runs as one vmpi.Replay (mergeNetwork).
+// is charged as its pair's messages. On the host the network and its
+// odd-even cleanup run as one vmpi.Replay (merger), as do the rotational
+// sort's rotations: psort sends no message of its own.
 //
 // Both sorts order elements by a uint64 key extracted with a caller-supplied
 // function and are deterministic, including for duplicate keys.
@@ -25,7 +26,6 @@ package psort
 import (
 	"math/bits"
 	"sort"
-	"sync"
 	"unsafe"
 
 	"repro/internal/costs"
@@ -33,8 +33,8 @@ import (
 	"repro/internal/vmpi"
 )
 
-// Tags used by SortMerge header/count/data exchanges and the rotational
-// sort's per-round rotations.
+// Tags SortMerge's header, count and data exchanges and the rotational
+// sort's per-round rotations are charged on.
 const (
 	tagHeader = 101
 	tagData   = 102
@@ -226,44 +226,59 @@ func SortMerge[T any](c *vmpi.Comm, items []T, key func(T) uint64) []T {
 	}
 	st := mergeState[T]{items: items}
 	vmpi.Replay(c, "SortMerge", &st, func(h *vmpi.Replayer, states []*mergeState[T]) {
-		mergeNetwork(h, states, key)
+		m := merger[T]{h, states, key}
+		mergeExchange(len(states), m.split)
+		m.cleanup()
 	})
-	return cleanup(c, st.items, key, st.spare)
+	return st.items
 }
 
-// mergeState is one rank's side of the network: its items and the spare
+// mergeState is one rank's side of the sort: its items and the spare
 // buffer they ping-pong with, so the whole sort reuses two buffers instead
 // of allocating per comparator.
 type mergeState[T any] struct{ items, spare []T }
 
-// mergeNetwork replays Batcher's network over every rank's state. Each
-// comparator charges its two ranks what mergeSplit charges them, each in
-// program order — the header exchange; unless the pair is ordered, the
-// count exchange; unless t = 0, the data exchange, RedistElem·2t and the
-// merge — and merges both sides in place.
-func mergeNetwork[T any](h *vmpi.Replayer, states []*mergeState[T], key func(T) uint64) {
-	elem := int(unsafe.Sizeof(*new(T)))
-	mergeExchange(len(states), func(i, j int) {
-		lo, hi := states[i], states[j]
-		hl, hh := headerOf(lo.items, key), headerOf(hi.items, key)
-		exchange(h, i, j, int(unsafe.Sizeof(hl)), tagHeader)
-		if hl.ordered(hh) {
-			return
-		}
-		exchange(h, i, j, int(unsafe.Sizeof(int64(0))), tagCount)
-		t := min(candidates(lo.items, key, true, hh), candidates(hi.items, key, false, hl))
-		if t == 0 {
-			return
-		}
-		exchange(h, i, j, t*elem, tagData)
-		h.Compute(i, costs.RedistElem*float64(2*t))
-		h.Compute(j, costs.RedistElem*float64(2*t))
-		nl, nh, low := len(lo.items), len(hi.items), lo.items
-		lo.items, lo.spare = mergeLow(lo.items, hi.items[:t], lo.spare, key)
-		hi.items, hi.spare = mergeHigh(hi.items, low[nl-t:], hi.spare, key)
-		h.Compute(i, costs.MergeTime(nl, 2))
-		h.Compute(j, costs.MergeTime(t+nh, 2))
-	})
+// merger replays a merge sort over every rank's state.
+type merger[T any] struct {
+	h      *vmpi.Replayer
+	states []*mergeState[T]
+	key    func(T) uint64
+}
+
+// split replays the comparator with rank i on its low input and j on its
+// high one, charging each of the two what a message-level merge-split
+// charges it, in program order — the header exchange; unless the pair is
+// ordered, the count exchange; unless t = 0, the data exchange,
+// RedistElem·2t and the merge — and merges both sides in place.
+//
+// The exchange is count-negotiated: at most t = min(k_i, k_j) elements can
+// change sides, where k_i is the number of i's elements above j's minimum
+// and k_j the number of j's elements below i's maximum (every element that
+// enters the low side displaces a larger one, and vice versa). Each side
+// therefore sends only its t boundary elements. Almost sorted data — even
+// with a few Z-curve stragglers that jumped across the whole key range —
+// exchanges only those few elements, the property the paper's merge-based
+// sorting exploits (§III-B).
+func (m *merger[T]) split(i, j int) {
+	lo, hi, key := m.states[i], m.states[j], m.key
+	hl, hh := headerOf(lo.items, key), headerOf(hi.items, key)
+	exchange(m.h, i, j, int(unsafe.Sizeof(hl)), tagHeader)
+	if hl.ordered(hh) {
+		return
+	}
+	exchange(m.h, i, j, int(unsafe.Sizeof(int64(0))), tagCount)
+	t := min(candidates(lo.items, key, true, hh), candidates(hi.items, key, false, hl))
+	if t == 0 {
+		return
+	}
+	exchange(m.h, i, j, t*int(unsafe.Sizeof(*new(T))), tagData)
+	m.h.Compute(i, costs.RedistElem*float64(2*t))
+	m.h.Compute(j, costs.RedistElem*float64(2*t))
+	nl, nh, low := len(lo.items), len(hi.items), lo.items
+	lo.items, lo.spare = mergeLow(lo.items, hi.items[:t], lo.spare, key)
+	hi.items, hi.spare = mergeHigh(hi.items, low[nl-t:], hi.spare, key)
+	m.h.Compute(i, costs.MergeTime(nl, 2))
+	m.h.Compute(j, costs.MergeTime(t+nh, 2))
 }
 
 // exchange charges a Sendrecv of bytes on tag between ranks i and j: each
@@ -280,74 +295,51 @@ func exchange(h *vmpi.Replayer, i, j, bytes, tag int) {
 // preserves counts) residual inversions are possible. Clean up with
 // odd-even block transposition rounds over the chain of non-empty ranks
 // until the global boundary check passes — for almost sorted inputs
-// typically zero rounds. Each round ends in the check's allgather and the
-// round count depends on the data, so the rounds run message-level.
-func cleanup[T any](c *vmpi.Comm, items []T, key func(T) uint64, spare []T) []T {
-	// Every rank derives the identical chain from the identical counts
-	// vector, so the chain table is shared per network size (sharedChain)
-	// instead of materialized P times. The chain cache keeps the counts
-	// vector, so it is not released.
-	counts := vmpi.Allgather(c, []int64{int64(len(items))})
-	nonEmpty, myIdx, total := sharedChain(c.Size(), counts, c.Rank())
+// typically zero rounds. The chain comes from an allgather of the counts;
+// the check is an allgather of every rank's header before each round.
+func (m *merger[T]) cleanup() {
+	m.h.Allgather(func(int) int { return int(unsafe.Sizeof(int64(0))) })
+	var chain []int
+	total := 0
+	for r, s := range m.states {
+		if len(s.items) > 0 {
+			chain = append(chain, r)
+		}
+		total += len(s.items)
+	}
 	// Each pair of rounds fixes at least one boundary inversion, but a
 	// low-capacity rank in the middle of the chain throttles element flow
 	// to its capacity per two rounds, so the worst-case round count is
 	// bounded by the total element count, not the chain length. Almost
 	// sorted inputs — the method's intended regime — need zero or very few
 	// rounds.
-	even := true
-	for round := int64(0); !globallySorted(c, items, key); round++ {
+	for round := 0; ; round++ {
+		m.h.Allgather(func(int) int { return int(unsafe.Sizeof(header{})) })
+		if m.sorted() {
+			return
+		}
 		if round > 2*total+8 {
 			panic("psort: odd-even cleanup failed to converge")
 		}
-		items, spare = oddEvenRound(c, items, key, nonEmpty, myIdx, even, spare)
-		even = !even
+		for k := round % 2; k+1 < len(chain); k += 2 {
+			m.split(chain[k], chain[k+1])
+		}
 	}
-	return items
 }
 
-// globallySorted checks (collectively) that every rank is locally sorted
-// and rank boundaries are non-decreasing, skipping empty ranks.
-func globallySorted[T any](c *vmpi.Comm, items []T, key func(T) uint64) bool {
-	all := vmpi.Allgather(c, []header{headerOf(items, key)})
-	sorted := true
-	prevMax := uint64(0)
-	have := false
-	for _, e := range all {
-		if e.Count == 0 {
-			continue
+// sorted reports whether the rank boundaries are non-decreasing, skipping
+// empty ranks; every rank is locally sorted.
+func (m *merger[T]) sorted() bool {
+	prevMax, have := uint64(0), false
+	for _, s := range m.states {
+		if h := headerOf(s.items, m.key); h.Count > 0 {
+			if have && h.Min < prevMax {
+				return false
+			}
+			prevMax, have = h.Max, true
 		}
-		if have && e.Min < prevMax {
-			sorted = false
-			break
-		}
-		prevMax = e.Max
-		have = true
 	}
-	vmpi.Release(all)
-	return sorted
-}
-
-// oddEvenRound performs one block transposition round over the chain of
-// non-empty ranks: adjacent chain pairs starting at even or odd chain
-// positions merge-split. myIdx is the calling rank's position in the chain,
-// or -1 if it is empty (and therefore idle).
-func oddEvenRound[T any](c *vmpi.Comm, items []T, key func(T) uint64, chain []int, myIdx int, even bool, spare []T) ([]T, []T) {
-	if myIdx < 0 {
-		return items, spare
-	}
-	start := 0
-	if !even {
-		start = 1
-	}
-	off := myIdx - start
-	if off >= 0 && off%2 == 0 && myIdx+1 < len(chain) {
-		return mergeSplit(c, items, key, chain[myIdx+1], true, spare)
-	}
-	if off >= 1 && off%2 == 1 {
-		return mergeSplit(c, items, key, chain[myIdx-1], false, spare)
-	}
-	return items, spare
+	return true
 }
 
 // header describes one side of a merge-split pair.
@@ -381,54 +373,6 @@ func candidates[T any](items []T, key func(T) uint64, keepLow bool, ph header) i
 		return n - sort.Search(n, func(i int) bool { return key(items[i]) > ph.Min })
 	}
 	return sort.Search(n, func(i int) bool { return key(items[i]) >= ph.Max })
-}
-
-// mergeSplit performs one comparator step with partner. keepLow selects
-// whether this rank keeps the lower (comparator input i) or upper (input j)
-// part of the merged sequence. The local count is preserved. spare is a
-// reusable merge buffer: the returned pair is (new items, new spare), with
-// the buffers swapped when an exchange happened, so repeated rounds recycle
-// the same two allocations.
-//
-// The exchange is count-negotiated: at most t = min(k_i, k_j) elements can
-// change sides, where k_i is the number of i's elements above j's minimum
-// and k_j the number of j's elements below i's maximum (every element that
-// enters the low side displaces a larger one, and vice versa). Each side
-// therefore sends only its t boundary elements. Almost sorted data — even
-// with a few Z-curve stragglers that jumped across the whole key range —
-// exchanges only those few elements, the property the paper's merge-based
-// sorting exploits (§III-B).
-func mergeSplit[T any](c *vmpi.Comm, items []T, key func(T) uint64, partner int, keepLow bool, spare []T) ([]T, []T) {
-	h := headerOf(items, key)
-	// Value messages: wire-identical to one-element slices (same bytes,
-	// tags, order — virtual time unchanged) with zero payload allocation.
-	ph := vmpi.SendrecvVal(c, h, partner, partner, tagHeader)
-	lo, hi := h, ph
-	if !keepLow {
-		lo, hi = ph, h
-	}
-	if lo.ordered(hi) {
-		return items, spare
-	}
-	// Negotiate the exchange size t = min(k_low, k_high).
-	k := candidates(items, key, keepLow, ph)
-	t := min(k, int(vmpi.SendrecvVal(c, int64(k), partner, partner, tagCount)))
-	if t == 0 {
-		return items, spare
-	}
-	// Send my t boundary elements — the low side its largest, the high side
-	// its smallest — and receive the partner's: only these can change sides.
-	n := len(items)
-	send, merge, merged := items[:t], mergeHigh[T], t+n
-	if keepLow {
-		send, merge, merged = items[n-t:], mergeLow[T], n
-	}
-	theirs := vmpi.Sendrecv(c, send, partner, partner, tagData)
-	c.Compute(costs.RedistElem * float64(2*t))
-	items, spare = merge(items, theirs, spare, key)
-	c.Compute(costs.MergeTime(merged, 2))
-	vmpi.Release(theirs)
-	return items, spare
 }
 
 // mergeLow keeps the n = len(items) smallest of items and theirLow, the
@@ -477,96 +421,11 @@ func mergeHigh[T any](items, theirHigh, spare []T, key func(T) uint64) ([]T, []T
 	return items, merged[:0]
 }
 
-// chainEntry caches one network size's cleanup-chain derivation: the
-// counts vector it was derived from, the chain of non-empty ranks, and the
-// total element count.
-type chainEntry struct {
-	// counts is the vector the chain was derived from — the caller's own
-	// slice, pinned here, so a later lookup with the same backing array is a
-	// hit without reading it.
-	counts []int64
-	chain  []int
-	total  int64
-}
-
-var (
-	chainMu  sync.Mutex
-	chainByP = map[int]*chainEntry{}
-)
-
-// sharedChain returns the chain of non-empty ranks for a counts vector,
-// the calling rank's position in it (-1 when the rank is empty), and the
-// total element count. The chain is a pure function of counts, and every
-// rank of a P-rank sort holds the identical counts vector (it came out of
-// an allgather), so one cached chain per network size serves all P ranks —
-// and, for steady workloads, all subsequent sorts — instead of P fresh
-// derivations per sort. The returned chain is shared and must be treated
-// as read-only.
-//
-// The cache keeps counts itself, so the caller must neither modify nor
-// release it afterwards. At paper-machine rank counts all P ranks pass the
-// one shared allgather buffer: the first derives (or compares, O(P)), the
-// other P-1 hit on array identity, O(1) under the lock.
-func sharedChain(p int, counts []int64, me int) (chain []int, myIdx int, total int64) {
-	chainMu.Lock()
-	e := chainByP[p]
-	switch {
-	case e != nil && len(counts) > 0 && len(e.counts) == len(counts) && &e.counts[0] == &counts[0]:
-		// The very array the entry pins, immutable by contract.
-	case e != nil && int64sEqual(e.counts, counts):
-		e.counts = counts // pin the newest array: its siblings come next
-	default:
-		ch := make([]int, 0, p)
-		var tot int64
-		for r, n := range counts {
-			if n > 0 {
-				ch = append(ch, r)
-			}
-			tot += n
-		}
-		e = &chainEntry{counts: counts, chain: ch, total: tot}
-		chainByP[p] = e
-	}
-	chainMu.Unlock()
-	// The chain lists ranks in ascending order; binary-search my position.
-	myIdx = sort.SearchInts(e.chain, me)
-	if myIdx >= len(e.chain) || e.chain[myIdx] != me {
-		myIdx = -1
-	}
-	return e.chain, myIdx, e.total
-}
-
-func int64sEqual(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, v := range a {
-		if v != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// CE is one comparator of a sorting network: compare-exchange between
-// network inputs I < J.
-type CE struct{ I, J int }
-
-// MergeExchangeSchedule returns the comparator sequence of Batcher's
-// merge-exchange sorting network for n inputs (Knuth, TAOCP vol. 3,
-// Algorithm 5.2.2M). Comparators are emitted in pass order; comparators
-// within one (p,q,r,d) group touch disjoint input pairs and may proceed
-// concurrently.
-func MergeExchangeSchedule(n int) []CE {
-	var out []CE
-	mergeExchange(n, func(i, j int) { out = append(out, CE{I: i, J: j}) })
-	return out
-}
-
-// mergeExchange calls ce for every comparator of the n-input network, in
-// MergeExchangeSchedule's order, without materialising it. Each input is in
-// at most one comparator of a group, so every input meets its comparators
-// in its own program order.
+// mergeExchange calls ce for every comparator of Batcher's merge-exchange
+// sorting network for n inputs (Knuth, TAOCP vol. 3, Algorithm 5.2.2M), in
+// pass order, without materialising it. The comparators of one (p,q,r,d)
+// group touch disjoint input pairs, so every input meets its comparators in
+// its own program order.
 func mergeExchange(n int, ce func(i, j int)) {
 	if n < 2 {
 		return

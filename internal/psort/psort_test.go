@@ -335,7 +335,7 @@ func TestMergeExchangeScheduleSortsIntegers(t *testing.T) {
 	// sorting random permutations element-wise.
 	rng := rand.New(rand.NewSource(2))
 	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 9, 16, 31} {
-		sched := MergeExchangeSchedule(n)
+		sched := mergeExchangeSchedule(n)
 		for trial := 0; trial < 50; trial++ {
 			v := rng.Perm(n)
 			for _, ce := range sched {
@@ -354,7 +354,7 @@ func TestMergeExchangeSchedule01Principle(t *testing.T) {
 	// Exhaustive 0-1 principle check for small n: a network sorting all
 	// 0-1 inputs sorts everything.
 	for n := 1; n <= 12; n++ {
-		sched := MergeExchangeSchedule(n)
+		sched := mergeExchangeSchedule(n)
 		for mask := 0; mask < 1<<n; mask++ {
 			v := make([]int, n)
 			for i := range v {
@@ -375,7 +375,7 @@ func TestMergeExchangeSchedule01Principle(t *testing.T) {
 func TestMergeExchangeComparatorsValid(t *testing.T) {
 	f := func(n uint8) bool {
 		m := int(n)%30 + 1
-		for _, ce := range MergeExchangeSchedule(m) {
+		for _, ce := range mergeExchangeSchedule(m) {
 			if ce.I < 0 || ce.J >= m || ce.I >= ce.J {
 				return false
 			}
@@ -397,7 +397,7 @@ func TestRankStepsMatchSchedule(t *testing.T) {
 	}
 	for _, n := range []int{1, 2, 3, 5, 7, 8, 13, 64, 100, 257, 1024} {
 		want := make([][]step, n)
-		for _, ce := range MergeExchangeSchedule(n) {
+		for _, ce := range mergeExchangeSchedule(n) {
 			want[ce.I] = append(want[ce.I], step{ce.J, true})
 			want[ce.J] = append(want[ce.J], step{ce.I, false})
 		}
@@ -410,40 +410,6 @@ func TestRankStepsMatchSchedule(t *testing.T) {
 				t.Fatalf("n=%d rank %d: walk gives %v, schedule %v", n, me, got, want[me])
 			}
 		}
-	}
-}
-
-// TestSharedChainSingleBuild16384 is the large-P smoke for the shared
-// cleanup chain: at the benchmark's top rank count it must be derived once
-// per counts vector and then served to every rank without allocating,
-// compared by content so the fresh (equal) counts slice every sort produces
-// does not rebuild it.
-func TestSharedChainSingleBuild16384(t *testing.T) {
-	const n = 16384
-	counts := make([]int64, n)
-	for i := range counts {
-		counts[i] = int64(i % 3) // empty ranks included
-	}
-	chain1, _, total1 := sharedChain(n, counts, 3)
-	counts2 := append([]int64(nil), counts...)
-	allocs := testing.AllocsPerRun(8, func() {
-		sharedChain(n, counts2, n/2)
-	})
-	if allocs != 0 {
-		t.Errorf("sharedChain lookups allocated %.2f objects per run, want 0 (chain rebuilt?)", allocs)
-	}
-	chain2, myIdx, total2 := sharedChain(n, counts2, 4)
-	if &chain1[0] != &chain2[0] {
-		t.Errorf("sharedChain returned distinct backing arrays for equal counts; chain not shared")
-	}
-	if total1 != total2 {
-		t.Errorf("sharedChain totals disagree: %d vs %d", total1, total2)
-	}
-	if chain2[myIdx] != 4 {
-		t.Errorf("rank 4 resolved to chain position %d holding rank %d", myIdx, chain2[myIdx])
-	}
-	if _, idx, _ := sharedChain(n, counts2, 3*(n/3)); idx != -1 {
-		t.Errorf("empty rank resolved to chain position %d, want -1", idx)
 	}
 }
 

@@ -31,54 +31,78 @@ import (
 // differently than by the other strategies; the result is nonetheless
 // deterministic.
 //
-// When the communicator has a memory budget configured, the per-round
-// staged peak is reported on the redist.MeterPeakBytes gauge/counter like
-// any planned exchange.
+// The rounds are charged as the messages they send; on the host they run
+// as one vmpi.Replay (rotate). When the communicator has a memory budget
+// configured, the per-round staged peak is reported on the
+// redist.MeterPeakBytes gauge/counter like any planned exchange.
 func SortRotational[T any](c *vmpi.Comm, items []T, key func(T) uint64) []T {
-	p := c.Size()
 	LocalSort(c, items, key)
-	if p == 1 {
+	if c.Size() == 1 {
 		return items
 	}
-	splitters := exactSplitters(c, items, key)
-	self := c.Rank()
-
-	cur := items
-	var send []T
-	peak := int64(0)
-	elem := int64(unsafe.Sizeof(*new(T)))
-	for dist := 1; dist < p; dist <<= 1 {
-		// Split cur into the elements rotating this round and the rest,
-		// preserving relative order. The keep side compacts cur in place
-		// behind the scan; movers are copied out first.
-		send = send[:0]
-		keep := cur[:0]
-		for _, e := range cur {
-			off := destRank(key(e), splitters) - self
-			if off < 0 {
-				off += p
-			}
-			if off&dist != 0 {
-				send = append(send, e)
-			} else {
-				keep = append(keep, e)
-			}
-		}
-		got := vmpi.Sendrecv(c, send, (self+dist)%p, (self-dist+p)%p, tagRot)
-		c.Compute(costs.Move*float64(len(keep)) + costs.RedistElem*float64(len(send)+len(got)))
-		cur = append(keep, got...)
-		vmpi.Release(got)
-		if staged := int64(len(send)) * elem; staged > peak {
-			peak = staged
-		}
-	}
-
-	LocalSort(c, cur, key)
+	st := rotState[T]{cur: items, splitters: exactSplitters(c, items, key)}
+	vmpi.Replay(c, "SortRotational", &st, func(h *vmpi.Replayer, states []*rotState[T]) {
+		rotate(h, states, key)
+	})
+	LocalSort(c, st.cur, key)
 	if c.MaxExchangeBytes() > 0 {
-		c.Gauge(redist.MeterPeakBytes, float64(peak))
-		c.Counter(redist.MeterPeakBytes, float64(peak))
+		c.Gauge(redist.MeterPeakBytes, float64(st.peak))
+		c.Counter(redist.MeterPeakBytes, float64(st.peak))
 	}
-	return cur
+	return st.cur
+}
+
+// rotState is one rank's side of the rotations: its elements, the
+// splitters, the buffer its movers are packed into and its peak staged
+// bytes.
+type rotState[T any] struct {
+	cur, send []T
+	splitters []uint64
+	peak      int64
+}
+
+// rotate replays every round over every rank's state. In the round of
+// distance dist each rank packs its movers (rotation) and sends them to
+// rank+dist, then receives rank-dist's, then pays for keeping its other
+// elements and moving both batches, and appends what it received.
+func rotate[T any](h *vmpi.Replayer, states []*rotState[T], key func(T) uint64) {
+	p, elem := len(states), int(unsafe.Sizeof(*new(T)))
+	arrive := make([]float64, p)
+	for dist := 1; dist < p; dist <<= 1 {
+		for r, s := range states {
+			s.cur, s.send = rotation(s.cur, s.send[:0], key, s.splitters, r, dist)
+			arrive[r] = h.Send(r, (r+dist)%p, len(s.send)*elem, tagRot)
+			s.peak = max(s.peak, int64(len(s.send)*elem))
+		}
+		for r, s := range states {
+			src := (r - dist + p) % p
+			got := states[src].send
+			h.Recv(src, r, len(got)*elem, arrive[src])
+			h.Compute(r, costs.Move*float64(len(s.cur))+costs.RedistElem*float64(len(s.send)+len(got)))
+			s.cur = append(s.cur, got...)
+		}
+	}
+}
+
+// rotation splits rank self's cur into the elements whose remaining ring
+// offset (over len(splitters)+1 ranks) has bit dist set, appended to send,
+// and the rest, compacted in place behind the scan; both keep their
+// relative order.
+func rotation[T any](cur, send []T, key func(T) uint64, splitters []uint64, self, dist int) (keep, moved []T) {
+	p := len(splitters) + 1
+	keep = cur[:0]
+	for _, e := range cur {
+		off := destRank(key(e), splitters) - self
+		if off < 0 {
+			off += p
+		}
+		if off&dist != 0 {
+			send = append(send, e)
+		} else {
+			keep = append(keep, e)
+		}
+	}
+	return keep, send
 }
 
 // destRank returns the destination rank of a key under the splitter

@@ -2,12 +2,10 @@ package vmpi
 
 // Collective operations with the standard algorithms (dissemination barrier,
 // binomial trees, ring or tree allgather, pairwise or linear all-to-all), so
-// their virtual cost emerges from the network topology model. The fully
-// synchronizing seven — Barrier, Allreduce(Val), Allgather(Blocks),
-// Alltoall(Owned), AlltoallLinear — meet in a rendezvous whose last arrival
-// replays the algorithm's messages' clocks (rendezvous.go). Exscan alone runs
-// as point-to-point messages: a rank may leave a scan before the next one
-// enters it.
+// their virtual cost emerges from the network topology model. Every one —
+// Barrier, Allreduce(Val), Allgather(Blocks), Alltoall(Owned),
+// AlltoallLinear and Exscan — meets in a rendezvous whose last arrival
+// replays the algorithm's messages' clocks (rendezvous.go).
 //
 // All collectives must be called by every rank of the communicator in the
 // same program order (SPMD discipline), as with MPI.
@@ -53,20 +51,6 @@ func Min[T Number](a, b T) T {
 		return a
 	}
 	return b
-}
-
-// collSpan brackets a message-level collective (Exscan) with a span event
-// when the rank's events are listened to: call at entry, invoke the
-// returned function (typically deferred) at exit. The span [entry, exit] on
-// each rank includes the rank's wait time inside the operation.
-func collSpan(c *Comm, kind obs.Kind, name string) func() {
-	if !c.st.rec.Listening() {
-		return func() {}
-	}
-	t0 := c.st.clock
-	return func() {
-		c.st.rec.Record(obs.Event{Kind: kind, Name: name, T: t0, T2: c.st.clock})
-	}
 }
 
 // Barrier blocks until all ranks of the communicator have entered it,
@@ -161,34 +145,44 @@ func allgather[T any](c *Comm, data []T) (*rendezvous, *rdvSlot) {
 	return c.collective(collOp{name: "Allgather", typ: inlineType[T]()}, nil, replayAllgather[T])
 }
 
-// replayAllgather charges the ring, or the gather and both broadcasts, then
-// concatenates the staged inputs into the one shared result.
+// replayAllgather charges the allgather of the staged inputs, then
+// concatenates them into the one shared result.
 func replayAllgather[T any](g *rendezvous) {
-	p, size := len(g.slots), sizeOf[T]()
+	size := sizeOf[T]()
 	g.offs = append(g.offs[:0], 0)
 	for r := range g.slots {
 		g.offs = append(g.offs, g.offs[r]+g.slots[r].n)
 	}
-	total := g.offs[p]
-	block := func(r int) int { return g.slots[r].n * size }
-	if p <= allgatherRingMax {
-		for step := 1; step < p; step++ {
-			g.round(p, tagGatherA, func(i int) (int, int, int) { return i, (i + 1) % p, block((i - step + 1 + p) % p) })
-		}
-	} else {
-		g.round(p-1, tagGatherA, func(i int) (int, int, int) { return i + 1, 0, block(i + 1) })
-		for _, bytes := range [2]int{p * sizeOf[int64](), total * size} {
-			g.tree(false, tagBcast, bytes, nil)
-			g.span(obs.KindCollective, "bcast", true)
-		}
-	}
-	g.span(obs.KindCollective, "allgather", false)
+	g.allgather(func(r int) int { return g.slots[r].n * size })
+	total := g.offs[len(g.slots)]
 	flat := make([]T, total, sharedCap(total))
 	for r := range g.slots {
 		copy(flat[g.offs[r]:], slotData[T](&g.slots[r]))
 	}
 	unstage[T](g)
 	share(g, flat)
+}
+
+// allgather charges an allgather in which rank r contributes bytes(r): the
+// ring, or the gather and both broadcasts. Its spans start where it starts.
+func (g *rendezvous) allgather(bytes func(r int) int) {
+	p, total := len(g.slots), 0
+	for r := range g.slots {
+		total += bytes(r)
+	}
+	g.begin(false)
+	if p <= allgatherRingMax {
+		for step := 1; step < p; step++ {
+			g.round(p, tagGatherA, func(i int) (int, int, int) { return i, (i + 1) % p, bytes((i - step + 1 + p) % p) })
+		}
+	} else {
+		g.round(p-1, tagGatherA, func(i int) (int, int, int) { return i + 1, 0, bytes(i + 1) })
+		for _, b := range [2]int{p * sizeOf[int64](), total} {
+			g.tree(false, tagBcast, b, nil)
+			g.span(obs.KindCollective, "bcast", true)
+		}
+	}
+	g.span(obs.KindCollective, "allgather", false)
 }
 
 // Alltoall exchanges parts[dst] from every rank to every rank dst, charged
@@ -302,24 +296,46 @@ func transpose[T any](g *rendezvous) {
 }
 
 // Exscan computes the exclusive prefix reduction of equal-length slices in
-// rank order; rank 0 receives zero values.
+// rank order; rank 0 receives zero values. It is charged as the linear
+// chain: rank r receives the prefix from r-1, folds op(prefix, data) and
+// sends it on to r+1. The result is the rank's own.
 func Exscan[T any](c *Comm, data []T, op func(a, b T) T) []T {
-	defer collSpan(c, obs.KindCollective, "exscan")()
-	var prev []T
-	if c.rank > 0 {
-		prev = Recv[T](c, c.rank-1, tagScan)
-	} else {
-		prev = make([]T, len(data))
+	stage(c, data)
+	_, s := c.collective(collOp{name: "Exscan", typ: inlineType[T](), n: len(data)}, op, replayExscan[T])
+	out := slotData[T](s)
+	if s.data == unsafe.Pointer(&s.inl) {
+		out = append(make([]T, 0, s.n), out...)
+	} else if b := classBits(s.n); b >= 0 {
+		out = unsafe.Slice(unsafe.SliceData(out), 1<<b)[:s.n] // stage's pooled copy, releasable
 	}
-	if c.rank < c.Size()-1 {
-		next := make([]T, len(data))
-		for i := range next {
-			next[i] = op(prev[i], data[i])
+	s.data = nil
+	return out
+}
+
+// replayExscan walks the chain in rank order, turning each staged input
+// into its rank's result in place while charging the chain's messages.
+func replayExscan[T any](g *rendezvous) {
+	p, n, op := len(g.slots), g.op.n, g.fn.(func(a, b T) T)
+	bytes := n * sizeOf[T]()
+	acc := make([]T, n)
+	var arrive float64
+	for r := range g.slots {
+		in := slotData[T](&g.slots[r])
+		if r > 0 {
+			g.recv(r-1, r, bytes, arrive)
 		}
-		if c.rank == 0 {
-			copy(next, data)
+		if r == p-1 {
+			copy(in, acc)
+			break
 		}
-		Send(c, next, c.rank+1, tagScan)
+		for i, v := range in {
+			if in[i] = acc[i]; r == 0 {
+				acc[i] = v
+			} else {
+				acc[i] = op(acc[i], v)
+			}
+		}
+		arrive = g.send(r, r+1, bytes, tagScan)
 	}
-	return prev
+	g.span(obs.KindCollective, "exscan", false)
 }

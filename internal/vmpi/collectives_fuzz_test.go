@@ -8,11 +8,12 @@ import (
 	"repro/internal/netmodel"
 )
 
-// collSet is one implementation of the seven synchronizing collectives, at
-// the element types the fuzz programs use.
+// collSet is one implementation of the collectives, at the element types
+// the fuzz programs use.
 type collSet struct {
 	barrier   func(*Comm)
 	allreduce func(*Comm, []float64, func(a, b float64) float64) []float64
+	exscan    func(*Comm, []float64, func(a, b float64) float64) []float64
 	allgather func(*Comm, []uint32) []uint32
 	blocks    func(*Comm, []uint32) [][]uint32
 	alltoall  func(*Comm, [][]uint32) [][]uint32
@@ -21,9 +22,9 @@ type collSet struct {
 }
 
 var (
-	replayColls = collSet{Barrier, Allreduce[float64], Allgather[uint32], AllgatherBlocks[uint32],
+	replayColls = collSet{Barrier, Allreduce[float64], Exscan[float64], Allgather[uint32], AllgatherBlocks[uint32],
 		Alltoall[uint32], AlltoallOwned[uint32], AlltoallLinear[byte]}
-	messageColls = collSet{refBarrier, refAllreduce[float64], refAllgather[uint32], refAllgatherBlocks[uint32],
+	messageColls = collSet{refBarrier, refAllreduce[float64], refExscan[float64], refAllgather[uint32], refAllgatherBlocks[uint32],
 		refAlltoall[uint32], refAlltoallOwned[uint32], refAlltoallLinear[byte]}
 )
 
@@ -74,8 +75,9 @@ func fuzzDigest[T byte | uint32 | float64](d uint64, b []T) uint64 {
 
 // fuzzProgram is one rank of the program ops encodes, one byte per call:
 // bits 0-2 pick the collective, bits 3-5 the block size, bit 6 turns an
-// all-to-all into AlltoallLinear on tag 5 or 221, bit 7 picks the world or a
-// Split sub-communicator (split by the rendezvous Allgather in both runs).
+// Allreduce into Exscan and an all-to-all into AlltoallLinear on tag 5 or
+// 221, bit 7 picks the world or a Split sub-communicator (split by the
+// rendezvous Allgather in both runs).
 // Ranks compute for different times between calls, odd calls run inside a
 // phase, and each rank stores a digest of every result it got.
 func fuzzProgram(cs collSet, ops []byte) func(c *Comm) {
@@ -113,7 +115,11 @@ func fuzzCall(cs collSet, c *Comm, op byte, k int) uint64 {
 		for i := range in {
 			in[i] = fuzzFloat(k, me, i)
 		}
-		return fuzzDigest(0, cs.allreduce(c, in, Sum[float64]))
+		f := cs.allreduce
+		if op&0x40 != 0 {
+			f = cs.exscan
+		}
+		return fuzzDigest(0, f(c, in, Sum[float64]))
 	case 3:
 		return fuzzDigest(0, cs.allgather(c, fuzzBlock(k, me, fuzzSizes[(size+me)%len(fuzzSizes)])))
 	case 4:

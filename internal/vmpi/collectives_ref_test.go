@@ -2,13 +2,27 @@ package vmpi
 
 import "repro/internal/obs"
 
-// The message-level bodies of the seven synchronizing collectives: the
-// algorithms the rendezvous replays (rendezvous.go), kept as the reference
-// it is checked against (FuzzCollectivesMatchMessageLevel,
-// allgather_boundary_test.go). Each sends, on the same tags, exactly the
-// messages the replay charges, and records the same spans. refBcast and
-// refReduce, at the end, are the binomial trees they are built from; Resize's
-// release replays refBcast of an empty payload from rank 0.
+// The message-level bodies of the collectives: the algorithms the
+// rendezvous replays (rendezvous.go), kept as the reference it is checked
+// against (FuzzCollectivesMatchMessageLevel, allgather_boundary_test.go).
+// Each sends, on the same tags, exactly the messages the replay charges, and
+// records the same spans. refBcast and refReduce, at the end, are the
+// binomial trees they are built from; Resize's release replays refBcast of
+// an empty payload from rank 0.
+
+// collSpan brackets a message-level collective with a span event when the
+// rank's events are listened to: call at entry, invoke the returned function
+// (typically deferred) at exit. The span [entry, exit] on each rank includes
+// the rank's wait time inside the operation.
+func collSpan(c *Comm, kind obs.Kind, name string) func() {
+	if !c.st.rec.Listening() {
+		return func() {}
+	}
+	t0 := c.st.clock
+	return func() {
+		c.st.rec.Record(obs.Event{Kind: kind, Name: name, T: t0, T2: c.st.clock})
+	}
+}
 
 func refBarrier(c *Comm) {
 	defer collSpan(c, obs.KindBarrier, "barrier")()
@@ -148,6 +162,29 @@ func refAlltoallLinear[T any](c *Comm, parts [][]T, tag int) [][]T {
 		}
 	}
 	return recv
+}
+
+// refExscan is the linear chain: rank r receives the prefix from r-1 and
+// sends op(prefix, data) on to r+1; rank 0 sends its data and gets zeros.
+func refExscan[T any](c *Comm, data []T, op func(a, b T) T) []T {
+	defer collSpan(c, obs.KindCollective, "exscan")()
+	var prev []T
+	if c.rank > 0 {
+		prev = Recv[T](c, c.rank-1, tagScan)
+	} else {
+		prev = make([]T, len(data))
+	}
+	if c.rank < c.Size()-1 {
+		next := make([]T, len(data))
+		for i := range next {
+			next[i] = op(prev[i], data[i])
+		}
+		if c.rank == 0 {
+			copy(next, data)
+		}
+		Send(c, next, c.rank+1, tagScan)
+	}
+	return prev
 }
 
 // refBcast distributes root's data to all ranks down a binomial tree and

@@ -1,7 +1,7 @@
 package vmpi
 
-// The rendezvous the seven synchronizing collectives (collectives.go says
-// which and why) and Resize's release meet in. A call is one generation:
+// The rendezvous every collective (collectives.go) and Resize's release
+// meet in. A call is one generation:
 // each rank stages its input and entry clock in its slot and parks once;
 // the last to arrive replays the algorithm's messages for every rank in
 // closed form — their schedule is fixed, and each is charged by sendClocks
@@ -10,7 +10,8 @@ package vmpi
 // The message-level bodies in collectives_ref_test.go are the reference.
 // Single writer: the replay writes slot results and scratch, never a
 // rankState; each rank applies its own result when it wakes. Replay opens
-// the same meeting to a caller's algorithm whose schedule is fixed by P.
+// the same meeting to a caller's algorithm whose schedule is a function of
+// the staged states.
 
 import (
 	"fmt"
@@ -27,7 +28,7 @@ import (
 type collOp struct {
 	name  string
 	typ   reflect.Type // element type, or a Replay's state type
-	n     int          // Allreduce length, AlltoallLinear tag
+	n     int          // Allreduce and Exscan length, AlltoallLinear tag
 	state bool         // a Replay
 }
 
@@ -38,7 +39,7 @@ func (o collOp) String() string {
 	} else if o.typ != nil {
 		s += " of []" + o.typ.Elem().String()
 	}
-	if o.name == "Allreduce" {
+	if o.name == "Allreduce" || o.name == "Exscan" {
 		s += fmt.Sprintf(", length %d", o.n)
 	} else if o.name == "AlltoallLinear" {
 		s += fmt.Sprintf(", tag %d", o.n)
@@ -65,7 +66,7 @@ const rdvDone = 1 << 63
 // rdvTrace is what a listening rank's slot records for it.
 type rdvTrace struct {
 	phase       string
-	entry, mark float64 // the entry clock; where the current inner span began
+	start, mark float64 // where the current outer and inner span began
 	events      []obs.Event
 }
 
@@ -123,7 +124,7 @@ func (c *Comm) collective(op collOp, fn any, replay func(*rendezvous)) (*rendezv
 	gen := g.gen
 	s.gen.Store(gen)
 	if s.clock, s.tr = c.st.clock, nil; c.st.rec.Listening() {
-		s.tr = &rdvTrace{phase: c.st.currentPhase, entry: c.st.clock}
+		s.tr = &rdvTrace{phase: c.st.currentPhase, start: c.st.clock}
 	}
 	g.arrived++
 	last := g.arrived == len(g.slots)
@@ -162,14 +163,16 @@ func (c *Comm) collective(op collOp, fn any, replay func(*rendezvous)) (*rendezv
 	return g, s
 }
 
-// Replay runs a synchronizing step whose message schedule is fixed by the
-// communicator size as one rendezvous: every rank stages state and parks
-// once, and the last to arrive calls fn once with every rank's state in rank
-// order. fn replays the step's messages and computation through h, each
-// rank's in its program order, and updates the states; every rank returns
-// after it, its clock, counters and (under Config.Trace) events as if it had
-// sent and received them. fn must touch nothing but the states and h — no
-// Comm, nothing else of vmpi — and every rank must pass the same op and fn.
+// Replay runs a synchronizing step as one rendezvous: every rank stages
+// state and parks once, and the last to arrive calls fn once with every
+// rank's state in rank order. fn replays the step's messages, collectives
+// and computation through h, each rank's in its program order, and updates
+// the states; every rank returns after it, its clock, counters and (under
+// Config.Trace) events as if it had sent and received them. The schedule fn
+// replays may depend on the staged states — a data-dependent round count
+// is fine — but never on host order: which rank arrived last. fn must touch
+// nothing but the states and h — no Comm, nothing else of vmpi — and every
+// rank must pass the same op and fn.
 func Replay[S any](c *Comm, op string, state *S, fn func(h *Replayer, states []*S)) {
 	s := &c.meeting().slots[c.rank]
 	s.data = unsafe.Pointer(state)
@@ -198,6 +201,11 @@ func (h *Replayer) Send(src, dst, bytes, tag int) (arrive float64) {
 
 // Recv completes at dst the message Send charged.
 func (h *Replayer) Recv(src, dst, bytes int, arrive float64) { h.g.recv(src, dst, bytes, arrive) }
+
+// Allgather charges every rank an Allgather in which rank r contributes
+// bytes(r) bytes, exactly as the collective charges it: its messages and,
+// for listening ranks, its spans, which start where it starts.
+func (h *Replayer) Allgather(bytes func(r int) int) { h.g.allgather(bytes) }
 
 // Compute advances rank's clock as Comm.Compute does.
 func (h *Replayer) Compute(rank int, seconds float64) {
@@ -257,11 +265,7 @@ func (g *rendezvous) tree(up bool, tag, bytes int, fold func(parent, child int))
 	for top < len(g.slots) {
 		top <<= 1
 	}
-	for i := range g.slots {
-		if s := &g.slots[i]; s.tr != nil {
-			s.tr.mark = s.clock
-		}
-	}
+	g.begin(true)
 	for i := 1; i < top; i <<= 1 {
 		m := i
 		if !up {
@@ -280,12 +284,26 @@ func (g *rendezvous) tree(up bool, tag, bytes int, fold func(parent, child int))
 	}
 }
 
+// begin marks on every listening rank its replay clock as where its next
+// outer or inner span starts.
+func (g *rendezvous) begin(inner bool) {
+	for i := range g.slots {
+		if s := &g.slots[i]; s.tr != nil {
+			if inner {
+				s.tr.mark = s.clock
+			} else {
+				s.tr.start = s.clock
+			}
+		}
+	}
+}
+
 // span records on every listening rank a span ending at its replay clock,
-// from its entry clock or, inner, from the start of the last tree.
+// from where its outer or inner span began.
 func (g *rendezvous) span(kind obs.Kind, name string, inner bool) {
 	for i := range g.slots {
 		if s := &g.slots[i]; s.tr != nil {
-			t0 := s.tr.entry
+			t0 := s.tr.start
 			if inner {
 				t0 = s.tr.mark
 			}

@@ -1,8 +1,11 @@
 package vmpi
 
 import (
+	"math"
 	"reflect"
 	"testing"
+
+	"repro/internal/netmodel"
 )
 
 // A rank that never comes leaves the rest parked in the rendezvous; the
@@ -80,7 +83,7 @@ func TestCollectiveMismatchPanics(t *testing.T) {
 }
 
 // TestRendezvousGenerationReuse runs 200 back-to-back collectives of all
-// seven kinds — AlltoallLinear on two tags — and Replays on the world, a
+// eight kinds — AlltoallLinear on two tags — and Replays on the world, a
 // Split and a Dup communicator, with a Resize halfway. Skewed compute lets
 // fast ranks enter the next generation of a communicator while slow ones
 // are still waking from the last; with several run slots they really do run
@@ -125,6 +128,7 @@ func TestRendezvousGenerationReuse(t *testing.T) {
 				digest = fuzzMix(digest, v, 7)
 			case 1:
 				digest = fuzzMix(digest, uint64(AllreduceVal(cc, int64(me+k), Sum[int64])), 0)
+				digest = fuzzDigest(digest, Exscan(cc, []float64{fuzzFloat(k, me, 0), fuzzFloat(k, me, 1)}, Sum[float64]))
 			case 2:
 				digest = fuzzDigest(digest, Allgather(cc, fuzzBlock(k, me, k%5)))
 			case 3:
@@ -163,6 +167,57 @@ func TestRendezvousGenerationReuse(t *testing.T) {
 	}
 	if ref.FinalSize != grown || ref.Values[grown-1] == nil {
 		t.Fatalf("final size %d, admitted rank's result %v: the Resize did not take", ref.FinalSize, ref.Values[grown-1])
+	}
+}
+
+// A Replay that computes, then charges an Allgather through its Replayer,
+// twice, charges every rank exactly what computing and calling Allgather
+// twice does — on both sides of the ring/tree switch and on both models:
+// clock bits, messages, bytes and traced events, each allgather's spans
+// starting where it starts, not at the Replay's entry.
+func TestReplayerAllgatherMatchesAllgather(t *testing.T) {
+	compute := func(k, r int) float64 { return float64(fuzzMix(uint64(k), uint64(r), 8)%9) * 1e-7 }
+	size := func(k, r int) int { return int(fuzzMix(uint64(k), uint64(r), 9) % 40) }
+	for _, p := range []int{1, 2, 5, 32, 33, 100} {
+		for _, torus := range []bool{false, true} {
+			cfg := Config{Ranks: p, Trace: true}
+			if torus {
+				cfg.Model = netmodel.NewTorus(p)
+			}
+			want := Run(cfg, func(c *Comm) {
+				for k := 0; k < 2; k++ {
+					c.Compute(compute(k, c.Rank()))
+					Release(Allgather(c, fuzzBlock(k, c.Rank(), size(k, c.Rank()))))
+				}
+			})
+			got := Run(cfg, func(c *Comm) {
+				v := c.Rank()
+				Replay(c, "allgathers", &v, func(h *Replayer, states []*int) {
+					for k := 0; k < 2; k++ {
+						for r := range states {
+							h.Compute(r, compute(k, r))
+						}
+						h.Allgather(func(r int) int { return 4 * size(k, r) })
+					}
+				})
+			})
+			gotEvs, wantEvs := virtualEvents(got.Events), virtualEvents(want.Events)
+			for r := 0; r < p; r++ {
+				for _, c := range []struct {
+					what      string
+					got, want any
+				}{
+					{"clock bits", math.Float64bits(got.Clocks[r]), math.Float64bits(want.Clocks[r])},
+					{"messages", got.MessagesSent[r], want.MessagesSent[r]},
+					{"bytes", got.BytesSent[r], want.BytesSent[r]},
+					{"events", gotEvs[r], wantEvs[r]},
+				} {
+					if !reflect.DeepEqual(c.got, c.want) {
+						t.Fatalf("%d ranks, torus %v, rank %d: %s differ from two Allgathers:\n got %v\nwant %v", p, torus, r, c.what, c.got, c.want)
+					}
+				}
+			}
+		}
 	}
 }
 

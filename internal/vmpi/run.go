@@ -20,11 +20,10 @@
 // Collectives are charged as the messages of standard algorithms (binomial
 // trees, ring or tree allgather, pairwise or linear all-to-all, dissemination
 // barrier), so their virtual cost emerges from the network model rather than
-// being postulated; the seven that synchronize every rank, and Resize's
-// release, replay those messages' clocks in one rendezvous (rendezvous.go),
-// which Replay opens to a caller's fixed-schedule algorithm (psort's
-// merge-exchange network). Only Exscan sends its messages one by one. On
-// a switched model, neighborhood exchanges gain nothing; on a torus model
+// being postulated; every collective, and Resize's release, replays those
+// messages' clocks in one rendezvous (rendezvous.go), which Replay opens to
+// a caller's algorithm (psort's merge-exchange and rotational sorts). On a
+// switched model, neighborhood exchanges gain nothing; on a torus model
 // they do — matching the paper's JuRoPA vs. Juqueen observations.
 //
 // Ranks execute under an event-driven executor (internal/rankexec): a

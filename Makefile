@@ -27,8 +27,10 @@ race:
 # for bit — the dense FMM operator tables against the map-based bodies, the
 # FFT panel passes against per-call Transform on gathered columns, the
 # open-addressed vmpi mailbox against a map of FIFOs, the redist planner
-# (both backends, the lost vote, budgets) against a sequential scatter, the
-# obs running aggregates against a scan of the kept event list, the rank
+# (both backends, the lost vote, budgets) against a sequential scatter and
+# its replayed dense exchange against per-destination blocks through the
+# collectives (refExecuteDense: results, clocks, counters, events), the obs
+# running aggregates against a scan of the kept event list, the rank
 # executor (slot hand-off, stray wakes, Admit, budgets) against a sequential
 # FIFO model and its deadlock verdict, the rendezvous collectives (clocks,
 # counters, results, events) against their message-level bodies, and the

@@ -151,7 +151,7 @@ func (f *Facts) Of(fn *types.Func) FuncFacts {
 var VmpiCollectives = map[string]bool{
 	"Barrier": true, "Allreduce": true, "AllreduceVal": true,
 	"Allgather": true, "AllgatherBlocks": true,
-	"Alltoall": true, "AlltoallOwned": true, "AlltoallLinear": true, "Exscan": true,
+	"Alltoall": true, "AlltoallOwned": true, "Exscan": true,
 	"Replay": true,
 }
 
@@ -647,7 +647,7 @@ func scanFuncFacts(pkg *Package, decl *ast.FuncDecl, f *Facts) FuncFacts {
 			// consuming position inherits the consumption.
 			if PkgIs(fn.Pkg(), "vmpi") {
 				switch fn.Name() {
-				case "SendOwned", "AlltoallOwned", "AlltoallLinear":
+				case "SendOwned", "AlltoallOwned":
 					if len(n.Args) > 1 {
 						if i, ok := paramAt(n.Args[1]); ok {
 							out.TransfersParam |= 1 << uint(i)

@@ -1,9 +1,9 @@
 // Package ownedbuf enforces the zero-copy ownership protocol of the vmpi
 // messaging layer (see the ownership notes in internal/vmpi/pool.go):
 //
-//   - A slice passed to vmpi.SendOwned, vmpi.AlltoallOwned or
-//     vmpi.AlltoallLinear is relinquished: the caller must not read, write,
-//     append to, release, or re-send it afterwards.
+//   - A slice passed to vmpi.SendOwned or vmpi.AlltoallOwned is
+//     relinquished: the caller must not read, write, append to, release, or
+//     re-send it afterwards.
 //   - A slice handed back with vmpi.Release / vmpi.ReleaseBlocks may be
 //     released at most once and must not be used afterwards.
 //   - The result of vmpi.Allreduce or vmpi.Allgather — or of a
@@ -237,7 +237,7 @@ func analyzeFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 			if analysis.PkgIs(fn.Pkg(), "vmpi") {
 				var argIdx int
 				switch fn.Name() {
-				case "SendOwned", "AlltoallOwned", "AlltoallLinear":
+				case "SendOwned", "AlltoallOwned":
 					argIdx = 1
 				case "Release", "ReleaseBlocks":
 					argIdx = 0

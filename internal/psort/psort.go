@@ -119,33 +119,28 @@ func SortPartition[T any](c *vmpi.Comm, items []T, key func(T) uint64) []T {
 		parts[r] = items[lo:hi]
 		lo = hi
 	}
-	c.Compute(exchangeCost(c.Rank(), parts)) // pack into send buffers
+	c.Compute(exchangeCost(c.Rank(), p, func(r int) int { return len(parts[r]) })) // pack into send buffers
 
-	// Plan-backed block exchange: the copying collective when no memory
-	// budget is configured, bounded rounds under one.
-	recv := redist.ExchangeBlocks(c, parts)
-
-	// Merge the received sorted runs. Received blocks are in source-rank
-	// order; a stable sort keeps ties deterministic.
-	merged := make([]T, 0, totalLen(recv))
-	for _, b := range recv {
-		merged = append(merged, b...)
-	}
+	// Plan-backed block exchange: the pairwise schedule when no memory
+	// budget is configured, bounded rounds under one. It returns the
+	// received sorted runs concatenated in source-rank order; a stable sort
+	// of them keeps ties deterministic.
+	merged, counts := redist.ExchangeBlocks(c, parts)
 	sort.SliceStable(merged, func(i, j int) bool { return key(merged[i]) < key(merged[j]) })
-	c.Compute(exchangeCost(c.Rank(), recv) + costs.MergeTime(len(merged), p))
-	vmpi.ReleaseBlocks(recv)
+	c.Compute(exchangeCost(c.Rank(), p, func(r int) int { return counts[r] }) + costs.MergeTime(len(merged), p))
 	return merged
 }
 
-// exchangeCost prices element transfer: elements crossing ranks pay the
-// fine-grained redistribution handling cost, local ones a memory move.
-func exchangeCost[T any](self int, parts [][]T) float64 {
+// exchangeCost prices element transfer to or from each of p ranks, count(r)
+// elements with rank r: elements crossing ranks pay the fine-grained
+// redistribution handling cost, local ones a memory move.
+func exchangeCost(self, p int, count func(r int) int) float64 {
 	cost := 0.0
-	for r, b := range parts {
+	for r := 0; r < p; r++ {
 		if r == self {
-			cost += costs.Move * float64(len(b))
+			cost += costs.Move * float64(count(r))
 		} else {
-			cost += costs.RedistElem * float64(len(b))
+			cost += costs.RedistElem * float64(count(r))
 		}
 	}
 	return cost
@@ -443,12 +438,4 @@ func mergeExchange(n int, ce func(i, j int)) {
 			}
 		}
 	}
-}
-
-func totalLen[T any](blocks [][]T) int {
-	n := 0
-	for _, b := range blocks {
-		n += len(b)
-	}
-	return n
 }

@@ -116,12 +116,13 @@ func TestNeighborhoodExecuteStagesNoOwnBlock(t *testing.T) {
 	}
 }
 
-// TestExecuteDropsInputWhileWaiting: on the all-to-all transports a rank
-// that has staged its blocks and waits for its first receive no longer
-// holds its input. Rank 0 passes Execute an 8 MB array nothing else refers
-// to; rank 1 waits for rank 0's token — sent just before that Execute, so
-// rank 0 is parked inside it once the token is read — and measures the
-// live heap: the staged blocks, not blocks plus input.
+// TestExecuteDropsInputWhileWaiting: a rank waiting in the dense
+// exchange, budgeted or not, has staged its blocks in one buffer per group
+// of destinations and no longer holds its input. Rank 0 passes Execute an
+// 8 MB array nothing else refers to; rank 1 waits for rank 0's token — sent
+// just before that Execute, so rank 0 is parked inside it once the token is
+// read — and measures the live heap: the staged buffers, not buffers plus
+// input.
 func TestExecuteDropsInputWhileWaiting(t *testing.T) {
 	type fat [32]uint64
 	const inputBytes = 8 << 20

@@ -33,17 +33,20 @@ import (
 // alone exceeds the budget still gets a round of its own — the schedule
 // degrades to per-destination rounds, never deadlocks.
 //
-// One round loop (sendRounds) walks every schedule. Dense, Execute stages
-// every block and hands them to one collective: the pairwise
-// vmpi.AlltoallOwned unbudgeted (the golden figures pin its virtual time),
-// vmpi.AlltoallLinear under a budget, whose messages are the rounds' own —
-// so there the rounds only meter the staged peak. The neighborhood backend
-// and the budgeted resort send message by message: a neighborhood rank may
-// leave before a non-neighbour enters, and the resort's interleaved
-// position/value pair would need a collective entry point of its own.
+// One round loop (sendRounds) walks every schedule. Dense, Execute and
+// ExchangeBlocks meet once (exchange): each rank stages its blocks in one
+// buffer per group of destinations and drops its input, and one vmpi.Replay
+// charges the pairwise all-to-all unbudgeted (the golden figures pin its
+// virtual time) or the linear one under a budget, whose messages are the
+// rounds' own — so there the rounds only meter the staged peak — and moves
+// every group's buffers to its destinations, which copy their blocks out
+// in parallel once they wake. The neighborhood backend and the budgeted
+// resort send message by message: a neighborhood rank may leave before a
+// non-neighbour enters, and the resort's interleaved position/value pair
+// would need a schedule of its own.
 
 // Wire tags: the unbudgeted neighborhood exchange sends on 201, budgeted
-// rounds — and the budgeted dense exchange's vmpi.AlltoallLinear — on 221
+// rounds — and the budgeted dense exchange's linear schedule — on 221
 // (the resort's paired position/value messages use 211/212, see resort.go).
 const (
 	tagNeighborhood = 201
@@ -397,10 +400,10 @@ func sendRounds(n int, maxCounts []int64, elemBytes int, budget int64, stage fun
 }
 
 // gather builds the freshly allocated per-destination send buffer for
-// staging-order slot k (rank p.order[k]): the plan's occurrences for that
-// rank, in local element order. Returns nil when the rank receives
-// nothing (the messaging layer and its debug ownership checker rely on
-// empty parts being nil).
+// staging-order slot k (rank p.order[k]) of a neighborhood plan: the plan's
+// occurrences for that rank, in local element order. Returns nil when the
+// rank receives nothing (the messaging layer and its debug ownership
+// checker rely on empty parts being nil).
 func gather[T any](p *Plan, items []T, k int) []T {
 	lo, hi := p.occOff[k], p.occOff[k+1]
 	if lo == hi {
@@ -411,6 +414,104 @@ func gather[T any](p *Plan, items []T, k int) []T {
 		buf = append(buf, items[i])
 	}
 	return buf
+}
+
+// exchangeGroups is how many groups of consecutive destination ranks a
+// source stages its blocks of a dense exchange in: one buffer per group, so
+// P·8 allocations per exchange rather than one per block (P²), and a
+// group's buffers die as soon as its destinations have copied, not when
+// the last destination has.
+const exchangeGroups = 8
+
+// source is one rank's side of a dense exchange. Before the replay it holds
+// bufs[g], its blocks for the destinations of group g concatenated in rank
+// order, and off, with off[d+1]-off[d] the length of its block for rank d.
+// The replay moves every group's buffers to the group's destinations: each
+// is left holding in[s], source s's buffer for its group, and at[2s] and
+// at[2s+1], its block's offset and length there.
+type source[T any] struct {
+	off  []int
+	bufs [][]T
+	in   [][]T
+	at   []int32
+}
+
+// exchange is the dense all-to-all of Execute and ExchangeBlocks, op
+// naming the caller. The rank stages its blocks — block(buf, d) appends
+// the one for rank d to buf; off gives their lengths — into one buffer per
+// group of destinations, holding nothing else of its input. One Replay
+// then charges the schedule (the pairwise collective's, or the linear one
+// on tagPlan when bounded) and moves the buffers to the destinations
+// (moveGroups). The rank builds its output from them, in source order,
+// reporting each block's length to got as it goes. No rank reads another's
+// input or plan after the replay.
+func exchange[T any](c *vmpi.Comm, op string, bounded bool, off []int, block func(buf []T, d int) []T, got func(src, n int)) []T {
+	p := c.Size()
+	src := &source[T]{off: off, bufs: make([][]T, min(exchangeGroups, p))}
+	for g := range src.bufs {
+		lo, hi := group(g, len(src.bufs), p)
+		if off[hi] > off[lo] {
+			buf := make([]T, 0, off[hi]-off[lo])
+			for d := lo; d < hi; d++ {
+				buf = block(buf, d)
+			}
+			src.bufs[g] = buf
+		}
+	}
+	elem := int(unsafe.Sizeof(*new(T)))
+	if bounded {
+		op += " budgeted"
+	}
+	vmpi.Replay(c, op, src, func(h *vmpi.Replayer, all []*source[T]) {
+		bytes := func(s, d int) int { return (all[s].off[d+1] - all[s].off[d]) * elem }
+		if bounded {
+			h.AlltoallLinear(bytes, tagPlan)
+		} else {
+			h.Alltoall(bytes)
+		}
+		moveGroups(all)
+	})
+	n := 0
+	for s := range src.in {
+		n += int(src.at[2*s+1])
+	}
+	out := make([]T, 0, n)
+	for s, b := range src.in {
+		at, k := int(src.at[2*s]), int(src.at[2*s+1])
+		got(s, k)
+		out = append(out, b[at:at+k]...)
+	}
+	return out
+}
+
+// group returns the ranks [lo, hi) of destination group g of ng over p.
+func group(g, ng, p int) (lo, hi int) { return g * p / ng, (g + 1) * p / ng }
+
+// moveGroups hands every group's staged buffers to the group's destinations
+// with each block's place in them, and lets the sources go of them and of
+// their offsets, so that a group's buffers are referenced only by its
+// destinations.
+func moveGroups[T any](all []*source[T]) {
+	p, ng := len(all), len(all[0].bufs)
+	for g := 0; g < ng; g++ {
+		lo, hi := group(g, ng, p)
+		in := make([][]T, p)
+		at := make([]int32, 2*p*(hi-lo))
+		for s, src := range all {
+			in[s] = src.bufs[g]
+		}
+		for d := lo; d < hi; d++ {
+			a := at[2*p*(d-lo) : 2*p*(d-lo+1)]
+			for s, src := range all {
+				a[2*s] = int32(src.off[d] - src.off[lo])
+				a[2*s+1] = int32(src.off[d+1] - src.off[d])
+			}
+			all[d].in, all[d].at = in, a
+		}
+	}
+	for _, src := range all {
+		src.off, src.bufs = nil, nil
+	}
 }
 
 // elemCost is the element-wise redistribution charge of staging-order slot
@@ -475,52 +576,52 @@ func Execute[T any](p *Plan, items []T) []T {
 	elem := int(unsafe.Sizeof(*new(T)))
 	c.Compute(p.sendCost())
 
-	// blocks[k] is the block from source p.order[k]. The per-destination
-	// buffers are freshly built, so both transports relinquish them without
-	// a copy. The dense one stages every block and drops items before it
-	// waits, or a rank parked in the collective would hold its input beside
-	// the staged copy of it. On the neighborhood backend the rank's own
-	// block — most of an almost-sorted input, always slot 0 — is never
-	// staged: it goes from items straight into out at assembly.
-	blocks := make([][]T, len(p.order))
-	own, ownLen := -1, 0
-	var peak int64
+	// Dense, exchange stages every block at once (slot == rank), so the
+	// rounds only meter what a round would stage. The receive charge
+	// accumulates in source order, as recvCost's does.
 	if !p.UsedNeighborhood() {
-		peak = sendRounds(len(blocks), p.maxCounts, elem, p.budget, func(k int) int {
-			blocks[k] = gather(p, items, k)
-			return len(blocks[k])
-		})
-		items = nil
-		if p.Bounded() {
-			blocks = vmpi.AlltoallLinear(c, blocks, tagPlan)
+		peak := sendRounds(len(p.order), p.maxCounts, elem, p.budget, func(k int) int { return p.counts[k] })
+		cost := 0.0
+		out := exchange(c, "redist.Execute", p.Bounded(), p.occOff, func(buf []T, d int) []T {
+			for _, i := range p.occIdx[p.occOff[d]:p.occOff[d+1]] {
+				buf = append(buf, items[i])
+			}
+			return buf
+		}, func(k, n int) { cost += p.elemCost(k) * float64(n) })
+		c.Compute(cost)
+		meterPeak(p, peak)
+		return out
+	}
+
+	// blocks[k] is the block from source p.order[k]. The per-destination
+	// buffers are freshly built, so the sends relinquish them without a
+	// copy. The rank's own block — most of an almost-sorted input, always
+	// slot 0 — is never staged: it goes from items straight into out at
+	// assembly.
+	blocks := make([][]T, len(p.order))
+	own, ownLen := 0, p.counts[0]
+	tag := tagNeighborhood
+	if p.Bounded() {
+		tag = tagPlan
+	}
+	peak := sendRounds(len(blocks), p.maxCounts, elem, p.budget, func(k int) int {
+		if k == own {
+			return ownLen // metered as staged: Figure M pins the peak
+		}
+		buf := gather(p, items, k)
+		n := len(buf)
+		if d := p.order[k]; d == self {
+			blocks[k] = buf
 		} else {
-			blocks = vmpi.AlltoallOwned(c, blocks)
+			vmpi.SendOwned(c, buf, d, tag)
 		}
-	} else {
-		own, ownLen = 0, p.counts[0]
-		tag := tagNeighborhood
-		if p.Bounded() {
-			tag = tagPlan
-		}
-		peak = sendRounds(len(blocks), p.maxCounts, elem, p.budget, func(k int) int {
-			if k == own {
-				return ownLen // metered as staged: Figure M pins the peak
-			}
-			buf := gather(p, items, k)
-			n := len(buf)
-			if d := p.order[k]; d == self {
-				blocks[k] = buf
-			} else {
-				vmpi.SendOwned(c, buf, d, tag)
-			}
-			return n
-		})
-		// Per-pair messages arrive in send order, so receiving in staging
-		// order assembles the same bytes whatever the round structure.
-		for k, src := range p.order {
-			if src != self {
-				blocks[k] = vmpi.Recv[T](c, src, tag)
-			}
+		return n
+	})
+	// Per-pair messages arrive in send order, so receiving in staging
+	// order assembles the same bytes whatever the round structure.
+	for k, src := range p.order {
+		if src != self {
+			blocks[k] = vmpi.Recv[T](c, src, tag)
 		}
 	}
 
@@ -541,37 +642,40 @@ func Execute[T any](p *Plan, items []T) []T {
 
 // ExchangeBlocks exchanges pre-built per-destination parts (one slice per
 // rank of the communicator, subslices of shared arrays allowed): the
-// plan-backed replacement for vmpi.Alltoall used by the sort strategies.
-// With no budget configured on the communicator it is the copying
-// collective; under a budget it hands copies of the parts to
-// vmpi.AlltoallLinear, metering the rounds' staged peak. The result — block
-// from every source rank, in rank order — is byte-identical either way.
-func ExchangeBlocks[T any](c *vmpi.Comm, parts [][]T) [][]T {
+// plan-backed block exchange of the sort strategies. It returns, in one
+// fresh slice, the block from every source rank concatenated in rank order,
+// and counts[r], the length of rank r's block. The parts are copied before
+// the rank waits; the caller keeps them. Without a budget on the
+// communicator it is charged as the pairwise collective; under one as the
+// linear schedule, metering the rounds' staged peak. The result is
+// byte-identical either way.
+func ExchangeBlocks[T any](c *vmpi.Comm, parts [][]T) (out []T, counts []int) {
 	size := c.Size()
 	if len(parts) != size {
 		panic(fmt.Sprintf("redist: ExchangeBlocks got %d parts on a size-%d communicator", len(parts), size))
 	}
 	budget := c.MaxExchangeBytes()
-	if budget <= 0 {
-		return vmpi.Alltoall(c, parts)
+	var peak int64
+	if budget > 0 {
+		maxCounts := make([]int64, size)
+		for d := range parts {
+			maxCounts[d] = int64(len(parts[d]))
+		}
+		mc := vmpi.Allreduce(c, maxCounts, vmpi.Max[int64])
+		copy(maxCounts, mc)
+		vmpi.Release(mc)
+		peak = sendRounds(size, maxCounts, int(unsafe.Sizeof(*new(T))), budget, func(d int) int { return len(parts[d]) })
 	}
-	maxCounts := make([]int64, size)
-	for d := range parts {
-		maxCounts[d] = int64(len(parts[d]))
+	off := make([]int, size+1)
+	for d, b := range parts {
+		off[d+1] = off[d] + len(b)
 	}
-	mc := vmpi.Allreduce(c, maxCounts, vmpi.Max[int64])
-	copy(maxCounts, mc)
-	vmpi.Release(mc)
-
-	// Copies, as the collective makes: the caller keeps parts. Non-nil even
-	// when empty, like the unbudgeted collective's pooled copies.
-	staged := make([][]T, size)
-	peak := sendRounds(size, maxCounts, int(unsafe.Sizeof(*new(T))), budget, func(d int) int {
-		staged[d] = append(make([]T, 0, len(parts[d])), parts[d]...)
-		return len(parts[d])
-	})
-	recv := vmpi.AlltoallLinear(c, staged, tagPlan)
-	c.Gauge(MeterPeakBytes, float64(peak))
-	c.Counter(MeterPeakBytes, float64(peak))
-	return recv
+	counts = make([]int, size)
+	out = exchange(c, "redist.ExchangeBlocks", budget > 0, off, func(buf []T, d int) []T { return append(buf, parts[d]...) },
+		func(r, n int) { counts[r] = n })
+	if budget > 0 {
+		c.Gauge(MeterPeakBytes, float64(peak))
+		c.Counter(MeterPeakBytes, float64(peak))
+	}
+	return out, counts
 }

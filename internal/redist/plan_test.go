@@ -2,12 +2,14 @@ package redist
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
 
 	"repro/internal/netmodel"
+	"repro/internal/obs"
 	"repro/internal/vmpi"
 )
 
@@ -260,11 +262,15 @@ func TestPlanResortMatchesUnbounded(t *testing.T) {
 	}
 }
 
-// TestExchangeBlocksMatchesAlltoall checks the sorts' block-exchange
-// collective: under any budget it must return exactly what the unbounded
-// copying collective returns, block per source rank in rank order.
+// TestExchangeBlocksMatchesAlltoall checks the sorts' block exchange
+// against the same exchange through the collectives (refExchangeBlocks):
+// without a budget the copying vmpi.Alltoall, under one the linear
+// all-to-all's messages.
+// Every rank's concatenation and counts must be the blocks the reference
+// delivers, and its clock bits, message and byte counts and traced events
+// the reference's, on both machine models.
 func TestExchangeBlocksMatchesAlltoall(t *testing.T) {
-	for _, p := range []int{2, 8, 16} {
+	for _, p := range []int{1, 2, 8, 16} {
 		rng := rand.New(rand.NewSource(int64(p)))
 		sizes := make([][]int, p)
 		for r := range sizes {
@@ -273,28 +279,148 @@ func TestExchangeBlocksMatchesAlltoall(t *testing.T) {
 				sizes[r][d] = rng.Intn(9)
 			}
 		}
-		run := func(budget int64) [][][]elem {
-			st := vmpi.Run(vmpi.Config{Ranks: p, MaxExchangeBytes: budget}, func(c *vmpi.Comm) {
+		parts := func(self int) [][]elem {
+			parts := make([][]elem, p)
+			for d := range parts {
+				parts[d] = make([]elem, sizes[self][d])
+				for i := range parts[d] {
+					parts[d][i] = elem{ID: int64(self*1000 + d*100 + i)}
+				}
+			}
+			return parts
+		}
+		for _, torus := range []bool{false, true} {
+			for _, budget := range append([]int64{0}, planBudgets...) {
+				cfg := vmpi.Config{Ranks: p, MaxExchangeBytes: budget, Trace: true}
+				if torus {
+					cfg.Model = netmodel.NewTorus(p)
+				}
+				got := vmpi.Run(cfg, func(c *vmpi.Comm) {
+					flat, counts := ExchangeBlocks(c, parts(c.Rank()))
+					c.SetResult(splitBlocks(flat, counts))
+				})
+				want := vmpi.Run(cfg, func(c *vmpi.Comm) {
+					c.SetResult(refExchangeBlocks(c, parts(c.Rank())))
+				})
+				sameRuns(t, fmt.Sprintf("p=%d torus=%v budget=%d", p, torus, budget), got, want)
+			}
+		}
+	}
+}
+
+// splitBlocks cuts a concatenation back into its per-source blocks.
+func splitBlocks(flat []elem, counts []int) [][]elem {
+	blocks := make([][]elem, len(counts))
+	for r, n := range counts {
+		blocks[r], flat = flat[:n:n], flat[n:]
+	}
+	return blocks
+}
+
+// sameRuns fails t unless two runs agree rank by rank: results (nil and
+// empty blocks alike), clock bits, message and byte counts, phase times and
+// the traced events, wall-clock stamps aside.
+func sameRuns(t *testing.T, where string, got, want *vmpi.Stats) {
+	t.Helper()
+	for r := range want.Clocks {
+		for _, c := range []struct {
+			what      string
+			got, want any
+		}{
+			{"results", normBlocks(got.Values[r]), normBlocks(want.Values[r])},
+			{"clock bits", math.Float64bits(got.Clocks[r]), math.Float64bits(want.Clocks[r])},
+			{"messages", got.MessagesSent[r], want.MessagesSent[r]},
+			{"bytes", got.BytesSent[r], want.BytesSent[r]},
+			{"phases", got.Phases[r], want.Phases[r]},
+			{"events", wallless(got.Events.ByRank[r]), wallless(want.Events.ByRank[r])},
+		} {
+			if !reflect.DeepEqual(c.got, c.want) {
+				t.Fatalf("%s rank %d: %s differ from the reference:\n got %v\nwant %v", where, r, c.what, c.got, c.want)
+			}
+		}
+	}
+}
+
+// normBlocks maps nil and empty blocks alike to empty, so that results
+// compare by their elements.
+func normBlocks(v any) any {
+	blocks := v.([][]elem)
+	out := make([][]elem, len(blocks))
+	for r, b := range blocks {
+		out[r] = append([]elem{}, b...)
+	}
+	return out
+}
+
+// wallless is a rank's event list with its host wall-clock stamps cleared.
+func wallless(evs []obs.Event) []obs.Event {
+	out := append([]obs.Event(nil), evs...)
+	for i := range out {
+		out[i].WallNS = 0
+	}
+	return out
+}
+
+// TestDenseExchangeLeavesSourcesFree: once a dense exchange returns, no
+// other rank reads the rank's input or plan — the destinations copy from
+// buffers the sources staged before the meeting. Each rank scribbles over
+// its input and frees its plan the moment Execute returns, then builds a
+// new plan (which may reuse the freed one's arrays), and scribbles over its
+// parts the moment ExchangeBlocks returns. Every result must still be the
+// oracle's, at one run slot and at four, and under the race detector no
+// access may race.
+func TestDenseExchangeLeavesSourcesFree(t *testing.T) {
+	const p = 9
+	inputs, dests := planInputs(p, 33)
+	want := scatterOracle(inputs, dests, func(int) []int { return allRanks(p) })
+	block := func(src, dst int) []elem {
+		b := make([]elem, (src*7+dst*3)%5)
+		for i := range b {
+			b[i] = elem{ID: int64(src*1000 + dst*100 + i)}
+		}
+		return b
+	}
+	scribble := func(items []elem) {
+		for i := range items {
+			items[i] = elem{ID: -1, Val: math.NaN()}
+		}
+	}
+	type result struct {
+		Dense  []elem
+		Blocks [][]elem
+	}
+	for _, workers := range []int{1, 4} {
+		for _, budget := range []int64{0, 16} {
+			st := vmpi.Run(vmpi.Config{Ranks: p, Workers: workers, MaxExchangeBytes: budget}, func(c *vmpi.Comm) {
 				self := c.Rank()
+				var res result
+				items := append([]elem(nil), inputs[self]...)
+				pl := NewPlan(c, len(items), func(i int, dst []int) []int { return append(dst, dests[self][i]...) }, Options{})
+				res.Dense = Execute(pl, items)
+				scribble(items)
+				pl.Free()
+				NewPlan(c, len(items), ToRank(func(i int) int { return (self + i) % p }), Options{MaxBytes: -1}).Free()
+
 				parts := make([][]elem, p)
 				for d := range parts {
-					parts[d] = make([]elem, sizes[self][d])
-					for i := range parts[d] {
-						parts[d][i] = elem{ID: int64(self*1000 + d*100 + i)}
+					parts[d] = block(self, d)
+				}
+				res.Blocks = splitBlocks(ExchangeBlocks(c, parts))
+				for _, b := range parts {
+					scribble(b)
+				}
+				c.SetResult(res)
+			})
+			for r, v := range st.Values {
+				got := v.(result)
+				if !sameElems(got.Dense, want[r]) {
+					t.Errorf("workers=%d budget=%d rank %d: dense Execute differs from the oracle", workers, budget, r)
+				}
+				for src, b := range got.Blocks {
+					if !sameElems(b, block(src, r)) {
+						t.Errorf("workers=%d budget=%d rank %d: block from %d differs from the oracle", workers, budget, r, src)
 					}
 				}
-				c.SetResult(ExchangeBlocks(c, parts))
-			})
-			out := make([][][]elem, p)
-			for r := range out {
-				out[r] = st.Values[r].([][]elem)
-			}
-			return out
-		}
-		ref := run(0)
-		for _, budget := range planBudgets {
-			if got := run(budget); !reflect.DeepEqual(got, ref) {
-				t.Fatalf("p=%d budget=%d: bounded block exchange diverges", p, budget)
 			}
 		}
 	}
@@ -462,7 +588,7 @@ func TestPlanSmallWorldsMatchOracle(t *testing.T) {
 				for d := range parts {
 					parts[d] = block(self, d)
 				}
-				res.Blocks = ExchangeBlocks(c, parts)
+				res.Blocks = splitBlocks(ExchangeBlocks(c, parts))
 				c.SetResult(res)
 			})
 			for r, v := range st.Values {
@@ -566,7 +692,9 @@ func fuzzPlanCase(data []byte) (p, radius int, budget int64, inputs [][]elem, de
 // bucketed sparsely — Exchange and ExchangeNeighborhood deliver the
 // sequential scatter on every rank, the neighborhood backend is used
 // exactly when no rank routed outside, and targets runs once per element,
-// in order.
+// in order. Dense Execute, under the case's budget and without one, also
+// matches refExecuteDense — the block path it replaced — in clocks,
+// counters and traced events as well as in its results.
 func FuzzPlanMatchesOracle(f *testing.F) {
 	f.Add([]byte{4, 1, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -619,6 +747,34 @@ func FuzzPlanMatchesOracle(f *testing.F) {
 			}
 			if got.Calls != 2*len(inputs[r]) {
 				t.Errorf("%s: %d targets calls over two plans of %d elements", where, got.Calls, len(inputs[r]))
+			}
+		}
+
+		// The dense exchange against the parent's block path, on the
+		// budget's plan and on an unbounded one in the same world: results,
+		// clocks, counters and events.
+		cfg := vmpi.Config{Ranks: p, MaxExchangeBytes: budget, Trace: true, Workers: 1 + 3*(len(data)%2)}
+		if radius > 0 {
+			cfg.Model = netmodel.NewTorus(p)
+		}
+		dense := func(execute func(*Plan, []elem) []elem) *vmpi.Stats {
+			return vmpi.Run(cfg, func(c *vmpi.Comm) {
+				self := c.Rank()
+				targets := func(i int, dst []int) []int { return append(dst, dests[self][i]...) }
+				var outs [][]elem
+				for _, maxBytes := range []int64{0, -1} {
+					pl := NewPlan(c, len(inputs[self]), targets, Options{MaxBytes: maxBytes})
+					outs = append(outs, execute(pl, inputs[self]))
+					pl.Free()
+				}
+				c.SetResult(outs)
+			})
+		}
+		got, want := dense(Execute[elem]), dense(refExecuteDense[elem])
+		sameRuns(t, fmt.Sprintf("p=%d budget=%d dense", p, budget), got, want)
+		for r, v := range got.Values {
+			if !sameElems(v.([][]elem)[0], wantDense[r]) {
+				t.Errorf("p=%d budget=%d rank %d: dense Execute differs from the oracle", p, budget, r)
 			}
 		}
 	})
@@ -743,11 +899,12 @@ func recoverRun(body func(c *vmpi.Comm)) (p any) {
 	return nil
 }
 
-// A budgeted dense Execute is one vmpi.AlltoallLinear, so a rank that
-// leaves it out, or whose plan resolves another transport, gets a
-// diagnosis naming the collective instead of a hang. Two positive budgets
-// agree on the transport; only an unbounded plan (MaxBytes < 0) against a
-// budgeted one diverges, at the budget's collective maximum of the counts.
+// A dense Execute is one rendezvous, named after the exchange and whether
+// it is budgeted, so a rank that leaves it out, or whose plan resolves
+// another transport, gets a diagnosis naming it instead of a hang. Two
+// positive budgets agree on the transport; only an unbounded plan
+// (MaxBytes < 0) against a budgeted one diverges, at the budget's
+// collective maximum of the counts.
 func TestBudgetedExecuteFailuresNameTheRendezvous(t *testing.T) {
 	route := ToRank(func(i int) int { return i % 4 })
 	for _, tc := range []struct {
@@ -763,14 +920,14 @@ func TestBudgetedExecuteFailuresNameTheRendezvous(t *testing.T) {
 			//parlint:allow collsym -- rank 2 skips this Execute on purpose
 			Execute(pl, make([]float64, 8))
 		}, "vmpi: deadlock: all ranks blocked in receive or collective:\n" +
-			"  3 of 4 ranks parked in AlltoallLinear of []float64, tag 221; missing ranks [2]\n"},
+			"  3 of 4 ranks parked in redist.Execute budgeted with state redist.source[float64]; missing ranks [2]\n"},
 		{"max-bytes", func(c *vmpi.Comm) {
 			maxBytes := int64(16)
 			if c.Rank() == 1 {
 				maxBytes = -1
 			}
 			Execute(NewPlan(c, 8, route, Options{MaxBytes: maxBytes}), make([]float64, 8))
-		}, "vmpi: collective mismatch on a 4-rank communicator: rank 0 entered Allreduce of []int64, length 4, rank 1 entered Alltoall of []float64"},
+		}, "vmpi: collective mismatch on a 4-rank communicator: rank 0 entered Allreduce of []int64, length 4, rank 1 entered redist.Execute with state redist.source[float64]"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if p := recoverRun(tc.body); fmt.Sprint(p) != tc.want {

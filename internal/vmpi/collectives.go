@@ -1,11 +1,12 @@
 package vmpi
 
 // Collective operations with the standard algorithms (dissemination barrier,
-// binomial trees, ring or tree allgather, pairwise or linear all-to-all), so
-// their virtual cost emerges from the network topology model. Every one —
-// Barrier, Allreduce(Val), Allgather(Blocks), Alltoall(Owned),
-// AlltoallLinear and Exscan — meets in a rendezvous whose last arrival
-// replays the algorithm's messages' clocks (rendezvous.go).
+// binomial trees, ring or tree allgather, pairwise all-to-all, linear chain),
+// so their virtual cost emerges from the network topology model. Every one —
+// Barrier, Allreduce(Val), Allgather(Blocks), Alltoall(Owned) and Exscan —
+// meets in a rendezvous whose last arrival replays the algorithm's messages'
+// clocks (rendezvous.go). The linear all-to-all is a schedule a Replay
+// charges (Replayer.AlltoallLinear), not a collective of its own.
 //
 // All collectives must be called by every rank of the communicator in the
 // same program order (SPMD discipline), as with MPI.
@@ -205,14 +206,6 @@ func AlltoallOwned[T any](c *Comm, parts [][]T) [][]T {
 	return alltoall(c, parts, true, collOp{name: "Alltoall", typ: inlineType[T]()}, replayAlltoall[T])
 }
 
-// AlltoallLinear is AlltoallOwned charged as the basic linear algorithm on
-// tag, which every rank must pass alike: each rank sends parts[d] to every
-// other d in rank order, empty parts included, then receives from every
-// other rank in rank order. Only the messages are recorded, no span.
-func AlltoallLinear[T any](c *Comm, parts [][]T, tag int) [][]T {
-	return alltoall(c, parts, true, collOp{name: "AlltoallLinear", typ: inlineType[T](), n: tag}, replayAlltoallLinear[T])
-}
-
 // alltoall meets with the rank's outgoing blocks in its own result slice —
 // copies of the parts, or the owned parts themselves — which the replay
 // transposes, across all ranks, into the incoming ones.
@@ -244,24 +237,36 @@ func alltoall[T any](c *Comm, parts [][]T, owned bool, op collOp, replay func(*r
 
 // replayAlltoall charges the pairwise steps, then transposes.
 func replayAlltoall[T any](g *rendezvous) {
-	p, size := len(g.slots), sizeOf[T]()
-	for step := 1; step < p; step++ {
-		g.round(p, tagA2A, func(i int) (int, int, int) {
-			dst := (i + step) % p
-			return i, dst, len(slotData[[]T](&g.slots[i])[dst]) * size
-		})
-	}
-	g.span(obs.KindCollective, "alltoall", false)
+	g.alltoall(alltoallBytes[T](g))
 	transpose[T](g)
 }
 
-// replayAlltoallLinear charges the linear schedule in O(P) scratch: every
-// rank's sends, keeping only its entry clock in g.arrive, then the same
-// sends recomputed in sender order, folding each arrival into its receiver
-// in source order. Then it transposes.
-func replayAlltoallLinear[T any](g *rendezvous) {
-	size, tag := sizeOf[T](), g.op.n
-	bytes := func(src, dst int) int { return len(slotData[[]T](&g.slots[src])[dst]) * size }
+// alltoallBytes returns the byte size of the part staged rank src sends dst.
+func alltoallBytes[T any](g *rendezvous) func(src, dst int) int {
+	size := sizeOf[T]()
+	return func(src, dst int) int { return len(slotData[[]T](&g.slots[src])[dst]) * size }
+}
+
+// alltoall charges the pairwise exchange in which rank src sends bytes(src,
+// dst) to every other rank dst: p-1 steps, in step s rank r sends to rank
+// r+s and receives from rank r-s. Its span starts where it starts.
+func (g *rendezvous) alltoall(bytes func(src, dst int) int) {
+	p := len(g.slots)
+	g.begin(false)
+	for step := 1; step < p; step++ {
+		g.round(p, tagA2A, func(i int) (int, int, int) {
+			dst := (i + step) % p
+			return i, dst, bytes(i, dst)
+		})
+	}
+	g.span(obs.KindCollective, "alltoall", false)
+}
+
+// alltoallLinear charges the basic linear all-to-all on tag in O(P)
+// scratch: every rank's sends, keeping only its entry clock in g.arrive,
+// then the same sends recomputed in sender order, folding each arrival into
+// its receiver in source order. It records only the messages, no span.
+func (g *rendezvous) alltoallLinear(bytes func(src, dst int) int, tag int) {
 	for src := range g.slots {
 		g.arrive[src] = g.slots[src].clock
 		for dst := range g.slots {
@@ -280,7 +285,6 @@ func replayAlltoallLinear[T any](g *rendezvous) {
 			}
 		}
 	}
-	transpose[T](g)
 }
 
 // transpose moves an all-to-all's data: block d of rank s's slice trades

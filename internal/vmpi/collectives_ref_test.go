@@ -164,6 +164,23 @@ func refAlltoallLinear[T any](c *Comm, parts [][]T, tag int) [][]T {
 	return recv
 }
 
+// AlltoallLinear is AlltoallOwned charged as the basic linear algorithm on
+// tag, which every rank must pass alike: each rank sends parts[d] to every
+// other d in rank order, empty parts included, then receives from every
+// other rank in rank order. Only the messages are recorded, no span. It is
+// the reference for Replayer.AlltoallLinear, the charge a budgeted dense
+// exchange makes inside its own Replay, and is checked in turn against
+// refAlltoallLinear.
+func AlltoallLinear[T any](c *Comm, parts [][]T, tag int) [][]T {
+	return alltoall(c, parts, true, collOp{name: "AlltoallLinear", typ: inlineType[T](), n: tag}, replayAlltoallLinear[T])
+}
+
+// replayAlltoallLinear charges the linear schedule, then transposes.
+func replayAlltoallLinear[T any](g *rendezvous) {
+	g.alltoallLinear(alltoallBytes[T](g), g.op.n)
+	transpose[T](g)
+}
+
 // refExscan is the linear chain: rank r receives the prefix from r-1 and
 // sends op(prefix, data) on to r+1; rank 0 sends its data and gets zeros.
 func refExscan[T any](c *Comm, data []T, op func(a, b T) T) []T {

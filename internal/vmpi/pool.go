@@ -32,10 +32,11 @@ import (
 // keeps it when its capacity happens to be a class size. That recycles the
 // memory but drives the meter down with no draw to match. The sites that
 // still relinquish foreign buffers are fmm/solver.go (the multipole key/value
-// and ghost parts, append-grown) and redist's gather. The latter stays a make
-// of exactly the block's length on purpose: exchange-dense sends 4-record
-// blocks, which the smallest class (32 elements) would round up eightfold
-// for as long as they are in flight.
+// and ghost parts, append-grown) and redist's gather, which builds the
+// neighborhood backend's per-neighbour blocks. redist's dense exchange
+// relinquishes nothing: it is a Replay that hands each destination the
+// buffers its sources staged for its group of ranks, which it copies out of
+// and drops, so no pool buffer is involved.
 //
 // Ownership protocol. A buffer that crosses the messaging layer is in one
 // of two states, and every rule below is enforced statically by the

@@ -172,7 +172,12 @@ func (c *Comm) collective(op collOp, fn any, replay func(*rendezvous)) (*rendezv
 // replays may depend on the staged states — a data-dependent round count
 // is fine — but never on host order: which rank arrived last. fn must touch
 // nothing but the states and h — no Comm, nothing else of vmpi — and every
-// rank must pass the same op and fn.
+// rank must pass the same op and fn. fn may move what the states refer to
+// from one state to another, so that each rank works on it in parallel once
+// it returns, not on the replaying goroutine. A state may carry the states
+// slice itself past the replay — read other ranks' states after it — only
+// behind a second meeting: a rank that has returned may change or drop what
+// its state refers to.
 func Replay[S any](c *Comm, op string, state *S, fn func(h *Replayer, states []*S)) {
 	s := &c.meeting().slots[c.rank]
 	s.data = unsafe.Pointer(state)
@@ -206,6 +211,18 @@ func (h *Replayer) Recv(src, dst, bytes int, arrive float64) { h.g.recv(src, dst
 // bytes(r) bytes, exactly as the collective charges it: its messages and,
 // for listening ranks, its spans, which start where it starts.
 func (h *Replayer) Allgather(bytes func(r int) int) { h.g.allgather(bytes) }
+
+// Alltoall charges every rank a pairwise all-to-all in which rank src sends
+// bytes(src, dst) to rank dst, exactly as the collective charges it: its
+// messages and, for listening ranks, its span, which starts where it starts.
+func (h *Replayer) Alltoall(bytes func(src, dst int) int) { h.g.alltoall(bytes) }
+
+// AlltoallLinear charges every rank the basic linear all-to-all on tag in
+// which rank src sends bytes(src, dst) to rank dst, empty messages included:
+// the messages alone, no span.
+func (h *Replayer) AlltoallLinear(bytes func(src, dst int) int, tag int) {
+	h.g.alltoallLinear(bytes, tag)
+}
 
 // Compute advances rank's clock as Comm.Compute does.
 func (h *Replayer) Compute(rank int, seconds float64) {

@@ -221,6 +221,71 @@ func TestReplayerAllgatherMatchesAllgather(t *testing.T) {
 	}
 }
 
+// Replayer.Alltoall and Replayer.AlltoallLinear charge exactly what
+// AlltoallOwned and the message-level linear all-to-all (refAlltoallLinear)
+// charge: a Compute, a pairwise all-to-all, another Compute and a linear
+// all-to-all on tag 221 give every rank the same clock bits, message and
+// byte counts and event list either way.
+func TestReplayerAlltoallMatchesAlltoall(t *testing.T) {
+	compute := func(k, r int) float64 { return float64(fuzzMix(uint64(k), uint64(r), 8)%9) * 1e-7 }
+	size := func(k, src, dst int) int { return int(fuzzMix(uint64(k), uint64(src), uint64(dst)) % 12) }
+	parts := func(k, src, p int) [][]uint32 {
+		out := make([][]uint32, p)
+		for dst := range out {
+			if n := size(k, src, dst); n > 0 {
+				out[dst] = fuzzBlock(k, src, n)
+			}
+		}
+		return out
+	}
+	for _, p := range []int{1, 2, 5, 32, 33, 100} {
+		for _, torus := range []bool{false, true} {
+			cfg := Config{Ranks: p, Trace: true}
+			if torus {
+				cfg.Model = netmodel.NewTorus(p)
+			}
+			want := Run(cfg, func(c *Comm) {
+				c.Compute(compute(0, c.Rank()))
+				ReleaseBlocks(AlltoallOwned(c, parts(0, c.Rank(), p)))
+				c.Compute(compute(1, c.Rank()))
+				ReleaseBlocks(refAlltoallLinear(c, parts(1, c.Rank(), p), 221))
+			})
+			got := Run(cfg, func(c *Comm) {
+				v := c.Rank()
+				Replay(c, "alltoalls", &v, func(h *Replayer, states []*int) {
+					for k := 0; k < 2; k++ {
+						for r := range states {
+							h.Compute(r, compute(k, r))
+						}
+						bytes := func(src, dst int) int { return 4 * size(k, src, dst) }
+						if k == 0 {
+							h.Alltoall(bytes)
+						} else {
+							h.AlltoallLinear(bytes, 221)
+						}
+					}
+				})
+			})
+			gotEvs, wantEvs := virtualEvents(got.Events), virtualEvents(want.Events)
+			for r := 0; r < p; r++ {
+				for _, c := range []struct {
+					what      string
+					got, want any
+				}{
+					{"clock bits", math.Float64bits(got.Clocks[r]), math.Float64bits(want.Clocks[r])},
+					{"messages", got.MessagesSent[r], want.MessagesSent[r]},
+					{"bytes", got.BytesSent[r], want.BytesSent[r]},
+					{"events", gotEvs[r], wantEvs[r]},
+				} {
+					if !reflect.DeepEqual(c.got, c.want) {
+						t.Fatalf("%d ranks, torus %v, rank %d: %s differ from the two all-to-alls:\n got %v\nwant %v", p, torus, r, c.what, c.got, c.want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // The linear replay keeps O(P) scratch — one clock per rank, not one arrival
 // per message — at 2048 ranks: the call a budgeted dense redist.Execute
 // makes, with the empty parts of a rank that routes nothing.

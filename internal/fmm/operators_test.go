@@ -1,8 +1,10 @@
 package fmm
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -20,7 +22,7 @@ func compareBits(t *testing.T, op string, p int, got, want []float64) {
 	t.Helper()
 	for i := range want {
 		if !sameBits(got[i], want[i]) {
-			t.Fatalf("%s P=%d coefficient %d: got %x (%g), map reference %x (%g)",
+			t.Fatalf("%s P=%d coefficient %d: got %x (%g), reference %x (%g)",
 				op, p, i, math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i])
 		}
 	}
@@ -83,6 +85,18 @@ func checkOperators(t *testing.T, p int, seed int64, dx, dy, dz float64) {
 	tab.M2L(src, bWant, got)
 	ref.M2L(src, bWant, want)
 	compareBits(t, "M2L", p, got, want)
+
+	// The batched M2L: four sources and four accumulators on one tensor.
+	var srcs, gots, wants [4][]float64
+	for i := range srcs {
+		srcs[i] = random()
+		gots[i], wants[i] = pair()
+		ref.M2L(srcs[i], bWant, wants[i])
+	}
+	tab.m2l4(bWant, srcs[0], srcs[1], srcs[2], srcs[3], gots[0], gots[1], gots[2], gots[3])
+	for i := range gots {
+		compareBits(t, fmt.Sprintf("m2l4 target %d", i), p, gots[i], wants[i])
+	}
 	if tab.M2LOps() != len(ref.m2l) {
 		t.Fatalf("P=%d: M2LOps %d, reference pair list %d", p, tab.M2LOps(), len(ref.m2l))
 	}
@@ -130,7 +144,7 @@ func TestInteractionListOrderUnchanged(t *testing.T) {
 		for l := 1; l <= 4; l++ {
 			e := &Engine{Level: 4, Periodic: periodic}
 			for key := uint64(0); key < 1<<uint(3*l); key++ {
-				got := e.InteractionList(l, key)
+				got := e.interactionList(nil, l, key)
 				want := refInteractionList(l, key, periodic)
 				if len(got) != len(want) {
 					t.Fatalf("periodic=%v level %d key %d: %d entries, reference %d", periodic, l, key, len(got), len(want))
@@ -164,6 +178,21 @@ func BenchmarkM2L(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tab.M2L(src, d, acc)
+	}
+}
+
+// BenchmarkM2L4 times one batched M2L: four targets on one tensor, so
+// ns/op ÷ (4 · M2LOps) is its cost per term and target.
+func BenchmarkM2L4(b *testing.B) {
+	tab, src, d, _ := benchOperands()
+	var ls [4][]float64
+	for i := range ls {
+		ls[i] = make([]float64, tab.NCoef())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tab.m2l4(d, src, src, src, src, ls[0], ls[1], ls[2], ls[3])
 	}
 }
 
@@ -206,11 +235,11 @@ func BenchmarkL2P(b *testing.B) {
 	}
 }
 
-// BenchmarkDownward times the M2L/L2L sweep of one 750-particle periodic
-// level-2 engine (the tree of the bench probe fmm.solve_serial_750).
-func BenchmarkDownward(b *testing.B) {
-	s := particle.SilicaMelt(750, 2.6567*math.Cbrt(750), true, 42)
-	e := &Engine{Box: s.Box, Level: 2}
+// sortedEngine builds an order-p engine at the given level over the
+// particles of s whose leaf-key rank lies in [lo, hi) of the key-sorted
+// order: hi − lo < s.N is an engine that owns only part of the key range.
+func sortedEngine(s *particle.System, p, level, lo, hi int) *Engine {
+	e := &Engine{Box: s.Box, Level: level}
 	ord := make([]int, s.N)
 	keys := make([]uint64, s.N)
 	for i := range ord {
@@ -218,16 +247,94 @@ func BenchmarkDownward(b *testing.B) {
 		keys[i] = e.KeyOf(s.Pos[3*i], s.Pos[3*i+1], s.Pos[3*i+2])
 	}
 	sort.SliceStable(ord, func(a, b int) bool { return keys[ord[a]] < keys[ord[b]] })
-	pos, q, skeys := make([]float64, 3*s.N), make([]float64, s.N), make([]uint64, s.N)
+	ord = ord[lo:hi]
+	pos, q, skeys := make([]float64, 3*len(ord)), make([]float64, len(ord)), make([]uint64, len(ord))
 	for out, in := range ord {
 		copy(pos[3*out:3*out+3], s.Pos[3*in:3*in+3])
 		q[out], skeys[out] = s.Q[in], keys[in]
 	}
-	e = NewEngine(NewTables(6), s.Box, 2, pos, q, skeys)
-	e.Upward()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Downward()
+	return NewEngine(NewTables(p), s.Box, level, pos, q, skeys)
+}
+
+// TestDownwardMatchesPerTarget runs the octant-batched Downward and the
+// per-target sweep it replaced (refDownward) on the same multipole tables
+// and demands bit-identical local expansions at every level and a
+// bit-identical CostSeconds. Random remote multipoles fill most boxes the
+// engine does not own and leave the rest empty (nil M), so list positions
+// take both the batched and the per-target path; engines owning part of
+// the key range leave octant groups that are not multiples of the batch.
+func TestDownwardMatchesPerTarget(t *testing.T) {
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	for _, periodic := range []bool{true, false} {
+		for level := 2; level <= 4; level++ {
+			for _, p := range []int{2, 6, 8} {
+				for _, part := range []bool{false, true} {
+					name := fmt.Sprintf("periodic=%v/level=%d/P=%d/part=%v", periodic, level, p, part)
+					s := particle.UniformRandom(64, 10, periodic, int64(level*10+p))
+					lo, hi := 0, s.N
+					if part {
+						lo, hi = s.N/3, 2*s.N/3+1
+					}
+					e := sortedEngine(s, p, level, lo, hi)
+					e.Upward()
+					rng := rand.New(rand.NewSource(int64(p)))
+					nc := e.Tab.NCoef()
+					coef := make([]float64, nc)
+					for l := 1; l <= level; l++ {
+						for key := uint64(0); key < 1<<uint(3*l); key++ {
+							if rng.Float64() < 0.1 {
+								continue
+							}
+							for i := range coef {
+								coef[i] = rng.NormFloat64()
+							}
+							e.AddRemoteMultipole(l, key, coef)
+						}
+					}
+					cost0 := e.CostSeconds
+					refDownward(e)
+					want, wantCost := e.L, e.CostSeconds
+					for _, procs := range []int{1, 4} {
+						runtime.GOMAXPROCS(procs)
+						e.L, e.CostSeconds = make([]map[uint64][]float64, level+1), cost0
+						for l := range e.L {
+							e.L[l] = map[uint64][]float64{}
+						}
+						e.Downward()
+						if !sameBits(e.CostSeconds, wantCost) {
+							t.Fatalf("%s GOMAXPROCS=%d: CostSeconds %x, per-target %x", name, procs, math.Float64bits(e.CostSeconds), math.Float64bits(wantCost))
+						}
+						for l := 1; l <= level; l++ {
+							if len(e.L[l]) != len(want[l]) {
+								t.Fatalf("%s GOMAXPROCS=%d level %d: %d local expansions, per-target %d", name, procs, l, len(e.L[l]), len(want[l]))
+							}
+							for key, w := range want[l] {
+								compareBits(t, fmt.Sprintf("%s GOMAXPROCS=%d level %d key %d: Downward", name, procs, l, key), p, e.L[l][key], w)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkDownward times the M2L/L2L sweep of one periodic silica-melt
+// engine at order 6: level 2 with 750 particles (the tree of the bench
+// probe fmm.solve_serial_750), and level 3 with 6000 particles (the tree
+// shape the md-fmm workload's solves run).
+func BenchmarkDownward(b *testing.B) {
+	for _, c := range []struct{ n, level int }{{750, 2}, {6000, 3}} {
+		b.Run(fmt.Sprintf("level=%d/n=%d", c.level, c.n), func(b *testing.B) {
+			s := particle.SilicaMelt(c.n, 2.6567*math.Cbrt(float64(c.n)), true, 42)
+			e := sortedEngine(s, 6, c.level, 0, s.N)
+			e.Upward()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Downward()
+			}
+		})
 	}
 }

@@ -21,8 +21,8 @@ import "math"
 // MultiIndex is a 3D multi-index (exponents per dimension).
 type MultiIndex [3]int
 
-// Degree returns |α|.
-func (m MultiIndex) Degree() int { return m[0] + m[1] + m[2] }
+// degree returns |α|.
+func (m MultiIndex) degree() int { return m[0] + m[1] + m[2] }
 
 // Tables holds the precomputed combinatorics of order-P Cartesian
 // expansions: the multi-index enumeration, factorials, and the dense
@@ -31,12 +31,11 @@ func (m MultiIndex) Degree() int { return m[0] + m[1] + m[2] }
 type Tables struct {
 	P    int          // expansion order
 	List []MultiIndex // all |α| ≤ P, sorted by degree then lexicographic
-	Idx  map[MultiIndex]int
-	Fact []float64 // Fact[i] = i!
 
-	// The operator tables. Idx is consulted only while NewTables builds
-	// them; every list is in the order the defining double loop over List
-	// visits its pairs, so each accumulator sees its operands in that order.
+	// The operator tables. NewTables resolves multi-indices to positions in
+	// List through a map it then drops; every list is in the order the
+	// defining double loop over List visits its pairs, so each accumulator
+	// sees its operands in that order.
 	//
 	// fact[i] = List[i]!. dec1[3i+j] and dec2[3i+j] are the indices of
 	// List[i] − e_j and List[i] − 2e_j (−1 where an exponent would go
@@ -74,21 +73,23 @@ func NewTables(p int) *Tables {
 	if p < 0 {
 		panic("fmm: negative expansion order")
 	}
-	t := &Tables{P: p, Idx: map[MultiIndex]int{}}
+	t := &Tables{P: p}
+	index := map[MultiIndex]int{}
 	for d := 0; d <= p; d++ {
 		for i := d; i >= 0; i-- {
 			for j := d - i; j >= 0; j-- {
 				k := d - i - j
 				mi := MultiIndex{i, j, k}
-				t.Idx[mi] = len(t.List)
+				index[mi] = len(t.List)
 				t.List = append(t.List, mi)
 			}
 		}
 	}
-	t.Fact = make([]float64, 2*p+2)
-	t.Fact[0] = 1
-	for i := 1; i < len(t.Fact); i++ {
-		t.Fact[i] = t.Fact[i-1] * float64(i)
+	// fact1[i] = i!
+	fact1 := make([]float64, 2*p+2)
+	fact1[0] = 1
+	for i := 1; i < len(fact1); i++ {
+		fact1[i] = fact1[i-1] * float64(i)
 	}
 
 	nc := len(t.List)
@@ -99,15 +100,15 @@ func NewTables(p int) *Tables {
 	t.m2mOff = make([]int32, nc+1)
 	t.l2lOff = make([]int32, nc+1)
 	t.m2lOff = make([]int32, nc+1)
-	// idx is Idx with −1 for multi-indices that have a negative exponent.
+	// idx is index with −1 for multi-indices that have a negative exponent.
 	idx := func(m MultiIndex) int32 {
 		if m[0] < 0 || m[1] < 0 || m[2] < 0 {
 			return -1
 		}
-		return int32(t.Idx[m])
+		return int32(index[m])
 	}
 	for ai, a := range t.List {
-		t.fact[ai] = t.Fact[a[0]] * t.Fact[a[1]] * t.Fact[a[2]]
+		t.fact[ai] = fact1[a[0]] * fact1[a[1]] * fact1[a[2]]
 		t.invFact[ai] = 1 / t.fact[ai]
 		for j := 0; j < 3; j++ {
 			m := a
@@ -126,7 +127,7 @@ func NewTables(p int) *Tables {
 				w := binom(g[0], a[0]) * binom(g[1], a[1]) * binom(g[2], a[2])
 				t.l2l = append(t.l2l, l2lEntry{g: int32(gi), diff: idx(diff), w: w})
 			}
-			if a.Degree()+g.Degree() <= p {
+			if a.degree()+g.degree() <= p {
 				// Here a is the target γ and g the source α.
 				t.m2l = append(t.m2l, idx(MultiIndex{a[0] + g[0], a[1] + g[1], a[2] + g[2]}))
 			}
@@ -264,6 +265,40 @@ func (t *Tables) M2L(M, b, L []float64) {
 	}
 }
 
+// m2l4 is four M2Ls that share one derivative tensor b: L_i += M2L(M_i, b)
+// for i = 0 … 3. Per γ it loads the weight, the index and b[idx(α+γ)] once
+// and feeds four accumulators, each summing exactly M2L's terms in M2L's
+// order, so every L_i ends bit-identical to a separate M2L(M_i, b, L_i).
+// No L_i may alias any M_j, b or another L_j; the M_i may alias each other.
+//
+//parlint:hotalloc
+func (t *Tables) m2l4(b, M0, M1, M2, M3, L0, L1, L2, L3 []float64) {
+	for g, w := range t.invFact {
+		sums := t.m2l[t.m2lOff[g]:t.m2lOff[g+1]]
+		L0[g], L1[g], L2[g], L3[g] = m2l4Row(sums, b, w, M0, M1, M2, M3, L0[g], L1[g], L2[g], L3[g])
+	}
+}
+
+// m2l4Row is one γ of m2l4: it returns a_i + Σ_a w·M_i[a]·b[sums[a]] for
+// i = 0 … 3, each sum in ascending a. It stays a call of its own: inlined
+// into m2l4's γ loop, the nine live slices spill and the inner loop reloads
+// them from the stack on every term.
+//
+//go:noinline
+//parlint:hotalloc
+func m2l4Row(sums []int32, b []float64, w float64, M0, M1, M2, M3 []float64, a0, a1, a2, a3 float64) (float64, float64, float64, float64) {
+	n := len(sums)
+	m0, m1, m2, m3 := M0[:n], M1[:n], M2[:n], M3[:n]
+	for a, s := range sums {
+		bs := b[s]
+		a0 += w * m0[a] * bs
+		a1 += w * m1[a] * bs
+		a2 += w * m2[a] * bs
+		a3 += w * m3[a] * bs
+	}
+	return a0, a1, a2, a3
+}
+
 // M2LOps returns the number of fused multiply-adds of one M2L.
 func (t *Tables) M2LOps() int { return len(t.m2l) }
 
@@ -306,18 +341,6 @@ func (t *Tables) L2P(L []float64, dx, dy, dz float64) (pot, ex, ey, ez float64) 
 		}
 	}
 	return pot, ex, ey, ez
-}
-
-// M2P directly evaluates the multipole expansion at displacement d from the
-// source box center (used for validation): φ = Σ_α M_α b_α(d).
-func (t *Tables) M2P(M []float64, dx, dy, dz float64) float64 {
-	b := make([]float64, t.NCoef())
-	t.Deriv(dx, dy, dz, b)
-	pot := 0.0
-	for i := range t.List {
-		pot += M[i] * b[i]
-	}
-	return pot
 }
 
 func binom(n, k int) float64 {

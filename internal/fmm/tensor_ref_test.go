@@ -49,7 +49,7 @@ func newRefTables(p int) *refTables {
 	}
 	for ai, a := range t.List {
 		for gi, g := range t.List {
-			if a.Degree()+g.Degree() > p {
+			if a.degree()+g.degree() > p {
 				continue
 			}
 			s := MultiIndex{a[0] + g[0], a[1] + g[1], a[2] + g[2]}

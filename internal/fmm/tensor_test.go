@@ -15,16 +15,38 @@ func TestTablesEnumeration(t *testing.T) {
 	}
 	// Degrees are non-decreasing along the list.
 	for i := 1; i < len(tb.List); i++ {
-		if tb.List[i].Degree() < tb.List[i-1].Degree() {
+		if tb.List[i].degree() < tb.List[i-1].degree() {
 			t.Fatal("list not ordered by degree")
 		}
 	}
-	// Idx is the inverse of List.
+	// Every multi-index appears once.
 	for i, m := range tb.List {
-		if tb.Idx[m] != i {
-			t.Fatalf("Idx[%v] = %d, want %d", m, tb.Idx[m], i)
+		if tb.index(m) != i {
+			t.Fatalf("index(%v) = %d, want %d", m, tb.index(m), i)
 		}
 	}
+}
+
+// index returns the position of m in List, or −1.
+func (t *Tables) index(m MultiIndex) int {
+	for i, x := range t.List {
+		if x == m {
+			return i
+		}
+	}
+	return -1
+}
+
+// m2p directly evaluates the multipole expansion at displacement d from the
+// source box center: φ = Σ_α M_α b_α(d).
+func (t *Tables) m2p(M []float64, dx, dy, dz float64) float64 {
+	b := make([]float64, t.NCoef())
+	t.Deriv(dx, dy, dz, b)
+	pot := 0.0
+	for i := range t.List {
+		pot += M[i] * b[i]
+	}
+	return pot
 }
 
 func TestDerivLowOrders(t *testing.T) {
@@ -35,7 +57,7 @@ func TestDerivLowOrders(t *testing.T) {
 	tb.Deriv(x, y, z, b)
 	check := func(m MultiIndex, want float64) {
 		t.Helper()
-		got := b[tb.Idx[m]]
+		got := b[tb.index(m)]
 		if math.Abs(got-want) > 1e-12*math.Abs(want)+1e-14 {
 			t.Errorf("b[%v] = %g, want %g", m, got, want)
 		}
@@ -70,13 +92,13 @@ func TestDerivMatchesFiniteDifferences(t *testing.T) {
 		tb.Deriv(dp[0], dp[1], dp[2], bp)
 		tb.Deriv(dm[0], dm[1], dm[2], bm)
 		for i, m := range tb.List {
-			if m.Degree() >= tb.P {
+			if m.degree() >= tb.P {
 				continue
 			}
 			up := m
 			up[d]++
 			num := (bp[i] - bm[i]) / (2 * h)
-			got := b[tb.Idx[up]]
+			got := b[tb.index(up)]
 			if math.Abs(got-num) > 1e-5*(math.Abs(got)+1) {
 				t.Errorf("∂_%d b[%v]: recurrence %g, numeric %g", d, m, got, num)
 			}
@@ -91,13 +113,13 @@ func TestDerivLaplacianZero(t *testing.T) {
 	b := make([]float64, tb.NCoef())
 	tb.Deriv(0.4, -1.2, 0.8, b)
 	for _, m := range tb.List {
-		if m.Degree() > tb.P-2 {
+		if m.degree() > tb.P-2 {
 			continue
 		}
-		lap := b[tb.Idx[MultiIndex{m[0] + 2, m[1], m[2]}]] +
-			b[tb.Idx[MultiIndex{m[0], m[1] + 2, m[2]}]] +
-			b[tb.Idx[MultiIndex{m[0], m[1], m[2] + 2}]]
-		scale := math.Abs(b[tb.Idx[m]]) + 1
+		lap := b[tb.index(MultiIndex{m[0] + 2, m[1], m[2]})] +
+			b[tb.index(MultiIndex{m[0], m[1] + 2, m[2]})] +
+			b[tb.index(MultiIndex{m[0], m[1], m[2] + 2})]
+		scale := math.Abs(b[tb.index(m)]) + 1
 		if math.Abs(lap) > 1e-9*scale {
 			t.Errorf("Laplacian of b[%v] = %g, want 0", m, lap)
 		}
@@ -140,7 +162,7 @@ func TestP2MThenM2PConverges(t *testing.T) {
 		for j := range q {
 			tb.P2M(q[j], pos[3*j], pos[3*j+1], pos[3*j+2], M)
 		}
-		got := tb.M2P(M, ex, ey, ez)
+		got := tb.m2p(M, ex, ey, ez)
 		err := math.Abs(got - want)
 		if pi > 0 && err > prevErr*0.9 && err > 1e-12 {
 			t.Errorf("P=%d: error %g did not shrink (prev %g)", p, err, prevErr)
@@ -169,8 +191,8 @@ func TestM2MPreservesFarField(t *testing.T) {
 		tb.P2M(q[j], pos[3*j], pos[3*j+1], pos[3*j+2], Md)
 	}
 	x, y, z := 4.0, -1.0, 2.0
-	potShift := tb.M2P(Mp, x, y, z)
-	potDirect := tb.M2P(Md, x, y, z)
+	potShift := tb.m2p(Mp, x, y, z)
+	potDirect := tb.m2p(Md, x, y, z)
 	if math.Abs(potShift-potDirect) > 1e-10*(math.Abs(potDirect)+1) {
 		t.Errorf("M2M: shifted %g vs direct %g", potShift, potDirect)
 	}

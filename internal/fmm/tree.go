@@ -192,10 +192,10 @@ func sortedKeys(m map[uint64][]float64) []uint64 {
 // Host-parallel tile grains for the engine kernels: tiles are pure
 // functions of these constants and the problem size, never of the host.
 const (
-	leafGrain   = 4 // leaves per tile in P2M / L2P sweeps
-	groupGrain  = 2 // parent groups per tile in the M2M sweep
-	targetGrain = 2 // target boxes per tile in the Downward sweep
-	nearGrain   = 1 // leaves per tile in the near-field sweep
+	leafGrain  = 4 // leaves per tile in P2M / L2P sweeps
+	groupGrain = 2 // parent groups per tile in the M2M sweep
+	batchGrain = 1 // octant batches per tile in the Downward sweep
+	nearGrain  = 1 // leaves per tile in the near-field sweep
 )
 
 // Upward builds leaf multipoles from owned particles and translates them up
@@ -282,22 +282,16 @@ func (e *Engine) AddRemoteMultipole(l int, key uint64, coef []float64) {
 	}
 }
 
-// InteractionList returns the keys of the boxes in the interaction list of
-// box key at level l: children of the neighbors of its parent that are not
-// its own neighbors.
-func (e *Engine) InteractionList(l int, key uint64) []uint64 {
-	return e.interactionList(nil, l, key)
-}
-
 // maxInteractions bounds the length of an interaction list: the 6³ children
 // of the parent's neighborhood minus the box's own 3³ neighborhood.
 const maxInteractions = 6*6*6 - 3*3*3
 
-// interactionList is InteractionList appending into dst[:0]. Parent
-// neighbors come in Neighbors3 order and children in octant order; a child
-// is dropped when its cell coordinates are within distance 1 of the box's
-// on every axis, which is membership in the box's own Neighbors3 set
-// without building it.
+// interactionList appends into dst[:0] the keys of the boxes in the
+// interaction list of box key at level l: children of the neighbors of its
+// parent that are not its own neighbors. Parent neighbors come in
+// Neighbors3 order and children in octant order; a child is dropped when
+// its cell coordinates are within distance 1 of the box's on every axis,
+// which is membership in the box's own Neighbors3 set without building it.
 //
 //parlint:hotalloc
 func (e *Engine) interactionList(dst []uint64, l int, key uint64) []uint64 {
@@ -383,6 +377,34 @@ func (e *Engine) derivTensors(l int) [][]float64 {
 	return tensors
 }
 
+// m2lBatch is the number of same-octant targets one m2l4 pass serves.
+const m2lBatch = 4
+
+// octantBatches returns the Downward batches of a level's targets: the
+// indices into tl grouped by octant (key&7), ascending within a group, and
+// each group cut into runs of up to m2lBatch. With periodic boxes, targets
+// of one octant at level ≥ 3 see their interaction lists at the same cell
+// offsets in the same order, so a batch meets one derivative tensor per
+// list position.
+func octantBatches(tl []uint64) [][]int {
+	// order never outgrows its capacity, so the batches slice it in place.
+	order := make([]int, 0, len(tl))
+	batches := make([][]int, 0, len(tl)/m2lBatch+8)
+	for oct := uint64(0); oct < 8; oct++ {
+		start := len(order)
+		for ti, key := range tl {
+			if key&7 == oct {
+				order = append(order, ti)
+			}
+		}
+		for lo := start; lo < len(order); lo += m2lBatch {
+			hi := min(lo+m2lBatch, len(order))
+			batches = append(batches, order[lo:hi:hi])
+		}
+	}
+	return batches
+}
+
 // Downward computes local expansions for all ancestors of owned leaves from
 // the (complete) multipole tables and translates them down to the leaf
 // level.
@@ -409,54 +431,111 @@ func (e *Engine) Downward() {
 		targets[l] = t
 	}
 	// Each level translates from the (read-only) level above: its targets
-	// are independent, so they run on host workers, each filling a dense
-	// per-target slot. The map inserts and the virtual-cost charges replay
-	// sequentially in target order afterwards — the charge sequence (one
-	// L2L term when the parent had a local expansion, then one term per
-	// performed M2L) is exactly the serial one.
+	// are independent, so their batches run on host workers, each target
+	// filling a dense per-target slot. The map inserts and the virtual-cost
+	// charges replay sequentially in target order afterwards — the charge
+	// sequence (one L2L term when the parent had a local expansion, then
+	// one term per performed M2L) is exactly the serial one.
 	for l := 1; l <= e.Level; l++ {
 		tl := targets[l]
 		if len(tl) == 0 {
 			continue
 		}
-		derivs := e.derivTensors(l)
-		Ls := make([][]float64, len(tl))
-		hadParent := make([]bool, len(tl))
-		nM2L := make([]int, len(tl))
-		hostpar.For(len(tl), targetGrain, func(lo, hi int) {
-			var ilBuf [maxInteractions]uint64
-			for ti := lo; ti < hi; ti++ {
-				key := tl[ti]
-				L := make([]float64, nc)
-				if l > 1 {
-					pk := zorder.Parent(key)
-					if Lp := e.L[l-1][pk]; Lp != nil {
-						pc := e.center(l-1, pk)
-						cc := e.center(l, key)
-						e.Tab.L2L(Lp, cc[0]-pc[0], cc[1]-pc[1], cc[2]-pc[2], L)
-						hadParent[ti] = true
-					}
-				}
-				for _, src := range e.interactionList(ilBuf[:0], l, key) {
-					M := e.M[l][src]
-					if M == nil {
-						continue
-					}
-					b := derivs[derivSlot(e.wrapOffset(l, key, src))]
-					e.Tab.M2L(M, b, L)
-					nM2L[ti]++
-				}
-				Ls[ti] = L
+		s := downwardLevel{
+			l:         l,
+			tl:        tl,
+			derivs:    e.derivTensors(l),
+			Ls:        make([][]float64, len(tl)),
+			hadParent: make([]bool, len(tl)),
+			nM2L:      make([]int, len(tl)),
+		}
+		batches := octantBatches(tl)
+		hostpar.For(len(batches), batchGrain, func(lo, hi int) {
+			var ilBuf [m2lBatch][maxInteractions]uint64
+			for _, batch := range batches[lo:hi] {
+				e.downwardBatch(&s, batch, &ilBuf)
 			}
 		})
 		for ti, key := range tl {
-			if hadParent[ti] {
+			if s.hadParent[ti] {
 				e.CostSeconds += float64(nc*nc) * costs.MultipoleTerm
 			}
-			for k := 0; k < nM2L[ti]; k++ {
+			for k := 0; k < s.nM2L[ti]; k++ {
 				e.CostSeconds += float64(e.Tab.M2LOps()) * costs.MultipoleTerm
 			}
-			e.L[l][key] = Ls[ti]
+			e.L[l][key] = s.Ls[ti]
+		}
+	}
+}
+
+// downwardLevel is one level of the Downward sweep: its targets, the
+// level's derivative tensors, and the dense per-target outputs the batches
+// fill.
+type downwardLevel struct {
+	l         int
+	tl        []uint64
+	derivs    [][]float64
+	Ls        [][]float64
+	hadParent []bool
+	nM2L      []int
+}
+
+// downwardBatch computes the local expansion of every target tl[ti], ti in
+// batch (at most m2lBatch targets of one octant): the L2L from its parent,
+// then one M2L per non-empty interaction-list source in list order. Where,
+// at one list position, all m2lBatch targets meet a non-empty source through
+// the same derivative tensor, one m2l4 serves them; anywhere else each
+// target runs its own M2L. Each L receives its own terms in its own list
+// order either way, so the result is bit-identical to sweeping the targets
+// one at a time.
+func (e *Engine) downwardBatch(s *downwardLevel, batch []int, ilBuf *[m2lBatch][maxInteractions]uint64) {
+	l, nc := s.l, e.Tab.NCoef()
+	var il [m2lBatch][]uint64
+	var Ls [m2lBatch][]float64
+	n := 0 // the longest interaction list of the batch
+	for k, ti := range batch {
+		key := s.tl[ti]
+		L := make([]float64, nc)
+		if l > 1 {
+			pk := zorder.Parent(key)
+			if Lp := e.L[l-1][pk]; Lp != nil {
+				pc := e.center(l-1, pk)
+				cc := e.center(l, key)
+				e.Tab.L2L(Lp, cc[0]-pc[0], cc[1]-pc[1], cc[2]-pc[2], L)
+				s.hadParent[ti] = true
+			}
+		}
+		s.Ls[ti], Ls[k] = L, L
+		il[k] = e.interactionList(ilBuf[k][:0], l, key)
+		n = max(n, len(il[k]))
+	}
+	var Ms [m2lBatch][]float64
+	var slots [m2lBatch]int
+	for j := 0; j < n; j++ {
+		same := len(batch) == m2lBatch
+		for k, ti := range batch {
+			Ms[k] = nil
+			if j < len(il[k]) {
+				src := il[k][j]
+				if M := e.M[l][src]; M != nil {
+					Ms[k] = M
+					slots[k] = derivSlot(e.wrapOffset(l, s.tl[ti], src))
+				}
+			}
+			same = same && Ms[k] != nil && slots[k] == slots[0]
+		}
+		if same {
+			e.Tab.m2l4(s.derivs[slots[0]], Ms[0], Ms[1], Ms[2], Ms[3], Ls[0], Ls[1], Ls[2], Ls[3])
+			for _, ti := range batch {
+				s.nM2L[ti]++
+			}
+			continue
+		}
+		for k, ti := range batch {
+			if Ms[k] != nil {
+				e.Tab.M2L(Ms[k], s.derivs[slots[k]], Ls[k])
+				s.nM2L[ti]++
+			}
 		}
 	}
 }

@@ -114,7 +114,7 @@ func TestEngineInteractionListSizes(t *testing.T) {
 	// Interior box at level 3 (8 per dim): |IL| ≤ 189 and ≥ 27 for
 	// interior boxes; must never include the box itself or its neighbors.
 	key := e.KeyOf(2.1, 2.1, 2.1)
-	il := e.InteractionList(3, key)
+	il := e.interactionList(nil, 3, key)
 	if len(il) == 0 || len(il) > 189 {
 		t.Fatalf("interaction list size %d", len(il))
 	}

@@ -1,12 +1,12 @@
 # Developer entry points. `make check` is the local tier-1 gate: build,
 # vet, the repo's own static analyzers (cmd/parlint), full tests, a
 # race-detector pass, the vmpi ownership checker build (-tags vmpidebug,
-# over every package that calls vmpi), and ten seconds of differential
-# fuzzing per target (fuzz-smoke).
+# over every package that calls vmpi), ten seconds of differential
+# fuzzing per target (fuzz-smoke), and the golden figure gates.
 
 GO ?= go
 
-.PHONY: all build test race fuzz-smoke bench vet lint debugtest golden golden-update golden-par fig10 golden-bigp golden-bigp-w4 golden-bigp-update golden-resize golden-resize-update golden-mem golden-mem-update check
+.PHONY: all build test race fuzz-smoke bench vet lint debugtest golden golden-par fig10 golden-bigp golden-bigp-w4 golden-resize golden-mem check
 
 all: build
 
@@ -81,18 +81,20 @@ debugtest:
 	$(GO) test -tags vmpidebug $(addprefix ./internal/,$(DEBUG_PKGS))
 
 # Golden gates. Each gate reruns one canonical paperbench invocation (see
-# EXPERIMENTS.md) and byte-diffs its stdout against a checked-in baseline
-# under testdata/golden/; any divergence — a changed virtual time anywhere —
-# fails. The bigp, resize and mem baselines are also diffed in-process by
-# go test (TestGoldens in internal/paperbench). To accept an
-# intentional change: make <gate>-update, then review the diff. One recipe
-# serves every gate, parametrised per target by ARGS (the invocation), BASE
-# (the baseline file) and EXTRA (flags of the gate run only: observability
-# exports, whose notices go to stderr so stdout stays byte-stable, or a
-# pinned worker count):
+# EXPERIMENTS.md) and byte-diffs its stdout against the checked-in
+# baselines under testdata/golden/, one file per figure; any divergence — a
+# changed virtual time anywhere — fails. go test diffs the same baselines
+# in-process (TestGoldens in internal/paperbench), all but Figures 9l and
+# 9r, together with the six obs_* exports. To accept an intentional change:
+# go test ./internal/paperbench -update, then review the
+# diff. One recipe serves every gate, parametrised per target by ARGS (the
+# invocation), BASE (the baselines, concatenated in order) and EXTRA (flags
+# of the gate run only: observability exports, whose notices go to stderr
+# so stdout stays byte-stable, or a pinned worker count):
 #
-#   golden         Figures 6-9; exports the canonical observability run
-#                  (the Fig. 9 torus steady state) as Chrome trace + metrics.
+#   golden         Figures 6-9 (-fig all); exports the canonical
+#                  observability run (the Fig. 9 torus steady state) as
+#                  Chrome trace + metrics.
 #   golden-bigp    The 1024-rank Figure 10 point: the cheap stand-in for the
 #                  full 64...16384 sweep, three orders of magnitude above
 #                  the Figure 6-9 rank counts. Its -w4 leg pins the executor
@@ -112,43 +114,40 @@ debugtest:
 # default and only wall-clock time depends on the host.
 JOBS ?= 8
 
-GOLDEN_ARGS := -fig all -particles 6000 -ranks 8 -ranks-list 2,4,8,16
+GOLDEN_BASE := $(foreach f,6 7 8 9l 9r,testdata/golden/fig$(f).txt)
 
-golden golden-update:                          ARGS  := $(GOLDEN_ARGS)
-golden golden-update:                          BASE  := testdata/golden/paperbench_output.txt
-golden:                                        EXTRA := -trace-out obs_trace.json -metrics-out obs_metrics.txt
-golden-bigp golden-bigp-w4 golden-bigp-update: ARGS  := -fig 10 -ranks-list 1024
-golden-bigp golden-bigp-w4 golden-bigp-update: BASE  := testdata/golden/paperbench_fig10_1024.txt
-golden-bigp-w4:                                EXTRA := -workers 4
-golden-resize golden-resize-update:            ARGS  := -fig resize
-golden-resize golden-resize-update:            BASE  := testdata/golden/paperbench_resize.txt
-golden-resize:                                 EXTRA := -trace-out obs_resize_trace.json -metrics-out obs_resize_metrics.txt
-golden-mem golden-mem-update:                  ARGS  := -fig mem
-golden-mem golden-mem-update:                  BASE  := testdata/golden/paperbench_mem.txt
-golden-mem:                                    EXTRA := -trace-out obs_mem_trace.json -metrics-out obs_mem_metrics.txt
+golden:                       ARGS  := -fig all
+golden:                       BASE  := $(GOLDEN_BASE)
+golden:                       EXTRA := -trace-out obs_trace.json -metrics-out obs_metrics.txt
+golden-bigp golden-bigp-w4:   ARGS  := -fig 10 -ranks-list 1024
+golden-bigp golden-bigp-w4:   BASE  := testdata/golden/paperbench_fig10_1024.txt
+golden-bigp-w4:               EXTRA := -workers 4
+golden-resize:                ARGS  := -fig resize
+golden-resize:                BASE  := testdata/golden/paperbench_resize.txt
+golden-resize:                EXTRA := -trace-out obs_resize_trace.json -metrics-out obs_resize_metrics.txt
+golden-mem:                   ARGS  := -fig mem
+golden-mem:                   BASE  := testdata/golden/paperbench_mem.txt
+golden-mem:                   EXTRA := -trace-out obs_mem_trace.json -metrics-out obs_mem_metrics.txt
 
 golden-bigp: golden-bigp-w4
 
 golden golden-bigp golden-bigp-w4 golden-resize golden-mem:
 	$(GO) run ./cmd/paperbench $(ARGS) -j $(JOBS) $(EXTRA) > $@.got.txt
-	diff -u $(BASE) $@.got.txt
+	cat $(BASE) | diff -u - $@.got.txt
 	rm -f $@.got.txt
-
-golden-update golden-bigp-update golden-resize-update golden-mem-update:
-	$(GO) run ./cmd/paperbench $(ARGS) -j $(JOBS) > $(BASE)
 
 # Serial-vs-parallel byte identity: the canonical invocation at -j 1 and
 # -j 8 must produce identical stdout, trace, and metrics bytes (and match
-# the checked-in baseline).
+# the checked-in baselines).
 golden-par:
-	$(GO) run ./cmd/paperbench $(GOLDEN_ARGS) -j 1 \
+	$(GO) run ./cmd/paperbench -fig all -j 1 \
 		-trace-out obs_trace.j1.json -metrics-out obs_metrics.j1.txt > paperbench_output.j1.txt
-	$(GO) run ./cmd/paperbench $(GOLDEN_ARGS) -j 8 \
+	$(GO) run ./cmd/paperbench -fig all -j 8 \
 		-trace-out obs_trace.j8.json -metrics-out obs_metrics.j8.txt > paperbench_output.j8.txt
 	diff -u paperbench_output.j1.txt paperbench_output.j8.txt
 	diff -u obs_trace.j1.json obs_trace.j8.json
 	diff -u obs_metrics.j1.txt obs_metrics.j8.txt
-	diff -u testdata/golden/paperbench_output.txt paperbench_output.j1.txt
+	cat $(GOLDEN_BASE) | diff -u - paperbench_output.j1.txt
 	rm -f paperbench_output.j1.txt paperbench_output.j8.txt \
 		obs_trace.j1.json obs_trace.j8.json obs_metrics.j1.txt obs_metrics.j8.txt
 

@@ -1,59 +1,42 @@
 // Command paperbench regenerates the evaluation figures of Hofmann &
 // Rünger, "Efficient Data Redistribution Methods for Coupled Parallel
-// Particle Codes" (ICPP 2013): Figures 6–9, printed as text tables of
-// deterministic virtual seconds.
+// Particle Codes" (ICPP 2013) and the repo's extensions of them, printed as
+// text tables of deterministic virtual seconds. Every figure is an entry
+// of paperbench.Figures; -h lists their names, and EXPERIMENTS.md
+// describes each one.
 //
 // Examples:
 //
-//	paperbench -fig 6
-//	paperbench -fig 8 -steps 120 -thermal 2.5
-//	paperbench -fig 9l -ranks-list 2,4,8,16
-//	paperbench -fig all
+//	paperbench                    # the paper's figures (-fig all)
+//	paperbench -fig NAME          # one figure at its default configuration
+//	paperbench -fig NAME -steps 120 -thermal 2.5
+//	paperbench -fig NAME -ranks-list 64,1024 -workers 4
 //	paperbench -fig all -j 8
-//	paperbench -fig 10
-//	paperbench -fig 10 -ranks-list 64,1024 -workers 4
 //	paperbench -fig all -trace-out trace.json -metrics-out metrics.txt
 //
 // The command prints virtual seconds only. Host wall clock and memory are
-// measured by the benchmark harness (go run ./bench) and, per Figure 10
-// rank count, by BenchmarkFig10 in internal/paperbench.
+// measured by the benchmark harness (go run ./bench) and by the benchmarks
+// of internal/paperbench.
 //
-// -trace-out and -metrics-out additionally run the canonical
-// observability configuration (paperbench.ObsConfig: the Fig. 9 torus
-// steady state with message tracing) and export its event log as a Chrome
-// trace-event JSON timeline and a Prometheus-style metrics dump. Both
-// notices go to stderr, so figure output on stdout stays byte-stable.
+// -steps, -dt and -thermal override the figure's own defaults, and
+// -ranks-list its rank sweep; the figures without one ignore it.
 //
-// -fig 10 is not part of -fig all: it is the large-P redistribution
-// strategy sweep (64 … 16384 virtual ranks by default, see EXPERIMENTS.md)
-// on the event-driven rank executor. -workers fixes the executor's
-// run-slot count; output is byte-identical at any value.
-//
-// -fig resize (also outside -fig all) is the elastic-worlds cost figure:
-// live vmpi.Resize with particle remapping versus static peak
-// over-provisioning, on both machine models (see EXPERIMENTS.md). With
-// -trace-out/-metrics-out it exports the elastic grow leg's own timeline,
-// so the resize epochs (vmpi/resize and elastic/remap spans, resize
-// counter, world-size gauge) are visible in the Chrome trace and the
-// metrics dump.
-//
-// -fig mem (also outside -fig all) is the memory-budget figure: a
-// fine-grained exchange whose classic single all-to-all stages four times
-// the configured budget, run unbounded (metered) and through the redist
-// planner's bounded rounds, next to the three sort strategies under the
-// same budget (see EXPERIMENTS.md). With -trace-out/-metrics-out the
-// planned exchange's timeline (redist/peak_bytes gauge and counter) is
-// exported.
+// -trace-out and -metrics-out additionally run the figure's canonical
+// traced cell (Figure.Traced; -fig all shares one) and export its event
+// log as a Chrome trace-event JSON timeline and a Prometheus-style metrics
+// dump. Both notices go to stderr, so figure output on stdout stays
+// byte-stable.
 //
 // -j sets how many experiments (virtual machine runs) execute concurrently
-// on the host (default: the core count). Every figure, trace, and metrics
-// byte is identical at any -j value — the experiment scheduler collects
-// results in submission order and experiments never observe the host — so
-// -j only changes how long the command takes.
+// on the host (default: the core count), and -workers fixes each
+// experiment's executor run-slot count. Every figure, trace, and metrics
+// byte is identical at any -j and -workers value — the experiment
+// scheduler collects results in submission order and experiments never
+// observe the host — so both only change how long the command takes.
 //
-// Bad numeric input (-ranks or -particles below 1, -accuracy outside
-// (0, 1), a malformed -ranks-list) exits with status 2 and a one-line
-// message.
+// Bad input (-ranks or -particles below 1, -accuracy outside (0, 1), a
+// negative -workers, a malformed -ranks-list, an unknown -fig) exits with
+// status 2 and a one-line message.
 package main
 
 import (
@@ -70,31 +53,41 @@ import (
 )
 
 func main() {
+	figs := paperbench.Figures()
+	def := paperbench.DefaultConfig()
 	var (
-		fig       = flag.String("fig", "all", "figure to regenerate: 6, 7, 8, 9l, 9r, 10, resize, mem, or all (all = the paper's 6-9)")
-		particles = flag.Int("particles", 6000, "global particle count (rounded to an even lattice cube)")
-		ranks     = flag.Int("ranks", 8, "virtual MPI ranks")
-		steps     = flag.Int("steps", 0, "MD time steps (0 = figure-specific default)")
-		dt        = flag.Float64("dt", 0, "time step size (0 = figure-specific default)")
-		thermal   = flag.Float64("thermal", -1, "initial thermal velocity scale (-1 = figure-specific default)")
-		accuracy  = flag.Float64("accuracy", 1e-3, "requested solver accuracy")
-		seed      = flag.Int64("seed", 42, "particle system seed")
-		rankListF = flag.String("ranks-list", "2,4,8", "rank counts for the figure 9 and 10 sweeps (figure 10 defaults to 64,256,1024,4096,16384)")
-		traceOut  = flag.String("trace-out", "", "write a Chrome trace-event JSON of the canonical observability run to this file")
-		metricOut = flag.String("metrics-out", "", "write a Prometheus-style metrics dump of the canonical observability run to this file")
+		fig       = flag.String("fig", "all", "figure to regenerate: "+figureNames(figs))
+		particles = flag.Int("particles", def.Particles, "global particle count (rounded to an even lattice cube)")
+		ranks     = flag.Int("ranks", def.Ranks, "virtual MPI ranks")
+		steps     = flag.Int("steps", 0, "MD time steps (0 = the figure's default)")
+		dt        = flag.Float64("dt", 0, "time step size (0 = the figure's default)")
+		thermal   = flag.Float64("thermal", -1, "initial thermal velocity scale (-1 = the figure's default)")
+		accuracy  = flag.Float64("accuracy", def.Accuracy, "requested solver accuracy")
+		seed      = flag.Int64("seed", def.Seed, "particle system seed")
+		rankListF = flag.String("ranks-list", "", "rank counts of a sweep figure (empty = the figure's default)")
+		traceOut  = flag.String("trace-out", "", "write a Chrome trace-event JSON of the figure's traced cell to this file")
+		metricOut = flag.String("metrics-out", "", "write a Prometheus-style metrics dump of the figure's traced cell to this file")
 		jobs      = flag.Int("j", runtime.NumCPU(), "concurrent experiment jobs (worker pool size; output is byte-identical at any value)")
-		workersF  = flag.Int("workers", 0, "executor run slots per experiment (0 = one slot plus host-budget extras; figure bytes are identical at any value)")
+		workers   = flag.Int("workers", 0, "executor run slots per experiment (0 = one slot plus host-budget extras; figure bytes are identical at any value)")
 		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole invocation to this file")
 		memProf   = flag.String("memprofile", "", "write a pprof heap profile (taken after a final GC) to this file")
 	)
 	flag.Parse()
-	if err := checkInputs(*ranks, *particles, *accuracy); err != nil {
+	if err := checkInputs(*ranks, *particles, *accuracy, *workers); err != nil {
 		fmt.Fprintf(os.Stderr, "paperbench: %v\n", err)
 		os.Exit(2)
 	}
-	rankList, err := parseInts(*rankListF)
+	var rankList []int
+	if *rankListF != "" {
+		var err error
+		if rankList, err = parseInts(*rankListF); err != nil {
+			fmt.Fprintf(os.Stderr, "paperbench: bad -ranks-list: %v\n", err)
+			os.Exit(2)
+		}
+	}
+	sel, err := lookup(figs, *fig)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "paperbench: bad -ranks-list: %v\n", err)
+		fmt.Fprintf(os.Stderr, "paperbench: %v\n", err)
 		os.Exit(2)
 	}
 
@@ -104,25 +97,15 @@ func main() {
 	// through os.Exit and drop the (partial) profiles, which is fine.
 	defer startProfiles(*cpuProf, *memProf)()
 
-	paperbench.SetJobs(*jobs)
-	paperbench.SetEngineWorkers(*workersF)
 	if *jobs > 1 {
 		// Stderr only: stdout carries the figure tables, whose bytes must
 		// not depend on the worker count.
 		fmt.Fprintf(os.Stderr, "paperbench: scheduling experiments on %d workers\n", *jobs)
 	}
-
-	base := paperbench.DefaultConfig()
-	base.Particles = *particles
-	base.Ranks = *ranks
-	base.Accuracy = *accuracy
-	base.Seed = *seed
-
-	withDefaults := func(defSteps int, defDt, defThermal float64) paperbench.Config {
-		cfg := base
-		cfg.Steps = defSteps
-		cfg.Dt = defDt
-		cfg.Thermal = defThermal
+	for _, f := range sel {
+		cfg := f.Config
+		cfg.Particles, cfg.Ranks, cfg.Accuracy, cfg.Seed = *particles, *ranks, *accuracy, *seed
+		cfg.Workers = *workers
 		if *steps > 0 {
 			cfg.Steps = *steps
 		}
@@ -132,97 +115,41 @@ func main() {
 		if *thermal >= 0 {
 			cfg.Thermal = *thermal
 		}
-		return cfg
+		sweep := f.Ranks
+		if rankList != nil {
+			sweep = rankList
+		}
+		fmt.Print(f.Render(cfg, sweep, *jobs))
 	}
+	if *traceOut != "" || *metricOut != "" {
+		exportEventLog(*traceOut, *metricOut, "-fig "+*fig, sel[0].Traced(*workers))
+	}
+}
 
-	rankListSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "ranks-list" {
-			rankListSet = true
+// figureNames lists the -fig values: every table entry, then all.
+func figureNames(figs []paperbench.Figure) string {
+	var names, all []string
+	for _, f := range figs {
+		names = append(names, f.Name)
+		if f.InAll {
+			all = append(all, f.Name)
 		}
-	})
-	// Figure 10 targets the paper's machine sizes; the small figure 9
-	// default would not show the scaling story.
-	fig10Ranks := rankList
-	if !rankListSet {
-		fig10Ranks = paperbench.Fig10DefaultRanks()
 	}
+	return strings.Join(names, ", ") + ", or all (" + strings.Join(all, ", ") + ")"
+}
 
-	run := func(which string) {
-		switch which {
-		case "6":
-			cfg := withDefaults(0, 0.01, 0)
-			fmt.Print(paperbench.RenderFig6(paperbench.Fig6(cfg)))
-		case "7":
-			cfg := withDefaults(8, 0.01, 0)
-			fmt.Print(paperbench.RenderFig7(paperbench.Fig7(cfg)))
-		case "8":
-			cfg := withDefaults(60, 0.01, 2.5)
-			fmt.Print(paperbench.RenderFig8(paperbench.Fig8(cfg)))
-		case "9l":
-			cfg := withDefaults(25, 0.025, 2.5)
-			cfg.Machine = paperbench.JuRoPA()
-			pts := paperbench.Fig9(cfg, "fmm", rankList)
-			fmt.Print(paperbench.RenderFig9("fmm", cfg.Machine.Name, pts))
-		case "9r":
-			cfg := withDefaults(25, 0.025, 2.5)
-			cfg.Machine = paperbench.Juqueen()
-			pts := paperbench.Fig9(cfg, "p2nfft", rankList)
-			fmt.Print(paperbench.RenderFig9("p2nfft", cfg.Machine.Name, pts))
-		case "10":
-			for _, m := range []paperbench.Machine{paperbench.JuRoPA(), paperbench.Juqueen()} {
-				pts := paperbench.Fig10(m, fig10Ranks)
-				fmt.Print(paperbench.RenderFig10(m.Name, pts))
-				fmt.Println()
-			}
-			return
-		case "resize":
-			for _, m := range []paperbench.Machine{paperbench.JuRoPA(), paperbench.Juqueen()} {
-				pts := paperbench.FigResize(m)
-				fmt.Print(paperbench.RenderFigResize(m.Name, pts))
-				fmt.Println()
-			}
-			return
-		case "mem":
-			for _, m := range []paperbench.Machine{paperbench.JuRoPA(), paperbench.Juqueen()} {
-				rows := paperbench.FigMem(m)
-				fmt.Print(paperbench.RenderFigMem(m.Name, rows))
-				fmt.Println()
-			}
-			return
-		default:
-			fmt.Fprintf(os.Stderr, "paperbench: unknown figure %q\n", which)
-			os.Exit(2)
+// lookup resolves a -fig value to the figures it prints, in table order.
+func lookup(figs []paperbench.Figure, name string) ([]paperbench.Figure, error) {
+	var sel []paperbench.Figure
+	for _, f := range figs {
+		if f.Name == name || (name == "all" && f.InAll) {
+			sel = append(sel, f)
 		}
-		fmt.Println()
 	}
-
-	if *fig == "all" {
-		for _, f := range []string{"6", "7", "8", "9l", "9r"} {
-			run(f)
-		}
-		writeObsExports(*traceOut, *metricOut)
-		return
+	if len(sel) == 0 {
+		return nil, fmt.Errorf("unknown figure %q (have %s)", name, figureNames(figs))
 	}
-	run(*fig)
-	if *fig == "resize" {
-		// The resize figure exports its own timeline: the elastic grow leg,
-		// whose vmpi/resize and elastic/remap spans, resize counter, and
-		// world-size gauge show the resize epochs in both exports.
-		if *traceOut != "" || *metricOut != "" {
-			exportEventLog(*traceOut, *metricOut, "elastic resize", paperbench.FigResizeObs())
-		}
-		return
-	}
-	if *fig == "mem" {
-		// The memory figure exports the planned exchange's own timeline,
-		// where the redist/peak_bytes gauge and counter are visible.
-		if *traceOut != "" || *metricOut != "" {
-			exportEventLog(*traceOut, *metricOut, "memory budget", paperbench.FigMemObs())
-		}
-		return
-	}
-	writeObsExports(*traceOut, *metricOut)
+	return sel, nil
 }
 
 // startProfiles starts the requested pprof captures and returns the
@@ -273,21 +200,6 @@ func startProfiles(cpuPath, memPath string) func() {
 	}
 }
 
-// writeObsExports runs the canonical observability configuration once and
-// exports its event log. All notices go to stderr: stdout carries only the
-// figure tables, which the golden check diffs byte-for-byte.
-func writeObsExports(traceOut, metricsOut string) {
-	if traceOut == "" && metricsOut == "" {
-		return
-	}
-	res, err := paperbench.Run(paperbench.ObsConfig())
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "paperbench: observability run: %v\n", err)
-		os.Exit(1)
-	}
-	exportEventLog(traceOut, metricsOut, "canonical run", res.Events)
-}
-
 // exportEventLog writes an event log as a Chrome trace and/or a metrics
 // dump. All notices go to stderr so figure bytes on stdout stay stable.
 func exportEventLog(traceOut, metricsOut, what string, events *obs.Log) {
@@ -316,8 +228,8 @@ func exportEventLog(traceOut, metricsOut, what string, events *obs.Log) {
 }
 
 // checkInputs rejects numeric flags that would otherwise panic deep inside
-// a virtual machine run.
-func checkInputs(ranks, particles int, accuracy float64) error {
+// a virtual machine run, or be silently clamped.
+func checkInputs(ranks, particles int, accuracy float64, workers int) error {
 	switch {
 	case ranks < 1:
 		return fmt.Errorf("bad -ranks: %d < 1", ranks)
@@ -325,6 +237,8 @@ func checkInputs(ranks, particles int, accuracy float64) error {
 		return fmt.Errorf("bad -particles: %d < 1", particles)
 	case !(accuracy > 0 && accuracy < 1):
 		return fmt.Errorf("bad -accuracy: %v not in (0, 1)", accuracy)
+	case workers < 0:
+		return fmt.Errorf("bad -workers: %d < 0", workers)
 	}
 	return nil
 }

@@ -45,7 +45,7 @@ func TestHostParallelismDeterminism(t *testing.T) {
 		return result{res.Steps, res.Digest}
 	}
 
-	for _, solver := range Solvers() {
+	for _, solver := range solvers() {
 		for _, method := range []string{"A", "B"} {
 			t.Run(solver+"/method"+method, func(t *testing.T) {
 				resort := method == "B"

@@ -13,7 +13,7 @@ import (
 // there is more than a handful of ranks (the paper's §III-B motivation).
 func TestFig10SmallSweep(t *testing.T) {
 	ranks := []int{4, 16}
-	pts := Fig10(Juqueen(), ranks)
+	pts := fig10([]Machine{Juqueen()}, ranks, 0, 0)[0]
 	if len(pts) != len(ranks) {
 		t.Fatalf("got %d points, want %d", len(pts), len(ranks))
 	}
@@ -29,7 +29,7 @@ func TestFig10SmallSweep(t *testing.T) {
 				p.Ranks, p.Merge, p.Neighborhood)
 		}
 	}
-	out := RenderFig10(Juqueen().Name, pts)
+	out := renderFig10(Juqueen().Name, pts)
 	for _, want := range []string{"Figure 10", "merge sort", "neighborhood", "4 ", "16 "} {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendered table missing %q:\n%s", want, out)
@@ -81,17 +81,17 @@ func TestFig10DriftBounded(t *testing.T) {
 //
 //	go test -run '^$' -bench 'Fig10/torus/ranks=16384/' -benchtime 1x ./internal/paperbench
 func BenchmarkFig10(b *testing.B) {
-	machines := []struct {
+	platforms := []struct {
 		name string
 		m    Machine
 	}{{"switched", JuRoPA()}, {"torus", Juqueen()}}
-	for _, mc := range machines {
-		for _, p := range append(Fig10DefaultRanks(), 65536) {
+	for _, mc := range platforms {
+		for _, p := range []int{64, 256, 1024, 4096, 16384, 65536} {
 			for _, strategy := range []string{"merge", "nbr"} {
 				b.Run(fmt.Sprintf("%s/ranks=%d/%s", mc.name, p, strategy), func(b *testing.B) {
-					st := fig10Run(mc.m, p, strategy == "merge")
+					st := fig10Run(mc.m, p, strategy == "merge", 0)
 					for i := 1; i < b.N; i++ {
-						st = fig10Run(mc.m, p, strategy == "merge")
+						st = fig10Run(mc.m, p, strategy == "merge", 0)
 					}
 					b.StopTimer()
 					b.ReportMetric(fig10Steady(st), "vsec/step")

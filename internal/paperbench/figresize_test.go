@@ -18,9 +18,9 @@ func TestFigResizeCells(t *testing.T) {
 	if raceEnabled {
 		t.Skip("full elastic MD runs exceed the test timeout under the race detector; the elastic package's race tests cover the resize/remap interleavings")
 	}
-	pts := FigResize(JuRoPA())
-	if len(pts) != len(FigResizeDirections()) {
-		t.Fatalf("got %d points, want %d", len(pts), len(FigResizeDirections()))
+	pts := figResize([]Machine{JuRoPA()}, 0, 0)[0]
+	if len(pts) != len(resizeDirections()) {
+		t.Fatalf("got %d points, want %d", len(pts), len(resizeDirections()))
 	}
 	for _, p := range pts {
 		if p.Elastic.Resizes != len(p.Dir.Schedule) {
@@ -43,7 +43,7 @@ func TestFigResizeCells(t *testing.T) {
 				p.Dir.Name, p.Elastic.CapacityFallbacks, wantFallback)
 		}
 	}
-	out := RenderFigResize(JuRoPA().Name, pts)
+	out := renderFigResize(JuRoPA().Name, pts)
 	for _, want := range []string{"Figure R", "elastic", "static", "4 > 6 > 8", "8 > 6 > 4", "capfb"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendered table missing %q:\n%s", want, out)
@@ -51,19 +51,17 @@ func TestFigResizeCells(t *testing.T) {
 	}
 }
 
-// TestFigResizeEnginesAgree pins the elastic scenario's determinism across
+// TestFigResizeWorkersAgree pins the elastic scenario's determinism across
 // executor run-slot counts: the rendered figure bytes must be identical
 // fully serialized and at 8 slots.
-func TestFigResizeEnginesAgree(t *testing.T) {
+func TestFigResizeWorkersAgree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("two full elastic sweeps exceed the test timeout under the race detector")
 	}
-	defer SetEngineWorkers(0)
 	m := Juqueen()
-	SetEngineWorkers(1)
-	serial := RenderFigResize(m.Name, FigResize(m))
-	SetEngineWorkers(8)
-	if wide := RenderFigResize(m.Name, FigResize(m)); wide != serial {
+	render := func(w int) string { return renderFigResize(m.Name, figResize([]Machine{m}, w, 0)[0]) }
+	serial := render(1)
+	if wide := render(8); wide != serial {
 		t.Errorf("run-slot counts render different figures:\nworkers=1:\n%s\nworkers=8:\n%s", serial, wide)
 	}
 }
@@ -73,8 +71,8 @@ func TestFigResizeEnginesAgree(t *testing.T) {
 // spans, the elastic remap spans, the resize counter, and world-size gauge
 // samples for every size the schedule touches.
 func TestFigResizeObsShowsEpochs(t *testing.T) {
-	l := FigResizeObs()
-	d := FigResizeDirections()[0]
+	l := figResizeTrace(0)
+	d := resizeDirections()[0]
 	if n := l.Counter(vmpi.CounterResizes); n < float64(len(d.Schedule)) {
 		t.Errorf("resize counter total %v, want at least %d", n, len(d.Schedule))
 	}

@@ -46,12 +46,9 @@ const (
 	fig10MoveShare = 3
 )
 
-// Fig10DefaultRanks is the Figure 10 sweep at the paper's machine sizes.
-func Fig10DefaultRanks() []int { return []int{64, 256, 1024, 4096, 16384} }
-
-// Fig10Point is one x-position of Figure 10: the steady-state per-step
+// fig10Point is one x-position of Figure 10: the steady-state per-step
 // redistribution cost at a rank count for both strategies.
-type Fig10Point struct {
+type fig10Point struct {
 	Ranks        int
 	Merge        float64
 	Neighborhood float64
@@ -147,13 +144,14 @@ func fig10Body(merge bool) func(c *vmpi.Comm) {
 	}
 }
 
-// fig10Run executes one (machine, rank count, strategy) cell.
-func fig10Run(machine Machine, ranks int, merge bool) *vmpi.Stats {
+// fig10Run executes one (machine, rank count, strategy) cell on workers
+// executor run slots.
+func fig10Run(machine Machine, ranks int, merge bool, workers int) *vmpi.Stats {
 	return vmpi.Run(vmpi.Config{
 		Ranks:        ranks,
 		Model:        machine.Model(ranks),
 		ComputeScale: machine.ComputeScale,
-		Workers:      execWorkers,
+		Workers:      workers,
 	}, fig10Body(merge))
 }
 
@@ -169,27 +167,30 @@ func fig10Steady(st *vmpi.Stats) float64 {
 	return steady
 }
 
-// Fig10 sweeps the rank counts on one machine. All strategy cells are
-// flattened into one scheduler batch, so they fill the worker pool.
-func Fig10(machine Machine, rankList []int) []Fig10Point {
-	var jobs []func() float64
-	for _, p := range rankList {
-		p := p
-		jobs = append(jobs,
-			func() float64 { return fig10Steady(fig10Run(machine, p, true)) },
-			func() float64 { return fig10Steady(fig10Run(machine, p, false)) },
-		)
-	}
-	vals := runJobs(jobs)
-	out := make([]Fig10Point, len(rankList))
-	for i, p := range rankList {
-		out[i] = Fig10Point{Ranks: p, Merge: vals[2*i], Neighborhood: vals[2*i+1]}
+// fig10 sweeps the rank counts on each machine of ms. All strategy cells
+// are flattened into one scheduler batch, so they fill the worker pool.
+func fig10(ms []Machine, rankList []int, workers, jobs int) [][]fig10Point {
+	vals := onMachines(ms, jobs, func(m Machine) []func() float64 {
+		var cells []func() float64
+		for _, p := range rankList {
+			cells = append(cells,
+				func() float64 { return fig10Steady(fig10Run(m, p, true, workers)) },
+				func() float64 { return fig10Steady(fig10Run(m, p, false, workers)) },
+			)
+		}
+		return cells
+	})
+	out := make([][]fig10Point, len(vals))
+	for k, v := range vals {
+		for i, p := range rankList {
+			out[k] = append(out[k], fig10Point{Ranks: p, Merge: v[2*i], Neighborhood: v[2*i+1]})
+		}
 	}
 	return out
 }
 
-// RenderFig10 prints a Figure 10 panel.
-func RenderFig10(machine string, pts []Fig10Point) string {
+// renderFig10 prints a Figure 10 panel.
+func renderFig10(machine string, pts []fig10Point) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 10 (%s): steady-state redistribution of almost sorted data\n", machine)
 	fmt.Fprintf(&b, "(weak scaling, %d elements per rank, virtual seconds per step, max over ranks)\n", fig10ElemsPerRank)

@@ -110,27 +110,14 @@ func figMemExchangeBody(meter bool) func(c *vmpi.Comm) {
 
 // figMemSortBody runs one sort strategy over the figure's records under
 // the communicator's configured budget.
-func figMemSortBody(strategy string) func(c *vmpi.Comm) {
+func figMemSortBody(sort func(c *vmpi.Comm, recs []memRec, key func(memRec) uint64) []memRec) func(c *vmpi.Comm) {
 	return func(c *vmpi.Comm) {
-		recs := figMemRecords(c.Rank())
-		key := func(r memRec) uint64 { return r.Key }
-		var out []memRec
-		switch strategy {
-		case "partition":
-			out = psort.SortPartition(c, recs, key)
-		case "merge":
-			out = psort.SortMerge(c, recs, key)
-		case "rotational":
-			out = psort.SortRotational(c, recs, key)
-		default:
-			panic("paperbench: unknown figure M sort strategy " + strategy)
-		}
-		figMemChecksum(c, out)
+		figMemChecksum(c, sort(c, figMemRecords(c.Rank()), func(r memRec) uint64 { return r.Key }))
 	}
 }
 
-// FigMemRow is one strategy's outcome.
-type FigMemRow struct {
+// memRow is one strategy's outcome.
+type memRow struct {
 	Op       string
 	Strategy string
 	// PeakBytes is the cross-rank maximum staged-bytes sample of the
@@ -145,11 +132,11 @@ type FigMemRow struct {
 	Checksum uint64
 }
 
-// figMemRow reduces one run's stats to a figure row.
-func figMemRow(op, strategy string, st *vmpi.Stats) FigMemRow {
+// memRowOf reduces one run's stats to a figure row.
+func memRowOf(op, strategy string, st *vmpi.Stats) memRow {
 	peak, _ := st.Events.GaugeMax(redist.MeterPeakBytes)
 	rounds, _ := st.Events.GaugeMax(figMemRoundsGauge)
-	return FigMemRow{
+	return memRow{
 		Op:        op,
 		Strategy:  strategy,
 		PeakBytes: int64(peak),
@@ -159,52 +146,50 @@ func figMemRow(op, strategy string, st *vmpi.Stats) FigMemRow {
 	}
 }
 
-// FigMem measures the five strategies on one machine as independent
-// experiments.
-func FigMem(machine Machine) []FigMemRow {
-	cfg := func(budget int64) vmpi.Config {
-		return vmpi.Config{
-			Ranks:            figMemRanks,
-			Model:            machine.Model(figMemRanks),
-			ComputeScale:     machine.ComputeScale,
-			Workers:          execWorkers,
-			MaxExchangeBytes: budget,
-		}
-	}
-	return runJobs([]func() FigMemRow{
-		func() FigMemRow {
-			return figMemRow("exchange", "unbounded", vmpi.Run(cfg(0), figMemExchangeBody(true)))
-		},
-		func() FigMemRow {
-			return figMemRow("exchange", "planned", vmpi.Run(cfg(figMemBudget), figMemExchangeBody(false)))
-		},
-		func() FigMemRow {
-			return figMemRow("sort", "partition", vmpi.Run(cfg(figMemBudget), figMemSortBody("partition")))
-		},
-		func() FigMemRow {
-			return figMemRow("sort", "merge", vmpi.Run(cfg(figMemBudget), figMemSortBody("merge")))
-		},
-		func() FigMemRow {
-			return figMemRow("sort", "rotational", vmpi.Run(cfg(figMemBudget), figMemSortBody("rotational")))
-		},
-	})
-}
-
-// FigMemObs replays the planned exchange once and returns its span and
-// sample events for the Chrome-trace and metrics exports: the
-// redist/peak_bytes gauge samples and counter totals appear on the
-// exported timeline.
-func FigMemObs() *obs.Log {
-	m := JuRoPA()
-	st := vmpi.Run(vmpi.Config{
+// figMemConfig is the world of every Figure M cell on machine m.
+func figMemConfig(m Machine, budget int64, workers int) vmpi.Config {
+	return vmpi.Config{
 		Ranks:            figMemRanks,
 		Model:            m.Model(figMemRanks),
 		ComputeScale:     m.ComputeScale,
-		Workers:          execWorkers,
-		MaxExchangeBytes: figMemBudget,
-		Trace:            true,
-	}, figMemExchangeBody(false))
-	return spanEvents(st.Events)
+		Workers:          workers,
+		MaxExchangeBytes: budget,
+	}
+}
+
+// figMem measures the five strategies on each machine of ms as independent
+// experiments in one scheduler batch.
+func figMem(ms []Machine, workers, jobs int) [][]memRow {
+	strategies := []struct {
+		op, strategy string
+		budget       int64
+		body         func(c *vmpi.Comm)
+	}{
+		{"exchange", "unbounded", 0, figMemExchangeBody(true)},
+		{"exchange", "planned", figMemBudget, figMemExchangeBody(false)},
+		{"sort", "partition", figMemBudget, figMemSortBody(psort.SortPartition[memRec])},
+		{"sort", "merge", figMemBudget, figMemSortBody(psort.SortMerge[memRec])},
+		{"sort", "rotational", figMemBudget, figMemSortBody(psort.SortRotational[memRec])},
+	}
+	return onMachines(ms, jobs, func(m Machine) []func() memRow {
+		cells := make([]func() memRow, len(strategies))
+		for i, s := range strategies {
+			cells[i] = func() memRow {
+				return memRowOf(s.op, s.strategy, vmpi.Run(figMemConfig(m, s.budget, workers), s.body))
+			}
+		}
+		return cells
+	})
+}
+
+// figMemTrace is Figure M's traced cell: the planned exchange replayed
+// once, with its span and sample events for the Chrome-trace and metrics
+// exports. The redist/peak_bytes gauge samples and counter totals appear
+// on the exported timeline.
+func figMemTrace(workers int) *obs.Log {
+	cfg := figMemConfig(JuRoPA(), figMemBudget, workers)
+	cfg.Trace = true
+	return spanEvents(vmpi.Run(cfg, figMemExchangeBody(false)).Events)
 }
 
 // figMemCount renders a count column with "-" for not-applicable zeros.
@@ -215,8 +200,8 @@ func figMemCount(v int64) string {
 	return fmt.Sprintf("%10d", v)
 }
 
-// RenderFigMem prints a Figure M panel.
-func RenderFigMem(machine string, rows []FigMemRow) string {
+// renderFigMem prints a Figure M panel.
+func renderFigMem(machine string, rows []memRow) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure M (%s): memory-bounded redistribution plans\n", machine)
 	fmt.Fprintf(&b, "(%d ranks, %d records/rank, %d B records, budget %d B staged per round)\n",

@@ -7,10 +7,10 @@ import (
 	"repro/internal/redist"
 )
 
-// figMemRowsByKey indexes a FigMem result by op/strategy.
-func figMemRowsByKey(t *testing.T, rows []FigMemRow) map[string]FigMemRow {
+// figMemRowsByKey indexes a figMem panel by op/strategy.
+func figMemRowsByKey(t *testing.T, rows []memRow) map[string]memRow {
 	t.Helper()
-	m := make(map[string]FigMemRow, len(rows))
+	m := make(map[string]memRow, len(rows))
 	for _, r := range rows {
 		m[r.Op+"/"+r.Strategy] = r
 	}
@@ -22,7 +22,7 @@ func figMemRowsByKey(t *testing.T, rows []FigMemRow) map[string]FigMemRow {
 // identical routing runs under it in more than one round with the exact
 // same result, and all three sorts agree on the sorted key sequence.
 func TestFigMemBudget(t *testing.T) {
-	rows := FigMem(JuRoPA())
+	rows := figMem([]Machine{JuRoPA()}, 0, 0)[0]
 	if len(rows) != 5 {
 		t.Fatalf("got %d rows, want 5", len(rows))
 	}
@@ -63,16 +63,14 @@ func TestFigMemBudget(t *testing.T) {
 	}
 }
 
-// TestFigMemEnginesAgree pins the figure's determinism across executor
+// TestFigMemWorkersAgree pins the figure's determinism across executor
 // run-slot counts: the rendered bytes must be identical fully serialized
 // and at 8 slots, and name the figure and every strategy row.
-func TestFigMemEnginesAgree(t *testing.T) {
-	defer SetEngineWorkers(0)
+func TestFigMemWorkersAgree(t *testing.T) {
 	m := Juqueen()
-	SetEngineWorkers(1)
-	serial := RenderFigMem(m.Name, FigMem(m))
-	SetEngineWorkers(8)
-	if wide := RenderFigMem(m.Name, FigMem(m)); wide != serial {
+	render := func(w int) string { return renderFigMem(m.Name, figMem([]Machine{m}, w, 0)[0]) }
+	serial := render(1)
+	if wide := render(8); wide != serial {
 		t.Errorf("run-slot counts render different figures:\nworkers=1:\n%s\nworkers=8:\n%s", serial, wide)
 	}
 	for _, want := range []string{"Figure M", "exchange", "planned", "partition", "rotational"} {
@@ -85,7 +83,7 @@ func TestFigMemEnginesAgree(t *testing.T) {
 // TestFigMemObsCarriesMeter verifies the exported timeline carries the
 // staging meter: gauge samples under the budget and a counter total.
 func TestFigMemObsCarriesMeter(t *testing.T) {
-	l := FigMemObs()
+	l := figMemTrace(0)
 	peak, ok := l.GaugeMax(redist.MeterPeakBytes)
 	if !ok {
 		t.Fatalf("exported timeline has no %s gauge", redist.MeterPeakBytes)

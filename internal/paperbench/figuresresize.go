@@ -50,9 +50,9 @@ const (
 	figResizeSeed          = 11
 )
 
-// ResizeDirection is one demand curve: the starting world size and the
+// resizeDirection is one demand curve: the starting world size and the
 // resize targets, consumed one per stage.
-type ResizeDirection struct {
+type resizeDirection struct {
 	Name     string
 	Start    int
 	Schedule []int
@@ -61,16 +61,16 @@ type ResizeDirection struct {
 	TightCapacity bool
 }
 
-// FigResizeDirections returns the two demand curves of the figure.
-func FigResizeDirections() []ResizeDirection {
-	return []ResizeDirection{
+// resizeDirections returns the two demand curves of the figure.
+func resizeDirections() []resizeDirection {
+	return []resizeDirection{
 		{Name: "grow", Start: 4, Schedule: []int{6, 8}},
 		{Name: "shrink", Start: 8, Schedule: []int{6, 4}, TightCapacity: true},
 	}
 }
 
-// Peak returns the largest world size the direction touches.
-func (d ResizeDirection) Peak() int {
+// peak returns the largest world size the direction touches.
+func (d resizeDirection) peak() int {
 	peak := d.Start
 	for _, s := range d.Schedule {
 		if s > peak {
@@ -80,15 +80,15 @@ func (d ResizeDirection) Peak() int {
 	return peak
 }
 
-// FigResizePoint is one (machine, direction) cell: both strategies' cost.
-type FigResizePoint struct {
-	Dir ResizeDirection
+// figResizePoint is one (machine, direction) cell: both strategies' cost.
+type figResizePoint struct {
+	Dir resizeDirection
 	// Elastic and Static hold the per-strategy measurements.
-	Elastic, Static ResizeCost
+	Elastic, Static resizeCost
 }
 
-// ResizeCost is one strategy's outcome.
-type ResizeCost struct {
+// resizeCost is one strategy's outcome.
+type resizeCost struct {
 	// Time is the virtual time to solution (max clock over instances).
 	Time float64
 	// NodeSeconds is the allocation cost: Σ instance (retire − admit).
@@ -107,10 +107,12 @@ func figResizeSystem() *particle.System {
 	return particle.SilicaMelt(figResizeParticles, side, true, figResizeSeed)
 }
 
-// figResizeBody is the elastic driver loop: simulate k steps per stage and
-// resize along the schedule. Newly admitted ranks re-enter the body, see a
-// non-zero JoinEpoch, and join the in-flight remap with zero particles.
-func figResizeBody(s *particle.System, d ResizeDirection) func(c *vmpi.Comm) {
+// figResizeBody is the elastic driver loop: simulate every steps per stage
+// and resize along the schedule. Newly admitted ranks re-enter the body,
+// see a non-zero JoinEpoch, and join the in-flight remap with zero
+// particles. With no schedule it is the over-provisioned baseline: one
+// stage at the starting size, no resizes.
+func figResizeBody(s *particle.System, d resizeDirection, every int) func(c *vmpi.Comm) {
 	var capf elastic.Capacity
 	if d.TightCapacity {
 		capf = func(n int) int { return n }
@@ -126,7 +128,7 @@ func figResizeBody(s *particle.System, d ResizeDirection) func(c *vmpi.Comm) {
 		fcs, err := core.Init("p2nfft", c,
 			core.WithBox(s.Box), core.WithAccuracy(1e-3), core.WithResort(true),
 			core.WithResizePolicy(core.ResizePolicy{
-				Every: figResizeStepsPerStage, Sizes: d.Schedule,
+				Every: every, Sizes: d.Schedule,
 			}))
 		if err != nil {
 			panic(err)
@@ -161,31 +163,9 @@ func figResizeBody(s *particle.System, d ResizeDirection) func(c *vmpi.Comm) {
 	}
 }
 
-// figResizeStatic is the over-provisioned baseline: the peak size holds
-// for the entire run, no resizes, same total step count.
-func figResizeStatic(s *particle.System, steps int) func(c *vmpi.Comm) {
-	return func(c *vmpi.Comm) {
-		l := particle.Distribute(c, s, particle.DistRandom, 7)
-		fcs, err := core.Init("p2nfft", c,
-			core.WithBox(s.Box), core.WithAccuracy(1e-3), core.WithResort(true))
-		if err != nil {
-			panic(err)
-		}
-		sim := mdsim.New(c, fcs, l, figResizeDt)
-		if err := sim.Init(); err != nil {
-			panic(err)
-		}
-		for i := 0; i < steps; i++ {
-			if err := sim.Step(); err != nil {
-				panic(err)
-			}
-		}
-	}
-}
-
 // figResizeCost reduces a run's stats to the figure's cost columns.
-func figResizeCost(st *vmpi.Stats) ResizeCost {
-	return ResizeCost{
+func figResizeCost(st *vmpi.Stats) resizeCost {
+	return resizeCost{
 		Time:              st.MaxClock(),
 		NodeSeconds:       st.NodeSeconds(),
 		Resizes:           st.Epochs - 1,
@@ -193,59 +173,64 @@ func figResizeCost(st *vmpi.Stats) ResizeCost {
 	}
 }
 
-// FigResize sweeps both directions on one machine. Each direction is the
-// elastic run and its static peak-provisioned baseline, as independent
-// experiments.
-func FigResize(machine Machine) []FigResizePoint {
-	dirs := FigResizeDirections()
-	out := make([]FigResizePoint, len(dirs))
-	for i, d := range dirs {
-		s := figResizeSystem()
-		steps := figResizeStepsPerStage * (len(d.Schedule) + 1)
-		vals := runJobs([]func() ResizeCost{
-			func() ResizeCost {
-				return figResizeCost(vmpi.Run(vmpi.Config{
-					Ranks:        d.Start,
-					MaxRanks:     d.Peak(),
-					Model:        machine.Model(d.Peak()),
-					ComputeScale: machine.ComputeScale,
-					Workers:      execWorkers,
-				}, figResizeBody(s, d)))
-			},
-			func() ResizeCost {
-				return figResizeCost(vmpi.Run(vmpi.Config{
-					Ranks:        d.Peak(),
-					Model:        machine.Model(d.Peak()),
-					ComputeScale: machine.ComputeScale,
-					Workers:      execWorkers,
-				}, figResizeStatic(s, steps)))
-			},
-		})
-		out[i] = FigResizePoint{Dir: d, Elastic: vals[0], Static: vals[1]}
+// figResizeConfig is the world of a Figure R run on machine m: ranks live
+// instances, room for the direction's peak, and a network model sized
+// for that peak.
+func figResizeConfig(m Machine, d resizeDirection, ranks, workers int) vmpi.Config {
+	return vmpi.Config{
+		Ranks:        ranks,
+		MaxRanks:     d.peak(),
+		Model:        m.Model(d.peak()),
+		ComputeScale: m.ComputeScale,
+		Workers:      workers,
+	}
+}
+
+// figResize runs both directions on each machine of ms: per direction, the
+// elastic run and its static peak-provisioned baseline. All of them are
+// independent experiments in one scheduler batch.
+func figResize(ms []Machine, workers, jobs int) [][]figResizePoint {
+	dirs := resizeDirections()
+	vals := onMachines(ms, jobs, func(m Machine) []func() resizeCost {
+		var cells []func() resizeCost
+		for _, d := range dirs {
+			s := figResizeSystem()
+			steps := figResizeStepsPerStage * (len(d.Schedule) + 1)
+			cells = append(cells,
+				func() resizeCost {
+					return figResizeCost(vmpi.Run(figResizeConfig(m, d, d.Start, workers),
+						figResizeBody(s, d, figResizeStepsPerStage)))
+				},
+				func() resizeCost {
+					return figResizeCost(vmpi.Run(figResizeConfig(m, d, d.peak(), workers),
+						figResizeBody(s, resizeDirection{Start: d.peak()}, steps)))
+				})
+		}
+		return cells
+	})
+	out := make([][]figResizePoint, len(vals))
+	for k, v := range vals {
+		for i, d := range dirs {
+			out[k] = append(out[k], figResizePoint{Dir: d, Elastic: v[2*i], Static: v[2*i+1]})
+		}
 	}
 	return out
 }
 
-// FigResizeObs replays the grow leg once and returns its span and sample
-// events for the Chrome-trace and metrics exports: the vmpi resize barriers (the
-// vmpi/resize phase spans), the elastic remap spans, the resize counter,
-// and the world-size gauge samples all appear on the exported timeline.
-func FigResizeObs() *obs.Log {
-	m := JuRoPA()
-	d := FigResizeDirections()[0]
-	st := vmpi.Run(vmpi.Config{
-		Ranks:        d.Start,
-		MaxRanks:     d.Peak(),
-		Model:        m.Model(d.Peak()),
-		ComputeScale: m.ComputeScale,
-		Workers:      execWorkers,
-		Trace:        true,
-	}, figResizeBody(figResizeSystem(), d))
-	return spanEvents(st.Events)
+// figResizeTrace is Figure R's traced cell: the grow leg replayed once,
+// with its span and sample events for the Chrome-trace and metrics
+// exports. The vmpi resize barriers (the vmpi/resize phase spans), the
+// elastic remap spans, the resize counter, and the world-size gauge
+// samples all appear on the exported timeline.
+func figResizeTrace(workers int) *obs.Log {
+	d := resizeDirections()[0]
+	cfg := figResizeConfig(JuRoPA(), d, d.Start, workers)
+	cfg.Trace = true
+	return spanEvents(vmpi.Run(cfg, figResizeBody(figResizeSystem(), d, figResizeStepsPerStage)).Events)
 }
 
 // sizesPath renders a demand curve like "4 > 6 > 8".
-func sizesPath(d ResizeDirection) string {
+func sizesPath(d resizeDirection) string {
 	parts := []string{fmt.Sprint(d.Start)}
 	for _, s := range d.Schedule {
 		parts = append(parts, fmt.Sprint(s))
@@ -253,8 +238,8 @@ func sizesPath(d ResizeDirection) string {
 	return strings.Join(parts, " > ")
 }
 
-// RenderFigResize prints a Figure R panel.
-func RenderFigResize(machine string, pts []FigResizePoint) string {
+// renderFigResize prints a Figure R panel.
+func renderFigResize(machine string, pts []figResizePoint) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure R (%s): elastic resize vs static over-provisioning\n", machine)
 	fmt.Fprintf(&b, "(%d particles, p2nfft, method B, resize every %d steps, virtual seconds)\n",
@@ -262,23 +247,17 @@ func RenderFigResize(machine string, pts []FigResizePoint) string {
 	fmt.Fprintf(&b, "%-8s %-8s %-12s %12s %14s %8s %6s\n",
 		"curve", "strategy", "world sizes", "time", "node-seconds", "resizes", "capfb")
 	for _, p := range pts {
-		fmt.Fprintf(&b, "%-8s %-8s %-12s %s %s %8d %6d\n",
-			p.Dir.Name, "elastic", sizesPath(p.Dir),
-			fmtSeconds(p.Elastic.Time), fmtSeconds14(p.Elastic.NodeSeconds),
-			p.Elastic.Resizes, p.Elastic.CapacityFallbacks)
-		fmt.Fprintf(&b, "%-8s %-8s %-12s %s %s %8d %6d\n",
-			p.Dir.Name, "static", fmt.Sprint(p.Dir.Peak()),
-			fmtSeconds(p.Static.Time), fmtSeconds14(p.Static.NodeSeconds),
-			p.Static.Resizes, p.Static.CapacityFallbacks)
+		for _, r := range []struct {
+			strategy, sizes string
+			cost            resizeCost
+		}{{"elastic", sizesPath(p.Dir), p.Elastic}, {"static", fmt.Sprint(p.Dir.peak()), p.Static}} {
+			fmt.Fprintf(&b, "%-8s %-8s %-12s %s %14.3e %8d %6d\n", p.Dir.Name, r.strategy, r.sizes,
+				fmtSeconds(r.cost.Time), r.cost.NodeSeconds, r.cost.Resizes, r.cost.CapacityFallbacks)
+		}
 		if p.Static.NodeSeconds > 0 {
 			fmt.Fprintf(&b, "%-8s node-second savings: %.1f%%\n", p.Dir.Name,
 				100*(1-p.Elastic.NodeSeconds/p.Static.NodeSeconds))
 		}
 	}
 	return b.String()
-}
-
-// fmtSeconds14 is fmtSeconds padded to the node-seconds column.
-func fmtSeconds14(v float64) string {
-	return fmt.Sprintf("%14.3e", v)
 }

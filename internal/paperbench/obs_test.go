@@ -14,17 +14,18 @@ import (
 
 // TestObsExportGoldenDeterminism is the golden determinism check of the
 // observability layer: exporting the canonical Fig. 9 torus run
-// (ObsConfig) as a Chrome trace and a metrics dump must produce
+// (obsConfig) as a Chrome trace and a metrics dump must produce
 // byte-identical files at GOMAXPROCS=1 and GOMAXPROCS=8 — the event
 // stream, like the physics, is a pure function of the configuration, not
-// of host scheduling. It also pins the §III-B steady-state claim at the
-// event level: the last solver run's sort-phase payload traffic is a
-// neighborhood exchange, not an all-to-all.
+// of host scheduling — and equal to the checked-in obs_trace.json and
+// obs_metrics.txt baselines under testdata/golden. It also pins the §III-B
+// steady-state claim at the event level: the last solver run's sort-phase
+// payload traffic is a neighborhood exchange, not an all-to-all.
 func TestObsExportGoldenDeterminism(t *testing.T) {
 	if raceEnabled {
 		t.Skip("16-rank traced run exceeds the test timeout under the race detector; obs and vmpi unit tests cover the instrumentation paths")
 	}
-	cfg := ObsConfig()
+	cfg := obsConfig()
 	orig := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(orig)
 
@@ -60,12 +61,14 @@ func TestObsExportGoldenDeterminism(t *testing.T) {
 	if !json.Valid(serial.trace) {
 		t.Error("Chrome trace is not valid JSON")
 	}
+	diffGolden(t, "obs_trace.json", serial.trace)
+	diffGolden(t, "obs_metrics.txt", serial.metrics)
 
 	// Steady state: the last solver run's sort-phase payload sends (tag >= 0
 	// filters out the collective fallback reductions the sort phase also
 	// charges) must form a sparse neighborhood pattern — some pairs active,
 	// but far from the (ranks-1) destinations of an all-to-all.
-	last, err := LastRunLog(serial.res.Events)
+	last, err := lastRunLog(serial.res.Events)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,9 +124,17 @@ func assertExactCounters(t *testing.T, what string, l *obs.Log) {
 
 // TestFigureTimelinesAreSpanOnly pins what the resize and memory figures
 // export: traced runs with the point-to-point messages filtered out — the
-// spans, counters and gauges of the timeline, nothing per message.
+// spans, counters and gauges of the timeline, nothing per message — whose
+// Chrome trace and metrics dump equal their baselines under
+// testdata/golden.
 func TestFigureTimelinesAreSpanOnly(t *testing.T) {
-	for what, l := range map[string]*obs.Log{"Figure M": FigMemObs(), "Figure R": FigResizeObs()} {
+	prefixes := map[string]string{"resize": "obs_resize", "mem": "obs_mem"}
+	for _, f := range Figures() {
+		prefix, ok := prefixes[f.Name]
+		if !ok {
+			continue
+		}
+		what, l := "-fig "+f.Name, f.Traced(0)
 		if !l.HasEvents() {
 			t.Fatalf("%s: export log holds no event list", what)
 		}
@@ -140,6 +151,7 @@ func TestFigureTimelinesAreSpanOnly(t *testing.T) {
 			t.Errorf("%s: timeline lacks spans or samples: %v", what, kinds)
 		}
 		assertExactCounters(t, what, l)
+		diffExports(t, prefix, l)
 	}
 }
 
@@ -148,8 +160,30 @@ func TestFigureTimelinesAreSpanOnly(t *testing.T) {
 func TestLastRunLogNeedsEventList(t *testing.T) {
 	var buf obs.Buffer
 	buf.Init(0, false, nil)
-	buf.Record(obs.Event{Kind: obs.KindGauge, Name: RunMarker, Value: 1})
-	if l, err := LastRunLog(obs.NewLog([]*obs.Buffer{&buf})); !errors.Is(err, obs.ErrNoEvents) || l != nil {
-		t.Errorf("LastRunLog on an aggregate-only log = %v, %v, want nil, ErrNoEvents", l, err)
+	buf.Record(obs.Event{Kind: obs.KindGauge, Name: runMarker, Value: 1})
+	if l, err := lastRunLog(obs.NewLog([]*obs.Buffer{&buf})); !errors.Is(err, obs.ErrNoEvents) || l != nil {
+		t.Errorf("lastRunLog on an aggregate-only log = %v, %v, want nil, ErrNoEvents", l, err)
 	}
+}
+
+// lastRunLog slices out each rank's events after its final runMarker gauge
+// — the steady-state tail of a Run (the last solver run), where the
+// movement heuristic has settled and method B's exchange footprint is at
+// its neighborhood minimum. The log must hold an event list (Config.Trace);
+// an aggregate-only log fails with obs.ErrNoEvents.
+func lastRunLog(l *obs.Log) (*obs.Log, error) {
+	if !l.HasEvents() {
+		return nil, obs.ErrNoEvents
+	}
+	out := &obs.Log{ByRank: make([][]obs.Event, len(l.ByRank))}
+	for r, evs := range l.ByRank {
+		start := 0
+		for i, e := range evs {
+			if e.Kind == obs.KindGauge && e.Name == runMarker {
+				start = i + 1
+			}
+		}
+		out.ByRank[r] = evs[start:]
+	}
+	return out, nil
 }

@@ -1,8 +1,10 @@
 // Package paperbench regenerates the evaluation of the paper: Figures 6–9
-// and the summary percentages quoted in §IV-C. Runtimes are deterministic
-// virtual seconds from the vmpi cost model; the figures' *shape* (which
-// method wins, by what factor, where crossovers fall) is the reproduction
-// target, not the absolute numbers of the JuRoPA/Juqueen hardware.
+// and the summary percentages quoted in §IV-C, plus the repo's extensions
+// (Figures 10, R and M), each an entry of the Figures table. Runtimes are
+// deterministic virtual seconds from the vmpi cost model; the figures'
+// *shape* (which method wins, by what factor, where crossovers fall) is
+// the reproduction target, not the absolute numbers of the JuRoPA/Juqueen
+// hardware.
 package paperbench
 
 import (
@@ -11,6 +13,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/api"
 	"repro/internal/core"
@@ -85,6 +88,10 @@ type Config struct {
 	// every point-to-point message — what the comm-matrix and timeline
 	// exports read.
 	Trace bool
+	// Workers fixes the executor's run slots (vmpi.Config.Workers); 0 keeps
+	// the engine default, one slot plus host-budget extras. It changes
+	// host wall-clock time only: results are identical at any value.
+	Workers int
 }
 
 // DefaultConfig returns a laptop-scale configuration that reproduces the
@@ -120,14 +127,10 @@ type StepStat struct {
 	Total   float64 // total virtual time of the step's solver run (+resort)
 }
 
-// stepDelta captures one rank's phase deltas over one step.
-type stepDelta struct {
-	Sort, Restore, Resort, Total float64
-}
-
-// phaseSnapshot reads the relevant phase timers.
-func phaseSnapshot(c *vmpi.Comm) stepDelta {
-	return stepDelta{
+// phaseSnapshot reads the relevant phase timers; the difference of two
+// snapshots is one rank's phase deltas over a step.
+func phaseSnapshot(c *vmpi.Comm) StepStat {
+	return StepStat{
 		Sort:    c.PhaseTime(api.PhaseSort),
 		Restore: c.PhaseTime(api.PhaseRestore),
 		Resort:  c.PhaseTime(api.PhaseResort) + c.PhaseTime(api.PhaseResortCreate),
@@ -135,15 +138,15 @@ func phaseSnapshot(c *vmpi.Comm) stepDelta {
 	}
 }
 
-func (a stepDelta) minus(b stepDelta) stepDelta {
-	return stepDelta{a.Sort - b.Sort, a.Restore - b.Restore, a.Resort - b.Resort, a.Total - b.Total}
+func (a StepStat) minus(b StepStat) StepStat {
+	return StepStat{a.Sort - b.Sort, a.Restore - b.Restore, a.Resort - b.Resort, a.Total - b.Total}
 }
 
 // rankResult is one rank's contribution: its step series plus a digest of
 // its final local particle state and the coupling pipeline's per-run
 // instrumentation.
 type rankResult struct {
-	deltas   []stepDelta
+	deltas   []StepStat
 	digest   [sha256.Size]byte
 	runStats []api.RunStats
 }
@@ -203,17 +206,6 @@ func stateDigest(l *particle.Local) [sha256.Size]byte {
 	return out
 }
 
-// runStatsFromValues extracts the per-step run statistics captured on rank
-// 0. The strategy decisions are collective (identical on every rank), so one
-// rank's view suffices; only the Moved/Kept/Ghosts element counts are
-// rank-local.
-func runStatsFromValues(values []any) []api.RunStats {
-	if len(values) == 0 {
-		return nil
-	}
-	return values[0].(rankResult).runStats
-}
-
 // Result carries everything a single benchmark run produces.
 type Result struct {
 	// Steps is the per-step phase breakdown, max-reduced over ranks. Index
@@ -238,11 +230,11 @@ type Result struct {
 	Events *obs.Log
 }
 
-// RunMarker names the gauge event Run emits on every rank immediately
+// runMarker names the gauge event Run emits on every rank immediately
 // before each solver run (the initial solve and each MD step), so event-log
 // consumers can slice a run's timeline per step. Its value is the step
 // index, 0 being the initial solve.
-const RunMarker = "paperbench/run"
+const runMarker = "paperbench/run"
 
 // Run executes the benchmark described by cfg. It is the single entry
 // point behind Figures 6–9, the wall-clock benchmarks, and the
@@ -258,13 +250,7 @@ func Run(cfg Config) (Result, error) {
 	if cfg.Machine.Model == nil {
 		return Result{}, fmt.Errorf("paperbench: config has no machine model")
 	}
-	known := false
-	for _, m := range core.Methods() {
-		if m == cfg.Solver {
-			known = true
-		}
-	}
-	if !known {
+	if !slices.Contains(core.Methods(), cfg.Solver) {
 		return Result{}, fmt.Errorf("paperbench: %w %q (have %v)", core.ErrUnknownMethod, cfg.Solver, core.Methods())
 	}
 
@@ -277,7 +263,7 @@ func Run(cfg Config) (Result, error) {
 		Model:        cfg.Machine.Model(cfg.Ranks),
 		ComputeScale: cfg.Machine.ComputeScale,
 		Trace:        cfg.Trace,
-		Workers:      execWorkers,
+		Workers:      cfg.Workers,
 	}, func(c *vmpi.Comm) {
 		l := particle.Distribute(c, s, cfg.Dist, cfg.Seed+1)
 		h, err := core.Init(cfg.Solver, c,
@@ -291,7 +277,7 @@ func Run(cfg Config) (Result, error) {
 		sim := mdsim.New(c, h, l, cfg.Dt)
 		sim.TrackMovement = cfg.TrackMovement
 
-		var deltas []stepDelta
+		var deltas []StepStat
 		var runStats []api.RunStats
 		capture := func() {
 			if rs, ok := sim.LastRunStats(); ok {
@@ -299,7 +285,7 @@ func Run(cfg Config) (Result, error) {
 			}
 		}
 		prev := phaseSnapshot(c)
-		c.Gauge(RunMarker, 0)
+		c.Gauge(runMarker, 0)
 		if err := sim.Init(); err != nil {
 			panic(err)
 		}
@@ -308,7 +294,7 @@ func Run(cfg Config) (Result, error) {
 		prev = cur
 		capture()
 		for i := 0; i < cfg.Steps; i++ {
-			c.Gauge(RunMarker, float64(i+1))
+			c.Gauge(runMarker, float64(i+1))
 			if err := sim.Step(); err != nil {
 				panic(err)
 			}
@@ -320,19 +306,22 @@ func Run(cfg Config) (Result, error) {
 		c.SetResult(rankResult{deltas: deltas, digest: stateDigest(l), runStats: runStats})
 	})
 	return Result{
-		Steps:    reduceSteps(st.Values),
-		RunStats: runStatsFromValues(st.Values),
+		Steps: reduceSteps(st.Values),
+		// The strategy decisions are collective (identical on every rank),
+		// so rank 0's view suffices; only the Moved/Kept/Ghosts element
+		// counts are rank-local.
+		RunStats: st.Values[0].(rankResult).runStats,
 		Digest:   combineDigests(st.Values),
 		Events:   st.Events,
 	}, nil
 }
 
-// ObsConfig returns the canonical observability run: the Fig. 9 torus
+// obsConfig returns the canonical observability run: the Fig. 9 torus
 // steady state (p2nfft on the Juqueen-like machine, process-grid
 // distribution, method B with movement tracking) with message tracing
 // enabled. The golden trace/metrics exports and the determinism tests all
 // derive from this one configuration.
-func ObsConfig() Config {
+func obsConfig() Config {
 	cfg := DefaultConfig()
 	cfg.Ranks = 16
 	cfg.Steps = 5
@@ -347,28 +336,6 @@ func ObsConfig() Config {
 	return cfg
 }
 
-// LastRunLog slices out each rank's events after its final RunMarker gauge
-// — the steady-state tail of a Run (the last solver run), where the
-// movement heuristic has settled and method B's exchange footprint is at
-// its neighborhood minimum. The log must hold an event list (Config.Trace);
-// an aggregate-only log fails with obs.ErrNoEvents.
-func LastRunLog(l *obs.Log) (*obs.Log, error) {
-	if !l.HasEvents() {
-		return nil, obs.ErrNoEvents
-	}
-	out := &obs.Log{ByRank: make([][]obs.Event, len(l.ByRank))}
-	for r, evs := range l.ByRank {
-		start := 0
-		for i, e := range evs {
-			if e.Kind == obs.KindGauge && e.Name == RunMarker {
-				start = i + 1
-			}
-		}
-		out.ByRank[r] = evs[start:]
-	}
-	return out, nil
-}
-
 // spanEvents drops the point-to-point message events of a traced log: the
 // resize and memory figures export span-and-sample timelines.
 func spanEvents(l *obs.Log) *obs.Log {
@@ -377,8 +344,8 @@ func spanEvents(l *obs.Log) *obs.Log {
 	})
 }
 
-// Solvers lists the two solver methods in presentation order.
-func Solvers() []string { return []string{"fmm", "p2nfft"} }
+// solvers lists the two solver methods in presentation order.
+func solvers() []string { return []string{"fmm", "p2nfft"} }
 
 // fmtSeconds renders a virtual time like the paper's log axes.
 func fmtSeconds(v float64) string {

@@ -29,14 +29,17 @@ func TestFiguresByteIdenticalAcrossWorkers(t *testing.T) {
 	traced.Resort = true
 	traced.Trace = true
 
-	render := func() (string, string, string) {
-		var figs bytes.Buffer
-		figs.WriteString(RenderFig6(Fig6(cfg)))
-		figs.WriteString(RenderFig7(Fig7(cfg)))
-		figs.WriteString(RenderFig8(Fig8(cfg)))
-		figs.WriteString(RenderFig9("fmm", cfg.Machine.Name, Fig9(cfg, "fmm", []int{2, 4})))
+	fmm := cfg
+	fmm.Solver = "fmm"
 
-		res := runConfigs([]Config{traced, traced})
+	render := func(jobs int) (string, string, string) {
+		var figs bytes.Buffer
+		figs.WriteString(renderFig6(fig6(cfg, jobs)))
+		figs.WriteString(renderFig7(fig7(cfg, jobs)))
+		figs.WriteString(renderFig8(fig8(cfg, jobs)))
+		figs.WriteString(renderFig9("fmm", cfg.Machine.Name, fig9(fmm, []int{2, 4}, jobs)))
+
+		res := runConfigs(jobs, []Config{traced, traced})
 		var trace, metrics bytes.Buffer
 		for _, r := range res {
 			if err := obs.WriteChromeTrace(&trace, r.Events); err != nil {
@@ -49,13 +52,8 @@ func TestFiguresByteIdenticalAcrossWorkers(t *testing.T) {
 		return figs.String(), trace.String(), metrics.String()
 	}
 
-	oldWorkers := jobWorkers
-	defer SetJobs(oldWorkers)
-
-	SetJobs(1)
-	figs1, trace1, metrics1 := render()
-	SetJobs(8)
-	figs8, trace8, metrics8 := render()
+	figs1, trace1, metrics1 := render(1)
+	figs8, trace8, metrics8 := render(8)
 
 	if figs1 != figs8 {
 		t.Errorf("figure tables differ between -j 1 and -j 8:\n--- j1 ---\n%s\n--- j8 ---\n%s", figs1, figs8)

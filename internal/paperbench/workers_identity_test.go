@@ -14,15 +14,14 @@ import (
 // — a single virtual-time divergence here means the sharded executor
 // leaked host scheduling into the virtual machine.
 func TestFig10WorkerCountIdentity(t *testing.T) {
-	defer SetEngineWorkers(0)
-
 	ranks := []int{4, 16, 64}
-	SetEngineWorkers(0)
-	ref := RenderFig10(JuRoPA().Name, Fig10(JuRoPA(), ranks))
+	render := func(w int) string {
+		m := JuRoPA()
+		return renderFig10(m.Name, fig10([]Machine{m}, ranks, w, 0)[0])
+	}
+	ref := render(0)
 	for _, w := range []int{1, 2, 8} {
-		SetEngineWorkers(w)
-		got := RenderFig10(JuRoPA().Name, Fig10(JuRoPA(), ranks))
-		if got != ref {
+		if got := render(w); got != ref {
 			t.Errorf("workers=%d: figure bytes differ from the budget-drawn reference:\n--- workers=0\n%s--- workers=%d\n%s", w, ref, w, got)
 		}
 	}
@@ -34,8 +33,6 @@ func TestFig10WorkerCountIdentity(t *testing.T) {
 // sharded executor — the event log carries per-rank virtual timestamps and
 // payload sizes, so it catches ordering leaks the figure tables cannot.
 func TestTracedConfigWorkerCountIdentity(t *testing.T) {
-	defer SetEngineWorkers(0)
-
 	cfg := DefaultConfig()
 	cfg.Particles = 1728
 	cfg.Ranks = 4
@@ -47,8 +44,9 @@ func TestTracedConfigWorkerCountIdentity(t *testing.T) {
 	cfg.Trace = true
 
 	render := func(w int) (string, string) {
-		SetEngineWorkers(w)
-		res := runConfigs([]Config{cfg})
+		c := cfg
+		c.Workers = w
+		res := runConfigs(0, []Config{c})
 		var trace, metrics bytes.Buffer
 		if err := obs.WriteChromeTrace(&trace, res[0].Events); err != nil {
 			t.Fatal(err)

@@ -25,9 +25,10 @@ race:
 # Differential fuzz smoke: ten seconds of every package:Target in
 # FUZZ_TARGETS, each an optimised structure against its kept reference, bit
 # for bit — the dense FMM operator tables and the batched four-target M2L
-# (m2l4) against the map-based bodies, the FFT panel passes against
-# per-call Transform on gathered columns, the
-# open-addressed vmpi mailbox against a map of FIFOs, the redist planner
+# (m2l4, its weight-1 rows included) against the map-based bodies, on
+# random operands and on NaN payloads, infinities, signed zeros and
+# subnormals, the FFT panel passes against per-call Transform on gathered
+# columns, the open-addressed vmpi mailbox against a map of FIFOs, the redist planner
 # (both backends, the lost vote, budgets) against a sequential scatter and
 # its replayed dense exchange against per-destination blocks through the
 # collectives (refExecuteDense: results, clocks, counters, events), the obs

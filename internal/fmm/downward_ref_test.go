@@ -10,7 +10,7 @@ import (
 // tile.
 const refTargetGrain = 2
 
-// refDownward is Engine.Downward as it stood before the batched M2L: each
+// refDownward is Engine.downward as it stood before the batched M2L: each
 // level's targets run one at a time, one M2L per non-empty interaction-list
 // source. The body is kept verbatim as the oracle for the octant batches:
 // TestDownwardMatchesPerTarget demands bit-identical local expansions and
@@ -62,7 +62,7 @@ func refDownward(e *Engine) {
 					if Lp := e.L[l-1][pk]; Lp != nil {
 						pc := e.center(l-1, pk)
 						cc := e.center(l, key)
-						e.Tab.L2L(Lp, cc[0]-pc[0], cc[1]-pc[1], cc[2]-pc[2], L)
+						e.Tab.l2l(Lp, cc[0]-pc[0], cc[1]-pc[1], cc[2]-pc[2], L)
 						hadParent[ti] = true
 					}
 				}
@@ -83,7 +83,7 @@ func refDownward(e *Engine) {
 				e.CostSeconds += float64(nc*nc) * costs.MultipoleTerm
 			}
 			for k := 0; k < nM2L[ti]; k++ {
-				e.CostSeconds += float64(e.Tab.M2LOps()) * costs.MultipoleTerm
+				e.CostSeconds += float64(e.Tab.m2lOps()) * costs.MultipoleTerm
 			}
 			e.L[l][key] = Ls[ti]
 		}

@@ -55,21 +55,21 @@ func checkOperators(t *testing.T, p int, seed int64, dx, dy, dz float64) {
 	src := random()
 
 	got, want := pair()
-	tab.P2M(0.75, dx, dy, dz, got)
+	tab.p2m(0.75, dx, dy, dz, got)
 	ref.P2M(0.75, dx, dy, dz, want)
 	compareBits(t, "P2M", p, got, want)
 
 	got, want = pair()
-	tab.M2M(src, dx, dy, dz, got)
+	tab.m2m(src, dx, dy, dz, got)
 	ref.M2M(src, dx, dy, dz, want)
 	compareBits(t, "M2M", p, got, want)
 
 	got, want = pair()
-	tab.L2L(src, dx, dy, dz, got)
+	tab.l2l(src, dx, dy, dz, got)
 	ref.L2L(src, dx, dy, dz, want)
 	compareBits(t, "L2L", p, got, want)
 
-	gp, gx, gy, gz := tab.L2P(src, dx, dy, dz)
+	gp, gx, gy, gz := tab.l2p(src, dx, dy, dz)
 	wp, wx, wy, wz := ref.L2P(src, dx, dy, dz)
 	compareBits(t, "L2P", p, []float64{gp, gx, gy, gz}, []float64{wp, wx, wy, wz})
 
@@ -97,9 +97,54 @@ func checkOperators(t *testing.T, p int, seed int64, dx, dy, dz float64) {
 	for i := range gots {
 		compareBits(t, fmt.Sprintf("m2l4 target %d", i), p, gots[i], wants[i])
 	}
-	if tab.M2LOps() != len(ref.m2l) {
-		t.Fatalf("P=%d: M2LOps %d, reference pair list %d", p, tab.M2LOps(), len(ref.m2l))
+	// M2L and m2l4 again on special operands: sources, tensor and
+	// accumulators with NaN payloads, infinities, signed zeros and
+	// subnormals. The rows of weight 1, whose multiply m2l4 drops, meet
+	// every one of them.
+	bSpecial, srcSpecial := withSpecials(rng, bWant), withSpecials(rng, src)
+	got = withSpecials(rng, random())
+	want = append([]float64(nil), got...)
+	tab.M2L(srcSpecial, bSpecial, got)
+	ref.M2L(srcSpecial, bSpecial, want)
+	compareBits(t, "M2L on special values", p, got, want)
+	for i := range srcs {
+		srcs[i] = withSpecials(rng, srcs[i])
+		gots[i] = withSpecials(rng, gots[i])
+		wants[i] = append(wants[i][:0], gots[i]...)
+		ref.M2L(srcs[i], bSpecial, wants[i])
 	}
+	tab.m2l4(bSpecial, srcs[0], srcs[1], srcs[2], srcs[3], gots[0], gots[1], gots[2], gots[3])
+	for i := range gots {
+		compareBits(t, fmt.Sprintf("m2l4 on special values, target %d", i), p, gots[i], wants[i])
+	}
+	if tab.m2lOps() != len(ref.m2l) {
+		t.Fatalf("P=%d: M2LOps %d, reference pair list %d", p, tab.m2lOps(), len(ref.m2l))
+	}
+}
+
+// specialValues are the operands IEEE arithmetic treats apart: quiet and
+// signalling NaNs with payloads, infinities, signed zeros, and the least,
+// a middle and the greatest subnormal.
+var specialValues = []float64{
+	math.Float64frombits(0x7ff8_0000_0000_0001), // quiet NaN, payload 1
+	math.Float64frombits(0xfff8_dead_beef_0000), // negative quiet NaN
+	math.Float64frombits(0x7ff0_0000_0000_0abc), // signalling NaN
+	math.Inf(1), math.Inf(-1),
+	0, math.Copysign(0, -1),
+	math.SmallestNonzeroFloat64, -math.Float64frombits(0x0000_8000_0000_0000),
+	math.Float64frombits(0x000f_ffff_ffff_ffff),
+}
+
+// withSpecials returns a copy of v with about one entry in four replaced
+// by one of specialValues.
+func withSpecials(rng *rand.Rand, v []float64) []float64 {
+	out := append([]float64(nil), v...)
+	for i := range out {
+		if rng.Intn(4) == 0 {
+			out[i] = specialValues[rng.Intn(len(specialValues))]
+		}
+	}
+	return out
 }
 
 func TestOperatorsMatchMapReference(t *testing.T) {
@@ -138,7 +183,7 @@ func FuzzOperatorsMatchReference(f *testing.F) {
 
 // TestInteractionListOrderUnchanged pins the map-free interaction list to
 // the map-based one element for element: the list order is the order in
-// which Downward accumulates M2L contributions into a local expansion.
+// which downward accumulates M2L contributions into a local expansion.
 func TestInteractionListOrderUnchanged(t *testing.T) {
 	for _, periodic := range []bool{false, true} {
 		for l := 1; l <= 4; l++ {
@@ -210,7 +255,7 @@ func BenchmarkM2M(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tab.M2M(src, 0.5, -0.5, 0.5, acc)
+		tab.m2m(src, 0.5, -0.5, 0.5, acc)
 	}
 }
 
@@ -219,7 +264,7 @@ func BenchmarkL2L(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tab.L2L(src, 0.5, -0.5, 0.5, acc)
+		tab.l2l(src, 0.5, -0.5, 0.5, acc)
 	}
 }
 
@@ -230,7 +275,7 @@ func BenchmarkL2P(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pot, _, _, _ := tab.L2P(src, 0.1, -0.2, 0.3)
+		pot, _, _, _ := tab.l2p(src, 0.1, -0.2, 0.3)
 		benchSink += pot
 	}
 }
@@ -239,24 +284,31 @@ func BenchmarkL2P(b *testing.B) {
 // particles of s whose leaf-key rank lies in [lo, hi) of the key-sorted
 // order: hi − lo < s.N is an engine that owns only part of the key range.
 func sortedEngine(s *particle.System, p, level, lo, hi int) *Engine {
-	e := &Engine{Box: s.Box, Level: level}
-	ord := make([]int, s.N)
-	keys := make([]uint64, s.N)
-	for i := range ord {
-		ord[i] = i
-		keys[i] = e.KeyOf(s.Pos[3*i], s.Pos[3*i+1], s.Pos[3*i+2])
-	}
-	sort.SliceStable(ord, func(a, b int) bool { return keys[ord[a]] < keys[ord[b]] })
+	ord, keys := keyOrder(s, level)
 	ord = ord[lo:hi]
 	pos, q, skeys := make([]float64, 3*len(ord)), make([]float64, len(ord)), make([]uint64, len(ord))
 	for out, in := range ord {
 		copy(pos[3*out:3*out+3], s.Pos[3*in:3*in+3])
 		q[out], skeys[out] = s.Q[in], keys[in]
 	}
-	return NewEngine(NewTables(p), s.Box, level, pos, q, skeys)
+	return newEngine(NewTables(p), s.Box, level, pos, q, skeys)
 }
 
-// TestDownwardMatchesPerTarget runs the octant-batched Downward and the
+// keyOrder returns the leaf keys of s's particles at the given level and
+// their indices stably sorted by key.
+func keyOrder(s *particle.System, level int) (ord []int, keys []uint64) {
+	e := &Engine{Box: s.Box, Level: level}
+	ord = make([]int, s.N)
+	keys = make([]uint64, s.N)
+	for i := range ord {
+		ord[i] = i
+		keys[i] = e.keyOf(s.Pos[3*i], s.Pos[3*i+1], s.Pos[3*i+2])
+	}
+	sort.SliceStable(ord, func(a, b int) bool { return keys[ord[a]] < keys[ord[b]] })
+	return ord, keys
+}
+
+// TestDownwardMatchesPerTarget runs the octant-batched downward and the
 // per-target sweep it replaced (refDownward) on the same multipole tables
 // and demands bit-identical local expansions at every level and a
 // bit-identical CostSeconds. Random remote multipoles fill most boxes the
@@ -277,7 +329,7 @@ func TestDownwardMatchesPerTarget(t *testing.T) {
 						lo, hi = s.N/3, 2*s.N/3+1
 					}
 					e := sortedEngine(s, p, level, lo, hi)
-					e.Upward()
+					e.upward()
 					rng := rand.New(rand.NewSource(int64(p)))
 					nc := e.Tab.NCoef()
 					coef := make([]float64, nc)
@@ -289,7 +341,7 @@ func TestDownwardMatchesPerTarget(t *testing.T) {
 							for i := range coef {
 								coef[i] = rng.NormFloat64()
 							}
-							e.AddRemoteMultipole(l, key, coef)
+							e.addRemoteMultipole(l, key, coef)
 						}
 					}
 					cost0 := e.CostSeconds
@@ -301,7 +353,7 @@ func TestDownwardMatchesPerTarget(t *testing.T) {
 						for l := range e.L {
 							e.L[l] = map[uint64][]float64{}
 						}
-						e.Downward()
+						e.downward()
 						if !sameBits(e.CostSeconds, wantCost) {
 							t.Fatalf("%s GOMAXPROCS=%d: CostSeconds %x, per-target %x", name, procs, math.Float64bits(e.CostSeconds), math.Float64bits(wantCost))
 						}
@@ -329,12 +381,27 @@ func BenchmarkDownward(b *testing.B) {
 		b.Run(fmt.Sprintf("level=%d/n=%d", c.level, c.n), func(b *testing.B) {
 			s := particle.SilicaMelt(c.n, 2.6567*math.Cbrt(float64(c.n)), true, 42)
 			e := sortedEngine(s, 6, c.level, 0, s.N)
-			e.Upward()
+			e.upward()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.Downward()
+				e.downward()
 			}
 		})
+	}
+}
+
+// BenchmarkEvalNearField times the near field of one rank of the md-fmm
+// workload's tree: the first 750 in key order of the 6000-particle periodic
+// silica melt at level 3, with the rest of their neighborhood as ghosts.
+func BenchmarkEvalNearField(b *testing.B) {
+	const n = 6000
+	s := particle.SilicaMelt(n, 2.6567*math.Cbrt(n), true, 42)
+	e := ghostedEngine(s, 6, 3, 0, n/8)
+	pot, field := make([]float64, len(e.q)), make([]float64, 3*len(e.q))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.evalNearField(pot, field)
 	}
 }

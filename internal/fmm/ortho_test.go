@@ -87,7 +87,7 @@ func TestEngineChargeConservation(t *testing.T) {
 	keys := make([]uint64, s.N)
 	ord := make([]int, s.N)
 	for i := 0; i < s.N; i++ {
-		keys[i] = e.KeyOf(s.Pos[3*i], s.Pos[3*i+1], s.Pos[3*i+2])
+		keys[i] = e.keyOf(s.Pos[3*i], s.Pos[3*i+1], s.Pos[3*i+2])
 		ord[i] = i
 	}
 	// sort by key
@@ -104,8 +104,8 @@ func TestEngineChargeConservation(t *testing.T) {
 		q[out] = s.Q[in]
 		sk[out] = keys[in]
 	}
-	eng := NewEngine(tab, s.Box, 3, pos, q, sk)
-	eng.Upward()
+	eng := newEngine(tab, s.Box, 3, pos, q, sk)
+	eng.upward()
 	// Monopole (index 0) of the root-level boxes sums to the total charge.
 	total := 0.0
 	for _, M := range eng.M[1] {

@@ -159,7 +159,7 @@ func (m method) Decompose(in api.Input) []pRec {
 		Periodic: s.box.Periodic[0] && s.box.Periodic[1] && s.box.Periodic[2]}
 	for i := 0; i < in.N; i++ {
 		recs[i] = pRec{
-			Key:    probe.KeyOf(in.Pos[3*i], in.Pos[3*i+1], in.Pos[3*i+2]),
+			Key:    probe.keyOf(in.Pos[3*i], in.Pos[3*i+1], in.Pos[3*i+2]),
 			Origin: redist.MakeIndex(c.Rank(), i),
 			X:      in.Pos[3*i], Y: in.Pos[3*i+1], Z: in.Pos[3*i+2],
 			Q: in.Q[i],
@@ -215,7 +215,7 @@ func (s *Solver) compute(recs []pRec) (pot, field []float64) {
 		q[i] = r.Q
 		keys[i] = r.Key
 	}
-	e := NewEngine(s.tab, s.box, s.Level, pos, q, keys)
+	e := newEngine(s.tab, s.box, s.Level, pos, q, keys)
 
 	pot = make([]float64, n)
 	field = make([]float64, 3*n)
@@ -227,7 +227,7 @@ func (s *Solver) compute(recs []pRec) (pot, field []float64) {
 		base = e.CostSeconds
 	}
 	c.Phase(api.PhaseFar, func() {
-		e.Upward()
+		e.upward()
 		charge()
 		ranges = gatherRanges(c, keys)
 		s.exchangeMultipoles(e, ranges)
@@ -237,12 +237,12 @@ func (s *Solver) compute(recs []pRec) (pot, field []float64) {
 		charge()
 	})
 	c.Phase(api.PhaseFar, func() {
-		e.Downward()
-		e.EvalFarField(pot, field)
+		e.downward()
+		e.evalFarField(pot, field)
 		charge()
 	})
 	c.Phase(api.PhaseNear, func() {
-		e.EvalNearField(pot, field)
+		e.evalNearField(pot, field)
 		charge()
 	})
 	return pot, field
@@ -328,7 +328,7 @@ func (s *Solver) exchangeMultipoles(e *Engine, ranges []keyRange) {
 		for i, lk := range ks {
 			l := int(lk >> 58)
 			key := lk & (1<<58 - 1)
-			e.AddRemoteMultipole(l, key, vs[i*nc:(i+1)*nc])
+			e.addRemoteMultipole(l, key, vs[i*nc:(i+1)*nc])
 		}
 	}
 	vmpi.ReleaseBlocks(recvKeys)
@@ -348,6 +348,7 @@ func (s *Solver) exchangeGhosts(e *Engine, ranges []keyRange, keys []uint64, pos
 	p := c.Size()
 	parts := make([][]ghostRec, p)
 	var dsts []int
+	var nbs [27]uint64
 	dest := make([]bool, p)
 	lo := 0
 	for lo < len(keys) {
@@ -355,10 +356,8 @@ func (s *Solver) exchangeGhosts(e *Engine, ranges []keyRange, keys []uint64, pos
 		for hi < len(keys) && keys[hi] == keys[lo] {
 			hi++
 		}
-		for i := range dest {
-			dest[i] = false
-		}
-		for _, nb := range zorder.Neighbors3(keys[lo], s.Level, e.Periodic) {
+		clear(dest)
+		for _, nb := range zorder.Neighbors3Into(nbs[:0], keys[lo], s.Level, e.Periodic) {
 			blo, bhi := nb, nb
 			dsts = owners(ranges, blo, bhi, dsts[:0])
 			for _, d := range dsts {
@@ -389,7 +388,7 @@ func (s *Solver) exchangeGhosts(e *Engine, ranges []keyRange, keys []uint64, pos
 		}
 	}
 	vmpi.ReleaseBlocks(recv)
-	e.AddGhosts(gpos, gq)
+	e.addGhosts(gpos, gq)
 }
 
 // Compile-time checks: Solver satisfies the coupling library's interface

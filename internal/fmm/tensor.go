@@ -43,14 +43,14 @@ type Tables struct {
 	// of L2P.
 	fact       []float64
 	dec1, dec2 []int32
-	// m2m[m2mOff[a]:m2mOff[a+1]] lists, for target α = List[a], every γ ≤ α
+	// m2mTerms[m2mOff[a]:m2mOff[a+1]] lists, for target α = List[a], every γ ≤ α
 	// as (idx(α−γ), idx(γ)); P2M and M2M divide by fact[idx(γ)].
-	m2mOff []int32
-	m2m    []subPair
-	// l2l[l2lOff[d]:l2lOff[d+1]] lists, for target δ = List[d], every γ ≥ δ
+	m2mOff   []int32
+	m2mTerms []subPair
+	// l2lTerms[l2lOff[d]:l2lOff[d+1]] lists, for target δ = List[d], every γ ≥ δ
 	// as (idx(γ), idx(γ−δ), binom(γ, δ)).
-	l2lOff []int32
-	l2l    []l2lEntry
+	l2lOff   []int32
+	l2lTerms []l2lEntry
 	// M2L grouped by target γ = List[g]: its sources are the prefix
 	// α = List[0 … n) with |α| ≤ P − |γ|, and m2l[m2lOff[g]+a] = idx(α+γ).
 	// invFact[g] = 1/γ!.
@@ -120,20 +120,20 @@ func NewTables(p int) *Tables {
 		for gi, g := range t.List {
 			if g[0] <= a[0] && g[1] <= a[1] && g[2] <= a[2] {
 				diff := MultiIndex{a[0] - g[0], a[1] - g[1], a[2] - g[2]}
-				t.m2m = append(t.m2m, subPair{diff: idx(diff), g: int32(gi)})
+				t.m2mTerms = append(t.m2mTerms, subPair{diff: idx(diff), g: int32(gi)})
 			}
 			if g[0] >= a[0] && g[1] >= a[1] && g[2] >= a[2] {
 				diff := MultiIndex{g[0] - a[0], g[1] - a[1], g[2] - a[2]}
 				w := binom(g[0], a[0]) * binom(g[1], a[1]) * binom(g[2], a[2])
-				t.l2l = append(t.l2l, l2lEntry{g: int32(gi), diff: idx(diff), w: w})
+				t.l2lTerms = append(t.l2lTerms, l2lEntry{g: int32(gi), diff: idx(diff), w: w})
 			}
 			if a.degree()+g.degree() <= p {
 				// Here a is the target γ and g the source α.
 				t.m2l = append(t.m2l, idx(MultiIndex{a[0] + g[0], a[1] + g[1], a[2] + g[2]}))
 			}
 		}
-		t.m2mOff[ai+1] = int32(len(t.m2m))
-		t.l2lOff[ai+1] = int32(len(t.l2l))
+		t.m2mOff[ai+1] = int32(len(t.m2mTerms))
+		t.l2lOff[ai+1] = int32(len(t.l2lTerms))
 		t.m2lOff[ai+1] = int32(len(t.m2l))
 	}
 	return t
@@ -178,11 +178,11 @@ func (t *Tables) powers(vx, vy, vz float64, buf []float64) []float64 {
 	return out
 }
 
-// P2M accumulates the moment contribution of a charge q at displacement d
+// p2m accumulates the moment contribution of a charge q at displacement d
 // from the box center into M (length NCoef): M_α += q (−d)^α / α!.
 //
 //parlint:hotalloc
-func (t *Tables) P2M(q, dx, dy, dz float64, M []float64) {
+func (t *Tables) p2m(q, dx, dy, dz float64, M []float64) {
 	var buf [stackCoef]float64
 	pw := t.powers(-dx, -dy, -dz, buf[:])
 	for i, f := range t.fact {
@@ -190,16 +190,16 @@ func (t *Tables) P2M(q, dx, dy, dz float64, M []float64) {
 	}
 }
 
-// M2M translates child moments Mc (center c') into the parent accumulator
+// m2m translates child moments Mc (center c') into the parent accumulator
 // Mp (center c), with t3 = c' − c: M_α += Σ_{β≤α} Mc_β (−t3)^{α−β}/(α−β)!.
 //
 //parlint:hotalloc
-func (t *Tables) M2M(Mc []float64, tx, ty, tz float64, Mp []float64) {
+func (t *Tables) m2m(Mc []float64, tx, ty, tz float64, Mp []float64) {
 	var buf [stackCoef]float64
 	pw := t.powers(-tx, -ty, -tz, buf[:])
 	for ai := range Mp[:t.NCoef()] {
 		sum := 0.0
-		for _, e := range t.m2m[t.m2mOff[ai]:t.m2mOff[ai+1]] {
+		for _, e := range t.m2mTerms[t.m2mOff[ai]:t.m2mOff[ai+1]] {
 			sum += Mc[e.diff] * pw[e.g] / t.fact[e.g]
 		}
 		Mp[ai] += sum
@@ -269,26 +269,35 @@ func (t *Tables) M2L(M, b, L []float64) {
 // for i = 0 … 3. Per γ it loads the weight, the index and b[idx(α+γ)] once
 // and feeds four accumulators, each summing exactly M2L's terms in M2L's
 // order, so every L_i ends bit-identical to a separate M2L(M_i, b, L_i).
-// No L_i may alias any M_j, b or another L_j; the M_i may alias each other.
+// The γ rows whose weight 1/γ! is 1 (every component ≤ 1) run in
+// m2l4Row1, which drops the multiply by it: 1·x is x in every bit, NaN
+// payloads, infinities, signed zeros and subnormals included. No L_i may
+// alias any M_j, b or another L_j; the M_i may alias each other.
 //
 //parlint:hotalloc
 func (t *Tables) m2l4(b, M0, M1, M2, M3, L0, L1, L2, L3 []float64) {
+	Ms := [4][]float64{M0, M1, M2, M3}
 	for g, w := range t.invFact {
 		sums := t.m2l[t.m2lOff[g]:t.m2lOff[g+1]]
-		L0[g], L1[g], L2[g], L3[g] = m2l4Row(sums, b, w, M0, M1, M2, M3, L0[g], L1[g], L2[g], L3[g])
+		if w == 1 {
+			L0[g], L1[g], L2[g], L3[g] = m2l4Row1(sums, b, &Ms, L0[g], L1[g], L2[g], L3[g])
+		} else {
+			L0[g], L1[g], L2[g], L3[g] = m2l4Row(sums, b, w, &Ms, L0[g], L1[g], L2[g], L3[g])
+		}
 	}
 }
 
-// m2l4Row is one γ of m2l4: it returns a_i + Σ_a w·M_i[a]·b[sums[a]] for
+// m2l4Row is one γ of m2l4: it returns a_i + Σ_a w·Ms[i][a]·b[sums[a]] for
 // i = 0 … 3, each sum in ascending a. It stays a call of its own: inlined
-// into m2l4's γ loop, the nine live slices spill and the inner loop reloads
-// them from the stack on every term.
+// into m2l4's γ loop, the live slices spill and the inner loop reloads them
+// from the stack on every term. The sources come behind one pointer so
+// that the call's integer arguments fit in registers.
 //
 //go:noinline
 //parlint:hotalloc
-func m2l4Row(sums []int32, b []float64, w float64, M0, M1, M2, M3 []float64, a0, a1, a2, a3 float64) (float64, float64, float64, float64) {
+func m2l4Row(sums []int32, b []float64, w float64, Ms *[4][]float64, a0, a1, a2, a3 float64) (float64, float64, float64, float64) {
 	n := len(sums)
-	m0, m1, m2, m3 := M0[:n], M1[:n], M2[:n], M3[:n]
+	m0, m1, m2, m3 := Ms[0][:n], Ms[1][:n], Ms[2][:n], Ms[3][:n]
 	for a, s := range sums {
 		bs := b[s]
 		a0 += w * m0[a] * bs
@@ -299,31 +308,49 @@ func m2l4Row(sums []int32, b []float64, w float64, M0, M1, M2, M3 []float64, a0,
 	return a0, a1, a2, a3
 }
 
-// M2LOps returns the number of fused multiply-adds of one M2L.
-func (t *Tables) M2LOps() int { return len(t.m2l) }
+// m2l4Row1 is m2l4Row for a row of weight 1: it returns
+// a_i + Σ_a Ms[i][a]·b[sums[a]].
+//
+//go:noinline
+//parlint:hotalloc
+func m2l4Row1(sums []int32, b []float64, Ms *[4][]float64, a0, a1, a2, a3 float64) (float64, float64, float64, float64) {
+	n := len(sums)
+	m0, m1, m2, m3 := Ms[0][:n], Ms[1][:n], Ms[2][:n], Ms[3][:n]
+	for a, s := range sums {
+		bs := b[s]
+		a0 += m0[a] * bs
+		a1 += m1[a] * bs
+		a2 += m2[a] * bs
+		a3 += m3[a] * bs
+	}
+	return a0, a1, a2, a3
+}
 
-// L2L translates the parent local expansion Lp (center z) into the child
+// m2lOps returns the number of fused multiply-adds of one M2L.
+func (t *Tables) m2lOps() int { return len(t.m2l) }
+
+// l2l translates the parent local expansion Lp (center z) into the child
 // accumulator Lc (center z'), with s = z' − z:
 // Lc_δ += Σ_{γ≥δ} binom(γ,δ) Lp_γ s^{γ−δ}.
 //
 //parlint:hotalloc
-func (t *Tables) L2L(Lp []float64, sx, sy, sz float64, Lc []float64) {
+func (t *Tables) l2l(Lp []float64, sx, sy, sz float64, Lc []float64) {
 	var buf [stackCoef]float64
 	pw := t.powers(sx, sy, sz, buf[:])
 	for di := range Lc[:t.NCoef()] {
 		sum := 0.0
-		for _, e := range t.l2l[t.l2lOff[di]:t.l2lOff[di+1]] {
+		for _, e := range t.l2lTerms[t.l2lOff[di]:t.l2lOff[di+1]] {
 			sum += e.w * Lp[e.g] * pw[e.diff]
 		}
 		Lc[di] += sum
 	}
 }
 
-// L2P evaluates the local expansion at displacement d from its center and
+// l2p evaluates the local expansion at displacement d from its center and
 // returns the potential and field (E = −∇φ) contributions.
 //
 //parlint:hotalloc
-func (t *Tables) L2P(L []float64, dx, dy, dz float64) (pot, ex, ey, ez float64) {
+func (t *Tables) l2p(L []float64, dx, dy, dz float64) (pot, ex, ey, ez float64) {
 	var buf [stackCoef]float64
 	pw := t.powers(dx, dy, dz, buf[:])
 	for gi, g := range t.List {

@@ -160,7 +160,7 @@ func TestP2MThenM2PConverges(t *testing.T) {
 		tb := NewTables(p)
 		M := make([]float64, tb.NCoef())
 		for j := range q {
-			tb.P2M(q[j], pos[3*j], pos[3*j+1], pos[3*j+2], M)
+			tb.p2m(q[j], pos[3*j], pos[3*j+1], pos[3*j+2], M)
 		}
 		got := tb.m2p(M, ex, ey, ez)
 		err := math.Abs(got - want)
@@ -181,14 +181,14 @@ func TestM2MPreservesFarField(t *testing.T) {
 	pos, q := randomCluster(rng, 20, 0.25, 0.25, 0.25, 0.2)
 	Mc := make([]float64, tb.NCoef())
 	for j := range q {
-		tb.P2M(q[j], pos[3*j]-0.25, pos[3*j+1]-0.25, pos[3*j+2]-0.25, Mc)
+		tb.p2m(q[j], pos[3*j]-0.25, pos[3*j+1]-0.25, pos[3*j+2]-0.25, Mc)
 	}
 	Mp := make([]float64, tb.NCoef())
-	tb.M2M(Mc, 0.25, 0.25, 0.25, Mp)
+	tb.m2m(Mc, 0.25, 0.25, 0.25, Mp)
 	// Also build parent moments directly from the particles.
 	Md := make([]float64, tb.NCoef())
 	for j := range q {
-		tb.P2M(q[j], pos[3*j], pos[3*j+1], pos[3*j+2], Md)
+		tb.p2m(q[j], pos[3*j], pos[3*j+1], pos[3*j+2], Md)
 	}
 	x, y, z := 4.0, -1.0, 2.0
 	potShift := tb.m2p(Mp, x, y, z)
@@ -206,7 +206,7 @@ func TestM2LPlusL2PMatchesDirect(t *testing.T) {
 	pos, q := randomCluster(rng, 30, 0, 0, 0, 0.5)
 	M := make([]float64, tb.NCoef())
 	for j := range q {
-		tb.P2M(q[j], pos[3*j], pos[3*j+1], pos[3*j+2], M)
+		tb.p2m(q[j], pos[3*j], pos[3*j+1], pos[3*j+2], M)
 	}
 	b := make([]float64, tb.NCoef())
 	tb.Deriv(2, 0, 0, b) // target center − source center
@@ -217,7 +217,7 @@ func TestM2LPlusL2PMatchesDirect(t *testing.T) {
 		dx := (rng.Float64()*2 - 1) * 0.4
 		dy := (rng.Float64()*2 - 1) * 0.4
 		dz := (rng.Float64()*2 - 1) * 0.4
-		pot, fx, fy, fz := tb.L2P(L, dx, dy, dz)
+		pot, fx, fy, fz := tb.l2p(L, dx, dy, dz)
 		want := directPot(pos, q, 2+dx, dy, dz)
 		if relErr(pot, want) > 2e-3 {
 			t.Errorf("L2P pot at (%g,%g,%g): %g, want %g", dx, dy, dz, pot, want)
@@ -245,11 +245,11 @@ func TestL2LPreservesExpansion(t *testing.T) {
 	// at x — exactly, because L2L is exact for polynomials of degree ≤ P.
 	sx, sy, sz := 0.3, -0.2, 0.1
 	Lc := make([]float64, tb.NCoef())
-	tb.L2L(Lp, sx, sy, sz, Lc)
+	tb.l2l(Lp, sx, sy, sz, Lc)
 	for trial := 0; trial < 5; trial++ {
 		x := [3]float64{rng.Float64(), rng.Float64(), rng.Float64()}
-		pp, _, _, _ := tb.L2P(Lp, x[0], x[1], x[2])
-		pc, _, _, _ := tb.L2P(Lc, x[0]-sx, x[1]-sy, x[2]-sz)
+		pp, _, _, _ := tb.l2p(Lp, x[0], x[1], x[2])
+		pc, _, _, _ := tb.l2p(Lc, x[0]-sx, x[1]-sy, x[2]-sz)
 		if math.Abs(pp-pc) > 1e-10*(math.Abs(pp)+1) {
 			t.Errorf("L2L: parent %g, child %g", pp, pc)
 		}
@@ -258,10 +258,10 @@ func TestL2LPreservesExpansion(t *testing.T) {
 
 func TestM2LOpsPositive(t *testing.T) {
 	tb := NewTables(5)
-	if tb.M2LOps() <= 0 {
+	if tb.m2lOps() <= 0 {
 		t.Error("M2LOps must be positive")
 	}
-	if tb.M2LOps() != len(tb.m2l) {
+	if tb.m2lOps() != len(tb.m2l) {
 		t.Error("M2LOps inconsistent")
 	}
 }
@@ -288,16 +288,16 @@ func BenchmarkOrderSweep(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				M := make([]float64, tb.NCoef())
 				for j := range q {
-					tb.P2M(q[j], pos[3*j], pos[3*j+1], pos[3*j+2], M)
+					tb.p2m(q[j], pos[3*j], pos[3*j+1], pos[3*j+2], M)
 				}
 				bv := make([]float64, tb.NCoef())
 				tb.Deriv(2, 0.3, -0.2, bv)
 				L := make([]float64, tb.NCoef())
 				tb.M2L(M, bv, L)
-				got, _, _, _ = tb.L2P(L, 0, 0, 0)
+				got, _, _, _ = tb.l2p(L, 0, 0, 0)
 			}
 			b.ReportMetric(math.Abs(got-want)/math.Abs(want), "relerr")
-			b.ReportMetric(float64(tb.M2LOps()), "m2l-ops")
+			b.ReportMetric(float64(tb.m2lOps()), "m2l-ops")
 		})
 	}
 }

@@ -1,8 +1,10 @@
 package fmm
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/costs"
@@ -35,7 +37,7 @@ type Engine struct {
 	// Ghost particles (near-field halo from other processes).
 	gpos, gq []float64
 	gkeys    []uint64
-	gleaves  map[uint64][2]int // key -> [lo, hi) in ghost arrays
+	gleaves  []leafRange // ghost boxes, ascending by key
 
 	// Expansions per level: M multipoles, L locals.
 	M []map[uint64][]float64
@@ -43,7 +45,7 @@ type Engine struct {
 
 	// boxLen and boxPer cache the box geometry so the pair kernels avoid
 	// re-deriving (and re-validating) it per interaction. Only engines built
-	// by NewEngine may use them; the box must not change afterwards.
+	// by newEngine may use them; the box must not change afterwards.
 	boxLen [3]float64
 	boxPer [3]bool
 
@@ -57,10 +59,10 @@ type leafRange struct {
 	lo, hi int
 }
 
-// NewEngine builds an engine over owned particles that must already be
+// newEngine builds an engine over owned particles that must already be
 // sorted ascending by their leaf keys (as produced by the parallel sort).
 // pos and q are not copied; the engine reads them during Compute phases.
-func NewEngine(tab *Tables, box particle.Box, level int, pos, q []float64, keys []uint64) *Engine {
+func newEngine(tab *Tables, box particle.Box, level int, pos, q []float64, keys []uint64) *Engine {
 	if level < 1 || level > zorder.MaxLevel {
 		panic(fmt.Sprintf("fmm: invalid level %d", level))
 	}
@@ -81,7 +83,6 @@ func NewEngine(tab *Tables, box particle.Box, level int, pos, q []float64, keys 
 		pos:      pos,
 		q:        q,
 		keys:     keys,
-		gleaves:  map[uint64][2]int{},
 		boxLen:   box.Lengths(),
 		boxPer:   box.Periodic,
 	}
@@ -108,20 +109,20 @@ func buildRanges(keys []uint64) []leafRange {
 	return out
 }
 
-// KeyOf returns the leaf-level Morton key for a position.
-func (e *Engine) KeyOf(x, y, z float64) uint64 {
+// keyOf returns the leaf-level Morton key for a position.
+func (e *Engine) keyOf(x, y, z float64) uint64 {
 	ux, uy, uz := e.Box.ToUnit(x, y, z)
 	return zorder.BoxKey(ux, uy, uz, e.Level)
 }
 
-// AddGhosts registers halo particles received from other processes. Ghosts
+// addGhosts registers halo particles received from other processes. Ghosts
 // contribute to the near field of owned particles but are not owned.
-func (e *Engine) AddGhosts(pos, q []float64) {
+func (e *Engine) addGhosts(pos, q []float64) {
 	n := len(q)
 	keys := make([]uint64, n)
 	ord := make([]int, n)
 	for i := 0; i < n; i++ {
-		keys[i] = e.KeyOf(pos[3*i], pos[3*i+1], pos[3*i+2])
+		keys[i] = e.keyOf(pos[3*i], pos[3*i+1], pos[3*i+2])
 		ord[i] = i
 	}
 	sort.SliceStable(ord, func(a, b int) bool { return keys[ord[a]] < keys[ord[b]] })
@@ -135,15 +136,12 @@ func (e *Engine) AddGhosts(pos, q []float64) {
 		e.gq[out] = q[in]
 		e.gkeys[out] = keys[in]
 	}
-	e.gleaves = map[uint64][2]int{}
-	for _, r := range buildRanges(e.gkeys) {
-		e.gleaves[r.key] = [2]int{r.lo, r.hi}
-	}
+	e.gleaves = buildRanges(e.gkeys)
 	e.CostSeconds += costs.SortTime(n)
 }
 
 // cellSize returns the box edge lengths of a level-l box. It relies on the
-// cached geometry, so it must only be called on engines built by NewEngine.
+// cached geometry, so it must only be called on engines built by newEngine.
 func (e *Engine) cellSize(l int) [3]float64 {
 	f := float64(uint64(1) << uint(l))
 	return [3]float64{e.boxLen[0] / f, e.boxLen[1] / f, e.boxLen[2] / f}
@@ -185,7 +183,7 @@ func sortedKeys(m map[uint64][]float64) []uint64 {
 	for k := range m {
 		out = append(out, k)
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	slices.Sort(out)
 	return out
 }
 
@@ -194,11 +192,11 @@ func sortedKeys(m map[uint64][]float64) []uint64 {
 const (
 	leafGrain  = 4 // leaves per tile in P2M / L2P sweeps
 	groupGrain = 2 // parent groups per tile in the M2M sweep
-	batchGrain = 1 // octant batches per tile in the Downward sweep
+	batchGrain = 1 // octant batches per tile in the downward sweep
 	nearGrain  = 1 // leaves per tile in the near-field sweep
 )
 
-// Upward builds leaf multipoles from owned particles and translates them up
+// upward builds leaf multipoles from owned particles and translates them up
 // to level 1.
 //
 // Both sweeps run on host workers (package hostpar): each leaf / parent box
@@ -206,7 +204,7 @@ const (
 // map inserts plus the virtual-cost charges replay sequentially afterwards
 // in ascending key order. Children are folded into their parent in
 // ascending key order, so the result is bit-identical at any GOMAXPROCS.
-func (e *Engine) Upward() {
+func (e *Engine) upward() {
 	nc := e.Tab.NCoef()
 	leafMs := make([][]float64, len(e.leaves))
 	hostpar.For(len(e.leaves), leafGrain, func(lo, hi int) {
@@ -215,7 +213,7 @@ func (e *Engine) Upward() {
 			M := make([]float64, nc)
 			c := e.center(e.Level, lr.key)
 			for i := lr.lo; i < lr.hi; i++ {
-				e.Tab.P2M(e.q[i], e.pos[3*i]-c[0], e.pos[3*i+1]-c[1], e.pos[3*i+2]-c[2], M)
+				e.Tab.p2m(e.q[i], e.pos[3*i]-c[0], e.pos[3*i+1]-c[1], e.pos[3*i+2]-c[2], M)
 			}
 			leafMs[li] = M
 		}
@@ -250,7 +248,7 @@ func (e *Engine) Upward() {
 				pc := e.center(l, g.pk)
 				for _, key := range children[g.lo:g.hi] {
 					cc := e.center(l+1, key)
-					e.Tab.M2M(e.M[l+1][key], cc[0]-pc[0], cc[1]-pc[1], cc[2]-pc[2], Mp)
+					e.Tab.m2m(e.M[l+1][key], cc[0]-pc[0], cc[1]-pc[1], cc[2]-pc[2], Mp)
 				}
 				parentMs[gi] = Mp
 			}
@@ -264,10 +262,10 @@ func (e *Engine) Upward() {
 	}
 }
 
-// AddRemoteMultipole accumulates another process's partial multipole of a
-// box into the engine's tables. Must be called after Upward and before
-// Downward.
-func (e *Engine) AddRemoteMultipole(l int, key uint64, coef []float64) {
+// addRemoteMultipole accumulates another process's partial multipole of a
+// box into the engine's tables. Must be called after upward and before
+// downward.
+func (e *Engine) addRemoteMultipole(l int, key uint64, coef []float64) {
 	nc := e.Tab.NCoef()
 	if len(coef) != nc {
 		panic("fmm: remote multipole length mismatch")
@@ -348,7 +346,7 @@ func derivSlot(off [3]int) int {
 
 // derivTensors returns the derivative tensors of every offset an
 // interaction list of level l can contain, indexed by derivSlot. A tensor
-// is a pure function of level and offset, so Downward builds the level's
+// is a pure function of level and offset, so downward builds the level's
 // table once, sequentially, and its host workers only read it.
 func (e *Engine) derivTensors(l int) [][]float64 {
 	n := 1 << uint(l)
@@ -380,7 +378,7 @@ func (e *Engine) derivTensors(l int) [][]float64 {
 // m2lBatch is the number of same-octant targets one m2l4 pass serves.
 const m2lBatch = 4
 
-// octantBatches returns the Downward batches of a level's targets: the
+// octantBatches returns the downward batches of a level's targets: the
 // indices into tl grouped by octant (key&7), ascending within a group, and
 // each group cut into runs of up to m2lBatch. With periodic boxes, targets
 // of one octant at level ≥ 3 see their interaction lists at the same cell
@@ -405,10 +403,10 @@ func octantBatches(tl []uint64) [][]int {
 	return batches
 }
 
-// Downward computes local expansions for all ancestors of owned leaves from
+// downward computes local expansions for all ancestors of owned leaves from
 // the (complete) multipole tables and translates them down to the leaf
 // level.
-func (e *Engine) Downward() {
+func (e *Engine) downward() {
 	nc := e.Tab.NCoef()
 	// Target keys per level: ancestors of owned leaves.
 	targets := make([][]uint64, e.Level+1)
@@ -461,14 +459,14 @@ func (e *Engine) Downward() {
 				e.CostSeconds += float64(nc*nc) * costs.MultipoleTerm
 			}
 			for k := 0; k < s.nM2L[ti]; k++ {
-				e.CostSeconds += float64(e.Tab.M2LOps()) * costs.MultipoleTerm
+				e.CostSeconds += float64(e.Tab.m2lOps()) * costs.MultipoleTerm
 			}
 			e.L[l][key] = s.Ls[ti]
 		}
 	}
 }
 
-// downwardLevel is one level of the Downward sweep: its targets, the
+// downwardLevel is one level of the downward sweep: its targets, the
 // level's derivative tensors, and the dense per-target outputs the batches
 // fill.
 type downwardLevel struct {
@@ -501,7 +499,7 @@ func (e *Engine) downwardBatch(s *downwardLevel, batch []int, ilBuf *[m2lBatch][
 			if Lp := e.L[l-1][pk]; Lp != nil {
 				pc := e.center(l-1, pk)
 				cc := e.center(l, key)
-				e.Tab.L2L(Lp, cc[0]-pc[0], cc[1]-pc[1], cc[2]-pc[2], L)
+				e.Tab.l2l(Lp, cc[0]-pc[0], cc[1]-pc[1], cc[2]-pc[2], L)
 				s.hadParent[ti] = true
 			}
 		}
@@ -540,9 +538,9 @@ func (e *Engine) downwardBatch(s *downwardLevel, batch []int, ilBuf *[m2lBatch][
 	}
 }
 
-// EvalFarField adds the far-field potential and field of each owned
+// evalFarField adds the far-field potential and field of each owned
 // particle into pot (length n) and field (length 3n).
-func (e *Engine) EvalFarField(pot, field []float64) {
+func (e *Engine) evalFarField(pot, field []float64) {
 	nc := e.Tab.NCoef()
 	// Leaves partition the particle index range, so the tiles write
 	// disjoint slices of pot and field; the cost charges replay in leaf
@@ -556,7 +554,7 @@ func (e *Engine) EvalFarField(pot, field []float64) {
 			}
 			c := e.center(e.Level, lr.key)
 			for i := lr.lo; i < lr.hi; i++ {
-				p, fx, fy, fz := e.Tab.L2P(L, e.pos[3*i]-c[0], e.pos[3*i+1]-c[1], e.pos[3*i+2]-c[2])
+				p, fx, fy, fz := e.Tab.l2p(L, e.pos[3*i]-c[0], e.pos[3*i+1]-c[1], e.pos[3*i+2]-c[2])
 				pot[i] += p
 				field[3*i] += fx
 				field[3*i+1] += fy
@@ -572,7 +570,7 @@ func (e *Engine) EvalFarField(pot, field []float64) {
 	}
 }
 
-// EvalNearField adds the near-field (neighbor-box direct) contributions of
+// evalNearField adds the near-field (neighbor-box direct) contributions of
 // owned and ghost particles into pot and field of the owned particles.
 // Displacements use the minimum-image convention, which is exact for
 // neighbor boxes at level ≥ 2.
@@ -589,16 +587,18 @@ func (e *Engine) EvalFarField(pot, field []float64) {
 // from the far side contributes the exact bits the symmetric update wrote.
 // Every interacting owned pair is gathered from both sides, so the pair
 // count the cost model charges is owned/2 + ghost, the symmetric count.
-func (e *Engine) EvalNearField(pot, field []float64) {
+// Where all pairs of a leaf and a source range take the same minimum image,
+// it is found once for the range (imageShift), with the same bits.
+func (e *Engine) evalNearField(pot, field []float64) {
+	nb := newNearBounds(e)
 	nt := hostpar.Tiles(len(e.leaves), nearGrain)
 	ownedC := make([]int, nt)
 	ghostC := make([]int, nt)
 	hostpar.ForTiles(len(e.leaves), nearGrain, func(t, lo, hi int) {
-		// One scratch set per tile: nearLeaf itself is then allocation-free,
-		// and tiles never share (no cross-goroutine races).
+		// One scratch set per tile, in its frame: tiles never share.
 		var ns nearScratch
 		for li := lo; li < hi; li++ {
-			o, g := e.nearLeaf(e.leaves[li], &ns, pot, field)
+			o, g := e.nearLeaf(li, &nb, &ns, pot, field)
 			ownedC[t] += o
 			ghostC[t] += g
 		}
@@ -611,106 +611,203 @@ func (e *Engine) EvalNearField(pot, field []float64) {
 	e.CostSeconds += float64(own/2+gh) * costs.Pair
 }
 
-// nearRange is one hoisted neighbor lookup of the near-field gather: an
-// owned leaf range or a ghost range, in gather order.
-type nearRange struct {
-	ghost  bool
-	lo, hi int
+// bounds is the coordinate box of a particle range: per axis the least and
+// the greatest coordinate, or NaN on both when the axis holds a non-finite
+// one.
+type bounds struct{ lo, hi [3]float64 }
+
+// nearBounds holds the bounds of every owned leaf and every ghost box of a
+// periodic engine, indexed like e.leaves and e.gleaves; evalNearField
+// computes them once per sweep.
+type nearBounds struct{ leaf, ghost []bounds }
+
+// newNearBounds returns the bounds of e's leaves and ghost boxes; an open
+// engine needs none.
+func newNearBounds(e *Engine) nearBounds {
+	if !e.Periodic {
+		return nearBounds{}
+	}
+	return nearBounds{leaf: rangeBounds(e.pos, e.leaves), ghost: rangeBounds(e.gpos, e.gleaves)}
 }
 
-// nearScratch holds the per-tile reusable buffers of nearLeaf, so the
-// per-leaf kernel allocates nothing once a tile is warm.
+// rangeBounds returns the bounds of each range rs[k] of pos.
+func rangeBounds(pos []float64, rs []leafRange) []bounds {
+	out := make([]bounds, len(rs))
+	for k, r := range rs {
+		b := bounds{lo: [3]float64{math.Inf(1), math.Inf(1), math.Inf(1)},
+			hi: [3]float64{math.Inf(-1), math.Inf(-1), math.Inf(-1)}}
+		for j := r.lo; j < r.hi; j++ {
+			for d := 0; d < 3; d++ {
+				x := pos[3*j+d]
+				if x-x != 0 { // ±Inf or NaN; no comparison with NaN holds, so it stays
+					b.lo[d], b.hi[d] = math.NaN(), math.NaN()
+					continue
+				}
+				if x < b.lo[d] {
+					b.lo[d] = x
+				}
+				if x > b.hi[d] {
+					b.hi[d] = x
+				}
+			}
+		}
+		out[k] = b
+	}
+	return out
+}
+
+// imageShift returns the per-axis shift that is the minimum image of every
+// pair (i of target t, j of source s) of a periodic engine, or false when
+// the pairs may take different images. minImage maps dx = fl(x_i − x_j) to
+// dx − fl(L·k), k = Round(fl(dx/L)). fl(a − b) is monotone in a and in b,
+// fl(x/L) in x for L > 0, and Round in its argument, so every pair's k lies
+// between the k of fl(t.lo − s.hi) and that of fl(t.hi − s.lo); where those
+// agree, every pair has that k. IEEE a − b is a + (−b), so dx + (−fl(L·k))
+// is minImage's result bit for bit; for k = 0 the shift is +0, and dx + 0
+// is dx − (±0): dx itself, except that −0 becomes +0 as Round's signed zero
+// made it. NaN bounds (a non-finite coordinate) never agree.
+//
+//parlint:hotalloc
+func (e *Engine) imageShift(t, s *bounds) (shift [3]float64, ok bool) {
+	for d := 0; d < 3; d++ {
+		l := e.boxLen[d]
+		k := math.Round((t.lo[d] - s.hi[d]) / l)
+		if k != math.Round((t.hi[d]-s.lo[d])/l) {
+			return shift, false
+		}
+		if k != 0 {
+			shift[d] = -(l * k)
+		}
+	}
+	return shift, true
+}
+
+// nearSource is one source range of a leaf's near-field gather, an owned
+// leaf or a ghost box, with the image shift all its pairs with the leaf
+// take (perPair: they may not, so each takes its own minimum image).
+type nearSource struct {
+	key     uint64
+	ghost   bool
+	perPair bool
+	shift   [3]float64
+	pos, q  []float64 // the range's coordinates and charges
+}
+
+// nearScratch holds the buffers of nearLeaf: at most 27 neighbor boxes,
+// each an owned leaf and a ghost box.
 type nearScratch struct {
-	nbs     []uint64
-	earlier []leafRange
-	later   []nearRange
+	nbs  [27]uint64
+	srcs [2 * 27]nearSource
+}
+
+// findRange locates the range with the given key in rs, sorted by key.
+//
+//parlint:hotalloc
+func findRange(rs []leafRange, key uint64) (int, bool) {
+	return slices.BinarySearchFunc(rs, key, func(r leafRange, k uint64) int { return cmp.Compare(r.key, k) })
+}
+
+// nearSource returns leaf li's source for owned leaf or ghost box si.
+//
+//parlint:hotalloc
+func (e *Engine) nearSource(nb *nearBounds, li, si int, ghost bool) nearSource {
+	rs, pos, q, bs := e.leaves, e.pos, e.q, nb.leaf
+	if ghost {
+		rs, pos, q, bs = e.gleaves, e.gpos, e.gq, nb.ghost
+	}
+	r := rs[si]
+	s := nearSource{key: r.key, ghost: ghost, perPair: true, pos: pos[3*r.lo : 3*r.hi], q: q[r.lo:r.hi]}
+	if e.Periodic {
+		var ok bool
+		s.shift, ok = e.imageShift(&nb.leaf[li], &bs[si])
+		s.perPair = !ok
+	}
+	return s
 }
 
 // nearLeaf gathers the near-field contributions of every particle in leaf
-// lr and returns the number of owned and ghost contributions with nonzero
-// displacement. ns is caller-provided scratch, reused across the leaves
-// of a tile.
+// e.leaves[li] and returns the number of owned and ghost contributions with
+// nonzero displacement. ns is caller-provided scratch, reused across the
+// leaves of a tile.
 //
 //parlint:hotalloc
-func (e *Engine) nearLeaf(lr leafRange, ns *nearScratch, pot, field []float64) (own, gh int) {
-	ns.nbs = zorder.Neighbors3Into(ns.nbs, lr.key, e.Level, e.Periodic)
-	nbs := ns.nbs
-	// Owned neighbor leaves with smaller keys: in the symmetric traversal
-	// their contributions arrived during their own (earlier) leaf turns, in
-	// ascending key order.
-	ns.earlier = ns.earlier[:0]
-	for _, nb := range nbs {
-		if nb < lr.key {
-			if rr, ok := e.findLeaf(nb); ok {
-				ns.earlier = append(ns.earlier, rr)
-			}
-		}
-	}
-	earlier := ns.earlier
-	sort.Slice(earlier, func(a, b int) bool { return earlier[a].key < earlier[b].key })
-	// Hoist the later-neighbor range lookups out of the particle loop: the
-	// binary search and ghost-map probe per neighbor are invariant across the
-	// leaf's particles. The action list preserves the exact gather order —
-	// for each neighbor in Neighbors3 order, the owned range (keys above
-	// ours) then the ghost range — so every particle accumulates in the same
-	// sequence as the inline lookups did.
-	ns.later = ns.later[:0]
-	for _, nb := range nbs {
-		if nb > lr.key {
-			if rr, ok := e.findLeaf(nb); ok {
-				ns.later = append(ns.later, nearRange{false, rr.lo, rr.hi})
-			}
-		}
-		// Ghosts in the neighbor box (including the same key: a leaf
-		// split across processes).
-		if gr, ok := e.gleaves[nb]; ok {
-			ns.later = append(ns.later, nearRange{true, gr[0], gr[1]})
-		}
-	}
-	later := ns.later
+func (e *Engine) nearLeaf(li int, nb *nearBounds, ns *nearScratch, pot, field []float64) (own, gh int) {
+	lr := e.leaves[li]
+	srcs := e.nearSources(li, nb, ns)
 	for i := lr.lo; i < lr.hi; i++ {
-		for _, rr := range earlier {
-			own += e.gatherOwned(i, rr.lo, rr.hi, pot, field)
-		}
-		// Own box: the j == i term has zero displacement and is skipped, so
-		// this is exactly "rows before i, then row i" of the pair loops.
-		own += e.gatherOwned(i, lr.lo, lr.hi, pot, field)
-		for _, a := range later {
-			if a.ghost {
-				gh += e.gatherGhost(i, a.lo, a.hi, pot, field)
+		for k := range srcs {
+			s := &srcs[k]
+			n := e.gather(i, s, pot, field)
+			if s.ghost {
+				gh += n
 			} else {
-				own += e.gatherOwned(i, a.lo, a.hi, pot, field)
+				own += n
 			}
 		}
 	}
 	return own, gh
 }
 
-// findLeaf locates an owned leaf range by key.
+// nearSources returns, over ns.srcs, the sources of leaf e.leaves[li] in the
+// exact gather order of the symmetric traversal. First come the owned
+// neighbor leaves with smaller keys, whose contributions arrived during
+// their own (earlier) leaf turns, in ascending key order. Then the own box:
+// the j == i term has zero displacement and is skipped, so this is exactly
+// "rows before i, then row i" of the pair loops. Then, for each neighbor in
+// Neighbors3 order, the owned range (keys above ours) and the ghost range
+// (including the same key: a leaf split across processes).
 //
 //parlint:hotalloc
-func (e *Engine) findLeaf(key uint64) (leafRange, bool) {
-	i := sort.Search(len(e.leaves), func(i int) bool { return e.leaves[i].key >= key })
-	if i < len(e.leaves) && e.leaves[i].key == key {
-		return e.leaves[i], true
+func (e *Engine) nearSources(li int, nb *nearBounds, ns *nearScratch) []nearSource {
+	key := e.leaves[li].key
+	nbs := zorder.Neighbors3Into(ns.nbs[:0], key, e.Level, e.Periodic)
+	srcs := ns.srcs[:0]
+	for _, k := range nbs {
+		if k < key {
+			if si, ok := findRange(e.leaves, k); ok {
+				srcs = append(srcs, e.nearSource(nb, li, si, false))
+			}
+		}
 	}
-	return leafRange{}, false
+	slices.SortFunc(srcs, func(a, b nearSource) int { return cmp.Compare(a.key, b.key) })
+	srcs = append(srcs, e.nearSource(nb, li, li, false))
+	for _, k := range nbs {
+		if k > key {
+			if si, ok := findRange(e.leaves, k); ok {
+				srcs = append(srcs, e.nearSource(nb, li, si, false))
+			}
+		}
+		if si, ok := findRange(e.gleaves, k); ok {
+			srcs = append(srcs, e.nearSource(nb, li, si, true))
+		}
+	}
+	return srcs
 }
 
-// gatherOwned accumulates onto owned particle i the contributions of the
-// owned particles in [jlo, jhi), returning how many had nonzero
-// displacement. The j == i term (and any exactly coincident particle) is
-// skipped on both sides of a pair, as in the symmetric update.
+// gather accumulates onto owned particle i the contributions of source s
+// and returns how many had nonzero displacement. Each pair's displacement
+// takes the range's image shift, or its own minimum image where s.perPair.
+// The j == i term (and any exactly coincident particle) is skipped on both
+// sides of a pair, as in the symmetric update. The accumulators stay in
+// registers across the range; each still adds the terms one at a time in
+// source order.
 //
 //parlint:hotalloc
-func (e *Engine) gatherOwned(i, jlo, jhi int, pot, field []float64) int {
+func (e *Engine) gather(i int, s *nearSource, pot, field []float64) int {
 	n := 0
 	xi, yi, zi := e.pos[3*i], e.pos[3*i+1], e.pos[3*i+2]
-	for j := jlo; j < jhi; j++ {
-		dx := xi - e.pos[3*j]
-		dy := yi - e.pos[3*j+1]
-		dz := zi - e.pos[3*j+2]
-		dx, dy, dz = e.minImage(dx, dy, dz)
+	sx, sy, sz := s.shift[0], s.shift[1], s.shift[2]
+	perPair := s.perPair
+	p, fx, fy, fz := pot[i], field[3*i], field[3*i+1], field[3*i+2]
+	pos := s.pos
+	for j, qj := range s.q {
+		pj := pos[3*j : 3*j+3 : 3*j+3]
+		dx, dy, dz := xi-pj[0], yi-pj[1], zi-pj[2]
+		if perPair {
+			dx, dy, dz = e.minImage(dx, dy, dz)
+		} else {
+			dx, dy, dz = dx+sx, dy+sy, dz+sz
+		}
 		r2 := dx*dx + dy*dy + dz*dz
 		if r2 == 0 {
 			continue
@@ -718,40 +815,13 @@ func (e *Engine) gatherOwned(i, jlo, jhi int, pot, field []float64) int {
 		r := math.Sqrt(r2)
 		inv := 1 / r
 		inv3 := inv / r2
-		pot[i] += e.q[j] * inv
-		field[3*i] += e.q[j] * dx * inv3
-		field[3*i+1] += e.q[j] * dy * inv3
-		field[3*i+2] += e.q[j] * dz * inv3
+		p += qj * inv
+		fx += qj * dx * inv3
+		fy += qj * dy * inv3
+		fz += qj * dz * inv3
 		n++
 	}
-	return n
-}
-
-// gatherGhost accumulates onto owned particle i the contributions of the
-// ghost particles in [jlo, jhi).
-//
-//parlint:hotalloc
-func (e *Engine) gatherGhost(i, jlo, jhi int, pot, field []float64) int {
-	n := 0
-	xi, yi, zi := e.pos[3*i], e.pos[3*i+1], e.pos[3*i+2]
-	for j := jlo; j < jhi; j++ {
-		dx := xi - e.gpos[3*j]
-		dy := yi - e.gpos[3*j+1]
-		dz := zi - e.gpos[3*j+2]
-		dx, dy, dz = e.minImage(dx, dy, dz)
-		r2 := dx*dx + dy*dy + dz*dz
-		if r2 == 0 {
-			continue
-		}
-		r := math.Sqrt(r2)
-		inv := 1 / r
-		inv3 := inv / r2
-		pot[i] += e.gq[j] * inv
-		field[3*i] += e.gq[j] * dx * inv3
-		field[3*i+1] += e.gq[j] * dy * inv3
-		field[3*i+2] += e.gq[j] * dz * inv3
-		n++
-	}
+	pot[i], field[3*i], field[3*i+1], field[3*i+2] = p, fx, fy, fz
 	return n
 }
 
@@ -765,7 +835,7 @@ func SolveSerial(tab *Tables, box particle.Box, level int, pos, q, pot, field []
 	tmp := &Engine{Tab: tab, Box: box, Level: level,
 		Periodic: box.Periodic[0] && box.Periodic[1] && box.Periodic[2]}
 	for i := 0; i < n; i++ {
-		keys[i] = tmp.KeyOf(pos[3*i], pos[3*i+1], pos[3*i+2])
+		keys[i] = tmp.keyOf(pos[3*i], pos[3*i+1], pos[3*i+2])
 		ord[i] = i
 	}
 	sort.SliceStable(ord, func(a, b int) bool { return keys[ord[a]] < keys[ord[b]] })
@@ -777,13 +847,13 @@ func SolveSerial(tab *Tables, box particle.Box, level int, pos, q, pot, field []
 		sq[out] = q[in]
 		skeys[out] = keys[in]
 	}
-	e := NewEngine(tab, box, level, spos, sq, skeys)
-	e.Upward()
-	e.Downward()
+	e := newEngine(tab, box, level, spos, sq, skeys)
+	e.upward()
+	e.downward()
 	sp := make([]float64, n)
 	sf := make([]float64, 3*n)
-	e.EvalFarField(sp, sf)
-	e.EvalNearField(sp, sf)
+	e.evalFarField(sp, sf)
+	e.evalNearField(sp, sf)
 	for out, in := range ord {
 		pot[in] = sp[out]
 		field[3*in] = sf[3*out]

@@ -113,7 +113,7 @@ func TestEngineInteractionListSizes(t *testing.T) {
 	e := &Engine{Tab: NewTables(2), Box: s.Box, Level: 3, Periodic: false}
 	// Interior box at level 3 (8 per dim): |IL| ≤ 189 and ≥ 27 for
 	// interior boxes; must never include the box itself or its neighbors.
-	key := e.KeyOf(2.1, 2.1, 2.1)
+	key := e.keyOf(2.1, 2.1, 2.1)
 	il := e.interactionList(nil, 3, key)
 	if len(il) == 0 || len(il) > 189 {
 		t.Fatalf("interaction list size %d", len(il))
@@ -144,5 +144,5 @@ func TestEngineKeysSortedPanic(t *testing.T) {
 			t.Error("unsorted keys should panic")
 		}
 	}()
-	NewEngine(NewTables(2), s.Box, 3, s.Pos, s.Q, keys)
+	newEngine(NewTables(2), s.Box, 3, s.Pos, s.Q, keys)
 }

@@ -117,6 +117,8 @@ func FuzzPanelMatchesPerCall(f *testing.F) {
 // TestSlabBitIdenticalToPerCallTransform replays the slab transform's pass
 // order — forward z, y, x; inverse x, then z, y and the unit-length x pass
 // of the per-plane 3D transform — with per-call Transforms on the whole mesh.
+// It also pins the buffer contract callers rely on: InverseInto writes into
+// its destination's array when the capacity suffices.
 func TestSlabBitIdenticalToPerCallTransform(t *testing.T) {
 	const nx, ny, nz = 8, 16, 4
 	rng := rand.New(rand.NewSource(17))
@@ -141,7 +143,14 @@ func TestSlabBitIdenticalToPerCallTransform(t *testing.T) {
 			xLo, xHi := s.XRange(c.Rank())
 			local := append([]complex128(nil), full[xLo*ny*nz:xHi*ny*nz]...)
 			spec := s.ForwardInto(nil, local)
-			back := s.InverseInto(nil, spec)
+			// InverseInto consumes its input: transform a clone so spec
+			// stays the spectrum. With a destination of sufficient
+			// capacity, the result must be the destination's array.
+			dst := make([]complex128, 0, (xHi-xLo)*ny*nz)
+			back := s.InverseInto(dst, append([]complex128(nil), spec...))
+			if len(back) > 0 && &back[0] != &dst[:1][0] {
+				t.Errorf("ranks %d rank %d: InverseInto did not return its destination's backing array", p, c.Rank())
+			}
 			c.SetResult([2][]complex128{spec, back})
 		})
 		gotSpec := make([]complex128, nx*ny*nz)

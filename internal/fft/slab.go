@@ -13,15 +13,14 @@ import (
 // transpose between the two layouts is a collective all-to-all — the
 // communication pattern that dominates parallel FFTs.
 //
-// A Slab doubles as the rank's FFT compute plan: it holds the reusable
-// transpose work buffer, so repeated transforms (the solver calls Forward
-// once and Inverse four times per far-field evaluation, every step) stop
-// allocating. Like a vmpi.Comm, a Slab is bound to its rank's goroutine.
+// A Slab holds no scratch of its own: both directions transform their input
+// in place before the transpose and write the transposed result into a
+// caller buffer (ForwardInto, InverseInto), so a caller that owns one
+// real-space slab and one spectrum transforms every step without allocating.
+// Like a vmpi.Comm, a Slab is bound to its rank's goroutine.
 type Slab struct {
 	c          *vmpi.Comm
 	Nx, Ny, Nz int
-
-	work []complex128 // reusable pre-transpose staging buffer (Inverse)
 }
 
 // NewSlab creates a slab FFT plan over the communicator. Dimensions must be
@@ -80,8 +79,8 @@ func (s *Slab) Forward(a []complex128) []complex128 {
 }
 
 // ForwardInto is Forward writing its result into dst (grown as needed; pass
-// nil to allocate) and returning it. a is transformed in place before the
-// transpose, as before.
+// nil to allocate) and returning it. a is consumed: it is transformed in
+// place before the transpose.
 func (s *Slab) ForwardInto(dst, a []complex128) []complex128 {
 	lx := s.LocalXSize()
 	if len(a) != lx*s.Ny*s.Nz {
@@ -107,29 +106,29 @@ func (s *Slab) ForwardInto(dst, a []complex128) []complex128 {
 }
 
 // Inverse transforms a spectrum in y-slab layout back to real space in
-// x-slab layout, including normalization. The input is left untouched and
-// the result is freshly allocated; InverseInto reuses a caller buffer.
+// x-slab layout, including normalization. The input is consumed: it is
+// transformed in place before the transpose, as Forward does with its input.
+// The result is freshly allocated; InverseInto reuses a caller buffer.
 func (s *Slab) Inverse(b []complex128) []complex128 {
 	return s.InverseInto(nil, b)
 }
 
 // InverseInto is Inverse writing its result into dst (grown as needed; pass
-// nil to allocate) and returning it.
+// nil to allocate) and returning it. When dst has the capacity, the result
+// is dst's backing array. b is transformed in place before the transpose and
+// holds no meaningful values afterwards.
 func (s *Slab) InverseInto(dst, b []complex128) []complex128 {
 	ly := s.LocalYSize()
 	if len(b) != ly*s.Nx*s.Nz {
 		panic("fft: slab spectrum size mismatch")
 	}
-	s.work = grow(s.work, len(b))
-	work := s.work
-	copy(work, b)
 	px := planFor(s.Nx)
 	for y := 0; y < ly; y++ {
-		transformPanel(px, work[y*s.Nx*s.Nz:(y+1)*s.Nx*s.Nz], s.Nz, true)
+		transformPanel(px, b[y*s.Nx*s.Nz:(y+1)*s.Nx*s.Nz], s.Nz, true)
 	}
 	s.c.Compute(float64(ly) * float64(s.Nz) * costs.FFTTime(s.Nx))
 
-	a := s.transposeYtoX(dst, work)
+	a := s.transposeYtoX(dst, b)
 
 	lx := s.LocalXSize()
 	for x := 0; x < lx; x++ {

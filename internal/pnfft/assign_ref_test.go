@@ -68,7 +68,7 @@ func refAssignCharges(s *Solver, own []pRec, h float64) []float64 {
 // farField finds it. Collective (Tune reduces the particle count).
 func meshSolver(c *vmpi.Comm, order, perRank int) *Solver {
 	s := New(c, particle.NewCubicBox(10, true), 1e-3)
-	s.SetAssignmentOrder(order)
+	s.setAssignmentOrder(order)
 	if err := s.Tune(api.Input{N: perRank}); err != nil {
 		panic(err)
 	}
@@ -216,7 +216,8 @@ func TestFarFieldBalancesPool(t *testing.T) {
 // BenchmarkFarFieldP8 is one far-field solve on 8 ranks at md-pnfft's shape
 // (750 uniformly spread particles per rank, order 3; Tune picks the 64³ mesh): charge
 // assignment, both mesh all-to-alls and five slab transforms. B/op is what
-// the per-destination message buffers and the tile scratch cost the host.
+// the per-destination message buffers and the tile scratch cost the host;
+// retained-B/rank is the scratch rank 0 keeps between solves (retainedBytes).
 func BenchmarkFarFieldP8(b *testing.B) {
 	const perRank = 750
 	b.ReportAllocs()
@@ -229,6 +230,9 @@ func BenchmarkFarFieldP8(b *testing.B) {
 				b.ResetTimer()
 			}
 			s.farField(own, pot, field)
+		}
+		if c.Rank() == 0 {
+			b.ReportMetric(float64(retainedBytes(s)), "retained-B/rank")
 		}
 	})
 }

@@ -3,17 +3,25 @@ package pnfft
 // farPlan caches everything about the far-field evaluation that is a pure
 // function of the post-Tune geometry (process grid, mesh size, spline order,
 // Ewald split, slab decomposition): the influence-function table, the
-// return-exchange emission plan, the receive-side scatter plan, and the
+// return-exchange emission plan, the receive-side cell map, and the
 // per-call scratch buffers. farField used to rebuild all of it every call —
 // the influence function alone is an exp and a pow per spectral point, per
 // rank, per time step — and the per-call maps (`seen`, `values`) dominated
 // both the allocation and the CPU profile of the solver.
 //
+// The mesh scratch is one spectrum, one component buffer and one output
+// mesh (spec, comp, rho), plus the real parts of the four inverse
+// transforms (re): the four components stream through comp and rho one after
+// another. The returned mesh values are not scattered into a dense block;
+// the cell map points each interpolation cell at its values in the received
+// blocks.
+//
 // Determinism contract: the plan only changes *when* these quantities are
-// computed, never their values or the order in which they are emitted. Every
-// table is built by the exact scan the inline code used, so the messages of
-// step 2/5 and the accumulation order of steps 1/4/6 — and with them the
-// virtual clock — are bit-identical to the un-cached solver.
+// computed and where they are held, never their values or the order in
+// which they are emitted or summed. Every table is built by the exact scan
+// the inline code used, so the messages of step 2/5 and the accumulation
+// order of steps 1/4/6 — and with them the virtual clock — are bit-identical
+// to the un-cached solver.
 type farPlan struct {
 	// Geometry snapshot (the grown interpolation block and the slab range).
 	lo, hi     [3]int
@@ -30,14 +38,12 @@ type farPlan struct {
 	retFlat [][]int32
 	retLoc  [][]int32
 
-	// Receive-side scatter plan, built from the first exchange (the set of
-	// flats each sender delivers is fixed geometry after Tune): entry e of
-	// sender sr fills the dense grown-block cells
-	// recvIdx[sr][recvOff[sr][e]:recvOff[sr][e+1]].
-	recvBuilt bool
-	recvLen   []int
-	recvOff   [][]int32
-	recvIdx   [][]int32
+	// Receive-side cell map, built from the first return exchange (the set
+	// of flats each sender delivers is fixed geometry after Tune):
+	// cells[k] locates the four values of grown-block cell k, and
+	// recvLen[sr] is the length of sender sr's block that fixes them.
+	cells   []recvCell
+	recvLen []int
 
 	// chargeLen[r] is the length of the charge message rank r got last
 	// solve: the size to draw this solve's send buffer at.
@@ -45,17 +51,17 @@ type farPlan struct {
 
 	// Per-call scratch, reused across time steps.
 	block   []float64
-	depCell []int32   // grown-block cell of every assignment deposit
-	depVal  []float64 // tile partial carried by the deposit (assignCharges)
-	rho     []complex128
-	spec    []complex128
-	phiSpec []complex128
-	exSpec  []complex128
-	eySpec  []complex128
-	ezSpec  []complex128
-	mesh    [4][]complex128 // pot, ex, ey, ez real-space meshes
-	vals    []float64       // 4 returned values per dense grown-block cell
+	depCell []int32      // grown-block cell of every assignment deposit
+	depVal  []float64    // tile partial carried by the deposit (assignCharges)
+	rho     []complex128 // charge x-slab, then each inverse transform's output
+	spec    []complex128 // charge spectrum, then φ in place
+	comp    []complex128 // the spectrum of one of pot, Ex, Ey, Ez (consumed by the inverse)
+	re      [4][]float64 // real parts of the pot, Ex, Ey, Ez meshes
 }
+
+// recvCell locates a grown-block cell's returned values: pot, Ex, Ey, Ez
+// are the four floats at offset off of the block received from rank src.
+type recvCell struct{ src, off int32 }
 
 // growF and growC resize a scratch slice, reallocating only on capacity
 // growth. Contents are unspecified.
@@ -105,6 +111,15 @@ func (s *Solver) buildFarPlan() *farPlan {
 		// the scan emits each point at its first image, which is within the
 		// first n indices of every dimension.
 		rlo, rhi := s.meshRegionOf(r)
+		nx := 0
+		for gx := rlo[0]; gx < min(rhi[0], rlo[0]+n); gx++ {
+			if wx := wrapIdx(gx, n); wx >= p.xLo && wx < p.xHi {
+				nx++
+			}
+		}
+		cnt := nx * (min(rhi[1], rlo[1]+n) - rlo[1]) * (min(rhi[2], rlo[2]+n) - rlo[2])
+		p.retFlat[r] = make([]int32, 0, cnt)
+		p.retLoc[r] = make([]int32, 0, cnt)
 		for gx := rlo[0]; gx < min(rhi[0], rlo[0]+n); gx++ {
 			wx := wrapIdx(gx, n)
 			if wx < p.xLo || wx >= p.xHi {
@@ -123,46 +138,45 @@ func (s *Solver) buildFarPlan() *farPlan {
 	return p
 }
 
-// buildRecvPlan derives the receive-side scatter plan from the first
-// return exchange: which dense grown-block cells each received entry fills.
-// The flats every sender delivers are a pure function of the post-Tune
-// geometry, so later exchanges are scattered positionally (with a length
-// check standing guard on that assumption).
-func (p *farPlan) buildRecvPlan(recv [][]float64, n int) {
-	covered := 0
+// buildCellMap derives the receive-side cell map from the first return
+// exchange: the grown-block cells each received entry's values serve. The
+// flats every sender delivers are a pure function of the post-Tune geometry,
+// so later exchanges are read positionally (with a length check standing
+// guard on that assumption). Every cell must be served by exactly one entry:
+// a cell served twice or never is a broken exchange, and panics.
+func (p *farPlan) buildCellMap(recv [][]float64, n int) {
 	p.recvLen = make([]int, len(recv))
-	p.recvOff = make([][]int32, len(recv))
-	p.recvIdx = make([][]int32, len(recv))
-	for sr := range recv {
-		blk := recv[sr]
-		cnt := len(blk) / 5
+	p.cells = make([]recvCell, p.bx*p.by*p.bz)
+	for k := range p.cells {
+		p.cells[k] = recvCell{-1, -1}
+	}
+	for sr, blk := range recv {
 		p.recvLen[sr] = len(blk)
-		off := make([]int32, cnt+1)
-		var idx []int32
-		for e := 0; e < cnt; e++ {
-			// The grown-block cells that wrap onto the entry's mesh point,
-			// in scan order: per dimension the first one, then every n-th.
-			flat := int(blk[5*e])
+		for i := 0; i+4 < len(blk); i += 5 {
+			// The grown-block cells that wrap onto the entry's mesh point:
+			// per dimension the first one, then every n-th.
+			flat := int(blk[i])
 			gx0 := wrapIdx(flat/(n*n)-p.lo[0], n)
 			gy0 := wrapIdx(flat/n%n-p.lo[1], n)
 			gz0 := wrapIdx(flat%n-p.lo[2], n)
 			for gx := gx0; gx < p.bx; gx += n {
 				for gy := gy0; gy < p.by; gy += n {
 					for gz := gz0; gz < p.bz; gz += n {
-						idx = append(idx, int32((gx*p.by+gy)*p.bz+gz))
+						k := (gx*p.by+gy)*p.bz + gz
+						if p.cells[k].src >= 0 {
+							panic("pnfft: two returned mesh values for one interpolation cell")
+						}
+						p.cells[k] = recvCell{src: int32(sr), off: int32(i + 1)}
 					}
 				}
 			}
-			off[e+1] = int32(len(idx))
 		}
-		covered += len(idx)
-		p.recvOff[sr] = off
-		p.recvIdx[sr] = idx
 	}
-	if covered != p.bx*p.by*p.bz {
-		panic("pnfft: returned mesh values do not cover the interpolation block")
+	for _, cl := range p.cells {
+		if cl.src < 0 {
+			panic("pnfft: returned mesh values do not cover the interpolation block")
+		}
 	}
-	p.recvBuilt = true
 }
 
 // zeroF clears a float64 scratch slice (compiled to a memclr).

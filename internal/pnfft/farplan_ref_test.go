@@ -43,7 +43,8 @@ func refRetPlan(s *Solver, p *farPlan) (retFlat, retLoc [][]int32) {
 }
 
 // refRecvPlan is the receive-side scatter plan as the map-based code built
-// it: a flat → grown-block cells map filled by a scan of the block.
+// it: a flat → grown-block cells map filled by a scan of the block. Entry e
+// of sender sr fills the cells recvIdx[sr][recvOff[sr][e]:recvOff[sr][e+1]].
 func refRecvPlan(p *farPlan, recv [][]float64, n int) (recvOff, recvIdx [][]int32) {
 	cellOf := map[int32][]int32{}
 	for gx := 0; gx < p.bx; gx++ {
@@ -88,11 +89,43 @@ func sameLists(a, b [][]int32) error {
 	return nil
 }
 
+// refCellMap is the cell map as refRecvPlan's scatter lists define it: every
+// entry serves the cells its list names, later entries overwriting earlier
+// ones (the dense scatter's order); cells no list names stay {-1, -1}.
+func refCellMap(p *farPlan, recv [][]float64, n int) []recvCell {
+	off, idx := refRecvPlan(p, recv, n)
+	cells := make([]recvCell, p.bx*p.by*p.bz)
+	for k := range cells {
+		cells[k] = recvCell{-1, -1}
+	}
+	for sr := range recv {
+		for e := 0; e+1 < len(off[sr]); e++ {
+			for _, k := range idx[sr][off[sr][e]:off[sr][e+1]] {
+				cells[k] = recvCell{src: int32(sr), off: int32(5*e + 1)}
+			}
+		}
+	}
+	return cells
+}
+
+// flatOnlyReturn is the return exchange carrying only the flat of each
+// entry, as the plan emits them.
+func flatOnlyReturn(c *vmpi.Comm, p *farPlan) [][]float64 {
+	parts := make([][]float64, c.Size())
+	for r, flats := range p.retFlat {
+		for _, flat := range flats {
+			parts[r] = append(parts[r], float64(flat), 0, 0, 0, 0)
+		}
+	}
+	return vmpi.Alltoall(c, parts)
+}
+
 // TestFarPlanMatchesMapReference pins the index-arithmetic plan builders to
 // the map-based ones entry for entry. The plan order is the payload order of
-// the return exchange and the scatter order into the interpolation block. One
-// rank makes every region wider than the mesh (each point wraps onto several
-// cells); 2, 4 and 8 ranks split one, two and three dimensions.
+// the return exchange, and the cell map must name, for every cell of the
+// interpolation block, the entry the map-based scatter would have written it
+// from. One rank makes every region wider than the mesh (each point wraps
+// onto several cells); 2, 4 and 8 ranks split one, two and three dimensions.
 func TestFarPlanMatchesMapReference(t *testing.T) {
 	sys := particle.SilicaMelt(200, 8, true, 5)
 	for _, ranks := range []int{1, 2, 4, 8} {
@@ -112,22 +145,61 @@ func TestFarPlanMatchesMapReference(t *testing.T) {
 			if err := sameLists(p.retLoc, wantLoc); err != nil {
 				t.Errorf("%d ranks, rank %d retLoc: %v", ranks, c.Rank(), err)
 			}
-			// The return exchange, carrying only the flat of each entry.
-			parts := make([][]float64, ranks)
-			for r, flats := range p.retFlat {
-				for _, flat := range flats {
-					parts[r] = append(parts[r], float64(flat), 0, 0, 0, 0)
+			recv := flatOnlyReturn(c, p)
+			p.buildCellMap(recv, s.Mesh)
+			want := refCellMap(p, recv, s.Mesh)
+			for k := range want {
+				if want[k].src < 0 {
+					t.Errorf("%d ranks, rank %d: the reference leaves cell %d uncovered", ranks, c.Rank(), k)
+					break
+				}
+				if p.cells[k] != want[k] {
+					t.Errorf("%d ranks, rank %d cell %d: %+v, reference %+v", ranks, c.Rank(), k, p.cells[k], want[k])
+					break
 				}
 			}
-			recv := vmpi.Alltoall(c, parts)
-			p.buildRecvPlan(recv, s.Mesh)
-			wantOff, wantIdx := refRecvPlan(p, recv, s.Mesh)
-			if err := sameLists(p.recvOff, wantOff); err != nil {
-				t.Errorf("%d ranks, rank %d recvOff: %v", ranks, c.Rank(), err)
+		})
+	}
+}
+
+// TestCellMapRejectsBrokenExchange feeds buildCellMap a return exchange in
+// which one entry's flat is moved to its neighbour's: the neighbour's cells
+// are served twice and the moved entry's never. Both points have the same
+// number of images in the block, so the number of cell assignments still
+// equals the block size: only a per-cell check catches the exchange.
+func TestCellMapRejectsBrokenExchange(t *testing.T) {
+	sys := particle.SilicaMelt(200, 8, true, 5)
+	for _, ranks := range []int{1, 8} {
+		vmpi.Run(vmpi.Config{Ranks: ranks}, func(c *vmpi.Comm) {
+			l := particle.Distribute(c, sys, particle.DistRandom, 99)
+			s := New(c, sys.Box, 1e-3)
+			in := api.Input{N: l.N, Cap: l.Cap, Pos: l.ActivePos(), Q: l.ActiveQ(), MaxMove: -1}
+			if err := s.Tune(in); err != nil {
+				t.Errorf("tune: %v", err)
+				return
 			}
-			if err := sameLists(p.recvIdx, wantIdx); err != nil {
-				t.Errorf("%d ranks, rank %d recvIdx: %v", ranks, c.Rank(), err)
+			p := s.buildFarPlan()
+			recv := flatOnlyReturn(c, p)
+			sr := 0
+			for len(recv[sr]) < 10 {
+				sr++
 			}
+			recv[sr][0] = recv[sr][5]
+			_, idx := refRecvPlan(p, recv, s.Mesh)
+			assigned := 0
+			for _, l := range idx {
+				assigned += len(l)
+			}
+			if assigned != p.bx*p.by*p.bz {
+				t.Errorf("%d ranks, rank %d: %d cell assignments for a block of %d cells; the fixture no longer hides the fault from a count",
+					ranks, c.Rank(), assigned, p.bx*p.by*p.bz)
+			}
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%d ranks, rank %d: a cell served twice and one never did not panic", ranks, c.Rank())
+				}
+			}()
+			p.buildCellMap(recv, s.Mesh)
 		})
 	}
 }

@@ -98,11 +98,11 @@ func NewSolver(c *vmpi.Comm, box particle.Box, accuracy float64) api.Solver {
 // Name implements api.Solver.
 func (s *Solver) Name() string { return "p2nfft" }
 
-// SetAssignmentOrder overrides the charge-assignment spline order before
+// setAssignmentOrder overrides the charge-assignment spline order before
 // Tune: 2 (cloud-in-cell) or 3 (triangular-shaped cloud, the default).
 // Lower orders are cheaper per particle but less accurate — the classic
 // particle-mesh trade-off, kept as an ablation knob.
-func (s *Solver) SetAssignmentOrder(order int) {
+func (s *Solver) setAssignmentOrder(order int) {
 	if order != 2 && order != 3 {
 		panic("pnfft: assignment order must be 2 or 3")
 	}
@@ -493,15 +493,13 @@ func (s *Solver) meshRegion() (lo, hi [3]int) {
 	return lo, hi
 }
 
-// farField computes the Fourier-space part on the mesh with the
-// slab-decomposed parallel FFT and interpolates potentials and fields back
-// to the owned particles.
-func (s *Solver) farField(own []pRec, pot, field []float64) {
+// chargeSpectrum runs steps 1–3 of the far field: it assigns the owned
+// particles' charges (h mesh points per unit length) to the grown block,
+// sends them to the slab owners, and returns the forward-transformed charge
+// slab, the spectrum in y-slab layout (the plan's spec buffer).
+func (s *Solver) chargeSpectrum(own []pRec, h float64) []complex128 {
 	c := s.comm
 	n := s.Mesh
-	L := s.box.Lengths()[0]
-	h := float64(n) / L // mesh points per unit length
-
 	if s.far == nil {
 		s.far = s.buildFarPlan()
 	}
@@ -561,59 +559,91 @@ func (s *Solver) farField(own []pRec, pot, field []float64) {
 	}
 	vmpi.ReleaseBlocks(recv)
 	c.Compute(costs.MeshPoint * float64(len(rho)))
-	spec := s.slab.ForwardInto(fp.spec, rho)
-	fp.spec = spec
+	fp.spec = s.slab.ForwardInto(fp.spec, rho)
+	return fp.spec
+}
+
+// farField computes the Fourier-space part on the mesh with the
+// slab-decomposed parallel FFT and interpolates potentials and fields back
+// to the owned particles.
+func (s *Solver) farField(own []pRec, pot, field []float64) {
+	c := s.comm
+	n := s.Mesh
+	L := s.box.Lengths()[0]
+	h := float64(n) / L // mesh points per unit length
+
+	spec := s.chargeSpectrum(own, h)
+	fp := s.far
+	lo := fp.lo
+	by, bz := fp.by, fp.bz
 
 	// 4. Influence function (from the plan's table — same values, computed
-	// once per Tune instead of per step) and ik differentiation.
-	fp.phiSpec = growC(fp.phiSpec, len(spec))
-	fp.exSpec = growC(fp.exSpec, len(spec))
-	fp.eySpec = growC(fp.eySpec, len(spec))
-	fp.ezSpec = growC(fp.ezSpec, len(spec))
-	phiSpec, exSpec, eySpec, ezSpec := fp.phiSpec, fp.exSpec, fp.eySpec, fp.ezSpec
+	// once per Tune instead of per step) and ik differentiation. φ replaces
+	// the charge spectrum in place; then each of pot, Ex, Ey, Ez is written
+	// into the one component buffer, transformed into the one output mesh
+	// (rho, dead since the forward transform) and its real part kept.
 	yLo, _ := s.slab.YRange(c.Rank())
 	g := 2 * math.Pi / L
 	// The inverse FFT normalizes by 1/n³, but the Ewald reciprocal sum is
 	// an unnormalized sum over modes; compensate here.
 	scale := float64(n) * float64(n) * float64(n)
-	// Every spectral point writes only its own slot, so the loop tiles
-	// freely across host workers with bit-identical results. Zeroed slots
-	// are written in place of the fresh-allocation zeros of the old code.
+	// Every spectral point writes only its own slot, so the loops tile
+	// freely across host workers with bit-identical results.
 	hostpar.For(len(spec), specGrain, func(ilo, ihi int) {
 		for idx := ilo; idx < ihi; idx++ {
 			gInf := fp.infl[idx]
 			if gInf == 0 {
-				phiSpec[idx] = 0
-				exSpec[idx] = 0
-				eySpec[idx] = 0
-				ezSpec[idx] = 0
+				spec[idx] = 0
 				continue
 			}
-			y := idx / (n * n)
-			x := (idx / n) % n
-			z := idx % n
-			my := signedMode(yLo+y, n)
-			mx := signedMode(x, n)
-			mz := signedMode(z, n)
-			phi := complex(gInf*scale, 0) * spec[idx]
-			phiSpec[idx] = phi
-			// E(k) = −i k φ(k)
-			exSpec[idx] = complex(0, -g*float64(mx)) * phi
-			eySpec[idx] = complex(0, -g*float64(my)) * phi
-			ezSpec[idx] = complex(0, -g*float64(mz)) * phi
+			spec[idx] = complex(gInf*scale, 0) * spec[idx]
 		}
 	})
 	c.Compute(costs.MeshPoint * float64(len(spec)))
 
-	potMesh := s.slab.InverseInto(fp.mesh[0], phiSpec)
-	exMesh := s.slab.InverseInto(fp.mesh[1], exSpec)
-	eyMesh := s.slab.InverseInto(fp.mesh[2], eySpec)
-	ezMesh := s.slab.InverseInto(fp.mesh[3], ezSpec)
-	fp.mesh = [4][]complex128{potMesh, exMesh, eyMesh, ezMesh}
+	fp.comp = growC(fp.comp, len(spec))
+	comp := fp.comp
+	for d := range fp.re {
+		if d == 0 {
+			copy(comp, spec)
+		} else {
+			// E(k) = −i k φ(k), one spectral row (fixed y, x) at a time.
+			axis := d - 1
+			hostpar.For(len(spec)/n, max(1, specGrain/n), func(rlo, rhi int) {
+				for row := rlo; row < rhi; row++ {
+					var m int
+					switch axis {
+					case 0:
+						m = signedMode(row%n, n)
+					case 1:
+						m = signedMode(yLo+row/n, n)
+					}
+					for idx := row * n; idx < (row+1)*n; idx++ {
+						if fp.infl[idx] == 0 {
+							comp[idx] = 0
+							continue
+						}
+						if axis == 2 {
+							m = signedMode(idx-row*n, n)
+						}
+						comp[idx] = complex(0, -g*float64(m)) * spec[idx]
+					}
+				}
+			})
+		}
+		mesh := s.slab.InverseInto(fp.rho, comp)
+		fp.rho = mesh
+		fp.re[d] = growF(fp.re[d], len(mesh))
+		re := fp.re[d]
+		for i, v := range mesh {
+			re[i] = real(v)
+		}
+	}
 
 	// 5. Return mesh values needed by each rank's interpolation region,
 	// emitted straight from the plan's (flat, local) lists — the same
 	// values in the same order the region scan produced.
+	re := fp.re
 	retParts := make([][]float64, c.Size())
 	for r := 0; r < c.Size(); r++ {
 		flats, locs := fp.retFlat[r], fp.retLoc[r]
@@ -623,47 +653,31 @@ func (s *Solver) farField(own []pRec, pot, field []float64) {
 		part := vmpi.Owned[float64](5 * len(flats))
 		for k, flat := range flats {
 			li := locs[k]
-			part = append(part,
-				float64(flat),
-				real(potMesh[li]), real(exMesh[li]), real(eyMesh[li]), real(ezMesh[li]))
+			part = append(part, float64(flat), re[0][li], re[1][li], re[2][li], re[3][li])
 		}
 		retParts[r] = part
 	}
 	// Pool-drawn like the charge parts: relinquish them, no copy; the
-	// receivers release them after scattering.
+	// receivers release them after interpolating.
 	retRecv := vmpi.AlltoallOwned(c, retParts)
-	if !fp.recvBuilt {
-		fp.buildRecvPlan(retRecv, n)
+	if fp.cells == nil {
+		fp.buildCellMap(retRecv, n)
 	}
-	fp.vals = growF(fp.vals, 4*bx*by*bz)
-	vals := fp.vals
 	nvals := 0
-	for sr := range retRecv {
-		blk := retRecv[sr]
+	for sr, blk := range retRecv {
 		if len(blk) != fp.recvLen[sr] {
 			panic("pnfft: returned mesh region changed size under a fixed plan")
 		}
 		nvals += len(blk) / 5
-		off, idx := fp.recvOff[sr], fp.recvIdx[sr]
-		for i := 0; i+4 < len(blk); i += 5 {
-			e := i / 5
-			for _, d := range idx[off[e]:off[e+1]] {
-				vals[4*d] = blk[i+1]
-				vals[4*d+1] = blk[i+2]
-				vals[4*d+2] = blk[i+3]
-				vals[4*d+3] = blk[i+4]
-			}
-		}
 	}
-	vmpi.ReleaseBlocks(retRecv)
 	c.Compute(costs.MeshPoint * float64(nvals))
 
-	// 6. Interpolate back to the owned particles, reading the dense
-	// grown-block value array (each flat mesh value was scattered to every
-	// grown cell that wraps to it, so the lookup is pure index arithmetic).
-	// Each particle writes only its own output slots and vals is read-only
-	// here, so the particle tiles run on host workers with bit-identical
-	// results.
+	// 6. Interpolate back to the owned particles, reading each grown-block
+	// cell's four values where they arrived: the cell map names the block
+	// and offset of the mesh point the cell wraps to. Each particle writes
+	// only its own output slots and the blocks are read-only here, so the
+	// particle tiles run on host workers with bit-identical results.
+	cells := fp.cells
 	hostpar.For(len(own), asgGrain, func(plo, phi int) {
 		var w [3][3]float64 // splineWeights supports orders up to 3
 		var base [3]int
@@ -677,16 +691,18 @@ func (s *Solver) farField(own []pRec, pot, field []float64) {
 				for iy := 0; iy < s.Order; iy++ {
 					for iz := 0; iz < s.Order; iz++ {
 						wt := w[0][ix] * w[1][iy] * w[2][iz]
-						d := 4 * (((base[0]+ix-lo[0])*by+base[1]+iy-lo[1])*bz + base[2] + iz - lo[2])
-						pot[pi] += wt * vals[d]
-						field[3*pi] += wt * vals[d+1]
-						field[3*pi+1] += wt * vals[d+2]
-						field[3*pi+2] += wt * vals[d+3]
+						cl := cells[((base[0]+ix-lo[0])*by+base[1]+iy-lo[1])*bz+base[2]+iz-lo[2]]
+						v := retRecv[cl.src][cl.off:][:4]
+						pot[pi] += wt * v[0]
+						field[3*pi] += wt * v[1]
+						field[3*pi+1] += wt * v[2]
+						field[3*pi+2] += wt * v[3]
 					}
 				}
 			}
 		}
 	})
+	vmpi.ReleaseBlocks(retRecv)
 	c.Compute(costs.MeshPoint * float64(len(own)*s.Order*s.Order*s.Order))
 }
 

@@ -402,7 +402,7 @@ func TestAssignmentOrderAblation(t *testing.T) {
 		st := vmpi.Run(vmpi.Config{Ranks: 4}, func(c *vmpi.Comm) {
 			l := particle.Distribute(c, s, particle.DistRandom, 99)
 			sv := New(c, s.Box, 1e-3)
-			sv.SetAssignmentOrder(order)
+			sv.setAssignmentOrder(order)
 			in := api.Input{N: l.N, Cap: l.Cap, Pos: l.ActivePos(), Q: l.ActiveQ(), MaxMove: -1}
 			if err := sv.Tune(in); err != nil {
 				t.Errorf("tune: %v", err)
@@ -446,6 +446,6 @@ func TestAssignmentOrderValidation(t *testing.T) {
 				t.Error("order 5 should panic")
 			}
 		}()
-		sv.SetAssignmentOrder(5)
+		sv.setAssignmentOrder(5)
 	})
 }

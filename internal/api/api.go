@@ -53,13 +53,11 @@ type Output struct {
 	Indices []redist.Index
 }
 
-// Exchange strategy names reported in RunStats.Strategy: the FMM's
-// parallel sorts (including the memory-bounded rotational nearly-sort)
-// and the P2NFFT's two redistribution backends (§III).
+// Exchange strategy names reported in RunStats.Strategy: the FMM's two
+// parallel sorts and the P2NFFT's two redistribution backends (§III).
 const (
 	StrategyPartition    = "partition"
 	StrategyMerge        = "merge"
-	StrategyRotational   = "rotational"
 	StrategyAlltoall     = "alltoall"
 	StrategyNeighborhood = "neighborhood"
 )

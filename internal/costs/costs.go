@@ -36,8 +36,8 @@ const (
 	Pair = 35e-9
 	// MultipoleTerm is one term of a multipole expansion operation.
 	MultipoleTerm = 6e-9
-	// Butterfly is one complex FFT butterfly.
-	Butterfly = 5e-9
+	// butterfly is one complex FFT butterfly.
+	butterfly = 5e-9
 	// CellAssign is binning one particle into a cell or grid structure.
 	CellAssign = 6e-9
 	// MeshPoint is one charge-assignment or interpolation mesh update.
@@ -88,5 +88,5 @@ func FFTTime(n int) float64 {
 	if n <= 1 {
 		return 0
 	}
-	return float64(n) * math.Log2(float64(n)) * Butterfly
+	return float64(n) * math.Log2(float64(n)) * butterfly
 }

@@ -52,24 +52,24 @@ type Record struct {
 // that received n particles. It must be able to hold at least n.
 type Capacity func(n int) int
 
-// DefaultCapacity doubles the delivered count (minimum 16): enough slack
+// defaultCapacity doubles the delivered count (minimum 16): enough slack
 // for method B's changed distributions under mild imbalance.
-func DefaultCapacity(n int) int {
+func defaultCapacity(n int) int {
 	if c := 2 * n; c > 16 {
 		return c
 	}
 	return 16
 }
 
-// Remap redistributes the local particle state onto the balanced block
+// remap redistributes the local particle state onto the balanced block
 // partition over the first newP ranks of the communicator (collective;
 // redist.RemapBlocks order). Ranks at or beyond newP end up empty. The
 // returned Local is freshly allocated with capf (nil means
-// DefaultCapacity) and carries l's box. RemapBlocks is plan-backed, so a
+// defaultCapacity) and carries l's box. RemapBlocks is plan-backed, so a
 // memory budget on the communicator bounds the remap's staged bytes.
-func Remap(c *vmpi.Comm, l *particle.Local, newP int, capf Capacity) *particle.Local {
+func remap(c *vmpi.Comm, l *particle.Local, newP int, capf Capacity) *particle.Local {
 	if capf == nil {
-		capf = DefaultCapacity
+		capf = defaultCapacity
 	}
 	var out *particle.Local
 	c.Phase(PhaseRemap, func() {
@@ -91,7 +91,7 @@ func Resize(c *vmpi.Comm, l *particle.Local, newN int, capf Capacity) (*vmpi.Com
 	case newN < c.Size():
 		// Shrink: move state off the retiring ranks while they are still in
 		// the world, then retire them.
-		l2 := Remap(c, l, newN, capf)
+		l2 := remap(c, l, newN, capf)
 		c2 := vmpi.Resize(c, newN)
 		if c2 == nil {
 			return nil, nil
@@ -101,7 +101,7 @@ func Resize(c *vmpi.Comm, l *particle.Local, newN int, capf Capacity) (*vmpi.Com
 		// Grow: admit the new ranks, then spread the state over the full new
 		// world together with them (their Join runs the same remap).
 		c2 := vmpi.Resize(c, newN)
-		return c2, Remap(c2, l, newN, capf)
+		return c2, remap(c2, l, newN, capf)
 	default:
 		// Same size: epoch bump only, the distribution already fits.
 		return vmpi.Resize(c, newN), l
@@ -113,7 +113,7 @@ func Resize(c *vmpi.Comm, l *particle.Local, newN int, capf Capacity) (*vmpi.Com
 // join), it contributes zero particles to the survivors' remap and
 // returns this rank's block of the redistributed state.
 func Join(c *vmpi.Comm, box particle.Box, capf Capacity) *particle.Local {
-	return Remap(c, particle.NewLocal(box, 0), c.Size(), capf)
+	return remap(c, particle.NewLocal(box, 0), c.Size(), capf)
 }
 
 // pack flattens the live particles into wire records.

@@ -26,8 +26,8 @@ type Budget struct {
 	sem chan struct{}
 }
 
-// NewBudget creates a budget of the given capacity (at least 1).
-func NewBudget(capacity int) *Budget {
+// newBudget creates a budget of the given capacity (at least 1).
+func newBudget(capacity int) *Budget {
 	return &Budget{sem: make(chan struct{}, maxInt(capacity, 1))}
 }
 
@@ -63,7 +63,7 @@ func (b *Budget) Release() { <-b.sem }
 // shared is the process-wide budget, sized to the host's core count. For's
 // helper workers, the experiment scheduler and the rank executor's extra
 // run slots all draw from it.
-var shared = NewBudget(runtime.NumCPU())
+var shared = newBudget(runtime.NumCPU())
 
 // SharedBudget returns the process-wide host-compute budget.
 func SharedBudget() *Budget { return shared }

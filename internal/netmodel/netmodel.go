@@ -105,7 +105,7 @@ type Torus struct {
 // matters for the redistribution experiments).
 func NewTorus(ranks int) *Torus {
 	return &Torus{
-		Dims:                NearCubicDims(ranks, 3),
+		Dims:                nearCubicDims(ranks, 3),
 		BaseLatency:         0.8e-6,
 		HopLatency:          0.1e-6,
 		Bandwidth:           2e9,
@@ -173,10 +173,10 @@ func (t *Torus) MaxRanks() int {
 	return n
 }
 
-// NearCubicDims factors n into dims near-cubic dimensions whose product is
+// nearCubicDims factors n into dims near-cubic dimensions whose product is
 // at least n, preferring balanced factors. For powers of two the product is
 // exactly n.
-func NearCubicDims(n, dims int) []int {
+func nearCubicDims(n, dims int) []int {
 	if n < 1 {
 		n = 1
 	}

@@ -105,18 +105,18 @@ func TestNearCubicDims(t *testing.T) {
 	}{
 		{1, 3, 1}, {2, 3, 2}, {8, 3, 8}, {64, 3, 64}, {100, 3, 100}, {256, 3, 256},
 	} {
-		dims := NearCubicDims(tc.n, tc.d)
+		dims := nearCubicDims(tc.n, tc.d)
 		if len(dims) != tc.d {
-			t.Fatalf("NearCubicDims(%d,%d) len = %d", tc.n, tc.d, len(dims))
+			t.Fatalf("nearCubicDims(%d,%d) len = %d", tc.n, tc.d, len(dims))
 		}
 		if p := product(dims); p < tc.want {
-			t.Errorf("NearCubicDims(%d,%d) = %v, product %d < %d", tc.n, tc.d, dims, p, tc.want)
+			t.Errorf("nearCubicDims(%d,%d) = %v, product %d < %d", tc.n, tc.d, dims, p, tc.want)
 		}
 	}
 	// Power of two: exact product and balanced.
-	dims := NearCubicDims(64, 3)
+	dims := nearCubicDims(64, 3)
 	if product(dims) != 64 {
-		t.Errorf("NearCubicDims(64,3) product = %d, want 64", product(dims))
+		t.Errorf("nearCubicDims(64,3) product = %d, want 64", product(dims))
 	}
 	max, min := 0, math.MaxInt
 	for _, d := range dims {

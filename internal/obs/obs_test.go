@@ -148,3 +148,30 @@ func TestMetricsDump(t *testing.T) {
 		}
 	}
 }
+
+// tee fans one stream out to several recorders.
+type tee []Recorder
+
+func (t tee) Record(e Event) {
+	for _, r := range t {
+		r.Record(e)
+	}
+}
+
+// Tee returns a Recorder that forwards every event to all of rs, in order.
+// Nil recorders are skipped; Tee() with no live recorders returns nil.
+func Tee(rs ...Recorder) Recorder {
+	var live tee
+	for _, r := range rs {
+		if r != nil {
+			live = append(live, r)
+		}
+	}
+	switch len(live) {
+	case 0:
+		return nil
+	case 1:
+		return live[0]
+	}
+	return live
+}

@@ -76,7 +76,8 @@ func TestFig10DriftBounded(t *testing.T) {
 // machine × rank count (the default sweep plus 65536) × strategy, each one
 // virtual machine run of the figure's cell. Besides ns/op it reports the
 // cell's virtual seconds per step (equal to the figure table), the rank
-// executor's parks and wakeups, and, after a forced GC, the process's
+// executor's parks, hand-offs (parks whose slot went straight to a queued
+// rank) and wakeups, and, after a forced GC, the process's
 // sys and in-use heap bytes. Select one row with, for example,
 //
 //	go test -run '^$' -bench 'Fig10/torus/ranks=16384/' -benchtime 1x ./internal/paperbench
@@ -96,6 +97,7 @@ func BenchmarkFig10(b *testing.B) {
 					b.StopTimer()
 					b.ReportMetric(fig10Steady(st), "vsec/step")
 					b.ReportMetric(float64(st.Exec.Parks), "parks")
+					b.ReportMetric(float64(st.Exec.Handoffs), "handoffs")
 					b.ReportMetric(float64(st.Exec.Wakeups), "wakeups")
 					runtime.GC()
 					var ms runtime.MemStats

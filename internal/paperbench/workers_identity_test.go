@@ -11,7 +11,7 @@ import (
 // advertises: the rendered Figure 10 table is byte-identical at any
 // executor run-slot count, fixed or drawn from the host budget (0). Worker
 // count may only change host wall-clock time
-// — a single virtual-time divergence here means the sharded executor
+// — a single virtual-time divergence here means the executor
 // leaked host scheduling into the virtual machine.
 func TestFig10WorkerCountIdentity(t *testing.T) {
 	ranks := []int{4, 16, 64}
@@ -29,8 +29,8 @@ func TestFig10WorkerCountIdentity(t *testing.T) {
 
 // TestTracedConfigWorkerCountIdentity extends the worker-count contract to
 // the observability exports: a traced MD configuration's Chrome trace and
-// metrics dump must be byte-identical across Workers ∈ {1, 2, 8} on the
-// sharded executor — the event log carries per-rank virtual timestamps and
+// metrics dump must be byte-identical across Workers ∈ {1, 2, 8} of the
+// executor — the event log carries per-rank virtual timestamps and
 // payload sizes, so it catches ordering leaks the figure tables cannot.
 func TestTracedConfigWorkerCountIdentity(t *testing.T) {
 	cfg := DefaultConfig()

@@ -58,11 +58,11 @@ func Distribute(c *vmpi.Comm, s *System, d Dist, seed int64) *Local {
 	}
 }
 
-// LocalCapacity returns the array capacity used for a rank's local store:
+// localCapacity returns the array capacity used for a rank's local store:
 // a slack factor over the average particles per rank, bounded below so tiny
 // runs still have room to absorb imbalance (pure-Coulomb ion systems
 // cluster over long runs, concentrating load).
-func LocalCapacity(totalN, ranks int) int {
+func localCapacity(totalN, ranks int) int {
 	avg := totalN/ranks + 1
 	c := avg * 6
 	if c < totalN && c < 1024 {
@@ -81,7 +81,7 @@ func distributeSingle(c *vmpi.Comm, s *System) *Local {
 	// Rank 0 must be able to hold the full system.
 	capacity := s.N
 	if c.Rank() != 0 {
-		capacity = LocalCapacity(s.N, c.Size())
+		capacity = localCapacity(s.N, c.Size())
 	}
 	l := NewLocal(s.Box, capacity)
 	if c.Rank() == 0 {
@@ -105,7 +105,7 @@ func distributeRandom(c *vmpi.Comm, s *System, seed int64) *Local {
 			count++
 		}
 	}
-	capacity := max(LocalCapacity(s.N, p), count)
+	capacity := max(localCapacity(s.N, p), count)
 	l := NewLocal(s.Box, capacity)
 	for i := 0; i < s.N; i++ {
 		if owner[i] == c.Rank() {
@@ -123,7 +123,7 @@ func distributeGrid(c *vmpi.Comm, s *System) *Local {
 			mine = append(mine, i)
 		}
 	}
-	capacity := max(LocalCapacity(s.N, c.Size()), len(mine))
+	capacity := max(localCapacity(s.N, c.Size()), len(mine))
 	l := NewLocal(s.Box, capacity)
 	for _, i := range mine {
 		appendFrom(l, s, i)

@@ -289,13 +289,13 @@ func TestGridRankCoversAllRanks(t *testing.T) {
 }
 
 func TestLocalCapacity(t *testing.T) {
-	if c := LocalCapacity(1000, 4); c < 250 {
+	if c := localCapacity(1000, 4); c < 250 {
 		t.Errorf("capacity %d below average load", c)
 	}
-	if c := LocalCapacity(1000, 4); c > 1000 {
+	if c := localCapacity(1000, 4); c > 1000 {
 		t.Errorf("capacity %d exceeds total", c)
 	}
-	if c := LocalCapacity(10, 20); c < 1 {
+	if c := localCapacity(10, 20); c < 1 {
 		t.Errorf("capacity %d < 1", c)
 	}
 }

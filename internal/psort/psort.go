@@ -81,16 +81,6 @@ func LocalSort[T any](c *vmpi.Comm, items []T, key func(T) uint64) {
 	}
 }
 
-// IsSorted reports whether items are locally non-decreasing in key.
-func IsSorted[T any](items []T, key func(T) uint64) bool {
-	for i := 1; i < len(items); i++ {
-		if key(items[i-1]) > key(items[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // SortPartition globally sorts items across the ranks of c: after the call,
 // every rank holds a locally sorted slice and all keys on rank r are <= all
 // keys on rank r+1. Splitters are determined by exact splitting — a

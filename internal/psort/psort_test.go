@@ -444,3 +444,13 @@ func TestSortPartitionProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// IsSorted reports whether items are locally non-decreasing in key.
+func IsSorted[T any](items []T, key func(T) uint64) bool {
+	for i := 1; i < len(items); i++ {
+		if key(items[i-1]) > key(items[i]) {
+			return false
+		}
+	}
+	return true
+}

@@ -37,45 +37,26 @@
 // primitive (channel, lock, WaitGroup) that another task releases keeps
 // its run slot, and a Workers=1 run hangs.
 //
-// # Sharding
+// # Locking
 //
-// State is split two ways so the executor scales across workers instead of
-// serializing every transition on one mutex:
+// One mutex guards everything: the task states and wake tokens, one FIFO
+// run deque of runnable ids, and the slot bank — free run slots (base +
+// budget extras) and the parked/finished counts behind the all-parked
+// deadlock verdict. A park, a wake batch and a finish each settle in one
+// critical section. A parking (or finishing) task with work queued behind
+// it passes its slot straight to the deque head, never counting it free;
+// only a parker that finds the deque empty frees its slot. The verdict,
+// checked at every park and finish, cannot fire on the hand-off path,
+// because the task receiving the slot is neither parked nor finished.
+// Grants are decided under the lock and delivered (goroutine spawned or
+// grant sent) after it drops: a granted task is running, so nothing can
+// park, poison or re-grant it in between.
 //
-//   - Tasks are sharded by id over per-worker shards (one per base run
-//     slot, capped). A shard's mutex owns its tasks' states, wake tokens,
-//     and a FIFO deque of its runnable ids, so the hot paths — a wake
-//     token deposit, a park that consumes a token — touch only the
-//     owning shard.
-//   - A central slot bank owns the fungible resources: free run slots
-//     (base + budget extras), the parked/finished counts behind the
-//     all-parked deadlock verdict, and a FIFO hand-off queue of shards
-//     that have runnable work but found no free slot. A freed slot is
-//     handed to the longest-waiting such shard, deterministically, never
-//     by map iteration.
-//
-// Lock order is shard → bank, always; the bank never acquires a shard
-// mutex. A park and a wake each settle in one shard episode that holds the
-// bank lock once. A parking (or finishing) task whose shard has queued
-// work and is next in line for a slot — the head of the hand-off queue, or
-// the queue is empty — passes its slot straight to its deque head, never
-// counting it free. Only a slot another shard is owed goes the long way:
-// freed under the bank lock, the owed shard popped, and that shard
-// dispatched after unlocking. The verdict cannot fire on the hand-off
-// path, because the task receiving the slot is neither parked nor
-// finished. Grants are decided under the locks and delivered (goroutine
-// spawned or grant sent) after they drop: a granted task is running, so
-// nothing can park, poison or re-grant it in between.
-//
-// UnparkBatch wakes any number of tasks in one episode per shard the
-// batch touches: the shard lock is held across marking parked tasks
-// runnable, enqueueing them, settling the bank's parked and runnable
-// counts, and granting inline while slots remain (or registering the shard
-// for hand-off when none is). A woken task cannot be granted — and re-park,
-// double-counting itself — before the bank's parked count drops, because
-// it is enqueued under the shard lock held across that settle; and while a
-// batch is in flight its caller is itself a live, unparked task, keeping
-// parked+finished strictly below the task count.
+// UnparkBatch wakes any number of tasks in one critical section: marking
+// parked tasks runnable, enqueueing them, settling the parked and runnable
+// counts, and granting while slots remain. While a batch is in flight its
+// caller is itself a live, unparked task, keeping parked+finished strictly
+// below the task count.
 //
 // Run slots come from two sources: a fixed base (at least one, so progress
 // never depends on anyone else's capacity) and optional extra units
@@ -102,16 +83,11 @@ type Budget interface {
 // task states.
 const (
 	statePending  uint8 = iota // never dispatched; queued at Start
-	stateRunnable              // woken, waiting in a shard's run deque
+	stateRunnable              // woken, waiting in the run deque
 	stateRunning               // holds a run slot
 	stateParked                // blocked in Park, waiting for Unpark
 	stateDone                  // body returned
 )
-
-// maxShards caps the shard count: beyond a few handfuls of workers the
-// bank, not the shard mutexes, is the contended resource, and a bounded
-// count keeps the declare/snapshot sweeps cheap.
-const maxShards = 16
 
 // task is one resumable rank.
 type task struct {
@@ -126,30 +102,14 @@ type task struct {
 	// slot accounting exact across poisoned wakeups (which grant no slot).
 	hasSlot bool
 	// grant resumes a parked (or pending) task; buffered so a granter
-	// never blocks while holding locks.
+	// never blocks while holding the lock.
 	grant chan struct{}
 	// started reports whether the task's goroutine exists yet.
 	started bool
 }
 
-// shard owns the tasks whose id ≡ idx (mod shard count): their states and
-// wake tokens, and the FIFO deque of its runnable ids. Everything below mu
-// is guarded by it. The hot wake paths touch only this lock.
-type shard struct {
-	mu  sync.Mutex
-	idx int
-	// tasks holds this shard's tasks; task id maps to local index
-	// id / nShards (ids are dealt round-robin, so appends in global id
-	// order keep the mapping dense).
-	tasks []*task
-	// runQ is the FIFO deque of runnable task ids; qHead indexes its front.
-	runQ  []int
-	qHead int
-	// shard-local stat counters, summed by Snapshot.
-	parks    int64
-	handoffs int64
-	wakeups  int64
-	spawned  int64
+func newTask() *task {
+	return &task{state: statePending, grant: make(chan struct{}, 1)}
 }
 
 // Stats meters the executor. All values are host-side quantities: they
@@ -159,7 +119,7 @@ type Stats struct {
 	// Parks counts blocking parks (token-consuming no-op parks excluded).
 	Parks int64
 	// Handoffs counts the parks whose run slot went straight to a queued
-	// task of the parker's shard instead of being freed.
+	// task instead of being freed.
 	Handoffs int64
 	// Wakeups counts unparks that made a task runnable or deposited a
 	// wake token.
@@ -167,8 +127,8 @@ type Stats struct {
 	// Spawned counts task goroutines actually created.
 	Spawned int64
 	// MaxRunnable is the high-water mark of runnable tasks awaiting a
-	// slot, summed over shards (batch-granular: a batched wake settles the
-	// meter once per batch).
+	// slot (batch-granular: a batched wake settles the meter once per
+	// batch).
 	MaxRunnable int
 	// PeakResident is the high-water mark of live task goroutines
 	// (spawned and not yet finished) — the executor's memory footprint
@@ -182,9 +142,7 @@ type Stats struct {
 // Options configures an Executor.
 type Options struct {
 	// Workers fixes the base slot count (minimum 1). Zero selects one base
-	// slot; extra capacity then comes only from Budget. The shard count
-	// follows the base slot count (capped), so each worker has its own
-	// deque.
+	// slot; extra capacity then comes only from Budget.
 	Workers int
 	// Budget, if non-nil, provides extra run slots beyond the base via
 	// non-blocking acquisition. Extras are capped by MaxWorkers and
@@ -193,7 +151,7 @@ type Options struct {
 	// MaxWorkers caps total slots (base + extras). Zero means the task
 	// count.
 	MaxWorkers int
-	// OnDeadlock is invoked (outside the executor locks) when every live
+	// OnDeadlock is invoked (outside the executor lock) when every live
 	// task is parked and no wakeup is pending, with the parked task ids in
 	// ascending order. Every parked task is woken poisoned and invokes it,
 	// so the verdict surfaces on goroutines that have the caller's panic
@@ -204,15 +162,15 @@ type Options struct {
 
 // Executor multiplexes tasks over a bounded set of run slots.
 type Executor struct {
-	run     func(id int)
-	opts    Options
-	nShards int
-	shards  []*shard
+	run  func(id int)
+	opts Options
 
-	// mu is the slot bank's lock, guarding everything below. Lock order is
-	// shard → bank; bank-locked code never touches a shard mutex.
-	mu     sync.Mutex
-	nTasks int
+	// mu guards everything below.
+	mu    sync.Mutex
+	tasks []*task
+	// runQ is the FIFO deque of runnable task ids; qHead indexes its front.
+	runQ  []int
+	qHead int
 
 	baseSlots int
 	maxSlots  int
@@ -224,26 +182,18 @@ type Executor struct {
 	resident int
 	runnable int
 	aborted  bool
-	// pendingQ is the FIFO hand-off queue of shard indices that have
-	// runnable work but found no free slot; inPending dedupes entries.
-	pendingQ  []int
-	pendHead  int
-	inPending []bool
 	// deadIDs is the parked-id set of a declared deadlock; written before
 	// any poisoned grant and then read by the poisoned wakers, ordered by
 	// their grant-channel receives.
 	deadIDs []int
 
-	maxRunnable  int
-	peakResident int
-	statMaxSlots int
+	st Stats
 
 	wg sync.WaitGroup
 }
 
-// New creates an executor for n tasks whose bodies are run(id). Tasks are
-// dealt round-robin over one shard per base worker; nothing executes until
-// Start.
+// New creates an executor for n tasks whose bodies are run(id); nothing
+// executes until Start.
 func New(n int, run func(id int), opts Options) *Executor {
 	if n < 1 {
 		panic("rankexec: need at least 1 task")
@@ -259,71 +209,30 @@ func New(n int, run func(id int), opts Options) *Executor {
 	if base > max {
 		base = max
 	}
-	nShards := base
-	if nShards > maxShards {
-		nShards = maxShards
-	}
 	ex := &Executor{
 		run:       run,
 		opts:      opts,
-		nShards:   nShards,
-		shards:    make([]*shard, nShards),
-		nTasks:    n,
+		tasks:     make([]*task, n),
 		baseSlots: base,
 		maxSlots:  max,
 		freeSlots: base,
-		inPending: make([]bool, nShards),
 	}
-	for i := range ex.shards {
-		ex.shards[i] = &shard{idx: i}
-	}
-	for id := 0; id < n; id++ {
-		s := ex.shards[id%nShards]
-		s.tasks = append(s.tasks, &task{state: statePending, grant: make(chan struct{}, 1)})
+	for id := range ex.tasks {
+		ex.tasks[id] = newTask()
 	}
 	ex.wg.Add(n)
 	return ex
 }
 
-// shardOf returns the shard owning a task id.
-func (ex *Executor) shardOf(id int) *shard { return ex.shards[id%ex.nShards] }
-
-// taskIn returns a shard's task by global id; the shard mutex must be held.
-func (s *shard) taskIn(id int, nShards int) *task { return s.tasks[id/nShards] }
-
 // Start enqueues every task and begins dispatching.
 func (ex *Executor) Start() {
 	ex.mu.Lock()
-	n := ex.nTasks
-	ex.noteRunnableLocked(n)
+	for id := range ex.tasks {
+		ex.runQ, ex.qHead = enqueue(ex.runQ, ex.qHead, id)
+	}
+	ex.noteRunnableLocked(len(ex.tasks))
 	ex.mu.Unlock()
-	for idx, s := range ex.shards {
-		s.mu.Lock()
-		for id := idx; id < n; id += ex.nShards {
-			s.runQ, s.qHead = enqueue(s.runQ, s.qHead, id)
-		}
-		s.mu.Unlock()
-	}
-	// Grant the initial wave round-robin across shards — one task per
-	// shard per pass — so low ids fill the first slots regardless of the
-	// shard layout, exactly like the single-queue executor's FIFO wave.
-	for {
-		any := false
-		for _, s := range ex.shards {
-			var g grants
-			s.mu.Lock()
-			ex.mu.Lock()
-			if ex.grantLocked(s, &g) {
-				any = true
-			}
-			ex.mu.Unlock()
-			s.mu.Unlock()
-			ex.deliver(&g, s)
-		}
-		if !any {
-			return
-		}
-	}
+	ex.dispatch()
 }
 
 // Admit appends k new tasks to a running executor and returns the id of
@@ -342,12 +251,15 @@ func (ex *Executor) Admit(k int) int {
 	}
 	ex.wg.Add(k)
 	ex.mu.Lock()
-	first := ex.nTasks
-	ex.nTasks += k
+	first := len(ex.tasks)
+	for id := first; id < first+k; id++ {
+		ex.tasks = append(ex.tasks, newTask())
+		ex.runQ, ex.qHead = enqueue(ex.runQ, ex.qHead, id)
+	}
 	// Re-derive the slot cap for the grown task count (same rule as New).
 	max := ex.opts.MaxWorkers
-	if max <= 0 || max > ex.nTasks {
-		max = ex.nTasks
+	if max <= 0 || max > len(ex.tasks) {
+		max = len(ex.tasks)
 	}
 	if max < ex.baseSlots {
 		max = ex.baseSlots
@@ -355,20 +267,7 @@ func (ex *Executor) Admit(k int) int {
 	ex.maxSlots = max
 	ex.noteRunnableLocked(k)
 	ex.mu.Unlock()
-	var touched [maxShards]bool
-	for id := first; id < first+k; id++ {
-		s := ex.shardOf(id)
-		s.mu.Lock()
-		s.tasks = append(s.tasks, &task{state: statePending, grant: make(chan struct{}, 1)})
-		s.runQ, s.qHead = enqueue(s.runQ, s.qHead, id)
-		s.mu.Unlock()
-		touched[id%ex.nShards] = true
-	}
-	for i := 0; i < ex.nShards; i++ {
-		if touched[i] {
-			ex.dispatch(ex.shards[i])
-		}
-	}
+	ex.dispatch()
 	return first
 }
 
@@ -384,28 +283,25 @@ func (ex *Executor) Wait() {
 // Park blocks the calling task (which must be running) until Unpark, or
 // returns immediately when a wake token is pending. Callers use it inside
 // a condition-recheck loop: test, Park, retest. A blocking park is one
-// shard episode holding the bank lock once (see releaseSlotLocked).
+// critical section (see releaseSlotLocked).
 func (ex *Executor) Park(id int) {
-	s := ex.shardOf(id)
-	s.mu.Lock()
-	t := s.taskIn(id, ex.nShards)
+	ex.mu.Lock()
+	t := ex.tasks[id]
 	if t.wake {
 		t.wake = false
-		s.mu.Unlock()
+		ex.mu.Unlock()
 		return
 	}
-	s.parks++
+	ex.st.Parks++
 	t.state = stateParked
 	t.hasSlot = false
-	var g grants
-	ex.mu.Lock()
 	ex.parked++
-	if ex.releaseSlotLocked(s, &g) {
-		s.handoffs++
+	var g grants
+	if ex.releaseSlotLocked(&g) {
+		ex.st.Handoffs++
 	}
 	ex.mu.Unlock()
-	s.mu.Unlock()
-	ex.deliver(&g, s)
+	ex.deliver(&g)
 	<-t.grant
 	// poisoned was written before the grant send; the channel receive
 	// orders this read after it.
@@ -422,37 +318,19 @@ func (ex *Executor) Unpark(id int) {
 	ex.UnparkBatch(one[:])
 }
 
-// UnparkBatch unparks every listed task (duplicates allowed) in one shard
-// episode per shard the batch touches, each holding the bank lock once —
-// one bank episode per delivery batch and shard, not one per woken rank.
-// ids is only read. Safe to call from any goroutine.
+// UnparkBatch unparks every listed task (duplicates allowed) in one
+// critical section: parked tasks join the run deque, the others get a wake
+// token, then queued work is granted while slots remain. ids is only read.
+// Safe to call from any goroutine.
 func (ex *Executor) UnparkBatch(ids []int) {
-	var touched [maxShards]bool
-	for _, id := range ids {
-		touched[id%ex.nShards] = true
-	}
-	for i, s := range ex.shards {
-		if touched[i] {
-			ex.wakeShard(s, ids)
-		}
-	}
-}
-
-// wakeShard settles the ids of one shard in one episode (see the package
-// doc): parked tasks join its deque, the others get a wake token, then the
-// bank settles and queued work is granted while slots remain.
-func (ex *Executor) wakeShard(s *shard, ids []int) {
-	s.mu.Lock()
+	ex.mu.Lock()
 	w := 0
 	for _, id := range ids {
-		if id%ex.nShards != s.idx {
-			continue
-		}
-		t := s.taskIn(id, ex.nShards)
+		t := ex.tasks[id]
 		switch t.state {
 		case stateParked:
 			t.state = stateRunnable
-			s.runQ, s.qHead = enqueue(s.runQ, s.qHead, id)
+			ex.runQ, ex.qHead = enqueue(ex.runQ, ex.qHead, id)
 			w++
 		case statePending, stateRunnable, stateRunning:
 			t.wake = true
@@ -461,19 +339,17 @@ func (ex *Executor) wakeShard(s *shard, ids []int) {
 			// it can never run; nothing to wake.
 			continue
 		}
-		s.wakeups++
+		ex.st.Wakeups++
 	}
 	var g grants
 	if w > 0 {
-		ex.mu.Lock()
 		ex.parked -= w
 		ex.noteRunnableLocked(w)
-		for ex.grantLocked(s, &g) {
+		for ex.grantLocked(&g) {
 		}
-		ex.mu.Unlock()
 	}
-	s.mu.Unlock()
-	ex.deliver(&g, s)
+	ex.mu.Unlock()
+	ex.deliver(&g)
 }
 
 // Abort stops all dispatching and returns every free budget unit. Parked
@@ -486,23 +362,11 @@ func (ex *Executor) Abort() {
 	ex.mu.Unlock()
 }
 
-// Snapshot returns the current stats (shard counters summed).
+// Snapshot returns the current stats.
 func (ex *Executor) Snapshot() Stats {
-	var st Stats
-	for _, s := range ex.shards {
-		s.mu.Lock()
-		st.Parks += s.parks
-		st.Handoffs += s.handoffs
-		st.Wakeups += s.wakeups
-		st.Spawned += s.spawned
-		s.mu.Unlock()
-	}
 	ex.mu.Lock()
-	st.MaxRunnable = ex.maxRunnable
-	st.PeakResident = ex.peakResident
-	st.MaxSlots = ex.statMaxSlots
-	ex.mu.Unlock()
-	return st
+	defer ex.mu.Unlock()
+	return ex.st
 }
 
 // --- internals ---
@@ -510,8 +374,8 @@ func (ex *Executor) Snapshot() Stats {
 // enqueue appends v to a FIFO kept as a slice and the index of its front.
 // Once the consumed prefix exceeds half the slice the live tail first moves
 // to the front, so the backing array is sized by the queue's depth, not by
-// everything ever queued — a busy shard's deque never drains, and would
-// otherwise grow by one word per wakeup for the life of the run.
+// everything ever queued — a busy deque never drains, and would otherwise
+// grow by one word per wakeup for the life of the run.
 func enqueue(q []int, head, v int) ([]int, int) {
 	if head > len(q)/2 {
 		q = q[:copy(q, q[head:])]
@@ -521,43 +385,39 @@ func enqueue(q []int, head, v int) ([]int, int) {
 }
 
 // noteRunnableLocked adds k tasks to the runnable meter and ratchets its
-// high-water mark. Callers hold the bank lock.
+// high-water mark.
 func (ex *Executor) noteRunnableLocked(k int) {
 	ex.runnable += k
-	if ex.runnable > ex.maxRunnable {
-		ex.maxRunnable = ex.runnable
+	if ex.runnable > ex.st.MaxRunnable {
+		ex.st.MaxRunnable = ex.runnable
 	}
 }
 
-// dispatch grants run slots to the shard's queued tasks until the deque
-// drains or slots run out. Called without locks; acquires shard → bank.
-func (ex *Executor) dispatch(s *shard) {
+// dispatch grants run slots to queued tasks until the deque drains or
+// slots run out.
+func (ex *Executor) dispatch() {
 	var g grants
-	s.mu.Lock()
 	ex.mu.Lock()
-	for ex.grantLocked(s, &g) {
+	for ex.grantLocked(&g) {
 	}
 	ex.mu.Unlock()
-	s.mu.Unlock()
-	ex.deliver(&g, s)
+	ex.deliver(&g)
 }
 
-// grants is what one locked episode decided and its caller carries out
-// once the locks drop: the tasks granted a slot are resumed — spawned, or
+// grants is what one critical section decided and its caller carries out
+// once the lock drops: the tasks granted a slot are resumed — spawned, or
 // sent their grant — so the channel send and the runtime readying the
-// receiver stay outside every critical section; a slot owed to another
-// shard is dispatched there, or the all-parked verdict declared.
+// receiver stay outside the lock; or the all-parked verdict is declared.
 type grants struct {
 	n       int
 	tasks   [4]*task // nil: spawn ids[i]
 	ids     [4]int
-	owed    *shard
 	verdict bool
 }
 
-// deliver carries out an episode's grants for shard s. A full batch may
-// have left s's work queued behind free slots, so s is dispatched again.
-func (ex *Executor) deliver(g *grants, s *shard) {
+// deliver carries out a critical section's grants. A full batch may have
+// left work queued behind free slots, so it dispatches again.
+func (ex *Executor) deliver(g *grants) {
 	for i := 0; i < g.n; i++ {
 		if t := g.tasks[i]; t != nil {
 			t.grant <- struct{}{}
@@ -566,39 +426,31 @@ func (ex *Executor) deliver(g *grants, s *shard) {
 		}
 	}
 	if g.n == len(g.ids) {
-		ex.dispatch(s)
+		ex.dispatch()
 	}
 	if g.verdict {
 		ex.declareDeadlock()
-	} else if g.owed != nil {
-		ex.dispatch(g.owed)
 	}
 }
 
-// grantLocked grants a run slot to the shard's next queued task, recording
-// it in g for deliver, and reports whether it did. When the shard has work
-// but no slot is to be had (nor grown from the budget) it registers the
-// shard in the bank's hand-off queue, and the next released slot is
-// delivered to it. Both locks are held.
-func (ex *Executor) grantLocked(s *shard, g *grants) bool {
-	if g.n == len(g.ids) || s.qHead >= len(s.runQ) || ex.aborted {
+// grantLocked grants a run slot to the next queued task, recording it in g
+// for deliver, and reports whether it did. Work that finds no slot (nor one
+// grown from the budget) stays queued for the next released slot.
+func (ex *Executor) grantLocked(g *grants) bool {
+	if g.n == len(g.ids) || ex.qHead >= len(ex.runQ) || ex.aborted {
 		return false
 	}
 	if ex.freeSlots == 0 && !ex.growLocked() {
-		if !ex.inPending[s.idx] {
-			ex.inPending[s.idx] = true
-			ex.pendingQ, ex.pendHead = enqueue(ex.pendingQ, ex.pendHead, s.idx)
-		}
 		return false
 	}
 	ex.freeSlots--
 	ex.runnable--
-	if held := ex.baseSlots + ex.extras - ex.freeSlots; held > ex.statMaxSlots {
-		ex.statMaxSlots = held
+	if held := ex.baseSlots + ex.extras - ex.freeSlots; held > ex.st.MaxSlots {
+		ex.st.MaxSlots = held
 	}
-	id := s.runQ[s.qHead]
-	s.qHead++
-	t := s.taskIn(id, ex.nShards)
+	id := ex.runQ[ex.qHead]
+	ex.qHead++
+	t := ex.tasks[id]
 	t.state = stateRunning
 	t.hasSlot = true
 	g.ids[g.n] = id
@@ -607,24 +459,21 @@ func (ex *Executor) grantLocked(s *shard, g *grants) bool {
 	} else {
 		g.tasks[g.n] = nil
 		t.started = true
-		s.spawned++
+		ex.st.Spawned++
 		ex.resident++
-		if ex.resident > ex.peakResident {
-			ex.peakResident = ex.resident
+		if ex.resident > ex.st.PeakResident {
+			ex.st.PeakResident = ex.resident
 		}
 	}
 	g.n++
 	return true
 }
 
-// releaseSlotLocked gives up the run slot of a task of shard s that has
-// just parked or finished (the caller has counted it); both locks are
-// held. If s has queued work and is next in line — the head of the
-// hand-off queue, or that queue is empty — the slot goes straight to its
-// deque head and s re-registers if work remains; it reports this hand-off.
-// Otherwise the slot is freed, the verdict checked, and the longest-waiting
-// shard popped into g for deliver to dispatch.
-func (ex *Executor) releaseSlotLocked(s *shard, g *grants) (handed bool) {
+// releaseSlotLocked gives up the run slot of a task that has just parked
+// or finished (the caller has counted it). With work queued, the slot goes
+// straight to the deque head; it reports this hand-off. Otherwise the slot
+// is freed, the verdict checked and surplus extras returned.
+func (ex *Executor) releaseSlotLocked(g *grants) (handed bool) {
 	ex.freeSlots++
 	if g.verdict = ex.deadlockedLocked(); g.verdict {
 		return false
@@ -633,29 +482,13 @@ func (ex *Executor) releaseSlotLocked(s *shard, g *grants) (handed bool) {
 		ex.trimExtrasLocked(true)
 		return false
 	}
-	if s.qHead < len(s.runQ) && (ex.pendHead == len(ex.pendingQ) || ex.pendingQ[ex.pendHead] == s.idx) {
-		ex.popPendingLocked()
-		for ex.grantLocked(s, g) {
+	if ex.qHead < len(ex.runQ) {
+		for ex.grantLocked(g) {
 		}
 		return true
 	}
-	if next := ex.popPendingLocked(); next >= 0 {
-		g.owed = ex.shards[next]
-	} else {
-		ex.trimExtrasLocked(false)
-	}
+	ex.trimExtrasLocked(false)
 	return false
-}
-
-// popPendingLocked pops the longest-waiting slot-starved shard, or -1.
-func (ex *Executor) popPendingLocked() int {
-	if ex.pendHead >= len(ex.pendingQ) {
-		return -1
-	}
-	idx := ex.pendingQ[ex.pendHead]
-	ex.pendHead++
-	ex.inPending[idx] = false
-	return idx
 }
 
 // growLocked try-acquires one extra budget unit. Reports whether a slot
@@ -672,12 +505,10 @@ func (ex *Executor) growLocked() bool {
 	return true
 }
 
-// trimExtrasLocked returns extra budget units that have no pending work to
-// serve. With force, every free unit is returned (teardown).
+// trimExtrasLocked returns the free extra budget units beyond the base
+// slots; with force, every free unit (teardown). Callers trim only when no
+// work is queued.
 func (ex *Executor) trimExtrasLocked(force bool) {
-	if !force && ex.pendHead < len(ex.pendingQ) {
-		return
-	}
 	for ex.extras > 0 && ex.freeSlots > 0 {
 		if !force && ex.freeSlots <= ex.baseSlots {
 			return
@@ -694,21 +525,18 @@ func (ex *Executor) trimExtrasLocked(force bool) {
 // task — the executor is already aborted — finishes without a slot.
 func (ex *Executor) taskMain(id int) {
 	ex.run(id)
-	s := ex.shardOf(id)
-	s.mu.Lock()
-	t := s.taskIn(id, ex.nShards)
-	t.state = stateDone
-	var g grants
 	ex.mu.Lock()
+	t := ex.tasks[id]
+	t.state = stateDone
 	ex.finished++
 	ex.resident--
+	var g grants
 	if t.hasSlot {
-		ex.releaseSlotLocked(s, &g)
+		ex.releaseSlotLocked(&g)
 	}
-	ex.mu.Unlock()
 	t.hasSlot = false
-	s.mu.Unlock()
-	ex.deliver(&g, s)
+	ex.mu.Unlock()
+	ex.deliver(&g)
 	ex.wg.Done()
 }
 
@@ -716,37 +544,25 @@ func (ex *Executor) taskMain(id int) {
 // parked task poisoned. Each poisoned task reports the deadlock from its
 // own Park call — on a goroutine that has the caller's panic recovery
 // machinery up-stack — and can then finish, so Wait terminates when the
-// task bodies recover. The detecting goroutine is unique (it made the
-// parked+finished count hit the task total) and the state is frozen —
-// every task is parked or done and no unpark is in flight — so the sweep
-// over the shards reads a stable snapshot. A parked task never has a
-// pending grant, so the buffered sends cannot block.
+// task bodies recover. A parked task never has a pending grant, so the
+// buffered sends cannot block.
 func (ex *Executor) declareDeadlock() {
 	ex.mu.Lock()
 	ex.abortLocked()
-	n := ex.nTasks
-	ex.mu.Unlock()
 	var ids []int
-	for id := 0; id < n; id++ {
-		s := ex.shardOf(id)
-		s.mu.Lock()
-		if s.taskIn(id, ex.nShards).state == stateParked {
+	for id, t := range ex.tasks {
+		if t.state == stateParked {
 			ids = append(ids, id)
+			t.poisoned = true
+			t.state = stateRunning // off the parked set; holds no slot
 		}
-		s.mu.Unlock()
 	}
-	ex.mu.Lock()
 	ex.deadIDs = ids
 	ex.parked -= len(ids)
+	tasks := ex.tasks
 	ex.mu.Unlock()
 	for _, id := range ids {
-		s := ex.shardOf(id)
-		s.mu.Lock()
-		t := s.taskIn(id, ex.nShards)
-		t.poisoned = true
-		t.state = stateRunning // off the parked set; holds no slot
-		s.mu.Unlock()
-		t.grant <- struct{}{}
+		tasks[id].grant <- struct{}{}
 	}
 }
 
@@ -757,7 +573,7 @@ func (ex *Executor) declareDeadlock() {
 // delivering sender of any batch is itself live — so parked+finished
 // covering all tasks is exact.
 func (ex *Executor) deadlockedLocked() bool {
-	return !ex.aborted && ex.parked > 0 && ex.parked+ex.finished == ex.nTasks
+	return !ex.aborted && ex.parked > 0 && ex.parked+ex.finished == len(ex.tasks)
 }
 
 func (ex *Executor) abortLocked() {

@@ -486,11 +486,8 @@ func TestRunQueueStaysBounded(t *testing.T) {
 	if wakeups < rounds {
 		t.Fatalf("only %d wakeups in %d rounds: the ring did not run", wakeups, rounds)
 	}
-	if c := cap(ex.shards[0].runQ); c > 8*n {
+	if c := cap(ex.runQ); c > 8*n {
 		t.Errorf("run deque capacity %d after %d wakeups of %d tasks, want O(tasks)", c, wakeups, n)
-	}
-	if c := cap(ex.pendingQ); c > 8*maxShards {
-		t.Errorf("hand-off queue capacity %d, want O(shards)", c)
 	}
 }
 
@@ -568,32 +565,40 @@ func partnerRing(n, rounds int, opts Options) *Executor {
 	return ex
 }
 
-// TestParkHandsSlotToQueuedTask pins the fast path: on one slot, a park
-// with runnable work queued behind it hands the slot straight to the deque
-// head. In a 4096-task ring every task parks every other round (a
+// TestParkHandsSlotToQueuedTask pins the fast path: a park with runnable
+// work queued behind it hands its slot straight to the deque head, at every
+// slot count. In a 4096-task ring every task parks every other round (a
 // partner's post runs one round ahead) and nearly every park finds such
-// work; only the last pairs' parks, with the deque
-// drained, free their slot.
+// work; only the last pairs' parks, with the deque drained, free their
+// slot.
 func TestParkHandsSlotToQueuedTask(t *testing.T) {
 	const n, rounds = 4096, 8
-	st := partnerRing(n, rounds, Options{Workers: 1}).Snapshot()
-	if st.Parks < n*rounds/2 {
-		t.Fatalf("only %d parks for %d tasks × %d rounds: the ring did not run", st.Parks, n, rounds)
-	}
-	if float64(st.Handoffs) < 0.99*float64(st.Parks) {
-		t.Fatalf("Handoffs = %d of %d parks, want ≥ 99 %%", st.Handoffs, st.Parks)
-	}
-	if st.Parks != st.Wakeups {
-		t.Fatalf("Parks = %d, Wakeups = %d: on one slot every wake ends one park", st.Parks, st.Wakeups)
+	for _, w := range []int{1, 2, 4} {
+		st := partnerRing(n, rounds, Options{Workers: w}).Snapshot()
+		minParks := int64(n * rounds / 2)
+		if w > 1 {
+			// Slots running side by side let a post land before its
+			// receiver parks, sparing that park.
+			minParks /= 2
+		}
+		if st.Parks < minParks {
+			t.Fatalf("Workers=%d: only %d parks for %d tasks × %d rounds: the ring did not run", w, st.Parks, n, rounds)
+		}
+		if float64(st.Handoffs) < 0.99*float64(st.Parks) {
+			t.Fatalf("Workers=%d: Handoffs = %d of %d parks, want ≥ 99 %%", w, st.Handoffs, st.Parks)
+		}
+		if w == 1 && st.Parks != st.Wakeups {
+			t.Fatalf("Parks = %d, Wakeups = %d: on one slot every wake ends one park", st.Parks, st.Wakeups)
+		}
 	}
 }
 
 // BenchmarkParkHandoff times one park-and-wake cycle of the 4096-task ring
-// on one and two run slots; a task parks every other round, so b.N parks
-// take 2·b.N/4096 rounds.
+// on one, two and four run slots; a task parks every other round, so b.N
+// parks take 2·b.N/4096 rounds.
 func BenchmarkParkHandoff(b *testing.B) {
 	const n = 4096
-	for _, w := range []int{1, 2} {
+	for _, w := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			st := partnerRing(n, 2*b.N/n+2, Options{Workers: w}).Snapshot()

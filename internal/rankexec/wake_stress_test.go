@@ -2,8 +2,8 @@ package rankexec
 
 import "testing"
 
-// TestHandoffStressBudgetAdmit races the park hand-off against the
-// hand-off queue, budget growth and trimming, and Admit. Tasks on 2 or 4
+// TestHandoffStressBudgetAdmit races the park hand-off against wakes,
+// budget growth and trimming, and Admit. Tasks on 2 or 4
 // base slots plus budget extras each post three tokens a round and batch
 // the owed wakes into one UnparkBatch before waiting (vmpi's flush
 // pattern); task 0 admits a second cohort mid-run that plays the same

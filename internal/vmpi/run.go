@@ -230,7 +230,7 @@ func Run(cfg Config, f func(c *Comm)) *Stats {
 // without disturbing the all-parked deadlock verdict, and retired ranks
 // simply finish. The first rank panic (including the deadlock verdict) is
 // re-raised in the caller's goroutine; parked sibling ranks stay parked.
-func (rt *Runtime) execute(workers, n int) *ExecStats {
+func (rt *Runtime) execute(workers, n int) *rankexec.Stats {
 	panicCh := make(chan any, 1)
 	body := func(r int) {
 		defer func() {
@@ -286,7 +286,8 @@ func (rt *Runtime) execute(workers, n int) *ExecStats {
 	case p := <-panicCh:
 		panic(p)
 	}
-	return execStatsFrom(ex.Snapshot())
+	st := ex.Snapshot()
+	return &st
 }
 
 // wakeBatchMax caps a rank's pending-wake batch: a fan-out send loop

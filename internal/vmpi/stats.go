@@ -50,45 +50,7 @@ type Stats struct {
 	// Exec holds the executor's host-side meters. Host-domain only: these
 	// values depend on the host's scheduling and must never feed golden
 	// exports.
-	Exec *ExecStats
-}
-
-// ExecStats meters the executor's host-side behaviour for one Run. These
-// are host-domain quantities — they depend on scheduling and never enter
-// the virtual event stream or the golden exports.
-type ExecStats struct {
-	// Parks counts blocking receive waits (a receive that found its
-	// message queued parks zero times).
-	Parks int64
-	// Handoffs counts the parks whose run slot went straight to a queued
-	// rank instead of being freed (the executor's fast path).
-	Handoffs int64
-	// Wakeups counts deliveries that woke (or pre-empted the park of) a
-	// waiting rank.
-	Wakeups int64
-	// Spawned counts rank goroutines actually created (== ranks, unless
-	// the run aborted before every rank was first dispatched).
-	Spawned int64
-	// MaxRunnable is the high-water mark of the runnable-rank queue.
-	MaxRunnable int
-	// PeakResident is the high-water mark of live rank goroutines — the
-	// executor's host-memory footprint driver at large P.
-	PeakResident int
-	// MaxSlots is the high-water mark of concurrently held run slots
-	// (base + budget extras).
-	MaxSlots int
-}
-
-func execStatsFrom(s rankexec.Stats) *ExecStats {
-	return &ExecStats{
-		Parks:        s.Parks,
-		Handoffs:     s.Handoffs,
-		Wakeups:      s.Wakeups,
-		Spawned:      s.Spawned,
-		MaxRunnable:  s.MaxRunnable,
-		PeakResident: s.PeakResident,
-		MaxSlots:     s.MaxSlots,
-	}
+	Exec *rankexec.Stats
 }
 
 // MaxClock returns the maximum final clock — the virtual wall-clock time of

@@ -14,8 +14,8 @@ import (
 // deadlock (all-parked verdict) or hangs. The workload below drives all
 // three flush edges at once, at slot counts from fully serialized to wider
 // than the hot rank set and at the default (one base slot plus extras from
-// the shared host budget, so slot hand-offs race budget growth and the
-// hand-off queue), and the virtual clocks must match at every one.
+// the shared host budget, so slot hand-offs race budget growth), and the
+// virtual clocks must match at every one.
 func TestBatchedWakeStress(t *testing.T) {
 	// More destinations than wakeBatchMax so the hub's scatter crosses the
 	// flush-on-full edge mid-loop.

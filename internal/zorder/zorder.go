@@ -76,14 +76,6 @@ func Parent(key uint64) uint64 { return key >> 3 }
 // Child returns the key of the i-th child (0..7) of a box.
 func Child(key uint64, i int) uint64 { return key<<3 | uint64(i&7) }
 
-// AtLevel truncates a level-from key to a coarser level-to key.
-func AtLevel(key uint64, from, to int) uint64 {
-	if to > from {
-		panic("zorder: AtLevel target level finer than source")
-	}
-	return key >> uint(3*(from-to))
-}
-
 // Neighbors3 returns the distinct Morton keys of all existing boxes within
 // a Chebyshev distance of 1 of the box with the given key at the given
 // level, including the box itself. If periodic is true, neighbor coordinates

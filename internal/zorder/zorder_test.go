@@ -200,3 +200,11 @@ func TestNeighbors3Symmetry(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// AtLevel truncates a level-from key to a coarser level-to key.
+func AtLevel(key uint64, from, to int) uint64 {
+	if to > from {
+		panic("zorder: AtLevel target level finer than source")
+	}
+	return key >> uint(3*(from-to))
+}

@@ -10,12 +10,12 @@ import (
 // tile.
 const refTargetGrain = 2
 
-// refDownward is Engine.downward as it stood before the batched M2L: each
+// refDownward is engine.downward as it stood before the batched M2L: each
 // level's targets run one at a time, one M2L per non-empty interaction-list
 // source. The body is kept verbatim as the oracle for the octant batches:
 // TestDownwardMatchesPerTarget demands bit-identical local expansions and
 // CostSeconds.
-func refDownward(e *Engine) {
+func refDownward(e *engine) {
 	nc := e.Tab.NCoef()
 	// Target keys per level: ancestors of owned leaves.
 	targets := make([][]uint64, e.Level+1)

@@ -9,14 +9,14 @@ import (
 	"repro/internal/zorder"
 )
 
-// refEvalNearField is Engine.evalNearField as it stood before the image
+// refEvalNearField is engine.evalNearField as it stood before the image
 // shift was hoisted out of the pair loop: every particle pair takes its own
 // minimum image. The bodies (refNearLeaf, refGatherOwned, refGatherGhost)
 // are kept verbatim as the oracle for the hoisted gather, except that the
 // leaf and ghost-box lookups go through refFindLeaf and refFindGhost:
 // TestNearFieldMatchesPerPair demands bit-identical pot, field and
 // CostSeconds.
-func refEvalNearField(e *Engine, pot, field []float64) {
+func refEvalNearField(e *engine, pot, field []float64) {
 	nt := hostpar.Tiles(len(e.leaves), nearGrain)
 	ownedC := make([]int, nt)
 	ghostC := make([]int, nt)
@@ -53,7 +53,7 @@ type refNearScratch struct {
 }
 
 // refFindLeaf locates an owned leaf range by key.
-func refFindLeaf(e *Engine, key uint64) (leafRange, bool) {
+func refFindLeaf(e *engine, key uint64) (leafRange, bool) {
 	i := sort.Search(len(e.leaves), func(i int) bool { return e.leaves[i].key >= key })
 	if i < len(e.leaves) && e.leaves[i].key == key {
 		return e.leaves[i], true
@@ -62,7 +62,7 @@ func refFindLeaf(e *Engine, key uint64) (leafRange, bool) {
 }
 
 // refFindGhost locates a ghost box's [lo, hi) by key.
-func refFindGhost(e *Engine, key uint64) ([2]int, bool) {
+func refFindGhost(e *engine, key uint64) ([2]int, bool) {
 	i, ok := findRange(e.gleaves, key)
 	if !ok {
 		return [2]int{}, false
@@ -73,7 +73,7 @@ func refFindGhost(e *Engine, key uint64) ([2]int, bool) {
 // refNearLeaf gathers the near-field contributions of every particle in
 // leaf lr and returns the number of owned and ghost contributions with
 // nonzero displacement.
-func refNearLeaf(e *Engine, lr leafRange, ns *refNearScratch, pot, field []float64) (own, gh int) {
+func refNearLeaf(e *engine, lr leafRange, ns *refNearScratch, pot, field []float64) (own, gh int) {
 	ns.nbs = zorder.Neighbors3Into(ns.nbs, lr.key, e.Level, e.Periodic)
 	nbs := ns.nbs
 	// Owned neighbor leaves with smaller keys: in the symmetric traversal
@@ -130,7 +130,7 @@ func refNearLeaf(e *Engine, lr leafRange, ns *refNearScratch, pot, field []float
 // refGatherOwned accumulates onto owned particle i the contributions of the
 // owned particles in [jlo, jhi), returning how many had nonzero
 // displacement.
-func refGatherOwned(e *Engine, i, jlo, jhi int, pot, field []float64) int {
+func refGatherOwned(e *engine, i, jlo, jhi int, pot, field []float64) int {
 	n := 0
 	xi, yi, zi := e.pos[3*i], e.pos[3*i+1], e.pos[3*i+2]
 	for j := jlo; j < jhi; j++ {
@@ -156,7 +156,7 @@ func refGatherOwned(e *Engine, i, jlo, jhi int, pot, field []float64) int {
 
 // refGatherGhost accumulates onto owned particle i the contributions of the
 // ghost particles in [jlo, jhi).
-func refGatherGhost(e *Engine, i, jlo, jhi int, pot, field []float64) int {
+func refGatherGhost(e *engine, i, jlo, jhi int, pot, field []float64) int {
 	n := 0
 	xi, yi, zi := e.pos[3*i], e.pos[3*i+1], e.pos[3*i+2]
 	for j := jlo; j < jhi; j++ {

@@ -14,7 +14,7 @@ import (
 // ghostedEngine is sortedEngine plus, as ghosts, the particles outside
 // [lo, hi) that lie in a neighbor box of an owned leaf: what the parallel
 // solver's ghost exchange delivers to the rank owning [lo, hi).
-func ghostedEngine(s *particle.System, p, level, lo, hi int) *Engine {
+func ghostedEngine(s *particle.System, p, level, lo, hi int) *engine {
 	e := sortedEngine(s, p, level, lo, hi)
 	ord, keys := keyOrder(s, level)
 	near := map[uint64]bool{}
@@ -109,7 +109,7 @@ func nearSystem(kind string, n int, periodic bool, seed int64) *particle.System 
 
 // nearPaths counts the (leaf, source) ranges of e's near-field gather that
 // take the hoisted image shift and the per-pair minimum image.
-func nearPaths(e *Engine) (shifted, perPair int) {
+func nearPaths(e *engine) (shifted, perPair int) {
 	nb := newNearBounds(e)
 	var ns nearScratch
 	for li := range e.leaves {

@@ -187,7 +187,7 @@ func FuzzOperatorsMatchReference(f *testing.F) {
 func TestInteractionListOrderUnchanged(t *testing.T) {
 	for _, periodic := range []bool{false, true} {
 		for l := 1; l <= 4; l++ {
-			e := &Engine{Level: 4, Periodic: periodic}
+			e := &engine{Level: 4, Periodic: periodic}
 			for key := uint64(0); key < 1<<uint(3*l); key++ {
 				got := e.interactionList(nil, l, key)
 				want := refInteractionList(l, key, periodic)
@@ -283,7 +283,7 @@ func BenchmarkL2P(b *testing.B) {
 // sortedEngine builds an order-p engine at the given level over the
 // particles of s whose leaf-key rank lies in [lo, hi) of the key-sorted
 // order: hi − lo < s.N is an engine that owns only part of the key range.
-func sortedEngine(s *particle.System, p, level, lo, hi int) *Engine {
+func sortedEngine(s *particle.System, p, level, lo, hi int) *engine {
 	ord, keys := keyOrder(s, level)
 	ord = ord[lo:hi]
 	pos, q, skeys := make([]float64, 3*len(ord)), make([]float64, len(ord)), make([]uint64, len(ord))
@@ -297,7 +297,7 @@ func sortedEngine(s *particle.System, p, level, lo, hi int) *Engine {
 // keyOrder returns the leaf keys of s's particles at the given level and
 // their indices stably sorted by key.
 func keyOrder(s *particle.System, level int) (ord []int, keys []uint64) {
-	e := &Engine{Box: s.Box, Level: level}
+	e := &engine{Box: s.Box, Level: level}
 	ord = make([]int, s.N)
 	keys = make([]uint64, s.N)
 	for i := range ord {

@@ -83,7 +83,7 @@ func TestEngineChargeConservation(t *testing.T) {
 	// Build an engine through SolveSerial's path by hand: sort by key.
 	SolveSerial(tab, s.Box, 3, s.Pos, s.Q, pot, field) // ensures no panic
 	// Direct check on a fresh engine.
-	e := &Engine{Tab: tab, Box: s.Box, Level: 3}
+	e := &engine{Tab: tab, Box: s.Box, Level: 3}
 	keys := make([]uint64, s.N)
 	ord := make([]int, s.N)
 	for i := 0; i < s.N; i++ {

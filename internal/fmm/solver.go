@@ -18,10 +18,10 @@ import (
 // established by parallel sorting of the particles by Morton key (paper
 // §II-B). It supports both redistribution methods of §III:
 //
-//   - method A (Input.Resort == false): the original particle order and
+//   - method A (api.Input.Resort == false): the original particle order and
 //     distribution is restored before returning, by sending every particle
 //     back to its initial process and position.
-//   - method B (Input.Resort == true): the changed (solver-specific) order
+//   - method B (api.Input.Resort == true): the changed (solver-specific) order
 //     is returned together with resort indices created by inverting the
 //     initial numbering (Fig. 5).
 //
@@ -58,9 +58,9 @@ func grow[T any](buf *[]T, n int) []T {
 	return *buf
 }
 
-// New creates an FMM solver on the communicator for the given box,
+// newSolver creates an FMM solver on the communicator for the given box,
 // targeting the given relative accuracy (e.g. 1e-3).
-func New(c *vmpi.Comm, box particle.Box, accuracy float64) *Solver {
+func newSolver(c *vmpi.Comm, box particle.Box, accuracy float64) *Solver {
 	if !box.Orthorhombic() {
 		panic("fmm: box must be orthorhombic")
 	}
@@ -69,9 +69,9 @@ func New(c *vmpi.Comm, box particle.Box, accuracy float64) *Solver {
 	return s
 }
 
-// NewSolver adapts New to the api.Factory signature.
+// NewSolver adapts newSolver to the api.Factory signature.
 func NewSolver(c *vmpi.Comm, box particle.Box, accuracy float64) api.Solver {
-	return New(c, box, accuracy)
+	return newSolver(c, box, accuracy)
 }
 
 // Name implements api.Solver.
@@ -91,14 +91,11 @@ func orderFor(accuracy float64) int {
 	}
 }
 
-// Order returns the expansion order in use.
-func (s *Solver) Order() int { return s.tab.P }
-
 // Tune chooses the subdivision level from the global particle count,
 // targeting a moderate average number of particles per leaf box (the
 // paper's FMM "optimizes the subdivision into boxes ... in the tuning
 // step", §II-B).
-func (s *Solver) Tune(in Input) error {
+func (s *Solver) Tune(in api.Input) error {
 	totalN := int(vmpi.AllreduceVal(s.comm, int64(in.N), vmpi.Sum[int64]))
 	if totalN == 0 {
 		s.Level = 2
@@ -117,9 +114,6 @@ func (s *Solver) Tune(in Input) error {
 	return nil
 }
 
-// Input aliases api.Input for brevity inside the package.
-type Input = api.Input
-
 // pRec is the particle record moved around by the solver: the Morton key,
 // the origin index (initial process and position, the "consecutive
 // numbering" of §III-A), and the physical data.
@@ -132,7 +126,7 @@ type pRec struct {
 
 // Run implements api.Solver by delegating to the coupling pipeline; the
 // solver-specific hooks live on the method adapter below.
-func (s *Solver) Run(in Input) (api.Output, error) {
+func (s *Solver) Run(in api.Input) (api.Output, error) {
 	if s.Level == 0 {
 		if err := s.Tune(in); err != nil {
 			return api.Output{}, err
@@ -155,7 +149,7 @@ func (m method) Decompose(in api.Input) []pRec {
 	s := m.Solver
 	c := s.comm
 	recs := make([]pRec, in.N)
-	probe := &Engine{Tab: s.tab, Box: s.box, Level: s.Level,
+	probe := &engine{Tab: s.tab, Box: s.box, Level: s.Level,
 		Periodic: s.box.Periodic[0] && s.box.Periodic[1] && s.box.Periodic[2]}
 	for i := 0; i < in.N; i++ {
 		recs[i] = pRec{
@@ -285,7 +279,7 @@ func (s *Solver) boxSpan(l int, key uint64) (lo, hi uint64) {
 // exchangeMultipoles pushes each owned box's partial multipole to the
 // owners of every box in its interaction list (the symmetric LET exchange)
 // and folds received partials into the engine tables.
-func (s *Solver) exchangeMultipoles(e *Engine, ranges []keyRange) {
+func (s *Solver) exchangeMultipoles(e *engine, ranges []keyRange) {
 	c := s.comm
 	p := c.Size()
 	nc := s.tab.NCoef()
@@ -343,7 +337,7 @@ type ghostRec struct {
 
 // exchangeGhosts pushes the particles of every owned leaf box to the owners
 // of its neighbor boxes and registers received particles as ghosts.
-func (s *Solver) exchangeGhosts(e *Engine, ranges []keyRange, keys []uint64, pos, q []float64) {
+func (s *Solver) exchangeGhosts(e *engine, ranges []keyRange, keys []uint64, pos, q []float64) {
 	c := s.comm
 	p := c.Size()
 	parts := make([][]ghostRec, p)

@@ -18,7 +18,7 @@ func runParallel(t *testing.T, s *particle.System, ranks int, dist particle.Dist
 	t.Helper()
 	st := vmpi.Run(vmpi.Config{Ranks: ranks}, func(c *vmpi.Comm) {
 		l := particle.Distribute(c, s, dist, 99)
-		sv := New(c, s.Box, accuracy)
+		sv := newSolver(c, s.Box, accuracy)
 		in := api.Input{
 			N: l.N, Cap: l.Cap,
 			Pos: l.ActivePos(), Q: l.ActiveQ(),
@@ -171,7 +171,7 @@ func TestMethodBResortIndicesRoundTrip(t *testing.T) {
 		for i := 0; i < l.N; i++ {
 			tags[i] = globalID(s, l.Pos[3*i], l.Pos[3*i+1], l.Pos[3*i+2])
 		}
-		sv := New(c, s.Box, 1e-2)
+		sv := newSolver(c, s.Box, 1e-2)
 		in := api.Input{N: l.N, Cap: l.Cap, Pos: l.ActivePos(), Q: l.ActiveQ(), MaxMove: -1, Resort: true}
 		if err := sv.Tune(in); err != nil {
 			t.Errorf("tune: %v", err)
@@ -211,7 +211,7 @@ func TestMethodBCapacityFallback(t *testing.T) {
 	const ranks = 4
 	st := vmpi.Run(vmpi.Config{Ranks: ranks}, func(c *vmpi.Comm) {
 		l := particle.Distribute(c, s, particle.DistRandom, 99)
-		sv := New(c, s.Box, 1e-2)
+		sv := newSolver(c, s.Box, 1e-2)
 		cap := l.N // no slack: the sort will certainly exceed it somewhere
 		if c.Rank() == 0 {
 			cap = 1
@@ -242,7 +242,7 @@ func TestMergeSortPathAfterSmallMovement(t *testing.T) {
 	const ranks = 4
 	st := vmpi.Run(vmpi.Config{Ranks: ranks}, func(c *vmpi.Comm) {
 		l := particle.Distribute(c, s, particle.DistGrid, 99)
-		sv := New(c, s.Box, 1e-2)
+		sv := newSolver(c, s.Box, 1e-2)
 		in := api.Input{N: l.N, Cap: l.Cap, Pos: l.ActivePos(), Q: l.ActiveQ(), MaxMove: -1, Resort: true}
 		if err := sv.Tune(in); err != nil {
 			t.Errorf("tune: %v", err)

@@ -18,48 +18,48 @@ package fmm
 
 import "math"
 
-// MultiIndex is a 3D multi-index (exponents per dimension).
-type MultiIndex [3]int
+// multiIndex is a 3D multi-index (exponents per dimension).
+type multiIndex [3]int
 
 // degree returns |α|.
-func (m MultiIndex) degree() int { return m[0] + m[1] + m[2] }
+func (m multiIndex) degree() int { return m[0] + m[1] + m[2] }
 
 // Tables holds the precomputed combinatorics of order-P Cartesian
 // expansions: the multi-index enumeration, factorials, and the dense
 // index/weight tables the translation operators run on (DESIGN.md §9).
 // Tables are immutable after construction and safe for concurrent use.
 type Tables struct {
-	P    int          // expansion order
-	List []MultiIndex // all |α| ≤ P, sorted by degree then lexicographic
+	p    int          // expansion order
+	list []multiIndex // all |α| ≤ p, sorted by degree then lexicographic
 
 	// The operator tables. NewTables resolves multi-indices to positions in
-	// List through a map it then drops; every list is in the order the
-	// defining double loop over List visits its pairs, so each accumulator
+	// list through a map it then drops; every list is in the order the
+	// defining double loop over list visits its pairs, so each accumulator
 	// sees its operands in that order.
 	//
-	// fact[i] = List[i]!. dec1[3i+j] and dec2[3i+j] are the indices of
-	// List[i] − e_j and List[i] − 2e_j (−1 where an exponent would go
+	// fact[i] = list[i]!. dec1[3i+j] and dec2[3i+j] are the indices of
+	// list[i] − e_j and list[i] − 2e_j (−1 where an exponent would go
 	// negative): the recurrence operands of Deriv and the gradient terms
 	// of L2P.
 	fact       []float64
 	dec1, dec2 []int32
-	// m2mTerms[m2mOff[a]:m2mOff[a+1]] lists, for target α = List[a], every γ ≤ α
+	// m2mTerms[m2mOff[a]:m2mOff[a+1]] lists, for target α = list[a], every γ ≤ α
 	// as (idx(α−γ), idx(γ)); P2M and M2M divide by fact[idx(γ)].
 	m2mOff   []int32
 	m2mTerms []subPair
-	// l2lTerms[l2lOff[d]:l2lOff[d+1]] lists, for target δ = List[d], every γ ≥ δ
+	// l2lTerms[l2lOff[d]:l2lOff[d+1]] lists, for target δ = list[d], every γ ≥ δ
 	// as (idx(γ), idx(γ−δ), binom(γ, δ)).
 	l2lOff   []int32
 	l2lTerms []l2lEntry
-	// M2L grouped by target γ = List[g]: its sources are the prefix
-	// α = List[0 … n) with |α| ≤ P − |γ|, and m2l[m2lOff[g]+a] = idx(α+γ).
+	// M2L grouped by target γ = list[g]: its sources are the prefix
+	// α = list[0 … n) with |α| ≤ P − |γ|, and m2l[m2lOff[g]+a] = idx(α+γ).
 	// invFact[g] = 1/γ!.
 	m2lOff  []int32
 	m2l     []int32
 	invFact []float64
 }
 
-// subPair is one (α−γ, γ) operand pair of M2M, as indices into List.
+// subPair is one (α−γ, γ) operand pair of M2M, as indices into list.
 type subPair struct{ diff, g int32 }
 
 // l2lEntry is one (γ, γ−δ) operand pair of L2L with its binomial weight.
@@ -73,15 +73,15 @@ func NewTables(p int) *Tables {
 	if p < 0 {
 		panic("fmm: negative expansion order")
 	}
-	t := &Tables{P: p}
-	index := map[MultiIndex]int{}
+	t := &Tables{p: p}
+	index := map[multiIndex]int{}
 	for d := 0; d <= p; d++ {
 		for i := d; i >= 0; i-- {
 			for j := d - i; j >= 0; j-- {
 				k := d - i - j
-				mi := MultiIndex{i, j, k}
-				index[mi] = len(t.List)
-				t.List = append(t.List, mi)
+				mi := multiIndex{i, j, k}
+				index[mi] = len(t.list)
+				t.list = append(t.list, mi)
 			}
 		}
 	}
@@ -92,7 +92,7 @@ func NewTables(p int) *Tables {
 		fact1[i] = fact1[i-1] * float64(i)
 	}
 
-	nc := len(t.List)
+	nc := len(t.list)
 	t.fact = make([]float64, nc)
 	t.invFact = make([]float64, nc)
 	t.dec1 = make([]int32, 3*nc)
@@ -101,13 +101,13 @@ func NewTables(p int) *Tables {
 	t.l2lOff = make([]int32, nc+1)
 	t.m2lOff = make([]int32, nc+1)
 	// idx is index with −1 for multi-indices that have a negative exponent.
-	idx := func(m MultiIndex) int32 {
+	idx := func(m multiIndex) int32 {
 		if m[0] < 0 || m[1] < 0 || m[2] < 0 {
 			return -1
 		}
 		return int32(index[m])
 	}
-	for ai, a := range t.List {
+	for ai, a := range t.list {
 		t.fact[ai] = fact1[a[0]] * fact1[a[1]] * fact1[a[2]]
 		t.invFact[ai] = 1 / t.fact[ai]
 		for j := 0; j < 3; j++ {
@@ -117,19 +117,19 @@ func NewTables(p int) *Tables {
 			m[j]--
 			t.dec2[3*ai+j] = idx(m)
 		}
-		for gi, g := range t.List {
+		for gi, g := range t.list {
 			if g[0] <= a[0] && g[1] <= a[1] && g[2] <= a[2] {
-				diff := MultiIndex{a[0] - g[0], a[1] - g[1], a[2] - g[2]}
+				diff := multiIndex{a[0] - g[0], a[1] - g[1], a[2] - g[2]}
 				t.m2mTerms = append(t.m2mTerms, subPair{diff: idx(diff), g: int32(gi)})
 			}
 			if g[0] >= a[0] && g[1] >= a[1] && g[2] >= a[2] {
-				diff := MultiIndex{g[0] - a[0], g[1] - a[1], g[2] - a[2]}
+				diff := multiIndex{g[0] - a[0], g[1] - a[1], g[2] - a[2]}
 				w := binom(g[0], a[0]) * binom(g[1], a[1]) * binom(g[2], a[2])
 				t.l2lTerms = append(t.l2lTerms, l2lEntry{g: int32(gi), diff: idx(diff), w: w})
 			}
 			if a.degree()+g.degree() <= p {
 				// Here a is the target γ and g the source α.
-				t.m2l = append(t.m2l, idx(MultiIndex{a[0] + g[0], a[1] + g[1], a[2] + g[2]}))
+				t.m2l = append(t.m2l, idx(multiIndex{a[0] + g[0], a[1] + g[1], a[2] + g[2]}))
 			}
 		}
 		t.m2mOff[ai+1] = int32(len(t.m2mTerms))
@@ -141,13 +141,13 @@ func NewTables(p int) *Tables {
 
 // NCoef returns the number of expansion coefficients (indices with
 // |α| ≤ P).
-func (t *Tables) NCoef() int { return len(t.List) }
+func (t *Tables) NCoef() int { return len(t.list) }
 
 // stackCoef is NCoef at order 8, the largest order orderFor selects: up to
 // it the operators' power table lives in the caller's frame.
 const stackCoef = 165
 
-// powers returns v^List[i] (componentwise power product) for all indices,
+// powers returns v^list[i] (componentwise power product) for all indices,
 // in buf when NCoef fits its length.
 func (t *Tables) powers(vx, vy, vz float64, buf []float64) []float64 {
 	nc := t.NCoef()
@@ -160,19 +160,19 @@ func (t *Tables) powers(vx, vy, vz float64, buf []float64) []float64 {
 	var pbuf [3][16]float64
 	var pw [3][]float64
 	for d := 0; d < 3; d++ {
-		if t.P+1 <= len(pbuf[d]) {
-			pw[d] = pbuf[d][:t.P+1]
+		if t.p+1 <= len(pbuf[d]) {
+			pw[d] = pbuf[d][:t.p+1]
 		} else {
-			pw[d] = make([]float64, t.P+1)
+			pw[d] = make([]float64, t.p+1)
 		}
 		pw[d][0] = 1
 	}
-	for e := 1; e <= t.P; e++ {
+	for e := 1; e <= t.p; e++ {
 		pw[0][e] = pw[0][e-1] * vx
 		pw[1][e] = pw[1][e-1] * vy
 		pw[2][e] = pw[2][e-1] * vz
 	}
-	for i, m := range t.List {
+	for i, m := range t.list {
 		out[i] = pw[0][m[0]] * pw[1][m[1]] * pw[2][m[2]]
 	}
 	return out
@@ -206,7 +206,7 @@ func (t *Tables) m2m(Mc []float64, tx, ty, tz float64, Mp []float64) {
 	}
 }
 
-// Deriv fills b[i] = (∂^List[i] 1/r)(x) for all |β| ≤ P, by the recurrence
+// Deriv fills b[i] = (∂^list[i] 1/r)(x) for all |β| ≤ P, by the recurrence
 //
 //	b_β = −(1/r²)[ 2 Σ_j a_j x_j b_{β−e_j} + Σ_j a_j(a_j−1) b_{β−2e_j}
 //	              + x_i b_{β−e_i} + a_i b_{β−2e_i} ],  a = β − e_i,
@@ -224,7 +224,7 @@ func (t *Tables) Deriv(x, y, z float64, b []float64) {
 	b[0] = 1 / math.Sqrt(r2)
 	for bi := 1; bi < t.NCoef(); bi++ {
 		d1, d2 := t.dec1[3*bi:3*bi+3], t.dec2[3*bi:3*bi+3]
-		a := t.List[bi]
+		a := t.list[bi]
 		i := 0
 		for a[i] == 0 {
 			i++
@@ -353,7 +353,7 @@ func (t *Tables) l2l(Lp []float64, sx, sy, sz float64, Lc []float64) {
 func (t *Tables) l2p(L []float64, dx, dy, dz float64) (pot, ex, ey, ez float64) {
 	var buf [stackCoef]float64
 	pw := t.powers(dx, dy, dz, buf[:])
-	for gi, g := range t.List {
+	for gi, g := range t.list {
 		pot += L[gi] * pw[gi]
 		// ∂φ/∂x_d = Σ L_γ γ_d d^(γ−e_d)
 		dec := t.dec1[3*gi : 3*gi+3]

@@ -15,8 +15,8 @@ import (
 // so results must agree in every bit (operators_test.go).
 type refTables struct {
 	P      int
-	List   []MultiIndex
-	Idx    map[MultiIndex]int
+	List   []multiIndex
+	Idx    map[multiIndex]int
 	Fact   []float64
 	m2l    []refM2LEntry
 	degOff []int
@@ -28,14 +28,14 @@ type refM2LEntry struct {
 }
 
 func newRefTables(p int) *refTables {
-	t := &refTables{P: p, Idx: map[MultiIndex]int{}}
+	t := &refTables{P: p, Idx: map[multiIndex]int{}}
 	t.degOff = make([]int, p+2)
 	for d := 0; d <= p; d++ {
 		t.degOff[d] = len(t.List)
 		for i := d; i >= 0; i-- {
 			for j := d - i; j >= 0; j-- {
 				k := d - i - j
-				mi := MultiIndex{i, j, k}
+				mi := multiIndex{i, j, k}
 				t.Idx[mi] = len(t.List)
 				t.List = append(t.List, mi)
 			}
@@ -52,7 +52,7 @@ func newRefTables(p int) *refTables {
 			if a.degree()+g.degree() > p {
 				continue
 			}
-			s := MultiIndex{a[0] + g[0], a[1] + g[1], a[2] + g[2]}
+			s := multiIndex{a[0] + g[0], a[1] + g[1], a[2] + g[2]}
 			t.m2l = append(t.m2l, refM2LEntry{
 				a: ai, g: gi, s: t.Idx[s],
 				w: 1 / (t.Fact[g[0]] * t.Fact[g[1]] * t.Fact[g[2]]),
@@ -64,7 +64,7 @@ func newRefTables(p int) *refTables {
 
 func (t *refTables) NCoef() int { return len(t.List) }
 
-func (t *refTables) factMI(m MultiIndex) float64 {
+func (t *refTables) factMI(m multiIndex) float64 {
 	return t.Fact[m[0]] * t.Fact[m[1]] * t.Fact[m[2]]
 }
 
@@ -106,7 +106,7 @@ func (t *refTables) M2M(Mc []float64, tx, ty, tz float64, Mp []float64) {
 			if g[0] > a[0] || g[1] > a[1] || g[2] > a[2] {
 				continue
 			}
-			b := MultiIndex{a[0] - g[0], a[1] - g[1], a[2] - g[2]}
+			b := multiIndex{a[0] - g[0], a[1] - g[1], a[2] - g[2]}
 			sum += Mc[t.Idx[b]] * pw[gi] / t.factMI(g)
 		}
 		Mp[ai] += sum
@@ -148,7 +148,7 @@ func (t *refTables) Deriv(x, y, z float64, b []float64) {
 	}
 }
 
-func (t *refTables) sub(beta MultiIndex, j, k int) int {
+func (t *refTables) sub(beta multiIndex, j, k int) int {
 	beta[j] -= k
 	if beta[j] < 0 {
 		panic(fmt.Sprintf("fmm: invalid index subtraction %v", beta))
@@ -171,7 +171,7 @@ func (t *refTables) L2L(Lp []float64, sx, sy, sz float64, Lc []float64) {
 			if g[0] < dlt[0] || g[1] < dlt[1] || g[2] < dlt[2] {
 				continue
 			}
-			diff := MultiIndex{g[0] - dlt[0], g[1] - dlt[1], g[2] - dlt[2]}
+			diff := multiIndex{g[0] - dlt[0], g[1] - dlt[1], g[2] - dlt[2]}
 			w := refBinom(g[0], dlt[0]) * refBinom(g[1], dlt[1]) * refBinom(g[2], dlt[2])
 			sum += w * Lp[t.Idx[g]] * pw[t.Idx[diff]]
 		}
@@ -185,13 +185,13 @@ func (t *refTables) L2P(L []float64, dx, dy, dz float64) (pot, ex, ey, ez float6
 	for gi, g := range t.List {
 		pot += L[gi] * pw[gi]
 		if g[0] > 0 {
-			ex -= L[gi] * float64(g[0]) * pw[t.Idx[MultiIndex{g[0] - 1, g[1], g[2]}]]
+			ex -= L[gi] * float64(g[0]) * pw[t.Idx[multiIndex{g[0] - 1, g[1], g[2]}]]
 		}
 		if g[1] > 0 {
-			ey -= L[gi] * float64(g[1]) * pw[t.Idx[MultiIndex{g[0], g[1] - 1, g[2]}]]
+			ey -= L[gi] * float64(g[1]) * pw[t.Idx[multiIndex{g[0], g[1] - 1, g[2]}]]
 		}
 		if g[2] > 0 {
-			ez -= L[gi] * float64(g[2]) * pw[t.Idx[MultiIndex{g[0], g[1], g[2] - 1}]]
+			ez -= L[gi] * float64(g[2]) * pw[t.Idx[multiIndex{g[0], g[1], g[2] - 1}]]
 		}
 	}
 	return pot, ex, ey, ez

@@ -14,22 +14,22 @@ func TestTablesEnumeration(t *testing.T) {
 		t.Fatalf("NCoef = %d, want 20", tb.NCoef())
 	}
 	// Degrees are non-decreasing along the list.
-	for i := 1; i < len(tb.List); i++ {
-		if tb.List[i].degree() < tb.List[i-1].degree() {
+	for i := 1; i < len(tb.list); i++ {
+		if tb.list[i].degree() < tb.list[i-1].degree() {
 			t.Fatal("list not ordered by degree")
 		}
 	}
 	// Every multi-index appears once.
-	for i, m := range tb.List {
+	for i, m := range tb.list {
 		if tb.index(m) != i {
 			t.Fatalf("index(%v) = %d, want %d", m, tb.index(m), i)
 		}
 	}
 }
 
-// index returns the position of m in List, or −1.
-func (t *Tables) index(m MultiIndex) int {
-	for i, x := range t.List {
+// index returns the position of m in list, or −1.
+func (t *Tables) index(m multiIndex) int {
+	for i, x := range t.list {
 		if x == m {
 			return i
 		}
@@ -43,7 +43,7 @@ func (t *Tables) m2p(M []float64, dx, dy, dz float64) float64 {
 	b := make([]float64, t.NCoef())
 	t.Deriv(dx, dy, dz, b)
 	pot := 0.0
-	for i := range t.List {
+	for i := range t.list {
 		pot += M[i] * b[i]
 	}
 	return pot
@@ -55,23 +55,23 @@ func TestDerivLowOrders(t *testing.T) {
 	r := math.Sqrt(x*x + y*y + z*z)
 	b := make([]float64, tb.NCoef())
 	tb.Deriv(x, y, z, b)
-	check := func(m MultiIndex, want float64) {
+	check := func(m multiIndex, want float64) {
 		t.Helper()
 		got := b[tb.index(m)]
 		if math.Abs(got-want) > 1e-12*math.Abs(want)+1e-14 {
 			t.Errorf("b[%v] = %g, want %g", m, got, want)
 		}
 	}
-	check(MultiIndex{0, 0, 0}, 1/r)
-	check(MultiIndex{1, 0, 0}, -x/(r*r*r))
-	check(MultiIndex{0, 1, 0}, -y/(r*r*r))
-	check(MultiIndex{0, 0, 1}, -z/(r*r*r))
+	check(multiIndex{0, 0, 0}, 1/r)
+	check(multiIndex{1, 0, 0}, -x/(r*r*r))
+	check(multiIndex{0, 1, 0}, -y/(r*r*r))
+	check(multiIndex{0, 0, 1}, -z/(r*r*r))
 	r5 := math.Pow(r, 5)
-	check(MultiIndex{2, 0, 0}, (3*x*x-r*r)/r5)
-	check(MultiIndex{0, 2, 0}, (3*y*y-r*r)/r5)
-	check(MultiIndex{1, 1, 0}, 3*x*y/r5)
-	check(MultiIndex{1, 0, 1}, 3*x*z/r5)
-	check(MultiIndex{0, 1, 1}, 3*y*z/r5)
+	check(multiIndex{2, 0, 0}, (3*x*x-r*r)/r5)
+	check(multiIndex{0, 2, 0}, (3*y*y-r*r)/r5)
+	check(multiIndex{1, 1, 0}, 3*x*y/r5)
+	check(multiIndex{1, 0, 1}, 3*x*z/r5)
+	check(multiIndex{0, 1, 1}, 3*y*z/r5)
 }
 
 func TestDerivMatchesFiniteDifferences(t *testing.T) {
@@ -91,8 +91,8 @@ func TestDerivMatchesFiniteDifferences(t *testing.T) {
 		dm[d] -= h
 		tb.Deriv(dp[0], dp[1], dp[2], bp)
 		tb.Deriv(dm[0], dm[1], dm[2], bm)
-		for i, m := range tb.List {
-			if m.degree() >= tb.P {
+		for i, m := range tb.list {
+			if m.degree() >= tb.p {
 				continue
 			}
 			up := m
@@ -112,13 +112,13 @@ func TestDerivLaplacianZero(t *testing.T) {
 	tb := NewTables(5)
 	b := make([]float64, tb.NCoef())
 	tb.Deriv(0.4, -1.2, 0.8, b)
-	for _, m := range tb.List {
-		if m.degree() > tb.P-2 {
+	for _, m := range tb.list {
+		if m.degree() > tb.p-2 {
 			continue
 		}
-		lap := b[tb.index(MultiIndex{m[0] + 2, m[1], m[2]})] +
-			b[tb.index(MultiIndex{m[0], m[1] + 2, m[2]})] +
-			b[tb.index(MultiIndex{m[0], m[1], m[2] + 2})]
+		lap := b[tb.index(multiIndex{m[0] + 2, m[1], m[2]})] +
+			b[tb.index(multiIndex{m[0], m[1] + 2, m[2]})] +
+			b[tb.index(multiIndex{m[0], m[1], m[2] + 2})]
 		scale := math.Abs(b[tb.index(m)]) + 1
 		if math.Abs(lap) > 1e-9*scale {
 			t.Errorf("Laplacian of b[%v] = %g, want 0", m, lap)

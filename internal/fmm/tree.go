@@ -13,7 +13,7 @@ import (
 	"repro/internal/zorder"
 )
 
-// Engine is the per-process FMM compute engine: it owns a set of particles
+// engine is the per-process FMM compute engine: it owns a set of particles
 // pre-sorted by leaf-level Morton key, builds multipole expansions upward,
 // consumes remote partial multipoles and ghost particles supplied by the
 // parallel driver, and evaluates far and near field for the owned
@@ -23,7 +23,7 @@ import (
 // levels 1..Level. With periodic boundaries, neighbor and interaction lists
 // wrap around, which yields the minimum-image periodic approximation
 // documented in DESIGN.md.
-type Engine struct {
+type engine struct {
 	Tab      *Tables
 	Box      particle.Box
 	Level    int
@@ -62,7 +62,7 @@ type leafRange struct {
 // newEngine builds an engine over owned particles that must already be
 // sorted ascending by their leaf keys (as produced by the parallel sort).
 // pos and q are not copied; the engine reads them during Compute phases.
-func newEngine(tab *Tables, box particle.Box, level int, pos, q []float64, keys []uint64) *Engine {
+func newEngine(tab *Tables, box particle.Box, level int, pos, q []float64, keys []uint64) *engine {
 	if level < 1 || level > zorder.MaxLevel {
 		panic(fmt.Sprintf("fmm: invalid level %d", level))
 	}
@@ -75,7 +75,7 @@ func newEngine(tab *Tables, box particle.Box, level int, pos, q []float64, keys 
 			panic("fmm: particles not sorted by leaf key")
 		}
 	}
-	e := &Engine{
+	e := &engine{
 		Tab:      tab,
 		Box:      box,
 		Level:    level,
@@ -110,14 +110,14 @@ func buildRanges(keys []uint64) []leafRange {
 }
 
 // keyOf returns the leaf-level Morton key for a position.
-func (e *Engine) keyOf(x, y, z float64) uint64 {
+func (e *engine) keyOf(x, y, z float64) uint64 {
 	ux, uy, uz := e.Box.ToUnit(x, y, z)
 	return zorder.BoxKey(ux, uy, uz, e.Level)
 }
 
 // addGhosts registers halo particles received from other processes. Ghosts
 // contribute to the near field of owned particles but are not owned.
-func (e *Engine) addGhosts(pos, q []float64) {
+func (e *engine) addGhosts(pos, q []float64) {
 	n := len(q)
 	keys := make([]uint64, n)
 	ord := make([]int, n)
@@ -142,7 +142,7 @@ func (e *Engine) addGhosts(pos, q []float64) {
 
 // cellSize returns the box edge lengths of a level-l box. It relies on the
 // cached geometry, so it must only be called on engines built by newEngine.
-func (e *Engine) cellSize(l int) [3]float64 {
+func (e *engine) cellSize(l int) [3]float64 {
 	f := float64(uint64(1) << uint(l))
 	return [3]float64{e.boxLen[0] / f, e.boxLen[1] / f, e.boxLen[2] / f}
 }
@@ -151,7 +151,7 @@ func (e *Engine) cellSize(l int) [3]float64 {
 // without re-validating the box per pair.
 //
 //parlint:hotalloc
-func (e *Engine) minImage(dx, dy, dz float64) (float64, float64, float64) {
+func (e *engine) minImage(dx, dy, dz float64) (float64, float64, float64) {
 	if e.boxPer[0] {
 		dx -= e.boxLen[0] * math.Round(dx/e.boxLen[0])
 	}
@@ -165,7 +165,7 @@ func (e *Engine) minImage(dx, dy, dz float64) (float64, float64, float64) {
 }
 
 // center returns the center of the box with the given key at level l.
-func (e *Engine) center(l int, key uint64) [3]float64 {
+func (e *engine) center(l int, key uint64) [3]float64 {
 	cx, cy, cz := zorder.Decode(key)
 	cs := e.cellSize(l)
 	return [3]float64{
@@ -204,7 +204,7 @@ const (
 // map inserts plus the virtual-cost charges replay sequentially afterwards
 // in ascending key order. Children are folded into their parent in
 // ascending key order, so the result is bit-identical at any GOMAXPROCS.
-func (e *Engine) upward() {
+func (e *engine) upward() {
 	nc := e.Tab.NCoef()
 	leafMs := make([][]float64, len(e.leaves))
 	hostpar.For(len(e.leaves), leafGrain, func(lo, hi int) {
@@ -265,7 +265,7 @@ func (e *Engine) upward() {
 // addRemoteMultipole accumulates another process's partial multipole of a
 // box into the engine's tables. Must be called after upward and before
 // downward.
-func (e *Engine) addRemoteMultipole(l int, key uint64, coef []float64) {
+func (e *engine) addRemoteMultipole(l int, key uint64, coef []float64) {
 	nc := e.Tab.NCoef()
 	if len(coef) != nc {
 		panic("fmm: remote multipole length mismatch")
@@ -292,7 +292,7 @@ const maxInteractions = 6*6*6 - 3*3*3
 // which is membership in the box's own Neighbors3 set without building it.
 //
 //parlint:hotalloc
-func (e *Engine) interactionList(dst []uint64, l int, key uint64) []uint64 {
+func (e *engine) interactionList(dst []uint64, l int, key uint64) []uint64 {
 	out := dst[:0]
 	if l < 1 {
 		return out
@@ -314,7 +314,7 @@ func (e *Engine) interactionList(dst []uint64, l int, key uint64) []uint64 {
 
 // adjacent reports whether cell coordinates a and b on an n-cell axis are
 // at most one cell apart, around the box for periodic engines.
-func (e *Engine) adjacent(a, b, n uint32) bool {
+func (e *engine) adjacent(a, b, n uint32) bool {
 	d := a - b
 	if a < b {
 		d = b - a
@@ -324,7 +324,7 @@ func (e *Engine) adjacent(a, b, n uint32) bool {
 
 // wrapOffset returns the integer cell offset from source to target at level
 // l, wrapped to the nearest image for periodic boxes.
-func (e *Engine) wrapOffset(l int, target, source uint64) [3]int {
+func (e *engine) wrapOffset(l int, target, source uint64) [3]int {
 	tx, ty, tz := zorder.Decode(target)
 	sx, sy, sz := zorder.Decode(source)
 	n := int(uint64(1) << uint(l))
@@ -348,7 +348,7 @@ func derivSlot(off [3]int) int {
 // interaction list of level l can contain, indexed by derivSlot. A tensor
 // is a pure function of level and offset, so downward builds the level's
 // table once, sequentially, and its host workers only read it.
-func (e *Engine) derivTensors(l int) [][]float64 {
+func (e *engine) derivTensors(l int) [][]float64 {
 	n := 1 << uint(l)
 	lo, hi := -min(3, n-1), min(3, n-1)
 	if e.Periodic && n < 8 {
@@ -406,7 +406,7 @@ func octantBatches(tl []uint64) [][]int {
 // downward computes local expansions for all ancestors of owned leaves from
 // the (complete) multipole tables and translates them down to the leaf
 // level.
-func (e *Engine) downward() {
+func (e *engine) downward() {
 	nc := e.Tab.NCoef()
 	// Target keys per level: ancestors of owned leaves.
 	targets := make([][]uint64, e.Level+1)
@@ -486,7 +486,7 @@ type downwardLevel struct {
 // target runs its own M2L. Each L receives its own terms in its own list
 // order either way, so the result is bit-identical to sweeping the targets
 // one at a time.
-func (e *Engine) downwardBatch(s *downwardLevel, batch []int, ilBuf *[m2lBatch][maxInteractions]uint64) {
+func (e *engine) downwardBatch(s *downwardLevel, batch []int, ilBuf *[m2lBatch][maxInteractions]uint64) {
 	l, nc := s.l, e.Tab.NCoef()
 	var il [m2lBatch][]uint64
 	var Ls [m2lBatch][]float64
@@ -540,7 +540,7 @@ func (e *Engine) downwardBatch(s *downwardLevel, batch []int, ilBuf *[m2lBatch][
 
 // evalFarField adds the far-field potential and field of each owned
 // particle into pot (length n) and field (length 3n).
-func (e *Engine) evalFarField(pot, field []float64) {
+func (e *engine) evalFarField(pot, field []float64) {
 	nc := e.Tab.NCoef()
 	// Leaves partition the particle index range, so the tiles write
 	// disjoint slices of pot and field; the cost charges replay in leaf
@@ -589,7 +589,7 @@ func (e *Engine) evalFarField(pot, field []float64) {
 // count the cost model charges is owned/2 + ghost, the symmetric count.
 // Where all pairs of a leaf and a source range take the same minimum image,
 // it is found once for the range (imageShift), with the same bits.
-func (e *Engine) evalNearField(pot, field []float64) {
+func (e *engine) evalNearField(pot, field []float64) {
 	nb := newNearBounds(e)
 	nt := hostpar.Tiles(len(e.leaves), nearGrain)
 	ownedC := make([]int, nt)
@@ -623,7 +623,7 @@ type nearBounds struct{ leaf, ghost []bounds }
 
 // newNearBounds returns the bounds of e's leaves and ghost boxes; an open
 // engine needs none.
-func newNearBounds(e *Engine) nearBounds {
+func newNearBounds(e *engine) nearBounds {
 	if !e.Periodic {
 		return nearBounds{}
 	}
@@ -668,7 +668,7 @@ func rangeBounds(pos []float64, rs []leafRange) []bounds {
 // made it. NaN bounds (a non-finite coordinate) never agree.
 //
 //parlint:hotalloc
-func (e *Engine) imageShift(t, s *bounds) (shift [3]float64, ok bool) {
+func (e *engine) imageShift(t, s *bounds) (shift [3]float64, ok bool) {
 	for d := 0; d < 3; d++ {
 		l := e.boxLen[d]
 		k := math.Round((t.lo[d] - s.hi[d]) / l)
@@ -710,7 +710,7 @@ func findRange(rs []leafRange, key uint64) (int, bool) {
 // nearSource returns leaf li's source for owned leaf or ghost box si.
 //
 //parlint:hotalloc
-func (e *Engine) nearSource(nb *nearBounds, li, si int, ghost bool) nearSource {
+func (e *engine) nearSource(nb *nearBounds, li, si int, ghost bool) nearSource {
 	rs, pos, q, bs := e.leaves, e.pos, e.q, nb.leaf
 	if ghost {
 		rs, pos, q, bs = e.gleaves, e.gpos, e.gq, nb.ghost
@@ -731,7 +731,7 @@ func (e *Engine) nearSource(nb *nearBounds, li, si int, ghost bool) nearSource {
 // leaves of a tile.
 //
 //parlint:hotalloc
-func (e *Engine) nearLeaf(li int, nb *nearBounds, ns *nearScratch, pot, field []float64) (own, gh int) {
+func (e *engine) nearLeaf(li int, nb *nearBounds, ns *nearScratch, pot, field []float64) (own, gh int) {
 	lr := e.leaves[li]
 	srcs := e.nearSources(li, nb, ns)
 	for i := lr.lo; i < lr.hi; i++ {
@@ -758,7 +758,7 @@ func (e *Engine) nearLeaf(li int, nb *nearBounds, ns *nearScratch, pot, field []
 // (including the same key: a leaf split across processes).
 //
 //parlint:hotalloc
-func (e *Engine) nearSources(li int, nb *nearBounds, ns *nearScratch) []nearSource {
+func (e *engine) nearSources(li int, nb *nearBounds, ns *nearScratch) []nearSource {
 	key := e.leaves[li].key
 	nbs := zorder.Neighbors3Into(ns.nbs[:0], key, e.Level, e.Periodic)
 	srcs := ns.srcs[:0]
@@ -793,7 +793,7 @@ func (e *Engine) nearSources(li int, nb *nearBounds, ns *nearScratch) []nearSour
 // source order.
 //
 //parlint:hotalloc
-func (e *Engine) gather(i int, s *nearSource, pot, field []float64) int {
+func (e *engine) gather(i int, s *nearSource, pot, field []float64) int {
 	n := 0
 	xi, yi, zi := e.pos[3*i], e.pos[3*i+1], e.pos[3*i+2]
 	sx, sy, sz := s.shift[0], s.shift[1], s.shift[2]
@@ -832,7 +832,7 @@ func SolveSerial(tab *Tables, box particle.Box, level int, pos, q, pot, field []
 	n := len(q)
 	keys := make([]uint64, n)
 	ord := make([]int, n)
-	tmp := &Engine{Tab: tab, Box: box, Level: level,
+	tmp := &engine{Tab: tab, Box: box, Level: level,
 		Periodic: box.Periodic[0] && box.Periodic[1] && box.Periodic[2]}
 	for i := 0; i < n; i++ {
 		keys[i] = tmp.keyOf(pos[3*i], pos[3*i+1], pos[3*i+2])

@@ -110,7 +110,7 @@ func TestSolveSerialPeriodicVsEwald(t *testing.T) {
 
 func TestEngineInteractionListSizes(t *testing.T) {
 	s := particle.UniformRandom(10, 4, false, 1)
-	e := &Engine{Tab: NewTables(2), Box: s.Box, Level: 3, Periodic: false}
+	e := &engine{Tab: NewTables(2), Box: s.Box, Level: 3, Periodic: false}
 	// Interior box at level 3 (8 per dim): |IL| ≤ 189 and ≥ 27 for
 	// interior boxes; must never include the box itself or its neighbors.
 	key := e.keyOf(2.1, 2.1, 2.1)
@@ -132,7 +132,7 @@ func TestEngineInteractionListSizes(t *testing.T) {
 	}
 }
 
-func zorderNeighbors(e *Engine, key uint64) []uint64 {
+func zorderNeighbors(e *engine, key uint64) []uint64 {
 	return e.InteractionListNeighborsForTest(key)
 }
 

@@ -213,6 +213,60 @@ func TestFarFieldBalancesPool(t *testing.T) {
 	}
 }
 
+// TestFarFieldPoolWaste pins how well the pool's size classes fit the far
+// field's draws at md-pnfft's shape (8 ranks, 750 particles per rank, order
+// 3, 64³ mesh): in a steady solve the class capacity left unused
+// (PoolStats.WasteBytes) is at most an eighth of the bytes drawn. The steady
+// solve's counters are the difference between a world of two solves and one
+// of one; its requests are modelled from the plan — every charge and return
+// part at its plan length, and five slab transposes of one part per rank —
+// and the model must account for every get.
+func TestFarFieldPoolWaste(t *testing.T) {
+	const ranks, perRank = 8, 750
+	type drawn struct{ gets, bytes int64 }
+	world := func(solves int) (vmpi.PoolStats, drawn) {
+		before := vmpi.PoolStatsSnapshot()
+		st := vmpi.Run(vmpi.Config{Ranks: ranks}, func(c *vmpi.Comm) {
+			s := meshSolver(c, 3, perRank)
+			own := clusteredOwn(s, rand.New(rand.NewSource(int64(c.Rank()))), perRank, perRank)
+			pot, field := make([]float64, perRank), make([]float64, 3*perRank)
+			for i := 0; i < solves; i++ {
+				s.farField(own, pot, field)
+			}
+			fp, n := s.far, s.Mesh
+			var d drawn
+			for r := range fp.chargeLen {
+				if l := fp.chargeLen[r]; l > 0 {
+					d.gets, d.bytes = d.gets+1, d.bytes+8*int64(l)
+				}
+				if l := len(fp.retFlat[r]); l > 0 {
+					d.gets, d.bytes = d.gets+1, d.bytes+40*int64(l)
+				}
+			}
+			d.gets += 5 * ranks
+			d.bytes += 16 * int64((s.slab.LocalXSize()+4*s.slab.LocalYSize())*n*n)
+			c.SetResult(d)
+		})
+		after := vmpi.PoolStatsSnapshot()
+		var d drawn
+		for _, v := range st.Values {
+			d.gets += v.(drawn).gets
+			d.bytes += v.(drawn).bytes
+		}
+		return vmpi.PoolStats{Gets: after.Gets - before.Gets, WasteBytes: after.WasteBytes - before.WasteBytes}, d
+	}
+	one, _ := world(1)
+	two, steady := world(2)
+	gets, waste := two.Gets-one.Gets, two.WasteBytes-one.WasteBytes
+	if gets != steady.gets {
+		t.Fatalf("a steady solve got %d pool buffers, the model %d", gets, steady.gets)
+	}
+	if drawnBytes := steady.bytes + waste; 8*waste > drawnBytes {
+		t.Fatalf("a steady solve wasted %d of %d drawn bytes (%.1f%%), more than an eighth",
+			waste, drawnBytes, 100*float64(waste)/float64(drawnBytes))
+	}
+}
+
 // BenchmarkFarFieldP8 is one far-field solve on 8 ranks at md-pnfft's shape
 // (750 uniformly spread particles per rank, order 3; Tune picks the 64³ mesh): charge
 // assignment, both mesh all-to-alls and five slab transforms. B/op is what

@@ -45,8 +45,8 @@ type farPlan struct {
 	cells   []recvCell
 	recvLen []int
 
-	// chargeLen[r] is the length of the charge message rank r got last
-	// solve: the size to draw this solve's send buffer at.
+	// chargeLen[r] is the longest charge message rank r has got: the size
+	// to draw each solve's send buffer at.
 	chargeLen []int
 
 	// Per-call scratch, reused across time steps.

@@ -511,11 +511,27 @@ func (s *Solver) chargeSpectrum(own []pRec, h float64) []complex128 {
 	block := s.assignCharges(own, h)
 	c.Compute(costs.MeshPoint * float64(len(own)*s.Order*s.Order*s.Order))
 
-	// 2. Send (wrapped flat index, value) pairs to the slab owners. The
-	// per-destination buffers are drawn from the vmpi pool (vmpi.Owned) at the
-	// length the destination got last solve and grow through the pool, so
-	// what is relinquished below is what a receiver released a solve earlier.
+	// 2. Send (wrapped flat index, value) pairs to the slab owners. Each
+	// destination's part is counted first (its x-planes' nonzero cells), then
+	// drawn from the vmpi pool (vmpi.Owned) once, at the longest length it has
+	// had: its size class holds from solve to solve, so what is relinquished
+	// below is what a receiver released a solve earlier.
 	parts := make([][]float64, c.Size())
+	count := make([]int, c.Size())
+	for gx := 0; gx < bx; gx++ {
+		dst := s.slabOwner[wrapIdx(lo[0]+gx, n)]
+		for _, v := range block[gx*by*bz : (gx+1)*by*bz] {
+			if v != 0 {
+				count[dst] += 2
+			}
+		}
+	}
+	for dst, l := range count {
+		if l > 0 {
+			fp.chargeLen[dst] = max(fp.chargeLen[dst], l)
+			parts[dst] = vmpi.Owned[float64](fp.chargeLen[dst])
+		}
+	}
 	for gx := 0; gx < bx; gx++ {
 		wx := wrapIdx(lo[0]+gx, n)
 		dst := s.slabOwner[wx]
@@ -528,17 +544,9 @@ func (s *Solver) chargeSpectrum(own []pRec, h float64) []complex128 {
 				}
 				wz := wrapIdx(lo[2]+gz, n)
 				flat := float64((wx*n+wy)*n + wz)
-				part := parts[dst]
-				if len(part)+2 > cap(part) {
-					part = append(vmpi.Owned[float64](max(fp.chargeLen[dst], 2*len(part))), part...)
-					vmpi.Release(parts[dst])
-				}
-				parts[dst] = append(part, flat, v)
+				parts[dst] = append(parts[dst], flat, v)
 			}
 		}
-	}
-	for dst, part := range parts {
-		fp.chargeLen[dst] = len(part)
 	}
 	// Relinquish them, no copy; the slab owners release them after step 3.
 	recv := vmpi.AlltoallOwned(c, parts)

@@ -310,7 +310,7 @@ func Exscan[T any](c *Comm, data []T, op func(a, b T) T) []T {
 	if s.data == unsafe.Pointer(&s.inl) {
 		out = append(make([]T, 0, s.n), out...)
 	} else if b := classBits(s.n); b >= 0 {
-		out = unsafe.Slice(unsafe.SliceData(out), 1<<b)[:s.n] // stage's pooled copy, releasable
+		out = unsafe.Slice(unsafe.SliceData(out), classCap(b))[:s.n] // stage's pooled copy, releasable
 	}
 	s.data = nil
 	return out

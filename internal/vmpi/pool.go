@@ -1,6 +1,7 @@
 package vmpi
 
 import (
+	"math/bits"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -11,8 +12,10 @@ import (
 //
 // Every point-to-point Send deep-copies its payload (distributed-memory
 // semantics), so the messaging layer used to allocate one garbage slice per
-// message. The pool below recycles those buffers through size classes
-// (powers of two), typed per element type. It changes nothing observable:
+// message. The pool below recycles those buffers through size classes,
+// typed per element type: eight classes per octave (m·2^e elements,
+// m = 8…15), so a draw wastes less than an eighth of its capacity. It
+// changes nothing observable:
 // message sizes, ordering, and virtual costs are computed exactly as before
 // — only the host allocation rate drops.
 //
@@ -28,12 +31,16 @@ import (
 // pnfft mesh all-to-alls run this way). Either way the draw and the release
 // meet in the in-use meter (PoolStats.InUseBytes).
 //
-// Release also accepts a foreign buffer — one the pool never handed out — and
-// keeps it when its capacity happens to be a class size. That recycles the
-// memory but drives the meter down with no draw to match. The sites that
-// still relinquish foreign buffers are fmm/solver.go (the multipole key/value
-// and ghost parts, append-grown) and redist's gather, which builds the
-// neighborhood backend's per-neighbour blocks. redist's dense exchange
+// Release also accepts a foreign buffer — one the pool never handed out — but
+// keeps a class-shaped buffer only while the pool has a buffer of that type
+// and class lent out (typedPool.out): the pool holds no more than it lent,
+// and the in-use meter moves only for a release that matches a draw. With
+// eight classes per octave most page-rounded append capacities are class
+// sizes, so without that rule every foreign release would enter the pool.
+// The sites that still relinquish foreign buffers are fmm/solver.go (the
+// multipole key/value and ghost parts, append-grown) and redist's gather,
+// which builds the neighborhood backend's per-neighbour blocks; what they
+// release is dropped for the collector. redist's dense exchange
 // relinquishes nothing: it is a Replay that hands each destination the
 // buffers its sources staged for its group of ranks, which it copies out of
 // and drops, so no pool buffer is involved.
@@ -65,6 +72,9 @@ import (
 const (
 	poolMinBits = 5  // smallest pooled class: 32 elements
 	poolMaxBits = 24 // largest pooled class: 16M elements
+	// poolClasses counts the classes m·2^e from 8·2^2 = 2^poolMinBits to
+	// 8·2^21 = 2^poolMaxBits: eight per octave, plus the last.
+	poolClasses = 8*(poolMaxBits-poolMinBits) + 1
 )
 
 // poolCounters meter the pool process-wide. They are host-domain
@@ -118,19 +128,18 @@ type PoolStats struct {
 	// (always freshly allocated, never recycled).
 	Unpooled int64
 	// WasteBytes accumulates, over all pooled gets, the size-class
-	// capacity minus the requested length — the oversized-class overhead
-	// that grows when message sizes sit just above a power of two. At
-	// 1024+ ranks this is the number to watch: a high waste-to-payload
-	// ratio means the size classes are mis-sized for the traffic.
+	// capacity minus the requested length — the oversized-class overhead,
+	// below an eighth of the class capacity per draw. At 1024+ ranks this
+	// is the number to watch: a high waste-to-payload ratio means the size
+	// classes are mis-sized for the traffic.
 	WasteBytes int64
 	// InUseBytes is the class-capacity bytes of pooled buffers currently
 	// checked out: draws (copying sends, Owned) not yet released. Along a
 	// draw → relinquish → release path it returns to where it started
 	// (TestSlabTransposeBalancesPool, pnfft's TestFarFieldBalancesPool).
-	// Buffers a receiver keeps forever stay counted, and a released foreign
-	// buffer of class shape (see the lifecycle note above) is subtracted
-	// without ever having been added, so process-wide the value is a meter,
-	// not an invariant.
+	// Buffers a receiver keeps forever stay counted; a foreign buffer's
+	// release (see the lifecycle note above) never moves it, so the value
+	// is exactly the class bytes of draws not yet released.
 	InUseBytes int64
 	// HighWaterBytes is the maximum InUseBytes observed since process start
 	// or the last ResetPoolStats — the pool-side peak that the
@@ -168,9 +177,27 @@ func ResetPoolStats() {
 // pointer-shaped values store directly in the interface word, so a
 // Release/getSlice round trip allocates nothing (a *[]T box would cost
 // one heap object per Release). The element type and the class fix the
-// slice header, so getSlice reconstructs it losslessly.
+// slice header, so getSlice reconstructs it losslessly. out counts, per
+// class, the buffers drawn and not yet released: Release keeps a buffer
+// only against one of them.
 type typedPool struct {
-	classes [poolMaxBits + 1]sync.Pool
+	classes [poolClasses]sync.Pool
+	out     [poolClasses]atomic.Int64
+}
+
+// reclaim takes one lent buffer of class b off the books, reporting false
+// when none is out: the buffer being released is then not the pool's to
+// keep.
+func (p *typedPool) reclaim(b int) bool {
+	for {
+		n := p.out[b].Load()
+		if n <= 0 {
+			return false
+		}
+		if p.out[b].CompareAndSwap(n, n-1) {
+			return true
+		}
+	}
 }
 
 // poolRegistry maps reflect.Type (of *T) to *typedPool. Looked up once per
@@ -186,18 +213,23 @@ func poolOf[T any]() *typedPool {
 	return p.(*typedPool)
 }
 
-// classBits returns the size-class exponent for a capacity, or -1 when the
-// capacity is outside the pooled range.
+// classBits returns the index of the smallest size class holding n
+// elements, or -1 when n is outside the pooled range. Class i holds
+// classCap(i) = m·2^e elements with e = i/8 + 2 and m = 8 + i%8.
 func classBits(n int) int {
 	if n < 1<<poolMinBits || n > 1<<poolMaxBits {
 		return -1
 	}
-	b := poolMinBits
-	for 1<<b < n {
-		b++
-	}
-	return b
+	// With l = bits.Len(n-1), 2^(l-1) < n ≤ 2^l; the classes of that
+	// octave are m·2^e for e = l-4 and m = 8…16, and the smallest holding n
+	// has m = (n-1)>>e + 1. Its index is 8(e-2) + m-8, which for m = 16 is
+	// the next octave's m = 8, as it should be.
+	e := bits.Len(uint(n-1)) - 4
+	return 8*e + (n-1)>>e + 1 - 24
 }
+
+// classCap is the capacity of size class i.
+func classCap(i int) int { return (8 + i%8) << (i/8 + 2) }
 
 // getSlice returns a length-n slice, recycling a pooled buffer when one of
 // the right class is available. The contents are unspecified; callers must
@@ -208,17 +240,19 @@ func getSlice[T any](n int) []T {
 		poolCounters.unpooled.Add(1)
 		return make([]T, n)
 	}
+	c := classCap(b)
 	poolCounters.gets.Add(1)
-	poolCounters.waste.Add(int64(1<<b-n) * int64(sizeOf[T]()))
-	noteInUse(int64(1<<b) * int64(sizeOf[T]()))
+	poolCounters.waste.Add(int64(c-n) * int64(sizeOf[T]()))
+	noteInUse(int64(c) * int64(sizeOf[T]()))
 	p := poolOf[T]()
+	p.out[b].Add(1)
 	if v := p.classes[b].Get(); v != nil {
-		s := unsafe.Slice((*T)(v.(unsafe.Pointer)), 1<<b)[:n]
+		s := unsafe.Slice((*T)(v.(unsafe.Pointer)), c)[:n]
 		debugGet(s)
 		return s
 	}
 	poolCounters.misses.Add(1)
-	return make([]T, n, 1<<b)
+	return make([]T, n, c)
 }
 
 // Owned returns an empty buffer with capacity ≥ n, drawn from the
@@ -234,16 +268,17 @@ func Owned[T any](n int) []T { return getSlice[T](max(n, 1<<poolMinBits))[:0] }
 // poolClass returns the size class of a buffer whose capacity is exactly a
 // pooled class size, or -1: only such buffers enter the pool.
 func poolClass(c int) int {
-	if c&(c-1) != 0 {
-		return -1
+	if b := classBits(c); b >= 0 && classCap(b) == c {
+		return b
 	}
-	return classBits(c)
+	return -1
 }
 
 // sharedCap returns the capacity to allocate for an n-element shared
 // result buffer: n, bumped by one where n is itself a pool size class,
 // so a shared buffer is never pool-shaped and Release cannot recycle
-// memory other ranks still read.
+// memory other ranks still read. Every class is a multiple of 4, so n+1
+// of a class never is one.
 func sharedCap(n int) int {
 	if poolClass(n) >= 0 {
 		return n + 1
@@ -253,7 +288,8 @@ func sharedCap(n int) int {
 
 // Release hands a slice back to the message-buffer pool. It is safe to call
 // on any slice (non-poolable capacities — shared broadcast views among them
-// — are ignored), but the caller must be the sole owner of a pooled buffer
+// — are ignored, and a class-shaped buffer is kept only while a draw of its
+// class is out), but the caller must be the sole owner of a pooled buffer
 // and must not use the slice afterwards. Subslices of shared arrays must
 // never be released.
 func Release[T any](s []T) {
@@ -263,11 +299,15 @@ func Release[T any](s []T) {
 		debugUnshare(s)
 		return
 	}
+	full := s[:0:c]
+	debugRelease(full) // checks and poisons every class-shaped release, kept or not
+	p := poolOf[T]()
+	if !p.reclaim(b) {
+		return
+	}
 	poolCounters.puts.Add(1)
 	noteInUse(-int64(c) * int64(sizeOf[T]()))
-	full := s[:0:c]
-	debugRelease(full)
-	poolOf[T]().classes[b].Put(unsafe.Pointer(unsafe.SliceData(full)))
+	p.classes[b].Put(unsafe.Pointer(unsafe.SliceData(full)))
 }
 
 // ReleaseBlocks releases every block of a received block set (e.g. the

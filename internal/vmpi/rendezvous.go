@@ -350,7 +350,7 @@ func unstage[T any](g *rendezvous) {
 	for i := range g.slots {
 		if s := &g.slots[i]; s.data != unsafe.Pointer(&s.inl) {
 			if b := classBits(s.n); b >= 0 {
-				Release(unsafe.Slice((*T)(s.data), 1<<b)[:s.n])
+				Release(unsafe.Slice((*T)(s.data), classCap(b))[:s.n])
 			}
 		}
 	}

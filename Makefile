@@ -28,7 +28,8 @@ race:
 # (m2l4, its weight-1 rows included) against the map-based bodies, on
 # random operands and on NaN payloads, infinities, signed zeros and
 # subnormals, the FFT panel passes against per-call Transform on gathered
-# columns, the open-addressed vmpi mailbox against a map of FIFOs, the redist planner
+# columns, the vmpi mailbox's arrival list against a map of per-key FIFOs,
+# the redist planner
 # (both backends, the lost vote, budgets) against a sequential scatter and
 # its replayed dense exchange against per-destination blocks through the
 # collectives (refExecuteDense: results, clocks, counters, events), the obs

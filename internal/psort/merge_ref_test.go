@@ -11,8 +11,8 @@ import (
 
 // The message-level sorts: every rank walks its own comparators (rankSteps)
 // and runs each as a mergeSplit, then the odd-even cleanup (refCleanup);
-// the rotational sort sends its rotations as Sendrecvs. Each sends exactly
-// the messages the rendezvous replays (merger, rotate). Kept as the
+// the rotational sort sends each rotation and then receives one. Each sends
+// exactly the messages the rendezvous replays (merger, rotate). Kept as the
 // reference they are checked against (FuzzSortMergeMatchesMessageLevel).
 
 func refSortMerge[T any](c *vmpi.Comm, items []T, key func(T) uint64) []T {
@@ -76,7 +76,7 @@ func rankSteps(n, me int, step func(partner int, keepLow bool)) {
 // items, new spare).
 func mergeSplit[T any](c *vmpi.Comm, items []T, key func(T) uint64, partner int, keepLow bool, spare []T) ([]T, []T) {
 	h := headerOf(items, key)
-	ph := vmpi.SendrecvVal(c, h, partner, partner, tagHeader)
+	ph := sendrecvVal(c, h, partner, tagHeader)
 	lo, hi := h, ph
 	if !keepLow {
 		lo, hi = ph, h
@@ -85,7 +85,7 @@ func mergeSplit[T any](c *vmpi.Comm, items []T, key func(T) uint64, partner int,
 		return items, spare
 	}
 	k := candidates(items, key, keepLow, ph)
-	t := min(k, int(vmpi.SendrecvVal(c, int64(k), partner, partner, tagCount)))
+	t := min(k, int(sendrecvVal(c, int64(k), partner, tagCount)))
 	if t == 0 {
 		return items, spare
 	}
@@ -94,12 +94,19 @@ func mergeSplit[T any](c *vmpi.Comm, items []T, key func(T) uint64, partner int,
 	if keepLow {
 		send, merge, merged = items[n-t:], mergeLow[T], n
 	}
-	theirs := vmpi.Sendrecv(c, send, partner, partner, tagData)
+	vmpi.Send(c, send, partner, tagData)
+	theirs := vmpi.Recv[T](c, partner, tagData)
 	c.Compute(costs.RedistElem * float64(2*t))
 	items, spare = merge(items, theirs, spare, key)
 	c.Compute(costs.MergeTime(merged, 2))
 	vmpi.Release(theirs)
 	return items, spare
+}
+
+// sendrecvVal exchanges one value with partner.
+func sendrecvVal[V any](c *vmpi.Comm, v V, partner, tag int) V {
+	vmpi.SendVal(c, v, partner, tag)
+	return vmpi.RecvVal[V](c, partner, tag)
 }
 
 // refCleanup is merger.cleanup rank by rank: the counts allgather, then
@@ -174,7 +181,7 @@ func oddEvenRound[T any](c *vmpi.Comm, items []T, key func(T) uint64, chain []in
 	return items, spare
 }
 
-// refSortRotational sends each rotation as a Sendrecv to rank+dist from
+// refSortRotational sends each rotation to rank+dist and receives one from
 // rank-dist.
 func refSortRotational[T any](c *vmpi.Comm, items []T, key func(T) uint64) []T {
 	p := c.Size()
@@ -190,7 +197,8 @@ func refSortRotational[T any](c *vmpi.Comm, items []T, key func(T) uint64) []T {
 	elem := int64(unsafe.Sizeof(*new(T)))
 	for dist := 1; dist < p; dist <<= 1 {
 		keep, send = rotation(cur, send[:0], key, splitters, self, dist)
-		got := vmpi.Sendrecv(c, send, (self+dist)%p, (self-dist+p)%p, tagRot)
+		vmpi.Send(c, send, (self+dist)%p, tagRot)
+		got := vmpi.Recv[T](c, (self-dist+p)%p, tagRot)
 		c.Compute(costs.Move*float64(len(keep)) + costs.RedistElem*float64(len(send)+len(got)))
 		cur = append(keep, got...)
 		vmpi.Release(got)

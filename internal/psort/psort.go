@@ -266,8 +266,8 @@ func (m *merger[T]) split(i, j int) {
 	m.h.Compute(j, costs.MergeTime(t+nh, 2))
 }
 
-// exchange charges a Sendrecv of bytes on tag between ranks i and j: each
-// sends, then receives.
+// exchange charges a pairwise exchange of bytes on tag between ranks i and
+// j: each sends, then receives.
 func exchange(h *vmpi.Replayer, i, j, bytes, tag int) {
 	ai, aj := h.Send(i, j, bytes, tag), h.Send(j, i, bytes, tag)
 	h.Recv(j, i, bytes, aj)

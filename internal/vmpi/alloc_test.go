@@ -6,12 +6,12 @@ import (
 	"testing"
 )
 
-// Steady-state allocation contracts of the messaging hot paths. The
-// large-P fast path moved small messages inline into pooled envelopes
-// and batched executor wakeups precisely so that the per-message
-// allocation count hits zero once the pools are warm; these tests pin
-// that down with testing.AllocsPerRun so a regression shows up as a test
-// failure, not as a slow drift in the benchmark reports.
+// Steady-state allocation contracts of the messaging hot paths. Envelopes
+// and payload buffers are pooled and executor wakeups batched precisely so
+// that the per-message allocation count hits zero once the pools are warm
+// and receivers release what they get; these tests pin that down with
+// testing.AllocsPerRun so a regression shows up as a test failure, not as
+// a slow drift in the benchmark reports.
 //
 // GC is disabled around the measured section: a concurrent GC clears
 // sync.Pool victims mid-measurement and would charge the refill to the
@@ -48,27 +48,27 @@ func allocHarness(t *testing.T, iters int, body func(c *Comm), echo func(c *Comm
 	return allocs
 }
 
-// TestSendrecvValAllocs pins the inline single-value exchange — the
-// merge-exchange negotiation hot path — at zero allocations per op.
+// TestSendrecvValAllocs pins the single-value exchange at zero allocations
+// per op: SendVal draws the smallest pool class, RecvVal releases it.
 func TestSendrecvValAllocs(t *testing.T) {
 	t.Run("event", func(t *testing.T) {
 		exchange := func(c *Comm) {
 			partner := 1 - c.Rank()
-			v := SendrecvVal(c, int64(c.Rank()), partner, partner, 7)
-			if v != int64(partner) {
+			SendVal(c, int64(c.Rank()), partner, 7)
+			if v := RecvVal[int64](c, partner, 7); v != int64(partner) {
 				panic("wrong value")
 			}
 		}
 		allocs := allocHarness(t, 100, exchange, exchange)
 		if allocs > 0 {
-			t.Errorf("SendrecvVal allocated %.2f objects per op, want 0", allocs)
+			t.Errorf("SendVal+RecvVal allocated %.2f objects per op, want 0", allocs)
 		}
 	})
 }
 
-// TestInlineSendRecvAllocs pins the inline slice path: Send stays
-// allocation-free (payload bytes live in the pooled envelope); Recv's
-// only allocation is the exact-size result slice it hands the caller.
+// TestInlineSendRecvAllocs pins a small slice Send/Recv whose receiver
+// keeps the payload: Send copies into a buffer of the smallest pool class,
+// and as nothing is released, that draw is the only allocation.
 func TestInlineSendRecvAllocs(t *testing.T) {
 	exchange := func(c *Comm) {
 		partner := 1 - c.Rank()
@@ -80,19 +80,18 @@ func TestInlineSendRecvAllocs(t *testing.T) {
 	}
 	allocs := allocHarness(t, 100, exchange, exchange)
 	// AllocsPerRun counts process-wide mallocs and both ranks run one
-	// exchange per iteration, so the budget is two result slices per op —
-	// one per receive — and nothing else.
+	// exchange per iteration, so the budget is two payload buffers per op —
+	// one per send — and nothing else.
 	if allocs > 2 {
-		t.Errorf("inline Send+Recv allocated %.2f objects per op, want <= 2", allocs)
+		t.Errorf("small Send+Recv allocated %.2f objects per op, want <= 2", allocs)
 	}
 }
 
-// TestPooledSendRecvAllocs pins the payload-carrying path for buffers
-// above the inline limit: the payload copy comes from the slice pool and
-// the receiver releases it back, so the steady state allocates nothing
-// but the pooled envelope round trip (zero objects).
+// TestPooledSendRecvAllocs pins a large payload: the copy comes from the
+// slice pool and the receiver releases it back, so the steady state
+// allocates nothing but the pooled envelope round trip (zero objects).
 func TestPooledSendRecvAllocs(t *testing.T) {
-	payload := make([]int64, 512) // 4 KiB, far above inlineMaxBytes
+	payload := make([]int64, 512) // 4 KiB
 	exchange := func(c *Comm) {
 		partner := 1 - c.Rank()
 		Send(c, payload, partner, 7)

@@ -2,13 +2,11 @@ package vmpi
 
 import "testing"
 
-// BenchmarkAlltoall16 exercises the mailbox under the highest fan-in the
-// paper configurations use: 16 ranks exchanging pairwise messages, repeated
-// across rounds, so every mailbox sees 15 concurrent senders per round.
-// A single arrival queue goes quadratic here (every wake-up rescans all
-// other senders' pending messages); the keyed mailbox keeps take O(1). Run
-// it before and after scheduler or mailbox changes to catch contention
-// regressions.
+// BenchmarkAlltoall16 is the highest fan-in the paper configurations use:
+// 16 ranks exchanging pairwise blocks, repeated across rounds. The exchange
+// is one rendezvous per round, so it measures the replay and the executor,
+// not the mailbox. Run it before and after scheduler changes to catch
+// contention regressions.
 func BenchmarkAlltoall16(b *testing.B) {
 	const ranks = 16
 	const rounds = 4
@@ -30,11 +28,11 @@ func BenchmarkAlltoall16(b *testing.B) {
 	}
 }
 
-// BenchmarkMailboxFanIn512 is the mailbox at the shape of a budgeted dense
-// round (bench's exchange-dense): every one of 511 peers has delivered
-// before the owner starts receiving, so 511 match keys are live at once,
-// and they are taken in source order. One op is the whole round — 511 puts
-// and 511 takes — on a warm table.
+// BenchmarkMailboxFanIn512 is the mailbox at its widest fan-in: every one
+// of 511 peers has delivered before the owner starts receiving, so 511
+// match keys are pending at once, and they are taken in source order, which
+// is arrival order — each take finds its envelope at the head of the list.
+// One op is the whole round, 511 puts and 511 takes.
 func BenchmarkMailboxFanIn512(b *testing.B) {
 	const ranks = 512
 	mb, c := &mailbox{}, &Comm{}
@@ -54,10 +52,10 @@ func BenchmarkMailboxFanIn512(b *testing.B) {
 	}
 }
 
-// BenchmarkMailboxPingPong2Keys is the other extreme, the shape of a
-// merge-exchange step (bench's bigp-merge): two ranks, two match keys live
-// per mailbox at a time, every receive a park and a wake. One op is one
-// exchange on each side — four messages.
+// BenchmarkMailboxPingPong2Keys is the other extreme: two ranks, two match
+// keys pending per mailbox at a time, the later one taken first, every
+// receive a park and a wake. One op is one exchange on each side — four
+// messages.
 func BenchmarkMailboxPingPong2Keys(b *testing.B) {
 	b.ReportAllocs()
 	Run(Config{Ranks: 2, Workers: 2}, func(c *Comm) {

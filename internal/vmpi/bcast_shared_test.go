@@ -79,7 +79,7 @@ func TestBcastSharesOnePayload(t *testing.T) {
 // returns — here into the pool, from which it is at once reissued and
 // overwritten — and no other rank's view changes.
 func TestBcastRootIsolation(t *testing.T) {
-	const n = 64 // 512 B: above the inline limit, and a pool size class
+	const n = 64 // 512 B: a pool size class
 	for _, p := range []int{2, 5, 33} {
 		Run(Config{Ranks: p, Workers: 1}, func(c *Comm) {
 			var in []float64

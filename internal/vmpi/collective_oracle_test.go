@@ -7,11 +7,11 @@ import (
 )
 
 // The broadcasting collectives against a rank-loop oracle, at communicator
-// sizes on both sides of the ring/tree switch (32 → 33) and payload lengths
-// on both sides of the inline limit (1 × 24 B inline, 5 × 24 B = 120 B
-// shared; the pins below were taken when the limit sat between lengths 5
-// and 6, so they also show that where it sits changes no virtual quantity)
-// and on pool size classes (32, 4096 — where a shared buffer must not be
+// sizes on both sides of the ring/tree switch (32 → 33), at payload lengths
+// of 1, 5 and 6 × 24 B (the pins below held while small payloads travelled
+// inline in the envelope, up to 120 B and later up to 32 B, and still hold
+// with every payload in a pool buffer: where small payloads travel changes
+// no virtual quantity) and on pool size classes (32, 4096 — where a shared buffer must not be
 // pool-shaped, or a Release would recycle memory other ranks still read).
 //
 // Each (P, length) cell runs one world: refBcast from every root, Allreduce,

@@ -77,7 +77,7 @@ func Barrier(c *Comm) {
 // ownership protocol in pool.go), whose Release is legal and does nothing.
 func Allreduce[T any](c *Comm, data []T, op func(a, b T) T) []T {
 	stage(c, data)
-	return takeShared[T](c.collective(collOp{name: "Allreduce", typ: inlineType[T](), n: len(data)}, op, replayAllreduce[T]))
+	return takeShared[T](c.collective(collOp{name: "Allreduce", typ: typeID[T](), n: len(data)}, op, replayAllreduce[T]))
 }
 
 // replayAllreduce folds the staged copies — each rank's accumulator — up the
@@ -143,7 +143,7 @@ func AllgatherBlocks[T any](c *Comm, data []T) [][]T {
 // of the block lengths and of the concatenation.
 func allgather[T any](c *Comm, data []T) (*rendezvous, *rdvSlot) {
 	stage(c, data)
-	return c.collective(collOp{name: "Allgather", typ: inlineType[T]()}, nil, replayAllgather[T])
+	return c.collective(collOp{name: "Allgather", typ: typeID[T]()}, nil, replayAllgather[T])
 }
 
 // replayAllgather charges the allgather of the staged inputs, then
@@ -192,7 +192,7 @@ func (g *rendezvous) allgather(bytes func(r int) int) {
 // block lengths may differ arbitrarily (MPI_Alltoallv semantics). The parts
 // are copied; the caller keeps them.
 func Alltoall[T any](c *Comm, parts [][]T) [][]T {
-	return alltoall(c, parts, false, collOp{name: "Alltoall", typ: inlineType[T]()}, replayAlltoall[T])
+	return alltoall(c, parts, false, collOp{name: "Alltoall", typ: typeID[T]()}, replayAlltoall[T])
 }
 
 // AlltoallOwned is Alltoall with the SendOwned ownership contract applied
@@ -203,7 +203,7 @@ func Alltoall[T any](c *Comm, parts [][]T) [][]T {
 // shared array, since different receiving ranks would then alias each
 // other's memory. Virtual cost is identical to Alltoall.
 func AlltoallOwned[T any](c *Comm, parts [][]T) [][]T {
-	return alltoall(c, parts, true, collOp{name: "Alltoall", typ: inlineType[T]()}, replayAlltoall[T])
+	return alltoall(c, parts, true, collOp{name: "Alltoall", typ: typeID[T]()}, replayAlltoall[T])
 }
 
 // alltoall meets with the rank's outgoing blocks in its own result slice —
@@ -305,7 +305,7 @@ func transpose[T any](g *rendezvous) {
 // sends it on to r+1. The result is the rank's own.
 func Exscan[T any](c *Comm, data []T, op func(a, b T) T) []T {
 	stage(c, data)
-	_, s := c.collective(collOp{name: "Exscan", typ: inlineType[T](), n: len(data)}, op, replayExscan[T])
+	_, s := c.collective(collOp{name: "Exscan", typ: typeID[T](), n: len(data)}, op, replayExscan[T])
 	out := slotData[T](s)
 	if s.data == unsafe.Pointer(&s.inl) {
 		out = append(make([]T, 0, s.n), out...)

@@ -28,14 +28,14 @@ var (
 		refAlltoall[uint32], refAlltoallOwned[uint32], refAlltoallLinear[byte]}
 )
 
-// fuzzSizes are block lengths in 4-byte elements: empty, one element, the
-// 32 B inline limit and one element past it, and both sides of the smallest
-// pool size class (32 elements) and the next class.
+// fuzzSizes are block lengths in 4-byte elements: empty, one element, 32 B
+// and one element past it, and both sides of the smallest pool size class
+// (32 elements) and the next class.
 var fuzzSizes = [...]int{0, 1, 8, 9, 31, 32, 33, 64}
 
 // fuzzLinearSizes are AlltoallLinear's part lengths in bytes: empty (nil or
-// not), one byte, both sides of the inline limit and of the smallest pool
-// size class (32 B), and both sides of the next class.
+// not), one byte, both sides of the smallest pool size class (32 B), and
+// both sides of the next class.
 var fuzzLinearSizes = [...]int{0, 1, 31, 32, 33, 63, 64, 65}
 
 func fuzzMix(a, b, c uint64) uint64 {

@@ -172,7 +172,7 @@ func refAlltoallLinear[T any](c *Comm, parts [][]T, tag int) [][]T {
 // exchange makes inside its own Replay, and is checked in turn against
 // refAlltoallLinear.
 func AlltoallLinear[T any](c *Comm, parts [][]T, tag int) [][]T {
-	return alltoall(c, parts, true, collOp{name: "AlltoallLinear", typ: inlineType[T](), n: tag}, replayAlltoallLinear[T])
+	return alltoall(c, parts, true, collOp{name: "AlltoallLinear", typ: typeID[T](), n: tag}, replayAlltoallLinear[T])
 }
 
 // replayAlltoallLinear charges the linear schedule, then transposes.
@@ -209,8 +209,8 @@ func refExscan[T any](c *Comm, data []T, op func(a, b T) T) []T {
 // rank a received slice.
 //
 // The result is a shared, read-only view (see the ownership protocol in
-// pool.go). A payload above the inline limit is copied once, on root, into
-// one immutable buffer, and every hop of the tree forwards a reference to
+// pool.go). The payload is copied once, on root, into one immutable
+// buffer, and every hop of the tree forwards a reference to
 // that buffer — P ranks, one payload — so receivers must not store into,
 // append onto or relinquish (SendOwned/AlltoallOwned) what refBcast returns;
 // Release of it is legal and does nothing. Root's own data is never
@@ -233,30 +233,21 @@ func refBcast[T any](c *Comm, data []T, root int) []T {
 		}
 		mask <<= 1
 	}
-	// Every rank sees the same length, so every hop takes the same path:
-	// inline-sized payloads are copied from envelope to envelope as any
-	// small message is; larger ones travel as one shared buffer.
 	bytes := len(data) * sizeOf[T]()
-	shared := bytes > inlineMaxBytes || !inlineable[T]()
 	wire := data
-	if shared && rel == 0 {
+	if rel == 0 {
 		wire = copyShared(data)
 		debugShare(c.rt, wire)
 	}
 	mask >>= 1
 	for mask > 0 {
 		if rel+mask < p {
-			dst := (rel + mask + root) % p
-			if shared {
-				debugForward(wire)
-				sendRaw(c, wire, bytes, dst, tagBcast)
-			} else {
-				Send(c, wire, dst, tagBcast)
-			}
+			debugForward(wire)
+			sendRaw(c, wire, bytes, (rel+mask+root)%p, tagBcast)
 		}
 		mask >>= 1
 	}
-	if shared && rel == 0 {
+	if rel == 0 {
 		debugUnshare(wire) // root keeps data, not the copy it fanned out
 	}
 	return data

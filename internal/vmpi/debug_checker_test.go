@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func mustPanic(t *testing.T, substr string, f func()) {
@@ -254,6 +255,40 @@ func TestDebugPoolReleaseOfBroadcastPanics(t *testing.T) {
 			}
 		})
 	})
+}
+
+// TestDebugDroppedReleasesDieWithTheirWorld: Release drops a class-shaped
+// buffer the pool never lent, and the checker's entry for it — which pins
+// the buffer — goes when the world ends instead of living as long as the
+// process. No test draws float32, so its pool lends nothing to keep.
+func TestDebugDroppedReleasesDieWithTheirWorld(t *testing.T) {
+	keys := make([]unsafe.Pointer, 500)
+	Run(Config{Ranks: 1}, func(c *Comm) {
+		for i := range keys {
+			buf := make([]float32, 1024)
+			keys[i] = dbgKey(buf)
+			Release(buf)
+		}
+		if last := keys[len(keys)-1]; !dbgHolds(last) {
+			panic("the checker holds no entry for a buffer just released")
+		}
+	})
+	held := 0
+	for _, k := range keys {
+		if dbgHolds(k) {
+			held++
+		}
+	}
+	if held != 0 {
+		t.Fatalf("the checker holds %d of %d dropped releases after their world ended", held, len(keys))
+	}
+}
+
+// dbgHolds reports whether the checker has an entry for backing array k.
+func dbgHolds(k unsafe.Pointer) bool {
+	dbgMu.Lock()
+	defer dbgMu.Unlock()
+	return dbgBufs[k] != nil
 }
 
 // TestDebugSharedEntriesDieWithTheirWorld: a shared buffer's entry goes with

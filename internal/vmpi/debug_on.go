@@ -63,6 +63,8 @@ type dbgState struct {
 	holders int
 	data    []byte
 	sum     uint64
+	// dropped marks a release the pool did not keep (debugDropped).
+	dropped bool
 }
 
 var (
@@ -176,8 +178,8 @@ func debugGet[T any](s []T) {
 	dbgMu.Unlock()
 }
 
-// debugRelease checks and records a Release that will enter the pool, and
-// poisons the buffer contents.
+// debugRelease checks and records a class-shaped Release, and poisons the
+// buffer contents.
 func debugRelease[T any](s []T) {
 	k := dbgKey(s)
 	if k == nil {
@@ -202,8 +204,24 @@ func debugRelease[T any](s []T) {
 	dbgBufs[k] = &dbgState{kind: dbgReleased, site: dbgCallSite(), pin: full}
 }
 
+// debugDropped marks a released buffer the pool did not keep (a foreign
+// one: the pool never lent it). Its entry still catches a second release or
+// a use, but only until a world ends: the pin would otherwise keep every
+// such buffer alive for the life of the process.
+func debugDropped[T any](s []T) {
+	k := dbgKey(s)
+	if k == nil {
+		return
+	}
+	dbgMu.Lock()
+	if st := dbgBufs[k]; st != nil && st.kind == dbgReleased {
+		st.dropped = true
+	}
+	dbgMu.Unlock()
+}
+
 // debugUse checks a buffer that re-enters the messaging layer as a payload
-// source (every copying send funnels through copySlice).
+// source (every copying send, and every collective input copySlice stages).
 func debugUse[T any](s []T) {
 	k := dbgKey(s)
 	if k == nil {
@@ -289,16 +307,20 @@ func debugUnshare[T any](s []T) {
 }
 
 // debugWorldEnd runs deferred when a world's Run returns or unwinds: no
-// shared-buffer entry outlives the world that made it. On a clean return
-// the buffers still held are verified one last time.
+// shared-buffer entry outlives the world that made it, and no dropped
+// release outlives the end of any world. On a clean return the shared
+// buffers still held are verified one last time.
 func debugWorldEnd(rt *Runtime) {
 	p := recover()
 	dbgMu.Lock()
 	var stale []*dbgState
 	for k, st := range dbgBufs {
-		if st.kind == dbgShared && st.rt == rt {
+		switch {
+		case st.kind == dbgShared && st.rt == rt:
 			delete(dbgBufs, k)
 			stale = append(stale, st)
+		case st.dropped:
+			delete(dbgBufs, k)
 		}
 	}
 	dbgMu.Unlock()

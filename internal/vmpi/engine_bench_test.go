@@ -38,7 +38,7 @@ func BenchmarkRun256(b *testing.B) { benchSpinup(b, 256) }
 
 func BenchmarkRun4096(b *testing.B) { benchSpinup(b, 4096) }
 
-// benchAlltoall measures the pairwise alltoall — the highest-contention mailbox workload the paper configurations use.
+// benchAlltoall measures the pairwise alltoall, one rendezvous per round.
 func benchAlltoall(b *testing.B, ranks, rounds, payloadLen int) {
 	payload := make([]float64, payloadLen)
 	b.ReportAllocs()

@@ -23,7 +23,7 @@ func mixedWorkload(c *Comm) {
 	c.Phase("work", func() {
 		c.Compute(float64(me+1) * 1e-6)
 		// Ring sendrecv.
-		got := Sendrecv(c, []int{me}, (me+1)%p, (me-1+p)%p, 7)
+		got := sendrecv(c, []int{me}, (me+1)%p, (me-1+p)%p, 7)
 		if got[0] != (me-1+p)%p {
 			panic("ring mismatch")
 		}
@@ -143,7 +143,7 @@ func TestZeroByteBothEngines(t *testing.T) {
 			me := c.Rank()
 			p := c.Size()
 			// Empty payloads through p2p and a collective.
-			got := Sendrecv(c, []byte{}, (me+1)%p, (me-1+p)%p, 3)
+			got := sendrecv(c, []byte{}, (me+1)%p, (me-1+p)%p, 3)
 			if len(got) != 0 {
 				panic("zero-byte payload grew")
 			}
@@ -237,7 +237,7 @@ func TestEventEngineLargeP(t *testing.T) {
 	st := Run(Config{Ranks: ranks, Workers: 2}, func(c *Comm) {
 		me := c.Rank()
 		p := c.Size()
-		got := Sendrecv(c, []int{me}, (me+1)%p, (me-1+p)%p, 1)
+		got := sendrecv(c, []int{me}, (me+1)%p, (me-1+p)%p, 1)
 		if got[0] != (me-1+p)%p {
 			panic("ring mismatch")
 		}

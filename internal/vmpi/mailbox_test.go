@@ -6,17 +6,29 @@ import (
 )
 
 // Regression coverage for the mailbox key leak: a (src, tag, ctx) key must
-// leave the table when its fifo drains, or every retired communicator
-// context (Split/Dup churn, resize epochs) leaves its keys behind for the
-// life of the run.
+// leave the mailbox when its last message is taken, or every retired
+// communicator context (Split/Dup churn, resize epochs) leaves its keys
+// behind for the life of the run.
 
-// queueKeys returns the live key count of a rank's mailbox. Safe to call
-// from the rank's own goroutine while no peer is sending to it.
+// queueKeys returns the number of distinct keys pending in a rank's
+// mailbox. Safe to call from the rank's own goroutine while no peer is
+// sending to it.
 func queueKeys(c *Comm) int {
 	mb := &c.inst(c.rank).box
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	return mb.live
+	return len(pendingByKey(mb))
+}
+
+// pendingByKey groups a mailbox's arrival list by match key, each key's
+// envelopes in arrival order. The mailbox mutex must be held.
+func pendingByKey(mb *mailbox) map[mkey][]*message {
+	byKey := map[mkey][]*message{}
+	for m := mb.head; m != nil; m = m.next {
+		k := mkey{src: m.src, tag: m.tag, ctx: m.ctx}
+		byKey[k] = append(byKey[k], m)
+	}
+	return byKey
 }
 
 func TestMailboxPrunesDrainedKeys(t *testing.T) {
@@ -71,9 +83,8 @@ func TestMailboxPrunesRetiredEpochKeys(t *testing.T) {
 	})
 }
 
-// refMailbox is the map-based mailbox the open-addressed table replaced,
-// kept as the fuzz oracle: one FIFO of envelopes per exact match key, the
-// key deleted when its FIFO drains, and the owner's wait record.
+// refMailbox is the fuzz oracle: one FIFO of envelopes per exact match
+// key, the key deleted when its FIFO drains, and the owner's wait record.
 type refMailbox struct {
 	queues  map[mkey][]*message
 	waiting bool
@@ -103,9 +114,9 @@ func (r *refMailbox) pop(k mkey) *message {
 	return q[0]
 }
 
-// fuzzKey spreads 7 bits over a key universe small enough to collide in
-// the table's first sizes: 16 sources, a user tag, the barrier and bcast
-// tags, and the world contexts of two epochs.
+// fuzzKey spreads 7 bits over a small key universe: 16 sources, a user
+// tag, the barrier and bcast tags, and the world contexts of two epochs, so
+// a source and tag recur under both contexts.
 func fuzzKey(b byte) mkey {
 	return mkey{
 		src: int(b & 15),
@@ -114,41 +125,38 @@ func fuzzKey(b byte) mkey {
 	}
 }
 
-// checkMailbox compares the table against the reference: the same live
-// keys, each reachable from its home slot (find probes from there and stops
-// at the first empty slot) and holding the same envelopes in the same
-// order, in a table at most half full.
+// checkMailbox compares the arrival list against the reference: the same
+// pending count, each key's envelopes in the same order, a tail that is the
+// list's last envelope, and the same wait record.
 func checkMailbox(t *testing.T, mb *mailbox, ref *refMailbox) {
 	t.Helper()
-	if mb.live != len(ref.queues) {
-		t.Fatalf("table holds %d live keys, reference %d", mb.live, len(ref.queues))
+	n, last := 0, (*message)(nil)
+	for m := mb.head; m != nil; m = m.next {
+		n, last = n+1, m
 	}
-	if 2*mb.live > len(mb.slots) {
-		t.Fatalf("%d live keys in %d slots: more than half full", mb.live, len(mb.slots))
+	want := 0
+	for _, q := range ref.queues {
+		want += len(q)
 	}
-	occupied := 0
-	for i := range mb.slots {
-		if mb.slots[i].head != nil {
-			occupied++
-		}
+	if n != want {
+		t.Fatalf("mailbox holds %d envelopes, reference %d", n, want)
 	}
-	if occupied != mb.live {
-		t.Fatalf("%d occupied slots, live count %d", occupied, mb.live)
+	if mb.tail != last {
+		t.Fatalf("tail is not the last envelope of the arrival list")
+	}
+	byKey := pendingByKey(mb)
+	if len(byKey) != len(ref.queues) {
+		t.Fatalf("mailbox holds %d keys, reference %d", len(byKey), len(ref.queues))
 	}
 	for k, q := range ref.queues {
-		s := mb.slots[mb.find(k)]
-		m := s.head
-		for i, want := range q {
-			if m != want {
+		got := byKey[k]
+		if len(got) != len(q) {
+			t.Fatalf("key %+v: %d envelopes, reference %d", k, len(got), len(q))
+		}
+		for i := range q {
+			if got[i] != q[i] {
 				t.Fatalf("key %+v: envelope %d of %d differs from the reference", k, i, len(q))
 			}
-			if i == len(q)-1 && s.tail != m {
-				t.Fatalf("key %+v: tail is not the last envelope", k)
-			}
-			m = m.next
-		}
-		if m != nil {
-			t.Fatalf("key %+v: chain runs past the reference's %d envelopes", k, len(q))
 		}
 	}
 	if mb.waiting != ref.waiting || (mb.waiting && mb.waitKey != ref.waitKey) {
@@ -156,21 +164,22 @@ func checkMailbox(t *testing.T, mb *mailbox, ref *refMailbox) {
 	}
 }
 
-// FuzzMailboxMatchesReference drives the open-addressed mailbox and the
-// map-based reference with the same operation string — one byte per
+// FuzzMailboxMatchesReference drives the arrival-list mailbox and the
+// per-key reference with the same operation string — one byte per
 // operation: the top bit selects put or receive, the rest the key — and
 // compares them after every step. A receive that finds nothing records the
 // wait exactly as take does before it parks; the put that delivers that key
-// must be the one, and the only one, that reports a wake. Growth,
-// wrap-around probing and backward-shift deletion are what the small,
-// colliding key universe exercises.
+// must be the one, and the only one, that reports a wake. Unlinking from
+// the head, the middle and the tail of the list, with the same source and
+// tag pending under both contexts, is what the small key universe
+// exercises.
 func FuzzMailboxMatchesReference(f *testing.F) {
 	f.Add([]byte{0x01, 0x01, 0x81, 0x81, 0x81})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		mb := &mailbox{}
 		ref := &refMailbox{queues: map[mkey][]*message{}}
-		// 512 operations reach every table size the 128 keys can force; the
-		// per-step comparison is linear in the pending envelopes.
+		// The per-step comparison is linear in the pending envelopes, so
+		// 512 operations bound a step's cost.
 		for _, op := range ops[:min(len(ops), 512)] {
 			k := fuzzKey(op)
 			if op&0x80 == 0 {

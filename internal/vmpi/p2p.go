@@ -2,6 +2,8 @@ package vmpi
 
 import (
 	"fmt"
+	"reflect"
+	"sync"
 	"unsafe"
 
 	"repro/internal/netmodel"
@@ -23,18 +25,64 @@ func sizeOf[T any]() int {
 	return int(unsafe.Sizeof(z))
 }
 
+// typeID returns the interned identity of element type T. Pointer types are
+// interned by the runtime, so two calls for the same T return the identical
+// reflect.Type and a receive's type check is one comparison, no allocation.
+func typeID[T any]() reflect.Type {
+	return reflect.TypeOf((*T)(nil))
+}
+
+// message is a unit of point-to-point communication between world ranks:
+// one envelope carrying one payload buffer — a pooled copy for Send and
+// SendVal, the sender's own buffer for SendOwned. Envelopes are recycled
+// through msgPool, so a steady exchange whose receivers release what they
+// get allocates nothing per message.
+type message struct {
+	// next links the envelope into its mailbox's arrival list while it
+	// waits there (nil otherwise): queueing a message is one pointer store.
+	next   *message
+	src    int // sender's rank within the communicator's context
+	tag    int
+	ctx    int64 // communicator context id
+	arrive float64
+	bytes  int
+	// pptr/plen/pcap are the exploded slice header of the payload buffer.
+	// Storing the three words directly — instead of boxing the []T into an
+	// any field — keeps the send path allocation-free (a slice-to-interface
+	// conversion heap-allocates the header). pptr is an unsafe.Pointer, so
+	// the GC keeps the backing array alive while the message is in flight;
+	// Recv[T] reconstructs the slice after checking typ against its own
+	// element type, which is exactly the guarantee a type assertion would
+	// give.
+	pptr unsafe.Pointer
+	plen int
+	pcap int
+	typ  reflect.Type // typeID of the payload's element type
+}
+
+// msgPool recycles message envelopes.
+var msgPool = sync.Pool{New: func() any { return new(message) }}
+
+func getMsg() *message { return msgPool.Get().(*message) }
+
+// putMsg returns a consumed envelope to the pool. Callers must have
+// extracted everything they need; the payload reference is dropped here so
+// pooled envelopes never pin transferred buffers.
+func putMsg(m *message) {
+	m.pptr = nil
+	m.plen, m.pcap = 0, 0
+	m.typ = nil
+	msgPool.Put(m)
+}
+
 // Send sends data to rank dst with the given tag (blocking, eager). The
-// payload is copied; the caller may reuse data immediately. User tags must
-// be non-negative; negative tags are reserved for collectives. Payloads up
-// to inlineMaxBytes of flat element types travel inline in a pooled
-// envelope (see msg.go) — same wire behaviour, no payload allocation.
+// payload is copied into a pooled buffer, of the smallest size class when it
+// is shorter than that (Owned), so the caller may reuse data immediately and
+// the receiver's Release recycles the copy. User tags must be non-negative;
+// negative tags are reserved for collectives.
 func Send[T any](c *Comm, data []T, dst, tag int) {
-	bytes := len(data) * sizeOf[T]()
-	if bytes <= inlineMaxBytes && inlineable[T]() {
-		sendInline(c, data, bytes, dst, tag)
-		return
-	}
-	sendRaw(c, copySlice(data), bytes, dst, tag)
+	debugUse(data)
+	sendRaw(c, append(Owned[T](len(data)), data...), len(data)*sizeOf[T](), dst, tag)
 }
 
 // SendOwned sends data to rank dst, transferring ownership of the buffer
@@ -48,45 +96,23 @@ func SendOwned[T any](c *Comm, data []T, dst, tag int) {
 	sendRaw(c, data, len(data)*sizeOf[T](), dst, tag)
 }
 
+// SendVal sends a single value to rank dst: Send(c, []T{v}, dst, tag)
+// without the caller's slice, the value written straight into a pooled
+// buffer that RecvVal releases. Pair with RecvVal; a slice Recv of one
+// element also matches.
+func SendVal[T any](c *Comm, v T, dst, tag int) {
+	sendRaw(c, append(Owned[T](1), v), sizeOf[T](), dst, tag)
+}
+
 // Recv blocks until a message from rank src with the given tag arrives and
-// returns its payload.
+// returns its payload, which the caller owns (and may Release).
+//
+//parlint:hotalloc
 func Recv[T any](c *Comm, src, tag int) []T {
 	m := recvRaw(c, src, tag)
-	if m.inlElems >= 0 {
-		return recvInline[T](m, src, tag)
-	}
-	return takePayload[T](m, src, tag)
-}
-
-// Sendrecv sends sendData to dst and receives a message from src with the
-// same tag, without deadlocking.
-func Sendrecv[T any](c *Comm, sendData []T, dst, src, tag int) []T {
-	Send(c, sendData, dst, tag)
-	return Recv[T](c, src, tag)
-}
-
-// sendRaw enqueues a payload-carrying message for dst in a pooled
-// envelope. The slice header is exploded into the envelope's raw words
-// (see message) so the send allocates nothing.
-//
-//parlint:hotalloc
-func sendRaw[T any](c *Comm, payload []T, bytes, dst, tag int) {
-	m := getMsg()
-	m.inlType = inlineType[T]()
-	m.pptr = unsafe.Pointer(unsafe.SliceData(payload))
-	m.plen = len(payload)
-	m.pcap = cap(payload)
-	sendMsg(c, m, bytes, dst, tag)
-}
-
-// takePayload reconstructs a payload-carrying message's buffer after
-// verifying the element type, and recycles the envelope.
-//
-//parlint:hotalloc
-func takePayload[T any](m *message, src, tag int) []T {
-	if want := inlineType[T](); m.inlType != want {
+	if want := typeID[T](); m.typ != want {
 		panic(fmt.Sprintf("vmpi: Recv type mismatch: got []%s from rank %d tag %d, want []%s",
-			m.inlType.Elem(), src, tag, want.Elem()))
+			m.typ.Elem(), src, tag, want.Elem()))
 	}
 	var data []T
 	if m.pptr != nil {
@@ -97,12 +123,38 @@ func takePayload[T any](m *message, src, tag int) []T {
 	return data
 }
 
-// sendMsg is the send core shared by the payload and inline paths: it
-// charges injection cost to the sender, stamps the arrival time from the
-// network model, enqueues the envelope, and — when the destination is
-// waiting for exactly this message — batches its wakeup. The caller has
-// filled the envelope's payload or inline fields; src/tag/ctx/timing are
-// stamped here.
+// RecvVal receives a single-value message from rank src, the counterpart
+// of SendVal (a one-element slice Send also matches), and releases its
+// buffer.
+func RecvVal[T any](c *Comm, src, tag int) T {
+	data := Recv[T](c, src, tag)
+	if len(data) != 1 {
+		panic(fmt.Sprintf("vmpi: RecvVal of %d-element message from rank %d tag %d", len(data), src, tag))
+	}
+	v := data[0]
+	Release(data)
+	return v
+}
+
+// sendRaw enqueues a message for dst carrying payload in a pooled envelope.
+// The slice header is exploded into the envelope's raw words (see message)
+// so the send allocates nothing.
+//
+//parlint:hotalloc
+func sendRaw[T any](c *Comm, payload []T, bytes, dst, tag int) {
+	m := getMsg()
+	m.typ = typeID[T]()
+	m.pptr = unsafe.Pointer(unsafe.SliceData(payload))
+	m.plen = len(payload)
+	m.pcap = cap(payload)
+	sendMsg(c, m, bytes, dst, tag)
+}
+
+// sendMsg is the send core: it charges injection cost to the sender, stamps
+// the arrival time from the network model, enqueues the envelope, and —
+// when the destination is waiting for exactly this message — batches its
+// wakeup. The caller has filled the envelope's payload fields;
+// src/tag/ctx/timing are stamped here.
 //
 //parlint:hotalloc
 func sendMsg(c *Comm, m *message, bytes, dst, tag int) {
@@ -184,12 +236,4 @@ func recvRaw(c *Comm, src, tag int) *message {
 		})
 	}
 	return m
-}
-
-// copySlice deep-copies a payload slice into a (possibly pooled) buffer.
-func copySlice[T any](data []T) []T {
-	debugUse(data)
-	out := getSlice[T](len(data))
-	copy(out, data)
-	return out
 }

@@ -21,8 +21,9 @@ import (
 //
 // Buffer lifecycle. A pooled buffer goes round one cycle: drawn from the
 // pool, carried by a message, released into the pool by its receiver, drawn
-// again. A copying send (Send/Sendrecv/…) draws for its caller: it copies the
-// payload into a pooled buffer. So does Alltoall for every part, and the
+// again. A copying send (Send, SendVal) draws for its caller: it copies the
+// payload into a pooled buffer, of the smallest class when the payload is
+// shorter than that. So does Alltoall for every part, and the
 // other synchronizing collectives for an input longer than one word, which
 // their replay releases (stage). A sender that builds its payload in
 // place draws the buffer itself with Owned, fills it and relinquishes it with
@@ -50,7 +51,7 @@ import (
 // ownedbuf analyzer (cmd/parlint) and dynamically by the vmpidebug checker
 // (debug_on.go):
 //
-//   - Private: exactly one rank owns it. Send/Sendrecv copy into a pooled
+//   - Private: exactly one rank owns it. Send/SendVal copy into a pooled
 //     buffer; the receiver owns the buffer it gets from Recv and may keep,
 //     mutate or forward it. A sole owner that is done with a private slice
 //     may hand it back with Release (or ReleaseBlocks) — always optional,
@@ -240,6 +241,12 @@ func getSlice[T any](n int) []T {
 		poolCounters.unpooled.Add(1)
 		return make([]T, n)
 	}
+	return draw[T](n, b)
+}
+
+// draw checks a length-n slice out of size class b (n ≤ classCap(b)),
+// counting the class capacity beyond n as waste.
+func draw[T any](n, b int) []T {
 	c := classCap(b)
 	poolCounters.gets.Add(1)
 	poolCounters.waste.Add(int64(c-n) * int64(sizeOf[T]()))
@@ -263,7 +270,20 @@ func getSlice[T any](n int) []T {
 // from that class, so callers need not know the classes to stay pooled. The
 // caller owns the buffer (contents beyond its length unspecified); one it
 // does not send it may Release.
-func Owned[T any](n int) []T { return getSlice[T](max(n, 1<<poolMinBits))[:0] }
+func Owned[T any](n int) []T {
+	if n < 1<<poolMinBits {
+		return draw[T](n, 0)[:0]
+	}
+	return getSlice[T](n)[:0]
+}
+
+// copySlice deep-copies a payload slice into a (possibly pooled) buffer.
+func copySlice[T any](data []T) []T {
+	debugUse(data)
+	out := getSlice[T](len(data))
+	copy(out, data)
+	return out
+}
 
 // poolClass returns the size class of a buffer whose capacity is exactly a
 // pooled class size, or -1: only such buffers enter the pool.
@@ -303,6 +323,7 @@ func Release[T any](s []T) {
 	debugRelease(full) // checks and poisons every class-shaped release, kept or not
 	p := poolOf[T]()
 	if !p.reclaim(b) {
+		debugDropped(full)
 		return
 	}
 	poolCounters.puts.Add(1)

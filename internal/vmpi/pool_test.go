@@ -97,8 +97,9 @@ func TestReleaseRecycle(t *testing.T) {
 
 // TestOwnedBalancesRelease covers the exported checkout: the buffer is
 // empty with the class capacity, a draw and its release meet in the in-use
-// meter, a request below the smallest class is served from it, and one above
-// the largest is a plain allocation the meter never sees.
+// meter, a request below the smallest class is served from it with the
+// rest of the class counted as waste, and one above the largest is a plain
+// allocation the meter never sees.
 func TestOwnedBalancesRelease(t *testing.T) {
 	base := PoolStatsSnapshot().InUseBytes
 	s := Owned[float64](100) // class 104 -> 832 bytes
@@ -110,10 +111,14 @@ func TestOwnedBalancesRelease(t *testing.T) {
 	}
 	Release(append(s, 1, 2, 3))
 	for _, n := range []int{0, 7} {
+		waste := PoolStatsSnapshot().WasteBytes
 		if s := Owned[float64](n); len(s) != 0 || cap(s) != 1<<poolMinBits {
 			t.Fatalf("Owned(%d) has len %d cap %d, want 0 and the smallest class", n, len(s), cap(s))
 		} else {
 			Release(s)
+		}
+		if got, want := PoolStatsSnapshot().WasteBytes-waste, int64(1<<poolMinBits-n)*8; got != want {
+			t.Fatalf("Owned(%d) counted %d bytes of waste, want %d", n, got, want)
 		}
 	}
 	if s := Owned[byte](1<<poolMaxBits + 1); len(s) != 0 || cap(s) != 1<<poolMaxBits+1 {

@@ -168,7 +168,7 @@ func TestClockMonotonicityProperty(t *testing.T) {
 			check()
 			c.Compute(1e-6)
 			check()
-			Sendrecv(c, []int{1}, (c.Rank()+1)%p, (c.Rank()-1+p)%p, 1)
+			sendrecv(c, []int{1}, (c.Rank()+1)%p, (c.Rank()-1+p)%p, 1)
 			check()
 		})
 		return ok

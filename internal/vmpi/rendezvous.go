@@ -329,6 +329,46 @@ func (g *rendezvous) span(kind obs.Kind, name string, inner bool) {
 	}
 }
 
+// flatTypes caches the is-flat verdict per element type (typeID).
+var flatTypes sync.Map
+
+// inlineable reports whether a []T may be held as raw bytes in a slot's
+// inline word: the element type must be flat (no pointers, slices, maps,
+// strings, channels, interfaces — anything whose referents the raw bytes
+// would hide from the garbage collector).
+func inlineable[T any]() bool {
+	t := typeID[T]()
+	if v, ok := flatTypes.Load(t); ok {
+		return v.(bool)
+	}
+	ok := flatType(t.Elem())
+	flatTypes.Store(t, ok)
+	return ok
+}
+
+// flatType reports whether a type contains no pointer-bearing fields.
+func flatType(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Bool,
+		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+		reflect.Uintptr, reflect.Float32, reflect.Float64,
+		reflect.Complex64, reflect.Complex128:
+		return true
+	case reflect.Array:
+		return flatType(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if !flatType(t.Field(i).Type) {
+				return false
+			}
+		}
+		return true
+	default:
+		return false
+	}
+}
+
 // stage copies the calling rank's input into its slot as a send would:
 // inline when it is one flat word, else into a (pooled) buffer that unstage
 // returns. The caller's slice is not kept, so a small literal stays on its

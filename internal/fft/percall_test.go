@@ -1,6 +1,7 @@
 package fft
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,9 +10,9 @@ import (
 )
 
 // perCallPass transforms every line of the row-major array a (index
-// (x*ny+y)*nz+z) along one axis (0 = x, 1 = y, 2 = z) with one exported
-// Transform call per line — a plan lookup each, as the 3D and slab passes
-// did before they resolved the plan once per pass. It is their oracle.
+// (x*ny+y)*nz+z) along one axis (0 = x, 1 = y, 2 = z) by gathering it,
+// calling the reference kernel refTransformWith on it and scattering it
+// back. It is the oracle of the 3D and slab passes.
 func perCallPass(a []complex128, nx, ny, nz, axis int, inverse bool) {
 	dims := [3]int{nx, ny, nz}
 	stride := [3]int{ny * nz, nz, 1}
@@ -23,7 +24,7 @@ func perCallPass(a []complex128, nx, ny, nz, axis int, inverse bool) {
 			for k := range line {
 				line[k] = a[base+k*stride[axis]]
 			}
-			Transform(line, inverse)
+			refTransformWith(planFor(len(line)), line, inverse)
 			for k := range line {
 				a[base+k*stride[axis]] = line[k]
 			}
@@ -39,12 +40,21 @@ func randomMesh(rng *rand.Rand, n int) []complex128 {
 	return a
 }
 
+// requireSameBits requires got to hold want's bits in every real and
+// imaginary part, except that a NaN matches any NaN. The sign and payload of
+// a NaN an operation computes from two NaN operands are unspecified (IEEE 754
+// §6.3), and on amd64 they are those of whichever operand the compiler's
+// register allocator put first: the fused passes' allocation differs from the
+// one-stage kernels', so they can return −NaN where the reference has +NaN,
+// while every value that is not NaN, signed zeros included, stays identical.
 func requireSameBits(t *testing.T, what string, got, want []complex128) {
 	t.Helper()
+	same := func(x, y float64) bool {
+		return math.Float64bits(x) == math.Float64bits(y) || math.IsNaN(x) && math.IsNaN(y)
+	}
 	for i := range want {
-		if math.Float64bits(real(got[i])) != math.Float64bits(real(want[i])) ||
-			math.Float64bits(imag(got[i])) != math.Float64bits(imag(want[i])) {
-			t.Fatalf("%s: element %d is %v, per-call Transform gives %v", what, i, got[i], want[i])
+		if !same(real(got[i]), real(want[i])) || !same(imag(got[i]), imag(want[i])) {
+			t.Fatalf("%s: element %d is %v, the reference gives %v", what, i, got[i], want[i])
 		}
 	}
 }
@@ -66,12 +76,11 @@ func TestTransform3DBitIdenticalToPerCallTransform(t *testing.T) {
 }
 
 // checkPanel transforms a rows × rowLen panel with transformPanel and
-// requires every column to be what gathering it, calling Transform and
-// scattering it back gives.
+// requires it to be what the reference kernel refTransformPanel gives.
 func checkPanel(t *testing.T, a []complex128, rows, rowLen int, inverse bool) {
 	t.Helper()
 	want := append([]complex128(nil), a...)
-	perCallPass(want, rows, rowLen, 1, 0, inverse)
+	refTransformPanel(planFor(rows), want, rowLen, inverse)
 	transformPanel(planFor(rows), a, rowLen, inverse)
 	requireSameBits(t, "transformPanel", a, want)
 }
@@ -91,11 +100,12 @@ func TestPanelBitIdenticalToPerCallTransform(t *testing.T) {
 }
 
 // FuzzPanelMatchesPerCall is the differential fuzz of the panel kernel
-// against per-call Transform on gathered columns: rows = 2^k ≤ 256, row
-// lengths 1…70, both directions. special is planted through the random data,
-// negated on every other plant, so the committed corpus (testdata/fuzz)
-// drives NaN, ±Inf and ±0 through every butterfly — the multiplies by w = 1
-// and by the inverse's 1/n are where a shortcut would flip a zero's sign.
+// transformPanel against the reference refTransformPanel: rows = 2^k ≤ 256,
+// row lengths 1…70, both directions. special is planted through the random
+// data, negated on every other plant, so the committed corpus
+// (testdata/fuzz) drives NaN, ±Inf and ±0 through every butterfly — the
+// multiplies by w = 1 and by the inverse's 1/n are where a shortcut would
+// flip a zero's sign.
 func FuzzPanelMatchesPerCall(f *testing.F) {
 	f.Add(uint8(6), uint8(63), false, int64(1), 1.5)
 	f.Add(uint8(0), uint8(0), true, int64(2), 0.0)
@@ -114,13 +124,56 @@ func FuzzPanelMatchesPerCall(f *testing.F) {
 	})
 }
 
+// FuzzTransformMatchesReference is the differential fuzz of the line kernel
+// transformWith, on one to four contiguous lines at once, against the
+// reference refTransformWith line by line: n = 2^0 … 2^10, so both odd and
+// even stage counts (a single radix-2 stage last, or none), both directions.
+// special is planted as in FuzzPanelMatchesPerCall.
+func FuzzTransformMatchesReference(f *testing.F) {
+	f.Add(uint8(6), uint8(0), false, int64(1), 1.5)
+	f.Add(uint8(0), uint8(3), true, int64(2), 0.0)
+	f.Add(uint8(7), uint8(1), true, int64(3), -2.0)
+	f.Fuzz(func(t *testing.T, logN, lines uint8, inverse bool, seed int64, special float64) {
+		p := planFor(1 << (logN % 11))
+		a := randomMesh(rand.New(rand.NewSource(seed)), p.n*(1+int(lines%4)))
+		for i := 0; i < len(a); i += 3 {
+			if i%2 == 0 {
+				a[i] = complex(special, imag(a[i]))
+			} else {
+				a[i] = complex(real(a[i]), -special)
+			}
+		}
+		want := append([]complex128(nil), a...)
+		for line := want; len(line) > 0; line = line[p.n:] {
+			refTransformWith(p, line[:p.n], inverse)
+		}
+		transformWith(p, a, inverse)
+		requireSameBits(t, "transformWith", a, want)
+	})
+}
+
 // TestSlabBitIdenticalToPerCallTransform replays the slab transform's pass
 // order — forward z, y, x; inverse x, then z, y and the unit-length x pass
-// of the per-plane 3D transform — with per-call Transforms on the whole mesh.
-// It also pins the buffer contract callers rely on: InverseInto writes into
-// its destination's array when the capacity suffices.
+// of the per-plane 3D transform — with the reference kernel on gathered
+// lines over the whole mesh. The shapes include the 64³ mesh md-pnfft runs
+// on 8 ranks and one whose every axis has an odd stage count. It also pins
+// the buffer contract callers rely on: InverseInto writes into its
+// destination's array when the capacity suffices.
 func TestSlabBitIdenticalToPerCallTransform(t *testing.T) {
-	const nx, ny, nz = 8, 16, 4
+	for _, tc := range []struct {
+		nx, ny, nz int
+		ranks      []int
+	}{
+		{8, 16, 4, []int{1, 2, 4, 8}},
+		{64, 64, 64, []int{8}},
+		{32, 128, 8, []int{8}},
+	} {
+		checkSlab(t, tc.nx, tc.ny, tc.nz, tc.ranks)
+	}
+}
+
+func checkSlab(t *testing.T, nx, ny, nz int, ranks []int) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(17))
 	full := randomMesh(rng, nx*ny*nz)
 	wantSpec := append([]complex128(nil), full...)
@@ -131,13 +184,12 @@ func TestSlabBitIdenticalToPerCallTransform(t *testing.T) {
 	for _, axis := range []int{0, 2, 1} {
 		perCallPass(wantBack, nx, ny, nz, axis, true)
 	}
+	unit := planFor(1)
 	for i := range wantBack {
-		one := []complex128{wantBack[i]}
-		Transform(one, true)
-		wantBack[i] = one[0]
+		refTransformWith(unit, wantBack[i:i+1], true)
 	}
 
-	for _, p := range []int{1, 2, 4, 8} {
+	for _, p := range ranks {
 		st := vmpi.Run(vmpi.Config{Ranks: p}, func(c *vmpi.Comm) {
 			s := NewSlab(c, nx, ny, nz)
 			xLo, xHi := s.XRange(c.Rank())
@@ -166,7 +218,8 @@ func TestSlabBitIdenticalToPerCallTransform(t *testing.T) {
 			}
 			gotBack = append(gotBack, res[1]...)
 		}
-		requireSameBits(t, "Slab.ForwardInto", gotSpec, wantSpec)
-		requireSameBits(t, "Slab.InverseInto", gotBack, wantBack)
+		what := fmt.Sprintf("%d×%d×%d on %d ranks: Slab", nx, ny, nz, p)
+		requireSameBits(t, what+".ForwardInto", gotSpec, wantSpec)
+		requireSameBits(t, what+".InverseInto", gotBack, wantBack)
 	}
 }

@@ -27,6 +27,9 @@ import (
 type plan struct {
 	n   int
 	rev []int32 // bit-reversal permutation: rev[i] = reverse of i
+	// swaps lists the bit-reversal's transpositions as pairs i, rev[i] with
+	// i < rev[i], in increasing i: the swaps the permutation loop makes.
+	swaps []int32
 	// fwd[s] and inv[s] are the twiddle factors of butterfly stage s
 	// (size = 2<<s), with size/2 entries each.
 	fwd [][]complex128
@@ -58,6 +61,9 @@ func buildPlan(n int) *plan {
 	shift := 64 - uint(bits.Len(uint(n-1)))
 	for i := 0; i < n; i++ {
 		p.rev[i] = int32(bits.Reverse64(uint64(i)) >> shift)
+		if j := p.rev[i]; int32(i) < j {
+			p.swaps = append(p.swaps, int32(i), j)
+		}
 	}
 	for size := 2; size <= n; size <<= 1 {
 		p.fwd = append(p.fwd, twiddles(size, -1))

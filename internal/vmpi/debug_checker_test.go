@@ -9,6 +9,7 @@ package vmpi
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"unsafe"
@@ -260,7 +261,7 @@ func TestDebugPoolReleaseOfBroadcastPanics(t *testing.T) {
 // TestDebugDroppedReleasesDieWithTheirWorld: Release drops a class-shaped
 // buffer the pool never lent, and the checker's entry for it — which pins
 // the buffer — goes when the world ends instead of living as long as the
-// process. No test draws float32, so its pool lends nothing to keep.
+// process. No float32 draw is out here, so the pool keeps none of them.
 func TestDebugDroppedReleasesDieWithTheirWorld(t *testing.T) {
 	keys := make([]unsafe.Pointer, 500)
 	Run(Config{Ranks: 1}, func(c *Comm) {
@@ -281,6 +282,39 @@ func TestDebugDroppedReleasesDieWithTheirWorld(t *testing.T) {
 	}
 	if held != 0 {
 		t.Fatalf("the checker holds %d of %d dropped releases after their world ended", held, len(keys))
+	}
+}
+
+// TestDebugKeptReleasesDieAtWorldEnd: a buffer the pool lent and keeps on
+// Release is pinned by its checker entry until getSlice reissues it; when
+// the sync.Pool sheds it at a GC instead, only the end of a world retires
+// the entry, so neither outlives the process's next world.
+func TestDebugKeptReleasesDieAtWorldEnd(t *testing.T) {
+	keys := make([]unsafe.Pointer, 100)
+	bufs := make([][]float32, len(keys))
+	for i := range bufs {
+		bufs[i] = Owned[float32](1024)[:1024]
+		keys[i] = dbgKey(bufs[i])
+	}
+	for _, b := range bufs {
+		Release(b)
+	}
+	if !dbgHolds(keys[0]) {
+		t.Fatal("the checker holds no entry for a buffer just released")
+	}
+	bufs = nil
+	for i := 0; i < 3; i++ {
+		runtime.GC()
+	}
+	Run(Config{Ranks: 1}, func(c *Comm) {})
+	held := 0
+	for _, k := range keys {
+		if dbgHolds(k) {
+			held++
+		}
+	}
+	if held != 0 {
+		t.Fatalf("the checker holds %d of %d kept releases after a world ended", held, len(keys))
 	}
 }
 

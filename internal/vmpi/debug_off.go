@@ -13,7 +13,6 @@ func debugRelease[T any](s []T)  {}
 func debugUse[T any](s []T)      {}
 func debugRecv[T any](s []T)     {}
 func debugGet[T any](s []T)      {}
-func debugDropped[T any](s []T)  {}
 
 func debugShare[T any](rt *Runtime, s []T) {}
 func debugForward[T any](s []T)            {}

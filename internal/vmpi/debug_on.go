@@ -63,8 +63,6 @@ type dbgState struct {
 	holders int
 	data    []byte
 	sum     uint64
-	// dropped marks a release the pool did not keep (debugDropped).
-	dropped bool
 }
 
 var (
@@ -204,22 +202,6 @@ func debugRelease[T any](s []T) {
 	dbgBufs[k] = &dbgState{kind: dbgReleased, site: dbgCallSite(), pin: full}
 }
 
-// debugDropped marks a released buffer the pool did not keep (a foreign
-// one: the pool never lent it). Its entry still catches a second release or
-// a use, but only until a world ends: the pin would otherwise keep every
-// such buffer alive for the life of the process.
-func debugDropped[T any](s []T) {
-	k := dbgKey(s)
-	if k == nil {
-		return
-	}
-	dbgMu.Lock()
-	if st := dbgBufs[k]; st != nil && st.kind == dbgReleased {
-		st.dropped = true
-	}
-	dbgMu.Unlock()
-}
-
 // debugUse checks a buffer that re-enters the messaging layer as a payload
 // source (every copying send, and every collective input copySlice stages).
 func debugUse[T any](s []T) {
@@ -307,9 +289,13 @@ func debugUnshare[T any](s []T) {
 }
 
 // debugWorldEnd runs deferred when a world's Run returns or unwinds: no
-// shared-buffer entry outlives the world that made it, and no dropped
-// release outlives the end of any world. On a clean return the shared
-// buffers still held are verified one last time.
+// shared-buffer entry outlives the world that made it, and no release
+// outlives the end of any world — whether the pool dropped the buffer or
+// kept it, its entry pins it, and a kept buffer the pool sheds at a GC
+// before getSlice reissues it would otherwise stay pinned for the life of
+// the process. A release therefore catches a second release or a use only
+// until a world ends. On a clean return the shared buffers still held are
+// verified one last time.
 func debugWorldEnd(rt *Runtime) {
 	p := recover()
 	dbgMu.Lock()
@@ -319,7 +305,7 @@ func debugWorldEnd(rt *Runtime) {
 		case st.kind == dbgShared && st.rt == rt:
 			delete(dbgBufs, k)
 			stale = append(stale, st)
-		case st.dropped:
+		case st.kind == dbgReleased:
 			delete(dbgBufs, k)
 		}
 	}

@@ -323,7 +323,6 @@ func Release[T any](s []T) {
 	debugRelease(full) // checks and poisons every class-shaped release, kept or not
 	p := poolOf[T]()
 	if !p.reclaim(b) {
-		debugDropped(full)
 		return
 	}
 	poolCounters.puts.Add(1)

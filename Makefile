@@ -29,8 +29,8 @@ race:
 # random operands and on NaN payloads, infinities, signed zeros and
 # subnormals, the FFT line and panel kernels (two stages per pass, the
 # inverse's 1/n folded in) against the one-stage-per-pass reference kernels
-# (a NaN matching any NaN), the vmpi mailbox's arrival list against a map
-# of per-key FIFOs, the redist planner
+# (a NaN matching any NaN where one is planted), the vmpi mailbox's arrival
+# list against a map of per-key FIFOs, the redist planner
 # (both backends, the lost vote, budgets) against a sequential scatter and
 # its replayed dense exchange against per-destination blocks through the
 # collectives (refExecuteDense: results, clocks, counters, events), the obs

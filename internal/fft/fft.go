@@ -9,8 +9,9 @@
 // — and applies the inverse's ×(1/n + 0i) as a complex multiply, so only the
 // order in which butterflies are worked on differs and every result is bit
 // for bit that transform's (the reference kernels in ref_test.go). The one
-// exception is the sign of a NaN computed from two NaNs, which IEEE 754
-// leaves open and the compiler's operand order decides. Nothing is skipped:
+// exception is which NaN an add or multiply of two NaNs returns, sign and
+// payload: IEEE 754 leaves it open, and the compiler's ordering of the
+// operands, not the source, decides it. Nothing is skipped:
 // a multiply by w = 1 or by 1+0i can flip a zero's sign, since
 // (−0)·1 − (−y)·0 is +0.
 package fft

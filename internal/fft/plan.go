@@ -25,10 +25,9 @@ import (
 
 // plan holds the precomputed tables for one transform size.
 type plan struct {
-	n   int
-	rev []int32 // bit-reversal permutation: rev[i] = reverse of i
-	// swaps lists the bit-reversal's transpositions as pairs i, rev[i] with
-	// i < rev[i], in increasing i: the swaps the permutation loop makes.
+	n int
+	// swaps lists the bit-reversal permutation's transpositions as pairs
+	// i, j with j the bit reverse of i and i < j, in increasing i.
 	swaps []int32
 	// fwd[s] and inv[s] are the twiddle factors of butterfly stage s
 	// (size = 2<<s), with size/2 entries each.
@@ -57,11 +56,10 @@ func planFor(n int) *plan {
 // buildPlan computes the tables for size n with the recurrences of the
 // original in-line transform (see the package comment above).
 func buildPlan(n int) *plan {
-	p := &plan{n: n, rev: make([]int32, n)}
+	p := &plan{n: n}
 	shift := 64 - uint(bits.Len(uint(n-1)))
 	for i := 0; i < n; i++ {
-		p.rev[i] = int32(bits.Reverse64(uint64(i)) >> shift)
-		if j := p.rev[i]; int32(i) < j {
+		if j := int32(bits.Reverse64(uint64(i)) >> shift); int32(i) < j {
 			p.swaps = append(p.swaps, int32(i), j)
 		}
 	}

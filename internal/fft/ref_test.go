@@ -1,11 +1,13 @@
 package fft
 
+import "math/bits"
+
 // refTransformWith and refTransformPanel are the one-stage-per-pass kernels
 // that transformWith and transformPanel replaced, kept verbatim as the
 // bit-identity oracle of the fused-pass kernels: perCallPass and checkPanel
 // drive them, and FuzzTransformMatchesReference and FuzzPanelMatchesPerCall
-// compare the new kernels against them bit for bit (requireSameBits: a NaN
-// matches any NaN).
+// compare the new kernels against them bit for bit, except that there a NaN
+// matches any NaN (requireSameBitsOrNaN).
 
 // refTransformWith is the reference transform of one contiguous line:
 // bit-reversal swaps, then one memory pass per radix-2 stage, then a
@@ -13,7 +15,7 @@ package fft
 func refTransformWith(p *plan, a []complex128, inverse bool) {
 	n := p.n
 	for i := 0; i < n; i++ {
-		j := int(p.rev[i])
+		j := bitReverse(i, n)
 		if i < j {
 			a[i], a[j] = a[j], a[i]
 		}
@@ -47,7 +49,7 @@ func refTransformWith(p *plan, a []complex128, inverse bool) {
 func refTransformPanel(p *plan, a []complex128, rowLen int, inverse bool) {
 	n := p.n
 	for i := 0; i < n; i++ {
-		if j := int(p.rev[i]); i < j {
+		if j := bitReverse(i, n); i < j {
 			ri, rj := a[i*rowLen:][:rowLen], a[j*rowLen:][:rowLen]
 			for c := range ri {
 				ri[c], rj[c] = rj[c], ri[c]
@@ -80,4 +82,10 @@ func refTransformPanel(p *plan, a []complex128, rowLen int, inverse bool) {
 			a[i] *= inv
 		}
 	}
+}
+
+// bitReverse is i with its log₂n low bits in reverse order: the reference
+// kernels' permutation, computed independently of the plan's swap list.
+func bitReverse(i, n int) int {
+	return int(bits.Reverse64(uint64(i)) >> (64 - uint(bits.Len(uint(n-1)))))
 }

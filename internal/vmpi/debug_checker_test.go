@@ -318,6 +318,24 @@ func TestDebugKeptReleasesDieAtWorldEnd(t *testing.T) {
 	}
 }
 
+// TestDebugSecondReleaseCaughtUntilWorldEnd pins where a kept release's
+// entry ends: GCs leave it, so a second Release before any world ends still
+// panics, and the end of a world, any world, retires it — from then on a
+// second Release of the buffer is not caught.
+func TestDebugSecondReleaseCaughtUntilWorldEnd(t *testing.T) {
+	b := Owned[float32](1024)[:1024]
+	k := dbgKey(b)
+	Release(b)
+	for i := 0; i < 3; i++ {
+		runtime.GC()
+	}
+	mustPanic(t, "second Release", func() { Release(b) })
+	Run(Config{Ranks: 1}, func(c *Comm) {})
+	if dbgHolds(k) {
+		t.Fatal("the checker still holds a kept release after a world ended")
+	}
+}
+
 // dbgHolds reports whether the checker has an entry for backing array k.
 func dbgHolds(k unsafe.Pointer) bool {
 	dbgMu.Lock()

@@ -32,8 +32,10 @@ race:
 # (a NaN matching any NaN where one is planted), the vmpi mailbox's arrival
 # list against a map of per-key FIFOs, the redist planner
 # (both backends, the lost vote, budgets) against a sequential scatter and
-# its replayed dense exchange against per-destination blocks through the
-# collectives (refExecuteDense: results, clocks, counters, events), the obs
+# its replayed exchanges against the message-level ones — per-destination
+# blocks through the collectives (refExecuteDense) and the neighbourhood's
+# Send/Recv loops (refExecuteNeighborhood): results, clocks, counters,
+# events —, the obs
 # running aggregates against a scan of the kept event list, the rank
 # executor (slot hand-off, stray wakes, Admit, budgets) against a sequential
 # FIFO model and its deadlock verdict, the rendezvous collectives (clocks,

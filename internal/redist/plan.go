@@ -2,6 +2,7 @@ package redist
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"unsafe"
 
@@ -13,19 +14,17 @@ import (
 //
 // Every redistribution in this package — the collective all-to-all
 // Exchange, the neighborhood exchange, the block remap, and the resort of
-// method B — routes through a Plan and ships its data in rounds. Following
-// Rink et al. (*Memory-efficient array redistribution through portable
-// collective communication*, PAPERS.md), a Plan under a byte budget
-// decomposes the exchange into a deterministic schedule of
-// bounded-footprint rounds: destinations are packed greedily, in staging
-// order, into rounds whose worst-case staged bytes (a collective maximum,
-// so every rank derives the same schedule) stay within the budget, and
-// each round builds and relinquishes its buffers before the next round
-// stages anything. Because vmpi sends are eager and never
-// block, all rounds complete before any receive, and the receives then
-// assemble blocks in canonical source order — so the result is
-// byte-identical whatever the round structure. Without a budget the
-// schedule is one round covering the whole staging order.
+// method B — routes through a Plan. Following Rink et al.
+// (*Memory-efficient array redistribution through portable collective
+// communication*, PAPERS.md), a Plan under a byte budget decomposes the
+// exchange into a deterministic schedule of bounded-footprint rounds:
+// destinations are packed greedily, in staging order, into rounds whose
+// worst-case staged bytes (a collective maximum, so every rank derives the
+// same schedule) stay within the budget. The exchange is charged as the
+// linear all-to-all: every message in staging order, round after round,
+// before the first receive, and the receives in staging order too — so the
+// result is byte-identical whatever the round structure. Without a budget
+// the schedule is one round covering the whole staging order.
 //
 // The budget bounds what a rank *stages* for sending at any moment; the
 // inbound side (the elements a rank ends up owning) is the irreducible
@@ -33,21 +32,19 @@ import (
 // alone exceeds the budget still gets a round of its own — the schedule
 // degrades to per-destination rounds, never deadlocks.
 //
-// One round loop (sendRounds) walks every schedule. Dense, Execute and
-// ExchangeBlocks meet once (exchange): each rank stages its blocks in one
-// buffer per group of destinations and drops its input, and one vmpi.Replay
-// charges the pairwise all-to-all unbudgeted (the golden figures pin its
-// virtual time) or the linear one under a budget, whose messages are the
-// rounds' own — so there the rounds only meter the staged peak — and moves
-// every group's buffers to its destinations, which copy their blocks out
-// in parallel once they wake. The neighborhood backend and the budgeted
-// resort send message by message: a neighborhood rank may leave before a
-// non-neighbour enters, and the resort's interleaved position/value pair
-// would need a schedule of its own.
+// One round loop (sendRounds) walks every schedule, and one data path
+// moves every block (exchange; the resort's positions and values are two
+// payloads of one): each rank stages its blocks, and one vmpi.Replay
+// charges the messages — the pairwise all-to-all for an unbudgeted dense
+// plan (the golden figures pin its virtual time), else the linear one over
+// every rank's staging order, whose messages are the rounds' own, so the
+// rounds only meter the staged peak — and moves the buffers to their
+// destinations, which copy their blocks out in parallel once they wake.
+// Every rank of the communicator enters every Execute.
 
-// Wire tags: the unbudgeted neighborhood exchange sends on 201, budgeted
-// rounds — and the budgeted dense exchange's linear schedule — on 221
-// (the resort's paired position/value messages use 211/212, see resort.go).
+// Tags of the replayed linear schedules (traced send events name them): 201
+// for the unbudgeted neighborhood exchange, 221 under a budget (the
+// resort's paired position/value messages: 211/212, see resort.go).
 const (
 	tagNeighborhood = 201
 	tagPlan         = 221
@@ -69,11 +66,12 @@ type Options struct {
 	// unbounded by default); a negative value forces the unbounded path
 	// regardless of the communicator setting.
 	MaxBytes int64
-	// Neighbors, when non-nil, requests the point-to-point neighborhood
-	// backend over this symmetric neighbor set (see
-	// ExchangeNeighborhood). Feasibility is decided collectively in
-	// NewPlan; if any rank routes outside its neighborhood every rank
-	// falls back to the all-to-all backend.
+	// Neighbors, when non-nil, requests the neighborhood backend over this
+	// symmetric neighbor set (see ExchangeNeighborhood): a rank exchanges
+	// blocks with its neighbors only, charged as messages to and from
+	// them in list order. Feasibility is decided collectively in NewPlan;
+	// if any rank routes outside its neighborhood every rank falls back
+	// to the all-to-all backend.
 	Neighbors []int
 	// Meter forces emission of the MeterPeakBytes gauge/counter even on
 	// the unbounded path (budgeted plans always meter). Off by default so
@@ -184,7 +182,9 @@ func NewPlan(c *vmpi.Comm, n int, targets Targets, opts Options) *Plan {
 
 	// Pass 1: flatten the target lists — one (element, destination) pair
 	// per occurrence, in emission order. Neighborhood membership and slot
-	// are one scan of the (short) staging order, not an O(P) lookup table.
+	// are one scan of the (short) staging order, not an O(P) lookup table;
+	// the first slot naming a rank is its slot, so a list that repeats a
+	// rank or names self leaves the later slot empty.
 	sc := buildPool.Get().(*buildScratch)
 	occDst, occSrc, buf := sc.occDst[:0], sc.occSrc[:0], sc.targets
 	for i := 0; i < n; i++ {
@@ -195,7 +195,7 @@ func NewPlan(c *vmpi.Comm, n int, targets Targets, opts Options) *Plan {
 			}
 			d := r
 			if sparse {
-				if d = pl.slotOf(r); d < 0 {
+				if d = slices.Index(pl.order, r); d < 0 {
 					// Outside the neighborhood: the vote is already lost, so
 					// this rank routes densely from here on — slots so far
 					// back to ranks.
@@ -259,7 +259,11 @@ func NewPlan(c *vmpi.Comm, n int, targets Targets, opts Options) *Plan {
 	// rank must take the same path. A rank that was feasible on its own
 	// re-buckets its sparse CSR when another rank's routing loses the vote.
 	if opts.Neighbors != nil {
-		pl.useNbr = vmpi.AllreduceVal(c, boolToInt(sparse), vmpi.Min[int]) == 1
+		feasible := 0
+		if sparse {
+			feasible = 1
+		}
+		pl.useNbr = vmpi.AllreduceVal(c, feasible, vmpi.Min[int]) == 1
 		if sparse && !pl.useNbr {
 			pl.densify()
 		}
@@ -284,18 +288,6 @@ func NewPlan(c *vmpi.Comm, n int, targets Targets, opts Options) *Plan {
 		vmpi.Release(mc)
 	}
 	return pl
-}
-
-// slotOf returns the first slot of the neighborhood staging order that
-// names rank r, or -1 when r lies outside it. First match: a list that
-// repeats a rank or names self leaves the later slot empty.
-func (p *Plan) slotOf(r int) int {
-	for k, d := range p.order {
-		if d == r {
-			return k
-		}
-	}
-	return -1
 }
 
 // densify turns the sparse CSR of a neighborhood plan that lost the vote
@@ -332,9 +324,6 @@ func (p *Plan) densify() {
 
 // Bounded reports whether the plan ships its data in budgeted rounds.
 func (p *Plan) Bounded() bool { return p.budget > 0 }
-
-// Budget returns the resolved staging budget in bytes (0 = unbounded).
-func (p *Plan) Budget() int64 { return p.budget }
 
 // UsedNeighborhood reports whether the neighborhood backend was feasible
 // and will be (or was) used; false means the all-to-all backend, either
@@ -379,12 +368,10 @@ func scheduleRounds(n int, maxCounts []int64, elemBytes int, budget int64) [][2]
 }
 
 // sendRounds is the package's one round loop: it walks the round schedule
-// over n staging-order slots and calls stage(k) for every slot k. stage
-// builds slot k's buffer(s) and relinquishes them — one eager send per
-// buffer, or to the collective the caller makes next; the own block is kept
-// aside, or not built at all — and returns how many elements the slot counts
-// as staged. Sends never block, so the rounds complete before the first
-// receive. The result is the staged-bytes peak: the largest single round.
+// over n staging-order slots and calls stage(k) for every slot k, which
+// returns how many elements the slot counts as staged. The exchanges stage
+// every block at once, so the rounds meter what a round would stage: the
+// result is the staged-bytes peak, the largest single round.
 func sendRounds(n int, maxCounts []int64, elemBytes int, budget int64, stage func(k int) int) int64 {
 	peak := int64(0)
 	for _, g := range scheduleRounds(n, maxCounts, elemBytes, budget) {
@@ -399,118 +386,149 @@ func sendRounds(n int, maxCounts []int64, elemBytes int, budget int64, stage fun
 	return peak
 }
 
-// gather builds the freshly allocated per-destination send buffer for
-// staging-order slot k (rank p.order[k]) of a neighborhood plan: the plan's
-// occurrences for that rank, in local element order. Returns nil when the
-// rank receives nothing (the messaging layer and its debug ownership
-// checker rely on empty parts being nil).
-func gather[T any](p *Plan, items []T, k int) []T {
-	lo, hi := p.occOff[k], p.occOff[k+1]
-	if lo == hi {
-		return nil
-	}
-	buf := make([]T, 0, hi-lo)
-	for _, i := range p.occIdx[lo:hi] {
-		buf = append(buf, items[i])
-	}
-	return buf
-}
-
-// exchangeGroups is how many groups of consecutive destination ranks a
-// source stages its blocks of a dense exchange in: one buffer per group, so
-// P·8 allocations per exchange rather than one per block (P²), and a
-// group's buffers die as soon as its destinations have copied, not when
-// the last destination has.
+// exchangeGroups is how many groups of consecutive staging-order slots a
+// source stages its blocks in: one buffer per group, so P·8 allocations per
+// dense exchange rather than P², and a group's buffers die once its
+// destinations have copied, not when the last destination has.
 const exchangeGroups = 8
 
-// source is one rank's side of a dense exchange. Before the replay it holds
-// bufs[g], its blocks for the destinations of group g concatenated in rank
-// order, and off, with off[d+1]-off[d] the length of its block for rank d.
-// The replay moves every group's buffers to the group's destinations: each
-// is left holding in[s], source s's buffer for its group, and at[2s] and
-// at[2s+1], its block's offset and length there.
+// source is one rank's side of an exchange: its staging order; own, its
+// slot of itself in a neighbourhood order, copied from the input after the
+// replay, or -1 in a dense exchange (order = rank order), which stages every
+// block so that the input can go while the rank waits; tag, the linear
+// schedule's, 0 for the pairwise one; off, its block for slot k being
+// off[k+1]-off[k] long; and in, its staged buffers by group. The replay
+// leaves in in[k] the block from the source of slot k (dense: the group's
+// buffer holding it, at[2k] and at[2k+1] long into it).
 type source[T any] struct {
-	off  []int
-	bufs [][]T
-	in   [][]T
-	at   []int32
+	order    []int
+	own, tag int
+	off      []int
+	in       [][]T
+	at       []int32
 }
 
-// exchange is the dense all-to-all of Execute and ExchangeBlocks, op
-// naming the caller. The rank stages its blocks — block(buf, d) appends
-// the one for rank d to buf; off gives their lengths — into one buffer per
-// group of destinations, holding nothing else of its input. One Replay
-// then charges the schedule (the pairwise collective's, or the linear one
-// on tagPlan when bounded) and moves the buffers to the destinations
-// (moveGroups). The rank builds its output from them, in source order,
-// reporting each block's length to got as it goes. No rank reads another's
-// input or plan after the replay.
-func exchange[T any](c *vmpi.Comm, op string, bounded bool, off []int, block func(buf []T, d int) []T, got func(src, n int)) []T {
-	p := c.Size()
-	src := &source[T]{off: off, bufs: make([][]T, min(exchangeGroups, p))}
-	for g := range src.bufs {
-		lo, hi := group(g, len(src.bufs), p)
-		if off[hi] > off[lo] {
-			buf := make([]T, 0, off[hi]-off[lo])
-			for d := lo; d < hi; d++ {
-				buf = block(buf, d)
+// stage builds the rank's side of an exchange, block(buf, k) appending its
+// block for slot k to buf: one buffer per group of slots, or in a
+// neighbourhood, whose groups are its slots, one per neighbour.
+func stage[T any](order []int, own, tag int, off []int, block func(buf []T, k int) []T) *source[T] {
+	src := &source[T]{order: order, own: own, tag: tag, off: off}
+	ng := len(order)
+	if own < 0 {
+		ng = min(exchangeGroups, ng)
+	}
+	src.in = make([][]T, ng)
+	for g := range src.in {
+		lo, hi := group(g, ng, len(order))
+		if n := off[hi] - off[lo]; n > 0 && g != own { // own is a group of its own
+			buf := make([]T, 0, n)
+			for k := lo; k < hi; k++ {
+				buf = block(buf, k)
 			}
-			src.bufs[g] = buf
+			src.in[g] = buf
 		}
 	}
-	elem := int(unsafe.Sizeof(*new(T)))
-	if bounded {
-		op += " budgeted"
+	return src
+}
+
+// size is the length of the rank's block for slot k.
+func (s *source[T]) size(k int) int { return s.off[k+1] - s.off[k] }
+
+// from is, after the replay, the block the source of slot k sent the rank.
+func (s *source[T]) from(k int) []T {
+	if s.at == nil {
+		return s.in[k]
+	}
+	return s.in[k][s.at[2*k] : s.at[2*k]+s.at[2*k+1]]
+}
+
+// exchange is the one data path of Execute and ExchangeBlocks. The rank
+// stages its blocks (stage), and one Replay charges the schedule — the
+// pairwise all-to-all untagged, else the linear one over the staging orders
+// — and moves the buffers to their destinations (moveGroups). The rank builds
+// its output from them in its staging order, reporting each block's length
+// to got as it goes. No rank reads another's input or plan after the replay.
+func exchange[T any](c *vmpi.Comm, op string, order []int, own, tag int, off []int, block func(buf []T, k int) []T, got func(k, n int)) []T {
+	src := stage(order, own, tag, off, block)
+	if own < 0 {
+		block = nil // every block is staged: the input can go while the rank waits
 	}
 	vmpi.Replay(c, op, src, func(h *vmpi.Replayer, all []*source[T]) {
-		bytes := func(s, d int) int { return (all[s].off[d+1] - all[s].off[d]) * elem }
-		if bounded {
-			h.AlltoallLinear(bytes, tagPlan)
+		elem := int(unsafe.Sizeof(*new(T)))
+		staging := func(r int) []int { return all[r].order }
+		if all[0].own < 0 {
+			staging = func(int) []int { return all[0].order } // all rank order: one copy stays cached
+		}
+		if all[0].tag == 0 {
+			h.Alltoall(func(s, d int) int { return all[s].size(d) * elem }) // dense: slot d is rank d
 		} else {
-			h.Alltoall(bytes)
+			h.AlltoallLinear(staging, []int{all[0].tag}, func(r, k, _ int) int { return all[r].size(k) * elem })
 		}
 		moveGroups(all)
 	})
 	n := 0
-	for s := range src.in {
-		n += int(src.at[2*s+1])
+	for k := range src.in {
+		if n += len(src.from(k)); k == own {
+			n += src.size(k)
+		}
 	}
 	out := make([]T, 0, n)
-	for s, b := range src.in {
-		at, k := int(src.at[2*s]), int(src.at[2*s+1])
-		got(s, k)
-		out = append(out, b[at:at+k]...)
+	for k := range src.in {
+		if k == own {
+			got(k, src.size(k))
+			out = block(out, k)
+		} else {
+			b := src.from(k)
+			got(k, len(b))
+			out = append(out, b...)
+		}
 	}
 	return out
 }
 
-// group returns the ranks [lo, hi) of destination group g of ng over p.
-func group(g, ng, p int) (lo, hi int) { return g * p / ng, (g + 1) * p / ng }
+// group returns the slots [lo, hi) of group g of ng over n.
+func group(g, ng, n int) (lo, hi int) { return g * n / ng, (g + 1) * n / ng }
 
-// moveGroups hands every group's staged buffers to the group's destinations
-// with each block's place in them, and lets the sources go of them and of
-// their offsets, so that a group's buffers are referenced only by its
-// destinations.
+// moveGroups hands every staged block to its destination, so that the
+// buffers are referenced only by their destinations. A neighbourhood pair
+// trades its blocks in place: the first slot naming the other — first-match
+// routing leaves a repeat empty. In a dense exchange the destinations of a
+// group share one table of the sources' buffers for it.
 func moveGroups[T any](all []*source[T]) {
-	p, ng := len(all), len(all[0].bufs)
-	for g := 0; g < ng; g++ {
-		lo, hi := group(g, ng, p)
-		in := make([][]T, p)
-		at := make([]int32, 2*p*(hi-lo))
+	p := len(all)
+	if all[0].own >= 0 {
 		for s, src := range all {
-			in[s] = src.bufs[g]
-		}
-		for d := lo; d < hi; d++ {
-			a := at[2*p*(d-lo) : 2*p*(d-lo+1)]
-			for s, src := range all {
-				a[2*s] = int32(src.off[d] - src.off[lo])
-				a[2*s+1] = int32(src.off[d+1] - src.off[d])
+			for k, d := range src.order {
+				if d > s && k == slices.Index(src.order, d) {
+					j := slices.Index(all[d].order, s)
+					src.in[k], all[d].in[j] = all[d].in[j], src.in[k]
+				}
 			}
-			all[d].in, all[d].at = in, a
+		}
+		return
+	}
+	ng := min(exchangeGroups, p)
+	tables := make([][][]T, ng)
+	for g := range tables {
+		lo, hi := group(g, ng, p)
+		tables[g] = make([][]T, p)
+		for s, src := range all {
+			tables[g][s] = src.in[g]
+		}
+		ats := make([]int32, 2*p*(hi-lo))
+		for d := lo; d < hi; d++ {
+			at := ats[2*p*(d-lo) : 2*p*(d-lo+1)]
+			for s, src := range all {
+				at[2*s], at[2*s+1] = int32(src.off[d]-src.off[lo]), int32(src.size(d))
+			}
+			all[d].at = at
 		}
 	}
-	for _, src := range all {
-		src.off, src.bufs = nil, nil
+	for g, table := range tables {
+		lo, hi := group(g, ng, p)
+		for _, dst := range all[lo:hi] {
+			dst.in = table
+		}
 	}
 }
 
@@ -529,21 +547,6 @@ func (p *Plan) elemCost(k int) float64 {
 func (p *Plan) sendCost() float64 {
 	cost := 0.0
 	for k, n := range p.counts {
-		cost += p.elemCost(k) * float64(n)
-	}
-	return cost
-}
-
-// recvCost charges received blocks, one per staging-order slot, in the
-// same order. own is the slot whose block was never staged and is charged
-// by its count (-1: none).
-func recvCost[T any](p *Plan, blocks [][]T, own int) float64 {
-	cost := 0.0
-	for k, b := range blocks {
-		n := len(b)
-		if k == own {
-			n = p.counts[k]
-		}
 		cost += p.elemCost(k) * float64(n)
 	}
 	return cost
@@ -572,70 +575,28 @@ func Execute[T any](p *Plan, items []T) []T {
 		panic(fmt.Sprintf("redist: plan routed %d elements, Execute got %d", p.n, len(items)))
 	}
 	c := p.c
-	self := c.Rank()
-	elem := int(unsafe.Sizeof(*new(T)))
 	c.Compute(p.sendCost())
 
-	// Dense, exchange stages every block at once (slot == rank), so the
-	// rounds only meter what a round would stage. The receive charge
-	// accumulates in source order, as recvCost's does.
-	if !p.UsedNeighborhood() {
-		peak := sendRounds(len(p.order), p.maxCounts, elem, p.budget, func(k int) int { return p.counts[k] })
-		cost := 0.0
-		out := exchange(c, "redist.Execute", p.Bounded(), p.occOff, func(buf []T, d int) []T {
-			for _, i := range p.occIdx[p.occOff[d]:p.occOff[d+1]] {
-				buf = append(buf, items[i])
-			}
-			return buf
-		}, func(k, n int) { cost += p.elemCost(k) * float64(n) })
-		c.Compute(cost)
-		meterPeak(p, peak)
-		return out
+	// The rounds only meter: exchange stages every block at once. A
+	// neighbourhood plan's own block — slot 0, most of an almost-sorted
+	// input — goes from items straight into the output, yet is metered as
+	// staged (Figure M pins the peak).
+	peak := sendRounds(len(p.order), p.maxCounts, int(unsafe.Sizeof(*new(T))), p.budget, func(k int) int { return p.counts[k] })
+	op, own, tag := "redist.Execute", -1, 0
+	if p.useNbr {
+		op, own, tag = "redist.Execute neighborhood", 0, tagNeighborhood
 	}
-
-	// blocks[k] is the block from source p.order[k]. The per-destination
-	// buffers are freshly built, so the sends relinquish them without a
-	// copy. The rank's own block — most of an almost-sorted input, always
-	// slot 0 — is never staged: it goes from items straight into out at
-	// assembly.
-	blocks := make([][]T, len(p.order))
-	own, ownLen := 0, p.counts[0]
-	tag := tagNeighborhood
 	if p.Bounded() {
-		tag = tagPlan
+		op, tag = op+" budgeted", tagPlan
 	}
-	peak := sendRounds(len(blocks), p.maxCounts, elem, p.budget, func(k int) int {
-		if k == own {
-			return ownLen // metered as staged: Figure M pins the peak
+	cost := 0.0
+	out := exchange(c, op, p.order, own, tag, p.occOff, func(buf []T, k int) []T {
+		for _, i := range p.occIdx[p.occOff[k]:p.occOff[k+1]] {
+			buf = append(buf, items[i])
 		}
-		buf := gather(p, items, k)
-		n := len(buf)
-		if d := p.order[k]; d == self {
-			blocks[k] = buf
-		} else {
-			vmpi.SendOwned(c, buf, d, tag)
-		}
-		return n
-	})
-	// Per-pair messages arrive in send order, so receiving in staging
-	// order assembles the same bytes whatever the round structure.
-	for k, src := range p.order {
-		if src != self {
-			blocks[k] = vmpi.Recv[T](c, src, tag)
-		}
-	}
-
-	out := make([]T, 0, totalLen(blocks)+ownLen)
-	for k, b := range blocks {
-		if k == own {
-			for _, i := range p.occIdx[p.occOff[k]:p.occOff[k+1]] {
-				out = append(out, items[i])
-			}
-		}
-		out = append(out, b...)
-	}
-	c.Compute(recvCost(p, blocks, own))
-	vmpi.ReleaseBlocks(blocks)
+		return buf
+	}, func(k, n int) { cost += p.elemCost(k) * float64(n) })
+	c.Compute(cost)
 	meterPeak(p, peak)
 	return out
 }
@@ -656,22 +617,23 @@ func ExchangeBlocks[T any](c *vmpi.Comm, parts [][]T) (out []T, counts []int) {
 	}
 	budget := c.MaxExchangeBytes()
 	var peak int64
+	op, tag := "redist.ExchangeBlocks", 0
 	if budget > 0 {
 		maxCounts := make([]int64, size)
 		for d := range parts {
 			maxCounts[d] = int64(len(parts[d]))
 		}
 		mc := vmpi.Allreduce(c, maxCounts, vmpi.Max[int64])
-		copy(maxCounts, mc)
+		peak = sendRounds(size, mc, int(unsafe.Sizeof(*new(T))), budget, func(d int) int { return len(parts[d]) })
 		vmpi.Release(mc)
-		peak = sendRounds(size, maxCounts, int(unsafe.Sizeof(*new(T))), budget, func(d int) int { return len(parts[d]) })
+		op, tag = op+" budgeted", tagPlan
 	}
-	off := make([]int, size+1)
+	order, off := make([]int, size), make([]int, size+1)
 	for d, b := range parts {
-		off[d+1] = off[d] + len(b)
+		order[d], off[d+1] = d, off[d]+len(b)
 	}
 	counts = make([]int, size)
-	out = exchange(c, "redist.ExchangeBlocks", budget > 0, off, func(buf []T, d int) []T { return append(buf, parts[d]...) },
+	out = exchange(c, op, order, -1, tag, off, func(buf []T, d int) []T { return append(buf, parts[d]...) },
 		func(r, n int) { counts[r] = n })
 	if budget > 0 {
 		c.Gauge(MeterPeakBytes, float64(peak))

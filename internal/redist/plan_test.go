@@ -262,6 +262,62 @@ func TestPlanResortMatchesUnbounded(t *testing.T) {
 	}
 }
 
+// TestResortMatchesReference: executeResort — one Replay whose only fork is
+// the charge — against the message-level resort it replaced
+// (refExecuteResort: two pairwise all-to-alls without a budget, paired
+// position/value messages on 211/212 under one), in results, clocks,
+// counters and traced events, without a budget, with 1 B (a round per
+// destination) and with one element's 32 bytes, at one run slot and four.
+// A ninth of the particles are ghosts (Invalid), and the survivors land in
+// a random permutation over uneven new counts.
+func TestResortMatchesReference(t *testing.T) {
+	const stride = 3
+	for _, p := range []int{1, 3, 7, 27} {
+		rng := rand.New(rand.NewSource(int64(p)))
+		indices := make([][]Index, p)
+		var valid [][2]int
+		for r := range indices {
+			indices[r] = make([]Index, rng.Intn(12))
+			for i := range indices[r] {
+				indices[r][i] = Invalid
+				if rng.Intn(9) > 0 {
+					valid = append(valid, [2]int{r, i})
+				}
+			}
+		}
+		nNew := make([]int, p)
+		for _, j := range rng.Perm(len(valid)) {
+			src, dst := valid[j], rng.Intn(p)
+			indices[src[0]][src[1]] = MakeIndex(dst, nNew[dst])
+			nNew[dst]++
+		}
+		for _, workers := range []int{1, 4} {
+			for _, budget := range []int64{0, 1, 8 + stride*8} {
+				run := func(resort func(*Plan, []float64, int, []Index, int) []float64) *vmpi.Stats {
+					cfg := vmpi.Config{Ranks: p, Workers: workers, MaxExchangeBytes: budget, Trace: true, Model: netmodel.NewTorus(p)}
+					return vmpi.Run(cfg, func(c *vmpi.Comm) {
+						self := c.Rank()
+						vals := make([]float64, len(indices[self])*stride)
+						for i := range vals {
+							vals[i] = float64(self*1000 + i)
+						}
+						pl := NewPlan(c, len(indices[self]), func(i int, dst []int) []int {
+							if x := indices[self][i]; x.Valid() {
+								dst = append(dst, x.Rank())
+							}
+							return dst
+						}, Options{})
+						c.SetResult(resort(pl, vals, stride, indices[self], nNew[self]))
+						pl.Free()
+					})
+				}
+				got, want := run(executeResort[float64]), run(refExecuteResort[float64])
+				sameRuns(t, fmt.Sprintf("p=%d workers=%d budget=%d", p, workers, budget), got, want)
+			}
+		}
+	}
+}
+
 // TestExchangeBlocksMatchesAlltoall checks the sorts' block exchange
 // against the same exchange through the collectives (refExchangeBlocks):
 // without a budget the copying vmpi.Alltoall, under one the linear
@@ -342,9 +398,12 @@ func sameRuns(t *testing.T, where string, got, want *vmpi.Stats) {
 }
 
 // normBlocks maps nil and empty blocks alike to empty, so that results
-// compare by their elements.
+// compare by their elements; a result of another type compares as it is.
 func normBlocks(v any) any {
-	blocks := v.([][]elem)
+	blocks, ok := v.([][]elem)
+	if !ok {
+		return v
+	}
 	out := make([][]elem, len(blocks))
 	for r, b := range blocks {
 		out[r] = append([]elem{}, b...)
@@ -692,9 +751,10 @@ func fuzzPlanCase(data []byte) (p, radius int, budget int64, inputs [][]elem, de
 // bucketed sparsely — Exchange and ExchangeNeighborhood deliver the
 // sequential scatter on every rank, the neighborhood backend is used
 // exactly when no rank routed outside, and targets runs once per element,
-// in order. Dense Execute, under the case's budget and without one, also
-// matches refExecuteDense — the block path it replaced — in clocks,
-// counters and traced events as well as in its results.
+// in order. Execute, dense and over the neighbourhood, under the case's
+// budget and without one, also matches the message-level path it replaced
+// (refExecuteDense, refExecuteNeighborhood) in clocks, counters and traced
+// events as well as in its results.
 func FuzzPlanMatchesOracle(f *testing.F) {
 	f.Add([]byte{4, 1, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -750,31 +810,42 @@ func FuzzPlanMatchesOracle(f *testing.F) {
 			}
 		}
 
-		// The dense exchange against the parent's block path, on the
-		// budget's plan and on an unbounded one in the same world: results,
+		// Execute against the message-level references — refExecuteDense,
+		// or refExecuteNeighborhood on a plan that won the vote — on the
+		// communicator's budget, without one and on the case's budget,
+		// dense and over the ring neighbourhood in the same world: results,
 		// clocks, counters and events.
 		cfg := vmpi.Config{Ranks: p, MaxExchangeBytes: budget, Trace: true, Workers: 1 + 3*(len(data)%2)}
 		if radius > 0 {
 			cfg.Model = netmodel.NewTorus(p)
 		}
-		dense := func(execute func(*Plan, []elem) []elem) *vmpi.Stats {
+		run := func(execute func(*Plan, []elem) []elem) *vmpi.Stats {
 			return vmpi.Run(cfg, func(c *vmpi.Comm) {
 				self := c.Rank()
 				targets := func(i int, dst []int) []int { return append(dst, dests[self][i]...) }
 				var outs [][]elem
-				for _, maxBytes := range []int64{0, -1} {
-					pl := NewPlan(c, len(inputs[self]), targets, Options{MaxBytes: maxBytes})
-					outs = append(outs, execute(pl, inputs[self]))
-					pl.Free()
+				for _, nbrs := range [][]int{nil, ringRadius(self, p, radius)} {
+					for _, maxBytes := range []int64{0, -1, budget} {
+						pl := NewPlan(c, len(inputs[self]), targets, Options{MaxBytes: maxBytes, Neighbors: nbrs})
+						outs = append(outs, execute(pl, inputs[self]))
+						pl.Free()
+					}
 				}
 				c.SetResult(outs)
 			})
 		}
-		got, want := dense(Execute[elem]), dense(refExecuteDense[elem])
-		sameRuns(t, fmt.Sprintf("p=%d budget=%d dense", p, budget), got, want)
+		got, want := run(Execute[elem]), run(func(pl *Plan, items []elem) []elem {
+			if pl.UsedNeighborhood() {
+				return refExecuteNeighborhood(pl, items)
+			}
+			return refExecuteDense(pl, items)
+		})
+		sameRuns(t, fmt.Sprintf("p=%d radius=%d budget=%d feasible=%v", p, radius, budget, feasible), got, want)
 		for r, v := range got.Values {
-			if !sameElems(v.([][]elem)[0], wantDense[r]) {
-				t.Errorf("p=%d budget=%d rank %d: dense Execute differs from the oracle", p, budget, r)
+			for k, out := range v.([][]elem) {
+				if want := [][][]elem{wantDense, wantNbr}[k/3][r]; !sameElems(out, want) {
+					t.Errorf("p=%d radius=%d budget=%d rank %d: Execute %d differs from the oracle", p, radius, budget, r, k)
+				}
 			}
 		}
 	})

@@ -9,15 +9,15 @@
 // optimization:
 //
 //   - Exchange uses a collective all-to-all.
-//   - ExchangeNeighborhood uses blocking eager point-to-point messages
-//     (vmpi.SendOwned/Recv) with a fixed neighbor set, which must be
-//     symmetric across ranks: every rank sends to and receives from exactly
-//     its neighbors, so an asymmetric set would deadlock the paired
-//     receives. Each rank buckets its routing over self + neighbors before
-//     the collective fallback vote, so it waits there holding one index per
-//     element, and its own block is copied straight from the input into the
-//     result. If any element targets a rank outside the neighborhood, all
-//     ranks transparently fall back to the collective backend.
+//   - ExchangeNeighborhood exchanges blocks with a fixed neighbor set
+//     only, charged as one eager message to and then from each neighbor
+//     in list order. The set must be symmetric across ranks; the replay
+//     rejects an asymmetric one, whose messages would not pair up. Each
+//     rank buckets its routing over self + neighbors before the
+//     collective fallback vote, so it waits there holding one index per
+//     element, and its own block is copied straight from the input into
+//     the result. If any element targets a rank outside the neighborhood,
+//     all ranks transparently fall back to the collective backend.
 //
 // Resort indices are 64-bit values packing a target process rank (high 32
 // bits) and a target position on that process (low 32 bits), exactly as
@@ -87,8 +87,8 @@ func Exchange[T any](c *vmpi.Comm, items []T, targets Targets) []T {
 }
 
 // ExchangeNeighborhood performs the same redistribution as Exchange but
-// sends only point-to-point messages to the given neighbor ranks (plus
-// local copies to self). The neighbor set must be symmetric across ranks
+// exchanges blocks only with the given neighbor ranks (plus local copies
+// to self). The neighbor set must be symmetric across ranks
 // (if a is a neighbor of b, then b is a neighbor of a), as produced by
 // vmpi.Cart.Neighbors. If any rank has an element targeting a rank outside
 // its neighborhood, every rank falls back to the collective Exchange; the
@@ -108,19 +108,4 @@ func ExchangeNeighborhood[T any](c *vmpi.Comm, items []T, targets Targets, neigh
 	usedNbr := pl.UsedNeighborhood()
 	pl.Free()
 	return out, usedNbr
-}
-
-func boolToInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-func totalLen[T any](blocks [][]T) int {
-	n := 0
-	for _, b := range blocks {
-		n += len(b)
-	}
-	return n
 }

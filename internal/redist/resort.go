@@ -72,24 +72,6 @@ func resort[T any](c *vmpi.Comm, vals []T, stride int, indices []Index, nNew int
 	return out
 }
 
-// gatherResort builds the paired position/value send buffers for
-// staging-order slot k (rank p.order[k]) from the plan's routing: one
-// int64 target position and stride values per occurrence, in local order.
-// Both nil when the rank receives nothing.
-func gatherResort[T any](p *Plan, vals []T, stride int, indices []Index, k int) ([]int64, []T) {
-	lo, hi := p.occOff[k], p.occOff[k+1]
-	if lo == hi {
-		return nil, nil
-	}
-	pos := make([]int64, 0, hi-lo)
-	val := make([]T, 0, (hi-lo)*stride)
-	for _, i := range p.occIdx[lo:hi] {
-		pos = append(pos, int64(indices[i].Pos()))
-		val = append(val, vals[int(i)*stride:(int(i)+1)*stride]...)
-	}
-	return pos, val
-}
-
 // scatterResort places one source rank's positions/values into the output
 // permutation, with the double-write and range checks of the classic
 // implementation.
@@ -109,60 +91,77 @@ func scatterResort[T any](out []T, placed []bool, pos []int64, val []T, stride, 
 	}
 }
 
+// resortState is a rank's side of a resort: its target positions and its
+// values, staged as two sources of one dense exchange.
+type resortState[T any] struct {
+	pos *source[int64]
+	val *source[T]
+}
+
 // executeResort ships every occurrence's target position and values to its
-// destination and scatters what arrives into the output permutation. Each
-// occurrence costs 8 position bytes plus stride payload bytes against the
-// budget; under one, each round relinquishes its paired buffers on tags
-// 211/212 before the next stages, and without one the two part sets go
-// through two pairwise collectives. The positional scatter makes the
-// result independent of the transport.
+// destination, two payloads of one dense exchange, and scatters what
+// arrives into the output permutation. Each occurrence stages 8 + stride
+// element bytes; under a budget both go to each destination in turn on tags
+// 211/212, without one as two pairwise all-to-alls. The positional scatter
+// makes the result independent of the schedule.
 func executeResort[T any](p *Plan, vals []T, stride int, indices []Index, nNew int) []T {
 	c := p.c
-	size := c.Size()
-	self := c.Rank()
 	c.Compute(p.sendCost() + costs.Move*float64(len(indices)*stride))
+	elem := int(unsafe.Sizeof(*new(T)))
+	peak := sendRounds(len(p.order), p.maxCounts, 8+stride*elem, p.budget, func(k int) int { return p.counts[k] })
 
-	// recvPos[r]/recvVal[r] are source rank r's paired blocks (the resort
-	// is always dense, so staging-order slot == rank). The buffers are
-	// freshly built per destination: relinquished without a copy.
-	recvPos := make([][]int64, size)
-	recvVal := make([][]T, size)
-	if !p.Bounded() {
-		for d := 0; d < size; d++ {
-			recvPos[d], recvVal[d] = gatherResort(p, vals, stride, indices, d)
-		}
-		recvPos = vmpi.AlltoallOwned(c, recvPos)
-		recvVal = vmpi.AlltoallOwned(c, recvVal)
-	} else {
-		elem := 8 + stride*int(unsafe.Sizeof(*new(T)))
-		peak := sendRounds(size, p.maxCounts, elem, p.budget, func(d int) int {
-			pos, val := gatherResort(p, vals, stride, indices, d)
-			n := len(pos)
-			if d == self {
-				recvPos[d], recvVal[d] = pos, val
-			} else {
-				vmpi.SendOwned(c, pos, d, tagResortPos)
-				vmpi.SendOwned(c, val, d, tagResortVal)
-			}
-			return n
-		})
-		for src := 0; src < size; src++ {
-			if src != self {
-				recvPos[src] = vmpi.Recv[int64](c, src, tagResortPos)
-				recvVal[src] = vmpi.Recv[T](c, src, tagResortVal)
-			}
-		}
-		meterPeak(p, peak)
+	// The resort is always dense: staging-order slot == rank.
+	occ := func(k int) []int32 { return p.occIdx[p.occOff[k]:p.occOff[k+1]] }
+	valOff := make([]int, len(p.occOff))
+	for k, o := range p.occOff {
+		valOff[k] = o * stride
 	}
+	op, tags := "redist.Resort", [2]int{}
+	if p.Bounded() {
+		op, tags = "redist.Resort budgeted", [2]int{tagResortPos, tagResortVal}
+	}
+	st := &resortState[T]{
+		pos: stage(p.order, -1, tags[0], p.occOff, func(buf []int64, k int) []int64 {
+			for _, i := range occ(k) {
+				buf = append(buf, int64(indices[i].Pos()))
+			}
+			return buf
+		}),
+		val: stage(p.order, -1, tags[1], valOff, func(buf []T, k int) []T {
+			for _, i := range occ(k) {
+				buf = append(buf, vals[int(i)*stride:(int(i)+1)*stride]...)
+			}
+			return buf
+		}),
+	}
+	vmpi.Replay(c, op, st, func(h *vmpi.Replayer, all []*resortState[T]) {
+		pos, val := make([]*source[int64], len(all)), make([]*source[T], len(all))
+		for r, s := range all {
+			pos[r], val[r] = s.pos, s.val
+		}
+		posBytes := func(r, k int) int { return 8 * pos[r].size(k) }
+		valBytes := func(r, k int) int { return elem * val[r].size(k) }
+		if pos[0].tag == 0 {
+			h.Alltoall(posBytes)
+			h.Alltoall(valBytes)
+		} else {
+			h.AlltoallLinear(func(int) []int { return pos[0].order }, []int{pos[0].tag, val[0].tag},
+				func(r, k, i int) int { return [2]int{posBytes(r, k), valBytes(r, k)}[i] })
+		}
+		moveGroups(pos)
+		moveGroups(val)
+	})
+	meterPeak(p, peak)
 
 	out := make([]T, nNew*stride)
 	placed := make([]bool, nNew)
-	for r := 0; r < size; r++ {
-		scatterResort(out, placed, recvPos[r], recvVal[r], stride, nNew)
+	cost := 0.0
+	for k := range st.pos.in {
+		pos := st.pos.from(k)
+		scatterResort(out, placed, pos, st.val.from(k), stride, nNew)
+		cost += p.elemCost(k) * float64(len(pos))
 	}
-	c.Compute(recvCost(p, recvPos, -1) + costs.Move*float64(nNew*stride))
-	vmpi.ReleaseBlocks(recvPos)
-	vmpi.ReleaseBlocks(recvVal)
+	c.Compute(cost + costs.Move*float64(nNew*stride))
 	return out
 }
 

@@ -12,6 +12,7 @@ package vmpi
 // same program order (SPMD discipline), as with MPI.
 
 import (
+	"fmt"
 	"unsafe"
 
 	"repro/internal/obs"
@@ -195,13 +196,13 @@ func Alltoall[T any](c *Comm, parts [][]T) [][]T {
 	return alltoall(c, parts, false, collOp{name: "Alltoall", typ: typeID[T]()}, replayAlltoall[T])
 }
 
-// AlltoallOwned is Alltoall with the SendOwned ownership contract applied
-// to every part: the caller relinquishes all of parts' buffers (the self
-// block is passed through to the result without a copy, the others are
-// handed to their receivers without a copy) and must not touch them
-// afterwards. Parts must be disjoint buffers — never subslices of one
-// shared array, since different receiving ranks would then alias each
-// other's memory. Virtual cost is identical to Alltoall.
+// AlltoallOwned is Alltoall taking ownership of every part: the caller
+// relinquishes all of parts' buffers (the self block is passed through to
+// the result without a copy, the others are handed to their receivers
+// without a copy) and must not touch them afterwards. Parts must be
+// disjoint buffers — never subslices of one shared array, since different
+// receiving ranks would then alias each other's memory. Virtual cost is
+// identical to Alltoall.
 func AlltoallOwned[T any](c *Comm, parts [][]T) [][]T {
 	return alltoall(c, parts, true, collOp{name: "Alltoall", typ: typeID[T]()}, replayAlltoall[T])
 }
@@ -262,27 +263,83 @@ func (g *rendezvous) alltoall(bytes func(src, dst int) int) {
 	g.span(obs.KindCollective, "alltoall", false)
 }
 
-// alltoallLinear charges the basic linear all-to-all on tag in O(P)
-// scratch: every rank's sends, keeping only its entry clock in g.arrive,
-// then the same sends recomputed in sender order, folding each arrival into
-// its receiver in source order. It records only the messages, no span.
-func (g *rendezvous) alltoallLinear(bytes func(src, dst int) int, tag int) {
-	for src := range g.slots {
-		g.arrive[src] = g.slots[src].clock
-		for dst := range g.slots {
-			if dst != src {
-				g.send(src, dst, bytes(src, dst), tag)
+// AlltoallLinear charges every rank the linear all-to-all over staging
+// orders — messages only, no span: rank r sends to each rank of order(r) but
+// itself in turn one message on every tag of tags, bytes(r, k, i) bytes for
+// slot k on tags[i], empty ones included, then receives in the same order
+// what those ranks sent it, each pair's in the order sent: what a loop of
+// Send and then one of Recv charge. Ranks must name each other equally often.
+//
+// Every rank's sends are charged first, keeping only its entry clock in
+// g.arrive; then the same sends are recomputed in sender order, a slot's
+// arrivals taken by their receiver once its own order waits for them and
+// queued until then — next[d] is the slot rank d takes next. Orders whose
+// other ranks ascend, the identity among them, queue nothing.
+func (h *Replayer) AlltoallLinear(order func(r int) []int, tags []int, bytes func(r, k, i int) int) {
+	g := h.g
+	p, nt := len(g.slots), len(tags)
+	for s := range g.slots {
+		g.arrive[s] = g.slots[s].clock
+		for k, d := range order(s) {
+			for i := 0; i < nt && d != s; i++ {
+				g.send(s, d, bytes(s, k, i), tags[i])
 			}
 		}
 	}
-	for src := range g.slots {
-		clock := g.arrive[src]
-		for dst := range g.slots {
-			if dst != src {
-				var arrive float64
-				_, clock, arrive = sendClocks(g.rt.model, clock, g.nodes[src], g.nodes[dst], bytes(src, dst))
-				g.recv(src, dst, bytes(src, dst), arrive)
+	next := make([]int, p)
+	// waits returns the rank d's next receives are from, -1 once it has
+	// taken all, stepping next[d] over the slots that name d itself.
+	waits := func(d int) int {
+		o := order(d)
+		for next[d] < len(o) && o[next[d]] == d {
+			next[d]++
+		}
+		if next[d] < len(o) {
+			return o[next[d]]
+		}
+		return -1
+	}
+	type arrival struct {
+		src, bytes int
+		at         float64
+	}
+	var queue [][]arrival // by receiver, once one gets a slot's arrivals before it waits for them
+	for s := range g.slots {
+		clock := g.arrive[s]
+		for k, d := range order(s) {
+			take := d != s && waits(d) == s
+			for i := 0; i < nt && d != s; i++ {
+				a := arrival{src: s, bytes: bytes(s, k, i)}
+				_, clock, a.at = sendClocks(g.rt.model, clock, g.nodes[s], g.nodes[d], a.bytes)
+				if take {
+					g.recv(s, d, a.bytes, a.at)
+				} else {
+					if queue == nil {
+						queue = make([][]arrival, p)
+					}
+					queue[d] = append(queue[d], a)
+				}
 			}
+			if !take {
+				continue
+			}
+			// Each slot taken may be what the first queued slot from some
+			// rank waited for.
+			next[d]++
+			for j := 0; queue != nil && j < len(queue[d]); j += nt {
+				if q := queue[d][j : j+nt]; q[0].src == waits(d) {
+					for _, a := range q {
+						g.recv(a.src, d, a.bytes, a.at)
+					}
+					queue[d] = append(queue[d][:j], queue[d][j+nt:]...)
+					next[d], j = next[d]+1, -nt
+				}
+			}
+		}
+	}
+	for d := range next {
+		if waits(d) >= 0 || queue != nil && len(queue[d]) > 0 {
+			panic(fmt.Sprintf("vmpi: linear all-to-all over staging orders that do not pair up: rank %d receives other than it is sent", d))
 		}
 	}
 }

@@ -177,7 +177,9 @@ func AlltoallLinear[T any](c *Comm, parts [][]T, tag int) [][]T {
 
 // replayAlltoallLinear charges the linear schedule, then transposes.
 func replayAlltoallLinear[T any](g *rendezvous) {
-	g.alltoallLinear(alltoallBytes[T](g), g.op.n)
+	ranks := identity(len(g.slots))
+	bytes := alltoallBytes[T](g)
+	(&Replayer{g}).AlltoallLinear(func(int) []int { return ranks }, []int{g.op.n}, func(r, k, _ int) int { return bytes(r, k) })
 	transpose[T](g)
 }
 

@@ -320,8 +320,8 @@ func TestDebugKeptReleasesDieAtWorldEnd(t *testing.T) {
 
 // TestDebugSecondReleaseCaughtUntilWorldEnd pins where a kept release's
 // entry ends: GCs leave it, so a second Release before any world ends still
-// panics, and the end of a world, any world, retires it — from then on a
-// second Release of the buffer is not caught.
+// panics, and the end of the last world running retires it — from then on
+// a second Release of the buffer is not caught.
 func TestDebugSecondReleaseCaughtUntilWorldEnd(t *testing.T) {
 	b := Owned[float32](1024)[:1024]
 	k := dbgKey(b)
@@ -333,6 +333,31 @@ func TestDebugSecondReleaseCaughtUntilWorldEnd(t *testing.T) {
 	Run(Config{Ranks: 1}, func(c *Comm) {})
 	if dbgHolds(k) {
 		t.Fatal("the checker still holds a kept release after a world ended")
+	}
+}
+
+// TestDebugSecondReleaseCaughtWhileAnotherWorldEnds: a world that ends
+// leaves the releases of a world still running alone, so its rank's second
+// Release of a kept buffer still panics — were the entry retired, the
+// array would enter the pool twice and two later draws would share it.
+func TestDebugSecondReleaseCaughtWhileAnotherWorldEnds(t *testing.T) {
+	released, ended := make(chan struct{}), make(chan struct{})
+	go func() {
+		<-released
+		Run(Config{Ranks: 1}, func(c *Comm) {})
+		close(ended)
+	}()
+	var msg string
+	Run(Config{Ranks: 1}, func(c *Comm) {
+		b := Owned[float32](1024)[:1024]
+		Release(b)
+		close(released)
+		<-ended
+		defer func() { msg = fmt.Sprint(recover()) }()
+		Release(b)
+	})
+	if !strings.Contains(msg, "second Release") {
+		t.Fatalf("second Release after another world ended: panic %q, want a second-Release panic", msg)
 	}
 }
 

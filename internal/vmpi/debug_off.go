@@ -17,4 +17,5 @@ func debugGet[T any](s []T)      {}
 func debugShare[T any](rt *Runtime, s []T) {}
 func debugForward[T any](s []T)            {}
 func debugUnshare[T any](s []T)            {}
+func debugWorldStart()                     {}
 func debugWorldEnd(rt *Runtime)            {}

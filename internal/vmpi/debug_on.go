@@ -9,10 +9,11 @@ package vmpi
 // the offending call sites, on:
 //
 //   - sending a buffer (owned or copied) after its ownership was
-//     transferred by SendOwned / AlltoallOwned or after it was released;
+//     transferred by AlltoallOwned (or the tests' SendOwned) or after it
+//     was released;
 //   - transferring a buffer twice, or transferring a released buffer;
 //   - releasing a buffer twice, or releasing a transferred buffer;
-//   - relinquishing (SendOwned / AlltoallOwned) or pool-releasing a shared
+//   - relinquishing (AlltoallOwned, SendOwned) or pool-releasing a shared
 //     broadcast buffer, or modifying one: every shared buffer carries a
 //     holder count and a content checksum taken when its root shared it,
 //     re-verified at each forward, at each holder's Release, and when the
@@ -66,8 +67,9 @@ type dbgState struct {
 }
 
 var (
-	dbgMu   sync.Mutex
-	dbgBufs = map[unsafe.Pointer]*dbgState{}
+	dbgMu     sync.Mutex
+	dbgBufs   = map[unsafe.Pointer]*dbgState{}
+	dbgWorlds int // worlds running: the last to end retires the releases
 )
 
 func (s *dbgState) verb() string {
@@ -109,8 +111,9 @@ func dbgSum(b []byte) uint64 {
 }
 
 // dbgCallSite returns the first caller frame outside the vmpi
-// implementation files, i.e. the user call that entered the messaging
-// layer (vmpi's own tests live in *_test.go files and are reported too).
+// implementation files — SendOwned's test file counts as one — i.e. the
+// user call that entered the messaging layer (vmpi's own tests live in
+// *_test.go files and are reported too).
 func dbgCallSite() string {
 	pc := make([]uintptr, 32)
 	n := runtime.Callers(2, pc)
@@ -118,7 +121,7 @@ func dbgCallSite() string {
 	for {
 		f, more := frames.Next()
 		switch filepath.Base(f.File) {
-		case "debug_on.go", "p2p.go", "pool.go", "collectives.go", "rendezvous.go":
+		case "debug_on.go", "p2p.go", "pool.go", "collectives.go", "rendezvous.go", "sendowned_test.go":
 		default:
 			return fmt.Sprintf("%s:%d", f.File, f.Line)
 		}
@@ -135,7 +138,7 @@ func dbgKey[T any](s []T) unsafe.Pointer {
 	return unsafe.Pointer(unsafe.SliceData(s[:cap(s)]))
 }
 
-// debugTransfer records a SendOwned/AlltoallOwned ownership transfer.
+// debugTransfer records an AlltoallOwned (or SendOwned) ownership transfer.
 func debugTransfer[T any](s []T) {
 	k := dbgKey(s)
 	if k == nil {
@@ -288,24 +291,31 @@ func debugUnshare[T any](s []T) {
 	}
 }
 
+func debugWorldStart() {
+	dbgMu.Lock()
+	dbgWorlds++
+	dbgMu.Unlock()
+}
+
 // debugWorldEnd runs deferred when a world's Run returns or unwinds: no
 // shared-buffer entry outlives the world that made it, and no release
-// outlives the end of any world — whether the pool dropped the buffer or
-// kept it, its entry pins it, and a kept buffer the pool sheds at a GC
-// before getSlice reissues it would otherwise stay pinned for the life of
-// the process. A release therefore catches a second release or a use only
-// until a world ends. On a clean return the shared buffers still held are
-// verified one last time.
+// outlives the last world running (debugWorldStart counts them) — whether
+// the pool dropped the buffer or kept it, its entry pins it, and a kept
+// buffer the pool sheds at a GC before getSlice reissues it would otherwise
+// stay pinned for the life of the process. A release therefore catches a
+// second release or a use until no world runs. On a clean return the shared
+// buffers still held are verified one last time.
 func debugWorldEnd(rt *Runtime) {
 	p := recover()
 	dbgMu.Lock()
+	dbgWorlds--
 	var stale []*dbgState
 	for k, st := range dbgBufs {
 		switch {
 		case st.kind == dbgShared && st.rt == rt:
 			delete(dbgBufs, k)
 			stale = append(stale, st)
-		case st.kind == dbgReleased:
+		case st.kind == dbgReleased && dbgWorlds == 0:
 			delete(dbgBufs, k)
 		}
 	}

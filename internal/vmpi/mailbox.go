@@ -13,10 +13,10 @@ type mkey struct {
 // list, linked through message.next. Receives match on the exact (src, tag,
 // ctx) only, and within one key arrival order is the sender's program
 // order, so the first match in arrival order is the message a per-key FIFO
-// would pop. Every collective is a rendezvous (rendezvous.go), so what is
-// left of point-to-point traffic — the neighbourhood exchange and the
-// budgeted resort (redist) — keeps the list short, and take scans it from
-// the head. A drained list holds
+// would pop. Every collective is a rendezvous (rendezvous.go) and every
+// redist exchange a Replay, so no solver path sends point-to-point: the
+// traffic left — message-level test references, ping-pong probes — keeps
+// the list short, and take scans it from the head. A drained list holds
 // nothing, so keys of retired communicator contexts (Split/Dup churn,
 // resize epochs) leave nothing behind, and nothing in the mailbox ever
 // allocates.

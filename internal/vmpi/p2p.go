@@ -34,9 +34,9 @@ func typeID[T any]() reflect.Type {
 
 // message is a unit of point-to-point communication between world ranks:
 // one envelope carrying one payload buffer — a pooled copy for Send and
-// SendVal, the sender's own buffer for SendOwned. Envelopes are recycled
-// through msgPool, so a steady exchange whose receivers release what they
-// get allocates nothing per message.
+// SendVal, the sender's own buffer for the tests' SendOwned. Envelopes are
+// recycled through msgPool, so a steady exchange whose receivers release
+// what they get allocates nothing per message.
 type message struct {
 	// next links the envelope into its mailbox's arrival list while it
 	// waits there (nil otherwise): queueing a message is one pointer store.
@@ -83,17 +83,6 @@ func putMsg(m *message) {
 func Send[T any](c *Comm, data []T, dst, tag int) {
 	debugUse(data)
 	sendRaw(c, append(Owned[T](len(data)), data...), len(data)*sizeOf[T](), dst, tag)
-}
-
-// SendOwned sends data to rank dst, transferring ownership of the buffer
-// into the message instead of deep-copying it. The caller must not read or
-// write data — or any alias of its backing array — after the call; the
-// receiving rank becomes the sole owner. Message size, timing, and virtual
-// cost are identical to Send. Use it for freshly built per-destination
-// buffers that die at the send.
-func SendOwned[T any](c *Comm, data []T, dst, tag int) {
-	debugTransfer(data)
-	sendRaw(c, data, len(data)*sizeOf[T](), dst, tag)
 }
 
 // SendVal sends a single value to rank dst: Send(c, []T{v}, dst, tag)

@@ -27,7 +27,7 @@ import (
 // other synchronizing collectives for an input longer than one word, which
 // their replay releases (stage). A sender that builds its payload in
 // place draws the buffer itself with Owned, fills it and relinquishes it with
-// SendOwned/AlltoallOwned — no copy, and what the receiver's Release hands
+// AlltoallOwned — no copy, and what the receiver's Release hands
 // back is what the next step's Owned draws (the fft slab transposes and the
 // pnfft mesh all-to-alls run this way). Either way the draw and the release
 // meet in the in-use meter (PoolStats.InUseBytes).
@@ -38,13 +38,12 @@ import (
 // and the in-use meter moves only for a release that matches a draw. With
 // eight classes per octave most page-rounded append capacities are class
 // sizes, so without that rule every foreign release would enter the pool.
-// The sites that still relinquish foreign buffers are fmm/solver.go (the
-// multipole key/value and ghost parts, append-grown) and redist's gather,
-// which builds the neighborhood backend's per-neighbour blocks; what they
-// release is dropped for the collector. redist's dense exchange
-// relinquishes nothing: it is a Replay that hands each destination the
-// buffers its sources staged for its group of ranks, which it copies out of
-// and drops, so no pool buffer is involved.
+// The site that still relinquishes foreign buffers is fmm/solver.go (the
+// multipole key/value and ghost parts, append-grown); what it releases is
+// dropped for the collector. redist relinquishes nothing: its exchanges —
+// dense, neighbourhood and resort — are Replays that hand each destination
+// the buffers its sources staged for groups of their destinations, which it
+// copies out of and drops, so no pool buffer is involved.
 //
 // Ownership protocol. A buffer that crosses the messaging layer is in one
 // of two states, and every rule below is enforced statically by the
@@ -55,9 +54,8 @@ import (
 //     buffer; the receiver owns the buffer it gets from Recv and may keep,
 //     mutate or forward it. A sole owner that is done with a private slice
 //     may hand it back with Release (or ReleaseBlocks) — always optional,
-//     at most once. SendOwned/AlltoallOwned transfer the caller's buffer
-//     into the message with no copy (AlltoallOwned: into the receiver's
-//     result); the caller must not touch the slice (or any alias of it)
+//     at most once. AlltoallOwned transfers the caller's buffers into the
+//     receivers' results with no copy; the caller must not touch the slice (or any alias of it)
 //     afterwards. AllgatherBlocks and Alltoall results are private too.
 //   - Shared read-only: two results are ONE immutable buffer that every
 //     rank of the communicator references. The Allreduce and Allgather
@@ -65,7 +63,7 @@ import (
 //     hand every rank the same view. So the slices Allreduce and Allgather
 //     return are views that up to P ranks hold at once: read them, copy
 //     out of them, pass them to copying sends — never store into them,
-//     append onto them, or relinquish them to SendOwned/AlltoallOwned. The
+//     append onto them, or relinquish them to AlltoallOwned. The
 //     Go collector is the reference count: a shared buffer's capacity is
 //     never a pool size class (sharedCap), so Release of a shared view is
 //     legal and does nothing, and the buffer dies with its last holder.
@@ -264,7 +262,7 @@ func draw[T any](n, b int) []T {
 
 // Owned returns an empty buffer with capacity ≥ n, drawn from the
 // message-buffer pool: the buffer to build a payload in before relinquishing
-// it with SendOwned/AlltoallOwned. The receiver's Release then returns to the
+// it with AlltoallOwned. The receiver's Release then returns to the
 // pool exactly what the sender drew, so a steady exchange reuses the same
 // buffers step after step. A request below the smallest size class is served
 // from that class, so callers need not know the classes to stay pooled. The

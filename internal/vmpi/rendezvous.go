@@ -217,13 +217,6 @@ func (h *Replayer) Allgather(bytes func(r int) int) { h.g.allgather(bytes) }
 // messages and, for listening ranks, its span, which starts where it starts.
 func (h *Replayer) Alltoall(bytes func(src, dst int) int) { h.g.alltoall(bytes) }
 
-// AlltoallLinear charges every rank the basic linear all-to-all on tag in
-// which rank src sends bytes(src, dst) to rank dst, empty messages included:
-// the messages alone, no span.
-func (h *Replayer) AlltoallLinear(bytes func(src, dst int) int, tag int) {
-	h.g.alltoallLinear(bytes, tag)
-}
-
 // Compute advances rank's clock as Comm.Compute does.
 func (h *Replayer) Compute(rank int, seconds float64) {
 	if seconds < 0 {

@@ -1,8 +1,10 @@
 package vmpi
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/netmodel"
@@ -250,6 +252,7 @@ func TestReplayerAlltoallMatchesAlltoall(t *testing.T) {
 				c.Compute(compute(1, c.Rank()))
 				ReleaseBlocks(refAlltoallLinear(c, parts(1, c.Rank(), p), 221))
 			})
+			ranks := identity(p)
 			got := Run(cfg, func(c *Comm) {
 				v := c.Rank()
 				Replay(c, "alltoalls", &v, func(h *Replayer, states []*int) {
@@ -261,7 +264,8 @@ func TestReplayerAlltoallMatchesAlltoall(t *testing.T) {
 						if k == 0 {
 							h.Alltoall(bytes)
 						} else {
-							h.AlltoallLinear(bytes, 221)
+							h.AlltoallLinear(func(int) []int { return ranks }, []int{221},
+								func(r, d, _ int) int { return bytes(r, d) })
 						}
 					}
 				})
@@ -284,6 +288,74 @@ func TestReplayerAlltoallMatchesAlltoall(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Replayer.AlltoallLinear over staging orders charges what loops of Send
+// and then of Recv over the same orders charge: two tags per slot, orders
+// that are not ascending (r+1 before r-1), that repeat a rank or name the
+// rank itself, and the Cart's ascending neighbours. Receives fold in each
+// receiver's own order, so these differ from a fold in source order.
+func TestReplayerAlltoallLinearFollowsStagingOrders(t *testing.T) {
+	ring := func(r, p, radius int) []int {
+		o := []int{r}
+		for k := 1; k <= radius; k++ {
+			o = append(o, (r+k)%p, ((r-k)%p+p)%p)
+		}
+		return o
+	}
+	tags := []int{211, 212}
+	size := func(r, k, i int) int { return int(fuzzMix(uint64(r), uint64(k), uint64(i)) % 7) }
+	for _, p := range []int{1, 2, 3, 5, 8, 27} {
+		for _, radius := range []int{0, 1, 2, 4} {
+			cfg := Config{Ranks: p, Trace: true, Model: netmodel.NewTorus(p)}
+			want := Run(cfg, func(c *Comm) {
+				c.Compute(float64(c.Rank()%3) * 1e-7)
+				o := ring(c.Rank(), p, radius)
+				for k, d := range o {
+					for i, tag := range tags {
+						if d != c.Rank() {
+							SendOwned(c, make([]byte, size(c.Rank(), k, i)), d, tag)
+						}
+					}
+				}
+				for _, src := range o {
+					for _, tag := range tags {
+						if src != c.Rank() {
+							Release(Recv[byte](c, src, tag))
+						}
+					}
+				}
+			})
+			got := Run(cfg, func(c *Comm) {
+				c.Compute(float64(c.Rank()%3) * 1e-7)
+				v := c.Rank()
+				Replay(c, "linear", &v, func(h *Replayer, states []*int) {
+					h.AlltoallLinear(func(r int) []int { return ring(r, p, radius) }, tags, size)
+				})
+			})
+			gotEvs, wantEvs := virtualEvents(got.Events), virtualEvents(want.Events)
+			for r := 0; r < p; r++ {
+				if math.Float64bits(got.Clocks[r]) != math.Float64bits(want.Clocks[r]) ||
+					got.MessagesSent[r] != want.MessagesSent[r] || got.BytesSent[r] != want.BytesSent[r] ||
+					!reflect.DeepEqual(gotEvs[r], wantEvs[r]) {
+					t.Fatalf("%d ranks, radius %d, rank %d: the replay differs from the messages:\n got %v %v\nwant %v %v",
+						p, radius, r, got.Clocks[r], gotEvs[r], want.Clocks[r], wantEvs[r])
+				}
+			}
+		}
+	}
+	// Orders that do not name each other equally often match no messages.
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "staging orders that do not pair up") {
+			t.Fatalf("asymmetric orders: panic %q", msg)
+		}
+	}()
+	Run(Config{Ranks: 3}, func(c *Comm) {
+		v := c.Rank()
+		Replay(c, "linear", &v, func(h *Replayer, states []*int) {
+			h.AlltoallLinear(func(r int) []int { return []int{r, (r + 1) % 3} }, tags, size)
+		})
+	})
 }
 
 // The linear replay keeps O(P) scratch — one clock per rank, not one arrival

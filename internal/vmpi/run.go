@@ -190,6 +190,7 @@ func Run(cfg Config, f func(c *Comm)) *Stats {
 		w.insts[i] = rt.newInstance(w, i, i, 0)
 	}
 	rt.world = w
+	debugWorldStart()
 	defer debugWorldEnd(rt)
 	exec := rt.execute(cfg.Workers, n)
 	final := rt.currentWorld()

@@ -41,7 +41,9 @@ race:
 # FIFO model and its deadlock verdict, the rendezvous collectives (clocks,
 # counters, results, events) against their message-level bodies, and the
 # replayed merge-exchange and rotational sorts (the same, plus items)
-# against the message-level ones. This is the
+# against the message-level ones, and the torus network cost (per-hop
+# tables, hops by mask and shift) against the division-based body on random
+# tori of up to 65 536 ranks. This is the
 # one list of fuzz targets: a new target joins it here and nowhere else. The
 # committed seed corpora (internal/*/testdata/fuzz) already run in every go
 # test.
@@ -49,7 +51,8 @@ FUZZ_TARGETS := internal/fmm:FuzzOperatorsMatchReference internal/fft:FuzzPanelM
 	internal/fft:FuzzTransformMatchesReference \
 	internal/vmpi:FuzzMailboxMatchesReference internal/redist:FuzzPlanMatchesOracle \
 	internal/obs:FuzzAggregatesMatchLog internal/rankexec:FuzzExecutorMatchesModel \
-	internal/vmpi:FuzzCollectivesMatchMessageLevel internal/psort:FuzzSortMergeMatchesMessageLevel
+	internal/vmpi:FuzzCollectivesMatchMessageLevel internal/psort:FuzzSortMergeMatchesMessageLevel \
+	internal/netmodel:FuzzTorusCostMatchesReference
 
 fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \

@@ -19,7 +19,10 @@
 // serialization) costs to advance virtual clocks.
 package netmodel
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Model is a network performance model. Implementations must be safe for
 // concurrent use; all methods are pure.
@@ -81,22 +84,36 @@ func (s *Switched) Name() string { return "switched" }
 // ordered and pay a per-hop latency as well as a per-hop bandwidth penalty
 // that stands in for link sharing on long routes. Nearest neighbors in the
 // torus therefore communicate much more cheaply than distant ranks.
+//
+// A Torus is built by NewTorus, which precomputes what Cost needs per hop
+// count; it is read-only afterwards.
 type Torus struct {
-	// Dims are the torus dimensions; the product must cover the number of
-	// ranks in use (ranks beyond the product are rejected).
-	Dims []int
-	// BaseLatency is the fixed per-message overhead in seconds.
-	BaseLatency float64
-	// HopLatency is the added latency per traversed hop in seconds.
-	HopLatency float64
-	// Bandwidth is the single-link bandwidth in bytes per second.
-	Bandwidth float64
-	// HopBandwidthPenalty scales the effective transfer time per extra hop,
-	// modelling contention of long routes on shared links.
-	HopBandwidthPenalty float64
-	// InjectionBandwidth is the per-rank port injection rate in bytes/s.
-	InjectionBandwidth float64
+	// dims are the torus dimensions, each a power of two; shift[i] is
+	// log2(dims[i]). Their product covers the ranks in use (ranks beyond
+	// it are rejected by Validate).
+	dims  []int
+	shift []uint
+	// byHops[h] is the latency and effective bandwidth of an h-hop route,
+	// for every h Hops can return.
+	byHops []route
 }
+
+// The torus's Blue Gene/Q-like parameters.
+const (
+	torusBaseLatency = 0.8e-6 // fixed per-message overhead, s
+	torusHopLatency  = 0.1e-6 // added latency per traversed hop, s
+	torusBandwidth   = 2e9    // single-link bandwidth, bytes/s
+	// torusHopPenalty scales the effective transfer time per extra hop,
+	// modelling contention of long routes on shared links.
+	torusHopPenalty = 0.35
+	// torusInjection is the per-rank port injection rate in bytes/s: 16
+	// processes per node share the torus links.
+	torusInjection = 1e9
+)
+
+// route is what an h-hop message pays: latency torusBaseLatency +
+// h·torusHopLatency and bandwidth torusBandwidth/(1 + torusHopPenalty·(h−1)).
+type route struct{ latency, bandwidth float64 }
 
 // NewTorus returns a Torus model for the given number of ranks with Blue
 // Gene/Q-like parameters: sub-microsecond neighbor latency, 2 GB/s links.
@@ -104,29 +121,37 @@ type Torus struct {
 // (a 3D stand-in for BG/Q's 5D torus; the hop-distance distribution is what
 // matters for the redistribution experiments).
 func NewTorus(ranks int) *Torus {
-	return &Torus{
-		Dims:                nearCubicDims(ranks, 3),
-		BaseLatency:         0.8e-6,
-		HopLatency:          0.1e-6,
-		Bandwidth:           2e9,
-		HopBandwidthPenalty: 0.35,
-		InjectionBandwidth:  1e9, // 16 processes per node share the torus links
+	t := &Torus{dims: nearCubicDims(ranks, 3)}
+	t.shift = make([]uint, len(t.dims))
+	longest := 0 // half of every dimension
+	for i, n := range t.dims {
+		t.shift[i] = uint(bits.TrailingZeros(uint(n)))
+		longest += n / 2
 	}
+	// Distinct ranks are at least one hop apart (Hops), even on one node.
+	t.byHops = make([]route, max(longest, 1)+1)
+	for h := 1; h < len(t.byHops); h++ {
+		t.byHops[h] = route{
+			latency:   torusBaseLatency + float64(h)*torusHopLatency,
+			bandwidth: torusBandwidth / (1 + torusHopPenalty*float64(h-1)),
+		}
+	}
+	return t
 }
 
-// Cost implements Model.
+// Cost implements Model: the route's latency plus the transfer time at its
+// effective bandwidth, both from the table NewTorus built.
 func (t *Torus) Cost(src, dst, bytes int) float64 {
 	if src == dst {
 		return localCopyCost(bytes)
 	}
-	h := t.Hops(src, dst)
-	bw := t.Bandwidth / (1 + t.HopBandwidthPenalty*float64(h-1))
-	return t.BaseLatency + float64(h)*t.HopLatency + float64(bytes)/bw
+	r := &t.byHops[t.Hops(src, dst)]
+	return r.latency + float64(bytes)/r.bandwidth
 }
 
 // Injection implements Model.
 func (t *Torus) Injection(bytes int) float64 {
-	return float64(bytes) / t.InjectionBandwidth
+	return float64(bytes) / torusInjection
 }
 
 // Name implements Model.
@@ -134,8 +159,9 @@ func (t *Torus) Name() string { return "torus" }
 
 // Hops returns the dimension-ordered routing distance between two ranks.
 // The per-dimension coordinates (row-major, last dimension fastest) are
-// peeled off inline — this runs once per message in the network model, so
-// it must not allocate.
+// peeled off inline with a mask and a shift per dimension, as every
+// dimension is a power of two — this runs once per message in the network
+// model, so it must not allocate.
 //
 //parlint:hotalloc
 func (t *Torus) Hops(src, dst int) int {
@@ -143,11 +169,11 @@ func (t *Torus) Hops(src, dst int) int {
 		return 0
 	}
 	hops := 0
-	for i := len(t.Dims) - 1; i >= 0; i-- {
-		n := t.Dims[i]
-		d := src%n - dst%n
-		src /= n
-		dst /= n
+	for i := len(t.dims) - 1; i >= 0; i-- {
+		n, s := t.dims[i], t.shift[i]
+		d := src&(n-1) - dst&(n-1)
+		src >>= s
+		dst >>= s
 		if d < 0 {
 			d = -d
 		}
@@ -167,15 +193,15 @@ func (t *Torus) Hops(src, dst int) int {
 // MaxRanks returns the number of ranks the torus covers.
 func (t *Torus) MaxRanks() int {
 	n := 1
-	for _, d := range t.Dims {
+	for _, d := range t.dims {
 		n *= d
 	}
 	return n
 }
 
-// nearCubicDims factors n into dims near-cubic dimensions whose product is
-// at least n, preferring balanced factors. For powers of two the product is
-// exactly n.
+// nearCubicDims factors n into dims near-cubic dimensions, each a power of
+// two, whose product is at least n, preferring balanced factors. For powers
+// of two the product is exactly n.
 func nearCubicDims(n, dims int) []int {
 	if n < 1 {
 		n = 1
@@ -219,7 +245,7 @@ func localCopyCost(bytes int) float64 {
 func Validate(m Model, ranks int) error {
 	if t, ok := m.(*Torus); ok {
 		if t.MaxRanks() < ranks {
-			return fmt.Errorf("netmodel: torus %v covers %d ranks, need %d", t.Dims, t.MaxRanks(), ranks)
+			return fmt.Errorf("netmodel: torus %v covers %d ranks, need %d", t.dims, t.MaxRanks(), ranks)
 		}
 	}
 	return nil

@@ -56,7 +56,7 @@ func TestTorusHopsNeighbor(t *testing.T) {
 }
 
 func TestTorusWraparound(t *testing.T) {
-	tr := &Torus{Dims: []int{4, 4, 4}, BaseLatency: 1e-6, HopLatency: 1e-7, Bandwidth: 1e9, InjectionBandwidth: 1e9}
+	tr := NewTorus(64) // 4x4x4
 	// coords(3) = (0,0,3); coords(0) = (0,0,0): distance min(3, 1) = 1 via wrap.
 	if got := tr.Hops(0, 3); got != 1 {
 		t.Errorf("wraparound Hops(0,3) = %d, want 1", got)
@@ -153,5 +153,92 @@ func TestInjectionPositive(t *testing.T) {
 		if m.Injection(0) != 0 {
 			t.Errorf("%s: zero bytes should inject in zero time", m.Name())
 		}
+	}
+}
+
+// refHops is Torus.Hops as it was before the shift-and-mask form: the
+// coordinates peeled off by division, for dims of any size. The reference
+// the tests and FuzzTorusCostMatchesReference compare Hops against.
+func refHops(t *Torus, src, dst int) int {
+	if src == dst {
+		return 0
+	}
+	hops := 0
+	for i := len(t.dims) - 1; i >= 0; i-- {
+		n := t.dims[i]
+		d := src%n - dst%n
+		src /= n
+		dst /= n
+		if d < 0 {
+			d = -d
+		}
+		if w := n - d; w < d {
+			d = w
+		}
+		hops += d
+	}
+	if hops == 0 {
+		hops = 1
+	}
+	return hops
+}
+
+// refTorusCost is Torus.Cost as it was before the per-hop tables: latency
+// and bandwidth computed from the parameters for every message.
+func refTorusCost(t *Torus, src, dst, bytes int) float64 {
+	if src == dst {
+		return localCopyCost(bytes)
+	}
+	h := refHops(t, src, dst)
+	bw := torusBandwidth / (1 + torusHopPenalty*float64(h-1))
+	return torusBaseLatency + float64(h)*torusHopLatency + float64(bytes)/bw
+}
+
+// Hops and Cost match their references bit for bit on every node pair of
+// tori with power-of-two and other rank counts (the latter covered by a
+// larger power-of-two torus), for message sizes from empty to 1 GiB.
+func TestTorusCostMatchesReference(t *testing.T) {
+	sizes := []int{0, 1, 8, 24, 1000, 65536, 1 << 30}
+	for _, p := range []int{1, 2, 3, 8, 27, 64, 100, 512, 1024} {
+		tr := NewTorus(p)
+		for src := 0; src < p; src++ {
+			for dst := 0; dst < p; dst++ {
+				if got, want := tr.Hops(src, dst), refHops(tr, src, dst); got != want {
+					t.Fatalf("P=%d (dims %v): Hops(%d, %d) = %d, reference %d", p, tr.dims, src, dst, got, want)
+				}
+				for _, b := range sizes {
+					got, want := tr.Cost(src, dst, b), refTorusCost(tr, src, dst, b)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("P=%d (dims %v): Cost(%d, %d, %d) = %v, reference %v", p, tr.dims, src, dst, b, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzTorusCostMatchesReference compares Cost with refTorusCost, bit for
+// bit, on random tori of up to 65 536 ranks, node pairs and byte counts.
+// Its seed corpus is under testdata/fuzz.
+func FuzzTorusCostMatchesReference(f *testing.F) {
+	f.Fuzz(func(t *testing.T, p, src, dst uint32, bytes uint64) {
+		ranks := int(p%65536) + 1
+		s, d, b := int(src)%ranks, int(dst)%ranks, int(bytes>>2)
+		tr := NewTorus(ranks)
+		if got, want := tr.Cost(s, d, b), refTorusCost(tr, s, d, b); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("P=%d (dims %v): Cost(%d, %d, %d) = %v, reference %v", ranks, tr.dims, s, d, b, got, want)
+		}
+	})
+}
+
+var costSink float64
+
+// BenchmarkTorusCost is one message's network cost on the 4096-rank torus
+// of the Figure 10 merge-sort cell, over scattered node pairs.
+func BenchmarkTorusCost(b *testing.B) {
+	m := NewTorus(4096)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		costSink += m.Cost(i&4095, (i*7919)&4095, 1024)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/netmodel"
 	"repro/internal/vmpi"
 )
 
@@ -154,4 +155,39 @@ func TestSortPartitionMaxKeys(t *testing.T) {
 		return SortPartition(c, items, recKey)
 	})
 	checkGloballySorted(t, in, out)
+}
+
+// BenchmarkSortMerge4096 is one world of the Figure 10 merge-sort cell: 4096
+// ranks on the torus, each holding 128 sorted keys of its own key range, one
+// in eight of which drifted by up to half a range before the sort. Most
+// comparators of the network see an ordered pair, so the replay's
+// per-comparator cost — the header check and its messages — weighs heavily.
+func BenchmarkSortMerge4096(b *testing.B) {
+	const p, perRank, width = 4096, 128, 1 << 20
+	cfg := vmpi.Config{Ranks: p, Model: netmodel.NewTorus(p), ComputeScale: 2.5}
+	body := func(c *vmpi.Comm) {
+		keys := make([]uint64, perRank)
+		base := int64(c.Rank()) * width
+		for i := range keys {
+			h := mix64(uint64(c.Rank()*perRank + i))
+			k := base + int64(i*width/perRank) + int64(h%(width/perRank)) // sorted
+			if h>>61 == 0 {
+				k += int64(h>>20%width) - width/2
+			}
+			keys[i] = uint64(min(max(k, 0), p*width-1))
+		}
+		SortMerge(c, keys, func(k uint64) uint64 { return k })
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		vmpi.Run(cfg, body)
+	}
+}
+
+// mix64 is the SplitMix64 finaliser: a cheap, deterministic key stream.
+func mix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
 }

@@ -211,7 +211,10 @@ func SortMerge[T any](c *vmpi.Comm, items []T, key func(T) uint64) []T {
 	}
 	st := mergeState[T]{items: items}
 	vmpi.Replay(c, "SortMerge", &st, func(h *vmpi.Replayer, states []*mergeState[T]) {
-		m := merger[T]{h, states, key}
+		m := merger[T]{h: h, states: states, key: key, hdr: make([]header, len(states))}
+		for r, s := range states {
+			m.hdr[r] = headerOf(s.items, key)
+		}
 		mergeExchange(len(states), m.split)
 		m.cleanup()
 	})
@@ -223,18 +226,22 @@ func SortMerge[T any](c *vmpi.Comm, items []T, key func(T) uint64) []T {
 // of allocating per comparator.
 type mergeState[T any] struct{ items, spare []T }
 
-// merger replays a merge sort over every rank's state.
+// merger replays a merge sort over every rank's state. hdr[r] is the header
+// of rank r's items, kept current by split: the comparators and the cleanup
+// check read it instead of every rank's first and last items.
 type merger[T any] struct {
 	h      *vmpi.Replayer
 	states []*mergeState[T]
 	key    func(T) uint64
+	hdr    []header
 }
 
 // split replays the comparator with rank i on its low input and j on its
 // high one, charging each of the two what a message-level merge-split
 // charges it, in program order — the header exchange; unless the pair is
 // ordered, the count exchange; unless t = 0, the data exchange,
-// RedistElem·2t and the merge — and merges both sides in place.
+// RedistElem·2t and the merge — and merges both sides in place, refreshing
+// both headers.
 //
 // The exchange is count-negotiated: at most t = min(k_i, k_j) elements can
 // change sides, where k_i is the number of i's elements above j's minimum
@@ -246,7 +253,7 @@ type merger[T any] struct {
 // sorting exploits (§III-B).
 func (m *merger[T]) split(i, j int) {
 	lo, hi, key := m.states[i], m.states[j], m.key
-	hl, hh := headerOf(lo.items, key), headerOf(hi.items, key)
+	hl, hh := m.hdr[i], m.hdr[j]
 	exchange(m.h, i, j, int(unsafe.Sizeof(hl)), tagHeader)
 	if hl.ordered(hh) {
 		return
@@ -264,6 +271,7 @@ func (m *merger[T]) split(i, j int) {
 	hi.items, hi.spare = mergeHigh(hi.items, low[nl-t:], hi.spare, key)
 	m.h.Compute(i, costs.MergeTime(nl, 2))
 	m.h.Compute(j, costs.MergeTime(t+nh, 2))
+	m.hdr[i], m.hdr[j] = headerOf(lo.items, key), headerOf(hi.items, key)
 }
 
 // exchange charges a pairwise exchange of bytes on tag between ranks i and
@@ -316,8 +324,8 @@ func (m *merger[T]) cleanup() {
 // empty ranks; every rank is locally sorted.
 func (m *merger[T]) sorted() bool {
 	prevMax, have := uint64(0), false
-	for _, s := range m.states {
-		if h := headerOf(s.items, m.key); h.Count > 0 {
+	for _, h := range m.hdr {
+		if h.Count > 0 {
 			if have && h.Min < prevMax {
 				return false
 			}

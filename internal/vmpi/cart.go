@@ -1,6 +1,9 @@
 package vmpi
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Cart is a Cartesian process topology over a communicator, analogous to an
 // MPI Cartesian communicator. Rank r maps to coordinates in row-major order.
@@ -129,21 +132,25 @@ func (g *Cart) Shift(dim, disp int) (src, dst int) {
 // the calling rank in the grid (excluding the rank itself), in ascending
 // rank order. Radius 1 yields the up-to-3^d-1 direct neighbors used for
 // neighborhood communication.
-func (g *Cart) Neighbors(radius int) []int {
-	coords := g.Coords(g.Rank())
-	seen := map[int]bool{}
-	var out []int
-	offs := make([]int, len(g.dims))
-	for i := range offs {
+func (g *Cart) Neighbors(radius int) []int { return g.neighbors(g.Rank(), radius) }
+
+// neighbors is Neighbors of any rank: every offset in [-radius, radius]^d
+// is visited with one coordinate buffer, and the ranks a wrap reaches twice
+// are dropped after the sort.
+func (g *Cart) neighbors(rank, radius int) []int {
+	coords := g.Coords(rank)
+	offs, at := make([]int, len(coords)), make([]int, len(coords))
+	visits, size := 1, 1
+	for i, d := range g.dims {
 		offs[i] = -radius
+		visits, size = visits*(2*radius+1), size*d
 	}
+	out := make([]int, 0, min(visits, size))
 	for {
-		c2 := make([]int, len(coords))
 		for i := range coords {
-			c2[i] = coords[i] + offs[i]
+			at[i] = coords[i] + offs[i]
 		}
-		if r := g.RankOf(c2); r >= 0 && r != g.Rank() && !seen[r] {
-			seen[r] = true
+		if r := g.RankOf(at); r >= 0 && r != rank {
 			out = append(out, r)
 		}
 		// odometer increment
@@ -159,14 +166,6 @@ func (g *Cart) Neighbors(radius int) []int {
 			break
 		}
 	}
-	sortInts(out)
-	return out
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }

@@ -270,19 +270,30 @@ func (g *rendezvous) alltoall(bytes func(src, dst int) int) {
 // what those ranks sent it, each pair's in the order sent: what a loop of
 // Send and then one of Recv charge. Ranks must name each other equally often.
 //
-// Every rank's sends are charged first, keeping only its entry clock in
-// g.arrive; then the same sends are recomputed in sender order, a slot's
-// arrivals taken by their receiver once its own order waits for them and
-// queued until then — next[d] is the slot rank d takes next. Orders whose
-// other ranks ascend, the identity among them, queue nothing.
+// Two passes over the sends, which work out each message's network cost
+// once (twice under Config.Trace). The first charges every rank's sends to
+// its clock — overhead and injection, all a sender's clock needs (post) —
+// keeping its entry clock in g.entry; under Config.Trace it charges them as
+// sends, with the arrivals their events carry. The second walks the sends
+// again in sender order from the entry clocks, works out each message's
+// arrival and hands it to its receiver once its own order waits for that
+// slot, queuing it until then — next[d] is the slot rank d takes next.
+// Orders whose other ranks ascend, the identity among them, queue nothing.
 func (h *Replayer) AlltoallLinear(order func(r int) []int, tags []int, bytes func(r, k, i int) int) {
 	g := h.g
 	p, nt := len(g.slots), len(tags)
+	if cap(g.entry) < p {
+		g.entry = make([]float64, p)
+	}
 	for s := range g.slots {
-		g.arrive[s] = g.slots[s].clock
+		g.entry[s] = g.slots[s].clock
 		for k, d := range order(s) {
 			for i := 0; i < nt && d != s; i++ {
-				g.send(s, d, bytes(s, k, i), tags[i])
+				if g.rt.trace {
+					g.send(s, d, bytes(s, k, i), tags[i])
+				} else {
+					g.post(s, bytes(s, k, i))
+				}
 			}
 		}
 	}
@@ -305,7 +316,7 @@ func (h *Replayer) AlltoallLinear(order func(r int) []int, tags []int, bytes fun
 	}
 	var queue [][]arrival // by receiver, once one gets a slot's arrivals before it waits for them
 	for s := range g.slots {
-		clock := g.arrive[s]
+		clock := g.entry[s]
 		for k, d := range order(s) {
 			take := d != s && waits(d) == s
 			for i := 0; i < nt && d != s; i++ {

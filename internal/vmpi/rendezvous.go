@@ -60,6 +60,12 @@ type rdvSlot struct {
 	tr    *rdvTrace // set while the rank's events are listened to
 }
 
+// rdvMsg is one message of a round: its ends, its size and its arrival.
+type rdvMsg struct {
+	src, dst, bytes int
+	arrive          float64
+}
+
 // rdvDone marks a slot's generation as replayed.
 const rdvDone = 1 << 63
 
@@ -72,12 +78,15 @@ type rdvTrace struct {
 
 // rendezvous is one communicator's meeting point, held in Runtime.rdv.
 // Ranks read offs after they wake; only the next replay rewrites it, and it
-// needs every rank to have entered again.
+// needs every rank to have entered again. The replay's scratch is O(P): a
+// round's messages (at most one per rank), AlltoallLinear's entry clocks and
+// the Allgather offsets.
 type rendezvous struct {
 	rt             *Runtime
 	members, nodes []int // instance id and network position of each rank
 	slots          []rdvSlot
-	arrive         []float64
+	msgs           []rdvMsg
+	entry          []float64
 	offs           []int
 
 	mu      sync.Mutex
@@ -95,7 +104,7 @@ func (c *Comm) meeting() *rendezvous {
 		c.rt.mu.Lock()
 		if c.rdv = c.rt.rdv[c.ctx]; c.rdv == nil {
 			c.rdv = &rendezvous{rt: c.rt, members: c.members, nodes: make([]int, p),
-				slots: make([]rdvSlot, p), arrive: make([]float64, p), gen: 1}
+				slots: make([]rdvSlot, p), gen: 1}
 			for r := range c.rdv.nodes {
 				c.rdv.nodes[r] = c.inst(r).node
 			}
@@ -225,18 +234,25 @@ func (h *Replayer) Compute(rank int, seconds float64) {
 	h.g.slots[rank].clock += seconds * h.g.rt.computeScale
 }
 
-// round replays one step of an algorithm, whose n messages edge(i) = (src,
-// dst, bytes) leave after their sender's previous step and arrive for their
-// receiver's next: every send, then every receive, in message order — each
-// rank's program order, as a rank sends before it receives within a step.
+// round replays one step of an algorithm, whose n ≤ P messages edge(i) =
+// (src, dst, bytes) leave after their sender's previous step and arrive for
+// their receiver's next: every send, then every receive, in message order —
+// each rank's program order, as a rank sends before it receives within a
+// step. edge is called once per message; g.msgs keeps what the receives
+// need.
 func (g *rendezvous) round(n, tag int, edge func(i int) (src, dst, bytes int)) {
-	for i := 0; i < n; i++ {
-		src, dst, bytes := edge(i)
-		g.arrive[i] = g.send(src, dst, bytes, tag)
+	if cap(g.msgs) < n {
+		g.msgs = make([]rdvMsg, n)
 	}
-	for i := 0; i < n; i++ {
-		src, dst, bytes := edge(i)
-		g.recv(src, dst, bytes, g.arrive[i])
+	msgs := g.msgs[:n]
+	for i := range msgs {
+		m := &msgs[i]
+		m.src, m.dst, m.bytes = edge(i)
+		m.arrive = g.send(m.src, m.dst, m.bytes, tag)
+	}
+	for i := range msgs {
+		m := &msgs[i]
+		g.recv(m.src, m.dst, m.bytes, m.arrive)
 	}
 }
 
@@ -254,6 +270,16 @@ func (g *rendezvous) send(src, dst, bytes, tag int) float64 {
 			Peer: g.members[dst], Tag: tag, Bytes: bytes, T: start, T2: arrive})
 	}
 	return arrive
+}
+
+// post charges a message to its sender as send does — sendClocks' start
+// plus the injection time, bit for bit — without working out its arrival:
+// for a schedule that works out arrivals in a later pass.
+func (g *rendezvous) post(src, bytes int) {
+	s := &g.slots[src]
+	s.clock = s.clock + sendOverhead + g.rt.model.Injection(bytes)
+	s.msgs++
+	s.bytes += int64(bytes)
 }
 
 func (g *rendezvous) recv(src, dst, bytes int, arrive float64) {

@@ -359,21 +359,50 @@ func TestReplayerAlltoallLinearFollowsStagingOrders(t *testing.T) {
 }
 
 // The linear replay keeps O(P) scratch — one clock per rank, not one arrival
-// per message — at 2048 ranks: the call a budgeted dense redist.Execute
-// makes, with the empty parts of a rank that routes nothing.
+// per message: at 2048 ranks, the call a budgeted dense redist.Execute makes
+// with the empty parts of a rank that routes nothing, and at 512 ranks a
+// dense one in which every rank sends every other a non-empty part. Every
+// slice the rendezvous holds counts, so scratch of one entry per message
+// kept in any field, present or future, fails.
 func TestAlltoallLinearScratchIsLinear(t *testing.T) {
 	if raceEnabled || DebugEnabled() {
 		t.Skip("2048² part headers under instrumentation")
 	}
-	const p = 2048
-	empty := make([][]byte, p) // read-only, shared by every rank
-	st := Run(Config{Ranks: p, Workers: 1}, func(c *Comm) {
-		AlltoallLinear(c, empty, 221)
-		if g := c.meeting(); c.Rank() == 0 {
-			c.SetResult(cap(g.arrive) + cap(g.offs))
+	empty := make([][]byte, 2048) // read-only, shared by every rank
+	for _, tc := range []struct {
+		p     int
+		parts func(rank, p int) [][]byte
+	}{
+		{len(empty), func(int, int) [][]byte { return empty }},
+		{512, func(rank, p int) [][]byte {
+			parts := make([][]byte, p)
+			for d := range parts {
+				parts[d] = make([]byte, 1+(rank+d)%8)
+			}
+			return parts
+		}},
+	} {
+		p := tc.p
+		st := Run(Config{Ranks: p, Workers: 1}, func(c *Comm) {
+			ReleaseBlocks(AlltoallLinear(c, tc.parts(c.Rank(), p), 221))
+			if g := c.meeting(); c.Rank() == 0 {
+				c.SetResult(rdvScratch(g))
+			}
+		})
+		if got, max := st.Values[0].(int), 8*p; got > max {
+			t.Fatalf("the rendezvous holds %d slice elements after a %d-rank AlltoallLinear, want at most %d", got, p, max)
 		}
-	})
-	if got := st.Values[0].(int); got > 2*p {
-		t.Fatalf("rendezvous scratch holds %d elements after a %d-rank AlltoallLinear, want at most %d", got, p, 2*p)
 	}
+}
+
+// rdvScratch is the number of elements every slice field of g has room for.
+func rdvScratch(g *rendezvous) int {
+	n := 0
+	v := reflect.ValueOf(g).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Kind() == reflect.Slice {
+			n += f.Cap()
+		}
+	}
+	return n
 }

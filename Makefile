@@ -75,14 +75,16 @@ fig10:
 vet:
 	$(GO) vet ./...
 
-# Repo-specific analyzers (see DESIGN.md, "Enforced invariants"): buffer ownership
-# (ownedbuf), hot-path determinism (determinism), SPMD collective
-# symmetry (collsym), and hot-kernel allocations (hotalloc).
+# Repo-specific analyzers (see DESIGN.md, "Enforced invariants"): hot-path
+# determinism (determinism), SPMD collective symmetry (collsym), and
+# hot-kernel allocations (hotalloc). Buffer ownership is checked at run
+# time (debugtest).
 lint:
 	$(GO) run ./cmd/parlint ./...
 
 # The runtime ownership checker (use-after-transfer, double release, writes
-# to shared Allreduce/Allgather results) compiled into the tests of vmpi and
+# to transferred buffers and to shared Allreduce/Allgather results; the one
+# enforcer of the ownership protocol) compiled into the tests of vmpi and
 # of every package that calls it. paperbench stays out: it adds some 50 s.
 DEBUG_PKGS := vmpi psort redist fft pnfft fmm coupling elastic shortrange core mdsim
 

@@ -28,14 +28,12 @@ import (
 	"repro/internal/analysis/collsym"
 	"repro/internal/analysis/determinism"
 	"repro/internal/analysis/hotalloc"
-	"repro/internal/analysis/ownedbuf"
 )
 
 var analyzers = []*analysis.Analyzer{
 	collsym.Analyzer,
 	determinism.Analyzer,
 	hotalloc.Analyzer,
-	ownedbuf.Analyzer,
 }
 
 // finding is the machine-readable form of one diagnostic.

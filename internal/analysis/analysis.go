@@ -6,19 +6,17 @@
 // The driver is two-phase and interprocedural. Phase 1 walks every loaded
 // package in dependency order and computes per-function fact summaries
 // (FuncFacts in facts.go: does this function enter a collective, return
-// the rank, read a nondeterminism source, allocate on every call,
-// relinquish a buffer parameter, ...), seeded by intrinsic axioms for
-// vmpi, hostpar, time, runtime and sync/atomic. Phase 2 re-runs the
-// analyzers over the target packages with the completed global fact table,
-// so a helper's behavior is visible at its call sites across package
-// boundaries.
+// the rank, read a nondeterminism source, allocate on every call, ...),
+// seeded by intrinsic axioms for vmpi, hostpar, time, runtime and
+// sync/atomic. Phase 2 re-runs the analyzers over the target packages with
+// the completed global fact table, so a helper's behavior is visible at its
+// call sites across package boundaries.
 //
 // The analyzers machine-check the contracts that the messaging layer and
-// the host-parallel kernels otherwise state only in comments:
+// the host-parallel kernels otherwise state only in comments (the
+// messaging layer's buffer-ownership protocol is checked at run time, by
+// vmpi's -tags vmpidebug checker):
 //
-//   - ownedbuf: the zero-copy ownership protocol of vmpi.SendOwned /
-//     vmpi.AlltoallOwned / vmpi.Release (no use after transfer, no double
-//     release).
 //   - determinism: no nondeterminism sources (map iteration order,
 //     wall-clock reads, math/rand, atomics, GOMAXPROCS-dependent branches)
 //     in hostpar kernel closures or the FMM / P2NFFT hot paths.
@@ -145,6 +143,16 @@ func CalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 // allowRe matches parlint allow comments: //parlint:allow a,b -- reason
 var allowRe = regexp.MustCompile(`^//\s*parlint:allow\s+([A-Za-z0-9_,\- ]+?)\s*(?:--.*)?$`)
 
+// AllowNames returns the analyzers a comment's text waives, or nil when it
+// is no allow comment.
+func AllowNames(comment string) []string {
+	m := allowRe.FindStringSubmatch(comment)
+	if m == nil {
+		return nil
+	}
+	return strings.FieldsFunc(m[1], func(r rune) bool { return r == ',' || r == ' ' })
+}
+
 // suppressedLines collects, per analyzer name, the set of file:line keys on
 // which diagnostics are suppressed by allow comments. A comment suppresses
 // its own line and the following line (for comments placed above a
@@ -154,15 +162,8 @@ func suppressedLines(fset *token.FileSet, files []*ast.File) map[string]map[stri
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				m := allowRe.FindStringSubmatch(c.Text)
-				if m == nil {
-					continue
-				}
 				pos := fset.Position(c.Pos())
-				for _, name := range strings.FieldsFunc(m[1], func(r rune) bool { return r == ',' || r == ' ' }) {
-					if name == "" {
-						continue
-					}
+				for _, name := range AllowNames(c.Text) {
 					set := out[name]
 					if set == nil {
 						set = map[string]bool{}

@@ -10,8 +10,8 @@ import (
 // of RunAnalyzers walks every loaded package in dependency order (the order
 // `go list -deps` emits them: dependencies first) and computes one FuncFacts
 // summary per function. Phase 2 then re-runs the analyzers with the whole
-// fact table in Pass.Facts, so a check can follow a value, a buffer, or an
-// allocation across a call — including across package boundaries —
+// fact table in Pass.Facts, so a check can follow a value or an allocation
+// across a call — including across package boundaries —
 // without whole-program SSA. The design mirrors x/tools' analysis facts,
 // reduced to a monotone bit-set per function so a per-package fixpoint
 // converges in a handful of passes.
@@ -52,17 +52,6 @@ type FuncFacts struct {
 	// cache-miss fill idiom `if cached { return } ...make...` — do not
 	// set this, which is what lets hotalloc accept plan caches.
 	AllocatesAlways bool
-	// TransfersParam / ReleasesParam: bit i set when the slice passed as
-	// parameter i is relinquished via vmpi.SendOwned/AlltoallOwned, resp.
-	// released via vmpi.Release/ReleaseBlocks — possibly through further
-	// helpers.
-	TransfersParam uint64
-	ReleasesParam  uint64
-	// SharedResult: the function returns a shared read-only broadcast view
-	// — the result of vmpi.Allreduce/Allgather, directly, through a
-	// local, or through a further helper — which callers may read and
-	// Release but never write or relinquish.
-	SharedResult bool
 	// HotAlloc: the declaration carries a //parlint:hotalloc directive,
 	// opting it into the hotalloc analyzer's zero-allocation contract.
 	HotAlloc bool
@@ -88,9 +77,6 @@ func (f *FuncFacts) merge(o FuncFacts) bool {
 	orBits(&f.ParamResult, o.ParamResult)
 	or(&f.Nondet, o.Nondet)
 	or(&f.AllocatesAlways, o.AllocatesAlways)
-	orBits(&f.TransfersParam, o.TransfersParam)
-	orBits(&f.ReleasesParam, o.ReleasesParam)
-	or(&f.SharedResult, o.SharedResult)
 	or(&f.HotAlloc, o.HotAlloc)
 	return changed
 }
@@ -155,26 +141,6 @@ var VmpiCollectives = map[string]bool{
 	"Replay": true,
 }
 
-// VmpiSharedResults are the vmpi collectives whose result is a shared
-// read-only view of one broadcast buffer (see internal/vmpi/pool.go).
-var VmpiSharedResults = map[string]bool{"Allreduce": true, "Allgather": true}
-
-// SharedViewCall returns the callee when e is a call — possibly resliced —
-// of a function whose result is a shared read-only broadcast view, else
-// nil.
-func (f *Facts) SharedViewCall(info *types.Info, e ast.Expr) (*types.Func, *ast.CallExpr) {
-	e = ast.Unparen(e)
-	if se, ok := e.(*ast.SliceExpr); ok {
-		e = ast.Unparen(se.X)
-	}
-	if call, ok := e.(*ast.CallExpr); ok {
-		if fn := CalleeFunc(info, call); fn != nil && f.Of(fn).SharedResult {
-			return fn, call
-		}
-	}
-	return nil, nil
-}
-
 // VmpiCollectiveMethods are Comm methods with collective semantics.
 var VmpiCollectiveMethods = map[string]bool{"Split": true, "Dup": true}
 
@@ -199,7 +165,6 @@ func intrinsicFacts(fn *types.Func) (FuncFacts, bool) {
 		}
 		return FuncFacts{
 			EntersCollective: (!method && VmpiCollectives[name]) || (method && VmpiCollectiveMethods[name]),
-			SharedResult:     !method && VmpiSharedResults[name],
 		}, true
 	case PkgIs(fn.Pkg(), "hostpar"):
 		return FuncFacts{}, true
@@ -563,54 +528,6 @@ func scanFuncFacts(pkg *Package, decl *ast.FuncDecl, f *Facts) FuncFacts {
 	out := FuncFacts{HotAlloc: hasHotAllocDirective(decl)}
 	tracker := NewDepTracker(info, f, decl, decl.Body)
 
-	// Parameter objects by index, for the buffer param facts.
-	paramAt := func(e ast.Expr) (int, bool) {
-		id, ok := ast.Unparen(e).(*ast.Ident)
-		if !ok {
-			return 0, false
-		}
-		obj := info.Uses[id]
-		if obj == nil {
-			return 0, false
-		}
-		i, ok := tracker.paramIdx[obj]
-		return i, ok
-	}
-
-	// Locals bound (anywhere in the body) to a shared broadcast view, so
-	// `all := vmpi.Allgather(...); return all` summarizes like the direct
-	// return. Two rounds cover a local aliasing another local.
-	sharedVars := map[types.Object]bool{}
-	sharedExpr := func(e ast.Expr) bool {
-		if fn, _ := f.SharedViewCall(info, e); fn != nil {
-			return true
-		}
-		e = ast.Unparen(e)
-		if se, ok := e.(*ast.SliceExpr); ok {
-			e = ast.Unparen(se.X)
-		}
-		id, ok := e.(*ast.Ident)
-		return ok && sharedVars[info.Uses[id]]
-	}
-	for round := 0; round < 2; round++ {
-		ast.Inspect(decl.Body, func(n ast.Node) bool {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok || len(as.Lhs) != len(as.Rhs) {
-				return true
-			}
-			for i, lhs := range as.Lhs {
-				id, ok := ast.Unparen(lhs).(*ast.Ident)
-				if !ok || !sharedExpr(as.Rhs[i]) {
-					continue
-				}
-				if obj := info.ObjectOf(id); obj != nil {
-					sharedVars[obj] = true
-				}
-			}
-			return true
-		})
-	}
-
 	ast.Inspect(decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.RangeStmt:
@@ -629,9 +546,6 @@ func scanFuncFacts(pkg *Package, decl *ast.FuncDecl, f *Facts) FuncFacts {
 					out.SubResult = true
 				}
 				out.ParamResult |= d.params
-				if len(n.Results) == 1 && sharedExpr(r) {
-					out.SharedResult = true
-				}
 			}
 		case *ast.CallExpr:
 			fn := CalleeFunc(info, n)
@@ -642,40 +556,6 @@ func scanFuncFacts(pkg *Package, decl *ast.FuncDecl, f *Facts) FuncFacts {
 			out.EntersCollective = out.EntersCollective || ff.EntersCollective
 			if ff.Nondet && !PkgIs(fn.Pkg(), "vmpi") && !PkgIs(fn.Pkg(), "hostpar") {
 				out.Nondet = true
-			}
-			// Param-indexed facts: a parameter forwarded into a
-			// consuming position inherits the consumption.
-			if PkgIs(fn.Pkg(), "vmpi") {
-				switch fn.Name() {
-				case "SendOwned", "AlltoallOwned":
-					if len(n.Args) > 1 {
-						if i, ok := paramAt(n.Args[1]); ok {
-							out.TransfersParam |= 1 << uint(i)
-						}
-					}
-				case "Release", "ReleaseBlocks":
-					if len(n.Args) > 0 {
-						if i, ok := paramAt(n.Args[0]); ok {
-							out.ReleasesParam |= 1 << uint(i)
-						}
-					}
-				}
-			} else {
-				for j, a := range n.Args {
-					if j >= 64 {
-						break
-					}
-					i, ok := paramAt(a)
-					if !ok {
-						continue
-					}
-					if ff.TransfersParam&(1<<uint(j)) != 0 {
-						out.TransfersParam |= 1 << uint(i)
-					}
-					if ff.ReleasesParam&(1<<uint(j)) != 0 {
-						out.ReleasesParam |= 1 << uint(i)
-					}
-				}
 			}
 		}
 		return true

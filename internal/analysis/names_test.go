@@ -12,9 +12,9 @@ import (
 )
 
 // TestVmpiNameListsMatchPackage: every name the analyzers treat as a vmpi
-// collective or shared-result producer is an exported top-level function
-// of internal/vmpi's non-test files, so a list cannot go stale silently
-// when vmpi drops or renames a call.
+// collective is an exported top-level function of internal/vmpi's non-test
+// files, so the list cannot go stale silently when vmpi drops or renames a
+// call.
 func TestVmpiNameListsMatchPackage(t *testing.T) {
 	files, err := filepath.Glob("../vmpi/*.go")
 	if err != nil {
@@ -39,14 +39,9 @@ func TestVmpiNameListsMatchPackage(t *testing.T) {
 	if len(funcs) == 0 {
 		t.Fatal("no exported functions found in ../vmpi")
 	}
-	for list, names := range map[string]map[string]bool{
-		"VmpiCollectives":   analysis.VmpiCollectives,
-		"VmpiSharedResults": analysis.VmpiSharedResults,
-	} {
-		for name := range names {
-			if !funcs[name] {
-				t.Errorf("analysis.%s lists %q, which is not an exported top-level function of internal/vmpi", list, name)
-			}
+	for name := range analysis.VmpiCollectives {
+		if !funcs[name] {
+			t.Errorf("analysis.VmpiCollectives lists %q, which is not an exported top-level function of internal/vmpi", name)
 		}
 	}
 }

@@ -202,7 +202,8 @@ func Alltoall[T any](c *Comm, parts [][]T) [][]T {
 // without a copy) and must not touch them afterwards. Parts must be
 // disjoint buffers — never subslices of one shared array, since different
 // receiving ranks would then alias each other's memory. Virtual cost is
-// identical to Alltoall.
+// identical to Alltoall. Under -tags vmpidebug the receivers get copies and
+// the relinquished originals are poisoned (debug_on.go).
 func AlltoallOwned[T any](c *Comm, parts [][]T) [][]T {
 	return alltoall(c, parts, true, collOp{name: "Alltoall", typ: typeID[T]()}, replayAlltoall[T])
 }
@@ -219,20 +220,16 @@ func alltoall[T any](c *Comm, parts [][]T, owned bool, op collOp, replay func(*r
 	for d, b := range parts {
 		if !owned {
 			b = copySlice(b)
-		} else if d != c.rank {
-			debugTransfer(b)
 		}
 		out[d] = b
+	}
+	if owned {
+		debugTransfer(c.rt, out, c.rank)
 	}
 	s := &c.meeting().slots[c.rank]
 	s.data, s.n = unsafe.Pointer(unsafe.SliceData(out)), p
 	c.collective(op, nil, replay)
 	s.data = nil
-	for src, b := range out {
-		if src != c.rank {
-			debugRecv(b)
-		}
-	}
 	return out
 }
 

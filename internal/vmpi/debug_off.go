@@ -8,14 +8,13 @@ package vmpi
 // BenchmarkDebugHooksOff).
 func DebugEnabled() bool { return false }
 
-func debugTransfer[T any](s []T) {}
-func debugRelease[T any](s []T)  {}
-func debugUse[T any](s []T)      {}
-func debugRecv[T any](s []T)     {}
-func debugGet[T any](s []T)      {}
+func debugRelease[T any](s []T) {}
+func debugUse[T any](s []T)     {}
+func debugGet[T any](s []T)     {}
 
-func debugShare[T any](rt *Runtime, s []T) {}
-func debugForward[T any](s []T)            {}
-func debugUnshare[T any](s []T)            {}
-func debugWorldStart()                     {}
-func debugWorldEnd(rt *Runtime)            {}
+func debugTransfer[T any](rt *Runtime, parts [][]T, keep int) {}
+func debugShare[T any](rt *Runtime, s []T)                    {}
+func debugForward[T any](s []T)                               {}
+func debugUnshare[T any](s []T)                               {}
+func debugWorldStart()                                        {}
+func debugWorldEnd(rt *Runtime)                               {}

@@ -2,11 +2,10 @@
 
 package vmpi
 
-// Runtime ownership checker, the dynamic backstop behind the static
-// ownedbuf analyzer (cmd/parlint). Built with -tags vmpidebug, the
-// messaging layer tracks the backing array of every buffer that changes
-// hands through the ownership protocol (see pool.go) and panics, naming
-// the offending call sites, on:
+// Runtime ownership checker: the one enforcer of the ownership protocol
+// (see pool.go). Built with -tags vmpidebug, the messaging layer tracks the
+// backing array of every buffer that changes hands through the protocol and
+// panics, naming the offending call sites, on:
 //
 //   - sending a buffer (owned or copied) after its ownership was
 //     transferred by AlltoallOwned (or the tests' SendOwned) or after it
@@ -14,26 +13,39 @@ package vmpi
 //   - transferring a buffer twice, or transferring a released buffer;
 //   - releasing a buffer twice, or releasing a transferred buffer;
 //   - relinquishing (AlltoallOwned, SendOwned) or pool-releasing a shared
-//     broadcast buffer, or modifying one: every shared buffer carries a
-//     holder count and a content checksum taken when its root shared it,
-//     re-verified at each forward, at each holder's Release, and when the
-//     world that made it ends.
+//     broadcast buffer;
+//   - a store into a transferred buffer or into a shared one, found by a
+//     checksum over the buffer's capacity (so an append into a shared
+//     view's spare slot counts) taken when it was transferred or shared,
+//     re-verified by every hook that meets the buffer and when the world
+//     ends (a shared one also at each forward and at each holder's
+//     Release).
 //
-// Released buffers are additionally poisoned with 0xDB bytes so stale
-// reads surface as corrupted data instead of silently reading recycled
-// memory. Tracking is keyed by the backing array's address; the tracked
-// state keeps the buffer reachable, so an address is never reused while an
-// entry for it exists (no false positives from GC address reuse).
+// A transfer hands each receiver a copy of the same length and capacity and
+// keeps the sender's original out of play, as a release does: both are
+// poisoned with 0xDB bytes, so a stale load reads corrupted data instead of
+// plausible values (element types holding pointers are never poisoned: the
+// collector must not find garbage in them). Tracking is keyed by the backing
+// array's address; the tracked state keeps the buffer reachable, so an
+// address is never reused while an entry for it exists (no false positives
+// from GC address reuse).
 //
-// Direct element reads and writes cannot be intercepted in Go, so plain
-// use-after-transfer is caught when the buffer re-enters the messaging
-// layer (or, for released buffers, by the poison); the static analyzer
-// covers the rest at compile time.
+// Go cannot intercept plain loads and stores, so the checker meets a buffer
+// only when it re-enters the messaging layer or its world ends. It cannot
+// see a load after a transfer or release (the load reads the poison, which
+// only a wrong result reveals; an element type holding pointers reads the
+// old values), nor a store into a released buffer, which the pool may have
+// handed out again. Three shapes need no check: len or cap of a
+// transferred slice reads the caller's header, not memory the receiver
+// holds; an append onto a shared view whose capacity equals its length
+// copies it; and Release of a buffer whose capacity is no pool class does
+// nothing to it, so neither does a second one.
 
 import (
 	"encoding/binary"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"sync"
 	"unsafe"
@@ -49,27 +61,27 @@ const (
 	dbgShared
 )
 
-// dbgState records why a backing array is currently off-limits. pin keeps
-// the array reachable so its address cannot be recycled for an unrelated
-// allocation while the entry exists.
+// dbgState records why a backing array is currently off-limits.
 type dbgState struct {
 	kind int
 	site string
-	pin  any
-	// Shared broadcast buffers only: the world that shared it, the ranks
-	// (and, while it fans out, the root's send loop) currently holding a
-	// reference, and the payload bytes (which pin the array) with their
-	// checksum as shared.
-	rt      *Runtime
+	// data is the array's bytes up to the buffer's capacity; it keeps the
+	// array reachable, so its address cannot be recycled for an unrelated
+	// allocation while the entry exists.
+	data []byte
+	// Transferred and shared buffers: the world that transferred or shared
+	// it, and the checksum of data as it was left (the poison) or shared.
+	rt  *Runtime
+	sum uint64
+	// Shared buffers only: the ranks (and, while it fans out, the root's
+	// send loop) currently holding a reference.
 	holders int
-	data    []byte
-	sum     uint64
 }
 
 var (
 	dbgMu     sync.Mutex
 	dbgBufs   = map[unsafe.Pointer]*dbgState{}
-	dbgWorlds int // worlds running: the last to end retires the releases
+	dbgWorlds int // worlds running: the last to end retires the releases and transfers
 )
 
 func (s *dbgState) verb() string {
@@ -82,18 +94,21 @@ func (s *dbgState) verb() string {
 	return "it was released"
 }
 
-// verify panics if a shared buffer no longer holds the bytes it was shared
-// with, naming the broadcast and where — the calling user site unless when
-// says otherwise — the damage was found.
+// verify panics if a transferred or shared buffer no longer holds the bytes
+// it was left with, naming the transfer or broadcast and where — the calling
+// user site unless when says otherwise — the damage was found.
 func (s *dbgState) verify(when string) {
-	if dbgSum(s.data) == s.sum {
+	if s.kind == dbgReleased || dbgSum(s.data) == s.sum {
 		return
 	}
 	if when == "" {
 		when = dbgCallSite()
 	}
-	panic(fmt.Sprintf("vmpi: shared broadcast buffer was modified (shared at %s; detected at %s)",
-		s.site, when))
+	what, did := "shared broadcast buffer", "shared"
+	if s.kind == dbgTransferred {
+		what, did = "transferred buffer", "transferred"
+	}
+	panic(fmt.Sprintf("vmpi: %s was modified (%s at %s; detected at %s)", what, did, s.site, when))
 }
 
 // dbgSum is FNV-1a taken a 64-bit word at a time (bytewise over the tail):
@@ -108,6 +123,41 @@ func dbgSum(b []byte) uint64 {
 		h = (h ^ uint64(c)) * prime
 	}
 	return h
+}
+
+// dbgBytes is the memory of s up to its capacity.
+func dbgBytes[T any](s []T) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), cap(s)*sizeOf[T]())
+}
+
+// dbgPoison fills b, the memory of a []T, with 0xDB bytes unless T holds
+// pointers.
+func dbgPoison[T any](b []byte) {
+	if len(b) == 0 || dbgHasPointers(reflect.TypeFor[T]()) {
+		return
+	}
+	b[0] = 0xDB
+	for n := 1; n < len(b); n *= 2 {
+		copy(b[n:], b[:n]) // doubling fill: memmove speed
+	}
+}
+
+func dbgHasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Array:
+		return t.Len() > 0 && dbgHasPointers(t.Elem())
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if dbgHasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Map, reflect.Chan,
+		reflect.Func, reflect.Interface, reflect.Slice, reflect.String:
+		return true
+	}
+	return false
 }
 
 // dbgCallSite returns the first caller frame outside the vmpi
@@ -138,34 +188,37 @@ func dbgKey[T any](s []T) unsafe.Pointer {
 	return unsafe.Pointer(unsafe.SliceData(s[:cap(s)]))
 }
 
-// debugTransfer records an AlltoallOwned (or SendOwned) ownership transfer.
-func debugTransfer[T any](s []T) {
-	k := dbgKey(s)
-	if k == nil {
-		return
+// debugTransfer hands the receivers of an ownership transfer (an
+// AlltoallOwned, or the tests' SendOwned) copies of parts — all but
+// parts[keep], the self block — of the same length and capacity, so a
+// receiver's Release balances the pool's books for the sender's draw. The
+// originals are poisoned, pinned and recorded with the checksum of their
+// poison. Every part is copied before any is poisoned, since parts may share
+// a backing array.
+func debugTransfer[T any](rt *Runtime, parts [][]T, keep int) {
+	orig := make([][]T, len(parts))
+	for d, b := range parts {
+		if d != keep && cap(b) > 0 {
+			orig[d], parts[d] = b, append(make([]T, 0, cap(b)), b...)
+		}
 	}
+	site := dbgCallSite()
 	dbgMu.Lock()
 	defer dbgMu.Unlock()
-	if st := dbgBufs[k]; st != nil {
-		panic(fmt.Sprintf("vmpi: SendOwned of a buffer after %s at %s (new transfer at %s)",
-			st.verb(), st.site, dbgCallSite()))
+	for _, b := range orig {
+		k := dbgKey(b)
+		if k == nil {
+			continue
+		}
+		if st := dbgBufs[k]; st != nil {
+			st.verify(site)
+			panic(fmt.Sprintf("vmpi: SendOwned of a buffer after %s at %s (new transfer at %s)",
+				st.verb(), st.site, site))
+		}
+		data := dbgBytes(b)
+		dbgPoison[T](data)
+		dbgBufs[k] = &dbgState{kind: dbgTransferred, site: site, data: data, rt: rt, sum: dbgSum(data)}
 	}
-	dbgBufs[k] = &dbgState{kind: dbgTransferred, site: dbgCallSite(), pin: s}
-}
-
-// debugRecv marks a delivered payload as owned by the receiving rank.
-func debugRecv[T any](s []T) {
-	k := dbgKey(s)
-	if k == nil {
-		return
-	}
-	dbgMu.Lock()
-	// A shared broadcast buffer stays shared: the receiver holds a
-	// reference, not the buffer.
-	if st := dbgBufs[k]; st == nil || st.kind != dbgShared {
-		delete(dbgBufs, k)
-	}
-	dbgMu.Unlock()
 }
 
 // debugGet marks a pooled buffer as reissued by getSlice.
@@ -193,16 +246,13 @@ func debugRelease[T any](s []T) {
 			panic(fmt.Sprintf("vmpi: second Release of a buffer (already released at %s; second release at %s)",
 				st.site, dbgCallSite()))
 		}
+		st.verify("")
 		panic(fmt.Sprintf("vmpi: Release of a buffer after %s at %s (release at %s)",
 			st.verb(), st.site, dbgCallSite()))
 	}
-	full := s[:cap(s)]
-	bytes := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(full))), cap(s)*sizeOf[T]())
-	bytes[0] = 0xDB
-	for n := 1; n < len(bytes); n *= 2 {
-		copy(bytes[n:], bytes[:n]) // doubling fill: memmove speed
-	}
-	dbgBufs[k] = &dbgState{kind: dbgReleased, site: dbgCallSite(), pin: full}
+	data := dbgBytes(s)
+	dbgPoison[T](data)
+	dbgBufs[k] = &dbgState{kind: dbgReleased, site: dbgCallSite(), data: data}
 }
 
 // debugUse checks a buffer that re-enters the messaging layer as a payload
@@ -215,9 +265,8 @@ func debugUse[T any](s []T) {
 	dbgMu.Lock()
 	defer dbgMu.Unlock()
 	if st := dbgBufs[k]; st != nil {
-		if st.kind == dbgShared {
-			st.verify("") // reading a shared view is legal
-			return
+		if st.verify(""); st.kind == dbgShared {
+			return // reading a shared view is legal
 		}
 		panic(fmt.Sprintf("vmpi: use of a buffer after %s at %s (use at %s)",
 			st.verb(), st.site, dbgCallSite()))
@@ -235,10 +284,11 @@ func debugShare[T any](rt *Runtime, s []T) {
 	if poolClass(cap(s)) >= 0 {
 		panic("vmpi: shared broadcast buffer is pool-shaped")
 	}
-	data := unsafe.Slice((*byte)(k), len(s)*sizeOf[T]())
+	data := dbgBytes(s)
 	dbgMu.Lock()
 	defer dbgMu.Unlock()
 	if st := dbgBufs[k]; st != nil {
+		st.verify("")
 		panic(fmt.Sprintf("vmpi: broadcast of a buffer after %s at %s (broadcast at %s)",
 			st.verb(), st.site, dbgCallSite()))
 	}
@@ -298,24 +348,24 @@ func debugWorldStart() {
 }
 
 // debugWorldEnd runs deferred when a world's Run returns or unwinds: no
-// shared-buffer entry outlives the world that made it, and no release
-// outlives the last world running (debugWorldStart counts them) — whether
-// the pool dropped the buffer or kept it, its entry pins it, and a kept
-// buffer the pool sheds at a GC before getSlice reissues it would otherwise
-// stay pinned for the life of the process. A release therefore catches a
-// second release or a use until no world runs. On a clean return the shared
-// buffers still held are verified one last time.
+// shared-buffer entry outlives the world that made it, and no release or
+// transfer outlives the last world running (debugWorldStart counts them) —
+// its entry pins the buffer, and a buffer nobody reissues (a transferred
+// original, a release the pool dropped or shed at a GC) would otherwise stay
+// pinned for the life of the process. A release or transfer therefore
+// catches a second one or a use until no world runs. On a clean return the
+// world's shared buffers still held and its transferred originals are
+// verified one last time.
 func debugWorldEnd(rt *Runtime) {
 	p := recover()
 	dbgMu.Lock()
 	dbgWorlds--
 	var stale []*dbgState
 	for k, st := range dbgBufs {
-		switch {
-		case st.kind == dbgShared && st.rt == rt:
-			delete(dbgBufs, k)
+		if st.kind != dbgReleased && st.rt == rt {
 			stale = append(stale, st)
-		case st.kind == dbgReleased && dbgWorlds == 0:
+		}
+		if (st.kind == dbgShared && st.rt == rt) || (st.kind != dbgShared && dbgWorlds == 0) {
 			delete(dbgBufs, k)
 		}
 	}

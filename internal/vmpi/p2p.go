@@ -107,7 +107,6 @@ func Recv[T any](c *Comm, src, tag int) []T {
 	if m.pptr != nil {
 		data = unsafe.Slice((*T)(m.pptr), m.pcap)[:m.plen]
 	}
-	debugRecv(data)
 	putMsg(m)
 	return data
 }

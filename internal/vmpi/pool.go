@@ -46,17 +46,18 @@ import (
 // copies out of and drops, so no pool buffer is involved.
 //
 // Ownership protocol. A buffer that crosses the messaging layer is in one
-// of two states, and every rule below is enforced statically by the
-// ownedbuf analyzer (cmd/parlint) and dynamically by the vmpidebug checker
-// (debug_on.go):
+// of two states, and every rule below is enforced at run time by the
+// vmpidebug checker (debug_on.go), which also states what it cannot see:
 //
 //   - Private: exactly one rank owns it. Send/SendVal copy into a pooled
 //     buffer; the receiver owns the buffer it gets from Recv and may keep,
 //     mutate or forward it. A sole owner that is done with a private slice
 //     may hand it back with Release (or ReleaseBlocks) — always optional,
 //     at most once. AlltoallOwned transfers the caller's buffers into the
-//     receivers' results with no copy; the caller must not touch the slice (or any alias of it)
-//     afterwards. AllgatherBlocks and Alltoall results are private too.
+//     receivers' results with no copy (the checker hands over copies and
+//     poisons the originals); the caller must not touch the slice (or any
+//     alias of it) afterwards. AllgatherBlocks and Alltoall results are
+//     private too.
 //   - Shared read-only: two results are ONE immutable buffer that every
 //     rank of the communicator references. The Allreduce and Allgather
 //     replays (rendezvous.go) build their result once, at any size, and

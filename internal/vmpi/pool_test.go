@@ -135,7 +135,6 @@ func TestReleaseIgnoresForeignSlices(t *testing.T) {
 	backing := make([]int, 100)
 	Release(backing)
 	// A subslice's capacity is cut from the front: 100-2 = 98, no class.
-	//parlint:allow ownedbuf -- this test deliberately double-releases a foreign (non-pooled) slice to prove the pool ignores it; production code must never re-release, and the interprocedural analyzer is right to flag the shape
 	Release(backing[2:10])
 	// Tiny and huge slices are outside the class range.
 	Release(make([]byte, 8))

@@ -7,6 +7,7 @@ package vmpi
 // cost are identical to Send. The message-level references send with it so
 // that their buffers change hands as the replayed collectives' do.
 func SendOwned[T any](c *Comm, data []T, dst, tag int) {
-	debugTransfer(data)
-	sendRaw(c, data, len(data)*sizeOf[T](), dst, tag)
+	parts := [][]T{data}
+	debugTransfer(c.rt, parts, -1)
+	sendRaw(c, parts[0], len(data)*sizeOf[T](), dst, tag)
 }

@@ -67,6 +67,31 @@ func fuzzInput(p int, counts, keys byte, seed uint64) [][]rec {
 	return in
 }
 
+// sameRuns fails t unless two p-rank runs of a sort agree on every rank's
+// final items, clock bits, message and byte counts, phase times and event
+// list (wall stamps aside).
+func sameRuns(t *testing.T, p int, what string, got, want *vmpi.Stats) {
+	t.Helper()
+	gotEvs, wantEvs := virtualEvents(got.Events), virtualEvents(want.Events)
+	for r := 0; r < p; r++ {
+		for _, c := range []struct {
+			what      string
+			got, want any
+		}{
+			{"items", got.Values[r], want.Values[r]},
+			{"clock bits", math.Float64bits(got.Clocks[r]), math.Float64bits(want.Clocks[r])},
+			{"messages", got.MessagesSent[r], want.MessagesSent[r]},
+			{"bytes", got.BytesSent[r], want.BytesSent[r]},
+			{"phases", got.Phases[r], want.Phases[r]},
+			{"events", gotEvs[r], wantEvs[r]},
+		} {
+			if !reflect.DeepEqual(c.got, c.want) {
+				t.Fatalf("rank %d of %d: %s differ from %s:\n got %v\nwant %v", r, p, c.what, what, c.got, c.want)
+			}
+		}
+	}
+}
+
 func virtualEvents(l *obs.Log) [][]obs.Event {
 	out := make([][]obs.Event, len(l.ByRank))
 	for r, evs := range l.ByRank {
@@ -84,7 +109,9 @@ func virtualEvents(l *obs.Log) [][]obs.Event {
 // refSortRotational — and compares every rank's final items, clock bits,
 // message and byte counts, phase times and, under Trace, its full event
 // list; the concatenated output keys must equal sort.SliceStable of the
-// concatenated input's. Byte 0 picks the world size, 1 to 40 ranks; byte 1
+// concatenated input's. Byte 0 picks the world size, 1 to 40 ranks, and
+// bit 2 of byte 2 adds 160, so that a step of the network or of the
+// cleanup holds more comparators than one tile of Replayer.Group; byte 1
 // the trace flag (bit 0), the torus model (bit 1), four run slots instead
 // of one (bit 2), fuzzInput's key shape (bits 3-4), a phase around the sort
 // (bit 5), a second sort of the sorted output (bit 6) and the rotational
@@ -96,7 +123,7 @@ func FuzzSortMergeMatchesMessageLevel(f *testing.F) {
 		if len(prog) < 3 {
 			return
 		}
-		p := 1 + int(prog[0])%40
+		p := 1 + int(prog[0])%40 + 160*int(prog[2]>>2&1)
 		cfg := vmpi.Config{Ranks: p, Trace: prog[1]&1 != 0, Workers: 1 + 3*int(prog[1]>>2&1)}
 		if prog[1]&2 != 0 {
 			cfg.Model = netmodel.NewTorus(p)
@@ -128,24 +155,7 @@ func FuzzSortMergeMatchesMessageLevel(f *testing.F) {
 			ref, replayed = refSortRotational[rec], SortRotational[rec]
 		}
 		want, got := run(ref), run(replayed)
-		gotEvs, wantEvs := virtualEvents(got.Events), virtualEvents(want.Events)
-		for r := 0; r < p; r++ {
-			for _, c := range []struct {
-				what      string
-				got, want any
-			}{
-				{"items", got.Values[r], want.Values[r]},
-				{"clock bits", math.Float64bits(got.Clocks[r]), math.Float64bits(want.Clocks[r])},
-				{"messages", got.MessagesSent[r], want.MessagesSent[r]},
-				{"bytes", got.BytesSent[r], want.BytesSent[r]},
-				{"phases", got.Phases[r], want.Phases[r]},
-				{"events", gotEvs[r], wantEvs[r]},
-			} {
-				if !reflect.DeepEqual(c.got, c.want) {
-					t.Fatalf("rank %d of %d: %s differ from the message-level sort:\n got %v\nwant %v", r, p, c.what, c.got, c.want)
-				}
-			}
-		}
+		sameRuns(t, p, "the message-level sort", got, want)
 		var wantKeys, gotKeys []uint64
 		for r := range in {
 			for _, e := range in[r] {

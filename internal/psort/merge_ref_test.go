@@ -38,7 +38,12 @@ type ce struct{ I, J int }
 // mergeExchangeSchedule materialises mergeExchange's comparator sequence.
 func mergeExchangeSchedule(n int) []ce {
 	var out []ce
-	mergeExchange(n, func(i, j int) { out = append(out, ce{I: i, J: j}) })
+	mergeExchange(n, func(g comparators) {
+		for k := range g.n {
+			i, j := g.at(k)
+			out = append(out, ce{I: i, J: j})
+		}
+	})
 	return out
 }
 

@@ -17,7 +17,10 @@
 // "Point-to-point only" describes the modelled algorithm: every comparator
 // is charged as its pair's messages. On the host the network and its
 // odd-even cleanup run as one vmpi.Replay (merger), as do the rotational
-// sort's rotations: psort sends no message of its own.
+// sort's rotations: psort sends no message of its own. Each step of the
+// network and each cleanup round is a set of disjoint pairs, so the replay
+// hands it to vmpi.Replayer.Group, which merges them on an idle core as
+// well once a step outgrows one tile; every result is bit for bit.
 //
 // Both sorts order elements by a uint64 key extracted with a caller-supplied
 // function and are deterministic, including for duplicate keys.
@@ -209,13 +212,15 @@ func SortMerge[T any](c *vmpi.Comm, items []T, key func(T) uint64) []T {
 	if c.Size() == 1 {
 		return items
 	}
-	st := mergeState[T]{items: items}
+	st := mergeState[T]{items: items, spare: make([]T, 0, len(items))}
 	vmpi.Replay(c, "SortMerge", &st, func(h *vmpi.Replayer, states []*mergeState[T]) {
 		m := merger[T]{h: h, states: states, key: key, hdr: make([]header, len(states))}
 		for r, s := range states {
 			m.hdr[r] = headerOf(s.items, key)
 		}
-		mergeExchange(len(states), m.split)
+		mergeExchange(len(states), func(g comparators) {
+			h.Group(g.n, func(k int) { m.split(g.at(k)) })
+		})
 		m.cleanup()
 	})
 	return st.items
@@ -223,7 +228,9 @@ func SortMerge[T any](c *vmpi.Comm, items []T, key func(T) uint64) []T {
 
 // mergeState is one rank's side of the sort: its items and the spare
 // buffer they ping-pong with, so the whole sort reuses two buffers instead
-// of allocating per comparator.
+// of allocating per comparator. The rank sizes its spare before it enters
+// the replay, so the replay allocates no buffer: a replay that allocated
+// while a GC marks would make the collector count its buffers as live.
 type mergeState[T any] struct{ items, spare []T }
 
 // merger replays a merge sort over every rank's state. hdr[r] is the header
@@ -241,7 +248,8 @@ type merger[T any] struct {
 // charges it, in program order — the header exchange; unless the pair is
 // ordered, the count exchange; unless t = 0, the data exchange,
 // RedistElem·2t and the merge — and merges both sides in place, refreshing
-// both headers.
+// both headers. It touches nothing but the two ranks' states, headers and
+// charges, so the comparators of one step can run at once (Group).
 //
 // The exchange is count-negotiated: at most t = min(k_i, k_j) elements can
 // change sides, where k_i is the number of i's elements above j's minimum
@@ -314,10 +322,20 @@ func (m *merger[T]) cleanup() {
 		if round > 2*total+8 {
 			panic("psort: odd-even cleanup failed to converge")
 		}
-		for k := round % 2; k+1 < len(chain); k += 2 {
-			m.split(chain[k], chain[k+1])
-		}
+		m.h.Group(oddEvenPairs(len(chain), round), func(k int) {
+			m.split(oddEvenPair(chain, round, k))
+		})
 	}
+}
+
+// oddEvenPairs is the number of pairs odd-even round round makes over a
+// chain of n ranks, and oddEvenPair its k-th: neighbours on the chain, from
+// chain position round mod 2 on, so no rank is in two.
+func oddEvenPairs(n, round int) int { return max(n-round%2, 0) / 2 }
+
+func oddEvenPair(chain []int, round, k int) (i, j int) {
+	c := round%2 + 2*k
+	return chain[c], chain[c+1]
 }
 
 // sorted reports whether the rank boundaries are non-decreasing, skipping
@@ -391,49 +409,60 @@ func mergeLow[T any](items, theirLow, spare []T, key func(T) uint64) ([]T, []T) 
 }
 
 // mergeHigh keeps the n = len(items) largest of theirHigh, the partner's
-// largest, and items in items: the merged order puts the lower input
-// (partner) first on ties, and the last n stay. spare holds the merge.
+// largest, and items, merging from the top: on ties items' element is the
+// larger, as items is the higher comparator input. They land in spare;
+// items becomes the new spare.
 func mergeHigh[T any](items, theirHigh, spare []T, key func(T) uint64) ([]T, []T) {
 	n := len(items)
-	total := len(theirHigh) + n
-	merged := spare[:0]
-	if cap(merged) < total {
-		merged = make([]T, 0, total)
+	if cap(spare) < n {
+		spare = make([]T, n)
 	}
-	li, hi := 0, 0
-	for li < len(theirHigh) || hi < n {
-		if li < len(theirHigh) && (hi >= n || key(theirHigh[li]) <= key(items[hi])) {
-			merged = append(merged, theirHigh[li])
-			li++
+	out := spare[:n]
+	li, hi := len(theirHigh)-1, n-1
+	for k := n - 1; k >= 0; k-- {
+		if hi < 0 || (li >= 0 && key(theirHigh[li]) > key(items[hi])) {
+			out[k] = theirHigh[li]
+			li--
 		} else {
-			merged = append(merged, items[hi])
-			hi++
+			out[k] = items[hi]
+			hi--
 		}
 	}
-	copy(items, merged[total-n:])
-	return items, merged[:0]
+	return out, items
 }
 
-// mergeExchange calls ce for every comparator of Batcher's merge-exchange
-// sorting network for n inputs (Knuth, TAOCP vol. 3, Algorithm 5.2.2M), in
-// pass order, without materialising it. The comparators of one (p,q,r,d)
-// group touch disjoint input pairs, so every input meets its comparators in
-// its own program order.
-func mergeExchange(n int, ce func(i, j int)) {
+// mergeExchange calls group for every (p,q,r,d) group of Batcher's
+// merge-exchange sorting network for n inputs (Knuth, TAOCP vol. 3,
+// Algorithm 5.2.2M), in pass order, without materialising it. The
+// comparators of one group touch disjoint input pairs, so they may run in
+// any order and every input still meets its comparators in its own program
+// order.
+func mergeExchange(n int, group func(g comparators)) {
 	if n < 2 {
 		return
 	}
 	top := 1 << (bits.Len(uint(n-1)) - 1)
 	for p := top; p > 0; p >>= 1 {
 		for q, r, d := top, 0, p; ; d, q, r = q-p, q>>1, p {
-			for i := 0; i+d < n; i++ {
-				if i&p == r {
-					ce(i, i+d)
-				}
-			}
+			// The comparators are (i, i+d) for every i < n-d whose bit p
+			// reads r: p of every 2p inputs, and of the last, incomplete
+			// block those past r.
+			m := n - d
+			group(comparators{p: p, r: r, d: d, n: m/(2*p)*p + min(max(m%(2*p)-r, 0), p)})
 			if q == p {
 				break
 			}
 		}
 	}
+}
+
+// comparators is one (p,q,r,d) group of mergeExchange: its n comparators
+// numbered in pass order.
+type comparators struct{ p, r, d, n int }
+
+// at is the group's k-th comparator: k's bits below p stay, the rest move
+// up past bit p, which reads r.
+func (g comparators) at(k int) (i, j int) {
+	i = (k&^(g.p-1))<<1 | g.r | k&(g.p-1)
+	return i, i + g.d
 }

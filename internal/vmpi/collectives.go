@@ -224,7 +224,7 @@ func alltoall[T any](c *Comm, parts [][]T, owned bool, op collOp, replay func(*r
 		out[d] = b
 	}
 	if owned {
-		debugTransfer(c.rt, out, c.rank)
+		debugTransfer(c.rt, "AlltoallOwned", out, c.rank)
 	}
 	s := &c.meeting().slots[c.rank]
 	s.data, s.n = unsafe.Pointer(unsafe.SliceData(out)), p
@@ -277,6 +277,7 @@ func (g *rendezvous) alltoall(bytes func(src, dst int) int) {
 // slot, queuing it until then — next[d] is the slot rank d takes next.
 // Orders whose other ranks ascend, the identity among them, queue nothing.
 func (h *Replayer) AlltoallLinear(order func(r int) []int, tags []int, bytes func(r, k, i int) int) {
+	h.enter("AlltoallLinear")
 	g := h.g
 	p, nt := len(g.slots), len(tags)
 	if cap(g.entry) < p {

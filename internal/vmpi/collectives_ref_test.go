@@ -179,7 +179,7 @@ func AlltoallLinear[T any](c *Comm, parts [][]T, tag int) [][]T {
 func replayAlltoallLinear[T any](g *rendezvous) {
 	ranks := identity(len(g.slots))
 	bytes := alltoallBytes[T](g)
-	(&Replayer{g}).AlltoallLinear(func(int) []int { return ranks }, []int{g.op.n}, func(r, k, _ int) int { return bytes(r, k) })
+	(&Replayer{g: g}).AlltoallLinear(func(int) []int { return ranks }, []int{g.op.n}, func(r, k, _ int) int { return bytes(r, k) })
 	transpose[T](g)
 }
 

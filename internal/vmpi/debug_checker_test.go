@@ -183,9 +183,9 @@ func TestDebugSendOwnedOfBroadcastPanics(t *testing.T) {
 }
 
 // TestDebugAlltoallOwnedOfBroadcastPanics: the same through the collective
-// form of the transfer.
+// form of the transfer, which the panic names.
 func TestDebugAlltoallOwnedOfBroadcastPanics(t *testing.T) {
-	mustPanic(t, "SendOwned of a buffer after it was shared by a broadcast at", func() {
+	mustPanic(t, "AlltoallOwned of a buffer after it was shared by a broadcast at", func() {
 		Run(Config{Ranks: 2}, func(c *Comm) {
 			got := Allgather(c, make([]float64, 32))
 			parts := [][]float64{make([]float64, 64), make([]float64, 64)}
@@ -370,4 +370,53 @@ func TestDebugSharedEntriesDieWithTheirWorld(t *testing.T) {
 			t.Fatalf("release=%v: %d shared entries outlived their world", release, n)
 		}
 	}
+}
+
+// TestDebugTransfersDieWithTheirWorld: a world's transferred originals are
+// retired when that world ends, not when the last world running does — a
+// long world beside it no longer keeps them pinned.
+func TestDebugTransfersDieWithTheirWorld(t *testing.T) {
+	var key unsafe.Pointer
+	done, checked := make(chan struct{}), make(chan struct{})
+	held := true
+	go func() {
+		Run(Config{Ranks: 1}, func(c *Comm) {
+			<-done
+			held = dbgHolds(key)
+		})
+		close(checked)
+	}()
+	Run(Config{Ranks: 2}, func(c *Comm) {
+		parts := [][]float64{make([]float64, 64), make([]float64, 64)}
+		if c.Rank() == 0 {
+			key = dbgKey(parts[1])
+		}
+		ReleaseBlocks(AlltoallOwned(c, parts))
+		if c.Rank() == 0 && !dbgHolds(key) {
+			panic("the checker holds no entry for a part just transferred")
+		}
+	})
+	close(done)
+	<-checked
+	if held {
+		t.Fatal("a transferred original outlived its world while another world ran")
+	}
+}
+
+// TestDebugGroupTasksChargingOneRankPanic: a Replayer.Group whose tasks
+// are not disjoint — task 1 charges the rank task 0 charged — panics
+// naming both tasks and the rank, even when the schedule would come out
+// the same.
+func TestDebugGroupTasksChargingOneRankPanic(t *testing.T) {
+	mustPanic(t, "vmpi: Group tasks 0 and 1 both charge rank 1", func() {
+		Run(Config{Ranks: 4}, func(c *Comm) {
+			var st struct{}
+			Replay(c, "overlap", &st, func(h *Replayer, _ []*struct{}) {
+				h.Group(2, func(i int) {
+					h.Compute(i, 1e-6)
+					h.Compute(i+1, 1e-6)
+				})
+			})
+		})
+	})
 }

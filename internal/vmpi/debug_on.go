@@ -171,7 +171,7 @@ func dbgCallSite() string {
 	for {
 		f, more := frames.Next()
 		switch filepath.Base(f.File) {
-		case "debug_on.go", "p2p.go", "pool.go", "collectives.go", "rendezvous.go", "sendowned_test.go":
+		case "debug_on.go", "p2p.go", "pool.go", "collectives.go", "rendezvous.go", "group.go", "sendowned_test.go":
 		default:
 			return fmt.Sprintf("%s:%d", f.File, f.Line)
 		}
@@ -194,8 +194,8 @@ func dbgKey[T any](s []T) unsafe.Pointer {
 // receiver's Release balances the pool's books for the sender's draw. The
 // originals are poisoned, pinned and recorded with the checksum of their
 // poison. Every part is copied before any is poisoned, since parts may share
-// a backing array.
-func debugTransfer[T any](rt *Runtime, parts [][]T, keep int) {
+// a backing array. op names the transferring call in a panic.
+func debugTransfer[T any](rt *Runtime, op string, parts [][]T, keep int) {
 	orig := make([][]T, len(parts))
 	for d, b := range parts {
 		if d != keep && cap(b) > 0 {
@@ -212,8 +212,8 @@ func debugTransfer[T any](rt *Runtime, parts [][]T, keep int) {
 		}
 		if st := dbgBufs[k]; st != nil {
 			st.verify(site)
-			panic(fmt.Sprintf("vmpi: SendOwned of a buffer after %s at %s (new transfer at %s)",
-				st.verb(), st.site, site))
+			panic(fmt.Sprintf("vmpi: %s of a buffer after %s at %s (new transfer at %s)",
+				op, st.verb(), st.site, site))
 		}
 		data := dbgBytes(b)
 		dbgPoison[T](data)
@@ -348,14 +348,15 @@ func debugWorldStart() {
 }
 
 // debugWorldEnd runs deferred when a world's Run returns or unwinds: no
-// shared-buffer entry outlives the world that made it, and no release or
-// transfer outlives the last world running (debugWorldStart counts them) —
+// shared-buffer or transfer entry outlives the world that made it, and no
+// release outlives the last world running (debugWorldStart counts them) —
 // its entry pins the buffer, and a buffer nobody reissues (a transferred
 // original, a release the pool dropped or shed at a GC) would otherwise stay
-// pinned for the life of the process. A release or transfer therefore
-// catches a second one or a use until no world runs. On a clean return the
-// world's shared buffers still held and its transferred originals are
-// verified one last time.
+// pinned for the life of the process. A transferred original is its world's
+// alone, so a transfer catches a second one or a use until its world ends;
+// a release, whose array the pool may hand to any world, until no world
+// runs. On a clean return the world's shared buffers still held and its
+// transferred originals are verified one last time.
 func debugWorldEnd(rt *Runtime) {
 	p := recover()
 	dbgMu.Lock()
@@ -365,7 +366,7 @@ func debugWorldEnd(rt *Runtime) {
 		if st.kind != dbgReleased && st.rt == rt {
 			stale = append(stale, st)
 		}
-		if (st.kind == dbgShared && st.rt == rt) || (st.kind != dbgShared && dbgWorlds == 0) {
+		if (st.kind != dbgReleased && st.rt == rt) || (st.kind == dbgReleased && dbgWorlds == 0) {
 			delete(dbgBufs, k)
 		}
 	}
@@ -375,5 +376,46 @@ func debugWorldEnd(rt *Runtime) {
 	}
 	for _, st := range stale {
 		st.verify("world teardown")
+	}
+}
+
+// dbgGroup is what a rendezvous knows of the Replayer.Group replaying:
+// whether one is, the task running and, per slot, 1 + the task that first
+// charged it in this group (0: none yet).
+type dbgGroup struct {
+	in    bool
+	task  int
+	owner []int
+}
+
+// debugGroup runs a Group's tasks in order on the replaying goroutine, so
+// that debugCharge knows which task charges a slot, and reports that it
+// did.
+func debugGroup(g *rendezvous, n int, fn func(int)) bool {
+	d := &g.dbg
+	if len(d.owner) != len(g.slots) {
+		d.owner = make([]int, len(g.slots))
+	}
+	clear(d.owner)
+	d.in = true
+	defer func() { d.in = false }()
+	for i := range n {
+		d.task = i
+		fn(i)
+	}
+	return true
+}
+
+// debugCharge panics if, inside a Group, a task charges a rank another task
+// of the group has charged.
+func debugCharge(g *rendezvous, rank int) {
+	d := &g.dbg
+	if !d.in {
+		return
+	}
+	if o := d.owner[rank]; o == 0 {
+		d.owner[rank] = d.task + 1
+	} else if o != d.task+1 {
+		panic(fmt.Sprintf("vmpi: Group tasks %d and %d both charge rank %d (at %s)", o-1, d.task, rank, dbgCallSite()))
 	}
 }

@@ -1,0 +1,161 @@
+package vmpi
+
+import (
+	"fmt"
+	"math"
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/netmodel"
+)
+
+// hypercubeGroups replays, for every dimension s of a P-rank hypercube, one
+// Group of P/2 pairwise exchanges (rank i and i + 2^s, i's bit s clear),
+// each side then computing, with an Allgather between dimensions. It
+// reports whether the replay had its helper after the first group.
+func hypercubeGroups(h *Replayer, p int) (helped bool) {
+	for s, d := 0, 1; d < p; s, d = s+1, d<<1 {
+		h.Group(p/2, func(k int) {
+			i := (k&^(d-1))<<1 | k&(d-1)
+			j, bytes := i+d, 8+int(fuzzMix(uint64(s), uint64(k), 10)%512)
+			a, b := h.Send(i, j, bytes, 300+s), h.Send(j, i, bytes, 300+s)
+			h.Recv(j, i, bytes, b)
+			h.Recv(i, j, bytes, a)
+			h.Compute(i, float64(fuzzMix(uint64(s), uint64(i), 11)%9)*1e-7)
+			h.Compute(j, float64(fuzzMix(uint64(s), uint64(j), 11)%9)*1e-7)
+		})
+		helped = helped || h.hp != nil
+		h.Allgather(func(int) int { return 8 })
+	}
+	return helped
+}
+
+// TestReplayerGroupBitIdentical: a replay whose groups span many tiles
+// charges every rank the same clock bits, counts and traced events at
+// GOMAXPROCS 1 (the serial loop) as at 2 and 4 with Workers 1, 2 and 8,
+// where the groups run on the replay's helper; and no goroutine outlives a
+// run.
+func TestReplayerGroupBitIdentical(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	const p = 1024
+	base := runtime.NumGoroutine()
+	run := func(procs, workers int) (*Stats, bool) {
+		runtime.GOMAXPROCS(procs)
+		helped := false
+		st := Run(Config{Ranks: p, Model: netmodel.NewTorus(p), Trace: true, Workers: workers}, func(c *Comm) {
+			v := c.Rank()
+			Replay(c, "hypercube", &v, func(h *Replayer, _ []*int) { helped = hypercubeGroups(h, p) })
+		})
+		return st, helped
+	}
+	want, _ := run(1, 1)
+	wantEvs := virtualEvents(want.Events)
+	for _, procs := range []int{2, 4} {
+		for _, workers := range []int{1, 2, 8} {
+			got, helped := run(procs, workers)
+			if !helped && !DebugEnabled() {
+				t.Errorf("GOMAXPROCS %d, %d workers: no group ran on a helper", procs, workers)
+			}
+			gotEvs := virtualEvents(got.Events)
+			for r := 0; r < p; r++ {
+				for _, c := range []struct {
+					what      string
+					got, want any
+				}{
+					{"clock bits", math.Float64bits(got.Clocks[r]), math.Float64bits(want.Clocks[r])},
+					{"messages", got.MessagesSent[r], want.MessagesSent[r]},
+					{"bytes", got.BytesSent[r], want.BytesSent[r]},
+					{"events", gotEvs[r], wantEvs[r]},
+				} {
+					if !reflect.DeepEqual(c.got, c.want) {
+						t.Fatalf("GOMAXPROCS %d, %d workers, rank %d: %s differ from the serial replay:\n got %v\nwant %v",
+							procs, workers, r, c.what, c.got, c.want)
+					}
+				}
+			}
+			if n := goroutinesAfter(base); n > base {
+				t.Fatalf("GOMAXPROCS %d, %d workers: %d goroutines after the run, %d before", procs, workers, n, base)
+			}
+		}
+	}
+}
+
+// TestReplayerGroupPanics: a task's panic reaches Run — the lowest
+// panicking task's, at any GOMAXPROCS, from the second of three tiles — and
+// the replay's helper is gone by then; a charge of every rank, or a Group,
+// inside a group panics.
+func TestReplayerGroupPanics(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, tc := range []struct {
+			want string
+			task func(h *Replayer, i int)
+		}{
+			{"task 70 failed", func(h *Replayer, i int) {
+				if i == 70 || i == 128 {
+					panic(fmt.Sprintf("task %d failed", i))
+				}
+				h.Compute(i, 1e-6)
+			}},
+			{"vmpi: Replayer.Allgather inside a Group", func(h *Replayer, i int) {
+				h.Allgather(func(int) int { return 8 })
+			}},
+			{"vmpi: Replayer.Alltoall inside a Group", func(h *Replayer, i int) {
+				h.Alltoall(func(int, int) int { return 8 })
+			}},
+			{"vmpi: Replayer.Group inside a Group", func(h *Replayer, i int) {
+				h.Group(1, func(int) {})
+			}},
+		} {
+			var msg string
+			func() {
+				defer func() { msg = fmt.Sprint(recover()) }()
+				Run(Config{Ranks: 130}, func(c *Comm) {
+					v := 0
+					Replay(c, "panics", &v, func(h *Replayer, _ []*int) {
+						h.Group(130, func(i int) { tc.task(h, i) })
+					})
+				})
+			}()
+			if !strings.Contains(msg, tc.want) {
+				t.Fatalf("GOMAXPROCS %d: Run panicked with %q, want %q", procs, msg, tc.want)
+			}
+			// The replay's parked ranks stay parked after its panic; the
+			// helper must not. It has closed its done channel when join
+			// returns, so give it a moment to leave its last frame.
+			helper := strings.Contains(allStacks(), "replayHelper")
+			for wait := 0; helper && wait < 100; wait++ {
+				time.Sleep(10 * time.Millisecond)
+				helper = strings.Contains(allStacks(), "replayHelper")
+			}
+			if helper {
+				t.Fatalf("GOMAXPROCS %d, %q: the replay's helper outlived the run", procs, tc.want)
+			}
+		}
+	}
+}
+
+// goroutinesAfter is the goroutine count once it has come down to base,
+// or after a second: a joined helper has closed its done channel but may
+// not have left its last frame when Run returns.
+func goroutinesAfter(base int) int {
+	n := runtime.NumGoroutine()
+	for wait := 0; n > base && wait < 100; wait++ {
+		time.Sleep(10 * time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+// allStacks is every goroutine's stack.
+func allStacks() string {
+	for buf := make([]byte, 1<<20); ; buf = make([]byte, 2*len(buf)) {
+		if n := runtime.Stack(buf, true); n < len(buf) {
+			return string(buf[:n])
+		}
+	}
+}

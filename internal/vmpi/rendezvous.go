@@ -88,6 +88,7 @@ type rendezvous struct {
 	msgs           []rdvMsg
 	entry          []float64
 	offs           []int
+	dbg            dbgGroup // the Group replaying, under vmpidebug
 
 	mu      sync.Mutex
 	gen     uint64 // the generation being assembled, from 1
@@ -177,7 +178,10 @@ func (c *Comm) collective(op collOp, fn any, replay func(*rendezvous)) (*rendezv
 // rank's state in rank order. fn replays the step's messages, collectives
 // and computation through h, each rank's in its program order, and updates
 // the states; every rank returns after it, its clock, counters and (under
-// Config.Trace) events as if it had sent and received them. The schedule fn
+// Config.Trace) events as if it had sent and received them. A step whose
+// charges split into tasks of disjoint ranks — a round of pairwise
+// exchanges — fn hands to h.Group, which may run them on an idle core and
+// still returns every rank's charges bit for bit. The schedule fn
 // replays may depend on the staged states — a data-dependent round count
 // is fine — but never on host order: which rank arrived last. fn must touch
 // nothing but the states and h — no Comm, nothing else of vmpi — and every
@@ -199,13 +203,22 @@ func replayStates[S any](g *rendezvous) {
 	for r := range g.slots {
 		states[r] = (*S)(g.slots[r].data)
 	}
-	g.fn.(func(*Replayer, []*S))(&Replayer{g}, states)
+	h := &Replayer{g: g}
+	defer h.join()
+	g.fn.(func(*Replayer, []*S))(h, states)
 }
 
 // Replayer is what a Replay's fn charges ranks through, by communicator
 // rank: the arithmetic of Send, Recv and Comm.Compute, applied to the
-// rendezvous slots.
-type Replayer struct{ g *rendezvous }
+// rendezvous slots. Group runs tasks that charge disjoint ranks, on a
+// helper goroutine the Replayer keeps for the replay and joins before any
+// rank wakes (group.go); inside a task only Send, Recv and Compute may be
+// called.
+type Replayer struct {
+	g       *rendezvous
+	hp      *replayHelper
+	grouped bool // inside Group
+}
 
 // Send charges a message of bytes on tag from src to dst to its sender and
 // returns its arrival, for the matching Recv.
@@ -219,18 +232,25 @@ func (h *Replayer) Recv(src, dst, bytes int, arrive float64) { h.g.recv(src, dst
 // Allgather charges every rank an Allgather in which rank r contributes
 // bytes(r) bytes, exactly as the collective charges it: its messages and,
 // for listening ranks, its spans, which start where it starts.
-func (h *Replayer) Allgather(bytes func(r int) int) { h.g.allgather(bytes) }
+func (h *Replayer) Allgather(bytes func(r int) int) {
+	h.enter("Allgather")
+	h.g.allgather(bytes)
+}
 
 // Alltoall charges every rank a pairwise all-to-all in which rank src sends
 // bytes(src, dst) to rank dst, exactly as the collective charges it: its
 // messages and, for listening ranks, its span, which starts where it starts.
-func (h *Replayer) Alltoall(bytes func(src, dst int) int) { h.g.alltoall(bytes) }
+func (h *Replayer) Alltoall(bytes func(src, dst int) int) {
+	h.enter("Alltoall")
+	h.g.alltoall(bytes)
+}
 
 // Compute advances rank's clock as Comm.Compute does.
 func (h *Replayer) Compute(rank int, seconds float64) {
 	if seconds < 0 {
 		panic("vmpi: negative compute time")
 	}
+	debugCharge(h.g, rank)
 	h.g.slots[rank].clock += seconds * h.g.rt.computeScale
 }
 
@@ -260,6 +280,7 @@ func (g *rendezvous) round(n, tag int, edge func(i int) (src, dst, bytes int)) {
 // completes it at its receiver. Both record under Config.Trace (so every
 // rank listens), as sendMsg and recvRaw do.
 func (g *rendezvous) send(src, dst, bytes, tag int) float64 {
+	debugCharge(g, src)
 	s := &g.slots[src]
 	start, after, arrive := sendClocks(g.rt.model, s.clock, g.nodes[src], g.nodes[dst], bytes)
 	s.clock = after
@@ -283,6 +304,7 @@ func (g *rendezvous) post(src, bytes int) {
 }
 
 func (g *rendezvous) recv(src, dst, bytes int, arrive float64) {
+	debugCharge(g, dst)
 	s := &g.slots[dst]
 	s.clock = recvClock(s.clock, arrive)
 	if g.rt.trace {

@@ -8,6 +8,6 @@ package vmpi
 // that their buffers change hands as the replayed collectives' do.
 func SendOwned[T any](c *Comm, data []T, dst, tag int) {
 	parts := [][]T{data}
-	debugTransfer(c.rt, parts, -1)
+	debugTransfer(c.rt, "SendOwned", parts, -1)
 	sendRaw(c, parts[0], len(data)*sizeOf[T](), dst, tag)
 }

@@ -41,7 +41,9 @@ race:
 # FIFO model and its deadlock verdict, the rendezvous collectives (clocks,
 # counters, results, events) against their message-level bodies, and the
 # replayed merge-exchange and rotational sorts (the same, plus items)
-# against the message-level ones, and the torus network cost (per-hop
+# against the message-level ones, psort's adaptive local sort (items with
+# their original order, clock bits) against the keyed sort.Stable it
+# replaced, and the torus network cost (per-hop
 # tables, hops by mask and shift) against the division-based body on random
 # tori of up to 65 536 ranks. This is the
 # one list of fuzz targets: a new target joins it here and nowhere else. The
@@ -52,7 +54,7 @@ FUZZ_TARGETS := internal/fmm:FuzzOperatorsMatchReference internal/fft:FuzzPanelM
 	internal/vmpi:FuzzMailboxMatchesReference internal/redist:FuzzPlanMatchesOracle \
 	internal/obs:FuzzAggregatesMatchLog internal/rankexec:FuzzExecutorMatchesModel \
 	internal/vmpi:FuzzCollectivesMatchMessageLevel internal/psort:FuzzSortMergeMatchesMessageLevel \
-	internal/netmodel:FuzzTorusCostMatchesReference
+	internal/psort:FuzzLocalSortMatchesReference internal/netmodel:FuzzTorusCostMatchesReference
 
 fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \

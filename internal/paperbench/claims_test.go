@@ -92,3 +92,75 @@ func readFig9Golden(t *testing.T, file string) []fig9Row {
 	}
 	return rows
 }
+
+// TestFig10MeasuredTables: the rows EXPERIMENTS.md's two hand-copied
+// Figure 10 tables share with paperbench_fig10_1024.txt — the 1024-rank
+// point — read the same there as in the golden, cell for cell at the
+// printed precision, so the tables cannot drift from the figure.
+func TestFig10MeasuredTables(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile(filepath.Join("..", "..", "testdata", "golden", "paperbench_fig10_1024.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []struct{ model, heading string }{
+		{"(switched)", "**Measured** on the switched (JuRoPA-like) model:"},
+		{"(torus)", "On the torus (Juqueen-like) model:"},
+	} {
+		table, gold := markdownTableAfter(string(doc), m.heading), goldenBlock(string(golden), m.model)
+		if len(gold) == 0 {
+			t.Fatalf("the golden has no %s rank rows", m.model)
+		}
+		for ranks, want := range gold {
+			if got, ok := table[ranks]; !ok {
+				t.Errorf("%s: EXPERIMENTS.md's table has no %s-rank row", m.model, ranks)
+			} else if strings.Join(got, " ") != strings.Join(want, " ") {
+				t.Errorf("%s, %s ranks: EXPERIMENTS.md reads %q, the golden %q", m.model, ranks, got, want)
+			}
+		}
+	}
+}
+
+// markdownTableAfter is the table that follows the line heading in doc,
+// its rows keyed by their first cell.
+func markdownTableAfter(doc, heading string) map[string][]string {
+	rows := map[string][]string{}
+	_, rest, ok := strings.Cut(doc, heading+"\n")
+	if !ok {
+		return rows
+	}
+	for _, line := range strings.Split(strings.TrimLeft(rest, "\n"), "\n") {
+		if !strings.HasPrefix(line, "|") {
+			break
+		}
+		cells := strings.Split(strings.Trim(line, "|"), "|")
+		for i := range cells {
+			cells[i] = strings.TrimSpace(cells[i])
+		}
+		rows[cells[0]] = cells[1:]
+	}
+	return rows
+}
+
+// goldenBlock is the rank rows of the golden's block whose title names
+// model, keyed by rank count.
+func goldenBlock(golden, model string) map[string][]string {
+	rows := map[string][]string{}
+	for _, block := range strings.Split(golden, "\n\n") {
+		title, body, _ := strings.Cut(block, "\n")
+		if !strings.Contains(title, model) {
+			continue
+		}
+		for _, line := range strings.Split(body, "\n") {
+			if f := strings.Fields(line); len(f) > 1 {
+				if _, err := strconv.Atoi(f[0]); err == nil {
+					rows[f[0]] = f[1:]
+				}
+			}
+		}
+	}
+	return rows
+}

@@ -17,7 +17,7 @@ import (
 
 func refSortMerge[T any](c *vmpi.Comm, items []T, key func(T) uint64) []T {
 	p := c.Size()
-	LocalSort(c, items, key)
+	refLocalSort(c, items, key)
 	if p == 1 {
 		return items
 	}
@@ -190,7 +190,7 @@ func oddEvenRound[T any](c *vmpi.Comm, items []T, key func(T) uint64, chain []in
 // rank-dist.
 func refSortRotational[T any](c *vmpi.Comm, items []T, key func(T) uint64) []T {
 	p := c.Size()
-	LocalSort(c, items, key)
+	refLocalSort(c, items, key)
 	if p == 1 {
 		return items
 	}
@@ -209,7 +209,7 @@ func refSortRotational[T any](c *vmpi.Comm, items []T, key func(T) uint64) []T {
 		vmpi.Release(got)
 		peak = max(peak, int64(len(send))*elem)
 	}
-	LocalSort(c, cur, key)
+	refLocalSort(c, cur, key)
 	if c.MaxExchangeBytes() > 0 {
 		c.Gauge(redist.MeterPeakBytes, float64(peak))
 		c.Counter(redist.MeterPeakBytes, float64(peak))

@@ -22,12 +22,18 @@
 // hands it to vmpi.Replayer.Group, which merges them on an idle core as
 // well once a step outgrows one tile; every result is bit for bit.
 //
-// Both sorts order elements by a uint64 key extracted with a caller-supplied
-// function and are deterministic, including for duplicate keys.
+// The sorts order elements by a uint64 key extracted with a caller-supplied
+// function and are deterministic, including for duplicate keys. Every local
+// sort on the host — LocalSort, and the partition sort's merge of its
+// received runs — is one stable kernel (sortStable), adaptive as the
+// modelled local sort is: sorted input costs a scan, almost sorted input a
+// few insertions. It allocates nothing.
 package psort
 
 import (
+	"cmp"
 	"math/bits"
+	"slices"
 	"sort"
 	"unsafe"
 
@@ -45,43 +51,99 @@ const (
 	tagRot    = 104
 )
 
-// keyedSorter sorts items and their extracted keys together, so the
-// comparator reads cached keys instead of re-extracting them O(n log n)
-// times. Stability (and therefore the permutation for duplicate keys) is
-// identical to stably sorting items with a key-extracting comparator.
-type keyedSorter[T any] struct {
-	items []T
-	keys  []uint64
-}
-
-func (s *keyedSorter[T]) Len() int           { return len(s.items) }
-func (s *keyedSorter[T]) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
-func (s *keyedSorter[T]) Swap(i, j int) {
-	s.items[i], s.items[j] = s.items[j], s.items[i]
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
-}
-
 // LocalSort stably sorts items by key and charges the cost of an adaptive
 // merge sort to the rank's virtual clock if c is non-nil: almost sorted
 // inputs — the method B steady state — cost little more than a scan, as
 // with the merge-based local sorting of the paper's sorting library
-// (reference [15]). Keys are extracted once during the sortedness scan and
-// cached for the sort.
+// (reference [15]). On the host it is sortStable, adaptive the same way,
+// and allocates nothing.
 func LocalSort[T any](c *vmpi.Comm, items []T, key func(T) uint64) {
-	keys := make([]uint64, len(items))
-	breaks := 0
-	for i := range items {
-		keys[i] = key(items[i])
-		if i > 0 && keys[i-1] > keys[i] {
-			breaks++
-		}
-	}
-	if breaks > 0 {
-		sort.Stable(&keyedSorter[T]{items: items, keys: keys})
-	}
+	breaks := sortStable(items, key)
 	if c != nil {
 		c.Compute(costs.AdaptiveSortTime(len(items), breaks))
 	}
+}
+
+// insertBudget bounds sortStable's insertions at insertBudget·n element
+// moves: past it the input is far from sorted, and slices.SortStableFunc,
+// O(n log² n) whatever the input, finishes the sort.
+const insertBudget = 8
+
+// probeDepth is how many places sortStable shifts an element back before it
+// binary-searches the rest of the sorted prefix: almost sorted input
+// displaces most elements by a few places.
+const probeDepth = 8
+
+// sortStable stably sorts items by key in place and returns the input's
+// breaks, the adjacent pairs out of order. It is one pass over items: an
+// element at least as large as the sorted prefix before it stays, so
+// sorted input costs a scan; any other is inserted into the prefix at its
+// upper bound, so equal keys keep their order. Once the insertions have
+// moved more than the budget, the rest of the breaks are counted and
+// slices.SortStableFunc sorts the whole slice, whose prefix is then the
+// stable sort of its own input. Keys are read, never cached: at every
+// caller key is a field read. A stable sort's output is unique, so which
+// path ran never shows.
+//
+//parlint:hotalloc
+func sortStable[T any](items []T, key func(T) uint64) (breaks int) {
+	if len(items) < 2 {
+		return 0
+	}
+	// prev is the key items[i-1] had on input, top the largest of items[:i].
+	prev := key(items[0])
+	top, budget := prev, insertBudget*len(items)
+	for i := 1; i < len(items); i++ {
+		v := items[i]
+		k := key(v)
+		if prev > k {
+			breaks++
+		}
+		if prev = k; k >= top {
+			top = k
+			continue
+		}
+		j := insert(items, i, v, k, key)
+		if budget -= i - j; budget < 0 {
+			for _, w := range items[i+1:] {
+				next := key(w)
+				if prev > next {
+					breaks++
+				}
+				prev = next
+			}
+			slices.SortStableFunc(items, func(a, b T) int { return cmp.Compare(key(a), key(b)) })
+			return breaks
+		}
+	}
+	return breaks
+}
+
+// insert moves v, whose key k is below that of items[i-1], from items[i]
+// into the sorted items[:i] after every key up to k, and returns where it
+// went. It shifts the prefix up one place at a time for probeDepth places,
+// then binary-searches what is left.
+func insert[T any](items []T, i int, v T, k uint64, key func(T) uint64) int {
+	j := i - 1
+	items[i] = items[j]
+	for stop := max(j-probeDepth, 0); j > stop; j-- {
+		if key(items[j-1]) <= k {
+			items[j] = v
+			return j
+		}
+		items[j] = items[j-1]
+	}
+	lo, hi := 0, j
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); key(items[m]) > k {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	copy(items[lo+1:j+1], items[lo:j])
+	items[lo] = v
+	return lo
 }
 
 // SortPartition globally sorts items across the ranks of c: after the call,
@@ -119,7 +181,7 @@ func SortPartition[T any](c *vmpi.Comm, items []T, key func(T) uint64) []T {
 	// received sorted runs concatenated in source-rank order; a stable sort
 	// of them keeps ties deterministic.
 	merged, counts := redist.ExchangeBlocks(c, parts)
-	sort.SliceStable(merged, func(i, j int) bool { return key(merged[i]) < key(merged[j]) })
+	sortStable(merged, key)
 	c.Compute(exchangeCost(c.Rank(), p, func(r int) int { return counts[r] }) + costs.MergeTime(len(merged), p))
 	return merged
 }

@@ -95,8 +95,8 @@ type task struct {
 	// wake is the pending-wakeup token: set by Unpark when the task is not
 	// parked, consumed by the next Park (which then returns immediately).
 	wake bool
-	// poisoned marks a parked task woken to deliver a deadlock verdict:
-	// its Park call reports the deadlock instead of resuming normally.
+	// poisoned marks a waiting task woken by Abort or the deadlock
+	// verdict: its Park call unwinds (unwind) instead of resuming normally.
 	poisoned bool
 	// hasSlot reports whether the task currently holds a run slot; it keeps
 	// slot accounting exact across poisoned wakeups (which grant no slot).
@@ -153,10 +153,10 @@ type Options struct {
 	MaxWorkers int
 	// OnDeadlock is invoked (outside the executor lock) when every live
 	// task is parked and no wakeup is pending, with the parked task ids in
-	// ascending order. Every parked task is woken poisoned and invokes it,
-	// so the verdict surfaces on goroutines that have the caller's panic
-	// recovery up-stack. It must panic; the executor panics itself if it
-	// returns.
+	// ascending order. The verdict aborts the executor, and every parked
+	// task is woken poisoned and invokes it, so the verdict surfaces on
+	// goroutines that have the caller's panic recovery up-stack. It must
+	// panic; the executor panics itself if it returns.
 	OnDeadlock func(parked []int)
 }
 
@@ -182,9 +182,9 @@ type Executor struct {
 	resident int
 	runnable int
 	aborted  bool
-	// deadIDs is the parked-id set of a declared deadlock; written before
-	// any poisoned grant and then read by the poisoned wakers, ordered by
-	// their grant-channel receives.
+	// deadIDs is the parked-id set of a declared deadlock; written with
+	// aborted, before any poisoned grant, and then read by the released
+	// tasks, ordered by their grant-channel receives or by mu.
 	deadIDs []int
 
 	st Stats
@@ -240,6 +240,7 @@ func (ex *Executor) Start() {
 // dispatch, and raise the slot cap exactly as if they had been present at
 // New. Admit must be called from a running task or before Wait has
 // returned; the admitted tasks keep Wait blocked until their bodies finish.
+// After Abort they are done at once, without running.
 //
 // Admission and the all-parked verdict compose without special cases: a
 // pending task is neither parked nor finished, so the verdict
@@ -249,9 +250,17 @@ func (ex *Executor) Admit(k int) int {
 	if k < 1 {
 		panic("rankexec: Admit needs at least 1 task")
 	}
-	ex.wg.Add(k)
 	ex.mu.Lock()
 	first := len(ex.tasks)
+	if ex.aborted {
+		for range k {
+			ex.tasks = append(ex.tasks, &task{state: stateDone})
+		}
+		ex.finished += k
+		ex.mu.Unlock()
+		return first
+	}
+	ex.wg.Add(k)
 	for id := first; id < first+k; id++ {
 		ex.tasks = append(ex.tasks, newTask())
 		ex.runQ, ex.qHead = enqueue(ex.runQ, ex.qHead, id)
@@ -283,10 +292,16 @@ func (ex *Executor) Wait() {
 // Park blocks the calling task (which must be running) until Unpark, or
 // returns immediately when a wake token is pending. Callers use it inside
 // a condition-recheck loop: test, Park, retest. A blocking park is one
-// critical section (see releaseSlotLocked).
+// critical section (see releaseSlotLocked). On an aborted executor, and
+// when Abort or the deadlock verdict releases the parked task, Park
+// panics instead (unwind).
 func (ex *Executor) Park(id int) {
 	ex.mu.Lock()
 	t := ex.tasks[id]
+	if ex.aborted {
+		ex.mu.Unlock()
+		ex.unwind()
+	}
 	if t.wake {
 		t.wake = false
 		ex.mu.Unlock()
@@ -306,7 +321,7 @@ func (ex *Executor) Park(id int) {
 	// poisoned was written before the grant send; the channel receive
 	// orders this read after it.
 	if t.poisoned {
-		ex.reportDeadlock(ex.deadIDs)
+		ex.unwind()
 	}
 }
 
@@ -352,15 +367,13 @@ func (ex *Executor) UnparkBatch(ids []int) {
 	ex.deliver(&g)
 }
 
-// Abort stops all dispatching and returns every free budget unit. Parked
-// tasks are left parked forever (the caller is unwinding a rank panic and
-// will never resume them); units held by still-running tasks are returned
-// as their slots free. Idempotent.
-func (ex *Executor) Abort() {
-	ex.mu.Lock()
-	ex.abortLocked()
-	ex.mu.Unlock()
-}
+// Abort stops all dispatching, returns every free budget unit and
+// releases every waiting task, so that Wait returns once the running tasks
+// are done too: parked and queued tasks wake poisoned and unwind from
+// their Park, a task that parks later unwinds at once, and a task that
+// never ran is done without running. Units held by running tasks are
+// returned as their slots free. Idempotent.
+func (ex *Executor) Abort() { ex.abort(false) }
 
 // Snapshot returns the current stats.
 func (ex *Executor) Snapshot() Stats {
@@ -540,31 +553,11 @@ func (ex *Executor) taskMain(id int) {
 	ex.wg.Done()
 }
 
-// declareDeadlock records the verdict, stops dispatching, and wakes every
-// parked task poisoned. Each poisoned task reports the deadlock from its
-// own Park call — on a goroutine that has the caller's panic recovery
-// machinery up-stack — and can then finish, so Wait terminates when the
-// task bodies recover. A parked task never has a pending grant, so the
-// buffered sends cannot block.
-func (ex *Executor) declareDeadlock() {
-	ex.mu.Lock()
-	ex.abortLocked()
-	var ids []int
-	for id, t := range ex.tasks {
-		if t.state == stateParked {
-			ids = append(ids, id)
-			t.poisoned = true
-			t.state = stateRunning // off the parked set; holds no slot
-		}
-	}
-	ex.deadIDs = ids
-	ex.parked -= len(ids)
-	tasks := ex.tasks
-	ex.mu.Unlock()
-	for _, id := range ids {
-		tasks[id].grant <- struct{}{}
-	}
-}
+// declareDeadlock records the verdict and aborts: each parked task reports
+// the deadlock from its own Park call, on a goroutine that has the caller's
+// panic recovery machinery up-stack, and can then finish, so Wait
+// terminates when the task bodies recover.
+func (ex *Executor) declareDeadlock() { ex.abort(true) }
 
 // deadlockedLocked reports the all-parked condition: every unfinished task
 // is parked and none holds a wake token. Tokens can only belong to
@@ -576,12 +569,54 @@ func (ex *Executor) deadlockedLocked() bool {
 	return !ex.aborted && ex.parked > 0 && ex.parked+ex.finished == len(ex.tasks)
 }
 
-func (ex *Executor) abortLocked() {
+// abort stops dispatching, returns the free extras and releases every
+// waiting task; with verdict it first records the parked ids as the
+// deadlock verdict. A task that never ran is done; a parked or queued one
+// leaves the parked set and the deque poisoned, holding no slot, and is
+// sent its grant once the lock drops. A waiting task never has a pending
+// grant, so the buffered sends cannot block.
+func (ex *Executor) abort(verdict bool) {
+	ex.mu.Lock()
 	if ex.aborted {
+		ex.mu.Unlock()
 		return
 	}
 	ex.aborted = true
 	ex.trimExtrasLocked(true)
+	var woken []*task
+	unrun := 0
+	for id, t := range ex.tasks {
+		switch t.state {
+		case statePending:
+			t.state = stateDone
+			unrun++
+		case stateParked, stateRunnable:
+			if verdict && t.state == stateParked {
+				ex.deadIDs = append(ex.deadIDs, id)
+			}
+			t.poisoned = true
+			t.state = stateRunning
+			woken = append(woken, t)
+		}
+	}
+	ex.finished += unrun
+	ex.parked, ex.runnable = 0, 0
+	ex.runQ, ex.qHead = ex.runQ[:0], 0
+	ex.mu.Unlock()
+	ex.wg.Add(-unrun)
+	for _, t := range woken {
+		t.grant <- struct{}{}
+	}
+}
+
+// unwind ends a task the executor has released: with the deadlock verdict
+// if one was declared, else with a panic saying the executor aborted. The
+// caller's recovery, which caused the abort, holds the panic that matters.
+func (ex *Executor) unwind() {
+	if ex.deadIDs != nil {
+		ex.reportDeadlock(ex.deadIDs)
+	}
+	panic("rankexec: aborted")
 }
 
 func (ex *Executor) reportDeadlock(parked []int) {

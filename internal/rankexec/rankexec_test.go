@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 // fakeBudget is a capacity-limited Budget that records peak outstanding
@@ -268,7 +269,7 @@ func TestAbortReleasesBudget(t *testing.T) {
 	ex.Abort()
 	close(release)
 	// Drain remaining started notifications; aborted dispatch means not
-	// all n run, which is fine — Wait would block, so don't call it.
+	// all n run, which is fine.
 	for {
 		select {
 		case <-started:
@@ -286,6 +287,52 @@ func TestAbortReleasesBudget(t *testing.T) {
 		runtime.Gosched()
 	}
 	t.Fatalf("budget leak after Abort: %d outstanding", b.outstanding())
+}
+
+// TestAbortReleasesWaitingTasks: after Abort, Wait returns once the
+// running task is done. Parked tasks unwind from their Park, the aborting
+// task's own later Park unwinds at once, and queued and admitted tasks
+// never run.
+func TestAbortReleasesWaitingTasks(t *testing.T) {
+	const n, aborter = 6, 3
+	var mu sync.Mutex
+	ran, unwound := map[int]bool{}, map[int]any{}
+	var ex *Executor
+	ex = New(n, func(id int) {
+		mu.Lock()
+		ran[id] = true
+		mu.Unlock()
+		defer func() {
+			p := recover()
+			mu.Lock()
+			unwound[id] = p
+			mu.Unlock()
+		}()
+		if id == aborter {
+			ex.Abort()
+			ex.Admit(2)
+		}
+		ex.Park(id)
+	}, Options{Workers: 1})
+	ex.Start()
+	done := make(chan struct{})
+	go func() {
+		ex.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Wait did not return after Abort")
+	}
+	for id := 0; id < n+2; id++ {
+		if want := id <= aborter; ran[id] != want {
+			t.Errorf("task %d ran: %v, want %v", id, ran[id], want)
+		}
+		if id <= aborter && unwound[id] != "rankexec: aborted" {
+			t.Errorf("task %d unwound with %v, want the abort panic", id, unwound[id])
+		}
+	}
 }
 
 // TestUnparkDone checks unparking a finished task is a no-op.

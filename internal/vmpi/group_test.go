@@ -85,10 +85,11 @@ func TestReplayerGroupBitIdentical(t *testing.T) {
 
 // TestReplayerGroupPanics: a task's panic reaches Run — the lowest
 // panicking task's, at any GOMAXPROCS, from the second of three tiles — and
-// the replay's helper is gone by then; a charge of every rank, or a Group,
-// inside a group panics.
+// the replay's helper and every parked rank are gone by then; a charge of
+// every rank, or a Group, inside a group panics.
 func TestReplayerGroupPanics(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	base := runtime.NumGoroutine()
 	for _, procs := range []int{1, 2, 4} {
 		runtime.GOMAXPROCS(procs)
 		for _, tc := range []struct {
@@ -124,16 +125,12 @@ func TestReplayerGroupPanics(t *testing.T) {
 			if !strings.Contains(msg, tc.want) {
 				t.Fatalf("GOMAXPROCS %d: Run panicked with %q, want %q", procs, msg, tc.want)
 			}
-			// The replay's parked ranks stay parked after its panic; the
-			// helper must not. It has closed its done channel when join
-			// returns, so give it a moment to leave its last frame.
-			helper := strings.Contains(allStacks(), "replayHelper")
-			for wait := 0; helper && wait < 100; wait++ {
-				time.Sleep(10 * time.Millisecond)
-				helper = strings.Contains(allStacks(), "replayHelper")
-			}
-			if helper {
-				t.Fatalf("GOMAXPROCS %d, %q: the replay's helper outlived the run", procs, tc.want)
+			// The aborted world's parked ranks unwind before Run
+			// re-panics, and the replay's helper is joined before that.
+			if n := goroutinesAfter(base); n != base {
+				helper := strings.Contains(allStacks(), "replayHelper")
+				t.Fatalf("GOMAXPROCS %d, %q: %d goroutines after the run, %d before (the replay's helper among them: %v)",
+					procs, tc.want, n, base, helper)
 			}
 		}
 	}

@@ -229,20 +229,22 @@ func Run(cfg Config, f func(c *Comm)) *Stats {
 // completion under the executor and returns its final meters. Task ids are
 // instance ids: admitted ranks join the executor as new tasks (Admit)
 // without disturbing the all-parked deadlock verdict, and retired ranks
-// simply finish. The first rank panic (including the deadlock verdict) is
-// re-raised in the caller's goroutine; parked sibling ranks stay parked.
+// simply finish. A rank panic (including the deadlock verdict) aborts
+// the executor, which makes every other rank unwind from its next park;
+// once all are gone, the first panic is re-raised in the caller's
+// goroutine.
 func (rt *Runtime) execute(workers, n int) *rankexec.Stats {
 	panicCh := make(chan any, 1)
 	body := func(r int) {
 		defer func() {
 			if p := recover(); p != nil {
-				// Stop dispatching and return budget extras before the
-				// caller unwinds.
-				rt.exec.Abort()
+				// Keep the first panic, then abort: the ranks it releases
+				// panic too, and theirs must not take its place.
 				select {
 				case panicCh <- p:
 				default:
 				}
+				rt.exec.Abort()
 			}
 		}()
 		c := rt.instComm(r)
@@ -270,22 +272,11 @@ func (rt *Runtime) execute(workers, n int) *rankexec.Stats {
 	ex := rankexec.New(n, body, opts)
 	rt.exec = ex
 	ex.Start()
-	done := make(chan struct{})
-	go func() {
-		ex.Wait()
-		close(done)
-	}()
+	ex.Wait()
 	select {
-	case <-done:
-		// A deadlock verdict lets every poisoned rank finish after its
-		// recover, so Wait can return with a panic pending — check.
-		select {
-		case p := <-panicCh:
-			panic(p)
-		default:
-		}
 	case p := <-panicCh:
 		panic(p)
+	default:
 	}
 	st := ex.Snapshot()
 	return &st

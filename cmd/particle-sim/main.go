@@ -36,7 +36,6 @@ func main() {
 		accuracy = flag.Float64("accuracy", 1e-3, "requested relative accuracy")
 		machine  = flag.String("machine", "switched", "network model: switched or torus")
 		seed     = flag.Int64("seed", 42, "particle system seed")
-		file     = flag.String("file", "", "read the particle system from this file instead of generating")
 		trace    = flag.Bool("trace", false, "record every message and print a per-phase communication summary")
 	)
 	flag.Parse()
@@ -60,28 +59,13 @@ func main() {
 		os.Exit(2)
 	}
 
-	var s *particle.System
-	if *file != "" {
-		f, err := os.Open(*file)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "particle-sim: %v\n", err)
-			os.Exit(1)
-		}
-		s, err = particle.ReadText(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "particle-sim: %v\n", err)
-			os.Exit(1)
-		}
-	} else {
-		sideV := *side
-		if sideV == 0 {
-			sideV = 2.6567 * math.Cbrt(float64(*n))
-		}
-		s = particle.SilicaMelt(*n, sideV, true, *seed)
-		if *thermal > 0 {
-			particle.Thermalize(s, *thermal, *seed+2)
-		}
+	sideV := *side
+	if sideV == 0 {
+		sideV = 2.6567 * math.Cbrt(float64(*n))
+	}
+	s := particle.SilicaMelt(*n, sideV, true, *seed)
+	if *thermal > 0 {
+		particle.Thermalize(s, *thermal, *seed+2)
 	}
 
 	var model netmodel.Model

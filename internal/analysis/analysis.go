@@ -187,7 +187,7 @@ func suppressedLines(fset *token.FileSet, files []*ast.File) map[string]map[stri
 // dependency order pkgs arrives in; phase 2 runs the analyzers with the
 // completed table in Pass.Facts.
 func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	facts := ComputeFacts(pkgs)
+	facts := computeFacts(pkgs)
 	var all []Diagnostic
 	for _, pkg := range pkgs {
 		if pkg.FactsOnly {

@@ -24,7 +24,7 @@ import (
 
 // FuncFacts is the interprocedural summary of one function. All boolean
 // facts are monotone (false -> true) so the per-package fixpoint in
-// ComputeFacts terminates.
+// computeFacts terminates.
 type FuncFacts struct {
 	// EntersCollective: the function (transitively) executes a vmpi
 	// collective, so calling it is itself a collective entry for SPMD
@@ -86,10 +86,10 @@ type Facts struct {
 	fns map[string]*FuncFacts
 }
 
-// FuncKey returns the stable cross-package key of fn:
+// funcKey returns the stable cross-package key of fn:
 // "pkg/path.Name" for package functions, "pkg/path.Recv.Name" for
 // methods. Generic instantiations share their origin's key.
-func FuncKey(fn *types.Func) string {
+func funcKey(fn *types.Func) string {
 	if fn == nil {
 		return ""
 	}
@@ -125,7 +125,7 @@ func (f *Facts) Of(fn *types.Func) FuncFacts {
 	if f == nil {
 		return FuncFacts{}
 	}
-	if ff := f.fns[FuncKey(fn)]; ff != nil {
+	if ff := f.fns[funcKey(fn)]; ff != nil {
 		return *ff
 	}
 	return FuncFacts{}
@@ -181,10 +181,10 @@ func intrinsicFacts(fn *types.Func) (FuncFacts, bool) {
 	return FuncFacts{}, false
 }
 
-// ComputeFacts runs phase 1 over pkgs (which must be in dependency
+// computeFacts runs phase 1 over pkgs (which must be in dependency
 // order, dependencies first — the order Load returns) and returns the
 // global fact table.
-func ComputeFacts(pkgs []*Package) *Facts {
+func computeFacts(pkgs []*Package) *Facts {
 	f := &Facts{fns: map[string]*FuncFacts{}}
 	for _, pkg := range pkgs {
 		computePkgFacts(pkg, f)
@@ -213,7 +213,7 @@ func computePkgFacts(pkg *Package, f *Facts) {
 			if fn == nil {
 				continue
 			}
-			key := FuncKey(fn)
+			key := funcKey(fn)
 			decls = append(decls, fnDecl{key, fd})
 			if f.fns[key] == nil {
 				f.fns[key] = &FuncFacts{}

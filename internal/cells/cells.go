@@ -11,32 +11,25 @@ import "fmt"
 
 // Grid is a linked-cell structure over a fixed set of particle positions.
 type Grid struct {
-	lo, hi   [3]float64
-	n        [3]int
-	inv      [3]float64 // cells per unit length
-	head     []int      // first particle of each cell, -1 if empty
-	next     []int      // next particle in the same cell, -1 at end
-	cellOf   []int      // cell index per particle
-	particle int        // number of particles
+	lo, hi [3]float64
+	n      [3]int
+	inv    [3]float64 // cells per unit length
+	head   []int      // first particle of each cell, -1 if empty
+	next   []int      // next particle in the same cell, -1 at end
+	cellOf []int      // cell index per particle
 }
 
-// Build bins n particles (positions in pos, length 3n) into cells of side
+// Rebuild bins n particles (positions in pos, length 3n) into cells of side
 // at least cutoff covering [lo, hi). Particles outside the region are
 // clamped into the boundary cells, which is correct for ghost particles
 // lying just outside a subdomain. It panics if the region is degenerate or
 // cutoff is not positive.
-func Build(pos []float64, n int, lo, hi [3]float64, cutoff float64) *Grid {
-	g := &Grid{}
-	g.Rebuild(pos, n, lo, hi, cutoff)
-	return g
-}
-
-// Rebuild re-bins a (possibly different) particle set into the grid,
-// reusing the grid's head/next/cellOf allocations when their capacity
-// suffices. Region, cutoff, and particle count may all change between
-// rebuilds; the resulting grid is identical to a freshly Built one, so
-// solvers can keep one grid per subdomain across time steps instead of
-// allocating a new one every step. The same validation as Build applies.
+//
+// Rebuild reuses the grid's head/next/cellOf allocations when their
+// capacity suffices. Region, cutoff, and particle count may all change
+// between rebuilds; the result is identical to binning into a zero Grid, so
+// solvers keep one grid per subdomain across time steps instead of
+// allocating a new one every step.
 func (g *Grid) Rebuild(pos []float64, n int, lo, hi [3]float64, cutoff float64) {
 	if cutoff <= 0 {
 		panic("cells: cutoff must be positive")
@@ -45,7 +38,6 @@ func (g *Grid) Rebuild(pos []float64, n int, lo, hi [3]float64, cutoff float64) 
 		panic(fmt.Sprintf("cells: %d positions for %d particles", len(pos)/3, n))
 	}
 	g.lo, g.hi = lo, hi
-	g.particle = n
 	total := 1
 	for d := 0; d < 3; d++ {
 		ext := hi[d] - lo[d]
@@ -84,9 +76,6 @@ func growInts(buf []int, n int) []int {
 
 // Dims returns the number of cells per dimension.
 func (g *Grid) Dims() [3]int { return g.n }
-
-// Len returns the number of binned particles.
-func (g *Grid) Len() int { return g.particle }
 
 // cellIndex maps a position to its (clamped) cell index.
 func (g *Grid) cellIndex(x, y, z float64) int {

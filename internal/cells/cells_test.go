@@ -6,6 +6,13 @@ import (
 	"testing"
 )
 
+// build bins n particles into a fresh grid over [lo, hi).
+func build(pos []float64, n int, lo, hi [3]float64, cutoff float64) *Grid {
+	g := &Grid{}
+	g.Rebuild(pos, n, lo, hi, cutoff)
+	return g
+}
+
 // bruteForcePairs returns the set of pairs within cutoff.
 func bruteForcePairs(pos []float64, n int, cutoff float64) map[[2]int]bool {
 	out := map[[2]int]bool{}
@@ -31,7 +38,7 @@ func TestForEachPairFindsAllCutoffPairs(t *testing.T) {
 	for i := range pos {
 		pos[i] = rng.Float64()
 	}
-	g := Build(pos, n, [3]float64{0, 0, 0}, [3]float64{1, 1, 1}, cutoff)
+	g := build(pos, n, [3]float64{0, 0, 0}, [3]float64{1, 1, 1}, cutoff)
 	want := bruteForcePairs(pos, n, cutoff)
 	got := map[[2]int]bool{}
 	g.ForEachPair(func(i, j int) {
@@ -58,7 +65,7 @@ func TestForEachPairNoDuplicates(t *testing.T) {
 	for i := range pos {
 		pos[i] = rng.Float64() * 4
 	}
-	g := Build(pos, n, [3]float64{0, 0, 0}, [3]float64{4, 4, 4}, 0.8)
+	g := build(pos, n, [3]float64{0, 0, 0}, [3]float64{4, 4, 4}, 0.8)
 	seen := map[[2]int]bool{}
 	g.ForEachPair(func(i, j int) {
 		a, b := i, j
@@ -82,7 +89,7 @@ func TestForEachPairCandidateEfficiency(t *testing.T) {
 	for i := range pos {
 		pos[i] = rng.Float64() * 10
 	}
-	g := Build(pos, n, [3]float64{0, 0, 0}, [3]float64{10, 10, 10}, 0.7)
+	g := build(pos, n, [3]float64{0, 0, 0}, [3]float64{10, 10, 10}, 0.7)
 	candidates := g.ForEachPair(func(i, j int) {})
 	if candidates > n*n/10 {
 		t.Errorf("linked cells degenerate: %d candidates for %d particles", candidates, n)
@@ -93,7 +100,7 @@ func TestBuildClampsOutOfRange(t *testing.T) {
 	// Ghost particles slightly outside the region must be binned into
 	// boundary cells, not lost.
 	pos := []float64{-0.05, 0.5, 0.5, 1.02, 0.5, 0.5, 0.5, 0.5, 0.5}
-	g := Build(pos, 3, [3]float64{0, 0, 0}, [3]float64{1, 1, 1}, 0.3)
+	g := build(pos, 3, [3]float64{0, 0, 0}, [3]float64{1, 1, 1}, 0.3)
 	total := 0
 	for c := 0; c < g.n[0]*g.n[1]*g.n[2]; c++ {
 		total += g.CellCount(c)
@@ -106,7 +113,7 @@ func TestBuildClampsOutOfRange(t *testing.T) {
 func TestSmallRegionSingleCell(t *testing.T) {
 	// Region smaller than cutoff: one cell, all pairs visited.
 	pos := []float64{0.1, 0.1, 0.1, 0.2, 0.2, 0.2, 0.3, 0.3, 0.3}
-	g := Build(pos, 3, [3]float64{0, 0, 0}, [3]float64{0.5, 0.5, 0.5}, 2.0)
+	g := build(pos, 3, [3]float64{0, 0, 0}, [3]float64{0.5, 0.5, 0.5}, 2.0)
 	if d := g.Dims(); d != [3]int{1, 1, 1} {
 		t.Fatalf("dims = %v", d)
 	}
@@ -118,7 +125,7 @@ func TestSmallRegionSingleCell(t *testing.T) {
 }
 
 func TestCellSideAtLeastCutoff(t *testing.T) {
-	g := Build(nil, 0, [3]float64{0, 0, 0}, [3]float64{10, 7, 3}, 0.9)
+	g := build(nil, 0, [3]float64{0, 0, 0}, [3]float64{10, 7, 3}, 0.9)
 	d := g.Dims()
 	for dim, ext := range []float64{10, 7, 3} {
 		side := ext / float64(d[dim])
@@ -130,7 +137,7 @@ func TestCellSideAtLeastCutoff(t *testing.T) {
 
 func TestForEachInCell(t *testing.T) {
 	pos := []float64{0.1, 0.1, 0.1, 0.12, 0.12, 0.12, 0.9, 0.9, 0.9}
-	g := Build(pos, 3, [3]float64{0, 0, 0}, [3]float64{1, 1, 1}, 0.25)
+	g := build(pos, 3, [3]float64{0, 0, 0}, [3]float64{1, 1, 1}, 0.25)
 	c0 := g.CellOf(0)
 	if g.CellOf(1) != c0 {
 		t.Fatal("close particles should share a cell")
@@ -150,9 +157,9 @@ func TestForEachInCell(t *testing.T) {
 
 func TestBuildPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"zero cutoff": func() { Build(nil, 0, [3]float64{0, 0, 0}, [3]float64{1, 1, 1}, 0) },
-		"degenerate":  func() { Build(nil, 0, [3]float64{0, 0, 0}, [3]float64{0, 1, 1}, 0.1) },
-		"short pos":   func() { Build([]float64{1, 2}, 3, [3]float64{0, 0, 0}, [3]float64{1, 1, 1}, 0.1) },
+		"zero cutoff": func() { build(nil, 0, [3]float64{0, 0, 0}, [3]float64{1, 1, 1}, 0) },
+		"degenerate":  func() { build(nil, 0, [3]float64{0, 0, 0}, [3]float64{0, 1, 1}, 0.1) },
+		"short pos":   func() { build([]float64{1, 2}, 3, [3]float64{0, 0, 0}, [3]float64{1, 1, 1}, 0.1) },
 	} {
 		func() {
 			defer func() {
@@ -174,7 +181,7 @@ func TestDistanceFilterExample(t *testing.T) {
 		pos[i] = rng.Float64() * 6
 	}
 	const cutoff = 1.0
-	g := Build(pos, n, [3]float64{0, 0, 0}, [3]float64{6, 6, 6}, cutoff)
+	g := build(pos, n, [3]float64{0, 0, 0}, [3]float64{6, 6, 6}, cutoff)
 	side := 6.0 / float64(g.Dims()[0])
 	maxD := math.Sqrt(3) * 2 * side
 	g.ForEachPair(func(i, j int) {

@@ -55,7 +55,6 @@ func Methods() []string {
 // particle code (the generic FCS handle of §II-A).
 type FCS struct {
 	comm    *vmpi.Comm
-	method  string
 	factory api.Factory
 
 	box      particle.Box
@@ -98,7 +97,6 @@ func Init(method string, comm *vmpi.Comm, opts ...Option) (*FCS, error) {
 	}
 	h := &FCS{
 		comm:     comm,
-		method:   method,
 		factory:  f,
 		accuracy: 1e-3,
 		maxMove:  -1,
@@ -113,12 +111,6 @@ func Init(method string, comm *vmpi.Comm, opts ...Option) (*FCS, error) {
 	}
 	return h, nil
 }
-
-// Method returns the solver method name.
-func (h *FCS) Method() string { return h.method }
-
-// Comm returns the communicator the handle was created on.
-func (h *FCS) Comm() *vmpi.Comm { return h.comm }
 
 // Rescale moves the handle to a resized communicator (vmpi.Resize). The
 // solver instance is dropped — its domain decomposition and tuning are
@@ -254,12 +246,6 @@ func (h *FCS) LastRunStats() (api.RunStats, bool) {
 		return src.LastRunStats(), true
 	}
 	return api.RunStats{}, false
-}
-
-// ResortIndices exposes the resort indices of the previous Run (one per
-// original local particle), mainly for tests and diagnostics.
-func (h *FCS) ResortIndices() []redist.Index {
-	return h.lastIndices
 }
 
 // validateResort checks the resort arguments before any communication:

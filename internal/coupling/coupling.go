@@ -112,17 +112,6 @@ func (p *Pipeline[T]) Reset() {
 	p.lastSorted = false
 }
 
-// Rescale moves the pipeline to a resized communicator (vmpi.Resize) after
-// the application redistributed its particles onto the new world. The
-// steady state is forgotten: origin indices of the next Run's records are
-// numbered in the new world, so the previous world's sorted order means
-// nothing to it. The solver method must itself be (re)decomposed for the
-// new size before the next Run.
-func (p *Pipeline[T]) Rescale(c *vmpi.Comm) {
-	p.c = c
-	p.lastSorted = false
-}
-
 // LastStats returns the instrumentation of the previous Run.
 func (p *Pipeline[T]) LastStats() api.RunStats { return p.last }
 

@@ -43,7 +43,9 @@ func (m *fakeMethod) MoveThreshold() float64 { return m.threshold }
 func (m *fakeMethod) Exchange(recs []fakeRec, fast bool) ([]fakeRec, ExchangeInfo) {
 	m.fastSeen = append(m.fastSeen, fast)
 	next := (m.c.Rank() + 1) % m.c.Size()
-	recv := redist.Exchange(m.c, recs, redist.ToRank(func(int) int { return next }))
+	pl := redist.NewPlan(m.c, len(recs), redist.ToRank(func(int) int { return next }), redist.Options{})
+	recv := redist.Execute(pl, recs)
+	pl.Free()
 	info := ExchangeInfo{Strategy: api.StrategyAlltoall}
 	if fast {
 		info.Strategy = api.StrategyNeighborhood

@@ -36,10 +36,10 @@ import (
 // PhaseResize span for the world reconfiguration itself).
 const PhaseRemap = "elastic/remap"
 
-// Record is the full per-particle state moved by a remap: solver inputs,
+// record is the full per-particle state moved by a remap: solver inputs,
 // application data (velocities, accelerations), and the last solver
 // outputs, 14 float64 words on the wire.
-type Record struct {
+type record struct {
 	Pos   [3]float64
 	Q     float64
 	Vel   [3]float64
@@ -117,8 +117,8 @@ func Join(c *vmpi.Comm, box particle.Box, capf Capacity) *particle.Local {
 }
 
 // pack flattens the live particles into wire records.
-func pack(l *particle.Local) []Record {
-	recs := make([]Record, l.N)
+func pack(l *particle.Local) []record {
+	recs := make([]record, l.N)
 	for i := range recs {
 		r := &recs[i]
 		copy(r.Pos[:], l.Pos[3*i:3*i+3])
@@ -132,7 +132,7 @@ func pack(l *particle.Local) []Record {
 }
 
 // unpack materializes received records as a fresh Local.
-func unpack(box particle.Box, recs []Record, capf Capacity) *particle.Local {
+func unpack(box particle.Box, recs []record, capf Capacity) *particle.Local {
 	n := len(recs)
 	capacity := capf(n)
 	if capacity < n {

@@ -1,7 +1,6 @@
 package particle
 
 import (
-	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
@@ -313,48 +312,4 @@ func TestLocalAppendAndCapPanic(t *testing.T) {
 		}
 	}()
 	l.Append(0.7, 0.8, 0.9, 1, 0, 0, 0)
-}
-
-func TestTextRoundTrip(t *testing.T) {
-	s := SilicaMelt(100, 10, true, 5)
-	for i := 0; i < 3*s.N; i++ {
-		s.Vel[i] = float64(i) * 0.001
-	}
-	var buf bytes.Buffer
-	if err := WriteText(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadText(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.N != s.N {
-		t.Fatalf("N = %d, want %d", got.N, s.N)
-	}
-	if got.Box.Lengths() != s.Box.Lengths() {
-		t.Errorf("box = %v", got.Box.Lengths())
-	}
-	for i := 0; i < 3*s.N; i++ {
-		if got.Pos[i] != s.Pos[i] || got.Vel[i] != s.Vel[i] {
-			t.Fatalf("round trip mismatch at %d", i)
-		}
-	}
-	for i := 0; i < s.N; i++ {
-		if got.Q[i] != s.Q[i] {
-			t.Fatalf("charge mismatch at %d", i)
-		}
-	}
-}
-
-func TestReadTextErrors(t *testing.T) {
-	for _, bad := range []string{
-		"",
-		"garbage\n",
-		"# repro particle system v1\nn -5\nbox 1 1 1 1\n",
-		"# repro particle system v1\nn 2\nbox 1 1 1 1\n0 0 0 1 0 0 0\n", // truncated
-	} {
-		if _, err := ReadText(bytes.NewBufferString(bad)); err == nil {
-			t.Errorf("ReadText(%q) should fail", bad)
-		}
-	}
 }

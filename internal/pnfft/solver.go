@@ -64,9 +64,6 @@ type Solver struct {
 	targets []int
 }
 
-// Input aliases api.Input.
-type Input = api.Input
-
 // New creates a P2NFFT solver on the communicator. The box must be cubic
 // and fully periodic (the method is an Ewald-type solver).
 func New(c *vmpi.Comm, box particle.Box, accuracy float64) *Solver {
@@ -114,7 +111,7 @@ func (s *Solver) setAssignmentOrder(order int) {
 // about 1.8 mean ion spacings) and is fitted into one ghost layer of the
 // process grid; the splitting parameter and mesh size follow from the
 // standard exponential error estimates.
-func (s *Solver) Tune(in Input) error {
+func (s *Solver) Tune(in api.Input) error {
 	l := s.box.Lengths()[0]
 	minSub := l
 	for d, n := range s.dims {
@@ -189,7 +186,7 @@ type pRec struct {
 
 // Run implements api.Solver by delegating to the coupling pipeline; the
 // solver-specific hooks live on the method adapter below.
-func (s *Solver) Run(in Input) (api.Output, error) {
+func (s *Solver) Run(in api.Input) (api.Output, error) {
 	if s.slab == nil {
 		if err := s.Tune(in); err != nil {
 			return api.Output{}, err
@@ -237,21 +234,21 @@ func (m method) Exchange(items []pRec, fast bool) ([]pRec, coupling.ExchangeInfo
 	s := m.Solver
 	targets := s.targets
 	s.targets = nil
-	tf := redist.ToRank(func(i int) int { return targets[i] })
+	// On the fast path one plan carries both the neighborhood attempt and
+	// the collective fallback: the routing is built once, the feasibility
+	// vote in NewPlan is collective, and Execute picks the backend.
+	var opts redist.Options
 	if fast {
-		// One plan carries both the neighborhood attempt and the
-		// collective fallback: the routing is built once, the feasibility
-		// vote in NewPlan is collective, and Execute picks the backend.
-		pl := redist.NewPlan(s.comm, len(items), tf, redist.Options{Neighbors: s.cart.Neighbors(1)})
-		recv := redist.Execute(pl, items)
-		usedNbr := pl.UsedNeighborhood()
-		pl.Free()
-		if !usedNbr {
-			return recv, coupling.ExchangeInfo{Strategy: api.StrategyAlltoall, Fallback: true}
-		}
-		return recv, coupling.ExchangeInfo{Strategy: api.StrategyNeighborhood}
+		opts.Neighbors = s.cart.Neighbors(1)
 	}
-	return redist.Exchange(s.comm, items, tf), coupling.ExchangeInfo{Strategy: api.StrategyAlltoall}
+	pl := redist.NewPlan(s.comm, len(items), redist.ToRank(func(i int) int { return targets[i] }), opts)
+	recv := redist.Execute(pl, items)
+	info := coupling.ExchangeInfo{Strategy: api.StrategyAlltoall, Fallback: fast && !pl.UsedNeighborhood()}
+	if pl.UsedNeighborhood() {
+		info.Strategy = api.StrategyNeighborhood
+	}
+	pl.Free()
+	return recv, info
 }
 
 // Compute separates owned particles from ghosts (keeping arrival order)
@@ -288,7 +285,7 @@ func (method) PosQ(r pRec) (x, y, z, q float64) { return r.X, r.Y, r.Z, r.Q }
 // the corresponding neighbor ranks as ghosts with invalid origin and, when
 // the neighbor relation wraps around the box, positions shifted into the
 // neighbor's frame.
-func (s *Solver) buildItems(in Input) (items []pRec, targets []int) {
+func (s *Solver) buildItems(in api.Input) (items []pRec, targets []int) {
 	c := s.comm
 	L := s.box.Lengths()
 	items = make([]pRec, 0, in.N+in.N/4)

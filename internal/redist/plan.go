@@ -12,8 +12,8 @@ import (
 
 // Memory-bounded redistribution planning.
 //
-// Every redistribution in this package — the collective all-to-all
-// Exchange, the neighborhood exchange, the block remap, and the resort of
+// Every redistribution in this package — the collective all-to-all, the
+// neighborhood exchange, the block remap, and the resort of
 // method B — routes through a Plan. Following Rink et al.
 // (*Memory-efficient array redistribution through portable collective
 // communication*, PAPERS.md), a Plan under a byte budget decomposes the
@@ -146,8 +146,8 @@ func grow[E any](s []E, n int) []E {
 
 // Free returns the plan and its routing arrays to the package pool. The
 // plan must not be used after Free. Freeing is optional — an unfreed Plan
-// is simply garbage-collected — but the convenience wrappers (Exchange,
-// ExchangeNeighborhood, RemapBlocks, the resorts) free theirs once
+// is simply garbage-collected — but the package's entry points
+// (ExchangeNeighborhood, RemapBlocks, the resorts) free theirs once
 // executed, which keeps the O(P) planner arrays off the allocator's hot
 // path at large rank counts.
 func (p *Plan) Free() {

@@ -624,7 +624,7 @@ func TestPlanSmallWorldsMatchOracle(t *testing.T) {
 			st := vmpi.Run(vmpi.Config{Ranks: p, MaxExchangeBytes: budget}, func(c *vmpi.Comm) {
 				self := c.Rank()
 				var res result
-				res.Dense = Exchange(c, inputs[self], func(i int, dst []int) []int {
+				res.Dense = denseExchange(c, inputs[self], func(i int, dst []int) []int {
 					return append(dst, dests[self][i]...)
 				})
 				var used bool
@@ -789,7 +789,7 @@ func FuzzPlanMatchesOracle(f *testing.F) {
 				res.Calls++
 				return append(dst, dests[self][i]...)
 			}
-			res.Dense = Exchange(c, inputs[self], targets)
+			res.Dense = denseExchange(c, inputs[self], targets)
 			res.Nbr, res.Used = ExchangeNeighborhood(c, inputs[self], targets, ringRadius(self, p, radius))
 			c.SetResult(res)
 		})
@@ -898,7 +898,7 @@ func TestNeighborhoodFallbackDensifies(t *testing.T) {
 				}
 				if replay {
 					vmpi.AllreduceVal(c, 1, vmpi.Min[int])
-					res.Out = Exchange(c, inputs[self], targets)
+					res.Out = denseExchange(c, inputs[self], targets)
 				} else {
 					var used bool
 					res.Out, used = ExchangeNeighborhood(c, inputs[self], targets, ringRadius(self, p, radius))

@@ -5,11 +5,12 @@
 // (used to create ghost particles), plus the resort-index machinery that
 // method B (§III-B) builds on.
 //
-// Two communication backends are provided, mirroring §III-B's P2NFFT
-// optimization:
+// A Plan (NewPlan → Execute → Free, see plan.go) picks one of two
+// communication backends, mirroring §III-B's P2NFFT optimization:
 //
-//   - Exchange uses a collective all-to-all.
-//   - ExchangeNeighborhood exchanges blocks with a fixed neighbor set
+//   - By default it uses a collective all-to-all.
+//   - With Options.Neighbors (or through ExchangeNeighborhood, the one
+//     convenience wrapper) it exchanges blocks with a fixed neighbor set
 //     only, charged as one eager message to and then from each neighbor
 //     in list order. The set must be symmetric across ranks; the replay
 //     rejects an asymmetric one, whose messages would not pair up. Each
@@ -23,8 +24,7 @@
 // bits) and a target position on that process (low 32 bits), exactly as
 // described in §III-A for the P2NFFT solver's particle copies.
 //
-// All entry points are thin wrappers over one plan-backed surface
-// (NewPlan → Execute, see plan.go), which optionally decomposes an
+// Every entry point runs on that plan, which optionally decomposes an
 // exchange into memory-bounded rounds under a byte budget
 // (vmpi.Config.MaxExchangeBytes or Options.MaxBytes) with byte-identical
 // results.
@@ -70,33 +70,19 @@ func ToRank(f func(i int) int) Targets {
 	return func(i int, dst []int) []int { return append(dst, f(i)) }
 }
 
-// Exchange performs the fine-grained redistribution of items using the
-// collective all-to-all backend: element i is sent to every rank listed by
-// targets(i). The result holds, for each source rank in rank order, that
-// rank's elements in their local order. Element order is deterministic.
-//
-// Exchange is a convenience over NewPlan/Execute with default Options: it
-// honors the communicator's configured memory budget (bounded rounds when
-// vmpi.Config.MaxExchangeBytes is set, the classic single all-to-all
-// otherwise).
-func Exchange[T any](c *vmpi.Comm, items []T, targets Targets) []T {
-	pl := NewPlan(c, len(items), targets, Options{})
-	out := Execute(pl, items)
-	pl.Free()
-	return out
-}
-
-// ExchangeNeighborhood performs the same redistribution as Exchange but
-// exchanges blocks only with the given neighbor ranks (plus local copies
-// to self). The neighbor set must be symmetric across ranks
-// (if a is a neighbor of b, then b is a neighbor of a), as produced by
+// ExchangeNeighborhood performs the fine-grained redistribution of items —
+// element i goes to every rank listed by targets(i), and the result holds,
+// for each source rank in rank order, that rank's elements in their local
+// order — exchanging blocks only with the given neighbor ranks (plus local
+// copies to self). The neighbor set must be symmetric across ranks (if a is
+// a neighbor of b, then b is a neighbor of a), as produced by
 // vmpi.Cart.Neighbors. If any rank has an element targeting a rank outside
-// its neighborhood, every rank falls back to the collective Exchange; the
+// its neighborhood, every rank falls back to the collective all-to-all; the
 // second return value reports whether the neighborhood path was used.
 //
-// ExchangeNeighborhood is a convenience over NewPlan/Execute with
-// Options.Neighbors set; like Exchange it honors the communicator's
-// configured memory budget.
+// ExchangeNeighborhood is the one convenience over NewPlan/Execute/Free,
+// with Options.Neighbors set; it honors the communicator's configured
+// memory budget.
 func ExchangeNeighborhood[T any](c *vmpi.Comm, items []T, targets Targets, neighbors []int) ([]T, bool) {
 	if neighbors == nil {
 		// A nil neighbor set must still request the neighborhood backend

@@ -10,6 +10,15 @@ import (
 	"repro/internal/vmpi"
 )
 
+// denseExchange sends element i to every rank targets(i) lists, through
+// one plan with default Options.
+func denseExchange[T any](c *vmpi.Comm, items []T, targets Targets) []T {
+	pl := NewPlan(c, len(items), targets, Options{})
+	out := Execute(pl, items)
+	pl.Free()
+	return out
+}
+
 func TestIndexPacking(t *testing.T) {
 	f := func(rank, pos uint32) bool {
 		r := int(rank & 0x7fffffff)
@@ -47,7 +56,7 @@ func TestExchangeBasic(t *testing.T) {
 		for i := range items {
 			items[i] = elem{ID: int64(c.Rank()*100 + i)}
 		}
-		out := Exchange(c, items, ToRank(func(i int) int { return i % p }))
+		out := denseExchange(c, items, ToRank(func(i int) int { return i % p }))
 		c.SetResult(out)
 	})
 	for r := 0; r < p; r++ {
@@ -83,7 +92,7 @@ func TestExchangeConservesMultiset(t *testing.T) {
 	}
 	st := vmpi.Run(vmpi.Config{Ranks: p}, func(c *vmpi.Comm) {
 		in := inputs[c.Rank()]
-		out := Exchange(c, in, ToRank(func(i int) int { return owner[in[i].ID] }))
+		out := denseExchange(c, in, ToRank(func(i int) int { return owner[in[i].ID] }))
 		c.SetResult(out)
 	})
 	var got []int64
@@ -112,7 +121,7 @@ func TestExchangeDuplication(t *testing.T) {
 	const p = 3
 	st := vmpi.Run(vmpi.Config{Ranks: p}, func(c *vmpi.Comm) {
 		items := []elem{{ID: int64(c.Rank())}}
-		out := Exchange(c, items, func(i int, dst []int) []int {
+		out := denseExchange(c, items, func(i int, dst []int) []int {
 			return append(dst, c.Rank(), (c.Rank()+1)%p)
 		})
 		c.SetResult(len(out))
@@ -128,7 +137,7 @@ func TestExchangeDrop(t *testing.T) {
 	const p = 2
 	st := vmpi.Run(vmpi.Config{Ranks: p}, func(c *vmpi.Comm) {
 		items := []elem{{ID: 1}, {ID: 2}}
-		out := Exchange(c, items, func(i int, dst []int) []int {
+		out := denseExchange(c, items, func(i int, dst []int) []int {
 			if i == 0 {
 				return dst // dropped
 			}
@@ -213,7 +222,7 @@ func TestExchangeNeighborhoodCheaperOnTorus(t *testing.T) {
 			if useNbr {
 				ExchangeNeighborhood(c, items, tf, nbs)
 			} else {
-				Exchange(c, items, tf)
+				denseExchange(c, items, tf)
 			}
 		})
 		return st.MaxClock()

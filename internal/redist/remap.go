@@ -6,17 +6,17 @@ import (
 	"repro/internal/vmpi"
 )
 
-// BlockPart describes the block partition of total elements over p parts:
+// blockPart describes the block partition of total elements over p parts:
 // the first total%p parts hold ⌈total/p⌉ elements, the rest ⌊total/p⌋ —
 // the same balanced decomposition the initial particle distribution uses,
 // so a remap onto it restores perfect balance.
-type BlockPart struct {
+type blockPart struct {
 	Total int64
 	P     int
 }
 
 // Owner returns the part owning global element g.
-func (b BlockPart) Owner(g int64) int {
+func (b blockPart) Owner(g int64) int {
 	q := b.Total / int64(b.P)
 	rem := b.Total % int64(b.P)
 	if g < rem*(q+1) {
@@ -26,7 +26,7 @@ func (b BlockPart) Owner(g int64) int {
 }
 
 // Count returns the number of elements part r owns.
-func (b BlockPart) Count(r int) int {
+func (b blockPart) Count(r int) int {
 	q := b.Total / int64(b.P)
 	if int64(r) < b.Total%int64(b.P) {
 		return int(q + 1)
@@ -48,7 +48,7 @@ func RemapBlocks[T any](c *vmpi.Comm, items []T, newP int) []T {
 	}
 	n := int64(len(items))
 	off := vmpi.Exscan(c, []int64{n}, vmpi.Sum[int64])[0]
-	part := BlockPart{Total: vmpi.AllreduceVal(c, n, vmpi.Sum[int64]), P: newP}
+	part := blockPart{Total: vmpi.AllreduceVal(c, n, vmpi.Sum[int64]), P: newP}
 	pl := NewPlan(c, len(items), ToRank(func(i int) int {
 		return part.Owner(off + int64(i))
 	}), Options{})

@@ -10,7 +10,7 @@ func TestBlockPartOwnerCountConsistent(t *testing.T) {
 	for _, tc := range []struct{ total, p int }{
 		{0, 3}, {1, 4}, {7, 3}, {12, 4}, {13, 4}, {100, 7},
 	} {
-		b := BlockPart{Total: int64(tc.total), P: tc.p}
+		b := blockPart{Total: int64(tc.total), P: tc.p}
 		counts := make([]int, tc.p)
 		prev := 0
 		for g := 0; g < tc.total; g++ {
@@ -48,7 +48,7 @@ func TestRemapBlocksShrink(t *testing.T) {
 		c.SetResult(append([]int64(nil), got...))
 	})
 	total := int64(p * p)
-	part := BlockPart{Total: total, P: newP}
+	part := blockPart{Total: total, P: newP}
 	next := int64(0)
 	for r := 0; r < p; r++ {
 		got := st.Values[r].([]int64)

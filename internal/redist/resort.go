@@ -18,8 +18,8 @@ import (
 //
 // The implementation is the fine-grained redistribution operation followed
 // by a permutation according to the target positions, exactly as described
-// in the paper. It rides the same Plan and the same round loop as Exchange
-// (see executeResort).
+// in the paper. It rides the same Plan and the same round loop as the
+// dense exchange (see executeResort).
 
 const (
 	tagResortPos = 211
@@ -38,12 +38,6 @@ func ResortFloats(c *vmpi.Comm, vals []float64, stride int, indices []Index, nNe
 
 // ResortInts is ResortFloats for int64 data.
 func ResortInts(c *vmpi.Comm, vals []int64, stride int, indices []Index, nNew int) []int64 {
-	return resort(c, vals, stride, indices, nNew)
-}
-
-// ResortIndices is ResortFloats for Index-typed data (used internally to
-// invert permutations).
-func ResortIndices(c *vmpi.Comm, vals []Index, stride int, indices []Index, nNew int) []Index {
 	return resort(c, vals, stride, indices, nNew)
 }
 
@@ -182,5 +176,5 @@ func InvertIndices(c *vmpi.Comm, origin []Index, nOrig int) []Index {
 	for j := range origin {
 		where[j] = MakeIndex(c.Rank(), j)
 	}
-	return ResortIndices(c, where, 1, origin, nOrig)
+	return resort(c, where, 1, origin, nOrig)
 }

@@ -198,7 +198,9 @@ func (s *Solver) Compute(n int, pos, q, pot, force []float64) {
 	c.Compute(costs.CellAssign * float64(n))
 	s.items, s.targets = items, targets
 
-	recv := redist.Exchange(c, items, redist.ToRank(func(i int) int { return targets[i] }))
+	pl := redist.NewPlan(c, len(items), redist.ToRank(func(i int) int { return targets[i] }), redist.Options{})
+	recv := redist.Execute(pl, items)
+	pl.Free()
 
 	// Split owned / ghosts.
 	own, ghosts := s.own[:0], s.ghosts[:0]
@@ -278,9 +280,11 @@ func (s *Solver) Compute(n int, pos, q, pot, force []float64) {
 	}
 
 	// Route results back to the owners.
-	back := redist.Exchange(c, results, redist.ToRank(func(i int) int {
+	pl = redist.NewPlan(c, len(results), redist.ToRank(func(i int) int {
 		return results[i].Origin.Rank()
-	}))
+	}), redist.Options{})
+	back := redist.Execute(pl, results)
+	pl.Free()
 	for _, r := range back {
 		i := r.Origin.Pos()
 		pot[i] += r.Pot

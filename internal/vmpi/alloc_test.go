@@ -24,7 +24,7 @@ import (
 // warmup run).
 func allocHarness(t *testing.T, iters int, body func(c *Comm), echo func(c *Comm)) float64 {
 	t.Helper()
-	if DebugEnabled() {
+	if debugEnabled() {
 		t.Skip("vmpidebug ownership tracking allocates by design")
 	}
 	if raceEnabled {
@@ -153,7 +153,7 @@ func statsHeldBytes(p int, body func(c *Comm)) (*Stats, int64) {
 // at the parent of this contract every barrier, collective, counter and
 // gauge left an 88-byte event behind on every rank.
 func TestUntracedRunKeepsNoEvents(t *testing.T) {
-	if DebugEnabled() {
+	if debugEnabled() {
 		t.Skip("vmpidebug ownership tracking holds per-buffer records")
 	}
 	const p = 4096
@@ -199,7 +199,7 @@ func TestUntracedRunKeepsNoEvents(t *testing.T) {
 // inside the one rankInstance allocation, the phase map waits for the first
 // AddPhase, and the rest is the executor's task and goroutine.
 func TestEmptyWorldAllocsPerRank(t *testing.T) {
-	if DebugEnabled() || raceEnabled {
+	if debugEnabled() || raceEnabled {
 		t.Skip("instrumented builds allocate by design")
 	}
 	const p = 16384

@@ -12,7 +12,7 @@ import (
 // (1024 × 24 KiB + 1024 × 8 KiB = 32 MiB per call), must take nothing from
 // the buffer pool, and must leave the pool's high-water mark where it was.
 func TestBcastSharesOnePayload(t *testing.T) {
-	if DebugEnabled() {
+	if debugEnabled() {
 		t.Skip("vmpidebug ownership tracking allocates by design")
 	}
 	if raceEnabled {

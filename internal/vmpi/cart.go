@@ -86,9 +86,6 @@ func primeFactorsDesc(n int) []int {
 	return fs
 }
 
-// Dims returns the topology's dimensions.
-func (g *Cart) Dims() []int { return append([]int(nil), g.dims...) }
-
 // Coords returns the Cartesian coordinates of the given rank.
 func (g *Cart) Coords(rank int) []int {
 	c := make([]int, len(g.dims))

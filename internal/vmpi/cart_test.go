@@ -80,7 +80,7 @@ func TestNeighborsMatchReference(t *testing.T) {
 
 // neighbors allocates a fixed number of slices, not one per visited offset.
 func TestNeighborsAllocations(t *testing.T) {
-	if raceEnabled || DebugEnabled() {
+	if raceEnabled || debugEnabled() {
 		t.Skip("allocation counts under instrumentation")
 	}
 	g := &Cart{dims: []int{8, 8, 8}, periodic: []bool{true, true, true}}

@@ -145,7 +145,7 @@ type oraclePin struct {
 func TestCollectivesMatchRankLoopOracle(t *testing.T) {
 	for _, pin := range oraclePins {
 		t.Run(fmt.Sprintf("p%d/len%d", pin.p, pin.n), func(t *testing.T) {
-			if (raceEnabled || DebugEnabled()) && pin.p*pin.n > 1<<18 {
+			if (raceEnabled || debugEnabled()) && pin.p*pin.n > 1<<18 {
 				// Tens of megabytes per allgather result, touched by every
 				// rank: minutes under instrumentation, and the same code
 				// paths as the 33-rank cell of this length.

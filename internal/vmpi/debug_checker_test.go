@@ -30,8 +30,8 @@ func mustPanic(t *testing.T, substr string, f func()) {
 }
 
 func TestDebugEnabled(t *testing.T) {
-	if !DebugEnabled() {
-		t.Fatal("built with -tags vmpidebug but DebugEnabled() is false")
+	if !debugEnabled() {
+		t.Fatal("built with -tags vmpidebug but debugEnabled() is false")
 	}
 }
 

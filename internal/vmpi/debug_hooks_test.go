@@ -5,7 +5,7 @@ import "testing"
 // TestDebugDisabledByDefault pins the default build: the runtime ownership
 // checker is opt-in via -tags vmpidebug (see Makefile debugtest).
 func TestDebugDisabledByDefault(t *testing.T) {
-	if DebugEnabled() {
+	if debugEnabled() {
 		t.Skip("built with -tags vmpidebug")
 	}
 }
@@ -15,7 +15,7 @@ func TestDebugDisabledByDefault(t *testing.T) {
 // functions the compiler inlines away; compare against
 // `go test -tags vmpidebug -bench DebugHooks` to see the checker's cost.
 func BenchmarkDebugHooksOff(b *testing.B) {
-	if DebugEnabled() {
+	if debugEnabled() {
 		b.Skip("measuring the default build; rerun without -tags vmpidebug")
 	}
 	benchmarkHookedRoundtrip(b)
@@ -24,7 +24,7 @@ func BenchmarkDebugHooksOff(b *testing.B) {
 // BenchmarkDebugHooksOn is the same roundtrip with the checker compiled
 // in, for a direct comparison.
 func BenchmarkDebugHooksOn(b *testing.B) {
-	if !DebugEnabled() {
+	if !debugEnabled() {
 		b.Skip("rerun with -tags vmpidebug")
 	}
 	benchmarkHookedRoundtrip(b)

@@ -2,11 +2,11 @@
 
 package vmpi
 
-// DebugEnabled reports whether the vmpidebug runtime ownership checker is
+// debugEnabled reports whether the vmpidebug runtime ownership checker is
 // compiled in. Without the build tag every hook below is an empty function
 // the compiler inlines away, so the checker costs nothing when off (see
 // BenchmarkDebugHooksOff).
-func DebugEnabled() bool { return false }
+func debugEnabled() bool { return false }
 
 func debugRelease[T any](s []T) {}
 func debugUse[T any](s []T)     {}

@@ -51,9 +51,9 @@ import (
 	"unsafe"
 )
 
-// DebugEnabled reports whether the vmpidebug runtime ownership checker is
+// debugEnabled reports whether the vmpidebug runtime ownership checker is
 // compiled in.
-func DebugEnabled() bool { return true }
+func debugEnabled() bool { return true }
 
 const (
 	dbgTransferred = iota

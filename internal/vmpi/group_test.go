@@ -56,7 +56,7 @@ func TestReplayerGroupBitIdentical(t *testing.T) {
 	for _, procs := range []int{2, 4} {
 		for _, workers := range []int{1, 2, 8} {
 			got, helped := run(procs, workers)
-			if !helped && !DebugEnabled() {
+			if !helped && !debugEnabled() {
 				t.Errorf("GOMAXPROCS %d, %d workers: no group ran on a helper", procs, workers)
 			}
 			gotEvs := virtualEvents(got.Events)

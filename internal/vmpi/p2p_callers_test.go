@@ -12,7 +12,7 @@ import (
 )
 
 // TestNoPointToPointOutsideVmpi keeps every solver path on the rendezvous:
-// no non-test file of internal/, cmd/ or examples/ — vmpi itself and the
+// no non-test file of internal/ or cmd/ — vmpi itself and the
 // analyzers' testdata aside — names vmpi's point-to-point calls (Send,
 // SendVal, Recv, RecvVal, SendOwned or any Sendrecv). A redistribution
 // whose messages have a fixed schedule is a Replay; loose messages would
@@ -27,7 +27,7 @@ func TestNoPointToPointOutsideVmpi(t *testing.T) {
 	}
 	fset := token.NewFileSet()
 	files := 0
-	for _, root := range []string{"../../internal", "../../cmd", "../../examples"} {
+	for _, root := range []string{"../../internal", "../../cmd"} {
 		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 			if err != nil {
 				return err

@@ -365,7 +365,7 @@ func TestReplayerAlltoallLinearFollowsStagingOrders(t *testing.T) {
 // slice the rendezvous holds counts, so scratch of one entry per message
 // kept in any field, present or future, fails.
 func TestAlltoallLinearScratchIsLinear(t *testing.T) {
-	if raceEnabled || DebugEnabled() {
+	if raceEnabled || debugEnabled() {
 		t.Skip("2048² part headers under instrumentation")
 	}
 	empty := make([][]byte, 2048) // read-only, shared by every rank

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/netmodel"
 	"repro/internal/obs"
 )
 
@@ -190,9 +189,6 @@ func (c *Comm) Compute(seconds float64) {
 	}
 	c.st.clock += seconds * c.rt.computeScale
 }
-
-// Model returns the network model of the underlying virtual machine.
-func (c *Comm) Model() netmodel.Model { return c.rt.model }
 
 // MaxExchangeBytes returns the rank's redistribution staging budget in
 // bytes (0 = unbounded). Planners in internal/redist consult it to decide

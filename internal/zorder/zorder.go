@@ -10,14 +10,14 @@ package zorder
 // dimension fill the 63 usable bits of a Morton key.
 const MaxLevel = 21
 
-// Encode interleaves the low 21 bits of x, y, and z into a Morton key.
+// encode interleaves the low 21 bits of x, y, and z into a Morton key.
 // Bit i of x lands at bit 3i+2, y at 3i+1, z at 3i of the result, so keys
 // sort first by x-bit, then y, then z at each level — the classic Z curve.
-func Encode(x, y, z uint32) uint64 {
+func encode(x, y, z uint32) uint64 {
 	return spread(x)<<2 | spread(y)<<1 | spread(z)
 }
 
-// Decode is the inverse of Encode.
+// Decode is the inverse of encode.
 func Decode(key uint64) (x, y, z uint32) {
 	return compact(key >> 2), compact(key >> 1), compact(key)
 }
@@ -55,7 +55,7 @@ func BoxKey(ux, uy, uz float64, level int) uint64 {
 		level = MaxLevel
 	}
 	n := uint32(1) << uint(level)
-	return Encode(cellIndex(ux, n), cellIndex(uy, n), cellIndex(uz, n))
+	return encode(cellIndex(ux, n), cellIndex(uy, n), cellIndex(uz, n))
 }
 
 // cellIndex maps a unit coordinate to a cell index in [0, n).
@@ -103,7 +103,7 @@ func Neighbors3Into(dst []uint64, key uint64, level int, periodic bool) []uint64
 				ny, oky := wrap(int64(y)+int64(dy), n, periodic)
 				nz, okz := wrap(int64(z)+int64(dz), n, periodic)
 				if okx && oky && okz {
-					k := Encode(nx, ny, nz)
+					k := encode(nx, ny, nz)
 					dup := false
 					for _, prev := range out {
 						if prev == k {

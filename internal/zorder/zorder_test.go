@@ -18,8 +18,8 @@ func TestEncodeDecodeSmall(t *testing.T) {
 		{2, 0, 0, 32}, // bit 1 of x -> bit 5
 	}
 	for _, c := range cases {
-		if got := Encode(c.x, c.y, c.z); got != c.key {
-			t.Errorf("Encode(%d,%d,%d) = %d, want %d", c.x, c.y, c.z, got, c.key)
+		if got := encode(c.x, c.y, c.z); got != c.key {
+			t.Errorf("encode(%d,%d,%d) = %d, want %d", c.x, c.y, c.z, got, c.key)
 		}
 		x, y, z := Decode(c.key)
 		if x != c.x || y != c.y || z != c.z {
@@ -33,7 +33,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		x &= 0x1fffff
 		y &= 0x1fffff
 		z &= 0x1fffff
-		gx, gy, gz := Decode(Encode(x, y, z))
+		gx, gy, gz := Decode(encode(x, y, z))
 		return gx == x && gy == y && gz == z
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -47,8 +47,8 @@ func TestEncodeMonotoneInBoxOrder(t *testing.T) {
 		x &= 0xfffff // 20 bits so children fit
 		y &= 0xfffff
 		z &= 0xfffff
-		parent := Encode(x, y, z)
-		child := Encode(x<<1|1, y<<1, z<<1|1) // octant x=1,y=0,z=1 -> 5
+		parent := encode(x, y, z)
+		child := encode(x<<1|1, y<<1, z<<1|1) // octant x=1,y=0,z=1 -> 5
 		return child == parent<<3|5
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -68,9 +68,9 @@ func TestParentChild(t *testing.T) {
 }
 
 func TestAtLevel(t *testing.T) {
-	key := Encode(5, 3, 7) // level-3 box
-	if got := AtLevel(key, 3, 2); got != Encode(2, 1, 3) {
-		t.Errorf("AtLevel = %d, want %d", got, Encode(2, 1, 3))
+	key := encode(5, 3, 7) // level-3 box
+	if got := AtLevel(key, 3, 2); got != encode(2, 1, 3) {
+		t.Errorf("AtLevel = %d, want %d", got, encode(2, 1, 3))
 	}
 	if got := AtLevel(key, 3, 3); got != key {
 		t.Errorf("AtLevel same level = %d, want %d", got, key)
@@ -82,13 +82,13 @@ func TestBoxKeyCorners(t *testing.T) {
 		t.Errorf("BoxKey origin = %d", got)
 	}
 	// Just inside the far corner must land in the last box.
-	want := Encode(15, 15, 15)
+	want := encode(15, 15, 15)
 	if got := BoxKey(0.9999, 0.9999, 0.9999, 4); got != want {
 		t.Errorf("BoxKey corner = %d, want %d", got, want)
 	}
 	// Out-of-range coordinates clamp instead of wrapping.
-	if got := BoxKey(1.5, -0.5, 0.5, 4); got != Encode(15, 0, 8) {
-		t.Errorf("BoxKey clamp = %d, want %d", got, Encode(15, 0, 8))
+	if got := BoxKey(1.5, -0.5, 0.5, 4); got != encode(15, 0, 8) {
+		t.Errorf("BoxKey clamp = %d, want %d", got, encode(15, 0, 8))
 	}
 }
 
@@ -108,7 +108,7 @@ func TestBoxKeySpatialLocality(t *testing.T) {
 }
 
 func TestNeighbors3Interior(t *testing.T) {
-	key := Encode(4, 4, 4)
+	key := encode(4, 4, 4)
 	nb := Neighbors3(key, 4, false)
 	if len(nb) != 27 {
 		t.Fatalf("interior box: %d neighbors, want 27", len(nb))
@@ -126,21 +126,21 @@ func TestNeighbors3Interior(t *testing.T) {
 }
 
 func TestNeighbors3CornerOpen(t *testing.T) {
-	nb := Neighbors3(Encode(0, 0, 0), 4, false)
+	nb := Neighbors3(encode(0, 0, 0), 4, false)
 	if len(nb) != 8 {
 		t.Errorf("open corner box: %d neighbors, want 8", len(nb))
 	}
 }
 
 func TestNeighbors3CornerPeriodic(t *testing.T) {
-	nb := Neighbors3(Encode(0, 0, 0), 4, true)
+	nb := Neighbors3(encode(0, 0, 0), 4, true)
 	if len(nb) != 27 {
 		t.Errorf("periodic corner box: %d neighbors, want 27", len(nb))
 	}
 	// Wrapped neighbor (15,15,15) must be present.
 	found := false
 	for _, k := range nb {
-		if k == Encode(15, 15, 15) {
+		if k == encode(15, 15, 15) {
 			found = true
 		}
 	}
@@ -161,7 +161,7 @@ func TestNeighbors3Level1Periodic(t *testing.T) {
 func BenchmarkEncode(b *testing.B) {
 	var acc uint64
 	for i := 0; i < b.N; i++ {
-		acc += Encode(uint32(i), uint32(i>>1), uint32(i>>2))
+		acc += encode(uint32(i), uint32(i>>1), uint32(i>>2))
 	}
 	_ = acc
 }
@@ -181,7 +181,7 @@ func TestNeighbors3Symmetry(t *testing.T) {
 	f := func(xr, yr, zr uint8, periodic bool) bool {
 		const level = 4
 		x, y, z := uint32(xr)%16, uint32(yr)%16, uint32(zr)%16
-		key := Encode(x, y, z)
+		key := encode(x, y, z)
 		for _, nb := range Neighbors3(key, level, periodic) {
 			found := false
 			for _, back := range Neighbors3(nb, level, periodic) {

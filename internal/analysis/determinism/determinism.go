@@ -45,11 +45,10 @@ var Analyzer = &analysis.Analyzer{
 // held to the same determinism bar as the solvers themselves. The obs
 // package's views and exporters must be pure functions of the event
 // stream — any nondeterminism there would break the byte-identical golden
-// exports (wall-clock stamps enter events only via the injected vmpi
-// clock, which the exporters exclude). The experiment scheduler (sched)
-// guarantees figure output is byte-identical at any worker count, so it may
-// not read the clock or race on shared counters; the fft package's plan
-// cache feeds bit-identical spectral kernels and is held to the same bar.
+// exports. The experiment scheduler (sched) guarantees figure output is
+// byte-identical at any worker count, so it may not read the clock or race
+// on shared counters; the fft package's plan cache feeds bit-identical
+// spectral kernels and is held to the same bar.
 // The event-driven rank executor (rankexec) schedules the
 // rank bodies themselves — any wall-clock read, racing atomic, or map-order
 // dispatch there could leak the host schedule into execution order, so it

@@ -27,7 +27,6 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/fmm"
-	"repro/internal/obs"
 	"repro/internal/particle"
 	"repro/internal/pnfft"
 	"repro/internal/redist"
@@ -73,10 +72,6 @@ type FCS struct {
 	memoryBudget    int64
 	memoryBudgetSet bool
 
-	// recorder, when set (WithRecorder), receives a replay of the rank's
-	// observability events after every Tune/Run/resort call.
-	recorder obs.Recorder
-
 	// State of the last Run, backing the resort API.
 	lastResorted bool
 	lastIndices  []redist.Index
@@ -86,9 +81,8 @@ type FCS struct {
 
 // Init creates a new solver instance of the named method on the
 // communicator (fcs_init), configured by functional options (WithBox,
-// WithAccuracy, WithResort, WithMaxMove, WithResizePolicy,
-// WithMemoryBudget, WithRecorder). Options are
-// validated eagerly: Init returns the first option error. Every rank of
+// WithAccuracy, WithResort, WithResizePolicy, WithMemoryBudget). Options
+// are validated eagerly: Init returns the first option error. Every rank of
 // the communicator must call it identically.
 func Init(method string, comm *vmpi.Comm, opts ...Option) (*FCS, error) {
 	f, ok := registry[method]
@@ -154,19 +148,6 @@ func (h *FCS) ensureSolver() error {
 	return nil
 }
 
-// observe taps the rank's event buffer for the enclosing call: when a
-// recorder is attached (WithRecorder) it receives every event the rank
-// records until the returned function runs, whether or not the world keeps
-// an event list.
-func (h *FCS) observe() func() {
-	if h.recorder == nil {
-		return func() {}
-	}
-	buf := h.comm.Obs()
-	prev := buf.SetTap(h.recorder)
-	return func() { buf.SetTap(prev) }
-}
-
 // Tune performs the optional tuning step (fcs_tune) with the current local
 // particles. The tuning results remain valid as long as the particle
 // positions do not change "too much".
@@ -174,7 +155,6 @@ func (h *FCS) Tune(n int, pos, q []float64) error {
 	if err := h.ensureSolver(); err != nil {
 		return err
 	}
-	defer h.observe()()
 	in := api.Input{N: n, Cap: n, Pos: pos, Q: q, MaxMove: -1}
 	if err := h.solver.Tune(in); err != nil {
 		return err
@@ -202,7 +182,6 @@ func (h *FCS) Run(n *int, capacity int, pos, q, pot, field []float64) error {
 	if len(pos) < 3*capacity || len(q) < capacity || len(pot) < capacity || len(field) < 3*capacity {
 		return fmt.Errorf("core: %w: array lengths below capacity %d", ErrBadLength, capacity)
 	}
-	defer h.observe()()
 	in := api.Input{
 		N: *n, Cap: capacity,
 		Pos: pos[:3**n], Q: q[:*n],
@@ -275,7 +254,6 @@ func (h *FCS) ResortFloats(data []float64, stride int) ([]float64, error) {
 	if err := h.validateResort(len(data), stride); err != nil {
 		return nil, err
 	}
-	defer h.observe()()
 	var out []float64
 	vmpi.Barrier(h.comm) // isolate the resort time from prior imbalance
 	h.comm.Phase(api.PhaseResort, func() {
@@ -289,7 +267,6 @@ func (h *FCS) ResortInts(data []int64, stride int) ([]int64, error) {
 	if err := h.validateResort(len(data), stride); err != nil {
 		return nil, err
 	}
-	defer h.observe()()
 	var out []int64
 	vmpi.Barrier(h.comm) // isolate the resort time from prior imbalance
 	h.comm.Phase(api.PhaseResort, func() {

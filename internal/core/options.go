@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/obs"
 	"repro/internal/particle"
 )
 
@@ -47,16 +46,6 @@ func WithAccuracy(eps float64) Option {
 func WithResort(on bool) Option {
 	return func(h *FCS) error {
 		h.resortEnabled = on
-		return nil
-	}
-}
-
-// WithMaxMove sets the application's bound on the maximum particle
-// displacement before the first Run (paper §III-B). A negative value means
-// unknown. Later runs update the bound with SetMaxParticleMove.
-func WithMaxMove(d float64) Option {
-	return func(h *FCS) error {
-		h.maxMove = d
 		return nil
 	}
 }
@@ -120,18 +109,6 @@ func WithMemoryBudget(bytes int64) Option {
 		}
 		h.memoryBudget = bytes
 		h.memoryBudgetSet = true
-		return nil
-	}
-}
-
-// WithRecorder attaches an observability recorder to the handle: during
-// every Tune and Run call, r receives the events the calling rank's runtime
-// records, as they happen. This gives applications a per-handle event tap
-// without touching the vmpi configuration (point-to-point messages are
-// recorded only under vmpi.Config.Trace).
-func WithRecorder(r obs.Recorder) Option {
-	return func(h *FCS) error {
-		h.recorder = r
 		return nil
 	}
 }

@@ -172,9 +172,10 @@ func (m method) MoveThreshold() float64 {
 }
 
 // Exchange sorts the particles into boxes with the selected parallel
-// sort. Both sorts route their element exchange through the plan-backed
-// redist.ExchangeBlocks, so a memory budget configured on the
-// communicator (core.WithMemoryBudget) bounds the staged bytes here too.
+// sort. Only SortPartition routes its element exchange through the
+// plan-backed redist.ExchangeBlocks, so a memory budget configured on the
+// communicator (core.WithMemoryBudget) bounds its staged bytes; SortMerge
+// is one vmpi.Replay that never reads the budget.
 func (m method) Exchange(recs []pRec, fast bool) ([]pRec, coupling.ExchangeInfo) {
 	key := func(r pRec) uint64 { return r.Key }
 	if fast {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"math"
-	"reflect"
 	"testing"
 )
 
@@ -56,8 +55,7 @@ func fuzzEvents(data []byte) (ranks []int, events []Event) {
 // FuzzAggregatesMatchLog drives the same Record sequence into
 // aggregate-only buffers and list-keeping ones and requires the counter
 // and gauge views of the two logs, and of a list-literal Log scanning the
-// kept events (the reference), to agree bit for bit; the taps must receive
-// exactly the kept lists.
+// kept events (the reference), to agree bit for bit.
 //
 // Why per-rank regrouping is exact: the scan adds a counter's increments
 // one by one in (rank, event) order, the aggregate-only log adds per-rank
@@ -72,18 +70,10 @@ func FuzzAggregatesMatchLog(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const p = 5
 		agg, kept := make([]*Buffer, p), make([]*Buffer, p)
-		aggTaps, keptTaps := make([]*Buffer, p), make([]*Buffer, p)
 		for r := range agg {
 			agg[r], kept[r] = new(Buffer), new(Buffer)
-			agg[r].Init(r, false, nil)
-			kept[r].Init(r, true, nil)
-			keptTaps[r] = NewBuffer(r)
-			kept[r].SetTap(keptTaps[r])
-			if r >= 3 {
-				// A tap on a buffer that keeps no list: core's case.
-				aggTaps[r] = NewBuffer(r)
-				agg[r].SetTap(aggTaps[r])
-			}
+			agg[r].Init(r, false)
+			kept[r].Init(r, true)
 		}
 		ranks, events := fuzzEvents(data)
 		for i, e := range events {
@@ -93,12 +83,6 @@ func FuzzAggregatesMatchLog(f *testing.F) {
 		for r := range agg {
 			if agg[r].Len() != 0 || agg[r].Events() != nil {
 				t.Fatalf("rank %d: aggregate-only buffer kept %d events", r, agg[r].Len())
-			}
-			if !reflect.DeepEqual(keptTaps[r].Events(), kept[r].Events()) {
-				t.Fatalf("rank %d: tap on the kept buffer diverges from its list", r)
-			}
-			if aggTaps[r] != nil && !reflect.DeepEqual(aggTaps[r].Events(), kept[r].Events()) {
-				t.Fatalf("rank %d: tap on the aggregate-only buffer diverges from the kept list", r)
 			}
 		}
 		aggLog, keptLog := NewLog(agg), NewLog(kept)
@@ -160,16 +144,10 @@ func TestAggregateOnlyLog(t *testing.T) {
 	bufs := make([]*Buffer, 2)
 	for r := range bufs {
 		bufs[r] = new(Buffer)
-		bufs[r].Init(r, false, func() int64 {
-			t.Error("wall clock read although nobody listens")
-			return 0
-		})
+		bufs[r].Init(r, false)
 		bufs[r].Record(Event{Kind: KindSend, Name: "sort", Peer: 1 - r, Bytes: 64})
 		bufs[r].Record(Event{Kind: KindCounter, Name: "moved", Value: float64(r + 2)})
 		bufs[r].Record(Event{Kind: KindGauge, Name: "level", Value: float64(-3 - r)})
-		if bufs[r].Listening() {
-			t.Fatalf("rank %d: aggregate-only buffer claims a listener", r)
-		}
 	}
 	l := NewLog(bufs)
 	if l.HasEvents() || l.Ranks() != 2 || l.ByRank[0] != nil || l.ByRank[1] != nil {
@@ -226,7 +204,7 @@ func BenchmarkRecord(b *testing.B) {
 	}{{"aggregate", false}, {"kept", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			var buf Buffer
-			buf.Init(0, mode.keep, nil)
+			buf.Init(0, mode.keep)
 			for _, e := range events {
 				buf.Record(e) // the table's entries exist before timing
 			}

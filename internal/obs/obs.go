@@ -4,15 +4,14 @@
 // running aggregates; the append-only event list — what the exporters
 // (Chrome trace-event JSON, Prometheus text metrics, comm-matrix
 // summaries) and the per-event Log views read — is kept only when the run
-// asked for it (vmpi.Config.Trace), and a tap (SetTap) sees the events of
-// a call without any list being kept.
+// asked for it (vmpi.Config.Trace).
 //
 // Determinism contract: obs is part of the determinism-analyzer hot set.
-// Events carry virtual timestamps stamped by the emitter; the optional
-// wall-clock stamp is injected by the runtime as an opaque closure so this
-// package never reads the clock itself. Buffers are per-rank — each is
-// touched only by its rank's goroutine, so no locks are needed and event
-// order per rank is deterministic.
+// Events carry only virtual data — timestamps stamped by the emitter, the
+// rank stamped by the Buffer — and this package never reads the host
+// clock. Buffers are per-rank — each is touched only by its rank's
+// goroutine, so no locks are needed and event order per rank is
+// deterministic.
 package obs
 
 // Kind discriminates event records in the stream.
@@ -78,21 +77,17 @@ func (k Kind) String() string {
 //	Counter:     Name, Value, T
 //	Gauge:       Name, Value, T
 //
-// Rank is the emitting world rank, stamped by the Buffer. WallNS is the
-// wall-clock nanosecond stamp injected by the runtime (0 when no wall
-// clock is configured); exporters that must be byte-deterministic ignore
-// it.
+// Rank is the emitting world rank, stamped by the Buffer.
 type Event struct {
-	Kind   Kind
-	Rank   int
-	Name   string
-	Peer   int
-	Tag    int
-	Bytes  int
-	T      float64 // virtual seconds
-	T2     float64 // virtual seconds (span end / arrival)
-	Value  float64
-	WallNS int64
+	Kind  Kind
+	Rank  int
+	Name  string
+	Peer  int
+	Tag   int
+	Bytes int
+	T     float64 // virtual seconds
+	T2    float64 // virtual seconds (span end / arrival)
+	Value float64
 }
 
 // Dur returns the event's span length in virtual seconds (0 for point
@@ -102,13 +97,6 @@ func (e Event) Dur() float64 {
 		return e.T2 - e.T
 	}
 	return 0
-}
-
-// Recorder accepts events. Implementations must be safe for use from the
-// emitting rank's goroutine only; cross-rank aggregation happens after the
-// run from the per-rank buffers.
-type Recorder interface {
-	Record(Event)
 }
 
 // aggregate is one running total: a counter's sum or a gauge's maximum.
@@ -145,8 +133,6 @@ func fold(aggs []aggregate, name string, gauge bool, v float64) []aggregate {
 type Buffer struct {
 	rank   int
 	keep   bool
-	wall   func() int64
-	tap    Recorder
 	events []Event
 	aggs   []aggregate
 }
@@ -156,45 +142,22 @@ type Buffer struct {
 func NewBuffer(rank int) *Buffer { return &Buffer{rank: rank, keep: true} }
 
 // Init readies a Buffer in place. keep selects whether the event list is
-// kept; wall, when non-nil, is the wall-clock stamp source (nanoseconds
-// since some fixed origin), injected so obs itself never reads the clock.
-func (b *Buffer) Init(rank int, keep bool, wall func() int64) {
-	*b = Buffer{rank: rank, keep: keep, wall: wall}
+// kept.
+func (b *Buffer) Init(rank int, keep bool) {
+	*b = Buffer{rank: rank, keep: keep}
 }
 
-// SetTap attaches a recorder that receives every event from now on, stamped
-// like a kept one, list or no list, and returns the tap it replaced (nil
-// detaches).
-func (b *Buffer) SetTap(tap Recorder) (prev Recorder) {
-	prev, b.tap = b.tap, tap
-	return prev
-}
-
-// Listening reports whether anybody receives the events — a kept list or a
-// tap. Emitters of span events check it before building one; counters and
-// gauges are always recorded, for the aggregates.
-func (b *Buffer) Listening() bool { return b.keep || b.tap != nil }
-
-// Record implements Recorder: folds counters and gauges into the aggregates
-// and, when somebody listens, stamps the rank (and wall clock, when
-// configured), appends to the kept list and forwards to the tap.
+// Record folds counters and gauges into the aggregates and, when the
+// buffer keeps a list, stamps the rank and appends the event to it.
 func (b *Buffer) Record(e Event) {
 	if e.Kind == KindCounter || e.Kind == KindGauge {
 		b.aggs = fold(b.aggs, e.Name, e.Kind == KindGauge, e.Value)
 	}
-	if !b.Listening() {
+	if !b.keep {
 		return
 	}
 	e.Rank = b.rank
-	if b.wall != nil {
-		e.WallNS = b.wall()
-	}
-	if b.keep {
-		b.events = append(b.events, e)
-	}
-	if b.tap != nil {
-		b.tap.Record(e)
-	}
+	b.events = append(b.events, e)
 }
 
 // Len returns the number of events in the kept list (usable as a mark for

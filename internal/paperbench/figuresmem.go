@@ -15,10 +15,10 @@ import (
 // The redistribution methods of the paper materialize one send buffer per
 // destination before the exchange, so the per-rank staging peak is the
 // whole outgoing volume — at this figure's system size, four times the
-// configured budget. The figure demonstrates ROADMAP item 3: the same
-// exchange decomposed by the redist planner into bounded rounds runs
-// clean under the budget with a byte-identical result, and the three sort
-// strategies run under the identical budget for comparison:
+// configured budget. The figure demonstrates the memory-bounded planner:
+// the same exchange, decomposed by the redist planner into bounded rounds,
+// runs clean under the budget with a byte-identical result, and the three
+// sort strategies run under the identical budget for comparison:
 //
 //   - exchange/unbounded: the classic single all-to-all, metered
 //     (Options.Meter) — its staged peak is the full outgoing volume and

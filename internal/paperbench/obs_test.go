@@ -159,7 +159,7 @@ func TestFigureTimelinesAreSpanOnly(t *testing.T) {
 // kept no list is a failure, not an empty log.
 func TestLastRunLogNeedsEventList(t *testing.T) {
 	var buf obs.Buffer
-	buf.Init(0, false, nil)
+	buf.Init(0, false)
 	buf.Record(obs.Event{Kind: obs.KindGauge, Name: runMarker, Value: 1})
 	if l, err := lastRunLog(obs.NewLog([]*obs.Buffer{&buf})); !errors.Is(err, obs.ErrNoEvents) || l != nil {
 		t.Errorf("lastRunLog on an aggregate-only log = %v, %v, want nil, ErrNoEvents", l, err)

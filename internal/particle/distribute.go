@@ -167,17 +167,3 @@ func appendFrom(l *Local, s *System, i int) {
 		s.Vel[3*i], s.Vel[3*i+1], s.Vel[3*i+2],
 	)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

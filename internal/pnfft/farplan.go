@@ -85,7 +85,7 @@ func (s *Solver) buildFarPlan() *farPlan {
 	n := s.Mesh
 	L := s.box.Lengths()[0]
 	p := &farPlan{}
-	p.lo, p.hi = s.meshRegion()
+	p.lo, p.hi = s.meshRegionOf(s.comm.Rank())
 	p.bx, p.by, p.bz = p.hi[0]-p.lo[0], p.hi[1]-p.lo[1], p.hi[2]-p.lo[2]
 	p.xLo, p.xHi = s.slab.XRange(s.comm.Rank())
 

@@ -15,10 +15,6 @@ import (
 	"math"
 )
 
-// splineSupport returns the number of mesh points per dimension touched by
-// the assignment spline of the given order.
-func splineSupport(order int) int { return order }
-
 // splineWeights computes the assignment weights of a particle at mesh
 // coordinate u (in units of mesh spacing) for the given spline order. It
 // returns the first mesh index i0; w[k] is the weight of mesh point i0+k.

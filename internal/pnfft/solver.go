@@ -477,19 +477,6 @@ func (s *Solver) nearField(own, ghosts []pRec, pot, field []float64) {
 	c.Compute(costs.Pair * float64(pairs))
 }
 
-// meshRegion returns the mesh index region (possibly exceeding [0, Mesh))
-// that covers the subdomain plus the spline margin.
-func (s *Solver) meshRegion() (lo, hi [3]int) {
-	coords := s.cart.Coords(s.comm.Rank())
-	fl, fh := particle.GridCellBounds(s.dims, coords)
-	m := s.Order + 2
-	for d := 0; d < 3; d++ {
-		lo[d] = int(math.Floor(fl[d]*float64(s.Mesh))) - m
-		hi[d] = int(math.Ceil(fh[d]*float64(s.Mesh))) + m
-	}
-	return lo, hi
-}
-
 // chargeSpectrum runs steps 1–3 of the far field: it assigns the owned
 // particles' charges (h mesh points per unit length) to the grown block,
 // sends them to the slab owners, and returns the forward-transformed charge
@@ -787,7 +774,8 @@ func (s *Solver) assignCharges(own []pRec, h float64) []float64 {
 	return block
 }
 
-// meshRegionOf computes another rank's interpolation region.
+// meshRegionOf returns rank r's mesh index region (possibly exceeding
+// [0, Mesh)): its subdomain plus the spline margin.
 func (s *Solver) meshRegionOf(r int) (lo, hi [3]int) {
 	coords := s.cart.Coords(r)
 	fl, fh := particle.GridCellBounds(s.dims, coords)

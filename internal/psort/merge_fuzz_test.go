@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/netmodel"
-	"repro/internal/obs"
 	"repro/internal/vmpi"
 )
 
@@ -69,10 +68,10 @@ func fuzzInput(p int, counts, keys byte, seed uint64) [][]rec {
 
 // sameRuns fails t unless two p-rank runs of a sort agree on every rank's
 // final items, clock bits, message and byte counts, phase times and event
-// list (wall stamps aside).
+// list.
 func sameRuns(t *testing.T, p int, what string, got, want *vmpi.Stats) {
 	t.Helper()
-	gotEvs, wantEvs := virtualEvents(got.Events), virtualEvents(want.Events)
+	gotEvs, wantEvs := got.Events.ByRank, want.Events.ByRank
 	for r := 0; r < p; r++ {
 		for _, c := range []struct {
 			what      string
@@ -90,17 +89,6 @@ func sameRuns(t *testing.T, p int, what string, got, want *vmpi.Stats) {
 			}
 		}
 	}
-}
-
-func virtualEvents(l *obs.Log) [][]obs.Event {
-	out := make([][]obs.Event, len(l.ByRank))
-	for r, evs := range l.ByRank {
-		out[r] = append([]obs.Event(nil), evs...)
-		for i := range out[r] {
-			out[r][i].WallNS = 0
-		}
-	}
-	return out
 }
 
 // FuzzSortMergeMatchesMessageLevel sorts the input a byte string encodes

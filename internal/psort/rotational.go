@@ -22,7 +22,7 @@ import (
 // strategy memory-bounded by construction; it pays for that with log p
 // message latencies and elements traveling multiple hops (the rotational
 // fixed-size redistribution of particle-filter resamplers, applied as a
-// sort strategy; cf. ROADMAP item 3).
+// sort strategy; cf. the memory-bounded redistribution planner).
 //
 // The final distribution is exactly SortPartition's splitter partition —
 // balanced up to key multiplicities — and the arrival sequence on each

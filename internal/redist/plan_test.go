@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/netmodel"
-	"repro/internal/obs"
 	"repro/internal/vmpi"
 )
 
@@ -375,7 +374,7 @@ func splitBlocks(flat []elem, counts []int) [][]elem {
 
 // sameRuns fails t unless two runs agree rank by rank: results (nil and
 // empty blocks alike), clock bits, message and byte counts, phase times and
-// the traced events, wall-clock stamps aside.
+// the traced events.
 func sameRuns(t *testing.T, where string, got, want *vmpi.Stats) {
 	t.Helper()
 	for r := range want.Clocks {
@@ -388,7 +387,7 @@ func sameRuns(t *testing.T, where string, got, want *vmpi.Stats) {
 			{"messages", got.MessagesSent[r], want.MessagesSent[r]},
 			{"bytes", got.BytesSent[r], want.BytesSent[r]},
 			{"phases", got.Phases[r], want.Phases[r]},
-			{"events", wallless(got.Events.ByRank[r]), wallless(want.Events.ByRank[r])},
+			{"events", got.Events.ByRank[r], want.Events.ByRank[r]},
 		} {
 			if !reflect.DeepEqual(c.got, c.want) {
 				t.Fatalf("%s rank %d: %s differ from the reference:\n got %v\nwant %v", where, r, c.what, c.got, c.want)
@@ -407,15 +406,6 @@ func normBlocks(v any) any {
 	out := make([][]elem, len(blocks))
 	for r, b := range blocks {
 		out[r] = append([]elem{}, b...)
-	}
-	return out
-}
-
-// wallless is a rank's event list with its host wall-clock stamps cleared.
-func wallless(evs []obs.Event) []obs.Event {
-	out := append([]obs.Event(nil), evs...)
-	for i := range out {
-		out[i].WallNS = 0
 	}
 	return out
 }

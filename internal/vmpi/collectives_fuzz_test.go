@@ -182,7 +182,7 @@ func FuzzCollectivesMatchMessageLevel(f *testing.F) {
 		ops := prog[2:min(len(prog), 26)]
 		want := Run(cfg, fuzzProgram(messageColls, ops))
 		got := Run(cfg, fuzzProgram(replayColls, ops))
-		gotEvs, wantEvs := virtualEvents(got.Events), virtualEvents(want.Events)
+		gotEvs, wantEvs := got.Events.ByRank, want.Events.ByRank
 		for r := 0; r < p; r++ {
 			for _, c := range []struct {
 				what      string

@@ -11,11 +11,11 @@ import "repro/internal/obs"
 // an empty payload from rank 0.
 
 // collSpan brackets a message-level collective with a span event when the
-// rank's events are listened to: call at entry, invoke the returned function
+// run is traced: call at entry, invoke the returned function
 // (typically deferred) at exit. The span [entry, exit] on each rank includes
 // the rank's wait time inside the operation.
 func collSpan(c *Comm, kind obs.Kind, name string) func() {
-	if !c.st.rec.Listening() {
+	if !c.rt.trace {
 		return func() {}
 	}
 	t0 := c.st.clock

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/netmodel"
-	"repro/internal/obs"
 )
 
 // Worker-sweep equivalence and edge-case coverage. The executor decides only
@@ -47,19 +46,6 @@ func mixedWorkload(c *Comm) {
 	c.SetResult(c.Time())
 }
 
-// virtualEvents returns the log's per-rank events with the host wall stamps
-// cleared, so logs of different runs compare on their virtual content.
-func virtualEvents(l *obs.Log) [][]obs.Event {
-	out := make([][]obs.Event, len(l.ByRank))
-	for r, evs := range l.ByRank {
-		out[r] = append([]obs.Event(nil), evs...)
-		for i := range out[r] {
-			out[r][i].WallNS = 0
-		}
-	}
-	return out
-}
-
 // TestEngineVirtualEquivalence checks that the mixed workload's full Stats
 // — clocks, phases, traffic, rank results, and the traced event log — are
 // identical at every run-slot count, and that the slot bound is honoured.
@@ -88,7 +74,7 @@ func TestEngineVirtualEquivalence(t *testing.T) {
 		if !reflect.DeepEqual(got.Values, ref.Values) {
 			t.Fatalf("workers=%d: rank results differ", w)
 		}
-		if !reflect.DeepEqual(virtualEvents(got.Events), virtualEvents(ref.Events)) {
+		if !reflect.DeepEqual(got.Events.ByRank, ref.Events.ByRank) {
 			t.Fatalf("workers=%d: event logs differ", w)
 		}
 		if got.Exec.MaxSlots > w {

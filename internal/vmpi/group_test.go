@@ -52,14 +52,14 @@ func TestReplayerGroupBitIdentical(t *testing.T) {
 		return st, helped
 	}
 	want, _ := run(1, 1)
-	wantEvs := virtualEvents(want.Events)
+	wantEvs := want.Events.ByRank
 	for _, procs := range []int{2, 4} {
 		for _, workers := range []int{1, 2, 8} {
 			got, helped := run(procs, workers)
 			if !helped && !debugEnabled() {
 				t.Errorf("GOMAXPROCS %d, %d workers: no group ran on a helper", procs, workers)
 			}
-			gotEvs := virtualEvents(got.Events)
+			gotEvs := got.Events.ByRank
 			for r := 0; r < p; r++ {
 				for _, c := range []struct {
 					what      string

@@ -57,7 +57,7 @@ type rdvSlot struct {
 	inl   uint64         // a one-word input's storage
 	msgs  int64
 	bytes int64
-	tr    *rdvTrace // set while the rank's events are listened to
+	tr    *rdvTrace // set under Config.Trace
 }
 
 // rdvMsg is one message of a round: its ends, its size and its arrival.
@@ -69,7 +69,7 @@ type rdvMsg struct {
 // rdvDone marks a slot's generation as replayed.
 const rdvDone = 1 << 63
 
-// rdvTrace is what a listening rank's slot records for it.
+// rdvTrace is what a traced rank's slot records for it.
 type rdvTrace struct {
 	phase       string
 	start, mark float64 // where the current outer and inner span began
@@ -133,7 +133,7 @@ func (c *Comm) collective(op collOp, fn any, replay func(*rendezvous)) (*rendezv
 	}
 	gen := g.gen
 	s.gen.Store(gen)
-	if s.clock, s.tr = c.st.clock, nil; c.st.rec.Listening() {
+	if s.clock, s.tr = c.st.clock, nil; c.rt.trace {
 		s.tr = &rdvTrace{phase: c.st.currentPhase, start: c.st.clock}
 	}
 	g.arrived++
@@ -231,7 +231,7 @@ func (h *Replayer) Recv(src, dst, bytes int, arrive float64) { h.g.recv(src, dst
 
 // Allgather charges every rank an Allgather in which rank r contributes
 // bytes(r) bytes, exactly as the collective charges it: its messages and,
-// for listening ranks, its spans, which start where it starts.
+// under Config.Trace, its spans, which start where it starts.
 func (h *Replayer) Allgather(bytes func(r int) int) {
 	h.enter("Allgather")
 	h.g.allgather(bytes)
@@ -239,7 +239,7 @@ func (h *Replayer) Allgather(bytes func(r int) int) {
 
 // Alltoall charges every rank a pairwise all-to-all in which rank src sends
 // bytes(src, dst) to rank dst, exactly as the collective charges it: its
-// messages and, for listening ranks, its span, which starts where it starts.
+// messages and, under Config.Trace, its span, which starts where it starts.
 func (h *Replayer) Alltoall(bytes func(src, dst int) int) {
 	h.enter("Alltoall")
 	h.g.alltoall(bytes)
@@ -277,8 +277,8 @@ func (g *rendezvous) round(n, tag int, edge func(i int) (src, dst, bytes int)) {
 }
 
 // send charges one message to its sender and returns its arrival; recv
-// completes it at its receiver. Both record under Config.Trace (so every
-// rank listens), as sendMsg and recvRaw do.
+// completes it at its receiver. Both record under Config.Trace, as sendMsg
+// and recvRaw do.
 func (g *rendezvous) send(src, dst, bytes, tag int) float64 {
 	debugCharge(g, src)
 	s := &g.slots[src]
@@ -342,7 +342,7 @@ func (g *rendezvous) tree(up bool, tag, bytes int, fold func(parent, child int))
 	}
 }
 
-// begin marks on every listening rank its replay clock as where its next
+// begin marks on every traced rank its replay clock as where its next
 // outer or inner span starts.
 func (g *rendezvous) begin(inner bool) {
 	for i := range g.slots {
@@ -356,7 +356,7 @@ func (g *rendezvous) begin(inner bool) {
 	}
 }
 
-// span records on every listening rank a span ending at its replay clock,
+// span records on every traced rank a span ending at its replay clock,
 // from where its outer or inner span began.
 func (g *rendezvous) span(kind obs.Kind, name string, inner bool) {
 	for i := range g.slots {

@@ -203,7 +203,7 @@ func TestReplayerAllgatherMatchesAllgather(t *testing.T) {
 					}
 				})
 			})
-			gotEvs, wantEvs := virtualEvents(got.Events), virtualEvents(want.Events)
+			gotEvs, wantEvs := got.Events.ByRank, want.Events.ByRank
 			for r := 0; r < p; r++ {
 				for _, c := range []struct {
 					what      string
@@ -270,7 +270,7 @@ func TestReplayerAlltoallMatchesAlltoall(t *testing.T) {
 					}
 				})
 			})
-			gotEvs, wantEvs := virtualEvents(got.Events), virtualEvents(want.Events)
+			gotEvs, wantEvs := got.Events.ByRank, want.Events.ByRank
 			for r := 0; r < p; r++ {
 				for _, c := range []struct {
 					what      string
@@ -333,7 +333,7 @@ func TestReplayerAlltoallLinearFollowsStagingOrders(t *testing.T) {
 					h.AlltoallLinear(func(r int) []int { return ring(r, p, radius) }, tags, size)
 				})
 			})
-			gotEvs, wantEvs := virtualEvents(got.Events), virtualEvents(want.Events)
+			gotEvs, wantEvs := got.Events.ByRank, want.Events.ByRank
 			for r := 0; r < p; r++ {
 				if math.Float64bits(got.Clocks[r]) != math.Float64bits(want.Clocks[r]) ||
 					got.MessagesSent[r] != want.MessagesSent[r] || got.BytesSent[r] != want.BytesSent[r] ||

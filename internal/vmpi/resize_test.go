@@ -158,7 +158,7 @@ func TestResizeEngineEquivalence(t *testing.T) {
 		if !reflect.DeepEqual(got.Values, ref.Values) {
 			t.Errorf("workers=%d: values differ: %v vs %v", w, got.Values, ref.Values)
 		}
-		if !reflect.DeepEqual(virtualEvents(got.Events), virtualEvents(ref.Events)) {
+		if !reflect.DeepEqual(got.Events.ByRank, ref.Events.ByRank) {
 			t.Errorf("workers=%d: event logs differ", w)
 		}
 	}
@@ -338,8 +338,7 @@ func (p resizePin) String() string {
 	return fmt.Sprintf("{%v, %d, %d, %d, %#v, %#v},", p.torus, p.p, p.msgs, p.byts, p.clocks, p.events)
 }
 
-// eventHash is FNV-1a over the virtual fields of an event list (WallNS, a
-// host reading, left out).
+// eventHash is FNV-1a over every field of an event list.
 func eventHash(evs []obs.Event) uint64 {
 	h := fnv.New64a()
 	var b [8]byte

@@ -55,7 +55,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/hostpar"
 	"repro/internal/netmodel"
@@ -86,9 +85,6 @@ type Runtime struct {
 	maxExchangeBytes int64
 	// f is the rank body; Resize re-invokes it for admitted ranks.
 	f func(c *Comm)
-	// wall injects host wall-clock stamps into the events of obs buffers
-	// that somebody listens to.
-	wall func() int64
 
 	// mu guards world, which rank 0 of a resize swaps while every other
 	// rank is quiescent, and rdv, each communicator's rendezvous by context.
@@ -172,11 +168,6 @@ func Run(cfg Config, f func(c *Comm)) *Stats {
 		f:                f,
 		rdv:              map[int64]*rendezvous{},
 	}
-	// Wall-clock stamps are injected here so the obs package itself never
-	// reads the clock (it is part of the determinism-analyzer hot set);
-	// exporters that must be byte-deterministic ignore the wall stamps.
-	epoch := time.Now()
-	rt.wall = func() int64 { return time.Since(epoch).Nanoseconds() }
 	// All world communicators share one read-only members slice: Comm
 	// never mutates members (Split/Dup build fresh slices), and a per-rank
 	// copy would cost O(P²) memory at paper-scale rank counts.

@@ -36,7 +36,7 @@ type rankState struct {
 	joinEpoch int
 	// rec is the rank's observability buffer: counters and gauges always
 	// fold into its running aggregates; the phase, collective, message and
-	// counter events are built and listed only under Config.Trace or a tap.
+	// counter events are built and listed only under Config.Trace.
 	rec obs.Buffer
 	// pendingWakes batches the instance ids of ranks this rank owes a wake:
 	// each was waiting for exactly the message delivered to it
@@ -120,7 +120,7 @@ func (rt *Runtime) newInstance(w *epochWorld, id, rank int, admit float64) *rank
 			maxExchange: rt.maxExchangeBytes,
 		},
 	}
-	inst.st.rec.Init(id, rt.trace, rt.wall)
+	inst.st.rec.Init(id, rt.trace)
 	inst.comm = Comm{
 		rt:      rt,
 		w:       w,
@@ -213,8 +213,8 @@ func (c *Comm) SetMaxExchangeBytes(b int64) {
 func (c *Comm) SetResult(v any) { c.st.result = v }
 
 // AddPhase accumulates dt seconds into the named phase timer (Stats.Phases)
-// and, when the rank's events are listened to, records a synthesized
-// phase-end span [now-dt, now].
+// and, under Config.Trace, records a synthesized phase-end span
+// [now-dt, now].
 func (c *Comm) AddPhase(name string, dt float64) {
 	if dt < 0 {
 		// Clock deltas are always non-negative; guard against misuse.
@@ -224,21 +224,21 @@ func (c *Comm) AddPhase(name string, dt float64) {
 		c.st.phases = map[string]float64{}
 	}
 	c.st.phases[name] += dt
-	if c.st.rec.Listening() {
+	if c.rt.trace {
 		c.st.rec.Record(obs.Event{Kind: obs.KindPhaseEnd, Name: name, T: c.st.clock - dt, T2: c.st.clock})
 	}
 }
 
 // Phase runs f and accumulates the elapsed virtual time into the named
-// phase timer, bracketing it with phase-begin/phase-end events when the
-// rank's events are listened to. While f runs, messages sent by this rank
+// phase timer, bracketing it with phase-begin/phase-end events under
+// Config.Trace. While f runs, messages sent by this rank
 // are attributed to the phase in traces; nested phases attribute to the
 // innermost name.
 func (c *Comm) Phase(name string, f func()) {
 	prev := c.st.currentPhase
 	c.st.currentPhase = name
 	t0 := c.st.clock
-	if c.st.rec.Listening() {
+	if c.rt.trace {
 		c.st.rec.Record(obs.Event{Kind: obs.KindPhaseBegin, Name: name, T: t0})
 	}
 	f()
@@ -249,11 +249,6 @@ func (c *Comm) Phase(name string, f func()) {
 // PhaseTime returns the accumulated virtual time of the named phase on this
 // rank.
 func (c *Comm) PhaseTime(name string) float64 { return c.st.phases[name] }
-
-// Obs returns the rank's observability buffer, to attach a tap (SetTap)
-// or, under Config.Trace, to read the kept event list (Len is a mark for
-// Since). It must only be used from the rank's goroutine.
-func (c *Comm) Obs() *obs.Buffer { return &c.st.rec }
 
 // Counter emits a named counter increment at the current virtual time.
 // Counters do not advance the clock; the cross-rank total is

@@ -43,9 +43,11 @@ race:
 # replayed merge-exchange and rotational sorts (the same, plus items)
 # against the message-level ones, psort's adaptive local sort (items with
 # their original order, clock bits) against the keyed sort.Stable it
-# replaced, and the torus network cost (per-hop
+# replaced, the torus network cost (per-hop
 # tables, hops by mask and shift) against the division-based body on random
-# tori of up to 65 536 ranks. This is the
+# tori of up to 65 536 ranks, and hostpar.For (tiles covered once, per-tile
+# partials in tile order bit for bit, the re-raised panic of planted tiles)
+# against the plain tile loop. This is the
 # one list of fuzz targets: a new target joins it here and nowhere else. The
 # committed seed corpora (internal/*/testdata/fuzz) already run in every go
 # test.
@@ -54,7 +56,8 @@ FUZZ_TARGETS := internal/fmm:FuzzOperatorsMatchReference internal/fft:FuzzPanelM
 	internal/vmpi:FuzzMailboxMatchesReference internal/redist:FuzzPlanMatchesOracle \
 	internal/obs:FuzzAggregatesMatchLog internal/rankexec:FuzzExecutorMatchesModel \
 	internal/vmpi:FuzzCollectivesMatchMessageLevel internal/psort:FuzzSortMergeMatchesMessageLevel \
-	internal/psort:FuzzLocalSortMatchesReference internal/netmodel:FuzzTorusCostMatchesReference
+	internal/psort:FuzzLocalSortMatchesReference internal/netmodel:FuzzTorusCostMatchesReference \
+	internal/hostpar:FuzzForMatchesSerial
 
 fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \

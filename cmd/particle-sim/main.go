@@ -6,6 +6,10 @@
 //
 //	particle-sim -solver fmm -method B -dist random -n 6000 -ranks 8 -steps 20
 //	particle-sim -solver p2nfft -method Bmv -machine torus -steps 50
+//
+// Bad input (-n or -ranks below 1, -steps below 0, -accuracy outside
+// (0, 1), -dt not above 0, a negative -side, an unknown name) exits with
+// status 2 and a one-line message.
 package main
 
 import (
@@ -13,11 +17,12 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 
 	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/mdsim"
-	"repro/internal/netmodel"
+	"repro/internal/paperbench"
 	"repro/internal/particle"
 	"repro/internal/vmpi"
 )
@@ -39,6 +44,9 @@ func main() {
 		trace    = flag.Bool("trace", false, "record every message and print a per-phase communication summary")
 	)
 	flag.Parse()
+	if err := checkFlags(*solver, *n, *ranks, *steps, *dt, *side, *accuracy); err != nil {
+		fail(err)
+	}
 
 	var dist particle.Dist
 	switch *distName {
@@ -49,14 +57,12 @@ func main() {
 	case "grid":
 		dist = particle.DistGrid
 	default:
-		fmt.Fprintf(os.Stderr, "particle-sim: unknown distribution %q\n", *distName)
-		os.Exit(2)
+		fail(fmt.Errorf("unknown distribution %q", *distName))
 	}
 	resort := *method == "B" || *method == "Bmv"
 	track := *method == "Bmv"
 	if !resort && *method != "A" {
-		fmt.Fprintf(os.Stderr, "particle-sim: unknown method %q\n", *method)
-		os.Exit(2)
+		fail(fmt.Errorf("unknown method %q", *method))
 	}
 
 	sideV := *side
@@ -68,23 +74,21 @@ func main() {
 		particle.Thermalize(s, *thermal, *seed+2)
 	}
 
-	var model netmodel.Model
-	scale := 1.0
+	var m paperbench.Machine
 	switch *machine {
 	case "switched":
-		model = netmodel.NewSwitched()
+		m = paperbench.JuRoPA()
 	case "torus":
-		model = netmodel.NewTorus(*ranks)
-		scale = 2.5
+		m = paperbench.Juqueen()
 	default:
-		fmt.Fprintf(os.Stderr, "particle-sim: unknown machine %q\n", *machine)
-		os.Exit(2)
+		fail(fmt.Errorf("unknown machine %q", *machine))
 	}
 
 	fmt.Printf("particle-sim: %d particles, box %.4g, %d ranks (%s), solver %s, method %s, %d steps, dt %g\n",
 		s.N, s.Box.Lengths()[0], *ranks, *machine, *solver, *method, *steps, *dt)
 
-	st := vmpi.Run(vmpi.Config{Ranks: *ranks, Model: model, ComputeScale: scale, Trace: *trace}, func(c *vmpi.Comm) {
+	cfg := vmpi.Config{Ranks: *ranks, Model: m.Model(*ranks), ComputeScale: m.ComputeScale, Trace: *trace}
+	st := vmpi.Run(cfg, func(c *vmpi.Comm) {
 		l := particle.Distribute(c, s, dist, *seed+1)
 		h, err := core.Init(*solver, c,
 			core.WithBox(s.Box),
@@ -92,7 +96,9 @@ func main() {
 			core.WithResort(resort),
 		)
 		if err != nil {
-			panic(err)
+			// Init checks its options locally, so every rank fails alike.
+			c.SetResult(err)
+			return
 		}
 		defer h.Destroy()
 		sim := mdsim.New(c, h, l, *dt)
@@ -112,6 +118,9 @@ func main() {
 		}
 	})
 
+	if err, ok := st.Values[0].(error); ok {
+		fail(err)
+	}
 	e := st.Values[0].([4]float64)
 	fmt.Printf("energy: initial K=%.6g U=%.6g E=%.6g; final K=%.6g U=%.6g E=%.6g\n",
 		e[0], e[1], e[0]+e[1], e[2], e[3], e[2]+e[3])
@@ -138,4 +147,31 @@ func main() {
 		fmt.Printf("  total active pairs: %d of %d possible\n",
 			ev.ActivePairs(""), *ranks*(*ranks-1))
 	}
+}
+
+// checkFlags turns away the flag values no simulation can run with.
+func checkFlags(solver string, n, ranks, steps int, dt, side, accuracy float64) error {
+	switch {
+	case !slices.Contains(core.Methods(), solver):
+		return fmt.Errorf("unknown solver %q (have %v)", solver, core.Methods())
+	case n < 1:
+		return fmt.Errorf("-n must be at least 1, got %d", n)
+	case ranks < 1:
+		return fmt.Errorf("-ranks must be at least 1, got %d", ranks)
+	case steps < 0:
+		return fmt.Errorf("-steps must not be negative, got %d", steps)
+	case !(dt > 0) || math.IsInf(dt, 0):
+		return fmt.Errorf("-dt must be a positive number, got %g", dt)
+	case !(side >= 0) || math.IsInf(side, 0):
+		return fmt.Errorf("-side must be 0 or a positive number, got %g", side)
+	case !(accuracy > 0 && accuracy < 1):
+		return fmt.Errorf("-accuracy must lie in (0, 1), got %g", accuracy)
+	}
+	return nil
+}
+
+// fail reports err on one line and exits with status 2.
+func fail(err error) {
+	fmt.Fprintf(os.Stderr, "particle-sim: %v\n", err)
+	os.Exit(2)
 }

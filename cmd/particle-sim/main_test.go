@@ -2,7 +2,9 @@ package main
 
 import (
 	"flag"
+	"math"
 	"os"
+	"testing"
 )
 
 // Example runs the generic benchmark application (paper §IV) on a small
@@ -27,4 +29,43 @@ func Example() {
 	//   far            2.4500e-02
 	//   total          3.1743e-02
 	// communication: 108 messages, 6.54 MB total
+}
+
+// TestCheckFlags pins which flag values the command turns away before any
+// virtual machine starts: one rejected value of each checked flag.
+func TestCheckFlags(t *testing.T) {
+	type flags struct {
+		solver             string
+		n, ranks, steps    int
+		dt, side, accuracy float64
+	}
+	def := flags{"fmm", 6000, 8, 10, 0.01, 0, 1e-3}
+	for _, tc := range []struct {
+		name string
+		edit func(*flags)
+		ok   bool
+	}{
+		{"defaults", func(*flags) {}, true},
+		{"p2nfft, one particle, one rank, no steps, a side", func(f *flags) {
+			f.solver, f.n, f.ranks, f.steps, f.side = "p2nfft", 1, 1, 0, 20
+		}, true},
+		{"unknown solver", func(f *flags) { f.solver = "pppm" }, false},
+		{"zero particles", func(f *flags) { f.n = 0 }, false},
+		{"zero ranks", func(f *flags) { f.ranks = 0 }, false},
+		{"negative steps", func(f *flags) { f.steps = -1 }, false},
+		{"zero dt", func(f *flags) { f.dt = 0 }, false},
+		{"infinite dt", func(f *flags) { f.dt = math.Inf(1) }, false},
+		{"negative side", func(f *flags) { f.side = -1 }, false},
+		{"NaN side", func(f *flags) { f.side = math.NaN() }, false},
+		{"accuracy two", func(f *flags) { f.accuracy = 2 }, false},
+		{"zero accuracy", func(f *flags) { f.accuracy = 0 }, false},
+		{"NaN accuracy", func(f *flags) { f.accuracy = math.NaN() }, false},
+	} {
+		f := def
+		tc.edit(&f)
+		err := checkFlags(f.solver, f.n, f.ranks, f.steps, f.dt, f.side, f.accuracy)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: checkFlags(%+v) = %v, want ok=%v", tc.name, f, err, tc.ok)
+		}
+	}
 }

@@ -6,10 +6,12 @@ import "runtime"
 // CPU shared by every consumer of host parallelism in the process. Three
 // consumers exist today, with deliberately different acquisition styles:
 //
-//   - For (this package) try-acquires units for its extra tile workers and
-//     falls back to running tiles on the caller when none are free, so a
-//     parallel section can never deadlock and never pushes the process past
-//     the budget.
+//   - For (this package) try-acquires a unit for each idle worker it
+//     recruits, runs the tiles on the caller alone when none is free, and
+//     returns every unit before it returns, so a parallel section can never
+//     deadlock and never pushes the process past the budget. The solver
+//     kernels and the replayed sorting-network steps of vmpi
+//     (Replayer.Group) are its callers.
 //   - The experiment scheduler (internal/sched) block-acquires one unit per
 //     running job — an experiment is a full virtual machine worth of
 //     compute — so queued jobs wait for capacity instead of oversubscribing.
@@ -61,7 +63,7 @@ func (b *Budget) TryAcquire() bool {
 func (b *Budget) Release() { <-b.sem }
 
 // shared is the process-wide budget, sized to the host's core count. For's
-// helper workers, the experiment scheduler and the rank executor's extra
+// recruited workers, the experiment scheduler and the rank executor's extra
 // run slots all draw from it.
 var shared = newBudget(runtime.NumCPU())
 

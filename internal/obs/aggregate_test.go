@@ -81,8 +81,8 @@ func FuzzAggregatesMatchLog(f *testing.F) {
 			kept[ranks[i]].Record(e)
 		}
 		for r := range agg {
-			if agg[r].Len() != 0 || agg[r].Events() != nil {
-				t.Fatalf("rank %d: aggregate-only buffer kept %d events", r, agg[r].Len())
+			if agg[r].Events() != nil {
+				t.Fatalf("rank %d: aggregate-only buffer kept %d events", r, len(agg[r].Events()))
 			}
 		}
 		aggLog, keptLog := NewLog(agg), NewLog(kept)

@@ -137,10 +137,6 @@ type Buffer struct {
 	aggs   []aggregate
 }
 
-// NewBuffer creates a list-keeping buffer that stamps events with the
-// given world rank.
-func NewBuffer(rank int) *Buffer { return &Buffer{rank: rank, keep: true} }
-
 // Init readies a Buffer in place. keep selects whether the event list is
 // kept.
 func (b *Buffer) Init(rank int, keep bool) {
@@ -160,22 +156,6 @@ func (b *Buffer) Record(e Event) {
 	b.events = append(b.events, e)
 }
 
-// Len returns the number of events in the kept list (usable as a mark for
-// Since); 0 when no list is kept.
-func (b *Buffer) Len() int { return len(b.events) }
-
 // Events returns the kept list (nil when none is kept). The slice is owned
 // by the buffer; callers must not modify it.
 func (b *Buffer) Events() []Event { return b.events }
-
-// Since returns the kept events recorded at or after the given mark (a
-// previous Len value).
-func (b *Buffer) Since(mark int) []Event {
-	if mark < 0 {
-		mark = 0
-	}
-	if mark > len(b.events) {
-		mark = len(b.events)
-	}
-	return b.events[mark:]
-}

@@ -7,9 +7,16 @@ import (
 	"testing"
 )
 
+// keptBuffer is a list-keeping buffer for the given world rank.
+func keptBuffer(rank int) *Buffer {
+	b := new(Buffer)
+	b.Init(rank, true)
+	return b
+}
+
 func sampleLog() *Log {
-	b0 := NewBuffer(0)
-	b1 := NewBuffer(1)
+	b0 := keptBuffer(0)
+	b1 := keptBuffer(1)
 	b0.Record(Event{Kind: KindPhaseBegin, Name: "sort", T: 0})
 	b0.Record(Event{Kind: KindSend, Name: "sort", Peer: 1, Tag: 201, Bytes: 64, T: 0.1, T2: 0.2})
 	b0.Record(Event{Kind: KindPhaseEnd, Name: "sort", T: 0, T2: 0.5})
@@ -24,33 +31,19 @@ func sampleLog() *Log {
 }
 
 func TestBufferStampsRank(t *testing.T) {
-	b := NewBuffer(7)
+	b := keptBuffer(7)
 	b.Record(Event{Kind: KindCounter, Name: "x", Value: 1})
 	if got := b.Events()[0].Rank; got != 7 {
 		t.Fatalf("rank stamp = %d, want 7", got)
 	}
 }
 
-func TestBufferSince(t *testing.T) {
-	b := NewBuffer(0)
-	b.Record(Event{Kind: KindCounter, Name: "a"})
-	mark := b.Len()
-	b.Record(Event{Kind: KindCounter, Name: "b"})
-	got := b.Since(mark)
-	if len(got) != 1 || got[0].Name != "b" {
-		t.Fatalf("Since(mark) = %v, want just event b", got)
-	}
-	if n := len(b.Since(mark + 100)); n != 0 {
-		t.Fatalf("Since past end = %d events, want 0", n)
-	}
-}
-
 func TestTee(t *testing.T) {
-	a, b := NewBuffer(0), NewBuffer(0)
+	a, b := keptBuffer(0), keptBuffer(0)
 	r := Tee(a, nil, b)
 	r.Record(Event{Kind: KindCounter, Name: "x"})
-	if a.Len() != 1 || b.Len() != 1 {
-		t.Fatalf("tee fan-out: a=%d b=%d, want 1/1", a.Len(), b.Len())
+	if len(a.Events()) != 1 || len(b.Events()) != 1 {
+		t.Fatalf("tee fan-out: a=%d b=%d, want 1/1", len(a.Events()), len(b.Events()))
 	}
 	if Tee(nil, nil) != nil {
 		t.Fatal("Tee with no live recorders should be nil")

@@ -64,7 +64,7 @@ func TestMergeExchangeGroupsDisjoint(t *testing.T) {
 
 // TestSortMergeParallelReplayBitIdentical sorts worlds whose network steps
 // and cleanup rounds hold several tiles of Replayer.Group, so a replay runs
-// them on its helper wherever GOMAXPROCS and the budget allow: every rank's
+// them on hostpar's workers wherever GOMAXPROCS and the budget allow: every rank's
 // items, clock bits, counters, phases and traced events must match the
 // message-level sort, and the same run at GOMAXPROCS 1, 2, 4 × Workers 1,
 // 2, 8; no goroutine may outlive a run. Both inputs are almost sorted, the
@@ -98,7 +98,7 @@ func TestSortMergeParallelReplayBitIdentical(t *testing.T) {
 				sameRuns(t, tc.p, "the message-level sort", got, want)
 				n := runtime.NumGoroutine()
 				for wait := 0; n > base && wait < 100; wait++ {
-					// A joined helper may not have left its last frame yet.
+					// A rank goroutine may not have left its last frame yet.
 					time.Sleep(10 * time.Millisecond)
 					n = runtime.NumGoroutine()
 				}

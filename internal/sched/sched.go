@@ -21,13 +21,14 @@
 //
 // Jobs must not call back into sched (or block-acquire budget units): a job
 // already holds a unit, and waiting for another while holding one can
-// deadlock the budget. Host parallelism inside a job belongs to hostpar.For,
-// whose acquisition is non-blocking, and to the vmpi event executor
-// (rankexec via vmpi.Run), which multiplexes a job's virtual ranks over one
-// always-owned base slot plus try-acquired extras. All three consumers
-// nest freely: a job's unit is the one guaranteed slot, and the tile
-// helpers and rank executor only ever soak up capacity that queued jobs
-// are not using, returning it as their queues drain.
+// deadlock the budget. Host parallelism inside a job belongs to hostpar.For
+// (the solver kernels and vmpi's replayed sorting-network steps), whose
+// acquisition is non-blocking, and to the vmpi event executor (rankexec via
+// vmpi.Run), which multiplexes a job's virtual ranks over one always-owned
+// base slot plus try-acquired extras. All three consumers nest freely: a
+// job's unit is the one guaranteed slot, and For's workers and the rank
+// executor only ever soak up capacity that queued jobs are not using,
+// returning it as their calls end and their queues drain.
 package sched
 
 import (

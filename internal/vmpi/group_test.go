@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,10 +16,15 @@ import (
 // hypercubeGroups replays, for every dimension s of a P-rank hypercube, one
 // Group of P/2 pairwise exchanges (rank i and i + 2^s, i's bit s clear),
 // each side then computing, with an Allgather between dimensions. It
-// reports whether the replay had its helper after the first group.
-func hypercubeGroups(h *Replayer, p int) (helped bool) {
+// reports whether a task ran on a goroutine other than the replaying one.
+func hypercubeGroups(h *Replayer, p int) bool {
+	var helped atomic.Bool
+	replaying := goid()
 	for s, d := 0, 1; d < p; s, d = s+1, d<<1 {
 		h.Group(p/2, func(k int) {
+			if !helped.Load() && goid() != replaying {
+				helped.Store(true)
+			}
 			i := (k&^(d-1))<<1 | k&(d-1)
 			j, bytes := i+d, 8+int(fuzzMix(uint64(s), uint64(k), 10)%512)
 			a, b := h.Send(i, j, bytes, 300+s), h.Send(j, i, bytes, 300+s)
@@ -27,17 +33,16 @@ func hypercubeGroups(h *Replayer, p int) (helped bool) {
 			h.Compute(i, float64(fuzzMix(uint64(s), uint64(i), 11)%9)*1e-7)
 			h.Compute(j, float64(fuzzMix(uint64(s), uint64(j), 11)%9)*1e-7)
 		})
-		helped = helped || h.hp != nil
 		h.Allgather(func(int) int { return 8 })
 	}
-	return helped
+	return helped.Load()
 }
 
 // TestReplayerGroupBitIdentical: a replay whose groups span many tiles
 // charges every rank the same clock bits, counts and traced events at
 // GOMAXPROCS 1 (the serial loop) as at 2 and 4 with Workers 1, 2 and 8,
-// where the groups run on the replay's helper; and no goroutine outlives a
-// run.
+// where some of the groups' tiles run on a hostpar worker; and no goroutine
+// outlives a run.
 func TestReplayerGroupBitIdentical(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	const p = 1024
@@ -57,7 +62,7 @@ func TestReplayerGroupBitIdentical(t *testing.T) {
 		for _, workers := range []int{1, 2, 8} {
 			got, helped := run(procs, workers)
 			if !helped && !debugEnabled() {
-				t.Errorf("GOMAXPROCS %d, %d workers: no group ran on a helper", procs, workers)
+				t.Errorf("GOMAXPROCS %d, %d workers: every task ran on the replaying goroutine", procs, workers)
 			}
 			gotEvs := got.Events.ByRank
 			for r := 0; r < p; r++ {
@@ -85,8 +90,8 @@ func TestReplayerGroupBitIdentical(t *testing.T) {
 
 // TestReplayerGroupPanics: a task's panic reaches Run — the lowest
 // panicking task's, at any GOMAXPROCS, from the second of three tiles — and
-// the replay's helper and every parked rank are gone by then; a charge of
-// every rank, or a Group, inside a group panics.
+// every parked rank is gone by then; a charge of every rank, or a Group,
+// inside a group panics.
 func TestReplayerGroupPanics(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	base := runtime.NumGoroutine()
@@ -126,18 +131,16 @@ func TestReplayerGroupPanics(t *testing.T) {
 				t.Fatalf("GOMAXPROCS %d: Run panicked with %q, want %q", procs, msg, tc.want)
 			}
 			// The aborted world's parked ranks unwind before Run
-			// re-panics, and the replay's helper is joined before that.
+			// re-panics.
 			if n := goroutinesAfter(base); n != base {
-				helper := strings.Contains(allStacks(), "replayHelper")
-				t.Fatalf("GOMAXPROCS %d, %q: %d goroutines after the run, %d before (the replay's helper among them: %v)",
-					procs, tc.want, n, base, helper)
+				t.Fatalf("GOMAXPROCS %d, %q: %d goroutines after the run, %d before", procs, tc.want, n, base)
 			}
 		}
 	}
 }
 
 // goroutinesAfter is the goroutine count once it has come down to base,
-// or after a second: a joined helper has closed its done channel but may
+// or after a second: a rank goroutine that has handed back its slot may
 // not have left its last frame when Run returns.
 func goroutinesAfter(base int) int {
 	n := runtime.NumGoroutine()
@@ -148,11 +151,8 @@ func goroutinesAfter(base int) int {
 	return n
 }
 
-// allStacks is every goroutine's stack.
-func allStacks() string {
-	for buf := make([]byte, 1<<20); ; buf = make([]byte, 2*len(buf)) {
-		if n := runtime.Stack(buf, true); n < len(buf) {
-			return string(buf[:n])
-		}
-	}
+// goid is the calling goroutine's id, read from its stack header.
+func goid() string {
+	var buf [64]byte
+	return strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))[1]
 }

@@ -204,19 +204,17 @@ func replayStates[S any](g *rendezvous) {
 		states[r] = (*S)(g.slots[r].data)
 	}
 	h := &Replayer{g: g}
-	defer h.join()
 	g.fn.(func(*Replayer, []*S))(h, states)
 }
 
 // Replayer is what a Replay's fn charges ranks through, by communicator
 // rank: the arithmetic of Send, Recv and Comm.Compute, applied to the
-// rendezvous slots. Group runs tasks that charge disjoint ranks, on a
-// helper goroutine the Replayer keeps for the replay and joins before any
-// rank wakes (group.go); inside a task only Send, Recv and Compute may be
+// rendezvous slots. Group runs tasks that charge disjoint ranks as a
+// hostpar.For, which returns only once every task has run, before any rank
+// wakes (group.go); inside a task only Send, Recv and Compute may be
 // called.
 type Replayer struct {
 	g       *rendezvous
-	hp      *replayHelper
 	grouped bool // inside Group
 }
 

@@ -32,8 +32,8 @@
 // receive finds no matching message and re-enqueued when a delivery
 // arrives, and runnable ranks are multiplexed over a bounded set of run
 // slots — one base slot plus extras try-acquired from the process-wide
-// hostpar budget, the same pool the experiment scheduler and hostpar's
-// tile helpers draw from. Rank goroutines are spawned lazily on first
+// hostpar budget, the same pool the experiment scheduler and hostpar.For's
+// workers draw from. Rank goroutines are spawned lazily on first
 // dispatch, which bounds resident stacks only until ranks first wait: a
 // parked rank keeps its goroutine, so a world whose ranks all park once
 // holds one stack per rank.

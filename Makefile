@@ -1,14 +1,19 @@
-# Developer entry points. `make check` is the local tier-1 gate: build,
-# vet, the repo's own static analyzers (cmd/parlint), full tests, a
-# race-detector pass, the vmpi ownership checker build (-tags vmpidebug,
-# over every package that calls vmpi), ten seconds of differential
-# fuzzing per target (fuzz-smoke), and the golden figure gates.
+# Developer entry points. `make check` is the local tier-1 gate: gofmt
+# (fmt, CI's first step), build, vet, the repo's own static analyzers
+# (cmd/parlint), full tests, a race-detector pass, the vmpi ownership
+# checker build (-tags vmpidebug, over every package that calls vmpi), ten
+# seconds of differential fuzzing per target (fuzz-smoke), and the golden
+# figure gates.
 
 GO ?= go
 
-.PHONY: all build test race fuzz-smoke bench vet lint debugtest golden golden-par fig10 golden-bigp golden-bigp-w4 golden-resize golden-mem check
+.PHONY: all fmt build test race fuzz-smoke bench vet lint debugtest golden golden-par fig10 golden-bigp golden-bigp-w4 golden-resize golden-mem check
 
 all: build
+
+# Fails when any Go file is not gofmt-formatted, and lists those files.
+fmt:
+	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 
 build:
 	$(GO) build ./...
@@ -167,4 +172,4 @@ golden-par:
 	rm -f paperbench_output.j1.txt paperbench_output.j8.txt \
 		obs_trace.j1.json obs_trace.j8.json obs_metrics.j1.txt obs_metrics.j8.txt
 
-check: build vet lint test debugtest race fuzz-smoke golden golden-bigp golden-resize golden-mem
+check: fmt build vet lint test debugtest race fuzz-smoke golden golden-bigp golden-resize golden-mem

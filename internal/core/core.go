@@ -65,12 +65,6 @@ type FCS struct {
 
 	resortEnabled bool
 	maxMove       float64
-	resizePolicy  ResizePolicy
-
-	// memoryBudget caps staged exchange bytes on the communicator
-	// (WithMemoryBudget); re-applied when Rescale moves the handle.
-	memoryBudget    int64
-	memoryBudgetSet bool
 
 	// State of the last Run, backing the resort API.
 	lastResorted bool
@@ -81,9 +75,9 @@ type FCS struct {
 
 // Init creates a new solver instance of the named method on the
 // communicator (fcs_init), configured by functional options (WithBox,
-// WithAccuracy, WithResort, WithResizePolicy, WithMemoryBudget). Options
-// are validated eagerly: Init returns the first option error. Every rank of
-// the communicator must call it identically.
+// WithAccuracy, WithResort). Options are validated eagerly: Init returns
+// the first option error. Every rank of the communicator must call it
+// identically.
 func Init(method string, comm *vmpi.Comm, opts ...Option) (*FCS, error) {
 	f, ok := registry[method]
 	if !ok {
@@ -100,9 +94,6 @@ func Init(method string, comm *vmpi.Comm, opts ...Option) (*FCS, error) {
 			return nil, err
 		}
 	}
-	if h.memoryBudgetSet {
-		comm.SetMaxExchangeBytes(h.memoryBudget)
-	}
 	return h, nil
 }
 
@@ -114,9 +105,6 @@ func Init(method string, comm *vmpi.Comm, opts ...Option) (*FCS, error) {
 // a fresh handle instead) and then Tune collectively before the next Run.
 func (h *FCS) Rescale(c *vmpi.Comm) {
 	h.comm = c
-	if h.memoryBudgetSet {
-		c.SetMaxExchangeBytes(h.memoryBudget)
-	}
 	h.solver = nil
 	h.tuned = false
 	h.lastResorted = false
@@ -126,10 +114,6 @@ func (h *FCS) Rescale(c *vmpi.Comm) {
 
 // ResortEnabled reports the current method selection.
 func (h *FCS) ResortEnabled() bool { return h.resortEnabled }
-
-// ResizePolicy returns the resize schedule attached with WithResizePolicy
-// (zero value when none was set).
-func (h *FCS) ResizePolicy() ResizePolicy { return h.resizePolicy }
 
 // SetMaxParticleMove passes the application's bound on the maximum particle
 // displacement since the previous Run (paper §III-B). It enables the

@@ -29,9 +29,4 @@ var (
 	ErrResortUnavailable = errors.New("no resort available")
 	// ErrBadStride: a resort stride is not positive.
 	ErrBadStride = errors.New("bad resort stride")
-	// ErrBadResizePolicy: a resize policy has a negative interval or a
-	// world-size target below 1.
-	ErrBadResizePolicy = errors.New("bad resize policy")
-	// ErrBadMemoryBudget: the exchange memory budget is negative.
-	ErrBadMemoryBudget = errors.New("bad memory budget")
 )

@@ -65,73 +65,17 @@ func TestOptionsConfigureHandle(t *testing.T) {
 	})
 }
 
-func TestWithResizePolicy(t *testing.T) {
-	vmpi.Run(vmpi.Config{Ranks: 1}, func(c *vmpi.Comm) {
-		pol := ResizePolicy{Every: 3, Sizes: []int{8, 2, 4}}
-		h, err := Init("fmm", c, WithResizePolicy(pol))
-		if err != nil {
-			t.Fatalf("init: %v", err)
-		}
-		got := h.ResizePolicy()
-		if !got.Enabled() || got.Every != 3 || len(got.Sizes) != 3 {
-			t.Errorf("ResizePolicy() = %+v", got)
-		}
-		// Targets are consumed in order and the last one holds.
-		for k, want := range []int{8, 2, 4, 4, 4} {
-			if s := got.SizeAt(k); s != want {
-				t.Errorf("SizeAt(%d) = %d, want %d", k, s, want)
-			}
-		}
-		if (ResizePolicy{}).Enabled() {
-			t.Error("zero policy must be disabled")
-		}
-		if _, err := Init("fmm", c, WithResizePolicy(ResizePolicy{Every: -1})); !errors.Is(err, ErrBadResizePolicy) {
-			t.Errorf("negative interval error = %v, want ErrBadResizePolicy", err)
-		}
-		if _, err := Init("fmm", c, WithResizePolicy(ResizePolicy{Every: 2, Sizes: []int{4, 0}})); !errors.Is(err, ErrBadResizePolicy) {
-			t.Errorf("size 0 error = %v, want ErrBadResizePolicy", err)
-		}
-	})
-}
-
-// TestWithMemoryBudget: a negative budget fails Init; a budget reaches the
-// communicator at Init and again at Rescale; and a small budget, which
-// splits every redistribution into many rounds, changes no bit of the
-// potentials and fields, for the FMM (method A) and P2NFFT (method B).
+// TestWithMemoryBudget: a small staging budget (vmpi.Config's
+// MaxExchangeBytes), which splits every redistribution into many rounds,
+// changes no bit of the potentials and fields, for the FMM (method A) and
+// P2NFFT (method B).
 func TestWithMemoryBudget(t *testing.T) {
 	const budget = 512
-	vmpi.Run(vmpi.Config{Ranks: 1}, func(c *vmpi.Comm) {
-		if _, err := Init("fmm", c, WithMemoryBudget(-1)); !errors.Is(err, ErrBadMemoryBudget) {
-			t.Errorf("WithMemoryBudget(-1) error = %v, want ErrBadMemoryBudget", err)
-		}
-	})
-
-	vmpi.Run(vmpi.Config{Ranks: 2, MaxRanks: 3}, func(c *vmpi.Comm) {
-		h, err := Init("fmm", c, WithMemoryBudget(budget))
-		if err != nil {
-			t.Errorf("init: %v", err)
-			return
-		}
-		if got := c.MaxExchangeBytes(); got != budget {
-			t.Errorf("rank %d: budget after Init = %d, want %d", c.Rank(), got, budget)
-		}
-		if c.JoinEpoch() > 0 {
-			return // an admitted rank Inits its own handle
-		}
-		c.SetMaxExchangeBytes(0) // Rescale must put the handle's budget back
-		c = vmpi.Resize(c, 3)
-		h.Rescale(c)
-		if got := c.MaxExchangeBytes(); got != budget {
-			t.Errorf("rank %d: budget after Rescale = %d, want %d", c.Rank(), got, budget)
-		}
-	})
-
 	s := particle.SilicaMelt(400, 10, true, 3)
-	fields := func(method string, resort bool, opts ...Option) ([]any, int64) {
-		opts = append([]Option{WithBox(s.Box), WithResort(resort)}, opts...)
-		st := vmpi.Run(vmpi.Config{Ranks: 8}, func(c *vmpi.Comm) {
+	fields := func(method string, resort bool, maxBytes int64) ([]any, int64) {
+		st := vmpi.Run(vmpi.Config{Ranks: 8, MaxExchangeBytes: maxBytes}, func(c *vmpi.Comm) {
 			l := particle.Distribute(c, s, particle.DistRandom, 7)
-			h, err := Init(method, c, opts...)
+			h, err := Init(method, c, WithBox(s.Box), WithResort(resort))
 			if err != nil {
 				t.Errorf("init: %v", err)
 				return
@@ -161,8 +105,8 @@ func TestWithMemoryBudget(t *testing.T) {
 		method string
 		resort bool
 	}{{"fmm", false}, {"p2nfft", true}} {
-		want, free := fields(tc.method, tc.resort)
-		got, bounded := fields(tc.method, tc.resort, WithMemoryBudget(budget))
+		want, free := fields(tc.method, tc.resort, 0)
+		got, bounded := fields(tc.method, tc.resort, budget)
 		if bounded == free {
 			t.Errorf("%s: the budget left the message count at %d: no exchange ran in rounds", tc.method, free)
 		}

@@ -136,8 +136,7 @@ func elasticSim(s *particle.System, schedule []int, stepsPerStage int, capf Capa
 			l = Join(c, s.Box, capf)
 		}
 		fcs, err := core.Init("p2nfft", c,
-			core.WithBox(s.Box), core.WithAccuracy(1e-3), core.WithResort(true),
-			core.WithResizePolicy(core.ResizePolicy{Every: stepsPerStage, Sizes: schedule}))
+			core.WithBox(s.Box), core.WithAccuracy(1e-3), core.WithResort(true))
 		if err != nil {
 			panic(err)
 		}
@@ -149,17 +148,16 @@ func elasticSim(s *particle.System, schedule []int, stepsPerStage int, capf Capa
 		} else if err := sim.Rescale(c, l); err != nil {
 			panic(err)
 		}
-		pol := fcs.ResizePolicy()
 		for ; ; stage++ {
-			for i := 0; i < pol.Every; i++ {
+			for i := 0; i < stepsPerStage; i++ {
 				if err := sim.Step(); err != nil {
 					panic(err)
 				}
 			}
-			if stage == len(pol.Sizes) {
+			if stage == len(schedule) {
 				break
 			}
-			c2, l2 := Resize(c, sim.L, pol.SizeAt(stage), capf)
+			c2, l2 := Resize(c, sim.L, schedule[stage], capf)
 			if c2 == nil {
 				return // retired
 			}

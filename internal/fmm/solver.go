@@ -173,9 +173,9 @@ func (m method) MoveThreshold() float64 {
 
 // Exchange sorts the particles into boxes with the selected parallel
 // sort. Only SortPartition routes its element exchange through the
-// plan-backed redist.ExchangeBlocks, so a memory budget configured on the
-// communicator (core.WithMemoryBudget) bounds its staged bytes; SortMerge
-// is one vmpi.Replay that never reads the budget.
+// plan-backed redist.ExchangeBlocks, so the machine's staging budget
+// (vmpi.Config.MaxExchangeBytes) bounds its staged bytes; SortMerge is one
+// vmpi.Replay that never reads the budget.
 func (m method) Exchange(recs []pRec, fast bool) ([]pRec, coupling.ExchangeInfo) {
 	key := func(r pRec) uint64 { return r.Key }
 	if fast {

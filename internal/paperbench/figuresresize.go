@@ -44,7 +44,7 @@ const (
 	// hundred particles per rank at the peak size.
 	figResizeParticles = 1500
 	// figResizeStepsPerStage is the resize cadence k: the world is resized
-	// every k MD steps (the WithResizePolicy contract).
+	// every k MD steps (figResizeBody's every).
 	figResizeStepsPerStage = 2
 	figResizeDt            = 0.005
 	figResizeSeed          = 11
@@ -126,10 +126,7 @@ func figResizeBody(s *particle.System, d resizeDirection, every int) func(c *vmp
 			l = elastic.Join(c, s.Box, capf)
 		}
 		fcs, err := core.Init("p2nfft", c,
-			core.WithBox(s.Box), core.WithAccuracy(1e-3), core.WithResort(true),
-			core.WithResizePolicy(core.ResizePolicy{
-				Every: every, Sizes: d.Schedule,
-			}))
+			core.WithBox(s.Box), core.WithAccuracy(1e-3), core.WithResort(true))
 		if err != nil {
 			panic(err)
 		}
@@ -141,17 +138,16 @@ func figResizeBody(s *particle.System, d resizeDirection, every int) func(c *vmp
 		} else if err := sim.Rescale(c, l); err != nil {
 			panic(err)
 		}
-		pol := fcs.ResizePolicy()
 		for ; ; stage++ {
-			for i := 0; i < pol.Every; i++ {
+			for i := 0; i < every; i++ {
 				if err := sim.Step(); err != nil {
 					panic(err)
 				}
 			}
-			if stage == len(pol.Sizes) {
+			if stage == len(d.Schedule) {
 				return
 			}
-			c2, l2 := elastic.Resize(c, sim.L, pol.SizeAt(stage), capf)
+			c2, l2 := elastic.Resize(c, sim.L, d.Schedule[stage], capf)
 			if c2 == nil {
 				return // retired with the shrink
 			}

@@ -57,8 +57,6 @@ type Config struct {
 	// Particles is the global particle count (the paper uses 829440; the
 	// default scale keeps laptop runtimes while preserving the shapes).
 	Particles int
-	// Side is the box side length.
-	Side float64
 	// Ranks is the number of virtual MPI ranks.
 	Ranks int
 	// Steps is the number of MD time steps where applicable.
@@ -95,12 +93,10 @@ type Config struct {
 }
 
 // DefaultConfig returns a laptop-scale configuration that reproduces the
-// figures' shapes. Side 0 selects the paper's particle density
-// (829440 ions in a 248³ box, i.e. a mean ion spacing of ~2.66).
+// figures' shapes.
 func DefaultConfig() Config {
 	return Config{
 		Particles: 6000,
-		Side:      0,
 		Ranks:     8,
 		Steps:     8,
 		Dt:        0.01,
@@ -110,11 +106,10 @@ func DefaultConfig() Config {
 	}
 }
 
-// side resolves the box side: explicit, or the paper's density.
+// side is the box side length that keeps the paper's particle density
+// (829440 ions in a 248³ box, i.e. a mean ion spacing of ~2.66) at
+// cfg.Particles.
 func (cfg Config) side() float64 {
-	if cfg.Side > 0 {
-		return cfg.Side
-	}
 	const paperSpacing = 2.6567 // 248 / 829440^(1/3)
 	return paperSpacing * math.Cbrt(float64(cfg.Particles))
 }

@@ -10,7 +10,6 @@ import (
 func testConfig() Config {
 	cfg := DefaultConfig()
 	cfg.Particles = 6000
-	cfg.Side = 0
 	cfg.Ranks = 8
 	cfg.Steps = 4
 	return cfg

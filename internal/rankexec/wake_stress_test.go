@@ -5,8 +5,8 @@ import "testing"
 // TestHandoffStressBudgetAdmit races the park hand-off against wakes,
 // budget growth and trimming, and Admit. Tasks on 2 or 4
 // base slots plus budget extras each post three tokens a round and batch
-// the owed wakes into one UnparkBatch before waiting (vmpi's flush
-// pattern); task 0 admits a second cohort mid-run that plays the same
+// the owed wakes into one UnparkBatch before waiting (the shape of a
+// vmpi rendezvous's wake); task 0 admits a second cohort mid-run that plays the same
 // game among itself. Every token must be consumed, every wake must end
 // exactly one Park call, and no budget unit may leak.
 func TestHandoffStressBudgetAdmit(t *testing.T) {

@@ -7,7 +7,7 @@ import (
 )
 
 // Steady-state allocation contracts of the messaging hot paths. Envelopes
-// and payload buffers are pooled and executor wakeups batched precisely so
+// and payload buffers are pooled and executor wakeups allocate nothing, so
 // that the per-message allocation count hits zero once the pools are warm
 // and receivers release what they get; these tests pin that down with
 // testing.AllocsPerRun so a regression shows up as a test failure, not as

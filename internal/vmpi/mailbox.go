@@ -33,10 +33,8 @@ type mailbox struct {
 
 // put appends a message to the arrival list and reports whether the owner
 // is waiting for exactly this key — in which case the caller owes it a
-// wake: the delivering rank batches the destination into its pending-wake
-// list (sendMsg) and flushes the batch to the executor before it can itself
-// block. Any other delivery wakes nobody: the owner finds it when it gets
-// there.
+// wake, which the delivering rank gives at once (sendMsg). Any other
+// delivery wakes nobody: the owner finds it when it gets there.
 //
 //parlint:hotalloc
 func (mb *mailbox) put(m *message) bool {

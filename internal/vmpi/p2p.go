@@ -140,9 +140,9 @@ func sendRaw[T any](c *Comm, payload []T, bytes, dst, tag int) {
 
 // sendMsg is the send core: it charges injection cost to the sender, stamps
 // the arrival time from the network model, enqueues the envelope, and —
-// when the destination is waiting for exactly this message — batches its
-// wakeup. The caller has filled the envelope's payload fields;
-// src/tag/ctx/timing are stamped here.
+// when the destination is waiting for exactly this message — wakes it. The
+// caller has filled the envelope's payload fields; src/tag/ctx/timing are
+// stamped here.
 //
 //parlint:hotalloc
 func sendMsg(c *Comm, m *message, bytes, dst, tag int) {
@@ -168,13 +168,11 @@ func sendMsg(c *Comm, m *message, bytes, dst, tag int) {
 	m.arrive = arrive
 	if dstInst.box.put(m) {
 		// The destination recorded a wait for this key, so it is parked or
-		// about to park: batch its wakeup, flushed before this rank can
-		// block or finish. Every other delivery (a send to self included —
-		// a sender is not waiting) is found by its receive without a wake.
-		c.st.pendingWakes = append(c.st.pendingWakes, dstW)
-		if len(c.st.pendingWakes) >= wakeBatchMax {
-			c.rt.flushWakes(c.st)
-		}
+		// about to park (a wake that comes first leaves a token its Park
+		// consumes): wake it now. Every other delivery (a send to self
+		// included — a sender is not waiting) is found by its receive
+		// without a wake.
+		c.rt.exec.Unpark(dstW)
 	}
 	if c.rt.trace {
 		c.st.rec.Record(obs.Event{
@@ -210,10 +208,6 @@ func recvRaw(c *Comm, src, tag int) *message {
 	if src < 0 || src >= len(c.members) {
 		panic(fmt.Sprintf("vmpi: Recv from invalid rank %d (size %d)", src, len(c.members)))
 	}
-	// Deliver this rank's batched wakeups before it can park: a rank
-	// waiting on one of those messages must be runnable by the time we
-	// block, or the all-parked verdict would see a false deadlock.
-	c.rt.flushWakes(c.st)
 	m := c.inst(c.rank).box.take(c, src, tag)
 	c.st.clock = recvClock(c.st.clock, m.arrive)
 	if c.rt.trace {

@@ -154,9 +154,8 @@ func (c *Comm) collective(op collOp, fn any, replay func(*rendezvous)) (*rendezv
 		c.rt.exec.UnparkBatch(g.members[:c.rank])
 		c.rt.exec.UnparkBatch(g.members[c.rank+1:])
 	} else {
-		// Wakes this rank owes go out before it parks, as in recvRaw. The
-		// replay wakes every other rank once, so the first Park ends there.
-		c.rt.flushWakes(c.st)
+		// The replay wakes every other rank once, so the first Park ends
+		// there.
 		for c.rt.exec.Park(c.world(c.rank)); s.gen.Load() != gen|rdvDone; {
 			c.rt.exec.Park(c.world(c.rank))
 		}

@@ -94,6 +94,25 @@ func TestResizeGrow(t *testing.T) {
 	})
 }
 
+// TestResizeKeepsMaxExchangeBytes: the staging budget is the machine's, so
+// every rank reads the configured value before and after a grow, the
+// admitted rank included, and budgeted plans stay collective-symmetric.
+func TestResizeKeepsMaxExchangeBytes(t *testing.T) {
+	const budget = 512
+	st := Run(Config{Ranks: 2, MaxRanks: 3, MaxExchangeBytes: budget}, func(c *Comm) {
+		var reads []int64
+		if c.JoinEpoch() == 0 {
+			reads = append(reads, c.MaxExchangeBytes())
+			c = Resize(c, 3)
+		}
+		c.SetResult(append(reads, c.MaxExchangeBytes()))
+	})
+	want := []any{[]int64{budget, budget}, []int64{budget, budget}, []int64{budget}}
+	if !reflect.DeepEqual(st.Values, want) {
+		t.Fatalf("MaxExchangeBytes per instance = %v, want %v", st.Values, want)
+	}
+}
+
 func TestResizeGrowShrinkCycle(t *testing.T) {
 	// 8 -> 4 -> 8 -> 2: the regrow admits fresh instances (ids 8..11) on
 	// the freed node positions; the final shrink retires everyone above

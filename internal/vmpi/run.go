@@ -80,8 +80,9 @@ type Runtime struct {
 	// maxRanks bounds the world size Resize may grow to; the network model
 	// is validated against it once at Run.
 	maxRanks int
-	// maxExchangeBytes seeds every rank's redistribution staging budget
-	// (Config.MaxExchangeBytes), including ranks admitted by Resize.
+	// maxExchangeBytes is Config.MaxExchangeBytes, the one staging budget
+	// every rank reads (Comm.MaxExchangeBytes), ranks admitted by Resize
+	// included.
 	maxExchangeBytes int64
 	// f is the rank body; Resize re-invokes it for admitted ranks.
 	f func(c *Comm)
@@ -123,8 +124,8 @@ type Config struct {
 	// exchanges in bytes: planners in internal/redist decompose any exchange
 	// whose per-destination send buffers would exceed it into
 	// bounded-footprint rounds. 0 (the default) leaves exchanges unbounded;
-	// negative panics. Ranks admitted by Resize inherit the configured
-	// value.
+	// negative panics. It holds for the whole run: ranks admitted by
+	// Resize read the same value.
 	MaxExchangeBytes int64
 }
 
@@ -238,12 +239,7 @@ func (rt *Runtime) execute(workers, n int) *rankexec.Stats {
 				rt.exec.Abort()
 			}
 		}()
-		c := rt.instComm(r)
-		rt.f(c)
-		// Wakes batched after the rank's last receive must reach the
-		// executor before this task finishes, or receivers of its final
-		// sends would park forever.
-		rt.flushWakes(c.st)
+		rt.f(rt.instComm(r))
 	}
 	opts := rankexec.Options{
 		OnDeadlock: func([]int) { panic(rt.deadlockDump()) },
@@ -271,24 +267,6 @@ func (rt *Runtime) execute(workers, n int) *rankexec.Stats {
 	}
 	st := ex.Snapshot()
 	return &st
-}
-
-// wakeBatchMax caps a rank's pending-wake batch: a fan-out send loop
-// flushes to the executor every wakeBatchMax deliveries instead of growing
-// the batch without bound.
-const wakeBatchMax = 64
-
-// flushWakes delivers a rank's batched wakeups to the executor in one
-// UnparkBatch episode. Callers invoke it before the rank can block
-// (recvRaw) or finish (execute's body), so a rank whose awaited message
-// was delivered is always runnable by the time the sender parks — the
-// all-parked deadlock verdict stays exact.
-func (rt *Runtime) flushWakes(st *rankState) {
-	if len(st.pendingWakes) == 0 {
-		return
-	}
-	rt.exec.UnparkBatch(st.pendingWakes)
-	st.pendingWakes = st.pendingWakes[:0]
 }
 
 // deadlockDump renders the all-parked verdict: every mailbox's wait record,

@@ -5,29 +5,26 @@ import (
 	"testing"
 )
 
-// Stress test for the executor's batched wakeups. sendMsg does not
-// wake a destination immediately: it queues the destination in the
-// sender's pendingWakes and flushes on three edges — the batch filling up
-// (wakeBatchMax), the sender entering a receive (it might park), and the
-// sender's event body ending (it yields or finishes). A wakeup lost on any
-// of those edges strands a parked rank: the run either reports a false
-// deadlock (all-parked verdict) or hangs. The workload below drives all
-// three flush edges at once, at slot counts from fully serialized to wider
+// Stress test for the mailbox's direct wakeups. sendMsg wakes a destination
+// the moment put reports it waiting for exactly the delivered key; a wake
+// that reaches the executor before the receiver's Park leaves a token the
+// Park consumes. A wakeup lost anywhere strands a parked rank: the run
+// either reports a false deadlock (all-parked verdict) or hangs. The
+// workload below wakes receivers from a long fan-out send loop, from a
+// sender about to park in its own receive, and from a sender whose body
+// ends right after the send, at slot counts from fully serialized to wider
 // than the hot rank set and at the default (one base slot plus extras from
 // the shared host budget, so slot hand-offs race budget growth), and the
 // virtual clocks must match at every one.
 func TestBatchedWakeStress(t *testing.T) {
-	// More destinations than wakeBatchMax so the hub's scatter crosses the
-	// flush-on-full edge mid-loop.
-	const ranks = wakeBatchMax + 32
+	const ranks = 96
 
 	workload := func(c *Comm) {
 		me, p := c.Rank(), c.Size()
 
 		// Phase 1 — hub scatter/gather: rank 0 issues p-1 sends before its
-		// first receive (batch fills and flushes mid-loop, the receive
-		// flushes the remainder); every peer parks immediately and must be
-		// woken by a batched flush. Replies are drained in reverse order so
+		// first receive; every peer parks immediately and must be woken by
+		// the send that reaches it. Replies are drained in reverse order so
 		// the hub parks on the last-woken peers first.
 		if me == 0 {
 			for d := 1; d < p; d++ {
@@ -44,8 +41,7 @@ func TestBatchedWakeStress(t *testing.T) {
 		}
 
 		// Phase 2 — power-of-two shifts: every rank sends one message and
-		// parks in a receive with the wake for its destination still
-		// batched, so delivery relies on the flush at recv entry.
+		// parks in a receive right after waking its destination.
 		sum := int64(me)
 		for off := 1; off < p; off *= 2 {
 			dst := (me + off) % p
@@ -55,8 +51,7 @@ func TestBatchedWakeStress(t *testing.T) {
 		}
 
 		// Phase 3 — fire-and-finish: every peer sends its final token and
-		// returns, exercising the end-of-body flush while rank 0 is parked
-		// waiting for exactly those tokens.
+		// returns while rank 0 is parked waiting for exactly those tokens.
 		if me == 0 {
 			total := sum
 			for d := 1; d < p; d++ {

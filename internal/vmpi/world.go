@@ -19,12 +19,6 @@ type rankState struct {
 	msgsSent     int64
 	splitSeq     int64
 	result       any
-	// maxExchange is the rank's redistribution staging budget in bytes
-	// (Config.MaxExchangeBytes, overridable per rank via
-	// Comm.SetMaxExchangeBytes); 0 means unbounded. The messaging layer
-	// itself does not enforce it — redistribution planners (internal/redist)
-	// read it to schedule bounded-footprint exchange rounds.
-	maxExchange int64
 	// admit is the virtual time the rank was admitted (0 for founding
 	// ranks, the resize time t* for ranks admitted by a grow).
 	admit float64
@@ -38,12 +32,6 @@ type rankState struct {
 	// fold into its running aggregates; the phase, collective, message and
 	// counter events are built and listed only under Config.Trace.
 	rec obs.Buffer
-	// pendingWakes batches the instance ids of ranks this rank owes a wake:
-	// each was waiting for exactly the message delivered to it
-	// (mailbox.put). The batch is flushed to the executor in one UnparkBatch
-	// episode before the rank can block (recvRaw) or finish, and whenever it
-	// reaches wakeBatchMax.
-	pendingWakes []int
 }
 
 // rankInstance is one rank identity over the whole life of the virtual
@@ -113,11 +101,10 @@ func (rt *Runtime) newInstance(w *epochWorld, id, rank int, admit float64) *rank
 	inst := &rankInstance{
 		node: rank,
 		st: rankState{
-			clock:       admit,
-			admit:       admit,
-			retire:      -1,
-			joinEpoch:   w.epoch,
-			maxExchange: rt.maxExchangeBytes,
+			clock:     admit,
+			admit:     admit,
+			retire:    -1,
+			joinEpoch: w.epoch,
 		},
 	}
 	inst.st.rec.Init(id, rt.trace)
@@ -190,23 +177,13 @@ func (c *Comm) Compute(seconds float64) {
 	c.st.clock += seconds * c.rt.computeScale
 }
 
-// MaxExchangeBytes returns the rank's redistribution staging budget in
-// bytes (0 = unbounded). Planners in internal/redist consult it to decide
-// whether an exchange must be decomposed into bounded-footprint rounds.
-func (c *Comm) MaxExchangeBytes() int64 { return c.st.maxExchange }
-
-// SetMaxExchangeBytes sets the rank's redistribution staging budget in
-// bytes; 0 removes the bound, negative panics. Budgeted redistribution
-// plans take one extra collective to agree on a schedule, so — like every
-// collective-shaping knob — the budget must be set symmetrically: every
-// rank of a communicator that later plans an exchange together must carry
-// the same value.
-func (c *Comm) SetMaxExchangeBytes(b int64) {
-	if b < 0 {
-		panic("vmpi: negative MaxExchangeBytes")
-	}
-	c.st.maxExchange = b
-}
+// MaxExchangeBytes returns the machine's redistribution staging budget in
+// bytes (Config.MaxExchangeBytes; 0 = unbounded). It is one value for the
+// whole run, so every rank — admitted by Resize or not — reads the same
+// budget and budgeted plans stay collective-symmetric. Planners in
+// internal/redist consult it to decide whether an exchange must be
+// decomposed into bounded-footprint rounds.
+func (c *Comm) MaxExchangeBytes() int64 { return c.rt.maxExchangeBytes }
 
 // SetResult stores a per-rank result value that Run surfaces in
 // Stats.Values. Typically used by tests and the benchmark harness.
